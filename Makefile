@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-ab chaos chaos-nightly
+.PHONY: build test race vet verify bench bench-ab bench-check chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ bench:
 # engines in one process, ratio floors enforced (CI runs it in bench-smoke).
 bench-ab:
 	$(GO) run ./cmd/bcpbench -ab -seed $(SEED)
+
+# bench-check vets and short-tests the repository benchmark. bench/ is a Go
+# module of its own, so `go build ./... && go test ./...` at the root never
+# compiles it; this is where an internal/ API change that breaks the harness
+# fails, instead of at the benchmark driver's build.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # chaos is the CI smoke budget: a fixed seed, a small episode count, and
 # the seeded-bug catch run under the race detector. CHAOS_SEED/CHAOS_EPISODES

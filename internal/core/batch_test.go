@@ -164,19 +164,21 @@ func requireSameManagers(t *testing.T, ctx string, ms, mb *Manager) {
 		}
 		for i := range lms.entries {
 			es, eb := &lms.entries[i], &lmb.entries[i]
-			if es.ch.ID != eb.ch.ID || es.alpha != eb.alpha {
+			if es.id != eb.id || es.alpha != eb.alpha {
 				t.Fatalf("%s: link %d entry %d: chan %d/α%d vs chan %d/α%d",
-					ctx, l, i, es.ch.ID, es.alpha, eb.ch.ID, eb.alpha)
+					ctx, l, i, es.id, es.alpha, eb.id, eb.alpha)
 			}
 			if math.Abs(es.req-eb.req) > 1e-9 {
 				t.Fatalf("%s: link %d entry %d req %g vs %g", ctx, l, i, es.req, eb.req)
 			}
-			if len(es.pi) != len(eb.pi) {
-				t.Fatalf("%s: link %d entry %d Π size %d vs %d", ctx, l, i, len(es.pi), len(eb.pi))
+			// Bit-identity: Π decoded in slot order must match member by member.
+			ps, pb := lms.piIDs(i), lmb.piIDs(i)
+			if len(ps) != len(pb) {
+				t.Fatalf("%s: link %d entry %d Π size %d vs %d", ctx, l, i, len(ps), len(pb))
 			}
-			for j := range es.pi {
-				if es.pi[j] != eb.pi[j] {
-					t.Fatalf("%s: link %d entry %d Π[%d] = %d vs %d", ctx, l, i, j, es.pi[j], eb.pi[j])
+			for j := range ps {
+				if ps[j] != pb[j] {
+					t.Fatalf("%s: link %d entry %d Π[%d] = %d vs %d", ctx, l, i, j, ps[j], pb[j])
 				}
 			}
 		}

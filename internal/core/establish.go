@@ -71,13 +71,16 @@ func (pp *pathPlan) set(g *topology.Graph, links []topology.LinkID) {
 
 // linkWire records the admission probe's outcome for one backup on one link:
 // which existing entries' Π sets gain the new backup (grow), which existing
-// channels the new backup's own Π set lists (pi), the new entry's spare
-// requirement, and the spare level the link must reach. Ranges index the
-// owning connPlan's flat arenas so reusing a plan never reallocates them.
+// entries the new backup's own Π set lists (pi), the new entry's spare
+// requirement, and the spare level the link must reach. Both lists hold
+// link-local entry indexes — the coordinates of the link's Π bit matrix —
+// which stay valid until commit because a plan whose link gained or lost an
+// entry is re-probed or replanned first (batch.go). Ranges index the owning
+// connPlan's flat arenas so reusing a plan never reallocates them.
 type linkWire struct {
 	link             topology.LinkID
 	growOff, growLen int32 // entry indexes in connPlan.growBuf
-	piOff, piLen     int32 // channel ids in connPlan.piBuf
+	piOff, piLen     int32 // entry indexes in connPlan.piBuf
 	req              float64
 	need             float64
 }
@@ -117,7 +120,7 @@ type connPlan struct {
 	nBackups int
 
 	growBuf []int32
-	piBuf   []rtchan.ChannelID
+	piBuf   []int32
 }
 
 // backupAt returns the i-th backup slot, growing the slice without discarding
@@ -349,10 +352,10 @@ func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID)
 	maxGrown := 0.0
 	for ei := range lm.entries {
 		e := &lm.entries[ei]
-		newInE, eInNew, hit := pc.dec.lookup(e.ch.ID)
+		newInE, eInNew, hit := pc.dec.lookup(e.id)
 		if !hit {
 			newInE, eInNew = pc.decide(e, bp.nu)
-			pc.dec.store(e.ch.ID, newInE, eInNew)
+			pc.dec.store(e.id, newInE, eInNew)
 		}
 		if newInE {
 			p.growBuf = append(p.growBuf, int32(ei))
@@ -361,8 +364,8 @@ func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID)
 			}
 		}
 		if eInNew {
-			p.piBuf = append(p.piBuf, e.ch.ID)
-			req += e.ch.Bandwidth()
+			p.piBuf = append(p.piBuf, int32(ei))
+			req += e.bw
 		}
 	}
 	w.growLen = int32(len(p.growBuf)) - w.growOff
@@ -471,14 +474,6 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 		conn.Backups = make([]*rtchan.Channel, 0, nb)
 		conn.Degrees = make([]int, 0, nb)
 	}
-	// All planned Π sets share one backing array. Each slice is capacity-
-	// capped to its planned length, so a later establishment appending to an
-	// entry's Π reallocates that slice instead of clobbering its neighbor.
-	var piAll []rtchan.ChannelID
-	if len(p.piBuf) > 0 {
-		piAll = make([]rtchan.ChannelID, len(p.piBuf))
-		copy(piAll, p.piBuf)
-	}
 	for i := 0; i < nb; i++ {
 		bp := &p.backups[i]
 		bPath := topology.NewPathUnchecked(g, bp.path.links, bp.path.nodes)
@@ -487,7 +482,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 			undo()
 			return nil, fmt.Errorf("core: backup %d admission: %w", i+1, err)
 		}
-		if err := m.commitBackupWires(p, bp, conn, bch, piAll); err != nil {
+		if err := m.commitBackupWires(p, bp, conn, bch); err != nil {
 			_ = m.plan.net.Teardown(bch.ID)
 			undo()
 			return nil, fmt.Errorf("core: backup %d multiplexing: %w", i+1, err)
@@ -504,34 +499,28 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 // commitBackupWires replays one backup's recorded wiring onto its links. On
 // the (defensively handled) SetSpare failure it rolls its own links back and
 // leaves the rest to the caller, mirroring addBackupToLink + addBackup.
-func (m *Manager) commitBackupWires(p *connPlan, bp *backupPlan, conn *DConnection, bch *rtchan.Channel, piAll []rtchan.ChannelID) error {
+func (m *Manager) commitBackupWires(p *connPlan, bp *backupPlan, conn *DConnection, bch *rtchan.Channel) error {
 	bw := bch.Bandwidth()
 	for wi := range bp.wires {
 		w := &bp.wires[wi]
 		lm := &m.plan.mux[w.link]
+		n := lm.appendEntry(muxEntry{id: bch.ID, bw: bw, conn: conn, alpha: bp.alpha, nu: bp.nu, req: w.req})
 		for _, ei := range p.growBuf[w.growOff : w.growOff+w.growLen] {
 			e := &lm.entries[ei]
-			e.pi = append(e.pi, bch.ID)
+			lm.piSet(int(ei), n)
 			e.req += bw
 			lm.noteReq(e.req)
 		}
-		entry := muxEntry{ch: bch, conn: conn, alpha: bp.alpha, nu: bp.nu, req: w.req}
-		if w.piLen > 0 {
-			entry.pi = piAll[w.piOff : w.piOff+w.piLen : w.piOff+w.piLen]
+		for _, ei := range p.piBuf[w.piOff : w.piOff+w.piLen] {
+			lm.piSet(n, int(ei))
 		}
-		lm.entries = append(lm.entries, entry)
-		lm.noteReq(entry.req)
+		lm.noteReq(w.req)
 		need := lm.requiredSpare()
 		if need > lm.spare {
 			if err := m.plan.net.SetSpare(w.link, need); err != nil {
 				// Unreachable for a plan probed under this lock; undo this
 				// link and the already-wired prefix.
-				lm.removeAt(len(lm.entries) - 1)
-				for _, ei := range p.growBuf[w.growOff : w.growOff+w.growLen] {
-					e := &lm.entries[ei]
-					e.piRemove(bch.ID)
-					e.req -= bw
-				}
+				lm.unwire(n)
 				lm.reqDirty = true
 				for _, u := range bp.wires[:wi] {
 					m.removeBackupFromLink(u.link, bch)

@@ -3,40 +3,26 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
-// muxEntry is the per-link bookkeeping for one backup channel (§3.2).
+// muxEntry is the per-link bookkeeping for one backup channel (§3.2). The
+// channel's id and bandwidth are stored inline so find and the admission
+// scans walk the entry slice without dereferencing the channel.
 type muxEntry struct {
-	ch    *rtchan.Channel
+	id    rtchan.ChannelID
+	bw    float64
 	conn  *DConnection
 	alpha int     // paper's integer multiplexing degree
 	nu    float64 // threshold ν = (α-0.5)·λ
-	// pi is Π(Bi,ℓ): the backups on this link that Bi must NOT share spare
-	// bandwidth with, restricted — per the paper's refinement — to backups
-	// whose multiplexing degree is no greater than Bi's. Kept as a flat
-	// duplicate-free slice: membership inserts dominate (once per conflicting
-	// pair per shared link), while lookups and removals only happen on the
-	// rare teardown/promotion paths, where a linear scan is fine.
-	pi []rtchan.ChannelID
 	// req is this backup's spare-bandwidth requirement on the link:
-	// bw(Bi) + Σ_{Bj ∈ Π} bw(Bj).
+	// bw(Bi) + Σ_{Bj ∈ Π(Bi,ℓ)} bw(Bj). Π itself is a row of linkMux.pi.
 	req float64
-}
-
-// piRemove removes id from Π(e) if present, reporting whether it was.
-func (e *muxEntry) piRemove(id rtchan.ChannelID) bool {
-	for i, x := range e.pi {
-		if x == id {
-			e.pi[i] = e.pi[len(e.pi)-1]
-			e.pi = e.pi[:len(e.pi)-1]
-			return true
-		}
-	}
-	return false
 }
 
 // linkMux is one link's multiplexing state. The link's spare reservation is
@@ -47,9 +33,23 @@ func (e *muxEntry) piRemove(id rtchan.ChannelID) bool {
 // addBackupToLink walks every entry once per link of every new backup —
 // the hottest loop of establishment — and a contiguous scan beats map
 // iteration there. Lookups by channel ID (teardown, promotion, Ψ metrics)
-// are rare and linear-scan over tens of entries.
+// linear-scan the inline ids over tens of entries.
 type linkMux struct {
 	entries []muxEntry
+	// pi is the link's Π relation (§3.2) as a row-major bit matrix over entry
+	// indexes, stride words per row: bit j of row i is set iff entries[i]
+	// counts entries[j] in Π(Bi,ℓ) — the backups Bi must NOT share spare
+	// bandwidth with, restricted, per the paper's refinement, to backups whose
+	// multiplexing degree is no greater than Bi's. Invariants: len(pi) ==
+	// len(entries)*stride, no row has its own bit set, and no bit is set in
+	// a column at or beyond len(entries). Every edit — establishment,
+	// teardown, rejoin expiry, promotion, replenish — addresses bits by entry
+	// index; nothing searches a member list. Only writers touch it: the
+	// admission probe decides pairs from primary paths and reads req alone.
+	// The stride only grows: restride widens the rows when an entry index
+	// first needs another word, and a link that drains keeps the width.
+	pi      []uint64
+	stride  int
 	spare   float64 // committed spare reservation (mirrors rtchan account)
 	claimed float64 // drawn by activations since the last reconfiguration
 	// claims tracks protocol-mode activation claims by channel, so the
@@ -67,20 +67,93 @@ type linkMux struct {
 // find returns the index of the entry for channel id, or -1.
 func (lm *linkMux) find(id rtchan.ChannelID) int {
 	for i := range lm.entries {
-		if lm.entries[i].ch.ID == id {
+		if lm.entries[i].id == id {
 			return i
 		}
 	}
 	return -1
 }
 
-// removeAt swap-deletes the entry at index i, zeroing the vacated slot so
-// its pi slice and pointers are released.
-func (lm *linkMux) removeAt(i int) {
+// piSet records that entries[i] counts entries[j] in its Π set.
+func (lm *linkMux) piSet(i, j int) {
+	lm.pi[i*lm.stride+j>>6] |= 1 << (uint(j) & 63)
+}
+
+// piHas reports whether entries[i] counts entries[j] in its Π set.
+func (lm *linkMux) piHas(i, j int) bool {
+	return lm.pi[i*lm.stride+j>>6]&(1<<(uint(j)&63)) != 0
+}
+
+// piCount returns |Π| of entries[i].
+func (lm *linkMux) piCount(i int) int {
+	n := 0
+	for _, w := range lm.pi[i*lm.stride : (i+1)*lm.stride] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendEntry appends e with an empty Π row and returns its index. Rows are
+// widened first when the new index is the first to need another word; the
+// matrix itself grows by append's amortised doubling.
+func (lm *linkMux) appendEntry(e muxEntry) int {
+	n := len(lm.entries)
+	if n>>6 >= lm.stride {
+		lm.restride(n>>6 + 1)
+	}
+	lm.entries = append(lm.entries, e)
+	// Words past len may hold a removed row; clear what the new row reuses.
+	// (Not append(pi, make(...)...): the race build does not elide that make,
+	// which would put one allocation per link into every establishment.)
+	lm.pi = slices.Grow(lm.pi, lm.stride)[:len(lm.pi)+lm.stride]
+	clear(lm.pi[n*lm.stride:])
+	return n
+}
+
+// restride re-lays the matrix out at a wider stride, leaving room for the
+// rows that will follow the one that forced the move.
+func (lm *linkMux) restride(stride int) {
+	n := len(lm.entries)
+	grown := make([]uint64, n*stride, 2*n*stride)
+	for i := 0; i < n; i++ {
+		copy(grown[i*stride:], lm.pi[i*lm.stride:(i+1)*lm.stride])
+	}
+	lm.pi, lm.stride = grown, stride
+}
+
+// unwire swap-deletes the entry at index idx and removes it from the Π
+// relation in one pass over the rows: row last moves to row idx, and in
+// every remaining row column idx is tested and cleared — an entry that
+// counted the departing backup sheds its bandwidth from req — and column
+// last moves to column idx. The vacated slot is zeroed so its connection
+// pointer is released. Shared by teardown, promotion and both rollbacks.
+func (lm *linkMux) unwire(idx int) {
 	last := len(lm.entries) - 1
-	lm.entries[i] = lm.entries[last]
+	s := lm.stride
+	bw := lm.entries[idx].bw
+	lm.noteReqShrink(lm.entries[idx].req)
+	if idx != last {
+		lm.entries[idx] = lm.entries[last]
+		copy(lm.pi[idx*s:(idx+1)*s], lm.pi[last*s:])
+	}
 	lm.entries[last] = muxEntry{}
 	lm.entries = lm.entries[:last]
+	lm.pi = lm.pi[:last*s]
+	iw, ib := idx>>6, uint64(1)<<(uint(idx)&63)
+	lw, lb := last>>6, uint64(1)<<(uint(last)&63)
+	for i := range lm.entries {
+		row := lm.pi[i*s : (i+1)*s]
+		if row[iw]&ib != 0 {
+			row[iw] &^= ib
+			e := &lm.entries[i]
+			lm.noteReqShrink(e.req)
+			e.req -= bw
+		}
+		if row[lw]&lb != 0 {
+			row[lw] &^= lb
+			row[iw] |= ib
+		}
+	}
 }
 
 // requiredSpare returns the max requirement over entries, rescanning only
@@ -256,54 +329,49 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 	lm := &m.plan.mux[l]
 	bw := ch.Bandwidth()
 	entry := muxEntry{
-		ch:    ch,
+		id:    ch.ID,
+		bw:    bw,
 		conn:  conn,
 		alpha: alpha,
 		nu:    reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
-		req:   bw,
 	}
 	// Decisions are reusable across links only within the addBackup call
 	// that started the memo for this channel.
 	memo := m.muxDec.forChan == ch.ID
 	// Tentatively wire the new entry into the Π structure. No undo log is
-	// kept: the rare rollback below reconstructs the growth by scanning for
-	// Π memberships, exactly as removeBackupFromLink does.
-	for i := range lm.entries {
+	// kept: the rare rollback below unwires it like any other removal.
+	n := lm.appendEntry(entry)
+	req := bw
+	for i := 0; i < n; i++ {
 		e := &lm.entries[i]
 		var newInE, eInNew bool
 		hit := false
 		if memo {
-			newInE, eInNew, hit = m.muxDec.lookup(e.ch.ID)
+			newInE, eInNew, hit = m.muxDec.lookup(e.id)
 		}
 		if !hit {
 			newInE, eInNew = m.decideMux(e, &entry)
 			if memo {
-				m.muxDec.store(e.ch.ID, newInE, eInNew)
+				m.muxDec.store(e.id, newInE, eInNew)
 			}
 		}
 		if newInE {
-			e.pi = append(e.pi, ch.ID)
+			lm.piSet(i, n)
 			e.req += bw
 			lm.noteReq(e.req)
 		}
 		if eInNew {
-			entry.pi = append(entry.pi, e.ch.ID)
-			entry.req += e.ch.Bandwidth()
+			lm.piSet(n, i)
+			req += e.bw
 		}
 	}
-	lm.entries = append(lm.entries, entry)
-	lm.noteReq(entry.req)
+	lm.entries[n].req = req
+	lm.noteReq(req)
 	need := lm.requiredSpare()
 	if need > lm.spare {
 		if err := m.plan.net.SetSpare(l, need); err != nil {
 			// Roll back. The undone growth may have held the cached max.
-			lm.removeAt(len(lm.entries) - 1)
-			for i := range lm.entries {
-				e := &lm.entries[i]
-				if e.piRemove(ch.ID) {
-					e.req -= bw
-				}
-			}
+			lm.unwire(n)
 			lm.reqDirty = true
 			return fmt.Errorf("core: link %d cannot grow spare to %g: %w", l, need, err)
 		}
@@ -320,16 +388,7 @@ func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 	if idx < 0 {
 		return
 	}
-	lm.noteReqShrink(lm.entries[idx].req)
-	lm.removeAt(idx)
-	bw := ch.Bandwidth()
-	for i := range lm.entries {
-		e := &lm.entries[i]
-		if e.piRemove(ch.ID) {
-			lm.noteReqShrink(e.req)
-			e.req -= bw
-		}
-	}
+	lm.unwire(idx)
 	need := lm.requiredSpare()
 	if need < lm.spare {
 		// Never shrink below what activations have already claimed.
@@ -389,11 +448,7 @@ func (m *Manager) psiSizes(ch *rtchan.Channel) []int {
 		if idx < 0 {
 			continue
 		}
-		psi := len(lm.entries) - len(lm.entries[idx].pi) - 1
-		if psi < 0 {
-			psi = 0
-		}
-		out[i] = psi
+		out[i] = len(lm.entries) - lm.piCount(idx) - 1
 	}
 	return out
 }
@@ -427,15 +482,9 @@ func (m *Manager) prospectiveSpareIncrease(l topology.LinkID, ps *prospectiveS, 
 			continue
 		}
 		s := ps.forConn(e.conn)
-		var newInE, eInNew bool
-		if m.plan.cfg.DisablePiDegreeRestriction {
-			newInE, eInNew = s >= e.nu, s >= nu
-		} else {
-			newInE = nu <= e.nu && s >= e.nu
-			eInNew = e.nu <= nu && s >= nu
-		}
+		newInE, eInNew := muxDecision(s, e.nu, nu, m.plan.cfg.DisablePiDegreeRestriction)
 		if eInNew {
-			newReq += e.ch.Bandwidth()
+			newReq += e.bw
 		}
 		if newInE && e.req+bw > maxGrown {
 			maxGrown = e.req + bw
@@ -453,10 +502,10 @@ func (m *Manager) prospectiveSpareIncrease(l topology.LinkID, ps *prospectiveS, 
 // primary path changes every S involving that connection).
 func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 	lm := &m.plan.mux[l]
+	clear(lm.pi)
 	for i := range lm.entries {
 		e := &lm.entries[i]
-		e.pi = e.pi[:0] // reuse the allocated slice instead of reallocating
-		e.req = e.ch.Bandwidth()
+		e.req = e.bw
 	}
 	// Reconfiguration touches many links sharing the same connection pairs;
 	// let their S values populate the pair cache.
@@ -470,12 +519,12 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 			b := &lm.entries[j]
 			aCountsB, bCountsA := m.mutualExclusion(a, b)
 			if aCountsB {
-				a.pi = append(a.pi, b.ch.ID)
-				a.req += b.ch.Bandwidth()
+				lm.piSet(i, j)
+				a.req += b.bw
 			}
 			if bCountsA {
-				b.pi = append(b.pi, a.ch.ID)
-				b.req += a.ch.Bandwidth()
+				lm.piSet(j, i)
+				b.req += a.bw
 			}
 		}
 	}
@@ -517,35 +566,41 @@ func (m *Manager) CheckMuxInvariants() error {
 		if got := m.plan.net.Spare(topology.LinkID(l)); math.Abs(got-lm.spare) > 1e-6 {
 			return fmt.Errorf("core: link %d spare mirror drift: mux=%g rtchan=%g", l, lm.spare, got)
 		}
+		n := len(lm.entries)
+		if len(lm.pi) != n*lm.stride || n > 64*lm.stride {
+			return fmt.Errorf("core: link %d Π matrix holds %d words at stride %d for %d entries", l, len(lm.pi), lm.stride, n)
+		}
 		for ei := range lm.entries {
 			e := &lm.entries[ei]
-			id := e.ch.ID
+			id := e.id
 			// Entries must be unique per channel (find returns the first).
 			if lm.find(id) != ei {
 				return fmt.Errorf("core: link %d has duplicate entries for channel %d", l, id)
 			}
-			want := e.ch.Bandwidth()
-			for i, peer := range e.pi {
-				// Π is a set; a duplicate insert would inflate req and the
-				// spare pool consistently, so check it explicitly.
-				for _, later := range e.pi[i+1:] {
-					if later == peer {
-						return fmt.Errorf("core: link %d entry %d lists peer %d twice", l, id, peer)
-					}
+			if lm.piHas(ei, ei) {
+				return fmt.Errorf("core: link %d entry %d counts itself in Π", l, id)
+			}
+			want := e.bw
+			members := 0
+			for pi := range lm.entries {
+				if !lm.piHas(ei, pi) {
+					continue
 				}
-				pi := lm.find(peer)
-				if pi < 0 {
-					return fmt.Errorf("core: link %d entry %d references absent peer %d", l, id, peer)
-				}
+				members++
 				pe := &lm.entries[pi]
-				want += pe.ch.Bandwidth()
+				want += pe.bw
 				// The ν-ordering rule applies between connections that both
 				// have primaries; a primary-less connection (mid-recovery
 				// rejoin) is counted conservatively from both sides.
 				if !m.plan.cfg.DisablePiDegreeRestriction && pe.nu > e.nu+1e-18 && pe.conn.ID != e.conn.ID &&
 					pe.conn.Primary != nil && e.conn.Primary != nil {
-					return fmt.Errorf("core: link %d entry %d counts peer %d with larger ν", l, id, peer)
+					return fmt.Errorf("core: link %d entry %d counts peer %d with larger ν", l, id, pe.id)
 				}
+			}
+			// A bit in a column no entry occupies would be inherited by the
+			// next backup appended there.
+			if stray := lm.piCount(ei) - members; stray != 0 {
+				return fmt.Errorf("core: link %d entry %d has %d Π bits beyond column %d", l, id, stray, n-1)
 			}
 			if math.Abs(want-e.req) > 1e-6 {
 				return fmt.Errorf("core: link %d entry %d req drift: stored %g recomputed %g", l, id, e.req, want)

@@ -44,9 +44,14 @@ func degreeAt(conn *DConnection, i int) int {
 // prospectivePsiSizes predicts |Ψ(B,ℓ)| for a *hypothetical* backup on
 // bPath protecting primary, if it were admitted with multiplexing degree
 // alpha — the information the paper's reservation message collects on its
-// forward pass "with various ν values" (§3.4).
+// forward pass "with various ν values" (§3.4). Each peer is decided as the
+// admission scan will decide it (muxDecision; a momentarily primary-less
+// connection is counted in Π, as in decide and mutualExclusion), so the
+// prediction is the Ψ the commit realizes. Writer-side: it stamps m.piMarks.
 func (m *Manager) prospectivePsiSizes(primary, bPath topology.Path, alpha int) []int {
 	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
+	m.piMarks.Set(primary)
+	primComps := primary.NumComponents()
 	links := bPath.Links()
 	out := make([]int, len(links))
 	for i, l := range links {
@@ -54,13 +59,11 @@ func (m *Manager) prospectivePsiSizes(primary, bPath topology.Path, alpha int) [
 		psi := 0
 		for ei := range lm.entries {
 			e := &lm.entries[ei]
-			s := reliability.SimultaneousActivation(
-				m.plan.cfg.Lambda,
-				primary.NumComponents(),
-				e.conn.Primary.Path.NumComponents(),
-				primary.SharedComponents(e.conn.Primary.Path),
-			)
-			inPi := e.nu <= nu && s >= nu
+			inPi := true
+			if pe := e.conn.Primary; pe != nil {
+				s := m.simS(primComps, pe.Path.NumComponents(), m.piMarks.Shared(pe.Path))
+				_, inPi = muxDecision(s, e.nu, nu, m.plan.cfg.DisablePiDegreeRestriction)
+			}
 			if !inPi {
 				psi++
 			}

@@ -187,3 +187,55 @@ func TestProspectivePsiMatchesCommitted(t *testing.T) {
 		}
 	}
 }
+
+// TestEstablishWithPrBesidePrimarylessConnection is the regression test for a
+// nil dereference in the Ψ prediction: during a Figure-6 rejoin a connection
+// can momentarily have backups but no primary, and a negotiation whose
+// candidate backup links host one of those backups used to read the missing
+// primary's path. The peer is now counted in Π (the conservative treatment
+// admission gives it), so the prediction still equals what commit realizes.
+func TestEstablishWithPrBesidePrimarylessConnection(t *testing.T) {
+	g := topology.NewTorus(4, 4, 200)
+	m := newTestManager(g)
+	spec := rtchan.DefaultSpec()
+	rejoining, err := m.Establish(0, 5, spec, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreAsBackup(rejoining.ID, rejoining.Primary.ID, 3); err != nil {
+		t.Fatal(err)
+	}
+	if rejoining.Primary != nil || len(rejoining.Backups) != 2 {
+		t.Fatalf("setup: primary %v, %d backups", rejoining.Primary, len(rejoining.Backups))
+	}
+	conn, err := m.EstablishWithPr(0, 5, spec, 0.9999, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.Backups) == 0 {
+		t.Fatal("negotiation met 0.9999 without a backup")
+	}
+	// Wherever the new backup meets one of the primary-less connection's, the
+	// two must not share spare: Ψ excludes that peer on every such link.
+	met := false
+	for _, b := range conn.Backups {
+		psi := m.PsiSizes(b)
+		for i, l := range b.Path.Links() {
+			lm := &m.plan.mux[l]
+			for ei := range lm.entries {
+				if lm.entries[ei].conn == rejoining {
+					met = true
+					if psi[i] != len(lm.entries)-2 {
+						t.Fatalf("link %d: Ψ = %d with %d entries, want the primary-less peer excluded", l, psi[i], len(lm.entries))
+					}
+				}
+			}
+		}
+	}
+	if !met {
+		t.Fatal("the negotiated backups never met the primary-less connection's")
+	}
+	if err := m.CheckMuxInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

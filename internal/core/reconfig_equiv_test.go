@@ -19,18 +19,15 @@ import (
 // teardowns, rejoin demotions, replenishment) and demands equal state after
 // every operation.
 //
-// One representational freedom is allowed: Π sets are compared as sets, not
-// sequences. A full rebuild re-derives each entry's Π members in canonical
-// pair order, while the incremental path preserves the order that swap-
-// deletes left behind; no decision reads Π order (requirements are scalars
-// maintained alongside), so content equality is the contract. Everything
+// Π sets are compared as sets of channel ids, decoded from each link's bit
+// matrix and sorted: the contract is the relation, not its layout. Everything
 // else — spare, claimed, claims, requirements, entry order, connection
 // structure, error outcomes — must match exactly, which the integer-valued
 // bandwidths of defaultBatchSpec make a bit-identity check, not a tolerance
 // check.
 
-// requireEquivalentMux is requireSameManagers' mux leg with the Π order
-// freedom above (me eager, mc coalesced).
+// requireEquivalentMux is requireSameManagers' mux leg with Π compared as
+// sets (me eager, mc coalesced).
 func requireEquivalentMux(t *testing.T, ctx string, me, mc *Manager) {
 	t.Helper()
 	g := me.Graph()
@@ -63,24 +60,23 @@ func requireEquivalentMux(t *testing.T, ctx string, me, mc *Manager) {
 		}
 		for i := range lme.entries {
 			ee, ec := &lme.entries[i], &lmc.entries[i]
-			if ee.ch.ID != ec.ch.ID || ee.alpha != ec.alpha {
+			if ee.id != ec.id || ee.alpha != ec.alpha {
 				t.Fatalf("%s: link %d entry %d: chan %d/α%d vs chan %d/α%d",
-					ctx, l, i, ee.ch.ID, ee.alpha, ec.ch.ID, ec.alpha)
+					ctx, l, i, ee.id, ee.alpha, ec.id, ec.alpha)
 			}
 			if ee.req != ec.req {
-				t.Fatalf("%s: link %d entry %d (chan %d) req %g vs %g", ctx, l, i, ee.ch.ID, ee.req, ec.req)
+				t.Fatalf("%s: link %d entry %d (chan %d) req %g vs %g", ctx, l, i, ee.id, ee.req, ec.req)
 			}
-			pe := append([]rtchan.ChannelID(nil), ee.pi...)
-			pc := append([]rtchan.ChannelID(nil), ec.pi...)
+			pe, pc := lme.piIDs(i), lmc.piIDs(i)
 			sort.Slice(pe, func(a, b int) bool { return pe[a] < pe[b] })
 			sort.Slice(pc, func(a, b int) bool { return pc[a] < pc[b] })
 			if len(pe) != len(pc) {
-				t.Fatalf("%s: link %d entry %d (chan %d) Π size %d vs %d", ctx, l, i, ee.ch.ID, len(pe), len(pc))
+				t.Fatalf("%s: link %d entry %d (chan %d) Π size %d vs %d", ctx, l, i, ee.id, len(pe), len(pc))
 			}
 			for j := range pe {
 				if pe[j] != pc[j] {
 					t.Fatalf("%s: link %d entry %d (chan %d) Π member %d vs %d",
-						ctx, l, i, ee.ch.ID, pe[j], pc[j])
+						ctx, l, i, ee.id, pe[j], pc[j])
 				}
 			}
 		}

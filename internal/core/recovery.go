@@ -554,15 +554,7 @@ func (m *Manager) promoteBackup(conn *DConnection, b *rtchan.Channel, touched ma
 		// Drop the mux entry without resizing: the pool shrink happens
 		// explicitly, converting the claim into dedicated bandwidth.
 		if idx := lm.find(b.ID); idx >= 0 {
-			lm.noteReqShrink(lm.entries[idx].req)
-			lm.removeAt(idx)
-			for i := range lm.entries {
-				other := &lm.entries[i]
-				if other.piRemove(b.ID) {
-					lm.noteReqShrink(other.req)
-					other.req -= bw
-				}
-			}
+			lm.unwire(idx)
 		}
 		lm.claimed -= bw
 		lm.spare -= bw
