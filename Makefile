@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-ab bench-check chaos chaos-nightly
+.PHONY: build test race vet verify bench bench-ab bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,16 @@ bench-ab:
 # fails, instead of at the benchmark driver's build.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# bench-pair is the same-box A/B a performance claim rests on: BASE's
+# committed files (exported under .bench_build/pair/) against the working
+# tree, PAIRS alternating runs of the driver's own command on WORKLOAD, then
+# per-metric median [q1,q3], ratio, wins and verdict (cmd/benchpair).
+BASE ?= HEAD
+WORKLOAD ?= establish_churn
+PAIRS ?= 10
+bench-pair:
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # chaos is the CI smoke budget: a fixed seed, a small episode count, and
 # the seeded-bug catch run under the race detector. CHAOS_SEED/CHAOS_EPISODES

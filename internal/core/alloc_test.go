@@ -11,9 +11,9 @@ import (
 // establishment path. The plan phase runs entirely on reusable arenas
 // (router scratch, plan buffers, Π scratch), so the only allocations left
 // are the objects that outlive the call: two paths, the DConnection and its
-// channels. Π membership lands in the links' bit matrices, which in steady
-// state have the rows already. A regression here means a scratch buffer
-// leaked into the steady-state path.
+// channels. Π membership lands in the links' bit matrices and the primary's
+// signature in a recycled slab row, which in steady state are there already.
+// A regression here means a scratch buffer leaked into the steady-state path.
 func TestEstablishAllocs(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
 	m := NewManager(g, DefaultConfig())
@@ -43,10 +43,9 @@ func TestEstablishAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 11.0; the ceiling leaves slack for map-internal variance, not
-	// for regressions (the pre-split path was 87 allocs for the establishment
-	// alone, and the per-entry Π slices cost one more than the matrix).
-	const ceiling = 14
+	// Measured 9.0 (a path is two allocations); the ceiling leaves slack for
+	// map-internal variance, not for regressions.
+	const ceiling = 11
 	if allocs > ceiling {
 		t.Fatalf("establish+teardown = %.1f allocs/op, ceiling %d", allocs, ceiling)
 	}

@@ -275,7 +275,6 @@ func (b *batchRun) validate(p *connPlan) bool {
 	stamped := false
 	for bi := 0; bi < p.nBackups; bi++ {
 		bp := &p.backups[bi]
-		begun := false
 		for wi := range bp.wires {
 			l := bp.wires[wi].link
 			if b.freeEpoch[l] <= p.seq && b.muxEpoch[l] <= p.seq {
@@ -285,12 +284,8 @@ func (b *batchRun) validate(p *connPlan) bool {
 				pc.cur = p
 				pc.bw = bw
 				pc.track = false
-				pc.marks.SetComponents(m.plan.net.Graph(), p.prim.links, p.prim.nodes)
+				m.plan.writeSig(pc.sig, p.prim.links, p.prim.nodes)
 				stamped = true
-			}
-			if !begun {
-				pc.dec.begin(0)
-				begun = true
 			}
 			w, err := pc.probeLink(p, bp, l)
 			if err != nil {
@@ -310,8 +305,7 @@ func (m *Manager) getPlanCtx() *planContext {
 		pc.router = m.routers.Get()
 		return pc
 	}
-	return newPlanContext(m, m.routers.Get(), routing.NewExclusion(),
-		&topology.PathMarks{}, &muxDecisionScratch{})
+	return newPlanContext(m, m.routers.Get(), routing.NewExclusion())
 }
 
 func (m *Manager) putPlanCtx(pc *planContext) {

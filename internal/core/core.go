@@ -100,6 +100,8 @@ type DConnection struct {
 	Primary *rtchan.Channel
 	Backups []*rtchan.Channel // in serial (activation) order
 	Degrees []int             // multiplexing degree α per backup (paper's "mux=α")
+
+	sig int32 // row of the plan's primary-signature slab (sig.go)
 }
 
 // Channels returns the primary followed by the backups.
@@ -136,10 +138,6 @@ type Manager struct {
 	plan NetworkPlan
 
 	nextConn rtchan.ConnID
-	muxDec   muxDecisionScratch // per-addBackup mutualExclusion memo
-	// piMarks stamps the primary path of the backup being added, so the
-	// admission scan's shared-component counts are array loads (decideMux).
-	piMarks topology.PathMarks
 	// router owns the routing scratch arenas and the per-source SPT cache.
 	// It is writer-side state: establishment and recovery route under the
 	// exclusive lock, and external Router() callers must not overlap writes.
@@ -149,8 +147,8 @@ type Manager struct {
 	// points that interleave with Establish keep their own (see pr.go).
 	estExcl *routing.Exclusion
 
-	// estCtx is the writer-side planning context (wrapping m.router, estExcl,
-	// piMarks and muxDec) and seqPlan its reusable plan buffer: sequential
+	// estCtx is the writer-side planning context (wrapping m.router and
+	// estExcl) and seqPlan its reusable plan buffer: sequential
 	// Establish is plan+commit over these under the write lock, the same code
 	// path the EstablishBatch pipeline speculates over (see establish.go).
 	estCtx  *planContext
@@ -159,7 +157,7 @@ type Manager struct {
 	// lazily on the first EstablishBatch (routersOnce).
 	routers     *routing.RouterPool
 	routersOnce sync.Once
-	// pcPool recycles batch planner contexts (marks, memo, exclusion) and
+	// pcPool recycles batch planner contexts (signature row, exclusion) and
 	// planPool the per-request plan buffers, across EstablishBatch calls.
 	pcPool   sync.Pool
 	planPool sync.Pool
@@ -198,22 +196,19 @@ func NewManager(g *topology.Graph, cfg Config) *Manager {
 	}
 	m := &Manager{
 		plan: NetworkPlan{
-			cfg:    cfg,
-			net:    rtchan.NewNetwork(g),
-			conns:  make(map[rtchan.ConnID]*DConnection),
-			mux:    make([]linkMux, g.NumLinks()),
-			scache: newSCache(),
+			cfg:       cfg,
+			net:       rtchan.NewNetwork(g),
+			conns:     make(map[rtchan.ConnID]*DConnection),
+			mux:       make([]linkMux, g.NumLinks()),
+			sigStride: 1 + (g.NumNodes()+g.NumLinks()+63)/64,
+			qpowTab:   newQpowTab(cfg.Lambda, g.NumNodes()),
 		},
 		nextConn: 1,
 		router:   routing.NewRouter(g),
 		estExcl:  routing.NewExclusion(),
 		piStale:  make([]bool, g.NumLinks()),
 	}
-	// Pre-warm the (1-λ)^k table past any component sum two primaries can
-	// produce (each path has at most 2(N-1)+1 components), so read-side
-	// planners never need to grow it.
-	m.qpow(4 * g.NumNodes())
-	m.estCtx = newPlanContext(m, m.router, m.estExcl, &m.piMarks, &m.muxDec)
+	m.estCtx = newPlanContext(m, m.router, m.estExcl)
 	m.seqPlan = &connPlan{}
 	return m
 }

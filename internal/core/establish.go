@@ -134,15 +134,15 @@ func (p *connPlan) backupAt(i int) *backupPlan {
 }
 
 // planContext bundles the per-worker machinery a plan needs: a routing
-// engine, an exclusion set, a primary-path stamp, and a Π-decision memo.
-// The Manager's own context (estCtx) wraps its writer-side scratch; batch
-// planners lease pooled contexts so they never share mutable state.
+// engine, an exclusion set, and a scratch signature row for the primary being
+// planned, which has no connection and so no slab row yet. The Manager's own
+// context (estCtx) wraps its writer-side scratch; batch planners lease pooled
+// contexts so they never share mutable state.
 type planContext struct {
 	m      *Manager
 	router *routing.Router
 	excl   *routing.Exclusion
-	marks  *topology.PathMarks
-	dec    *muxDecisionScratch
+	sig    []uint64
 
 	// Per-plan state read by the persistent feasibility closure, so the hot
 	// routing constraint costs no allocation per establishment.
@@ -152,8 +152,8 @@ type planContext struct {
 	linkFeasible func(topology.LinkID) bool
 }
 
-func newPlanContext(m *Manager, r *routing.Router, excl *routing.Exclusion, marks *topology.PathMarks, dec *muxDecisionScratch) *planContext {
-	pc := &planContext{m: m, router: r, excl: excl, marks: marks, dec: dec}
+func newPlanContext(m *Manager, r *routing.Router, excl *routing.Exclusion) *planContext {
+	pc := &planContext{m: m, router: r, excl: excl, sig: make([]uint64, m.plan.sigStride)}
 	pc.linkFeasible = func(l topology.LinkID) bool {
 		if pc.m.plan.net.Free(l) < pc.bw-1e-9 {
 			return false
@@ -229,13 +229,11 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 			return
 		}
 	}
+	m.plan.writeSig(pc.sig, p.prim.links, p.prim.nodes)
 	if len(p.degrees) == 0 {
 		return
 	}
 
-	// Stamp this connection's primary once: backup probes count each peer
-	// primary's overlap with array loads, as decideMux does on the write side.
-	pc.marks.SetComponents(g, p.prim.links, p.prim.nodes)
 	excl := pc.excl.Reset()
 	addExcluded(excl, &p.prim)
 	for i, alpha := range p.degrees {
@@ -293,15 +291,9 @@ func (pc *planContext) routeBackupLinks(p *connPlan, bp *backupPlan) bool {
 		// The load-aware weight reads every candidate link's spare pool, far
 		// beyond what consulted-link tracking can revalidate: strict.
 		p.strict = true
-		ps := &prospectiveS{
-			m:         m,
-			marks:     pc.marks,
-			primComps: 2*len(p.prim.links) + 1,
-			s:         make(map[rtchan.ConnID]float64),
-		}
 		bw, nu := p.spec.Bandwidth, bp.nu
 		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + m.prospectiveSpareIncrease(l, ps, bw, nu)
+			return 0.05*bw + m.prospectiveSpareIncrease(l, pc.sig, bw, nu)
 		}
 		if links, ok := pc.router.MinCostLinks(p.src, p.dst, c, w); ok {
 			bp.path.set(g, links)
@@ -325,9 +317,6 @@ func (pc *planContext) probeBackup(p *connPlan, bp *backupPlan) error {
 		bp.wires = make([]linkWire, 0, 2*len(bp.path.links))
 	}
 	bp.wires = bp.wires[:0]
-	// Π decisions are link-independent per peer channel; memoize them across
-	// this backup's links (the probe analogue of muxDec in addBackup).
-	pc.dec.begin(0)
 	for _, l := range bp.path.links {
 		w, err := pc.probeLink(p, bp, l)
 		if err != nil {
@@ -341,8 +330,10 @@ func (pc *planContext) probeBackup(p *connPlan, bp *backupPlan) error {
 // probeLink evaluates one link's admission scan read-only: Π decisions
 // against every existing entry, the new entry's requirement, and the spare
 // level the link must reach. The returned error is exactly what the
-// sequential add would fail with. pc.dec must be begun for this backup and
-// pc.marks stamped with the plan's primary.
+// sequential add would fail with. pc.sig must hold the plan's primary. The
+// planned connection does not exist yet, so the same-connection case cannot
+// arise: backups of one plan never share links (disjointness is enforced
+// while planning, unlike EstablishOnPaths).
 func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID) (linkWire, error) {
 	m := pc.m
 	lm := &m.plan.mux[l]
@@ -352,11 +343,7 @@ func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID)
 	maxGrown := 0.0
 	for ei := range lm.entries {
 		e := &lm.entries[ei]
-		newInE, eInNew, hit := pc.dec.lookup(e.id)
-		if !hit {
-			newInE, eInNew = pc.decide(e, bp.nu)
-			pc.dec.store(e.id, newInE, eInNew)
-		}
+		newInE, eInNew := m.plan.muxDecide(m.plan.sigRow(e.sig), pc.sig, e.nu, bp.nu)
 		if newInE {
 			p.growBuf = append(p.growBuf, int32(ei))
 			if g := e.req + bw; g > maxGrown {
@@ -389,27 +376,11 @@ func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID)
 	return w, nil
 }
 
-// decide is the planner's Π decision for one existing entry against the
-// backup being planned, identical in formula to decideMux. The planned
-// connection does not exist yet, so the same-connection case cannot arise:
-// backups of one plan never share links (disjointness is enforced while
-// planning, unlike EstablishOnPaths).
-func (pc *planContext) decide(e *muxEntry, newNu float64) (newInE, eInNew bool) {
-	pe := e.conn.Primary
-	if pe == nil {
-		// Conservative treatment for a momentarily primary-less connection,
-		// as in mutualExclusion.
-		return true, true
-	}
-	sc := pc.marks.Shared(pe.Path)
-	s := pc.m.simSRO(pe.Path.NumComponents(), 2*len(pc.cur.prim.links)+1, sc)
-	return muxDecision(s, e.nu, newNu, pc.m.plan.cfg.DisablePiDegreeRestriction)
-}
-
 // planOnPaths re-plans p's backups over explicitly chosen, mutually disjoint
-// paths at a uniform degree, keeping the already-planned primary. It is the
-// probe-only core of EstablishWithPr's negotiation loop: candidates are
-// routed once, and each (count, degree) attempt costs only admission probes.
+// paths at a uniform degree, keeping the primary pc already planned into p
+// (and its signature in pc.sig). It is the probe-only core of
+// EstablishWithPr's negotiation loop: candidates are routed once, and each
+// (count, degree) attempt costs only admission probes.
 // Reports whether every backup fits; p is left committable on success.
 func (pc *planContext) planOnPaths(p *connPlan, paths []topology.Path, alpha int) bool {
 	m := pc.m
@@ -422,7 +393,6 @@ func (pc *planContext) planOnPaths(p *connPlan, paths []topology.Path, alpha int
 	pc.cur = p
 	pc.bw = p.spec.Bandwidth
 	pc.track = false
-	pc.marks.SetComponents(g, p.prim.links, p.prim.nodes)
 	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
 	for i, path := range paths {
 		bp := p.backupAt(i)
@@ -449,25 +419,25 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 		return nil, p.err
 	}
 	g := m.plan.net.Graph()
-	conn := &DConnection{ID: m.nextConn, Src: p.src, Dst: p.dst, Spec: p.spec}
+	conn := &DConnection{ID: m.nextConn, Src: p.src, Dst: p.dst, Spec: p.spec, sig: m.plan.allocSig()}
 	pPath := topology.NewPathUnchecked(g, p.prim.links, p.prim.nodes)
 	prim, err := m.plan.net.Establish(conn.ID, rtchan.RolePrimary, 0, pPath, p.spec)
 	if err != nil {
 		// Unreachable after a successful plan: the routing predicate
 		// (free >= bw-1e-9) is stricter than CanReserve's tolerance. Kept as
 		// a defensive guard.
+		m.plan.releaseSig(conn.sig)
 		return nil, fmt.Errorf("core: primary admission: %w", err)
 	}
 	conn.Primary = prim
+	m.primaryChanged(conn)
 	undo := func() {
 		for _, b := range conn.Backups {
 			m.removeBackup(b)
 			_ = m.plan.net.Teardown(b.ID)
 		}
 		_ = m.plan.net.Teardown(prim.ID)
-		// The ID is not consumed on rollback: the next attempt reuses it with
-		// a different primary, so cached S values must not survive.
-		m.plan.scache.bump(conn.ID)
+		m.plan.releaseSig(conn.sig)
 	}
 	nb := p.nBackups
 	if nb > 0 {
@@ -504,7 +474,7 @@ func (m *Manager) commitBackupWires(p *connPlan, bp *backupPlan, conn *DConnecti
 	for wi := range bp.wires {
 		w := &bp.wires[wi]
 		lm := &m.plan.mux[w.link]
-		n := lm.appendEntry(muxEntry{id: bch.ID, bw: bw, conn: conn, alpha: bp.alpha, nu: bp.nu, req: w.req})
+		n := lm.appendEntry(muxEntry{id: bch.ID, sig: conn.sig, bw: bw, alpha: bp.alpha, nu: bp.nu, req: w.req})
 		for _, ei := range p.growBuf[w.growOff : w.growOff+w.growLen] {
 			e := &lm.entries[ei]
 			lm.piSet(int(ei), n)

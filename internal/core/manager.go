@@ -38,9 +38,9 @@ func (m *Manager) establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, d
 // routeBackup finds a feasible path for a backup channel avoiding excl.
 // The admission prefilter requires bw free on every link (the paper's
 // forward-pass reservation without multiplexing); the exact spare-pool check
-// happens at addBackup time. alpha and primary feed the load-aware weight
-// when RouteLoadAware is configured.
-func (m *Manager) routeBackup(src, dst topology.NodeID, bw float64, alpha int, primary topology.Path, excl *routing.Exclusion) (topology.Path, bool) {
+// happens at addBackup time. alpha and primRow (the primary's signature row)
+// feed the load-aware weight when RouteLoadAware is configured.
+func (m *Manager) routeBackup(src, dst topology.NodeID, bw float64, alpha int, primRow []uint64, excl *routing.Exclusion) (topology.Path, bool) {
 	feasible := routing.Constraint{
 		TieBreak: m.plan.cfg.TieBreak,
 		LinkAllowed: func(l topology.LinkID) bool {
@@ -65,14 +65,13 @@ func (m *Manager) routeBackup(src, dst topology.NodeID, bw float64, alpha int, p
 			c.MaxHops = hops + m.plan.cfg.BackupSlackHops
 		}
 	}
-	if m.plan.cfg.BackupRouting == RouteLoadAware && !primary.IsZero() {
+	if m.plan.cfg.BackupRouting == RouteLoadAware {
 		// [HAN97b]: weight each link by the spare-pool growth the backup
 		// would cause there, plus a small per-hop cost so ties (zero-growth
 		// corridors) still prefer short paths.
 		nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
-		ps := m.newProspectiveS(primary)
 		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + m.prospectiveSpareIncrease(l, ps, bw, nu)
+			return 0.05*bw + m.prospectiveSpareIncrease(l, primRow, bw, nu)
 		}
 		if p, ok := m.router.MinCostPath(src, dst, c, w); ok {
 			return p, true
@@ -96,36 +95,48 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 	if len(backups) != len(degrees) {
 		return nil, fmt.Errorf("core: %d backup paths but %d degrees", len(backups), len(degrees))
 	}
+	// Everything a path can be rejected for is checked before anything is
+	// reserved: signature rows are indexed by this graph's node and link ids.
+	g := m.plan.net.Graph()
 	if primary.IsZero() {
 		return nil, fmt.Errorf("core: empty primary path")
 	}
-	conn := &DConnection{
-		ID:   m.nextConn,
-		Src:  primary.Source(),
-		Dst:  primary.Destination(),
-		Spec: spec,
+	if primary.Graph() != g {
+		return nil, fmt.Errorf("core: primary path belongs to another graph")
 	}
+	for i, bPath := range backups {
+		if bPath.IsZero() {
+			return nil, fmt.Errorf("core: empty path for backup %d", i+1)
+		}
+		if bPath.Graph() != g {
+			return nil, fmt.Errorf("core: backup %d path belongs to another graph", i+1)
+		}
+		if bPath.Source() != primary.Source() || bPath.Destination() != primary.Destination() {
+			return nil, fmt.Errorf("core: backup %d endpoints mismatch", i+1)
+		}
+	}
+	prim, err := m.plan.net.Establish(m.nextConn, rtchan.RolePrimary, 0, primary, spec)
+	if err != nil {
+		return nil, err
+	}
+	conn := &DConnection{
+		ID:      m.nextConn,
+		Src:     primary.Source(),
+		Dst:     primary.Destination(),
+		Spec:    spec,
+		Primary: prim,
+		sig:     m.plan.allocSig(),
+	}
+	m.primaryChanged(conn)
 	undo := func() {
 		for _, b := range conn.Backups {
 			m.removeBackup(b)
 			_ = m.plan.net.Teardown(b.ID)
 		}
-		if conn.Primary != nil {
-			_ = m.plan.net.Teardown(conn.Primary.ID)
-		}
-		// See Establish: the rejected ID will be reused by the next attempt.
-		m.plan.scache.bump(conn.ID)
+		_ = m.plan.net.Teardown(prim.ID)
+		m.plan.releaseSig(conn.sig)
 	}
-	prim, err := m.plan.net.Establish(conn.ID, rtchan.RolePrimary, 0, primary, spec)
-	if err != nil {
-		return nil, err
-	}
-	conn.Primary = prim
 	for i, bPath := range backups {
-		if bPath.Source() != conn.Src || bPath.Destination() != conn.Dst {
-			undo()
-			return nil, fmt.Errorf("core: backup %d endpoints mismatch", i+1)
-		}
 		bch, err := m.plan.net.Establish(conn.ID, rtchan.RoleBackup, i+1, bPath, spec)
 		if err != nil {
 			undo()
@@ -176,7 +187,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 				}
 			}
 		}
-		bPath, ok := m.routeBackup(conn.Src, conn.Dst, conn.Spec.Bandwidth, alpha, conn.Primary.Path, excl)
+		bPath, ok := m.routeBackup(conn.Src, conn.Dst, conn.Spec.Bandwidth, alpha, m.plan.sigRow(conn.sig), excl)
 		if !ok {
 			break
 		}
@@ -217,7 +228,6 @@ func (m *Manager) teardown(id rtchan.ConnID) error {
 			return err
 		}
 	}
-	delete(m.plan.conns, id)
-	m.plan.scache.forget(id)
+	m.forget(conn)
 	return nil
 }

@@ -332,7 +332,7 @@ func TestRouteBackupRespectsExclusion(t *testing.T) {
 		t.Fatal("no path")
 	}
 	excl.AddPath(p)
-	b, ok := m.routeBackup(0, 5, 1, 1, p, excl)
+	b, ok := m.routeBackup(0, 5, 1, 1, nil, excl)
 	if !ok {
 		t.Fatal("no backup path")
 	}

@@ -12,12 +12,13 @@ import (
 )
 
 // muxEntry is the per-link bookkeeping for one backup channel (§3.2). The
-// channel's id and bandwidth are stored inline so find and the admission
-// scans walk the entry slice without dereferencing the channel.
+// channel's id and bandwidth and its connection's signature row are stored
+// inline so find and the admission scans walk the entry slice without
+// dereferencing the channel or the connection.
 type muxEntry struct {
 	id    rtchan.ChannelID
+	sig   int32 // the owning connection's row of plan.sig
 	bw    float64
-	conn  *DConnection
 	alpha int     // paper's integer multiplexing degree
 	nu    float64 // threshold ν = (α-0.5)·λ
 	// req is this backup's spare-bandwidth requirement on the link:
@@ -45,7 +46,7 @@ type linkMux struct {
 	// a column at or beyond len(entries). Every edit — establishment,
 	// teardown, rejoin expiry, promotion, replenish — addresses bits by entry
 	// index; nothing searches a member list. Only writers touch it: the
-	// admission probe decides pairs from primary paths and reads req alone.
+	// admission probe decides pairs from signature rows and reads req alone.
 	// The stride only grows: restride widens the rows when an entry index
 	// first needs another word, and a link that drains keeps the width.
 	pi      []uint64
@@ -125,8 +126,7 @@ func (lm *linkMux) restride(stride int) {
 // relation in one pass over the rows: row last moves to row idx, and in
 // every remaining row column idx is tested and cleared — an entry that
 // counted the departing backup sheds its bandwidth from req — and column
-// last moves to column idx. The vacated slot is zeroed so its connection
-// pointer is released. Shared by teardown, promotion and both rollbacks.
+// last moves to column idx. Shared by teardown, promotion and both rollbacks.
 func (lm *linkMux) unwire(idx int) {
 	last := len(lm.entries) - 1
 	s := lm.stride
@@ -136,7 +136,6 @@ func (lm *linkMux) unwire(idx int) {
 		lm.entries[idx] = lm.entries[last]
 		copy(lm.pi[idx*s:(idx+1)*s], lm.pi[last*s:])
 	}
-	lm.entries[last] = muxEntry{}
 	lm.entries = lm.entries[:last]
 	lm.pi = lm.pi[:last*s]
 	iw, ib := idx>>6, uint64(1)<<(uint(idx)&63)
@@ -207,153 +206,30 @@ func (lm *linkMux) noteReqShrink(oldReq float64) {
 // available returns the spare bandwidth an activation can still claim.
 func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
 
-// mutualExclusion decides the Π relationship for a pair of backups a and b
-// with primaries Ma and Mb (paper §3.2): they may share spare bandwidth iff
-// S(Ba,Bb) < ν, evaluated per side against that side's own ν, and each side
-// only *counts* peers with no greater degree. Backups of the same connection
-// never share spare: they are activated by the same primary failure.
-//
-// It reports (a counts b in Π(a), b counts a in Π(b)).
-func (m *Manager) mutualExclusion(a, b *muxEntry) (aCountsB, bCountsA bool) {
-	if a.conn.ID == b.conn.ID {
-		return true, true
-	}
-	pa, pb := a.conn.Primary, b.conn.Primary
-	if pa == nil || pb == nil {
-		// A connection that momentarily has no primary (its repaired
-		// channel is rejoining while recovery is still unresolved) gets
-		// conservative treatment: its backup shares spare with nothing.
-		return true, true
-	}
-	s := m.pairS(a.conn, b.conn)
-	if m.plan.cfg.DisablePiDegreeRestriction {
-		return s >= a.nu, s >= b.nu
-	}
-	aCountsB = b.nu <= a.nu && s >= a.nu
-	bCountsA = a.nu <= b.nu && s >= b.nu
-	return aCountsB, bCountsA
-}
-
-// muxDecisionScratch memoizes mutualExclusion outcomes per peer channel for
-// the duration of one addBackup call. The decision for a (new backup, peer
-// channel) pair is link-independent, and the same peers recur on every link
-// the two backups share, so the multi-link add pays for each peer once.
-// Slots are generation-stamped slices indexed by ChannelID; forChan guards
-// against reuse across different adds.
-type muxDecisionScratch struct {
-	gen     uint32
-	forChan rtchan.ChannelID
-	chanGen []uint32
-	newInE  []bool
-	eInNew  []bool
-}
-
-// begin starts memoizing decisions for a new backup channel.
-func (d *muxDecisionScratch) begin(ch rtchan.ChannelID) {
-	d.gen++
-	if d.gen == 0 {
-		for i := range d.chanGen {
-			d.chanGen[i] = 0
-		}
-		d.gen = 1
-	}
-	d.forChan = ch
-}
-
-// lookup returns the memoized decision for peer channel id, if present.
-func (d *muxDecisionScratch) lookup(id rtchan.ChannelID) (newInE, eInNew, ok bool) {
-	if int(id) >= len(d.chanGen) || d.chanGen[id] != d.gen {
-		return false, false, false
-	}
-	return d.newInE[id], d.eInNew[id], true
-}
-
-// store records the decision for peer channel id.
-func (d *muxDecisionScratch) store(id rtchan.ChannelID, newInE, eInNew bool) {
-	if int(id) >= len(d.chanGen) {
-		n := int(id) + 1 + len(d.chanGen)/2
-		grownGen := make([]uint32, n)
-		copy(grownGen, d.chanGen)
-		d.chanGen = grownGen
-		grownA := make([]bool, n)
-		copy(grownA, d.newInE)
-		d.newInE = grownA
-		grownB := make([]bool, n)
-		copy(grownB, d.eInNew)
-		d.eInNew = grownB
-	}
-	d.chanGen[id] = d.gen
-	d.newInE[id] = newInE
-	d.eInNew[id] = eInNew
-}
-
-// muxDecision is the pure decision formula shared by decideMux and the
-// establishment planner: given S for the pair and the two thresholds, it
-// reports (existing counts new in Π, new counts existing in Π). Identical to
-// mutualExclusion's formula with a=e, b=new.
-func muxDecision(s, eNu, newNu float64, disableRestriction bool) (eCountsNew, newCountsE bool) {
-	if disableRestriction {
-		return s >= eNu, s >= newNu
-	}
-	eCountsNew = newNu <= eNu && s >= eNu
-	newCountsE = eNu <= newNu && s >= newNu
-	return eCountsNew, newCountsE
-}
-
-// decideMux is the admission-scan fast path of mutualExclusion: the backup
-// being added has its primary's components stamped in m.piMarks (see
-// addBackup), so the shared-component count per peer is a handful of array
-// loads instead of a sorted merge, and the pair cache is bypassed entirely
-// (establishment-time pairs never repay storage; see sCache.admit). The
-// decision formula is identical to mutualExclusion with a=e, b=entry.
-func (m *Manager) decideMux(e, entry *muxEntry) (eCountsNew, newCountsE bool) {
-	if e.conn.ID == entry.conn.ID {
-		return true, true
-	}
-	pe := e.conn.Primary
-	if pe == nil || entry.conn.Primary == nil {
-		// Conservative treatment for a momentarily primary-less connection,
-		// as in mutualExclusion.
-		return true, true
-	}
-	sc := m.piMarks.Shared(pe.Path)
-	s := m.simS(pe.Path.NumComponents(), entry.conn.Primary.Path.NumComponents(), sc)
-	return muxDecision(s, e.nu, entry.nu, m.plan.cfg.DisablePiDegreeRestriction)
-}
-
 // addBackupToLink registers backup ch on link l and resizes the link's spare
 // pool, enforcing the capacity invariant. On failure the link state is
-// unchanged. Must run inside an addBackup call: the decision fast path
-// reads the primary stamp addBackup set up.
+// unchanged.
 func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtchan.Channel, alpha int) error {
 	lm := &m.plan.mux[l]
 	bw := ch.Bandwidth()
 	entry := muxEntry{
 		id:    ch.ID,
+		sig:   conn.sig,
 		bw:    bw,
-		conn:  conn,
 		alpha: alpha,
 		nu:    reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
 	}
-	// Decisions are reusable across links only within the addBackup call
-	// that started the memo for this channel.
-	memo := m.muxDec.forChan == ch.ID
+	rowNew := m.plan.sigRow(conn.sig)
 	// Tentatively wire the new entry into the Π structure. No undo log is
 	// kept: the rare rollback below unwires it like any other removal.
 	n := lm.appendEntry(entry)
 	req := bw
 	for i := 0; i < n; i++ {
 		e := &lm.entries[i]
-		var newInE, eInNew bool
-		hit := false
-		if memo {
-			newInE, eInNew, hit = m.muxDec.lookup(e.id)
-		}
-		if !hit {
-			newInE, eInNew = m.decideMux(e, &entry)
-			if memo {
-				m.muxDec.store(e.id, newInE, eInNew)
-			}
+		// Backups of one connection never share spare (see muxDecide).
+		newInE, eInNew := true, true
+		if e.sig != entry.sig {
+			newInE, eInNew = m.plan.muxDecide(m.plan.sigRow(e.sig), rowNew, e.nu, entry.nu)
 		}
 		if newInE {
 			lm.piSet(i, n)
@@ -404,13 +280,6 @@ func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 
 // addBackup registers a backup on every link of its path, transactionally.
 func (m *Manager) addBackup(conn *DConnection, ch *rtchan.Channel, alpha int) error {
-	m.muxDec.begin(ch.ID)
-	if conn.Primary != nil {
-		// Stamp the primary's components once; decideMux then counts each
-		// peer primary's overlap with array loads (a primary-less conn —
-		// mid-recovery rejoin — never reaches the stamp; see decideMux).
-		m.piMarks.Set(conn.Primary.Path)
-	}
 	links := ch.Path.Links()
 	for i, l := range links {
 		if err := m.addBackupToLink(l, conn, ch, alpha); err != nil {
@@ -468,21 +337,20 @@ func (m *Manager) SpareOnLink(l topology.LinkID) float64 {
 }
 
 // prospectiveSpareIncrease predicts how much link l's spare pool would grow
-// if a backup with the given bandwidth, threshold ν, and primary path (held
-// by ps) were admitted — the link weight of the [HAN97b]-style load-aware
-// backup routing (RouteLoadAware). ps memoizes S per established connection
-// across the candidate links of one routing search.
-func (m *Manager) prospectiveSpareIncrease(l topology.LinkID, ps *prospectiveS, bw, nu float64) float64 {
+// if a backup with the given bandwidth, threshold ν, and primary (given by its
+// signature row) were admitted — the link weight of the [HAN97b]-style
+// load-aware backup routing (RouteLoadAware). Read-only.
+func (m *Manager) prospectiveSpareIncrease(l topology.LinkID, primRow []uint64, bw, nu float64) float64 {
 	lm := &m.plan.mux[l]
 	newReq := bw
 	maxGrown := 0.0
 	for i := range lm.entries {
 		e := &lm.entries[i]
-		if e.conn.Primary == nil {
+		rowE := m.plan.sigRow(e.sig)
+		if rowE[0] == 0 {
 			continue
 		}
-		s := ps.forConn(e.conn)
-		newInE, eInNew := muxDecision(s, e.nu, nu, m.plan.cfg.DisablePiDegreeRestriction)
+		newInE, eInNew := m.plan.muxDecide(rowE, primRow, e.nu, nu)
 		if eInNew {
 			newReq += e.bw
 		}
@@ -507,17 +375,16 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 		e := &lm.entries[i]
 		e.req = e.bw
 	}
-	// Reconfiguration touches many links sharing the same connection pairs;
-	// let their S values populate the pair cache.
-	m.plan.scache.admit = true
-	defer func() { m.plan.scache.admit = false }()
 	// Each unordered entry pair once; the result is order-independent (a
 	// pure function of the entry set).
 	for i := range lm.entries {
 		a := &lm.entries[i]
 		for j := i + 1; j < len(lm.entries); j++ {
 			b := &lm.entries[j]
-			aCountsB, bCountsA := m.mutualExclusion(a, b)
+			aCountsB, bCountsA := true, true
+			if a.sig != b.sig {
+				aCountsB, bCountsA = m.plan.muxDecide(m.plan.sigRow(a.sig), m.plan.sigRow(b.sig), a.nu, b.nu)
+			}
 			if aCountsB {
 				lm.piSet(i, j)
 				a.req += b.bw
@@ -539,8 +406,9 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 
 // CheckMuxInvariants validates the engine's internal consistency; tests call
 // it after mutation sequences. Besides the paper-level invariants it
-// cross-checks the incremental caches (the per-link max requirement and the
-// pairwise S memo) against from-scratch recomputation.
+// cross-checks the incrementally maintained state (the per-link max
+// requirement, the Π matrices and the primary-signature slab) against
+// from-scratch recomputation.
 func (m *Manager) CheckMuxInvariants() error {
 	// Exclusive, not shared: requiredSpare may service a deferred rescan
 	// (writing lm.maxReq), so this "read-only" check is a writer to the
@@ -592,8 +460,8 @@ func (m *Manager) CheckMuxInvariants() error {
 				// The ν-ordering rule applies between connections that both
 				// have primaries; a primary-less connection (mid-recovery
 				// rejoin) is counted conservatively from both sides.
-				if !m.plan.cfg.DisablePiDegreeRestriction && pe.nu > e.nu+1e-18 && pe.conn.ID != e.conn.ID &&
-					pe.conn.Primary != nil && e.conn.Primary != nil {
+				if !m.plan.cfg.DisablePiDegreeRestriction && pe.nu > e.nu+1e-18 && pe.sig != e.sig &&
+					m.plan.sigRow(pe.sig)[0] != 0 && m.plan.sigRow(e.sig)[0] != 0 {
 					return fmt.Errorf("core: link %d entry %d counts peer %d with larger ν", l, id, pe.id)
 				}
 			}
@@ -607,20 +475,5 @@ func (m *Manager) CheckMuxInvariants() error {
 			}
 		}
 	}
-	// Every current cache entry must match a fresh S computation; entries
-	// with stale epochs or dead connections are unreachable and exempt.
-	for k, v := range m.plan.scache.entries {
-		lo, hi := rtchan.ConnID(k>>32), rtchan.ConnID(uint32(k))
-		a, b := m.plan.conns[lo], m.plan.conns[hi]
-		if a == nil || b == nil || a.Primary == nil || b.Primary == nil {
-			continue
-		}
-		if v.epLo != m.plan.scache.epoch(lo) || v.epHi != m.plan.scache.epoch(hi) {
-			continue
-		}
-		if want := m.referenceS(a, b); math.Abs(want-v.s) > 1e-15 {
-			return fmt.Errorf("core: S-cache drift for pair (%d,%d): cached %g recomputed %g", lo, hi, v.s, want)
-		}
-	}
-	return nil
+	return m.plan.checkSig()
 }

@@ -11,7 +11,7 @@ import (
 // tables are computed from, frozen between write transactions. It holds the
 // topology and reservation substrate, the established D-connections, the
 // per-link multiplexing structure (Π sets, spare sizing, activation claims),
-// and the memoized S(Bi,Bj) pair cache.
+// and the primary-signature slab S(Bi,Bj) is evaluated from.
 //
 // A plan is mutated only by its owning Manager, under the Manager's writer
 // lock; between writes it is immutable and may be read by any number of
@@ -20,14 +20,18 @@ import (
 // transactions — the control-plane analogue of topology.Graph.Version —
 // so derived read-side state can detect that the plan changed underneath it.
 type NetworkPlan struct {
-	cfg     Config
-	net     *rtchan.Network
-	conns   map[rtchan.ConnID]*DConnection
-	order   []rtchan.ConnID // establishment order, for deterministic iteration
-	mux     []linkMux       // one per link
-	scache  *sCache         // memoized S(Bi,Bj) per connection pair
-	qpowTab []float64       // (1-λ)^k by k, backing the fast S evaluation
-	epoch   uint64          // write-transaction counter (see Manager.PlanEpoch)
+	cfg   Config
+	net   *rtchan.Network
+	conns map[rtchan.ConnID]*DConnection
+	order []rtchan.ConnID // establishment order, for deterministic iteration
+	mux   []linkMux       // one per link
+	// sig is the primary-signature slab (sig.go): sigStride words per live
+	// connection, free rows listed in sigFree.
+	sig       []uint64
+	sigStride int
+	sigFree   []int32
+	qpowTab   []float64 // (1-λ)^k by k, backing simS
+	epoch     uint64    // write-transaction counter (see Manager.PlanEpoch)
 }
 
 // trial evaluates a failure event against the plan without changing any

@@ -42,16 +42,14 @@ func degreeAt(conn *DConnection, i int) int {
 }
 
 // prospectivePsiSizes predicts |Ψ(B,ℓ)| for a *hypothetical* backup on
-// bPath protecting primary, if it were admitted with multiplexing degree
-// alpha — the information the paper's reservation message collects on its
-// forward pass "with various ν values" (§3.4). Each peer is decided as the
-// admission scan will decide it (muxDecision; a momentarily primary-less
-// connection is counted in Π, as in decide and mutualExclusion), so the
-// prediction is the Ψ the commit realizes. Writer-side: it stamps m.piMarks.
-func (m *Manager) prospectivePsiSizes(primary, bPath topology.Path, alpha int) []int {
+// bPath protecting the primary with signature row primRow, if it were
+// admitted with multiplexing degree alpha — the information the paper's
+// reservation message collects on its forward pass "with various ν values"
+// (§3.4). Each peer is decided as the admission scan will decide it
+// (muxDecide; a momentarily primary-less connection is counted in Π), so the
+// prediction is the Ψ the commit realizes.
+func (m *Manager) prospectivePsiSizes(primRow []uint64, bPath topology.Path, alpha int) []int {
 	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
-	m.piMarks.Set(primary)
-	primComps := primary.NumComponents()
 	links := bPath.Links()
 	out := make([]int, len(links))
 	for i, l := range links {
@@ -59,12 +57,7 @@ func (m *Manager) prospectivePsiSizes(primary, bPath topology.Path, alpha int) [
 		psi := 0
 		for ei := range lm.entries {
 			e := &lm.entries[ei]
-			inPi := true
-			if pe := e.conn.Primary; pe != nil {
-				s := m.simS(primComps, pe.Path.NumComponents(), m.piMarks.Shared(pe.Path))
-				_, inPi = muxDecision(s, e.nu, nu, m.plan.cfg.DisablePiDegreeRestriction)
-			}
-			if !inPi {
+			if _, inPi := m.plan.muxDecide(m.plan.sigRow(e.sig), primRow, e.nu, nu); !inPi {
 				psi++
 			}
 		}
@@ -73,16 +66,17 @@ func (m *Manager) prospectivePsiSizes(primary, bPath topology.Path, alpha int) [
 	return out
 }
 
-// prospectivePr predicts the Pr a connection would get from the given
-// primary and backup paths with a uniform multiplexing degree alpha.
-func (m *Manager) prospectivePr(primary topology.Path, backups []topology.Path, alpha int) float64 {
+// prospectivePr predicts the Pr a connection would get from the primary with
+// signature row primRow and the given backup paths with a uniform
+// multiplexing degree alpha.
+func (m *Manager) prospectivePr(primRow []uint64, backups []topology.Path, alpha int) float64 {
 	infos := make([]reliability.BackupInfo, 0, len(backups))
 	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
 	for _, b := range backups {
-		pmux := reliability.MuxFailureBound(nu, m.prospectivePsiSizes(primary, b, alpha))
+		pmux := reliability.MuxFailureBound(nu, m.prospectivePsiSizes(primRow, b, alpha))
 		infos = append(infos, reliability.BackupInfo{Components: b.NumComponents(), PMuxFail: pmux})
 	}
-	return reliability.Pr(m.plan.cfg.Lambda, primary.NumComponents(), infos)
+	return reliability.Pr(m.plan.cfg.Lambda, int(primRow[0]), infos)
 }
 
 // EstablishWithPr implements the paper's second QoS-negotiation scheme
@@ -120,16 +114,16 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	if reliability.Pr(m.plan.cfg.Lambda, primComps, nil) >= requiredPr {
 		return m.commitPlan(p)
 	}
-	primary := topology.NewPathUnchecked(m.Graph(), p.prim.links, p.prim.nodes)
+	primRow := m.estCtx.sig // the plan above left the primary's signature here
 
 	// Route candidate backup paths once (they do not depend on alpha; the
 	// planner leaves estExcl free for routeBackup to reuse).
 	var candidates []topology.Path
 	{
 		excl := m.estExcl.Reset()
-		excl.AddPath(primary)
+		addExcluded(excl, &p.prim)
 		for i := 0; i < maxBackups; i++ {
-			bPath, ok := m.routeBackup(src, dst, spec.Bandwidth, maxAlpha, primary, excl)
+			bPath, ok := m.routeBackup(src, dst, spec.Bandwidth, maxAlpha, primRow, excl)
 			if !ok {
 				break
 			}
@@ -141,7 +135,7 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	for nb := 1; nb <= len(candidates); nb++ {
 		paths := candidates[:nb]
 		for alpha := maxAlpha; alpha >= 1; alpha-- {
-			if m.prospectivePr(primary, paths, alpha) < requiredPr {
+			if m.prospectivePr(primRow, paths, alpha) < requiredPr {
 				continue // too much multiplexing; tighten
 			}
 			if !m.estCtx.planOnPaths(p, paths, alpha) {

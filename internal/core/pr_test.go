@@ -175,7 +175,9 @@ func TestProspectivePsiMatchesCommitted(t *testing.T) {
 	}
 	primary := path(6, 7, 8)
 	backup := path(6, 3, 4, 5, 8)
-	predicted := m.prospectivePsiSizes(primary, backup, 6)
+	primRow := make([]uint64, m.plan.sigStride)
+	m.plan.writeSig(primRow, primary.Links(), primary.Nodes())
+	predicted := m.prospectivePsiSizes(primRow, backup, 6)
 	conn, err := m.EstablishOnPaths(spec1(), primary, []topology.Path{backup}, []int{6})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +225,7 @@ func TestEstablishWithPrBesidePrimarylessConnection(t *testing.T) {
 		for i, l := range b.Path.Links() {
 			lm := &m.plan.mux[l]
 			for ei := range lm.entries {
-				if lm.entries[ei].conn == rejoining {
+				if lm.entries[ei].sig == rejoining.sig {
 					met = true
 					if psi[i] != len(lm.entries)-2 {
 						t.Fatalf("link %d: Ψ = %d with %d entries, want the primary-less peer excluded", l, psi[i], len(lm.entries))

@@ -255,8 +255,7 @@ func (m *Manager) TeardownChannel(connID rtchan.ConnID, ch rtchan.ChannelID) err
 		return err
 	}
 	if conn.Primary == nil && len(conn.Backups) == 0 {
-		delete(m.plan.conns, connID)
-		m.plan.scache.forget(connID)
+		m.forget(conn)
 	}
 	return m.reconfigureLinks(touched)
 }

@@ -18,7 +18,7 @@ import (
 // everything else exactly:
 //
 //   - entry membership: addBackupToLink decides new pairs with the same
-//     formula (decideMux ≡ mutualExclusion) against current primaries, and
+//     muxDecide against current primaries the rebuild uses, and
 //     removeBackupFromLink/promoteBackup unwire departing channels from
 //     every Π set and requirement they appear in;
 //   - requirements: req is adjusted by exactly the bandwidth of each added

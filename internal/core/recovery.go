@@ -501,8 +501,7 @@ func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 					return stats, err
 				}
 			}
-			delete(m.plan.conns, conn.ID)
-			m.plan.scache.forget(conn.ID)
+			m.forget(conn)
 		}
 	}
 

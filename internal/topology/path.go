@@ -19,49 +19,6 @@ type Path struct {
 	g     *Graph
 	links []LinkID
 	nodes []NodeID // len(links)+1 node sequence, cached
-	// sets holds the component membership sets, precomputed at construction
-	// since paths are immutable: SharedComponents is the hot inner loop of
-	// backup multiplexing (called once per existing backup per link).
-	sets *pathSets
-}
-
-// pathSets holds only the sorted component slices: membership tests binary
-// search them, and SharedComponents merges them. Paths are a handful of hops,
-// so sorted slices beat hash maps on both lookup cost and construction —
-// building the two maps used to dominate path-construction allocations.
-type pathSets struct {
-	// sortedLinks/sortedNodes support SharedComponents by linear merge
-	// intersection and the Contains* lookups by binary search.
-	sortedLinks []LinkID
-	sortedNodes []NodeID
-}
-
-func buildPathSets(links []LinkID, nodes []NodeID) *pathSets {
-	ps := &pathSets{
-		sortedLinks: append([]LinkID(nil), links...),
-		sortedNodes: append([]NodeID(nil), nodes...),
-	}
-	slices.Sort(ps.sortedLinks)
-	slices.Sort(ps.sortedNodes)
-	return ps
-}
-
-// mergeCount returns the size of the intersection of two sorted ID slices.
-func mergeCount[T ~int32 | ~int](a, b []T) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
 }
 
 // NewPath builds a Path from a link sequence, verifying contiguity.
@@ -86,8 +43,7 @@ func NewPath(g *Graph, links []LinkID) (Path, error) {
 		}
 		seen[n] = struct{}{}
 	}
-	linksCopy := append([]LinkID(nil), links...)
-	return Path{g: g, links: linksCopy, nodes: nodes, sets: buildPathSets(linksCopy, nodes)}, nil
+	return Path{g: g, links: append([]LinkID(nil), links...), nodes: nodes}, nil
 }
 
 // NewPathUnchecked builds a Path from a link sequence and its matching node
@@ -96,25 +52,11 @@ func NewPath(g *Graph, links []LinkID) (Path, error) {
 // where re-validation is pure overhead. links and nodes are copied; the input
 // slices may be scratch buffers. nodes must be the exact node sequence of
 // links (len(links)+1 entries, source first).
-//
-// The copies and the component sets share one backing allocation per id type,
-// so a path costs three allocations instead of NewPath's six-plus.
 func NewPathUnchecked(g *Graph, links []LinkID, nodes []NodeID) Path {
-	lbuf := make([]LinkID, 2*len(links))
-	copy(lbuf, links)
-	sortedLinks := lbuf[len(links):]
-	copy(sortedLinks, links)
-	slices.Sort(sortedLinks)
-	nbuf := make([]NodeID, 2*len(nodes))
-	copy(nbuf, nodes)
-	sortedNodes := nbuf[len(nodes):]
-	copy(sortedNodes, nodes)
-	slices.Sort(sortedNodes)
 	return Path{
 		g:     g,
-		links: lbuf[:len(links):len(links)],
-		nodes: nbuf[:len(nodes):len(nodes)],
-		sets:  &pathSets{sortedLinks: sortedLinks, sortedNodes: sortedNodes},
+		links: append([]LinkID(nil), links...),
+		nodes: append([]NodeID(nil), nodes...),
 	}
 }
 
@@ -183,33 +125,10 @@ func (p Path) NumComponents() int {
 }
 
 // ContainsLink reports whether the path traverses link l.
-func (p Path) ContainsLink(l LinkID) bool {
-	if p.sets != nil {
-		_, ok := slices.BinarySearch(p.sets.sortedLinks, l)
-		return ok
-	}
-	// Zero paths carry no precomputed sets.
-	for _, x := range p.links {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
+func (p Path) ContainsLink(l LinkID) bool { return slices.Contains(p.links, l) }
 
 // ContainsNode reports whether the path visits node n (including end nodes).
-func (p Path) ContainsNode(n NodeID) bool {
-	if p.sets != nil {
-		_, ok := slices.BinarySearch(p.sets.sortedNodes, n)
-		return ok
-	}
-	for _, x := range p.nodes {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
+func (p Path) ContainsNode(n NodeID) bool { return p.IndexOfNode(n) >= 0 }
 
 // ContainsInteriorNode reports whether n is an interior node of the path.
 func (p Path) ContainsInteriorNode(n NodeID) bool {
@@ -230,72 +149,18 @@ func (p Path) IndexOfNode(n NodeID) int {
 
 // SharedComponents returns sc(p, q): the number of components (links and
 // nodes, end nodes included) common to both paths. This drives the paper's
-// simultaneous-activation probability S(Bi, Bj). It merges the precomputed
-// sorted component slices — the hot inner loop of backup multiplexing.
+// simultaneous-activation probability S(Bi, Bj). It is the reference count:
+// the multiplexing engine gets the same integer from its primary-signature
+// rows (internal/core/sig.go), and tests hold the two together.
 func (p Path) SharedComponents(q Path) int {
-	if p.IsZero() || q.IsZero() {
-		return 0
-	}
-	return mergeCount(p.sets.sortedLinks, q.sets.sortedLinks) +
-		mergeCount(p.sets.sortedNodes, q.sets.sortedNodes)
-}
-
-// PathMarks is a reusable component-membership stamp for one path at a
-// time: Set stamps the path's links and nodes into generation-stamped
-// arrays, and Shared then counts another path's components against the
-// stamp with plain array loads. It computes exactly SharedComponents(set
-// path, q), but amortizes the set-path side, for hot loops that compare one
-// fixed path against many others (the backup-multiplexing admission scan).
-// The zero value is ready to use; not safe for concurrent use.
-type PathMarks struct {
-	gen     uint32
-	linkGen []uint32
-	nodeGen []uint32
-}
-
-// Set stamps p's components, replacing any previously set path. p must be
-// non-zero.
-func (pm *PathMarks) Set(p Path) {
-	pm.SetComponents(p.Graph(), p.links, p.nodes)
-}
-
-// SetComponents stamps a path given by its raw link and node sequences,
-// replacing any previously set path. It serves planners that carry paths as
-// scratch link/node buffers and only materialize a Path at commit time.
-func (pm *PathMarks) SetComponents(g *Graph, links []LinkID, nodes []NodeID) {
-	if len(pm.linkGen) < g.NumLinks() {
-		pm.linkGen = make([]uint32, g.NumLinks())
-	}
-	if len(pm.nodeGen) < g.NumNodes() {
-		pm.nodeGen = make([]uint32, g.NumNodes())
-	}
-	pm.gen++
-	if pm.gen == 0 { // generation wrap: clear the stale stamps
-		clear(pm.linkGen)
-		clear(pm.nodeGen)
-		pm.gen = 1
-	}
-	for _, l := range links {
-		pm.linkGen[l] = pm.gen
-	}
-	for _, n := range nodes {
-		pm.nodeGen[n] = pm.gen
-	}
-}
-
-// Shared returns SharedComponents(set path, q): the number of q's links and
-// nodes stamped by the last Set. Paths are simple, so counting q's
-// components against the membership stamp equals the sorted-merge
-// intersection size.
-func (pm *PathMarks) Shared(q Path) int {
 	sc := 0
-	for _, l := range q.links {
-		if int(l) < len(pm.linkGen) && pm.linkGen[l] == pm.gen {
+	for _, l := range p.links {
+		if q.ContainsLink(l) {
 			sc++
 		}
 	}
-	for _, n := range q.nodes {
-		if int(n) < len(pm.nodeGen) && pm.nodeGen[n] == pm.gen {
+	for _, n := range p.nodes {
+		if q.ContainsNode(n) {
 			sc++
 		}
 	}
