@@ -18,7 +18,10 @@
 // from the RCC parameters exactly as internal/experiment's Section 5 harness
 // does. On a quiet machine live Γ lands inside the bound; scheduler jitter
 // (unlike the simulator, the OS is part of the system) can push it over —
-// the tool reports, it does not assert.
+// the tool reports, it does not assert. Beside both delays it prints how
+// late a 200 µs timer fired on the runtime during the trial (fired − due):
+// every wait on the recovery path is a timer, so that column is the host's
+// share of the milliseconds and the rest is the protocol's.
 package main
 
 import (
@@ -43,8 +46,22 @@ func perHopBound(cfg bcp.ProtocolConfig, linkCapacityMbps float64) time.Duration
 }
 
 type trialResult struct {
-	gamma  time.Duration // failure -> source switch
-	resume time.Duration // failure -> first data arrival after the switch
+	gamma  time.Duration   // failure -> source switch
+	resume time.Duration   // failure -> first data arrival after the switch
+	late   []time.Duration // timer probe: fired - due, sorted
+}
+
+// probeDelay is the timer-lateness probe's period, the benchmark's.
+const probeDelay = 200 * time.Microsecond
+
+func sortDurations(d []time.Duration) { sort.Slice(d, func(i, j int) bool { return d[i] < d[j] }) }
+
+// quantile reads the q-quantile of sorted d (0 when empty).
+func quantile(d []time.Duration, q float64) time.Duration {
+	if len(d) == 0 {
+		return 0
+	}
+	return d[int(q*float64(len(d)-1))]
 }
 
 func main() {
@@ -85,19 +102,25 @@ func main() {
 	fmt.Printf("bcplive: %dx%d mesh, %s transport, %d-hop primary, %.0f msg/s\n",
 		*rows, *cols, *transport, hops, *rate)
 	fmt.Printf("Γ bound (K-1)·D_max = %v\n\n", bound)
-	fmt.Printf("%-8s %-14s %-14s %s\n", "trial", "Γ (measured)", "data resumed", "within bound")
+	fmt.Printf("%-8s %-14s %-14s %-22s %s\n", "trial", "Γ (measured)", "data resumed", "timer late p50/p95", "within bound")
 	gammas := make([]time.Duration, 0, len(results))
+	var late []time.Duration
 	for i, r := range results {
 		in := "yes"
 		if r.gamma > bound {
 			in = "NO (wall-clock jitter)"
 		}
-		fmt.Printf("%-8d %-14v %-14v %s\n", i, r.gamma, r.resume, in)
+		fmt.Printf("%-8d %-14v %-14v %-22s %s\n", i, r.gamma, r.resume,
+			fmt.Sprintf("%v/%v", quantile(r.late, 0.5), quantile(r.late, 0.95)), in)
 		gammas = append(gammas, r.gamma)
+		late = append(late, r.late...)
 	}
-	sort.Slice(gammas, func(i, j int) bool { return gammas[i] < gammas[j] })
+	sortDurations(gammas)
+	sortDurations(late)
 	fmt.Printf("\nΓ p50 %v, max %v over %d trials\n",
 		gammas[len(gammas)/2], gammas[len(gammas)-1], len(gammas))
+	fmt.Printf("timer lateness (%v probe, fired − due): p50 %v, p95 %v over %d fires\n",
+		probeDelay, quantile(late, 0.5), quantile(late, 0.95), len(late))
 }
 
 // runTrial boots one fresh live network, crashes the primary's middle link,
@@ -136,6 +159,25 @@ func runTrial(rows, cols int, capacity float64, transport string, rate float64, 
 	if startErr != nil {
 		return trialResult{}, startErr
 	}
+
+	// The lateness probe: a timer that re-arms itself probeDelay ahead and
+	// records fired - due, from now until the trial has its answer.
+	var late []time.Duration
+	var due bcp.Time
+	probing := true
+	var probe func()
+	probe = func() {
+		if !probing {
+			return
+		}
+		late = append(late, rt.Now().Sub(due))
+		due = rt.Now().Add(probeDelay)
+		rt.At(due, probe)
+	}
+	rt.Exec(func() {
+		due = rt.Now().Add(probeDelay)
+		rt.At(due, probe)
+	})
 
 	wait := func(what string, cond func() bool) error {
 		limit := time.Now().Add(10 * time.Second)
@@ -179,8 +221,11 @@ func runTrial(rows, cols int, capacity float64, transport string, rate float64, 
 		return trialResult{}, err
 	}
 
+	rt.Exec(func() { probing = false })
+	sortDurations(late)
 	return trialResult{
 		gamma:  switchAt.Sub(failAt),
 		resume: resumeAt.Sub(failAt),
+		late:   late,
 	}, nil
 }

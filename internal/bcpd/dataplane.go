@@ -19,7 +19,8 @@ type source struct {
 	active  rtchan.ChannelID
 	seq     uint64
 	stopped bool
-	emitFn  func() // emitLoop, bound once so rescheduling does not allocate
+	due     sim.Time // when the emission being made was due
+	emitFn  func()   // emitLoop, bound once so rescheduling does not allocate
 
 	// switchedAt records every primary switch at the source — the moment
 	// data transfer resumes after a failure (the paper's recovery instant
@@ -51,7 +52,7 @@ func (n *Network) StartTraffic(connID rtchan.ConnID, rate float64) error {
 	if _, dup := n.sources[connID]; dup {
 		return fmt.Errorf("bcpd: traffic already started on %d", connID)
 	}
-	s := &source{net: n, conn: connID, rate: rate, active: conn.Primary.ID}
+	s := &source{net: n, conn: connID, rate: rate, active: conn.Primary.ID, due: n.rt.Now()}
 	s.emitFn = s.emitLoop
 	n.sources[connID] = s
 	n.sinks[connID] = &sink{}
@@ -71,8 +72,13 @@ func (s *source) emitLoop() {
 		return
 	}
 	s.emit()
+	// The period runs from when this emission was due, not from when it ran:
+	// on the wall clock a timer fires late, and counting from now would turn
+	// the lateness into a lower rate. A source that has fallen a whole period
+	// behind skips ahead; it does not burst. On the simulator now is due.
 	interval := sim.Duration(float64(time.Second) / s.rate)
-	s.net.rt.Schedule(interval, s.emitFn)
+	s.due = max(s.due.Add(interval), s.net.rt.Now())
+	s.net.rt.At(s.due, s.emitFn)
 }
 
 func (s *source) emit() {

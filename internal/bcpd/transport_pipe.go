@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/rtcl/bcp/internal/realtime"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -13,14 +14,18 @@ import (
 // runtime-serialized; realtime.Runtime.Post has exactly this shape.
 type PostFunc func(node int, fn func()) bool
 
-// PipeTransport carries protocol traffic between live daemons through
-// in-memory pipes: one goroutine per simplex link holding messages for the
-// propagation delay, then posting delivery to the receiving node's actor
-// mailbox. It is the loss-free-wire live transport for tests and
-// cmd/bcplive — losses still happen at the edges (down links, full pipes,
-// full mailboxes), which is what the protocol is built to survive.
+// PipeTransport carries protocol traffic between live daemons through one
+// in-memory delay line: every message, whatever its link, joins one FIFO with
+// the deadline send time + propagation delay, and one goroutine holds the head
+// until its deadline, then posts delivery to the receiving node's actor
+// mailbox. The propagation delay is one constant per network, so deadlines
+// are monotone in send order and FIFO order is deadline order — no heap — and
+// each link's messages keep their order. It is the loss-free-wire live
+// transport for tests and cmd/bcplive — losses still happen at the edges (down
+// links, full links, full mailboxes), which is what the protocol is built to
+// survive.
 //
-// Ownership: the pipe carries the pooled frame buffer itself (every Send and
+// Ownership: the line carries the pooled frame buffer itself (every Send and
 // delivery runs runtime-serialized, so the network's pools never see
 // concurrent access); a message dropped at send time is reclaimed on the
 // spot. A message dropped after leaving the sender (transport closing,
@@ -28,13 +33,21 @@ type PostFunc func(node int, fn func()) bool
 // returned to the pool from an unserialized goroutine.
 type PipeTransport struct {
 	post  PostFunc
-	depth int // per-link pipe capacity
+	depth int // per-link bound on messages in flight
 
-	n     *Network
-	prop  time.Duration
-	pipes []chan pipeItem
-	down  []atomic.Bool
+	n    *Network
+	prop time.Duration
+	dest []int // receiving node, by link
+	down []atomic.Bool
 
+	// mu guards the line and the in-flight counts: senders run
+	// runtime-serialized, the line's goroutine does not.
+	mu       sync.Mutex
+	line     []pipeItem // ring: nq items starting at head; len is a power of two
+	head, nq int
+	inflight []int // messages in the line, by link
+
+	wake    chan struct{} // a message joined an empty line
 	stop    chan struct{}
 	closed  atomic.Bool
 	wg      sync.WaitGroup
@@ -43,6 +56,7 @@ type PipeTransport struct {
 
 type pipeItem struct {
 	kind  uint8
+	link  topology.LinkID
 	frame []byte
 	data  *dataPayload
 	at    time.Time // delivery deadline (send time + propagation delay)
@@ -55,8 +69,8 @@ const (
 )
 
 // NewPipeTransport creates a pipe transport delivering through post (a
-// realtime.Runtime's Post method). depth bounds each link's pipe (<=0 means
-// a generous default).
+// realtime.Runtime's Post method). depth bounds the messages each link holds
+// in flight (<=0 means a generous default).
 func NewPipeTransport(post PostFunc, depth int) *PipeTransport {
 	if post == nil {
 		panic("bcpd: nil post")
@@ -64,78 +78,125 @@ func NewPipeTransport(post PostFunc, depth int) *PipeTransport {
 	if depth <= 0 {
 		depth = 256
 	}
-	return &PipeTransport{post: post, depth: depth, stop: make(chan struct{})}
+	return &PipeTransport{
+		post:  post,
+		depth: depth,
+		wake:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+	}
 }
 
-// Attach builds one pipe per simplex link and starts its goroutine.
+// Attach sizes the per-link state and starts the line's goroutine.
 func (t *PipeTransport) Attach(n *Network) {
 	t.n = n
 	t.prop = time.Duration(n.cfg.PropDelay)
 	g := n.mgr.Graph()
-	t.pipes = make([]chan pipeItem, g.NumLinks())
+	t.dest = make([]int, g.NumLinks())
 	t.down = make([]atomic.Bool, g.NumLinks())
+	t.inflight = make([]int, g.NumLinks())
 	for _, l := range g.Links() {
-		ch := make(chan pipeItem, t.depth)
-		t.pipes[l.ID] = ch
-		t.wg.Add(1)
-		go t.run(l.ID, int(l.To), ch)
+		t.dest[l.ID] = int(l.To)
 	}
+	t.line = make([]pipeItem, 64)
+	t.wg.Add(1)
+	go t.run()
 }
 
-// run is one link's pipe: receive, hold until the propagation deadline,
-// post delivery to the destination node's mailbox.
-func (t *PipeTransport) run(l topology.LinkID, dest int, ch chan pipeItem) {
+// run is the delay line: wait for the head's deadline, post everything due
+// to its destination's mailbox, repeat.
+func (t *PipeTransport) run() {
 	defer t.wg.Done()
-	hold := time.NewTimer(time.Hour)
-	defer hold.Stop()
+	w := realtime.NewWaiter()
+	defer w.Close()
+	var due []pipeItem // reused across rounds
 	for {
-		var it pipeItem
-		select {
-		case <-t.stop:
+		t.mu.Lock()
+		var deadline time.Time // empty line: nothing to do until woken
+		if t.nq > 0 {
+			deadline = t.line[t.head].at
+		}
+		t.mu.Unlock()
+		// wake fires when a message joins an empty line; a head, once there,
+		// stays the head until this goroutine pops it.
+		switch w.Until(deadline, t.stop, t.wake) {
+		case realtime.Stopped:
 			return
-		case it = <-ch:
+		case realtime.Woken:
+			continue
 		}
-		if d := time.Until(it.at); d > 0 {
-			hold.Reset(d)
-			select {
-			case <-t.stop:
-				return
-			case <-hold.C:
-			}
+
+		now := time.Now()
+		t.mu.Lock()
+		for t.nq > 0 && !t.line[t.head].at.After(now) {
+			it := t.line[t.head]
+			t.line[t.head] = pipeItem{}
+			t.inflight[it.link]--
+			due = append(due, it)
+			t.head = (t.head + 1) & (len(t.line) - 1)
+			t.nq--
 		}
-		n := t.n
-		var ok bool
-		switch it.kind {
-		case pipeFrame:
-			frame := it.frame
-			ok = t.post(dest, func() { n.deliverFrame(l, frame) })
-		case pipeData:
-			data := it.data
-			ok = t.post(dest, func() { n.deliverData(l, data) })
-		case pipeHeartbeat:
-			ok = t.post(dest, func() { n.deliverHeartbeat(l) })
+		t.mu.Unlock()
+		for i := range due {
+			t.deliver(due[i])
+			due[i] = pipeItem{}
 		}
-		if !ok {
-			t.dropped.Add(1)
-		}
+		due = due[:0]
 	}
 }
 
-// offer submits an item to link l's pipe from runtime-serialized context,
-// reporting acceptance. A down link or full pipe refuses; the caller
-// reclaims the payload.
+// deliver posts one message to the mailbox of its link's receiving node.
+func (t *PipeTransport) deliver(it pipeItem) {
+	n, l := t.n, it.link
+	var ok bool
+	switch it.kind {
+	case pipeFrame:
+		frame := it.frame
+		ok = t.post(t.dest[l], func() { n.deliverFrame(l, frame) })
+	case pipeData:
+		data := it.data
+		ok = t.post(t.dest[l], func() { n.deliverData(l, data) })
+	case pipeHeartbeat:
+		ok = t.post(t.dest[l], func() { n.deliverHeartbeat(l) })
+	}
+	if !ok {
+		t.dropped.Add(1)
+	}
+}
+
+// offer submits an item to link l from runtime-serialized context, reporting
+// acceptance. A down link or a link with depth messages in flight refuses;
+// the caller reclaims the payload.
 func (t *PipeTransport) offer(l topology.LinkID, it pipeItem) bool {
 	if t.down[l].Load() || t.closed.Load() {
 		return false
 	}
-	it.at = time.Now().Add(t.prop)
-	select {
-	case t.pipes[l] <- it:
-		return true
-	default:
+	it.link = l
+	t.mu.Lock()
+	if t.inflight[l] >= t.depth {
+		t.mu.Unlock()
 		t.dropped.Add(1)
 		return false
 	}
+	// Stamped under mu, so the line is in deadline order.
+	it.at = time.Now().Add(t.prop)
+	if t.nq == len(t.line) {
+		grown := make([]pipeItem, 2*len(t.line))
+		k := copy(grown, t.line[t.head:])
+		copy(grown[k:], t.line[:t.head])
+		t.line, t.head = grown, 0
+	}
+	t.line[(t.head+t.nq)&(len(t.line)-1)] = it
+	t.nq++
+	t.inflight[l]++
+	first := t.nq == 1
+	t.mu.Unlock()
+	if first {
+		select {
+		case t.wake <- struct{}{}:
+		default:
+		}
+	}
+	return true
 }
 
 // SendFrame submits a control frame; refused frames return their buffer to
@@ -159,17 +220,17 @@ func (t *PipeTransport) SendHeartbeat(l topology.LinkID) {
 }
 
 // SetLinkDown fails or repairs link l. Unlike the sim transmitter there is
-// no queue to clear: messages already in the pipe left the sender before the
+// no queue to clear: messages already in the line left the sender before the
 // crash and still arrive, like the sim's in-propagation flight queue.
 func (t *PipeTransport) SetLinkDown(l topology.LinkID, down bool) { t.down[l].Store(down) }
 
-// Dropped returns messages lost inside the transport (full pipes, delivery
+// Dropped returns messages lost inside the transport (full links, delivery
 // refused by a full or stopping mailbox). Link-down drops are not counted
 // here — they are the crash model, accounted at the send sites.
 func (t *PipeTransport) Dropped() uint64 { return t.dropped.Load() }
 
-// Close stops every pipe goroutine. Call before stopping the runtime; items
-// still in pipes are abandoned to the GC.
+// Close stops the line's goroutine. Call before stopping the runtime; items
+// still in the line are abandoned to the GC.
 func (t *PipeTransport) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return

@@ -22,9 +22,11 @@
 // The timer arena is the PR-6 design verbatim: an index-based 4-ary min-heap
 // over pooled, generation-stamped slots, value sim.Timer handles, O(log n)
 // Stop, release-before-fire so a callback can re-arm into its own slot. A
-// single timer goroutine sleeps until the earliest deadline, then fires due
-// events under the execution lock; because popping happens with both locks
-// held, Stop returning true still guarantees the callback never runs.
+// single timer goroutine waits for the earliest deadline (Waiter: a Go timer
+// while it is far, precise sleeps for the last stretch), then fires due events
+// one at a time under the execution lock; because popping happens with both
+// locks held, Stop returning true guarantees the callback never runs, also
+// when the stopper is a callback of the same round.
 //
 // # Shutdown
 //
@@ -79,6 +81,7 @@ type Runtime struct {
 	rng *rand.Rand // only touched under mu (runtime-serialized callbacks)
 
 	wake    chan struct{} // kicks the timer goroutine when an earlier deadline arrives
+	waiter  *Waiter       // the timer goroutine's
 	stop    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -91,10 +94,11 @@ type Runtime struct {
 // goroutine. The caller owns the lifecycle and must call Stop.
 func New(seed int64) *Runtime {
 	r := &Runtime{
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
+		start:  time.Now(),
+		rng:    rand.New(rand.NewSource(seed)),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		waiter: NewWaiter(),
 	}
 	r.wg.Add(1)
 	go r.timerLoop()
@@ -330,60 +334,48 @@ func (r *Runtime) removeAt(i int) {
 	r.siftUp(int(r.slots[last].pos))
 }
 
-// timerLoop sleeps until the earliest deadline, then fires everything due.
-// Firing takes mu first, then tmu (the global lock order), pops and releases
-// each due slot, drops tmu, and runs the callbacks still under mu — so a
-// protocol callback holding mu can never observe a popped-but-unrun timer,
-// and release-before-fire lets callbacks re-arm into their own slot.
+// timerLoop waits for the earliest deadline, then fires what is due, one
+// timer at a time like sim.Engine.Step: under mu it takes tmu, pops and
+// releases one due slot, drops tmu and runs the callback. Popping happens with
+// both locks held, so a protocol callback holding mu never observes a
+// popped-but-unrun timer; release-before-fire lets a callback re-arm into its
+// own slot; and a callback that stops a timer due in the same round finds it
+// still queued, so that Stop returns true and the timer does not run.
 func (r *Runtime) timerLoop() {
 	defer r.wg.Done()
-	wait := time.NewTimer(time.Hour)
-	defer wait.Stop()
-	var due []func() // reused across rounds
+	defer r.waiter.Close()
 	for {
 		r.tmu.Lock()
-		var sleep time.Duration
-		if len(r.heap) == 0 {
-			sleep = time.Hour
-		} else {
-			sleep = time.Duration(r.slots[r.heap[0]].at - r.Now())
-			if sleep < 0 {
-				sleep = 0
-			}
+		var deadline time.Time // empty heap: nothing to do until woken
+		if len(r.heap) > 0 {
+			deadline = r.start.Add(time.Duration(r.slots[r.heap[0]].at))
 		}
 		r.tmu.Unlock()
 
-		if !wait.Stop() {
-			select {
-			case <-wait.C:
-			default:
-			}
-		}
-		wait.Reset(sleep)
-		select {
-		case <-r.stop:
+		switch r.waiter.Until(deadline, r.stop, r.wake) {
+		case Stopped:
 			return
-		case <-r.wake:
-			continue // earlier deadline arrived; recompute the sleep
-		case <-wait.C:
+		case Woken:
+			continue // earlier deadline arrived; recompute the wait
 		}
 
 		r.mu.Lock()
-		r.tmu.Lock()
+		// One reading of the clock per round: a callback that keeps arming
+		// immediate timers cannot hold mu against the actors forever.
 		now := r.Now()
-		for len(r.heap) > 0 && r.slots[r.heap[0]].at <= now {
+		for {
+			r.tmu.Lock()
+			if len(r.heap) == 0 || r.slots[r.heap[0]].at > now {
+				r.tmu.Unlock()
+				break
+			}
 			idx := r.heap[0]
 			fn := r.slots[idx].fn
 			r.removeAt(0)
 			r.release(idx, true)
-			due = append(due, fn)
-		}
-		r.tmu.Unlock()
-		for i, fn := range due {
+			r.tmu.Unlock()
 			fn()
-			due[i] = nil
 		}
-		due = due[:0]
 		r.mu.Unlock()
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/rtcl/bcp/internal/sim"
 )
 
 // TestTimerFiresInOrder checks that timers armed out of order fire in
@@ -221,4 +223,41 @@ func TestStopIsCleanAndIdempotent(t *testing.T) {
 		t.Fatal("Post after Stop should report failure")
 	}
 	time.Sleep(20 * time.Millisecond)
+}
+
+// TestStopInSameRound is the regression for the batch pop: two timers share a
+// deadline, so one wake-up finds both due, and the first stops the second.
+// As on sim.Engine, that Stop must return true and the second must not run.
+func TestStopInSameRound(t *testing.T) {
+	r := New(1)
+	defer r.Stop()
+
+	var second sim.Timer
+	var stopped, ran bool // only touched under the execution lock
+	done := make(chan struct{})
+	r.Exec(func() { // armed under the lock, so neither fires before both exist
+		at := r.Now().Add(20 * time.Millisecond)
+		r.At(at, func() {
+			stopped = second.Stop()
+			close(done)
+		})
+		second = r.At(at, func() { ran = true })
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first timer did not fire")
+	}
+	time.Sleep(5 * time.Millisecond)
+	r.Exec(func() {
+		if !stopped {
+			t.Error("Stop on a timer due in the same round returned false")
+		}
+		if ran {
+			t.Error("timer ran after a Stop from the same round")
+		}
+		if second.Fired() {
+			t.Error("stopped timer reports Fired")
+		}
+	})
 }
