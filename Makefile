@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-ab bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet verify bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -20,20 +20,6 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-
-# bench records the kernel micro-benchmarks to BENCH_<LABEL>.json; set
-# COMPARE to a previous file to embed deltas. SEED fixes the workload rng
-# (DisjointPair's sampled node pairs) so runs are comparable across trees.
-LABEL ?= dev
-COMPARE ?=
-SEED ?= 1
-bench:
-	$(GO) run ./cmd/bcpbench -label $(LABEL) -seed $(SEED) $(if $(COMPARE),-compare $(COMPARE))
-
-# bench-ab is the same-box batched-vs-per-message restoration A/B: both
-# engines in one process, ratio floors enforced (CI runs it in bench-smoke).
-bench-ab:
-	$(GO) run ./cmd/bcpbench -ab -seed $(SEED)
 
 # bench-check vets and short-tests the repository benchmark. bench/ is a Go
 # module of its own, so `go build ./... && go test ./...` at the root never

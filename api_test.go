@@ -62,15 +62,16 @@ func TestPublicTopologyAndRouting(t *testing.T) {
 		}
 	}
 	g := bcp.NewTorus(4, 4, 100)
-	if d := bcp.Distance(g, 0, 5); d != 2 {
+	r := bcp.NewRouter(g)
+	if d := r.Distance(0, 5); d != 2 {
 		t.Fatalf("distance = %d", d)
 	}
-	p, ok := bcp.ShortestPath(g, 0, 5, bcp.RoutingConstraint{})
+	p, ok := r.ShortestPath(0, 5, bcp.RoutingConstraint{})
 	if !ok || p.Hops() != 2 {
 		t.Fatal("shortest path wrong")
 	}
-	seq := bcp.SequentialDisjointPaths(g, 0, 5, 4, bcp.RoutingConstraint{})
-	flow := bcp.MaxDisjointPaths(g, 0, 5, 4, bcp.RoutingConstraint{})
+	seq := r.SequentialDisjointPaths(0, 5, 4, bcp.RoutingConstraint{})
+	flow := r.MaxDisjointPaths(0, 5, 4, bcp.RoutingConstraint{})
 	if len(flow) < len(seq) {
 		t.Fatal("flow found fewer paths than greedy")
 	}

@@ -265,17 +265,6 @@ type (
 	// preallocated arena (flush mode) or keeps the most recent window of
 	// them (flight-recorder mode).
 	ArenaSink = trace.ArenaSink
-	// Storm is the long-lived recovery-storm harness: repeated
-	// crash→switch→repair→rejoin cycles against one protocol network.
-	Storm = experiment.Storm
-	// StormConfig parameterizes NewStorm.
-	StormConfig = experiment.StormConfig
-	// StormWide is the mass-failure storm harness: each cycle crashes an
-	// entire transit node of a heavily loaded network and restores it —
-	// the workload the batched dispatch path exists for.
-	StormWide = experiment.StormWide
-	// StormWideConfig parameterizes NewStormWide.
-	StormWideConfig = experiment.StormWideConfig
 )
 
 var (
@@ -297,10 +286,6 @@ var (
 	// a keep-latest ring over the same arena.
 	NewArenaSink      = trace.NewArenaSink
 	NewFlightRecorder = trace.NewFlightRecorder
-	// NewStorm builds the recovery-storm harness.
-	NewStorm = experiment.NewStorm
-	// NewStormWide builds the mass-failure storm harness.
-	NewStormWide = experiment.NewStormWide
 )
 
 // --- Reliability mathematics --------------------------------------------
@@ -325,16 +310,10 @@ type BackupInfo = reliability.BackupInfo
 // --- Routing helpers -----------------------------------------------------
 
 var (
-	// Distance returns unconstrained hop distance.
-	Distance = routing.Distance
-	// ShortestPath finds a constrained shortest path.
-	ShortestPath = routing.ShortestPath
-	// SequentialDisjointPaths is the paper's disjoint routing method.
-	SequentialDisjointPaths = routing.SequentialDisjointPaths
-	// MaxDisjointPaths is the flow-based alternative ([WHA90, SID91]).
-	MaxDisjointPaths = routing.MaxDisjointPaths
 	// NewRouter builds a reusable routing engine for one graph: all
-	// searches share its scratch arenas and SPT cache (single-threaded).
+	// searches (Distance, ShortestPath, the paper's SequentialDisjointPaths,
+	// the flow-based MaxDisjointPaths of [WHA90, SID91]) share its scratch
+	// arenas and SPT cache (single-threaded).
 	NewRouter = routing.NewRouter
 	// NewExclusion builds an empty component-exclusion set.
 	NewExclusion = routing.NewExclusion

@@ -91,7 +91,7 @@ func main() {
 	// The bound depends only on the topology and config; recompute the
 	// path length once for the report.
 	g := bcp.NewMesh(*rows, *cols, *capacity)
-	paths := bcp.SequentialDisjointPaths(g, 0, bcp.NodeID(g.NumNodes()-1), 2, bcp.RoutingConstraint{})
+	paths := bcp.NewRouter(g).SequentialDisjointPaths(0, bcp.NodeID(g.NumNodes()-1), 2, bcp.RoutingConstraint{})
 	if len(paths) < 2 {
 		fmt.Fprintf(os.Stderr, "bcplive: no disjoint corner-to-corner paths on %dx%d mesh\n", *rows, *cols)
 		os.Exit(1)
@@ -128,7 +128,7 @@ func main() {
 func runTrial(rows, cols int, capacity float64, transport string, rate float64, seed int64, cfg bcp.ProtocolConfig) (trialResult, error) {
 	g := bcp.NewMesh(rows, cols, capacity)
 	mgr := bcp.NewManager(g, bcp.DefaultConfig())
-	paths := bcp.SequentialDisjointPaths(g, 0, bcp.NodeID(g.NumNodes()-1), 2, bcp.RoutingConstraint{})
+	paths := mgr.Router().SequentialDisjointPaths(0, bcp.NodeID(g.NumNodes()-1), 2, bcp.RoutingConstraint{})
 	if len(paths) < 2 {
 		return trialResult{}, fmt.Errorf("no disjoint corner-to-corner paths")
 	}

@@ -90,9 +90,9 @@ func ExampleNewProtocol() {
 }
 
 // Routing: the paper's sequential disjoint method versus max-flow.
-func ExampleSequentialDisjointPaths() {
+func ExampleRouter_SequentialDisjointPaths() {
 	g := bcp.NewTorus(8, 8, 200)
-	paths := bcp.SequentialDisjointPaths(g, 0, 36, 3, bcp.RoutingConstraint{})
+	paths := bcp.NewRouter(g).SequentialDisjointPaths(0, 36, 3, bcp.RoutingConstraint{})
 	for i, p := range paths {
 		fmt.Printf("channel %d: %d hops\n", i, p.Hops())
 	}

@@ -7,6 +7,26 @@ import (
 	"github.com/rtcl/bcp/internal/topology"
 )
 
+// loadedEvalTorus establishes up to limit connections of the paper's
+// all-pairs workload (one backup at degree 3) on the 8x8 evaluation torus.
+func loadedEvalTorus(limit int) *Manager {
+	g := topology.NewTorus(8, 8, 200)
+	m := NewManager(g, DefaultConfig())
+	n := g.NumNodes()
+	loaded := 0
+	for s := 0; s < n && loaded < limit; s++ {
+		for d := 0; d < n && loaded < limit; d++ {
+			if s == d {
+				continue
+			}
+			if _, err := m.Establish(topology.NodeID(s), topology.NodeID(d), rtchan.DefaultSpec(), []int{3}); err == nil {
+				loaded++
+			}
+		}
+	}
+	return m
+}
+
 // TestEstablishAllocs pins the allocation budget of the sequential
 // establishment path. The plan phase runs entirely on reusable arenas
 // (router scratch, plan buffers, Π scratch), so the only allocations left
@@ -15,24 +35,10 @@ import (
 // signature in a recycled slab row, which in steady state are there already.
 // A regression here means a scratch buffer leaked into the steady-state path.
 func TestEstablishAllocs(t *testing.T) {
-	g := topology.NewTorus(8, 8, 200)
-	m := NewManager(g, DefaultConfig())
-	spec := rtchan.DefaultSpec()
-
 	// Load the network the way bench_test.go's BenchmarkSingleEstablish
 	// does, so admission scans run against populated Π structures.
-	n := g.NumNodes()
-	loaded := 0
-	for s := 0; s < n && loaded < 2000; s++ {
-		for d := 0; d < n && loaded < 2000; d++ {
-			if s == d {
-				continue
-			}
-			if _, err := m.Establish(topology.NodeID(s), topology.NodeID(d), spec, []int{3}); err == nil {
-				loaded++
-			}
-		}
-	}
+	m := loadedEvalTorus(2000)
+	spec := rtchan.DefaultSpec()
 
 	allocs := testing.AllocsPerRun(200, func() {
 		conn, err := m.Establish(0, 36, spec, []int{3})
@@ -73,4 +79,25 @@ func TestEstablishAllocs(t *testing.T) {
 	if teardown != 0 {
 		t.Fatalf("teardown = %.1f allocs/op, want 0", teardown)
 	}
+}
+
+// TestTrialAllocs pins the allocation budget of one failure trial on the
+// fully loaded evaluation network — the inner loop of every R_fast sweep. A
+// trial is a pure read over the plan into the manager's reusable scratch;
+// only the per-degree result map it returns allocates.
+func TestTrialAllocs(t *testing.T) {
+	m := loadedEvalTorus(64 * 63)
+	f := SingleNode(27)
+	allocs := testing.AllocsPerRun(10, func() {
+		if stats := m.Trial(f, OrderByConn, nil); stats.FailedPrimaries == 0 {
+			t.Fatal("node 27 carries no primaries")
+		}
+	})
+	// Measured 2.0; the ceiling catches a scratch buffer regressing to
+	// per-trial allocation (hundreds of affected channels), not noise.
+	const ceiling = 4
+	if allocs > ceiling {
+		t.Fatalf("trial = %.1f allocs/op, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("trial = %.1f allocs/op", allocs)
 }

@@ -142,13 +142,10 @@ type Manager struct {
 	// It is writer-side state: establishment and recovery route under the
 	// exclusive lock, and external Router() callers must not overlap writes.
 	router *routing.Router
-	// estExcl is the establishment-path exclusion set, reset per use. It is
-	// shared by Establish and ReplenishBackups (never live at once); entry
-	// points that interleave with Establish keep their own (see pr.go).
-	estExcl *routing.Exclusion
 
-	// estCtx is the writer-side planning context (wrapping m.router and
-	// estExcl) and seqPlan its reusable plan buffer: sequential
+	// estCtx is the writer-side planning context (wrapping m.router and an
+	// exclusion set shared by Establish, EstablishWithPr and ReplenishBackups,
+	// never live at once) and seqPlan its reusable plan buffer: sequential
 	// Establish is plan+commit over these under the write lock, the same code
 	// path the EstablishBatch pipeline speculates over (see establish.go).
 	estCtx  *planContext
@@ -205,10 +202,9 @@ func NewManager(g *topology.Graph, cfg Config) *Manager {
 		},
 		nextConn: 1,
 		router:   routing.NewRouter(g),
-		estExcl:  routing.NewExclusion(),
 		piStale:  make([]bool, g.NumLinks()),
 	}
-	m.estCtx = newPlanContext(m, m.router, m.estExcl)
+	m.estCtx = newPlanContext(m, m.router, routing.NewExclusion())
 	m.seqPlan = &connPlan{}
 	return m
 }

@@ -143,6 +143,7 @@ type planContext struct {
 	router *routing.Router
 	excl   *routing.Exclusion
 	sig    []uint64
+	path   pathPlan // routeBackupPath's link/node buffers
 
 	// Per-plan state read by the persistent feasibility closure, so the hot
 	// routing constraint costs no allocation per establishment.
@@ -234,16 +235,23 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 		return
 	}
 
+	if m.plan.cfg.BackupRouting == RouteLoadAware {
+		// The load-aware weight reads every candidate link's spare pool, far
+		// beyond what consulted-link tracking can revalidate: strict.
+		p.strict = true
+	}
 	excl := pc.excl.Reset()
 	addExcluded(excl, &p.prim)
 	for i, alpha := range p.degrees {
 		bp := p.backupAt(i)
 		bp.alpha = alpha
 		bp.nu = reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
-		if !pc.routeBackupLinks(p, bp) {
+		links, ok := pc.routeBackup(src, dst, bp.nu, pc.sig)
+		if !ok {
 			p.err = fmt.Errorf("core: no feasible disjoint path for backup %d of %d->%d", i+1, src, dst)
 			return
 		}
+		bp.path.set(g, links)
 		if err := pc.probeBackup(p, bp); err != nil {
 			p.err = fmt.Errorf("core: backup %d multiplexing: %w", i+1, err)
 			return
@@ -264,49 +272,62 @@ func addExcluded(excl *routing.Exclusion, pp *pathPlan) {
 	}
 }
 
-// routeBackupLinks routes one backup into bp.path, mirroring
-// Manager.routeBackup over the planner's own engines.
-func (pc *planContext) routeBackupLinks(p *connPlan, bp *backupPlan) bool {
+// routeBackup is the §3.4 backup-routing policy: it routes one backup channel
+// from src to dst around everything in pc.excl (the connection's earlier
+// channels, which is what keeps the pair disjoint) and returns its links in
+// pc.router's scratch, valid until the next search. Candidate links must have
+// pc.bw free — the paper's forward-pass reservation without multiplexing; the
+// exact spare-pool check is the admission probe. nu and primRow (the
+// primary's signature row) feed the load-aware weight when RouteLoadAware is
+// configured. Every caller — the plan phase, ReplenishBackups,
+// EstablishWithPr — sets pc.bw and pc.track first.
+func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow []uint64) ([]topology.LinkID, bool) {
 	m := pc.m
-	g := m.plan.net.Graph()
-	feasible := routing.Constraint{TieBreak: m.plan.cfg.TieBreak, LinkAllowed: pc.linkFeasible}
-	c := pc.excl.Constrain(feasible)
-	if m.plan.cfg.BackupRouting == RouteMaxFlow {
-		paths := pc.router.MaxDisjointPaths(p.src, p.dst, 1, c)
-		if len(paths) == 0 {
-			return false
+	cfg := &m.plan.cfg
+	c := pc.excl.Constrain(routing.Constraint{TieBreak: cfg.TieBreak, LinkAllowed: pc.linkFeasible})
+	if cfg.BackupRouting == RouteMaxFlow {
+		sets := pc.router.DisjointLinks(src, dst, 1, c)
+		if len(sets) == 0 {
+			return nil, false
 		}
-		bp.path.set(g, paths[0].Links())
-		return true
+		return sets[0], true
 	}
-	if m.plan.cfg.BackupSlackHops >= 0 {
-		// QoS bound relative to the shortest disjoint path, regardless of
-		// current bandwidth availability (see Manager.routeBackup).
+	if cfg.BackupSlackHops >= 0 {
+		// QoS bound for the backup: after activation it carries the primary
+		// traffic, so its length is bounded relative to the shortest
+		// disjoint path regardless of current bandwidth availability. Only
+		// the length is needed, so skip the backtrack and materialization.
 		unconstrained := pc.excl.Constrain(routing.Constraint{})
-		if hops := pc.router.ShortestDistance(p.src, p.dst, unconstrained); hops >= 0 {
-			c.MaxHops = hops + m.plan.cfg.BackupSlackHops
+		if hops := pc.router.ShortestDistance(src, dst, unconstrained); hops >= 0 {
+			c.MaxHops = hops + cfg.BackupSlackHops
 		}
 	}
-	if m.plan.cfg.BackupRouting == RouteLoadAware && len(p.prim.links) > 0 {
-		// The load-aware weight reads every candidate link's spare pool, far
-		// beyond what consulted-link tracking can revalidate: strict.
-		p.strict = true
-		bw, nu := p.spec.Bandwidth, bp.nu
+	if cfg.BackupRouting == RouteLoadAware {
+		// [HAN97b]: weight each link by the spare-pool growth the backup
+		// would cause there, plus a small per-hop cost so ties (zero-growth
+		// corridors) still prefer short paths.
+		bw := pc.bw
 		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + m.prospectiveSpareIncrease(l, pc.sig, bw, nu)
+			return 0.05*bw + m.prospectiveSpareIncrease(l, primRow, bw, nu)
 		}
-		if links, ok := pc.router.MinCostLinks(p.src, p.dst, c, w); ok {
-			bp.path.set(g, links)
-			return true
+		if links, ok := pc.router.MinCostLinks(src, dst, c, w); ok {
+			return links, true
 		}
 		// Fall through to shortest-path if the weighted search fails.
 	}
-	links, ok := pc.router.ShortestLinks(p.src, p.dst, c)
+	return pc.router.ShortestLinks(src, dst, c)
+}
+
+// routeBackupPath is routeBackup for the callers that establish the channel
+// at once and so need a Path rather than a plan record.
+func (pc *planContext) routeBackupPath(src, dst topology.NodeID, nu float64, primRow []uint64) (topology.Path, bool) {
+	links, ok := pc.routeBackup(src, dst, nu, primRow)
 	if !ok {
-		return false
+		return topology.Path{}, false
 	}
-	bp.path.set(g, links)
-	return true
+	g := pc.m.plan.net.Graph()
+	pc.path.set(g, links)
+	return topology.NewPathUnchecked(g, pc.path.links, pc.path.nodes), true
 }
 
 // probeBackup runs the spare-pool admission probe for one routed backup,
@@ -474,7 +495,7 @@ func (m *Manager) commitBackupWires(p *connPlan, bp *backupPlan, conn *DConnecti
 	for wi := range bp.wires {
 		w := &bp.wires[wi]
 		lm := &m.plan.mux[w.link]
-		n := lm.appendEntry(muxEntry{id: bch.ID, sig: conn.sig, bw: bw, alpha: bp.alpha, nu: bp.nu, req: w.req})
+		n := lm.appendEntry(muxEntry{id: bch.ID, sig: conn.sig, bw: bw, nu: bp.nu, req: w.req})
 		for _, ei := range p.growBuf[w.growOff : w.growOff+w.growLen] {
 			e := &lm.entries[ei]
 			lm.piSet(int(ei), n)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/rtcl/bcp/internal/reliability"
-	"github.com/rtcl/bcp/internal/routing"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
@@ -33,52 +32,6 @@ func (m *Manager) establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, d
 	p := m.seqPlan
 	m.estCtx.plan(p, src, dst, spec, degrees, false)
 	return m.commitPlan(p)
-}
-
-// routeBackup finds a feasible path for a backup channel avoiding excl.
-// The admission prefilter requires bw free on every link (the paper's
-// forward-pass reservation without multiplexing); the exact spare-pool check
-// happens at addBackup time. alpha and primRow (the primary's signature row)
-// feed the load-aware weight when RouteLoadAware is configured.
-func (m *Manager) routeBackup(src, dst topology.NodeID, bw float64, alpha int, primRow []uint64, excl *routing.Exclusion) (topology.Path, bool) {
-	feasible := routing.Constraint{
-		TieBreak: m.plan.cfg.TieBreak,
-		LinkAllowed: func(l topology.LinkID) bool {
-			return m.plan.net.Free(l) >= bw-1e-9
-		},
-	}
-	c := excl.Constrain(feasible)
-	if m.plan.cfg.BackupRouting == RouteMaxFlow {
-		paths := m.router.MaxDisjointPaths(src, dst, 1, c)
-		if len(paths) == 0 {
-			return topology.Path{}, false
-		}
-		return paths[0], true
-	}
-	if m.plan.cfg.BackupSlackHops >= 0 {
-		// QoS bound for the backup: after activation it carries the primary
-		// traffic, so its length is bounded relative to the shortest
-		// disjoint path regardless of current bandwidth availability. Only
-		// the length is needed, so skip the backtrack and materialization.
-		unconstrained := excl.Constrain(routing.Constraint{})
-		if hops := m.router.ShortestDistance(src, dst, unconstrained); hops >= 0 {
-			c.MaxHops = hops + m.plan.cfg.BackupSlackHops
-		}
-	}
-	if m.plan.cfg.BackupRouting == RouteLoadAware {
-		// [HAN97b]: weight each link by the spare-pool growth the backup
-		// would cause there, plus a small per-hop cost so ties (zero-growth
-		// corridors) still prefer short paths.
-		nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
-		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + m.prospectiveSpareIncrease(l, primRow, bw, nu)
-		}
-		if p, ok := m.router.MinCostPath(src, dst, c, w); ok {
-			return p, true
-		}
-		// Fall through to shortest-path if the weighted search fails.
-	}
-	return m.router.ShortestPath(src, dst, c)
 }
 
 // EstablishOnPaths sets up a D-connection over explicitly chosen paths,
@@ -173,9 +126,12 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 	if conn.Primary == nil {
 		return 0, fmt.Errorf("core: connection %d has no primary", id)
 	}
+	pc := m.estCtx
+	pc.bw, pc.track = conn.Spec.Bandwidth, false
+	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
 	added := 0
 	for len(conn.Backups) < target {
-		excl := m.estExcl.Reset()
+		excl := pc.excl.Reset()
 		excl.AddPath(conn.Primary.Path)
 		for _, b := range conn.Backups {
 			excl.AddPath(b.Path)
@@ -187,7 +143,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 				}
 			}
 		}
-		bPath, ok := m.routeBackup(conn.Src, conn.Dst, conn.Spec.Bandwidth, alpha, m.plan.sigRow(conn.sig), excl)
+		bPath, ok := pc.routeBackupPath(conn.Src, conn.Dst, nu, m.plan.sigRow(conn.sig))
 		if !ok {
 			break
 		}

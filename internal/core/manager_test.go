@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/routing"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -326,13 +327,14 @@ func TestEstablishHonorsDelayContract(t *testing.T) {
 func TestRouteBackupRespectsExclusion(t *testing.T) {
 	g := topology.NewTorus(4, 4, 200)
 	m := newTestManager(g)
-	excl := routing.NewExclusion()
-	p, ok := routing.ShortestPath(g, 0, 5, routing.Constraint{})
+	p, ok := routing.NewRouter(g).ShortestPath(0, 5, routing.Constraint{})
 	if !ok {
 		t.Fatal("no path")
 	}
-	excl.AddPath(p)
-	b, ok := m.routeBackup(0, 5, 1, 1, nil, excl)
+	pc := m.estCtx
+	pc.excl.Reset().AddPath(p)
+	pc.bw, pc.track = 1, false
+	b, ok := pc.routeBackupPath(0, 5, reliability.NuForDegree(m.plan.cfg.Lambda, 1), nil)
 	if !ok {
 		t.Fatal("no backup path")
 	}

@@ -16,11 +16,10 @@ import (
 // inline so find and the admission scans walk the entry slice without
 // dereferencing the channel or the connection.
 type muxEntry struct {
-	id    rtchan.ChannelID
-	sig   int32 // the owning connection's row of plan.sig
-	bw    float64
-	alpha int     // paper's integer multiplexing degree
-	nu    float64 // threshold ν = (α-0.5)·λ
+	id  rtchan.ChannelID
+	sig int32 // the owning connection's row of plan.sig
+	bw  float64
+	nu  float64 // threshold ν = (α-0.5)·λ, α the paper's multiplexing degree
 	// req is this backup's spare-bandwidth requirement on the link:
 	// bw(Bi) + Σ_{Bj ∈ Π(Bi,ℓ)} bw(Bj). Π itself is a row of linkMux.pi.
 	req float64
@@ -213,11 +212,10 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 	lm := &m.plan.mux[l]
 	bw := ch.Bandwidth()
 	entry := muxEntry{
-		id:    ch.ID,
-		sig:   conn.sig,
-		bw:    bw,
-		alpha: alpha,
-		nu:    reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
+		id:  ch.ID,
+		sig: conn.sig,
+		bw:  bw,
+		nu:  reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
 	}
 	rowNew := m.plan.sigRow(conn.sig)
 	// Tentatively wire the new entry into the Π structure. No undo log is

@@ -117,13 +117,14 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	primRow := m.estCtx.sig // the plan above left the primary's signature here
 
 	// Route candidate backup paths once (they do not depend on alpha; the
-	// planner leaves estExcl free for routeBackup to reuse).
+	// plan above left the context's bandwidth set and its exclusion free).
 	var candidates []topology.Path
 	{
-		excl := m.estExcl.Reset()
+		excl := m.estCtx.excl.Reset()
 		addExcluded(excl, &p.prim)
+		nu := reliability.NuForDegree(m.plan.cfg.Lambda, maxAlpha)
 		for i := 0; i < maxBackups; i++ {
-			bPath, ok := m.routeBackup(src, dst, spec.Bandwidth, maxAlpha, primRow, excl)
+			bPath, ok := m.estCtx.routeBackupPath(src, dst, nu, primRow)
 			if !ok {
 				break
 			}

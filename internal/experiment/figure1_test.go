@@ -237,5 +237,5 @@ func shortestIgnoring(g *topology.Graph, src, dst topology.NodeID, f core.Failur
 		},
 		NodeAllowed: func(n topology.NodeID) bool { return !f.NodeFailed(n) },
 	}
-	return routing.ShortestPath(g, src, dst, c)
+	return routing.NewRouter(g).ShortestPath(src, dst, c)
 }

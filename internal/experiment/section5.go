@@ -103,7 +103,7 @@ func runSection5Trial(opts Options, cfg bcpd.Config, dmax sim.Duration, backups,
 	mgr := core.NewManager(g, opts.config())
 	// An 8-hop connection across the torus: (0,0) -> (4,4).
 	src, dst := topology.NodeID(0), topology.NodeID(36)
-	paths := routing.SequentialDisjointPaths(g, src, dst, backups+1, routing.Constraint{})
+	paths := mgr.Router().SequentialDisjointPaths(src, dst, backups+1, routing.Constraint{})
 	if len(paths) < backups+1 {
 		panic("experiment: torus cannot route the requested channels")
 	}

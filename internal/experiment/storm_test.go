@@ -76,3 +76,29 @@ func TestStormsInParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestStormCycleAllocs pins the steady state the harness exists to show:
+// after warmup a full crash→switch→repair→rejoin cycle runs on recycled
+// timers, frames and scratch (control plane only, so nothing else is in the
+// measurement).
+func TestStormCycleAllocs(t *testing.T) {
+	s, err := NewStorm(StormConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured 1.0; an unpooled timer or frame costs one allocation per
+	// message, hundreds per cycle.
+	const ceiling = 50
+	if allocs > ceiling {
+		t.Fatalf("storm cycle = %.1f allocs/op, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("storm cycle = %.1f allocs/op", allocs)
+}

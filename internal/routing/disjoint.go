@@ -202,9 +202,3 @@ func (r *Router) MaxDisjointPaths(src, dst topology.NodeID, count int, c Constra
 	}
 	return paths
 }
-
-// MaxDisjointPaths is the package-level convenience wrapper; see
-// Router.MaxDisjointPaths.
-func MaxDisjointPaths(g *topology.Graph, src, dst topology.NodeID, count int, c Constraint) []topology.Path {
-	return NewRouter(g).MaxDisjointPaths(src, dst, count, c)
-}

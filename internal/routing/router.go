@@ -158,7 +158,9 @@ func (r *Router) nextMark() uint32 {
 
 // Distance returns the unconstrained hop distance from src to dst, or -1 if
 // unreachable, answered from the per-source shortest-path tree (built on
-// first query for src, O(1) afterwards).
+// first query for src, O(1) afterwards). Used to evaluate the paper's QoS
+// rule: a channel meets its end-to-end delay requirement iff its path is at
+// most 2 hops longer than the shortest possible path.
 func (r *Router) Distance(src, dst topology.NodeID) int {
 	r.sync()
 	t := r.spt[src]
@@ -493,8 +495,13 @@ func (r *Router) MinCostPath(src, dst topology.NodeID, c Constraint, w WeightFun
 	return topology.NewPathUnchecked(r.g, links, r.nodesFor(links)), true
 }
 
-// SequentialDisjointPaths implements the paper's routing discipline on the
-// router's arenas; see the package-level function for semantics.
+// SequentialDisjointPaths implements the paper's routing discipline: it
+// returns up to count paths from src to dst, each a shortest path under c
+// avoiding all components (links and interior nodes) of the previously found
+// ones. Fewer than count paths are returned when the residual graph
+// disconnects. This greedy method can miss disjoint path sets that a
+// flow-based method would find; see MaxDisjointPaths for the flow-based
+// alternative.
 func (r *Router) SequentialDisjointPaths(src, dst topology.NodeID, count int, c Constraint) []topology.Path {
 	var paths []topology.Path
 	if r.seqExcl == nil {

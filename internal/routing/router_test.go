@@ -533,29 +533,6 @@ func TestRouterMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRouterPackageWrappersMatch pins the throwaway-Router package functions
-// to the Router methods on a sample of queries.
-func TestRouterPackageWrappersMatch(t *testing.T) {
-	g := topology.NewTorus(5, 5, 100)
-	r := NewRouter(g)
-	for s := 0; s < g.NumNodes(); s += 3 {
-		for d := 0; d < g.NumNodes(); d += 4 {
-			if s == d {
-				continue
-			}
-			src, dst := topology.NodeID(s), topology.NodeID(d)
-			if Distance(g, src, dst) != r.Distance(src, dst) {
-				t.Fatalf("Distance wrapper diverges at (%d,%d)", src, dst)
-			}
-			wp, wok := ShortestPath(g, src, dst, Constraint{})
-			gp, gok := r.ShortestPath(src, dst, Constraint{})
-			if wok != gok || !samePath(wp, gp) {
-				t.Fatalf("ShortestPath wrapper diverges at (%d,%d)", src, dst)
-			}
-		}
-	}
-}
-
 // TestRouterSeesTopologyGrowth checks the epoch invalidation rule: a Router
 // created before AddLink must observe the new link on its next query (the
 // SPT cache and arenas resize and recompute).

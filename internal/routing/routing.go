@@ -11,9 +11,8 @@
 //
 // All searches run on a Router, a reusable engine that owns every piece of
 // scratch state (label arrays, queues, the Dijkstra heap, the flow network),
-// so steady-state searches allocate nothing. The package-level functions
-// below build a throwaway Router per call for convenience; hot paths (the
-// core Manager, the experiment drivers) hold one Router per worker.
+// so steady-state searches allocate nothing. A Router is single-threaded:
+// the core Manager and the experiment drivers hold one per worker.
 package routing
 
 import (
@@ -63,19 +62,11 @@ func (c Constraint) nodeOK(n topology.NodeID) bool {
 	return c.NodeAllowed == nil || c.NodeAllowed(n)
 }
 
-// Distance returns the unconstrained hop distance from src to dst, or -1 if
-// unreachable. Used to evaluate the paper's QoS rule: a channel meets its
-// end-to-end delay requirement iff its path is at most 2 hops longer than
-// the shortest possible path.
-func Distance(g *topology.Graph, src, dst topology.NodeID) int {
-	return NewRouter(g).Distance(src, dst)
-}
-
-// ShortestPath returns a shortest path from src to dst satisfying c, and
-// whether one exists.
-func ShortestPath(g *topology.Graph, src, dst topology.NodeID, c Constraint) (topology.Path, bool) {
-	return NewRouter(g).ShortestPath(src, dst, c)
-}
+// WeightFunc assigns a positive cost to a link. Weighted routing is used by
+// load-aware backup-routing extensions ([HAN97b] reduces spare bandwidth by
+// steering backups toward links where they multiplex well); the paper's main
+// results use unit weights.
+type WeightFunc func(topology.LinkID) float64
 
 // bitset is a fixed-universe membership set over dense int ids, grown on
 // demand so the zero value works for any graph size.
@@ -173,15 +164,4 @@ func (e *Exclusion) Constrain(c Constraint) Constraint {
 		return prevNode == nil || prevNode(n)
 	}
 	return c
-}
-
-// SequentialDisjointPaths implements the paper's routing discipline: it
-// returns up to count paths from src to dst, each a shortest path under c
-// avoiding all components (links, their reverses, and interior nodes) of the
-// previously found ones. Fewer than count paths are returned when the
-// residual graph disconnects. This greedy method can miss disjoint path sets
-// that a flow-based method would find; see MaxDisjointPaths for the
-// flow-based alternative.
-func SequentialDisjointPaths(g *topology.Graph, src, dst topology.NodeID, count int, c Constraint) []topology.Path {
-	return NewRouter(g).SequentialDisjointPaths(src, dst, count, c)
 }

@@ -22,7 +22,7 @@ func TestDistanceTorus(t *testing.T) {
 		{0, 0, 0},
 	}
 	for _, c := range cases {
-		if got := Distance(g, c.a, c.b); got != c.want && !(c.a == c.b && got == 0) {
+		if got := NewRouter(g).Distance(c.a, c.b); got != c.want && !(c.a == c.b && got == 0) {
 			if c.a == c.b {
 				continue
 			}
@@ -36,14 +36,14 @@ func TestDistanceUnreachable(t *testing.T) {
 	if _, err := g.AddLink(0, 1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if d := Distance(g, 0, 3); d != -1 {
+	if d := NewRouter(g).Distance(0, 3); d != -1 {
 		t.Fatalf("Distance to unreachable = %d, want -1", d)
 	}
 }
 
 func TestShortestPathBasic(t *testing.T) {
 	g := topology.NewMesh(8, 8, 300)
-	p, ok := ShortestPath(g, 0, 63, Constraint{})
+	p, ok := NewRouter(g).ShortestPath(0, 63, Constraint{})
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -57,7 +57,7 @@ func TestShortestPathBasic(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	g := topology.NewMesh(2, 2, 10)
-	if _, ok := ShortestPath(g, 1, 1, Constraint{}); ok {
+	if _, ok := NewRouter(g).ShortestPath(1, 1, Constraint{}); ok {
 		t.Fatal("path to self should not exist")
 	}
 }
@@ -67,7 +67,7 @@ func TestShortestPathRespectsLinkConstraint(t *testing.T) {
 	// Block the clockwise 0->1 link; path 0->1 must go the long way around.
 	blocked := g.LinkBetween(0, 1)
 	c := Constraint{LinkAllowed: func(l topology.LinkID) bool { return l != blocked }}
-	p, ok := ShortestPath(g, 0, 1, c)
+	p, ok := NewRouter(g).ShortestPath(0, 1, c)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -83,7 +83,7 @@ func TestShortestPathRespectsNodeConstraint(t *testing.T) {
 	g := topology.NewMesh(3, 3, 10)
 	// 0 1 2 / 3 4 5 / 6 7 8. Forbid center node 4: 1->7 must detour.
 	c := Constraint{NodeAllowed: func(n topology.NodeID) bool { return n != 4 }}
-	p, ok := ShortestPath(g, 1, 7, c)
+	p, ok := NewRouter(g).ShortestPath(1, 7, c)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -95,25 +95,25 @@ func TestShortestPathRespectsNodeConstraint(t *testing.T) {
 	}
 	// Endpoint nodes are always allowed even if NodeAllowed rejects them.
 	c2 := Constraint{NodeAllowed: func(n topology.NodeID) bool { return n != 1 && n != 7 }}
-	if _, ok := ShortestPath(g, 1, 7, c2); !ok {
+	if _, ok := NewRouter(g).ShortestPath(1, 7, c2); !ok {
 		t.Fatal("constraint on endpoints must not block the search")
 	}
 }
 
 func TestShortestPathMaxHops(t *testing.T) {
 	g := topology.NewLine(6, 10)
-	if _, ok := ShortestPath(g, 0, 5, Constraint{MaxHops: 4}); ok {
+	if _, ok := NewRouter(g).ShortestPath(0, 5, Constraint{MaxHops: 4}); ok {
 		t.Fatal("path found despite hop bound")
 	}
-	if p, ok := ShortestPath(g, 0, 5, Constraint{MaxHops: 5}); !ok || p.Hops() != 5 {
+	if p, ok := NewRouter(g).ShortestPath(0, 5, Constraint{MaxHops: 5}); !ok || p.Hops() != 5 {
 		t.Fatal("path within hop bound not found")
 	}
 }
 
 func TestShortestPathDeterministicTieBreak(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
-	p1, _ := ShortestPath(g, 0, 36, Constraint{})
-	p2, _ := ShortestPath(g, 0, 36, Constraint{})
+	p1, _ := NewRouter(g).ShortestPath(0, 36, Constraint{})
+	p2, _ := NewRouter(g).ShortestPath(0, 36, Constraint{})
 	if p1.String() != p2.String() {
 		t.Fatal("deterministic search returned different paths")
 	}
@@ -124,7 +124,7 @@ func TestShortestPathRandomTieBreakStillShortest(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		p, ok := ShortestPath(g, 0, 36, Constraint{TieBreak: rng})
+		p, ok := NewRouter(g).ShortestPath(0, 36, Constraint{TieBreak: rng})
 		if !ok || p.Hops() != 8 {
 			t.Fatalf("tie-broken path wrong: ok=%v hops=%d", ok, p.Hops())
 		}
@@ -137,7 +137,7 @@ func TestShortestPathRandomTieBreakStillShortest(t *testing.T) {
 
 func TestSequentialDisjointPathsTorus(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
-	paths := SequentialDisjointPaths(g, 0, 36, 3, Constraint{})
+	paths := NewRouter(g).SequentialDisjointPaths(0, 36, 3, Constraint{})
 	if len(paths) != 3 {
 		t.Fatalf("got %d disjoint paths, want 3", len(paths))
 	}
@@ -156,7 +156,7 @@ func TestSequentialDisjointPathsTorus(t *testing.T) {
 func TestSequentialDisjointPathsMeshCorner(t *testing.T) {
 	g := topology.NewMesh(8, 8, 300)
 	// A corner has degree 2: at most 2 disjoint paths exist.
-	paths := SequentialDisjointPaths(g, 0, 63, 3, Constraint{})
+	paths := NewRouter(g).SequentialDisjointPaths(0, 63, 3, Constraint{})
 	if len(paths) != 2 {
 		t.Fatalf("got %d disjoint paths from mesh corner, want 2", len(paths))
 	}
@@ -164,7 +164,7 @@ func TestSequentialDisjointPathsMeshCorner(t *testing.T) {
 
 func TestSequentialDisjointPathsLine(t *testing.T) {
 	g := topology.NewLine(4, 10)
-	paths := SequentialDisjointPaths(g, 0, 3, 2, Constraint{})
+	paths := NewRouter(g).SequentialDisjointPaths(0, 3, 2, Constraint{})
 	if len(paths) != 1 {
 		t.Fatalf("line should admit exactly 1 path, got %d", len(paths))
 	}
@@ -197,11 +197,11 @@ func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 	duplex(2, 5)
 	// Shortest is 0-1-4-5 (3 hops). Greedy takes it, then 0-3-?-5 dead-ends
 	// (3-4 blocked at node 4) => only 1 path.
-	greedy := SequentialDisjointPaths(g, 0, 5, 2, Constraint{})
+	greedy := NewRouter(g).SequentialDisjointPaths(0, 5, 2, Constraint{})
 	if len(greedy) != 1 {
 		t.Fatalf("greedy found %d paths, expected trap to limit it to 1", len(greedy))
 	}
-	flow := MaxDisjointPaths(g, 0, 5, 2, Constraint{})
+	flow := NewRouter(g).MaxDisjointPaths(0, 5, 2, Constraint{})
 	if len(flow) != 2 {
 		t.Fatalf("max-flow found %d paths, want 2", len(flow))
 	}
@@ -212,7 +212,7 @@ func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 
 func TestMaxDisjointPathsTorus(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
-	paths := MaxDisjointPaths(g, 0, 36, 4, Constraint{})
+	paths := NewRouter(g).MaxDisjointPaths(0, 36, 4, Constraint{})
 	if len(paths) != 4 { // torus is 4-connected
 		t.Fatalf("got %d disjoint paths, want 4", len(paths))
 	}
@@ -232,7 +232,7 @@ func TestMaxDisjointPathsRespectsConstraints(t *testing.T) {
 	g := topology.NewTorus(4, 4, 10)
 	ban := g.LinkBetween(0, 1)
 	c := Constraint{LinkAllowed: func(l topology.LinkID) bool { return l != ban }}
-	for _, p := range MaxDisjointPaths(g, 0, 5, 4, c) {
+	for _, p := range NewRouter(g).MaxDisjointPaths(0, 5, 4, c) {
 		if p.ContainsLink(ban) {
 			t.Fatal("path uses banned link")
 		}
@@ -249,7 +249,7 @@ func TestMinCostPath(t *testing.T) {
 		}
 		return 1
 	}
-	p, ok := MinCostPath(g, 0, 1, Constraint{}, w)
+	p, ok := NewRouter(g).MinCostPath(0, 1, Constraint{}, w)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -257,7 +257,7 @@ func TestMinCostPath(t *testing.T) {
 		t.Fatalf("hops = %d, want 4 (around the ring)", p.Hops())
 	}
 	// With a hop bound the heavy link is the only choice.
-	p, ok = MinCostPath(g, 0, 1, Constraint{MaxHops: 2}, w)
+	p, ok = NewRouter(g).MinCostPath(0, 1, Constraint{MaxHops: 2}, w)
 	if !ok || p.Hops() != 1 {
 		t.Fatalf("bounded min-cost path wrong: ok=%v", ok)
 	}
@@ -265,7 +265,7 @@ func TestMinCostPath(t *testing.T) {
 
 func TestMinCostPathNilWeight(t *testing.T) {
 	g := topology.NewRing(5, 10)
-	if _, ok := MinCostPath(g, 0, 1, Constraint{}, nil); ok {
+	if _, ok := NewRouter(g).MinCostPath(0, 1, Constraint{}, nil); ok {
 		t.Fatal("nil weight should fail")
 	}
 }
@@ -293,7 +293,7 @@ func BenchmarkShortestPathTorus(b *testing.B) {
 	g := topology.NewTorus(8, 8, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := ShortestPath(g, 0, 36, Constraint{}); !ok {
+		if _, ok := NewRouter(g).ShortestPath(0, 36, Constraint{}); !ok {
 			b.Fatal("no path")
 		}
 	}
@@ -303,7 +303,7 @@ func BenchmarkMaxDisjointPathsTorus(b *testing.B) {
 	g := topology.NewTorus(8, 8, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := MaxDisjointPaths(g, 0, 36, 4, Constraint{}); len(got) != 4 {
+		if got := NewRouter(g).MaxDisjointPaths(0, 36, 4, Constraint{}); len(got) != 4 {
 			b.Fatal("wrong path count")
 		}
 	}
