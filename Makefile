@@ -15,8 +15,10 @@ race:
 	$(GO) test -race ./...
 
 # verify is the pre-merge gate: vet + build + the full suite under the race
-# detector (the parallel sweep worker pool runs even in short mode).
-verify:
+# detector (the parallel sweep worker pool runs even in short mode), then
+# bench-check, because the root commands never compile bench/ and an
+# internal/ signature change is exactly what breaks it.
+verify: bench-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

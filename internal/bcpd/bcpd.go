@@ -188,7 +188,10 @@ type Network struct {
 	mgr   *core.Manager
 	cfg   Config
 	links []*linkRuntime
-	nodes []*daemon
+	// linksDown counts links with down set (setLinkDown keeps it), so the
+	// common replenishment — nothing failed — skips its per-link avoid scan.
+	linksDown int
+	nodes     []*daemon
 
 	sources map[rtchan.ConnID]*source
 	sinks   map[rtchan.ConnID]*sink
@@ -261,16 +264,22 @@ func (n *Network) PoolOutstanding() (frames, data int) {
 	return n.framePool.Outstanding(), n.dataOut
 }
 
-// getChanList returns an empty recycled channel-ID list for failure
-// fan-out; callers return it with putChanList once the reports are out.
-func (n *Network) getChanList() []rtchan.ChannelID {
+// snapshotIDs copies the ids of an rtchan index list into a recycled buffer,
+// for a failure fan-out that runs after the crash rather than inside it. It
+// keeps ids, not the handles: a channel torn down before the fan-out runs
+// must resolve to nil there, not to its dead record. Callers return the
+// buffer with putChanList once the reports are out.
+func (n *Network) snapshotIDs(list []*rtchan.Channel) []rtchan.ChannelID {
+	var ids []rtchan.ChannelID
 	if k := len(n.chanListFree); k > 0 {
-		b := n.chanListFree[k-1]
+		ids = n.chanListFree[k-1]
 		n.chanListFree[k-1] = nil
 		n.chanListFree = n.chanListFree[:k-1]
-		return b
 	}
-	return nil
+	for _, ch := range list {
+		ids = append(ids, ch.ID)
+	}
+	return ids
 }
 
 func (n *Network) putChanList(b []rtchan.ChannelID) {
@@ -614,9 +623,11 @@ func (n *Network) replenishNow(connID rtchan.ConnID) {
 		alpha = conn.Degrees[len(conn.Degrees)-1]
 	}
 	before := len(conn.Backups)
-	added, err := n.mgr.ReplenishBackups(connID, target, alpha, func(l topology.LinkID) bool {
-		return n.links[l].down
-	})
+	var avoid func(topology.LinkID) bool
+	if n.linksDown > 0 {
+		avoid = func(l topology.LinkID) bool { return n.links[l].down }
+	}
+	added, err := n.mgr.ReplenishBackups(connID, target, alpha, avoid)
 	if err != nil || added == 0 {
 		return
 	}

@@ -88,9 +88,12 @@ func (n *Network) declareLinkFailure(l topology.LinkID) {
 	}
 	scheme := n.cfg.Scheme
 	opened := n.beginRound()
-	for _, chID := range n.mgr.Network().ChannelsOnLink(l) {
+	// The walk is over the index itself: a failure report marks channels U
+	// and starts activations, but only a rejoin expiry or abandonment tears
+	// one down, and neither runs inside this call.
+	for _, ch := range n.mgr.Network().ChannelsOnLink(l) {
 		if scheme == Scheme1 || scheme == Scheme3 {
-			n.nodes[lk.To].originateFailureReport(chID, +1)
+			n.nodes[lk.To].originateFailureReport(ch.ID, +1)
 		}
 	}
 	// Tell the upstream side; under a single simplex-link crash the reverse
@@ -122,13 +125,9 @@ func (d *daemon) handleLinkFailureNotify(c wireControl) {
 		return // misrouted
 	}
 	scheme := n.cfg.Scheme
-	// Copy the fan-out set through recycled scratch: originating reports
-	// mutates the channels-on-link index under us.
-	affected := append(n.getChanList(), n.mgr.Network().ChannelsOnLink(l)...)
-	for _, chID := range affected {
+	for _, ch := range n.mgr.Network().ChannelsOnLink(l) {
 		if scheme == Scheme2 || scheme == Scheme3 {
-			d.originateFailureReport(chID, -1)
+			d.originateFailureReport(ch.ID, -1)
 		}
 	}
-	n.putChanList(affected)
 }

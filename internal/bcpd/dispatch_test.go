@@ -2,6 +2,7 @@ package bcpd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
+	"github.com/rtcl/bcp/internal/wire"
 )
 
 // Dispatch rounds (round.go) must be a pure mechanism change: batching the
@@ -170,5 +172,50 @@ func TestBatchedDispatchMatchesPerMessage(t *testing.T) {
 				requireSameWorlds(t, ctx, seq, bat)
 			}
 		})
+	}
+}
+
+// TestHostileChannelIDs: a control's Channel field is whatever came off the
+// wire. Ids no channel ever had — zero, negative, far past the registry's top
+// page — must fall through every handler as an unknown channel: no panic, no
+// state, and no allocation at all, which rules out the registry growing a
+// page (or a directory) to look the id up.
+func TestHostileChannelIDs(t *testing.T) {
+	tb := newTestbed(t, DefaultConfig())
+	types := []wire.MsgType{
+		wire.MsgFailureReport, wire.MsgActivation, wire.MsgRejoinRequest,
+		wire.MsgRejoin, wire.MsgChannelClosure, wire.MsgLinkFailure,
+	}
+	// A primary-path daemon other than link 0's sender: for MsgLinkFailure the
+	// field is a link id, and 0 is a real link whose sender would act on it.
+	d := tb.net.nodes[2]
+	if tb.g.Link(0).From == d.id {
+		t.Fatal("testbed changed: node 2 sends on link 0")
+	}
+	barrage := func() {
+		for _, typ := range types {
+			for _, id := range []int64{0, -1, math.MinInt64, math.MaxInt64, 1 << 40} {
+				for _, toward := range []int8{1, -1} {
+					d.handleControl(wireControl{Type: typ, Channel: id, Origin: 1, Toward: toward})
+				}
+			}
+		}
+	}
+	channels, stats := tb.mgr.Network().NumChannels(), tb.net.Stats()
+	if allocs := testing.AllocsPerRun(10, barrage); allocs != 0 {
+		t.Fatalf("unknown channel ids cost %v allocations per barrage", allocs)
+	}
+	tb.eng.RunFor(50 * time.Millisecond)
+	if got := tb.mgr.Network().NumChannels(); got != channels {
+		t.Fatalf("channels %d -> %d", channels, got)
+	}
+	if got := tb.net.Stats(); got != stats {
+		t.Fatalf("stats moved: %+v -> %+v", stats, got)
+	}
+	if err := tb.mgr.Network().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !tb.net.ConnectionEstablished(tb.conn.ID) {
+		t.Fatal("connection disturbed")
 	}
 }

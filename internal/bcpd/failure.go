@@ -13,12 +13,10 @@ import (
 // reports for every channel routed over the link, per the configured scheme
 // (Figure 5).
 func (n *Network) FailLink(l topology.LinkID) {
-	lr := n.links[l]
-	if lr.down {
+	if n.links[l].down {
 		return
 	}
-	lr.down = true
-	n.tr.SetLinkDown(l, true)
+	n.setLinkDown(l, true)
 	if n.em.Enabled() {
 		n.emitComponent(trace.KindLinkDown, topology.NoNode, l)
 	}
@@ -26,7 +24,7 @@ func (n *Network) FailLink(l topology.LinkID) {
 		return // detection happens via missing heartbeats
 	}
 	lk := n.mgr.Graph().Link(l)
-	affected := append(n.getChanList(), n.mgr.Network().ChannelsOnLink(l)...)
+	affected := n.snapshotIDs(n.mgr.Network().ChannelsOnLink(l))
 	n.rt.Schedule(n.cfg.DetectionLatency, func() {
 		// One dispatch round for the whole fan-out: every report this
 		// detection originates is staged and flushed per neighbor link.
@@ -44,12 +42,10 @@ func (n *Network) FailLink(l topology.LinkID) {
 // RepairLink brings a simplex link back into service. Channels through it
 // stay unusable until a rejoin repairs them.
 func (n *Network) RepairLink(l topology.LinkID) {
-	lr := n.links[l]
-	if !lr.down {
+	if !n.links[l].down {
 		return
 	}
-	lr.down = false
-	n.tr.SetLinkDown(l, false)
+	n.setLinkDown(l, false)
 	if n.em.Enabled() {
 		n.emitComponent(trace.KindLinkUp, topology.NoNode, l)
 	}
@@ -57,6 +53,20 @@ func (n *Network) RepairLink(l topology.LinkID) {
 		n.heartbeatLastSeen[l] = n.rt.Now()
 		n.declaredDown[l] = false
 	}
+}
+
+// setLinkDown records link l's state here and in the transport. It is the
+// only writer of linkRuntime.down, which is what keeps linksDown exact.
+func (n *Network) setLinkDown(l topology.LinkID, down bool) {
+	if lr := n.links[l]; lr.down != down {
+		lr.down = down
+		if down {
+			n.linksDown++
+		} else {
+			n.linksDown--
+		}
+	}
+	n.tr.SetLinkDown(l, down)
 }
 
 // LinkDown reports whether link l is failed.
@@ -79,8 +89,7 @@ func (n *Network) FailNode(v topology.NodeID) {
 		if !n.links[l].down && n.em.Enabled() {
 			n.emitComponent(trace.KindLinkDown, topology.NoNode, l)
 		}
-		n.links[l].down = true
-		n.tr.SetLinkDown(l, true)
+		n.setLinkDown(l, true)
 	}
 	for _, l := range g.Out(v) {
 		downIncident(l)
@@ -91,7 +100,7 @@ func (n *Network) FailNode(v topology.NodeID) {
 	if n.cfg.HeartbeatInterval > 0 {
 		return // neighbors notice the silence on every incident link
 	}
-	affected := append(n.getChanList(), n.mgr.Network().ChannelsAtNode(v)...)
+	affected := n.snapshotIDs(n.mgr.Network().ChannelsAtNode(v))
 	n.rt.Schedule(n.cfg.DetectionLatency, func() {
 		defer n.putChanList(affected)
 		// A node failure is the widest fan-out in the protocol: every

@@ -52,14 +52,19 @@ func (n *Network) CheckQuiescence() []string {
 		v = append(v, fmt.Sprintf("pooled payloads leaked: %d frames, %d data boxes outstanding", framesOut, dataOut))
 	}
 
+	down := 0
 	for _, lr := range n.links {
 		if lr.down {
+			down++
 			v = append(v, fmt.Sprintf("link %d still down", lr.id))
 			continue
 		}
 		if b := lr.rccE.Backlog(); b > 0 {
 			v = append(v, fmt.Sprintf("link %d: rcc backlog %d (unacked or unsent controls)", lr.id, b))
 		}
+	}
+	if down != n.linksDown {
+		v = append(v, fmt.Sprintf("down-link count %d, but %d links are down", n.linksDown, down))
 	}
 
 	for _, d := range n.nodes {

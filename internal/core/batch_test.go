@@ -119,18 +119,14 @@ func requireSameManagers(t *testing.T, ctx string, ms, mb *Manager) {
 	if ms.nextConn != mb.nextConn {
 		t.Fatalf("%s: nextConn %d vs %d", ctx, ms.nextConn, mb.nextConn)
 	}
-	if len(ms.plan.order) != len(mb.plan.order) {
-		t.Fatalf("%s: order length %d vs %d", ctx, len(ms.plan.order), len(mb.plan.order))
+	seq, bat := ms.Connections(), mb.Connections()
+	if len(seq) != len(bat) {
+		t.Fatalf("%s: conn count %d vs %d", ctx, len(seq), len(bat))
 	}
-	for i, id := range ms.plan.order {
-		if mb.plan.order[i] != id {
-			t.Fatalf("%s: order[%d] = %d vs %d", ctx, i, id, mb.plan.order[i])
-		}
-	}
-	for id, cs := range ms.plan.conns {
-		cb := mb.plan.conns[id]
-		if cb == nil {
-			t.Fatalf("%s: conn %d missing from batch manager", ctx, id)
+	for i, cs := range seq {
+		cb, id := bat[i], cs.ID
+		if cb.ID != id {
+			t.Fatalf("%s: Connections()[%d] = %d vs %d", ctx, i, id, cb.ID)
 		}
 		if cs.Src != cb.Src || cs.Dst != cb.Dst {
 			t.Fatalf("%s: conn %d endpoints differ", ctx, id)
@@ -145,9 +141,6 @@ func requireSameManagers(t *testing.T, ctx string, ms, mb *Manager) {
 				t.Fatalf("%s: conn %d degree[%d] %d vs %d", ctx, id, i, cs.Degrees[i], cb.Degrees[i])
 			}
 		}
-	}
-	if len(mb.plan.conns) != len(ms.plan.conns) {
-		t.Fatalf("%s: conn count %d vs %d", ctx, len(ms.plan.conns), len(mb.plan.conns))
 	}
 	g := ms.Graph()
 	for l := 0; l < g.NumLinks(); l++ {

@@ -195,7 +195,6 @@ func NewManager(g *topology.Graph, cfg Config) *Manager {
 		plan: NetworkPlan{
 			cfg:       cfg,
 			net:       rtchan.NewNetwork(g),
-			conns:     make(map[rtchan.ConnID]*DConnection),
 			mux:       make([]linkMux, g.NumLinks()),
 			sigStride: 1 + (g.NumNodes()+g.NumLinks()+63)/64,
 			qpowTab:   newQpowTab(cfg.Lambda, g.NumNodes()),
@@ -260,19 +259,15 @@ func (m *Manager) PlanEpoch() uint64 {
 func (m *Manager) Connection(id rtchan.ConnID) *DConnection {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.plan.conns[id]
+	return m.plan.conns.Get(id)
 }
 
 // Connections returns all live D-connections in establishment order.
 func (m *Manager) Connections() []*DConnection {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]*DConnection, 0, len(m.plan.conns))
-	for _, id := range m.plan.order {
-		if c, ok := m.plan.conns[id]; ok {
-			out = append(out, c)
-		}
-	}
+	out := make([]*DConnection, 0, m.plan.conns.Len())
+	m.plan.conns.Each(func(_ rtchan.ConnID, c *DConnection) { out = append(out, c) })
 	return out
 }
 
@@ -280,7 +275,7 @@ func (m *Manager) Connections() []*DConnection {
 func (m *Manager) NumConnections() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.plan.conns)
+	return m.plan.conns.Len()
 }
 
 // constraintForPrimary builds the admission-aware routing constraint for a

@@ -481,8 +481,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 		conn.Backups = append(conn.Backups, bch)
 		conn.Degrees = append(conn.Degrees, bp.alpha)
 	}
-	m.plan.conns[conn.ID] = conn
-	m.plan.order = append(m.plan.order, conn.ID)
+	m.plan.conns.Set(conn.ID, conn)
 	m.nextConn++
 	return conn, nil
 }

@@ -102,8 +102,7 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 			return nil, err
 		}
 	}
-	m.plan.conns[conn.ID] = conn
-	m.plan.order = append(m.plan.order, conn.ID)
+	m.plan.conns.Set(conn.ID, conn)
 	m.nextConn++
 	return conn, nil
 }
@@ -119,8 +118,8 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 // not call back into the Manager. It returns the number of backups added.
 func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid func(topology.LinkID) bool) (int, error) {
 	defer m.beginWrite()()
-	conn, ok := m.plan.conns[id]
-	if !ok {
+	conn := m.plan.conns.Get(id)
+	if conn == nil {
 		return 0, fmt.Errorf("core: unknown connection %d", id)
 	}
 	if conn.Primary == nil {
@@ -169,8 +168,8 @@ func (m *Manager) Teardown(id rtchan.ConnID) error {
 }
 
 func (m *Manager) teardown(id rtchan.ConnID) error {
-	conn, ok := m.plan.conns[id]
-	if !ok {
+	conn := m.plan.conns.Get(id)
+	if conn == nil {
 		return fmt.Errorf("core: unknown connection %d", id)
 	}
 	for _, b := range conn.Backups {

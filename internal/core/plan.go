@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"github.com/rtcl/bcp/internal/idtab"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
@@ -20,11 +21,12 @@ import (
 // transactions — the control-plane analogue of topology.Graph.Version —
 // so derived read-side state can detect that the plan changed underneath it.
 type NetworkPlan struct {
-	cfg   Config
-	net   *rtchan.Network
-	conns map[rtchan.ConnID]*DConnection
-	order []rtchan.ConnID // establishment order, for deterministic iteration
-	mux   []linkMux       // one per link
+	cfg Config
+	net *rtchan.Network
+	// conns is keyed by connection id; ids are minted in establishment
+	// order, so its ascending walk is the deterministic iteration order.
+	conns idtab.Table[rtchan.ConnID, DConnection]
+	mux   []linkMux // one per link
 	// sig is the primary-signature slab (sig.go): sigStride words per live
 	// connection, free rows listed in sigFree.
 	sig       []uint64
@@ -50,12 +52,8 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 
 	// Discover the affected channels via the per-link/per-node indexes,
 	// deduped and grouped by connection in the stamped scratch slices.
-	add := func(id rtchan.ChannelID) {
-		if !t.markChan(id) {
-			return
-		}
-		ch := p.net.Channel(id)
-		if ch == nil {
+	add := func(ch *rtchan.Channel) {
+		if !t.markChan(ch.ID) {
 			return
 		}
 		slot := t.connSlot(ch.Conn)
@@ -66,19 +64,19 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 		}
 	}
 	f.eachLink(func(l topology.LinkID) {
-		for _, id := range p.net.ChannelsOnLink(l) {
-			add(id)
+		for _, ch := range p.net.ChannelsOnLink(l) {
+			add(ch)
 		}
 	})
 	f.eachNode(func(n topology.NodeID) {
-		for _, id := range p.net.ChannelsAtNode(n) {
-			add(id)
+		for _, ch := range p.net.ChannelsAtNode(n) {
+			add(ch)
 		}
 	})
 
 	needsRecovery := t.needs[:0]
 	for _, connID := range t.conns {
-		conn := p.conns[connID]
+		conn := p.conns.Get(connID)
 		if conn == nil {
 			continue
 		}

@@ -59,9 +59,8 @@ func randomManager(t *testing.T, seed int64, alphaPick func(*rand.Rand) int) (*M
 }
 
 func backupBWOnLink(m *Manager, l topology.LinkID) (sum, max float64, n int) {
-	for _, id := range m.plan.net.ChannelsOnLink(l) {
-		ch := m.plan.net.Channel(id)
-		if ch != nil && ch.Role == rtchan.RoleBackup {
+	for _, ch := range m.plan.net.ChannelsOnLink(l) {
+		if ch.Role == rtchan.RoleBackup {
 			sum += ch.Bandwidth()
 			if ch.Bandwidth() > max {
 				max = ch.Bandwidth()

@@ -87,7 +87,7 @@ func (m *Manager) degreeOf(ch rtchan.ChannelID) int {
 	if c == nil {
 		return 1 << 30
 	}
-	conn := m.plan.conns[c.Conn]
+	conn := m.plan.conns.Get(c.Conn)
 	if conn == nil {
 		return 1 << 30
 	}
@@ -210,7 +210,7 @@ func (m *Manager) ClaimedOn(l topology.LinkID, ch rtchan.ChannelID) bool {
 // stop exactly at the meeting node).
 func (m *Manager) ActivateClaimed(connID rtchan.ConnID, b *rtchan.Channel) error {
 	defer m.beginWrite()()
-	conn := m.plan.conns[connID]
+	conn := m.plan.conns.Get(connID)
 	if conn == nil {
 		return fmt.Errorf("core: unknown connection %d", connID)
 	}
@@ -238,7 +238,7 @@ func (m *Manager) ActivateClaimed(connID rtchan.ConnID, b *rtchan.Channel) error
 // connection ends with no channels at all it is deleted.
 func (m *Manager) TeardownChannel(connID rtchan.ConnID, ch rtchan.ChannelID) error {
 	defer m.beginWrite()()
-	conn := m.plan.conns[connID]
+	conn := m.plan.conns.Get(connID)
 	if conn == nil {
 		return fmt.Errorf("core: unknown connection %d", connID)
 	}
@@ -266,7 +266,7 @@ func (m *Manager) TeardownChannel(connID rtchan.ConnID, ch rtchan.ChannelID) err
 // longer accommodate it.
 func (m *Manager) RestoreAsBackup(connID rtchan.ConnID, ch rtchan.ChannelID, alpha int) error {
 	defer m.beginWrite()()
-	conn := m.plan.conns[connID]
+	conn := m.plan.conns.Get(connID)
 	if conn == nil {
 		return fmt.Errorf("core: unknown connection %d", connID)
 	}

@@ -332,24 +332,21 @@ func (s *RecoveryStats) addDegree(alpha, failed, recovered int) {
 func (m *Manager) affectedConnections(f Failure) map[rtchan.ConnID][]*rtchan.Channel {
 	seen := make(map[rtchan.ChannelID]struct{})
 	affected := make(map[rtchan.ConnID][]*rtchan.Channel)
-	add := func(id rtchan.ChannelID) {
-		if _, dup := seen[id]; dup {
+	add := func(ch *rtchan.Channel) {
+		if _, dup := seen[ch.ID]; dup {
 			return
 		}
-		seen[id] = struct{}{}
-		ch := m.plan.net.Channel(id)
-		if ch != nil {
-			affected[ch.Conn] = append(affected[ch.Conn], ch)
-		}
+		seen[ch.ID] = struct{}{}
+		affected[ch.Conn] = append(affected[ch.Conn], ch)
 	}
 	f.eachLink(func(l topology.LinkID) {
-		for _, id := range m.plan.net.ChannelsOnLink(l) {
-			add(id)
+		for _, ch := range m.plan.net.ChannelsOnLink(l) {
+			add(ch)
 		}
 	})
 	f.eachNode(func(n topology.NodeID) {
-		for _, id := range m.plan.net.ChannelsAtNode(n) {
-			add(id)
+		for _, ch := range m.plan.net.ChannelsAtNode(n) {
+			add(ch)
 		}
 	})
 	return affected
@@ -431,7 +428,7 @@ func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 	var needsRecovery []*DConnection
 	byConn := make(map[rtchan.ConnID]*plan)
 	for connID, channels := range affected {
-		conn := m.plan.conns[connID]
+		conn := m.plan.conns.Get(connID)
 		if conn == nil {
 			continue
 		}

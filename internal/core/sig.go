@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -85,20 +86,10 @@ func (m *Manager) primaryChanged(conn *DConnection) {
 }
 
 // forget removes a connection that has no channels left from the plan and
-// frees its signature row. plan.order sheds its dead ids once they outnumber
-// the live ones, so it too stays bounded by peak live connections.
+// frees its signature row.
 func (m *Manager) forget(conn *DConnection) {
-	delete(m.plan.conns, conn.ID)
+	m.plan.conns.Delete(conn.ID)
 	m.plan.releaseSig(conn.sig)
-	if len(m.plan.order) > 2*len(m.plan.conns)+64 {
-		live := m.plan.order[:0]
-		for _, id := range m.plan.order {
-			if _, ok := m.plan.conns[id]; ok {
-				live = append(live, id)
-			}
-		}
-		m.plan.order = live
-	}
 }
 
 // newQpowTab returns (1-λ)^k for k up to any component sum two primaries can
@@ -168,7 +159,7 @@ func (p *NetworkPlan) checkSig() error {
 	rows := len(p.sig) / p.sigStride
 	owner := make([]bool, rows)
 	want := make([]uint64, p.sigStride)
-	for id, conn := range p.conns {
+	checkConn := func(id rtchan.ConnID, conn *DConnection) error {
 		if conn.sig < 0 || int(conn.sig) >= rows {
 			return fmt.Errorf("core: connection %d holds signature row %d of %d", id, conn.sig, rows)
 		}
@@ -183,9 +174,19 @@ func (p *NetworkPlan) checkSig() error {
 				return fmt.Errorf("core: connection %d signature drift at word %d: stored %#x rebuilt %#x", id, w, got[w], want[w])
 			}
 		}
+		return nil
 	}
-	if len(p.conns)+len(p.sigFree) != rows {
-		return fmt.Errorf("core: %d signature rows for %d connections and %d free", rows, len(p.conns), len(p.sigFree))
+	var err error
+	p.conns.Each(func(id rtchan.ConnID, conn *DConnection) {
+		if err == nil {
+			err = checkConn(id, conn)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if p.conns.Len()+len(p.sigFree) != rows {
+		return fmt.Errorf("core: %d signature rows for %d connections and %d free", rows, p.conns.Len(), len(p.sigFree))
 	}
 	for _, i := range p.sigFree {
 		if i < 0 || int(i) >= rows || owner[i] {
@@ -201,7 +202,7 @@ func (p *NetworkPlan) checkSig() error {
 	for l := range p.mux {
 		for _, e := range p.mux[l].entries {
 			ch := p.net.Channel(e.id)
-			if ch == nil || p.conns[ch.Conn] == nil || p.conns[ch.Conn].sig != e.sig {
+			if ch == nil || p.conns.Get(ch.Conn) == nil || p.conns.Get(ch.Conn).sig != e.sig {
 				return fmt.Errorf("core: link %d entry %d carries signature row %d, not its connection's", l, e.id, e.sig)
 			}
 		}

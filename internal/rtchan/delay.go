@@ -45,9 +45,8 @@ func DefaultDelayModel() DelayModel {
 func (n *Network) PerHopDelayBound(l topology.LinkID, candidate TrafficSpec, model DelayModel) time.Duration {
 	capacity := n.Capacity(l) * 1e6 // bits/second
 	bits := float64(8 * model.ControlFrameSize)
-	for _, id := range n.ChannelsOnLink(l) {
-		ch := n.channels[id]
-		if ch == nil || ch.Role != RolePrimary {
+	for _, ch := range n.ChannelsOnLink(l) {
+		if ch.Role != RolePrimary {
 			continue
 		}
 		bits += float64(8 * ch.Spec.MaxMsgSize)
@@ -82,15 +81,14 @@ func (n *Network) DelayAdmission(path topology.Path, candidate TrafficSpec, mode
 	}
 	// The candidate adds one max-size message of blocking on every shared
 	// link to each established channel crossing it.
-	affected := make(map[ChannelID]struct{})
+	affected := make(map[*Channel]struct{})
 	for _, l := range path.Links() {
-		for _, id := range n.ChannelsOnLink(l) {
-			affected[id] = struct{}{}
+		for _, ch := range n.ChannelsOnLink(l) {
+			affected[ch] = struct{}{}
 		}
 	}
-	for id := range affected {
-		ch := n.channels[id]
-		if ch == nil || ch.Role != RolePrimary || ch.Spec.DelayBound <= 0 {
+	for ch := range affected {
+		if ch.Role != RolePrimary || ch.Spec.DelayBound <= 0 {
 			continue
 		}
 		current := n.PathDelayBound(ch.Path, TrafficSpec{}, model)
