@@ -11,9 +11,10 @@
 //	bcpchaos -replay repro.json -sabotage   # ...with the historical bug back in
 //	bcpchaos -artifacts out/                # write reproducers for failures
 //	bcpchaos -corpus corpus/                # harvest wire frames for fuzzing
+//	bcpchaos -episodes 1000 -want 8d52...   # ...and the run must be this one
 //
-// Exit status: 0 when every episode (or the replay) passes, 1 on violations,
-// 2 on usage errors.
+// Exit status: 0 when every episode (or the replay) passes, 1 on violations
+// or a run digest other than -want, 2 on usage errors.
 package main
 
 import (
@@ -37,6 +38,7 @@ func main() {
 		sabotage  = flag.Bool("sabotage", false, "re-introduce the fixed promote-rearm bug (harness self-test)")
 		maxFail   = flag.Int("maxfail", 1, "stop after this many failures (<0 = never)")
 		verbose   = flag.Bool("v", false, "progress logging")
+		want      = flag.String("want", "", "expected run digest; any other is a failure (behaviour moved)")
 	)
 	flag.Parse()
 
@@ -106,6 +108,10 @@ func main() {
 		}
 	}
 	if rep.Failed() {
+		os.Exit(1)
+	}
+	if *want != "" && rep.Digest != *want {
+		fmt.Fprintf(os.Stderr, "bcpchaos: run digest %s, want %s: protocol behaviour moved\n", rep.Digest, *want)
 		os.Exit(1)
 	}
 }

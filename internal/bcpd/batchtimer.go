@@ -3,7 +3,6 @@ package bcpd
 import (
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
-	"github.com/rtcl/bcp/internal/topology"
 )
 
 // Batched timers take the round's timer coalescing to its conclusion. A mass
@@ -21,8 +20,8 @@ import (
 // Cancellation cannot go through sim.Timer.Stop anymore (stopping the shared
 // timer would kill every other arm), so a batch entry is cancelled by
 // marking it in place; the fire loop skips marked entries, exactly as the
-// per-message path's Schedule-then-Stop leaves no live timer. rejoinRef is
-// the daemon-side handle that hides the two flavors.
+// per-message path's Schedule-then-Stop leaves no live timer. rejoinRef
+// hides the two flavors from the hop slot that holds the arm.
 //
 // Firing order is unchanged: entries run in staging order, which is the
 // order the per-message path would have Scheduled (and the engine fired)
@@ -30,172 +29,95 @@ import (
 // closure announcements of an expiry burst coalesce into per-link frames
 // just like the report storm that preceded them.
 
-// rejoinRef is a daemon's handle to one armed rejoin timer: either a private
-// sim.Timer (per-message engine, or an arm made outside any round) or a slot
-// in a shared rejoinBatch. The zero rejoinRef is inactive.
+// rejoinRef is one armed rejoin timer, an entry of the Network's arm slab
+// that a hop slot names by handle: either a private sim.Timer (per-message
+// engine, or an arm made outside any round) or an entry of a shared
+// timerBatch. A slot drops its handle when the arm fires or is stopped, so
+// a ref never outlives its entry; the zero rejoinRef stops nothing.
 type rejoinRef struct {
 	t     sim.Timer
-	batch *rejoinBatch
+	batch *timerBatch[rejoinEntry]
 	idx   int32
-	gen   uint32
 }
 
-// active reports whether the referenced arm is still pending. A recycled
-// batch (generation mismatch) or a fired/cancelled entry is inactive,
-// mirroring sim.Timer.Active across slot reuse.
-func (r rejoinRef) active() bool {
-	if r.batch != nil {
-		if r.batch.gen != r.gen {
-			return false
-		}
-		e := &r.batch.entries[r.idx]
-		return !e.cancelled && !e.done
-	}
-	return r.t.Active()
-}
-
-// stop cancels the referenced arm; stopping a fired, cancelled, or recycled
-// arm is a no-op, like sim.Timer.Stop.
-func (r rejoinRef) stop() {
-	if r.batch != nil {
-		if r.batch.gen == r.gen {
-			r.batch.entries[r.idx].cancelled = true
-		}
+// stop cancels the referenced arm.
+func (ref rejoinRef) stop() {
+	if ref.batch != nil {
+		ref.batch.entries[ref.idx].cancelled = true
 		return
 	}
-	r.t.Stop()
+	ref.t.Stop()
 }
 
-// rejoinEntry is one channel's rejoin-expiry arm inside a batch — the
-// identity the per-message closure would have captured, stored flat.
+// armOf reports whether ref is the pending arm of hop idx of r (audit).
+func (ref rejoinRef) armOf(r *chanSoft, idx int) bool {
+	if b := ref.batch; b != nil {
+		return int(ref.idx) < len(b.entries) && b.entries[ref.idx] == rejoinEntry{r: r, idx: int32(idx)}
+	}
+	return ref.t.Active()
+}
+
+// rejoinEntry is one hop's rejoin-expiry arm, staged in the open round and
+// then inside the batch that funds the round — the identity the per-message
+// closure would have captured, stored flat. cancelled marks an arm stopped
+// again before it fired (in the round: a rejoin confirm racing a report in
+// the same frame); it is skipped, exactly as the per-message path's
+// Schedule-then-Stop leaves no live timer. A live entry's hop is in U, so
+// its record cannot have been freed; a cancelled one's may have been, and is
+// not looked at.
 type rejoinEntry struct {
-	d         *daemon
-	chID      rtchan.ChannelID
-	connID    rtchan.ConnID
-	path      topology.Path
+	r         *chanSoft
+	idx       int32
 	cancelled bool
-	done      bool
 }
 
-// rejoinBatch funds every rejoin arm staged in one dispatch round with a
-// single timer. gen invalidates outstanding rejoinRefs when the batch
-// recycles through the Network's pool.
-type rejoinBatch struct {
-	n       *Network
-	gen     uint32
-	entries []rejoinEntry
-	fire    func() // prebuilt b.run, amortized with the batch
-}
-
-func (n *Network) getRejoinBatch() *rejoinBatch {
-	if k := len(n.rejoinBatchFree); k > 0 {
-		b := n.rejoinBatchFree[k-1]
-		n.rejoinBatchFree[k-1] = nil
-		n.rejoinBatchFree = n.rejoinBatchFree[:k-1]
-		return b
-	}
-	b := &rejoinBatch{n: n}
-	b.fire = b.run
-	return b
-}
-
-// run fires every surviving entry in staging order. The whole burst runs
-// inside one dispatch round: each expiry's closure announcements stage per
-// link and flush as shared frames, and the replenishments the expiries
-// request coalesce into one timer as well.
-func (b *rejoinBatch) run() {
-	opened := b.n.beginRound()
-	for i := range b.entries {
-		e := &b.entries[i]
-		if e.cancelled {
-			continue
-		}
-		// Retire the arm before running it, as the engine does for a firing
-		// timer; earlier entries may cancel later ones through stopRejoinTimer,
-		// which is why cancelled is re-checked every iteration.
-		e.done = true
-		delete(e.d.rejoinTimers, e.chID)
-		e.d.rejoinExpire(e.chID, e.connID, e.path)
-	}
-	if opened {
-		b.n.endRound()
-	}
-	b.gen++
-	for i := range b.entries {
-		b.entries[i] = rejoinEntry{}
-	}
-	b.entries = b.entries[:0]
-	b.n.rejoinBatchFree = append(b.n.rejoinBatchFree, b)
-}
-
-// probeEntry is one channel's staged rejoin probe. Probes are fire-and-
-// forget (the fire re-checks state U), so no cancellation or generation
-// bookkeeping is needed.
-type probeEntry struct {
-	d    *daemon
-	chID rtchan.ChannelID
-}
-
-// probeBatch funds every rejoin probe staged in one dispatch round with a
-// single timer.
-type probeBatch struct {
-	n       *Network
-	entries []probeEntry
+// timerBatch funds every arm of one kind staged in one dispatch round with a
+// single timer: the entries are payload, not captures, and the batch — entry
+// storage plus its one prebuilt fire closure — recycles through the
+// Network's free list for the kind once it has fired.
+type timerBatch[E any] struct {
+	entries []E
 	fire    func()
 }
 
-func (n *Network) getProbeBatch() *probeBatch {
-	if k := len(n.probeBatchFree); k > 0 {
-		b := n.probeBatchFree[k-1]
-		n.probeBatchFree[k-1] = nil
-		n.probeBatchFree = n.probeBatchFree[:k-1]
+// getBatch returns a recycled batch from free, or a new one that on firing
+// runs each entry through each, in staging order, and returns to free. With
+// inRound the whole burst runs inside one dispatch round, so what it emits
+// coalesces into per-link frames and shared timers like the storm before it.
+func getBatch[E any](n *Network, free *[]*timerBatch[E], inRound bool, each func(*Network, *E)) *timerBatch[E] {
+	if b := pop(free); b != nil {
 		return b
 	}
-	b := &probeBatch{n: n}
-	b.fire = b.run
+	b := &timerBatch[E]{}
+	b.fire = func() {
+		opened := inRound && n.beginRound()
+		for i := range b.entries {
+			each(n, &b.entries[i])
+		}
+		if opened {
+			n.endRound()
+		}
+		b.entries = b.entries[:0]
+		*free = append(*free, b)
+	}
 	return b
 }
 
-// run fires the probes in staging order inside one dispatch round, so the
-// burst's rejoin-requests coalesce into per-link frames.
-func (b *probeBatch) run() {
-	opened := b.n.beginRound()
-	for _, e := range b.entries {
-		e.d.probeFire(e.chID)
+// fireRejoin runs one batch entry unless it was cancelled — by an earlier
+// entry of the same burst, possibly — retiring the arm first, as the engine
+// does for a firing timer.
+func (n *Network) fireRejoin(e *rejoinEntry) {
+	if !e.cancelled {
+		n.dropArm(&e.r.hops[e.idx])
+		n.nodes[e.r.ch.Path.Nodes()[e.idx]].rejoinExpire(e.r, int(e.idx))
 	}
-	if opened {
-		b.n.endRound()
-	}
-	b.entries = b.entries[:0]
-	b.n.probeBatchFree = append(b.n.probeBatchFree, b)
 }
 
-// replBatch funds every replenishment requested in one dispatch round with a
-// single timer: the connection IDs are payload, not captures. Replenish has
-// no cancellation path (the fire re-checks the backup count), so no
-// generation bookkeeping is needed.
-type replBatch struct {
-	n     *Network
-	conns []rtchan.ConnID
-	fire  func()
-}
-
-func (n *Network) getReplBatch() *replBatch {
-	if k := len(n.replBatchFree); k > 0 {
-		b := n.replBatchFree[k-1]
-		n.replBatchFree[k-1] = nil
-		n.replBatchFree = n.replBatchFree[:k-1]
-		return b
-	}
-	b := &replBatch{n: n}
-	b.fire = b.run
-	return b
-}
-
-func (b *replBatch) run() {
-	for _, c := range b.conns {
-		b.n.replenishNow(c)
-	}
-	b.conns = b.conns[:0]
-	b.n.replBatchFree = append(b.n.replBatchFree, b)
+// probeEntry is one channel's staged rejoin probe. Probes are fire-and-
+// forget (the fire re-checks state U), so there is nothing to cancel; nor is
+// there for a replenishment, whose entry is the connection id (the fire
+// re-checks the backup count).
+type probeEntry struct {
+	d    *daemon
+	chID rtchan.ChannelID
 }

@@ -193,16 +193,11 @@ type Network struct {
 	linksDown int
 	nodes     []*daemon
 
+	// soft is every daemon's per-channel soft state (soft.go).
+	soft softTable
+
 	sources map[rtchan.ConnID]*source
 	sinks   map[rtchan.ConnID]*sink
-	// activated dedups resource-plane promotion per backup channel (the
-	// bidirectional activations of Scheme 3 can both reach completion).
-	activated map[rtchan.ChannelID]bool
-	// retired keeps path information for channels the resource plane has
-	// already released, so in-flight control messages (closures, stale
-	// reports) still route hop-by-hop — the analogue of each real daemon's
-	// local per-channel routing state outliving the global registry.
-	retired map[rtchan.ChannelID]*rtchan.Channel
 	// Heartbeat detection state (nil maps when disabled).
 	heartbeatLastSeen map[topology.LinkID]sim.Time
 	declaredDown      map[topology.LinkID]bool
@@ -230,20 +225,26 @@ type Network struct {
 	round  dispatchRound
 	// Pools for the round's batch timers (batchtimer.go): a fired batch
 	// recycles its entry storage and its single prebuilt fire closure.
-	rejoinBatchFree []*rejoinBatch
-	probeBatchFree  []*probeBatch
-	replBatchFree   []*replBatch
+	rejoinBatchFree []*timerBatch[rejoinEntry]
+	probeBatchFree  []*timerBatch[probeEntry]
+	replBatchFree   []*timerBatch[rtchan.ConnID]
 
 	stats Stats
+}
+
+// pop takes the last entry off a free list; an empty list gives the zero T.
+func pop[T any](free *[]T) (v T) {
+	if k := len(*free); k > 0 {
+		v, (*free)[k-1] = (*free)[k-1], v
+		*free = (*free)[:k-1]
+	}
+	return v
 }
 
 // getDataBox returns a recycled data-payload box.
 func (n *Network) getDataBox() *dataPayload {
 	n.dataOut++
-	if k := len(n.dataFree); k > 0 {
-		b := n.dataFree[k-1]
-		n.dataFree[k-1] = nil
-		n.dataFree = n.dataFree[:k-1]
+	if b := pop(&n.dataFree); b != nil {
 		return b
 	}
 	return &dataPayload{}
@@ -270,12 +271,7 @@ func (n *Network) PoolOutstanding() (frames, data int) {
 // must resolve to nil there, not to its dead record. Callers return the
 // buffer with putChanList once the reports are out.
 func (n *Network) snapshotIDs(list []*rtchan.Channel) []rtchan.ChannelID {
-	var ids []rtchan.ChannelID
-	if k := len(n.chanListFree); k > 0 {
-		ids = n.chanListFree[k-1]
-		n.chanListFree[k-1] = nil
-		n.chanListFree = n.chanListFree[:k-1]
-	}
+	ids := pop(&n.chanListFree)
 	for _, ch := range list {
 		ids = append(ids, ch.ID)
 	}
@@ -325,16 +321,14 @@ func NewOn(rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config) *Net
 	}
 	g := mgr.Graph()
 	n := &Network{
-		rt:        rt,
-		tr:        tr,
-		mgr:       mgr,
-		cfg:       cfg,
-		links:     make([]*linkRuntime, g.NumLinks()),
-		nodes:     make([]*daemon, g.NumNodes()),
-		sources:   make(map[rtchan.ConnID]*source),
-		sinks:     make(map[rtchan.ConnID]*sink),
-		activated: make(map[rtchan.ChannelID]bool),
-		retired:   make(map[rtchan.ChannelID]*rtchan.Channel),
+		rt:      rt,
+		tr:      tr,
+		mgr:     mgr,
+		cfg:     cfg,
+		links:   make([]*linkRuntime, g.NumLinks()),
+		nodes:   make([]*daemon, g.NumNodes()),
+		sources: make(map[rtchan.ConnID]*source),
+		sinks:   make(map[rtchan.ConnID]*sink),
 
 		heartbeatLastSeen: make(map[topology.LinkID]sim.Time),
 		declaredDown:      make(map[topology.LinkID]bool),
@@ -355,7 +349,7 @@ func NewOn(rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config) *Net
 	// outcome is identical either way).
 	mgr.SetCoalescedReconfig(!cfg.PerMessageDispatch)
 	for i := range n.nodes {
-		n.nodes[i] = newDaemon(n, topology.NodeID(i))
+		n.nodes[i] = &daemon{net: n, id: topology.NodeID(i)}
 	}
 	for _, l := range g.Links() {
 		l := l
@@ -441,15 +435,11 @@ func (n *Network) Daemon(v topology.NodeID) *daemon { return n.nodes[v] }
 func (n *Network) installConnection(conn *core.DConnection) {
 	if conn.Primary != nil {
 		n.emitInstall(conn.ID, conn.Primary, trace.StateP)
-		for _, v := range conn.Primary.Path.Nodes() {
-			n.nodes[v].install(conn.Primary, stateP)
-		}
+		n.install(conn.Primary, stateP)
 	}
 	for _, b := range conn.Backups {
 		n.emitInstall(conn.ID, b, trace.StateB)
-		for _, v := range b.Path.Nodes() {
-			n.nodes[v].install(b, stateB)
-		}
+		n.install(b, stateB)
 	}
 }
 
@@ -524,13 +514,10 @@ func (n *Network) emitComponent(kind trace.Kind, node topology.NodeID, link topo
 	})
 }
 
-// connOf resolves a channel to its connection, falling back to the retired
-// table for channels the resource plane has already released.
+// connOf resolves a channel to its connection, falling back to a retired
+// record for channels the resource plane has already released.
 func (n *Network) connOf(ch rtchan.ChannelID) rtchan.ConnID {
-	if c := n.mgr.Network().Channel(ch); c != nil {
-		return c.Conn
-	}
-	if c := n.retired[ch]; c != nil {
+	if c := n.channel(ch, n.soft.tab.Get(ch)); c != nil {
 		return c.Conn
 	}
 	return 0
@@ -568,20 +555,17 @@ func (n *Network) TeardownConnection(connID rtchan.ConnID) error {
 	}
 	opened := n.beginRound()
 	for _, ch := range conn.Channels() {
-		n.retired[ch.ID] = ch
 		src := n.nodes[ch.Path.Source()]
-		src.stopRejoinTimer(ch.ID)
-		src.setState(ch.ID, stateN)
+		if r := n.soft.tab.Get(ch.ID); r != nil {
+			r.retired = true
+			src.stopRejoinTimer(r, 0)
+			src.setState(r, 0, stateN)
+		}
 		n.stats.Closures++
 		if n.em.Enabled() {
 			n.emitChan(trace.KindClosure, src.id, ch.ID, 0)
 		}
-		src.forwardAlong(ch, wireControl{
-			Type:    wire.MsgChannelClosure,
-			Channel: int64(ch.ID),
-			Origin:  int32(src.id),
-			Toward:  1,
-		})
+		src.send(ch, wire.MsgChannelClosure, 1)
 	}
 	if opened {
 		n.endRound()
@@ -636,9 +620,7 @@ func (n *Network) replenishNow(connID rtchan.ConnID) {
 		if n.em.Enabled() {
 			n.emitChan(trace.KindReplenish, conn.Src, b.ID, int64(b.Path.Hops()))
 		}
-		for _, v := range b.Path.Nodes() {
-			n.nodes[v].install(b, stateB)
-		}
+		n.install(b, stateB)
 	}
 }
 

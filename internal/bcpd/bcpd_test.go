@@ -193,7 +193,7 @@ func TestFailureOfBackupOnlyIsBookkept(t *testing.T) {
 	}
 	// End nodes know the backup failed.
 	back := tb.conn.Backups[0]
-	if !tb.net.Daemon(0).knownFailedBackups[back.ID] {
+	if r, i := tb.net.Daemon(0).hop(back.ID); r.state(i) == stateN || !r.hops[i].failed {
 		t.Fatal("source does not know the backup failed")
 	}
 	if st := tb.net.Daemon(2).State(back.ID); st != stateU {
@@ -559,7 +559,8 @@ func TestClosureUndoesPartialRejoin(t *testing.T) {
 	prim := tb.conn.Primary
 	d1 := tb.net.Daemon(1)
 	// Simulate: node 1 in state N (expired), delivering a rejoin.
-	d1.setState(prim.ID, stateN)
+	r, i := d1.hop(prim.ID)
+	d1.setState(r, i, stateN)
 	d1.handleControl(wireControl{
 		Type: 4 /* MsgRejoin */, Channel: int64(prim.ID), Origin: 2, Toward: -1,
 	})

@@ -22,108 +22,89 @@ const (
 	stateU                  // unhealthy
 )
 
-func (s chanState) String() string {
-	switch s {
-	case stateN:
-		return "N"
-	case stateP:
-		return "P"
-	case stateB:
-		return "B"
-	default:
-		return "U"
-	}
-}
+// String is trace.State's: the two enumerations share their N/P/B/U order.
+func (s chanState) String() string { return trace.State(s).String() }
 
-// daemon is the BCP daemon at one node.
+// daemon is the BCP daemon at one node: an identity and a liveness bit. Its
+// per-channel soft state is its slot in each channel's record (soft.go).
+// RepairNode replaces the object, so a timer armed before a crash still
+// finds dead set.
 type daemon struct {
 	net  *Network
 	id   topology.NodeID
 	dead bool
-
-	states map[rtchan.ChannelID]chanState
-	// rejoinTimers holds each armed channel's live rejoin timer: a private
-	// sim.Timer in the per-message engine, or a slot in a shared pooled
-	// rejoinBatch under batched dispatch (round.go) — one heap entry and one
-	// closure for every channel armed in a round, instead of one each per
-	// channel.
-	rejoinTimers map[rtchan.ChannelID]rejoinRef
-	// rejoinStaged maps a channel to its staged arm's index in the current
-	// dispatch round (round.go), so a re-arm in the same round dedups and a
-	// stop cancels the staged arm before it ever becomes a timer.
-	rejoinStaged map[rtchan.ChannelID]int
-	// probeFns caches the rejoin-probe callbacks per channel: the closures
-	// capture only stable identity (id, conn, path copy), so one build
-	// amortizes across fail/repair cycles. Dropped with the rest of the soft
-	// state when the channel returns to N. Unused (fresh closures per arm)
-	// under PerMessageDispatch.
-	probeFns map[rtchan.ChannelID]func()
-	// paths is the daemon's own copy of each installed channel's route —
-	// the forwarding soft state a real daemon keeps. It outlives the
-	// resource plane's registry entry so teardown closures can still be
-	// forwarded hop-by-hop after the channel has been reclaimed, and is
-	// deleted when the channel returns to state N here.
-	paths map[rtchan.ChannelID]topology.Path
-	// knownFailedBackups lets an end node skip backups it has received
-	// failure reports for when selecting a serial to activate.
-	knownFailedBackups map[rtchan.ChannelID]bool
-}
-
-func newDaemon(n *Network, id topology.NodeID) *daemon {
-	return &daemon{
-		net:                n,
-		id:                 id,
-		states:             make(map[rtchan.ChannelID]chanState),
-		rejoinTimers:       make(map[rtchan.ChannelID]rejoinRef),
-		rejoinStaged:       make(map[rtchan.ChannelID]int),
-		probeFns:           make(map[rtchan.ChannelID]func()),
-		paths:              make(map[rtchan.ChannelID]topology.Path),
-		knownFailedBackups: make(map[rtchan.ChannelID]bool),
-	}
 }
 
 // State returns the daemon's state for a channel (stateN when unknown).
-func (d *daemon) State(ch rtchan.ChannelID) chanState { return d.states[ch] }
+func (d *daemon) State(ch rtchan.ChannelID) chanState {
+	r, i := d.hop(ch)
+	return r.state(i)
+}
 
-func (d *daemon) setState(ch rtchan.ChannelID, s chanState) {
-	old := d.states[ch]
-	if s == stateN {
-		delete(d.states, ch)
-		delete(d.paths, ch)
-		delete(d.knownFailedBackups, ch)
-		delete(d.probeFns, ch)
-	} else {
-		d.states[ch] = s
+// hop returns a channel's record and this node's position in it: -1 without
+// a record or off the path.
+func (d *daemon) hop(chID rtchan.ChannelID) (*chanSoft, int) {
+	if r := d.net.soft.tab.Get(chID); r != nil {
+		return r, r.ch.Path.IndexOfNode(d.id)
 	}
-	if old != s && d.net.em.Enabled() {
-		d.net.emitState(d.id, ch, old, s)
+	return nil, -1
+}
+
+// at is hop plus the channel itself: the registry's, else the record's only
+// if TeardownConnection retired it. A record that merely outlives the
+// registry entry does not make the channel known.
+func (d *daemon) at(chID rtchan.ChannelID) (*rtchan.Channel, *chanSoft, int) {
+	r, i := d.hop(chID)
+	return d.net.channel(chID, r), r, i
+}
+
+// channel applies at's rule given the id's record (nil if none).
+func (n *Network) channel(id rtchan.ChannelID, r *chanSoft) *rtchan.Channel {
+	if r != nil && r.retired {
+		return r.ch
+	}
+	return n.mgr.Network().Channel(id)
+}
+
+// setState moves hop i of r to s. The record goes with its last live hop:
+// r is not to be used after a transition to N.
+func (d *daemon) setState(r *chanSoft, i int, s chanState) {
+	if d.setHop(r, i, s) {
+		d.net.freeSoft(r)
 	}
 }
 
-// install seeds the daemon's soft state for a channel routed through this
-// node: the Figure-4 state plus the daemon's own copy of the route.
-func (d *daemon) install(ch *rtchan.Channel, s chanState) {
-	d.paths[ch.ID] = ch.Path
-	d.setState(ch.ID, s)
+// setHop is setState short of freeing: it reports whether the move left r
+// without a live hop. A hop back in N drops the rest of its soft state.
+func (d *daemon) setHop(r *chanSoft, i int, s chanState) (emptied bool) {
+	h := &r.hops[i]
+	old := h.state
+	if old == s {
+		return false
+	}
+	h.state = s
+	if d.net.em.Enabled() {
+		d.net.emitState(d.id, r.ch.ID, old, s)
+	}
+	switch {
+	case old == stateN:
+		r.live++
+	case s == stateN:
+		h.failed = false
+		if i == 0 {
+			r.probe = nil
+		}
+		r.live--
+	}
+	return r.live == 0
 }
 
-// pathOf resolves a channel's route from the daemon's forwarding soft state,
-// falling back to the resource plane for channels installed out-of-band.
-func (d *daemon) pathOf(chID rtchan.ChannelID) (topology.Path, bool) {
-	if p, ok := d.paths[chID]; ok {
-		return p, true
+// install seeds every hop of ch with state s.
+func (n *Network) install(ch *rtchan.Channel, s chanState) {
+	r := n.softFor(ch)
+	for i, v := range ch.Path.Nodes() {
+		n.nodes[v].setState(r, i, s)
 	}
-	if ch := d.channel(chID); ch != nil {
-		return ch.Path, true
-	}
-	return topology.Path{}, false
-}
-
-func (d *daemon) channel(id rtchan.ChannelID) *rtchan.Channel {
-	if ch := d.net.mgr.Network().Channel(id); ch != nil {
-		return ch
-	}
-	return d.net.retired[id]
 }
 
 // handleControl dispatches a control message delivered by an RCC.
@@ -150,15 +131,11 @@ func (d *daemon) handleControl(c wireControl) {
 // forwardAlong sends control c to the neighbor in c.Toward direction along
 // channel ch's path, over the corresponding RCC. Reports traveling into a
 // failed link are lost, exactly as in the paper — the failure itself (or the
-// other direction's report) covers the remaining segment.
+// other direction's report) covers the remaining segment. ch may already be
+// gone from the resource plane: its route is the daemons' forwarding state,
+// so teardown closures still propagate hop by hop.
 func (d *daemon) forwardAlong(ch *rtchan.Channel, c wireControl) {
-	d.forwardAlongPath(ch.Path, c)
-}
-
-// forwardAlongPath is forwardAlong against an explicit route — the daemon's
-// own forwarding soft state — so teardown closures still propagate after the
-// resource plane has released the channel.
-func (d *daemon) forwardAlongPath(p topology.Path, c wireControl) {
+	p := ch.Path
 	idx := p.IndexOfNode(d.id)
 	if idx < 0 {
 		return
@@ -184,6 +161,12 @@ func (d *daemon) forwardAlongPath(p topology.Path, c wireControl) {
 	d.net.submitControl(l, c)
 }
 
+// send originates a control of type t for channel ch at this node and
+// forwards it toward the destination (+1) or the source (-1).
+func (d *daemon) send(ch *rtchan.Channel, t wire.MsgType, toward int8) {
+	d.forwardAlong(ch, wireControl{Type: t, Channel: int64(ch.ID), Origin: int32(d.id), Toward: toward})
+}
+
 // --- Failure reporting (§4.1, §4.2) -----------------------------------
 
 // originateFailureReport is called on the neighbor node that detected a
@@ -206,26 +189,23 @@ func (d *daemon) originateFailureReport(ch rtchan.ChannelID, toward int8) {
 }
 
 func (d *daemon) handleFailureReport(c wireControl) {
-	chID := rtchan.ChannelID(c.Channel)
-	ch := d.channel(chID)
+	ch, r, idx := d.at(rtchan.ChannelID(c.Channel))
 	if ch == nil {
 		return
 	}
-	switch d.states[chID] {
+	switch r.state(idx) {
 	case stateU:
 		return // duplicates ignored in state U (Figure 4)
 	case stateN:
 		return
 	}
-	d.setState(chID, stateU)
-	d.armRejoinTimer(ch)
+	d.setState(r, idx, stateU)
+	d.armRejoinTimer(r, idx)
 
-	idx := ch.Path.IndexOfNode(d.id)
-	nodes := ch.Path.Nodes()
 	atSource := idx == 0
-	atDest := idx == len(nodes)-1
+	atDest := idx == len(r.hops)-1
 	if (c.Toward < 0 && atSource) || (c.Toward > 0 && atDest) {
-		d.endNodeFailureAction(ch)
+		d.endNodeFailureAction(r, idx)
 		return
 	}
 	d.forwardAlong(ch, c)
@@ -234,13 +214,14 @@ func (d *daemon) handleFailureReport(c wireControl) {
 // endNodeFailureAction runs at a channel end node that has just learned of
 // the channel's failure: record backup health, switch primaries, schedule
 // the rejoin probe.
-func (d *daemon) endNodeFailureAction(ch *rtchan.Channel) {
+func (d *daemon) endNodeFailureAction(r *chanSoft, idx int) {
+	ch := r.ch
 	conn := d.net.mgr.Connection(ch.Conn)
 	if conn == nil {
 		return
 	}
 	if ch.Role == rtchan.RoleBackup {
-		d.knownFailedBackups[ch.ID] = true
+		r.hops[idx].failed = true
 		// Abandon any claims the dead activation holds.
 		d.releaseClaims(ch)
 	}
@@ -251,7 +232,7 @@ func (d *daemon) endNodeFailureAction(ch *rtchan.Channel) {
 		d.initiateSwitch(conn)
 	}
 	if ch.Path.Source() == d.id {
-		d.scheduleRejoinProbe(ch)
+		d.scheduleRejoinProbe(r)
 	}
 }
 
@@ -261,7 +242,7 @@ func (d *daemon) primaryDown(conn *core.DConnection) bool {
 	if conn.Primary == nil {
 		return true
 	}
-	return d.states[conn.Primary.ID] == stateU
+	return d.State(conn.Primary.ID) == stateU
 }
 
 // initiateSwitch selects the lowest-serial backup not known to have failed
@@ -281,12 +262,12 @@ func (d *daemon) initiateSwitch(conn *core.DConnection) {
 	// An activation already in progress from this end: wait for it to
 	// complete or to be reported failed before trying another serial.
 	for _, b := range conn.Backups {
-		if d.states[b.ID] == stateP && !d.knownFailedBackups[b.ID] {
+		if d.usable(b.ID, stateP) {
 			return
 		}
 	}
 	for _, b := range conn.Backups {
-		if d.knownFailedBackups[b.ID] || d.states[b.ID] != stateB {
+		if !d.usable(b.ID, stateB) {
 			continue
 		}
 		if unit := d.net.cfg.PriorityDelayUnit; unit > 0 {
@@ -296,7 +277,7 @@ func (d *daemon) initiateSwitch(conn *core.DConnection) {
 			b := b
 			wait := sim.Duration(d.net.mgr.DegreeOf(b.ID)) * unit
 			d.net.rt.Schedule(wait, func() {
-				if d.dead || d.states[b.ID] != stateB || d.knownFailedBackups[b.ID] {
+				if d.dead || !d.usable(b.ID, stateB) {
 					d.initiateSwitch(conn) // this serial died while waiting
 					return
 				}
@@ -311,6 +292,13 @@ func (d *daemon) initiateSwitch(conn *core.DConnection) {
 	// (out of protocol scope; the rejoin timers will reclaim resources).
 }
 
+// usable reports whether this end node holds backup b in state s and has no
+// failure report for it.
+func (d *daemon) usable(b rtchan.ChannelID, s chanState) bool {
+	r, i := d.hop(b)
+	return r.state(i) == s && !r.hops[i].failed
+}
+
 // startActivation activates backup b from this end node: local switch,
 // claim on the adjacent link, and an activation message down the path.
 func (d *daemon) startActivation(conn *core.DConnection, b *rtchan.Channel, fromSource bool) {
@@ -322,7 +310,8 @@ func (d *daemon) startActivation(conn *core.DConnection, b *rtchan.Channel, from
 		}
 		d.net.emitChan(trace.KindActivationStart, d.id, b.ID, aux)
 	}
-	d.setState(b.ID, stateP)
+	r, idx := d.hop(b.ID)
+	d.setState(r, idx, stateP)
 	links := b.Path.Links()
 	var claimLink topology.LinkID
 	var toward int8
@@ -342,44 +331,36 @@ func (d *daemon) startActivation(conn *core.DConnection, b *rtchan.Channel, from
 		// message (schemes 2 and 3).
 		d.net.noteSourceSwitch(conn.ID, b.ID)
 	}
-	d.forwardAlong(b, wireControl{
-		Type:    wire.MsgActivation,
-		Channel: int64(b.ID),
-		Origin:  int32(d.id),
-		Toward:  toward,
-	})
+	d.send(b, wire.MsgActivation, toward)
 }
 
 // handleActivation advances an activation message through an intermediate
 // node (or completes it at the far end).
 func (d *daemon) handleActivation(c wireControl) {
-	chID := rtchan.ChannelID(c.Channel)
-	b := d.channel(chID)
+	b, r, idx := d.at(rtchan.ChannelID(c.Channel))
 	if b == nil {
 		return
 	}
-	switch d.states[chID] {
+	switch r.state(idx) {
 	case stateU:
 		return // a newer failure owns this channel; its report is en route
 	case stateP:
 		// Already activated from the other end (Scheme 3 meeting point).
 		d.net.stats.ActivationsMet++
 		if d.net.em.Enabled() {
-			d.net.emitChan(trace.KindActivationMeet, d.id, chID, 0)
+			d.net.emitChan(trace.KindActivationMeet, d.id, b.ID, 0)
 		}
-		d.finalizeActivation(b)
+		d.finalizeActivation(r)
 		return
 	case stateN:
 		return
 	case stateB:
 	}
-	d.setState(chID, stateP)
-	idx := b.Path.IndexOfNode(d.id)
-	nodes := b.Path.Nodes()
+	d.setState(r, idx, stateP)
 	links := b.Path.Links()
 	if c.Toward > 0 {
-		if idx == len(nodes)-1 {
-			d.finalizeActivation(b)
+		if idx == len(r.hops)-1 {
+			d.finalizeActivation(r)
 			if d.id == b.Path.Source() {
 				// Degenerate single-hop case.
 				d.net.noteSourceSwitch(b.Conn, b.ID)
@@ -397,7 +378,7 @@ func (d *daemon) handleActivation(c wireControl) {
 	if idx == 0 {
 		// The source switches on receiving the activation (Scheme 1: this
 		// is when data transfer resumes).
-		d.finalizeActivation(b)
+		d.finalizeActivation(r)
 		d.net.noteSourceSwitch(b.Conn, b.ID)
 		return
 	}
@@ -409,10 +390,11 @@ func (d *daemon) handleActivation(c wireControl) {
 }
 
 // finalizeActivation promotes the backup in the resource plane exactly once.
-func (d *daemon) finalizeActivation(b *rtchan.Channel) {
-	if d.net.activated[b.ID] {
+func (d *daemon) finalizeActivation(r *chanSoft) {
+	if r.promoted {
 		return
 	}
+	b := r.ch
 	conn := d.net.mgr.Connection(b.Conn)
 	if conn == nil {
 		return
@@ -426,7 +408,7 @@ func (d *daemon) finalizeActivation(b *rtchan.Channel) {
 	if d.net.em.Enabled() {
 		d.net.emitChan(trace.KindActivationDone, d.id, b.ID, 0)
 	}
-	d.net.activated[b.ID] = true
+	r.promoted = true
 	d.net.scheduleReplenish(b.Conn)
 }
 
@@ -448,7 +430,7 @@ func (d *daemon) claimOrPreempt(b *rtchan.Channel, l topology.LinkID) bool {
 	d.net.stats.Preemptions++
 	// The preempted channel is handled as if disabled by a component
 	// failure: report from here toward both of its end nodes.
-	if vch := d.channel(victim); vch != nil {
+	if vch, _, _ := d.at(victim); vch != nil {
 		d.reportBothWays(vch)
 	}
 	return true
@@ -458,25 +440,25 @@ func (d *daemon) claimOrPreempt(b *rtchan.Channel, l topology.LinkID) bool {
 // toward both end nodes (used for multiplexing failures and preemptions,
 // which a single node detects).
 func (d *daemon) reportBothWays(ch *rtchan.Channel) {
-	d.setState(ch.ID, stateU)
-	d.armRejoinTimer(ch)
+	// Every caller stands on ch's path — it claimed, or found a claim, on a
+	// link of it here — but a reboot may have left the channel in N at this
+	// node, or with no record at all.
 	idx := ch.Path.IndexOfNode(d.id)
 	if idx < 0 {
 		return
 	}
+	r := d.net.softFor(ch)
+	d.setState(r, idx, stateU)
+	d.armRejoinTimer(r, idx)
 	if idx > 0 {
-		d.forwardAlong(ch, wireControl{
-			Type: wire.MsgFailureReport, Channel: int64(ch.ID), Origin: int32(d.id), Toward: -1,
-		})
+		d.send(ch, wire.MsgFailureReport, -1)
 	} else {
-		d.endNodeFailureAction(ch)
+		d.endNodeFailureAction(r, idx)
 	}
-	if idx < len(ch.Path.Nodes())-1 {
-		d.forwardAlong(ch, wireControl{
-			Type: wire.MsgFailureReport, Channel: int64(ch.ID), Origin: int32(d.id), Toward: 1,
-		})
+	if idx < len(r.hops)-1 {
+		d.send(ch, wire.MsgFailureReport, 1)
 	} else {
-		d.endNodeFailureAction(ch)
+		d.endNodeFailureAction(r, idx)
 	}
 }
 
@@ -506,62 +488,68 @@ func (d *daemon) releaseClaims(ch *rtchan.Channel) {
 
 // --- Soft-state rejoin (§4.4, Figure 6) --------------------------------
 
-func (d *daemon) armRejoinTimer(ch *rtchan.Channel) {
-	if r := d.rejoinTimers[ch.ID]; r.active() {
+// armRejoinTimer arms hop idx's rejoin timer unless one is already pending.
+// Inside a dispatch round the arm is staged; endRound funds every staged arm
+// with one shared batch timer (they all share RejoinTimeout, so staging order
+// is firing order) — no per-channel closure, no per-channel heap entry.
+func (d *daemon) armRejoinTimer(r *chanSoft, idx int) {
+	h := &r.hops[idx]
+	if h.arm != 0 {
 		return
 	}
-	if r := &d.net.round; r.active {
-		// Stage the arm; endRound funds every staged arm with one shared
-		// batch timer (they all share RejoinTimeout, so staging order is
-		// firing order) — no per-channel closure, no per-channel heap entry.
-		if _, staged := d.rejoinStaged[ch.ID]; staged {
-			return
-		}
-		d.rejoinStaged[ch.ID] = len(r.arms)
-		r.arms = append(r.arms, rejoinArm{d: d, chID: ch.ID, connID: ch.Conn, path: ch.Path})
+	n := d.net
+	if rd := &n.round; rd.active {
+		rd.arms = append(rd.arms, rejoinEntry{r: r, idx: int32(idx)})
+		h.arm = -int32(len(rd.arms))
 		return
 	}
-	chID, connID, path := ch.ID, ch.Conn, ch.Path
-	d.rejoinTimers[ch.ID] = rejoinRef{t: d.net.rt.Schedule(d.net.cfg.RejoinTimeout, func() {
-		if r := d.rejoinTimers[chID]; r.batch == nil {
-			delete(d.rejoinTimers, chID)
-		}
-		d.rejoinExpire(chID, connID, path)
-	})}
+	n.putArm(h, rejoinRef{t: n.rt.Schedule(n.cfg.RejoinTimeout, func() {
+		n.dropArm(h)
+		d.rejoinExpire(r, idx)
+	})})
+}
+
+// stopRejoinTimer cancels hop idx's rejoin arm, staged or live, if any.
+func (d *daemon) stopRejoinTimer(r *chanSoft, idx int) {
+	switch h := &r.hops[idx]; {
+	case h.arm < 0:
+		d.net.round.arms[-h.arm-1].cancelled = true
+		h.arm = 0
+	case h.arm > 0:
+		d.net.dropArm(h).stop()
+	}
 }
 
 // rejoinExpire is the rejoin-timer expiry action: the channel's soft state
 // never rejoined, so it is gone for good and its resources are reclaimed
 // network-wide. Called from a batch entry under batched dispatch, or from a
 // per-channel closure in the per-message baseline.
-func (d *daemon) rejoinExpire(chID rtchan.ChannelID, connID rtchan.ConnID, path topology.Path) {
-	if d.dead || d.states[chID] != stateU {
+func (d *daemon) rejoinExpire(r *chanSoft, idx int) {
+	if d.dead || r.hops[idx].state != stateU {
 		return
 	}
+	ch := r.ch
 	d.net.stats.RejoinExpiries++
 	if d.net.em.Enabled() {
-		d.net.emitChan(trace.KindRejoinExpire, d.id, chID, 0)
+		d.net.emitChan(trace.KindRejoinExpire, d.id, ch.ID, 0)
 	}
-	d.setState(chID, stateN)
+	d.setState(r, idx, stateN)
 	// First expiry reclaims the channel's resources network-wide; the
 	// call is idempotent across nodes.
-	_ = d.net.mgr.TeardownChannel(connID, chID)
+	_ = d.net.mgr.TeardownChannel(ch.Conn, ch.ID)
 	// Announce the teardown both ways. Nodes still in U reclaim on
 	// their own timers, but a node that a straggling rejoin confirm
 	// converted to B — stopping its timer — learns of the death only
 	// from this closure.
-	for _, toward := range [2]int8{1, -1} {
-		d.forwardAlongPath(path, wireControl{
-			Type: wire.MsgChannelClosure, Channel: int64(chID), Origin: int32(d.id), Toward: toward,
-		})
-	}
+	d.send(ch, wire.MsgChannelClosure, 1)
+	d.send(ch, wire.MsgChannelClosure, -1)
 	// The channel is gone for good; if replenishment is on, the source
 	// restores the connection's backup count (§4.4). The activation-time
 	// trigger cannot cover this case: a backup lost to an unrepaired
 	// failure never activates anything, and until this teardown the dead
 	// channel still counted toward the target.
-	if d.id == path.Source() {
-		d.net.scheduleReplenish(connID)
+	if idx == 0 {
+		d.net.scheduleReplenish(ch.Conn)
 	}
 }
 
@@ -569,83 +557,72 @@ func (d *daemon) rejoinExpire(chID rtchan.ChannelID, connID rtchan.ConnID, path 
 // the probe delay, if the channel is still unhealthy. Inside a dispatch
 // round the probe is staged — endRound funds the round's probes with one
 // shared batch timer (batchtimer.go, they all share RejoinProbeDelay);
-// otherwise a private timer with a per-channel closure is scheduled.
-func (d *daemon) scheduleRejoinProbe(ch *rtchan.Channel) {
-	if r := &d.net.round; r.active {
-		r.probes = append(r.probes, probeEntry{d: d, chID: ch.ID})
+// otherwise a private timer is scheduled, its callback cached on the record
+// outside per-message mode (it captures only the daemon and the id, so one
+// build serves every fail/repair cycle of this source incarnation).
+func (d *daemon) scheduleRejoinProbe(r *chanSoft) {
+	chID := r.ch.ID
+	if rd := &d.net.round; rd.active {
+		rd.probes = append(rd.probes, probeEntry{d: d, chID: chID})
 		return
 	}
-	d.net.rt.Schedule(d.net.cfg.RejoinProbeDelay, d.probeFireFn(ch))
+	fn := r.probe
+	if fn == nil {
+		fn = func() { d.probeFire(chID) }
+		if !d.net.perMsg {
+			r.probe = fn
+		}
+	}
+	d.net.rt.Schedule(d.net.cfg.RejoinProbeDelay, fn)
 }
 
 // probeFire is the probe-timer expiry action: if the channel is still
 // unhealthy here, send a rejoin-request toward the destination.
 func (d *daemon) probeFire(chID rtchan.ChannelID) {
-	if d.dead || d.states[chID] != stateU {
+	if d.dead {
 		return
 	}
-	c := d.channel(chID)
-	if c == nil {
+	c, r, idx := d.at(chID)
+	if r.state(idx) != stateU || c == nil {
 		return
 	}
 	d.net.stats.RejoinRequests++
 	if d.net.em.Enabled() {
 		d.net.emitChan(trace.KindRejoinRequest, d.id, chID, 0)
 	}
-	d.forwardAlong(c, wireControl{
-		Type: wire.MsgRejoinRequest, Channel: int64(chID), Origin: int32(d.id), Toward: 1,
-	})
-}
-
-// probeFireFn returns the rejoin-probe callback for ch, cached per channel
-// outside per-message mode. Only non-round arms build closures at all —
-// round-staged probes ride a batch timer.
-func (d *daemon) probeFireFn(ch *rtchan.Channel) func() {
-	if fn, ok := d.probeFns[ch.ID]; ok {
-		return fn
-	}
-	chID := ch.ID
-	fn := func() { d.probeFire(chID) }
-	if !d.net.perMsg {
-		d.probeFns[chID] = fn
-	}
-	return fn
+	d.send(c, wire.MsgRejoinRequest, 1)
 }
 
 func (d *daemon) handleRejoinRequest(c wireControl) {
-	chID := rtchan.ChannelID(c.Channel)
-	ch := d.channel(chID)
-	if ch == nil || d.states[chID] != stateU {
+	ch, r, idx := d.at(rtchan.ChannelID(c.Channel))
+	if ch == nil || r.state(idx) != stateU {
 		return // expired (N) or never here: the request dies
 	}
 	if d.id == ch.Path.Destination() {
 		// Channel path is whole again: confirm with a rejoin message.
 		d.net.stats.Rejoins++
 		if d.net.em.Enabled() {
-			d.net.emitChan(trace.KindRejoin, d.id, chID, 0)
+			d.net.emitChan(trace.KindRejoin, d.id, ch.ID, 0)
 		}
-		d.setState(chID, stateB)
-		d.stopRejoinTimer(chID)
-		d.forwardAlong(ch, wireControl{
-			Type: wire.MsgRejoin, Channel: int64(chID), Origin: int32(d.id), Toward: -1,
-		})
+		d.setState(r, idx, stateB)
+		d.stopRejoinTimer(r, idx)
+		d.send(ch, wire.MsgRejoin, -1)
 		return
 	}
 	d.forwardAlong(ch, c)
 }
 
 func (d *daemon) handleRejoin(c wireControl) {
-	chID := rtchan.ChannelID(c.Channel)
-	ch := d.channel(chID)
+	ch, r, idx := d.at(rtchan.ChannelID(c.Channel))
 	if ch == nil {
 		return
 	}
-	switch d.states[chID] {
+	switch r.state(idx) {
 	case stateU:
-		d.setState(chID, stateB)
-		d.stopRejoinTimer(chID)
+		d.setState(r, idx, stateB)
+		d.stopRejoinTimer(r, idx)
 		if d.id == ch.Path.Source() {
-			d.completeRejoin(ch)
+			d.completeRejoin(r, idx)
 			return
 		}
 		d.forwardAlong(ch, c)
@@ -655,13 +632,10 @@ func (d *daemon) handleRejoin(c wireControl) {
 		// it to B, and the nodes ahead may still be waiting in U.
 		d.net.stats.Closures++
 		if d.net.em.Enabled() {
-			d.net.emitChan(trace.KindClosure, d.id, chID, 0)
+			d.net.emitChan(trace.KindClosure, d.id, ch.ID, 0)
 		}
-		for _, toward := range [2]int8{1, -1} {
-			d.forwardAlong(ch, wireControl{
-				Type: wire.MsgChannelClosure, Channel: int64(chID), Origin: int32(d.id), Toward: toward,
-			})
-		}
+		d.send(ch, wire.MsgChannelClosure, 1)
+		d.send(ch, wire.MsgChannelClosure, -1)
 	default:
 	}
 }
@@ -669,10 +643,11 @@ func (d *daemon) handleRejoin(c wireControl) {
 // completeRejoin re-registers the repaired channel as a backup in the
 // resource plane. If spare bandwidth can no longer accommodate it, the
 // repair is abandoned with a closure.
-func (d *daemon) completeRejoin(ch *rtchan.Channel) {
+func (d *daemon) completeRejoin(r *chanSoft, idx int) {
+	ch := r.ch
 	conn := d.net.mgr.Connection(ch.Conn)
 	if conn == nil {
-		d.abandonRejoin(ch)
+		d.abandonRejoin(r, idx)
 		return
 	}
 	alpha := 1
@@ -680,51 +655,39 @@ func (d *daemon) completeRejoin(ch *rtchan.Channel) {
 		alpha = conn.Degrees[len(conn.Degrees)-1]
 	}
 	if err := d.net.mgr.RestoreAsBackup(ch.Conn, ch.ID, alpha); err != nil {
-		d.abandonRejoin(ch)
+		d.abandonRejoin(r, idx)
 		return
 	}
-	d.knownFailedBackups[ch.ID] = false
+	r.hops[idx].failed = false
 	// The channel is a backup again: a future activation of it is a new
 	// episode, so the promote-once guard must rearm. (Without this, a
 	// channel that has been promoted once can never be promoted again —
 	// visible under repeated fail/repair cycles.)
 	if s := d.net.cfg.Sabotage; s == nil || !s.SkipPromoteRearm {
-		delete(d.net.activated, ch.ID)
+		r.promoted = false
 	}
 }
 
-func (d *daemon) abandonRejoin(ch *rtchan.Channel) {
+func (d *daemon) abandonRejoin(r *chanSoft, idx int) {
+	ch := r.ch
 	d.net.stats.Closures++
 	if d.net.em.Enabled() {
 		d.net.emitChan(trace.KindClosure, d.id, ch.ID, 0)
 	}
-	d.setState(ch.ID, stateN)
-	d.forwardAlong(ch, wireControl{
-		Type: wire.MsgChannelClosure, Channel: int64(ch.ID), Origin: int32(d.id), Toward: 1,
-	})
+	d.setState(r, idx, stateN)
+	d.send(ch, wire.MsgChannelClosure, 1)
 	_ = d.net.mgr.TeardownChannel(ch.Conn, ch.ID)
 }
 
+// handleClosure drops this hop's state and passes the closure on along the
+// record's route, which outlives the resource plane's registry entry.
 func (d *daemon) handleClosure(c wireControl) {
-	chID := rtchan.ChannelID(c.Channel)
-	path, known := d.pathOf(chID)
-	d.stopRejoinTimer(chID)
-	if d.states[chID] == stateN {
+	r, idx := d.hop(rtchan.ChannelID(c.Channel))
+	if r.state(idx) == stateN {
 		return
 	}
-	d.setState(chID, stateN)
-	if known {
-		d.forwardAlongPath(path, c)
-	}
-}
-
-func (d *daemon) stopRejoinTimer(chID rtchan.ChannelID) {
-	if i, ok := d.rejoinStaged[chID]; ok {
-		d.net.round.arms[i].cancelled = true
-		delete(d.rejoinStaged, chID)
-	}
-	if r, ok := d.rejoinTimers[chID]; ok {
-		r.stop()
-		delete(d.rejoinTimers, chID)
-	}
+	ch := r.ch
+	d.stopRejoinTimer(r, idx)
+	d.setState(r, idx, stateN)
+	d.forwardAlong(ch, c)
 }

@@ -110,8 +110,8 @@ func (d *daemon) handleData(p *dataPayload) {
 		n.putDataBox(p)
 		return
 	}
-	ch := d.channel(p.ch)
-	if ch == nil || d.states[p.ch] != stateP {
+	ch, r, idx := d.at(p.ch)
+	if ch == nil || r.state(idx) != stateP {
 		// Data on a channel this node has not activated (or that failed)
 		// is discarded with no harm (§4.2 footnote).
 		n.stats.DataDropped++
@@ -135,14 +135,7 @@ func (d *daemon) handleData(p *dataPayload) {
 		n.putDataBox(p)
 		return
 	}
-	idx := ch.Path.IndexOfNode(d.id)
-	if idx < 0 {
-		n.stats.DataDropped++
-		n.putDataBox(p)
-		return
-	}
-	l := ch.Path.Links()[idx]
-	n.tr.SendData(l, p)
+	n.tr.SendData(ch.Path.Links()[idx], p)
 }
 
 // noteSourceSwitch redirects the connection's source to a newly activated

@@ -114,10 +114,25 @@ func runTappedDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, ta
 	}
 	eng.RunFor(5 * time.Second)
 	w := dispatchWorld{events: rec.Events, stats: net.Stats(), quiet: net.CheckQuiescence()}
-	for v := 0; v < g.NumNodes(); v++ {
-		w.states = append(w.states, net.Daemon(topology.NodeID(v)).states)
-	}
+	w.states = nodeStates(net)
 	return w
+}
+
+// nodeStates returns, per node, the channels it holds out of N and their
+// states, read through Daemon(v).State for every record in the table.
+func nodeStates(net *Network) []map[rtchan.ChannelID]chanState {
+	states := make([]map[rtchan.ChannelID]chanState, len(net.nodes))
+	for v := range states {
+		states[v] = make(map[rtchan.ChannelID]chanState)
+	}
+	net.soft.tab.Each(func(ch rtchan.ChannelID, r *chanSoft) {
+		for _, v := range r.ch.Path.Nodes() {
+			if s := net.Daemon(v).State(ch); s != stateN {
+				states[v][ch] = s
+			}
+		}
+	})
+	return states
 }
 
 func requireSameWorlds(t *testing.T, ctx string, seq, bat dispatchWorld) {

@@ -1,8 +1,6 @@
 package bcpd
 
 import (
-	"slices"
-
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
@@ -30,7 +28,7 @@ func (n *Network) FailLink(l topology.LinkID) {
 		// detection originates is staged and flushed per neighbor link.
 		opened := n.beginRound()
 		for _, chID := range affected {
-			n.reportComponentFailure(chID, lk.From, lk.To)
+			n.originateReports(chID, lk.From, lk.To)
 		}
 		if opened {
 			n.endRound()
@@ -141,21 +139,27 @@ func (n *Network) RepairNode(v topology.NodeID) {
 	if !d.dead {
 		return
 	}
+	// A rebooted daemon holds no soft state: every hop it held returns to N
+	// (explicit transitions in the trace, in ascending channel order — the
+	// table's), its pending arms die with it, and timers of the old
+	// incarnation that still fire find the old object dead. Records this
+	// empties are freed after the walk, which must not delete.
+	var emptied []*chanSoft
+	n.soft.tab.Each(func(_ rtchan.ChannelID, r *chanSoft) {
+		if i := r.ch.Path.IndexOfNode(v); r.state(i) != stateN {
+			d.stopRejoinTimer(r, i)
+			if d.setHop(r, i, stateN) {
+				emptied = append(emptied, r)
+			}
+		}
+	})
+	for _, r := range emptied {
+		n.freeSoft(r)
+	}
 	if n.em.Enabled() {
-		// A rebooted daemon holds no soft state: record the wipe as explicit
-		// transitions to N (sorted for deterministic traces), then the
-		// repair itself.
-		wiped := make([]rtchan.ChannelID, 0, len(d.states))
-		for ch := range d.states {
-			wiped = append(wiped, ch)
-		}
-		slices.Sort(wiped)
-		for _, ch := range wiped {
-			n.emitState(v, ch, d.states[ch], stateN)
-		}
 		n.emitComponent(trace.KindNodeUp, v, topology.NoLink)
 	}
-	n.nodes[v] = newDaemon(n, v)
+	n.nodes[v] = &daemon{net: n, id: v}
 	g := n.mgr.Graph()
 	for _, l := range g.Out(v) {
 		n.RepairLink(l)
@@ -163,12 +167,6 @@ func (n *Network) RepairNode(v topology.NodeID) {
 	for _, l := range g.In(v) {
 		n.RepairLink(l)
 	}
-}
-
-// reportComponentFailure originates reports for a channel crossing a failed
-// link whose endpoints are from -> to.
-func (n *Network) reportComponentFailure(chID rtchan.ChannelID, from, to topology.NodeID) {
-	n.originateReports(chID, from, to)
 }
 
 // originateReports makes the upstream neighbor report toward the source and

@@ -2,7 +2,6 @@ package bcpd
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -67,48 +66,42 @@ func (n *Network) CheckQuiescence() []string {
 		v = append(v, fmt.Sprintf("down-link count %d, but %d links are down", n.linksDown, down))
 	}
 
+	// One walk of the table, ascending by channel, files every live hop's
+	// findings under its node; they are reported node by node.
+	found := make([][]string, len(n.nodes))
+	armed := make([]int, len(n.nodes))
+	n.soft.tab.Each(func(ch rtchan.ChannelID, r *chanSoft) {
+		c := n.mgr.Network().Channel(ch)
+		for i, node := range r.ch.Path.Nodes() {
+			s := r.state(i)
+			if s == stateN {
+				continue
+			}
+			if r.hops[i].arm != 0 {
+				armed[node]++
+			}
+			switch {
+			case s == stateU:
+				found[node] = append(found[node], fmt.Sprintf("node %d: channel %d stuck in state U", node, ch))
+			case c == nil:
+				found[node] = append(found[node], fmt.Sprintf("node %d: state %s for released channel %d", node, s, ch))
+			case (s == stateP) != (c.Role == rtchan.RolePrimary):
+				found[node] = append(found[node], fmt.Sprintf("node %d: channel %d in state %s, resource plane says %s",
+					node, ch, s, c.Role))
+			}
+		}
+	})
 	for _, d := range n.nodes {
 		if d.dead {
 			v = append(v, fmt.Sprintf("node %d still dead", d.id))
 			continue
 		}
-		chans := make([]rtchan.ChannelID, 0, len(d.states))
-		for ch := range d.states {
-			chans = append(chans, ch)
-		}
-		slices.Sort(chans)
-		for _, ch := range chans {
-			s := d.states[ch]
-			if s == stateU {
-				v = append(v, fmt.Sprintf("node %d: channel %d stuck in state U", d.id, ch))
-				continue
-			}
-			c := n.mgr.Network().Channel(ch)
-			if c == nil {
-				v = append(v, fmt.Sprintf("node %d: state %s for released channel %d", d.id, s, ch))
-				continue
-			}
-			want := stateB
-			if c.Role == rtchan.RolePrimary {
-				want = stateP
-			}
-			if s != want {
-				v = append(v, fmt.Sprintf("node %d: channel %d in state %s, resource plane says %s",
-					d.id, ch, s, c.Role))
-			}
-		}
-		if len(d.rejoinTimers) > 0 {
-			armed := 0
-			for _, t := range d.rejoinTimers {
-				if t.active() {
-					armed++
-				}
-			}
-			if armed > 0 {
-				v = append(v, fmt.Sprintf("node %d: %d rejoin timers still armed", d.id, armed))
-			}
+		v = append(v, found[d.id]...)
+		if armed[d.id] > 0 {
+			v = append(v, fmt.Sprintf("node %d: %d rejoin timers still armed", d.id, armed[d.id]))
 		}
 	}
+	v = n.checkSoft(v)
 
 	for _, conn := range n.mgr.Connections() {
 		if conn.Primary != nil {
@@ -117,7 +110,7 @@ func (n *Network) CheckQuiescence() []string {
 					conn.ID, conn.Primary.ID, conn.Primary.Role))
 			}
 			for _, node := range conn.Primary.Path.Nodes() {
-				if s := n.nodes[node].states[conn.Primary.ID]; s != stateP {
+				if s := n.nodes[node].State(conn.Primary.ID); s != stateP {
 					v = append(v, fmt.Sprintf("conn %d: primary %d not P at node %d (state %s)",
 						conn.ID, conn.Primary.ID, node, s))
 				}
@@ -129,7 +122,7 @@ func (n *Network) CheckQuiescence() []string {
 					conn.ID, b.ID))
 			}
 			for _, node := range b.Path.Nodes() {
-				if s := n.nodes[node].states[b.ID]; s != stateB {
+				if s := n.nodes[node].State(b.ID); s != stateB {
 					v = append(v, fmt.Sprintf("conn %d: backup %d not B at node %d (state %s)",
 						conn.ID, b.ID, node, s))
 				}
@@ -154,7 +147,7 @@ func (n *Network) ConnectionEstablished(connID rtchan.ConnID) bool {
 	}
 	for _, node := range conn.Primary.Path.Nodes() {
 		d := n.nodes[node]
-		if d.dead || d.states[conn.Primary.ID] != stateP {
+		if d.dead || d.State(conn.Primary.ID) != stateP {
 			return false
 		}
 	}

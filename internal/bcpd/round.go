@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/rtcl/bcp/internal/rtchan"
+	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -34,19 +35,6 @@ import (
 // safe. Config.PerMessageDispatch disables rounds entirely, keeping the
 // sequential engine as the A/B baseline.
 
-// rejoinArm is one staged rejoin-timer arming: the channel identity the
-// expiry needs, no closure. cancelled marks an arm whose channel was stopped
-// again before the round closed (rejoin confirm racing a report in the same
-// frame); it is skipped at flush, exactly as the per-message path's
-// Schedule-then-Stop leaves no live timer.
-type rejoinArm struct {
-	d         *daemon
-	chID      rtchan.ChannelID
-	connID    rtchan.ConnID
-	path      topology.Path
-	cancelled bool
-}
-
 // dispatchRound is the Network's staging area, reused across rounds.
 type dispatchRound struct {
 	active bool
@@ -55,7 +43,9 @@ type dispatchRound struct {
 	links []topology.LinkID
 	// pending[l] holds the controls staged for link l, in submit order.
 	pending [][]wireControl
-	arms    []rejoinArm
+	// arms holds the rejoin arms staged this round (batchtimer.go); a hop's
+	// slot names its staged arm by a negative handle until the round closes.
+	arms []rejoinEntry
 	// probes holds the rejoin probes staged this round, in request order.
 	probes []probeEntry
 	// repl holds the connections whose replenishment was requested this
@@ -88,8 +78,10 @@ func (n *Network) endRound() {
 	}
 	r.links = r.links[:0]
 	n.flushRejoinArms()
-	n.flushProbes()
-	n.flushReplenish()
+	fund(n, &r.probes, &n.probeBatchFree, n.cfg.RejoinProbeDelay, true,
+		func(_ *Network, e *probeEntry) { e.d.probeFire(e.chID) })
+	fund(n, &r.repl, &n.replBatchFree, n.cfg.ReplenishDelay, false,
+		func(n *Network, c *rtchan.ConnID) { n.replenishNow(*c) })
 }
 
 // stageControl queues c for link l until the round closes.
@@ -102,63 +94,41 @@ func (n *Network) stageControl(l topology.LinkID, c wireControl) {
 }
 
 // flushRejoinArms turns the round's staged arms into ONE live batch timer
-// (batchtimer.go): a single heap insert and zero per-channel closures.
-// Cancelled arms are dropped; survivors keep their staging order, which is
-// the order the per-message path would have Scheduled them in.
+// (batchtimer.go): a single heap insert and zero per-channel closures. The
+// batch takes the staging list as it is — cancelled arms are skipped when it
+// fires — so survivors keep their staging order, which is the order the
+// per-message path would have Scheduled them in.
 func (n *Network) flushRejoinArms() {
 	r := &n.round
 	if len(r.arms) == 0 {
 		return
 	}
-	b := n.getRejoinBatch()
-	for i := range r.arms {
-		a := &r.arms[i]
-		delete(a.d.rejoinStaged, a.chID)
-		if a.cancelled {
-			continue
+	b := getBatch(n, &n.rejoinBatchFree, true, (*Network).fireRejoin)
+	b.entries, r.arms = r.arms, b.entries
+	live := false
+	for i := range b.entries {
+		if e := &b.entries[i]; !e.cancelled {
+			n.putArm(&e.r.hops[e.idx], rejoinRef{batch: b, idx: int32(i)})
+			live = true
 		}
-		idx := int32(len(b.entries))
-		b.entries = append(b.entries, rejoinEntry{d: a.d, chID: a.chID, connID: a.connID, path: a.path})
-		a.d.rejoinTimers[a.chID] = rejoinRef{batch: b, idx: idx, gen: b.gen}
 	}
-	for i := range r.arms {
-		r.arms[i] = rejoinArm{}
-	}
-	r.arms = r.arms[:0]
-	if len(b.entries) == 0 {
+	if !live {
+		b.entries = b.entries[:0]
 		n.rejoinBatchFree = append(n.rejoinBatchFree, b)
 		return
 	}
 	n.rt.Schedule(n.cfg.RejoinTimeout, b.fire)
 }
 
-// flushProbes schedules the round's staged rejoin probes as one batch
-// timer, in request order.
-func (n *Network) flushProbes() {
-	r := &n.round
-	if len(r.probes) == 0 {
+// fund hands the round's staged entries of one kind, if any, to one batch
+// timer due after d (getBatch, batchtimer.go); they fire in staging order.
+func fund[E any](n *Network, staged *[]E, free *[]*timerBatch[E], d sim.Duration, inRound bool, each func(*Network, *E)) {
+	if len(*staged) == 0 {
 		return
 	}
-	b := n.getProbeBatch()
-	b.entries = append(b.entries, r.probes...)
-	for i := range r.probes {
-		r.probes[i] = probeEntry{}
-	}
-	r.probes = r.probes[:0]
-	n.rt.Schedule(n.cfg.RejoinProbeDelay, b.fire)
-}
-
-// flushReplenish schedules the round's staged replenish requests as one
-// batch timer, in request order.
-func (n *Network) flushReplenish() {
-	r := &n.round
-	if len(r.repl) == 0 {
-		return
-	}
-	b := n.getReplBatch()
-	b.conns = append(b.conns, r.repl...)
-	r.repl = r.repl[:0]
-	n.rt.Schedule(n.cfg.ReplenishDelay, b.fire)
+	b := getBatch(n, free, inRound, each)
+	b.entries, *staged = *staged, b.entries
+	n.rt.Schedule(d, b.fire)
 }
 
 // checkRoundQuiescence audits the staging area between events; any residue

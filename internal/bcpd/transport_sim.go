@@ -53,10 +53,7 @@ func (t *SimTransport) Attach(n *Network) {
 
 // getBox returns a recycled frame box.
 func (t *SimTransport) getBox() *rccFrame {
-	if k := len(t.boxFree); k > 0 {
-		b := t.boxFree[k-1]
-		t.boxFree[k-1] = nil
-		t.boxFree = t.boxFree[:k-1]
+	if b := pop(&t.boxFree); b != nil {
 		return b
 	}
 	return &rccFrame{}

@@ -94,7 +94,7 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 
 	needsRecovery = orderedConns(needsRecovery, order, rng)
 	for _, conn := range needsRecovery {
-		outcome := p.tryActivate(conn, &f, t)
+		outcome := p.tryActivate(conn, t)
 		switch outcome {
 		case activated:
 			stats.FastRecovered++
@@ -112,12 +112,15 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 
 // tryActivate walks the connection's backups in serial order, claiming
 // spare bandwidth from the shared per-link pools recorded in the trial
-// scratch. It reads the plan's mux state but never writes it.
-func (p *NetworkPlan) tryActivate(conn *DConnection, f *Failure, t *trialScratch) activationOutcome {
+// scratch. It reads the plan's mux state but never writes it. Whether the
+// failure disabled a backup is the stamp trial left on it: the per-link and
+// per-node indexes list a channel under every component of its path, end
+// nodes included, so "stamped" is Failure.HitsPath without the path walk.
+func (p *NetworkPlan) tryActivate(conn *DConnection, t *trialScratch) activationOutcome {
 	bw := conn.Spec.Bandwidth
 	sawHealthy := false
 	for _, b := range conn.Backups {
-		if f.hitsPath(b.Path) {
+		if t.hit(b.ID) {
 			continue
 		}
 		sawHealthy = true

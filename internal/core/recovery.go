@@ -231,9 +231,7 @@ func (f Failure) Nodes() []topology.NodeID {
 
 // HitsPath reports whether any component of path p failed (links or any
 // visited node, including end nodes).
-func (f Failure) HitsPath(p topology.Path) bool { return f.hitsPath(p) }
-
-func (f *Failure) hitsPath(p topology.Path) bool {
+func (f Failure) HitsPath(p topology.Path) bool {
 	if f.numLinks() > 0 {
 		for _, l := range p.Links() {
 			if f.linkFailed(l) {

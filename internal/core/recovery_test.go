@@ -372,3 +372,44 @@ func TestApplyRandomizedStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestTrialStampMatchesHitsPath pins what tryActivate relies on: after a
+// trial, a channel carries the trial's stamp exactly when the failure hits
+// its path, because rtchan lists a channel under every link and every node
+// of its path, end nodes included. Checked for every channel of every
+// connection on the loaded evaluation torus — not only the affected ones —
+// under single-component failures, double-node failures (the inline
+// representation) and failures of more than two components of a kind (the
+// map-backed one).
+func TestTrialStampMatchesHitsPath(t *testing.T) {
+	m := loadedEvalTorus(4032)
+	g := m.Graph()
+	var failures []Failure
+	for _, l := range g.Links() {
+		failures = append(failures, SingleLink(l.ID))
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		failures = append(failures, SingleNode(topology.NodeID(v)))
+	}
+	rng := rand.New(rand.NewSource(19))
+	node := func() topology.NodeID { return topology.NodeID(rng.Intn(g.NumNodes())) }
+	link := func() topology.LinkID { return topology.LinkID(rng.Intn(g.NumLinks())) }
+	for i := 0; i < 64; i++ {
+		failures = append(failures, DoubleNode(node(), node()))
+		failures = append(failures, NewFailure(
+			[]topology.LinkID{link(), link(), link(), link()},
+			[]topology.NodeID{node(), node(), node()}))
+	}
+	var scratch trialScratch
+	for _, f := range failures {
+		m.plan.trial(f, OrderByConn, nil, &scratch)
+		for _, conn := range m.Connections() {
+			for _, ch := range conn.Channels() {
+				if got, want := scratch.hit(ch.ID), f.HitsPath(ch.Path); got != want {
+					t.Fatalf("failure links %v nodes %v: channel %d (conn %d, path %v) stamped %v, HitsPath %v",
+						f.Links(), f.Nodes(), ch.ID, conn.ID, ch.Path, got, want)
+				}
+			}
+		}
+	}
+}

@@ -100,6 +100,11 @@ func (t *trialScratch) markChan(id rtchan.ChannelID) bool {
 	return true
 }
 
+// hit reports whether markChan stamped channel id this trial.
+func (t *trialScratch) hit(id rtchan.ChannelID) bool {
+	return int(id) < len(t.chanSeen) && t.chanSeen[id] == t.gen
+}
+
 // connSlot returns the index of conn id's per-trial state, initializing it
 // (and recording the connection) on first touch.
 func (t *trialScratch) connSlot(id rtchan.ConnID) int {
