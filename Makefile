@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,14 @@ verify: bench-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# loc prints the three line counts ROADMAP and CHANGES.md quote, so they are
+# always counted the same way: the product's non-test Go (internal/, cmd/ and
+# the root package), its tests, and the benchmark module.
+loc:
+	@echo "non-test Go, internal/ cmd/ root: $$(find internal cmd ./*.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "*_test.go, internal/ cmd/ root:   $$(find internal cmd ./*.go -name '*_test.go' | xargs cat | wc -l)"
+	@echo "bench/:                           $$(find bench -name '*.go' | xargs cat | wc -l)"
 
 # bench-check vets and short-tests the repository benchmark. bench/ is a Go
 # module of its own, so `go build ./... && go test ./...` at the root never

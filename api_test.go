@@ -4,6 +4,13 @@ package bcp_test
 // library touches, exercised end to end through the package bcp API only.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,5 +227,115 @@ func TestPublicConcurrentSweep(t *testing.T) {
 	}
 	if view.PlanEpoch() != mgr.PlanEpoch() {
 		t.Fatal("view and manager disagree on plan epoch")
+	}
+}
+
+// facadeTypeOnly lists the type aliases no caller spells as bcp.X, each with
+// the kept name whose signature or field needs the type to be nameable.
+var facadeTypeOnly = map[string]string{
+	"ConnID":           "DConnection.ID",
+	"ChannelID":        "Channel.ID",
+	"TrafficSpec":      "DefaultSpec",
+	"Channel":          "DConnection.Primary",
+	"TrialView":        "Manager.NewTrialView",
+	"EstablishRequest": "Manager.EstablishBatch",
+	"BatchOptions":     "Manager.EstablishBatch",
+	"BatchResult":      "Manager.EstablishBatch",
+	"RecoveryStats":    "Manager.Trial",
+	"ActivationOrder":  "OrderByConn",
+	"Engine":           "NewEngine",
+	"Timer":            "Engine.At",
+	"Scheme":           "Scheme1",
+	"Runtime":          "NewProtocolOn",
+	"Transport":        "NewProtocolOn",
+	"RealtimeRuntime":  "NewRealtimeRuntime",
+	"PipeTransport":    "NewPipeTransport",
+	"PostFunc":         "NewPipeTransport",
+	"Router":           "NewRouter",
+	"Exclusion":        "RoutingConstraint.Exclude",
+	"Request":          "AllPairs",
+	"Table1Result":     "RunTable1",
+	"Table2Result":     "RunTable2",
+	"SweepResult":      "Sweep",
+	"DelayModel":       "Config.DelayModel",
+}
+
+// TestFacadeIsWhatIsCalled keeps bcp.go to what its callers use: every
+// exported name it declares is referenced as bcp.X under examples/ or cmd/ or
+// in the root package's three test files, or is a type alias listed above.
+func TestFacadeIsWhatIsCalled(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	scan := func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "github.com/rtcl/bcp" {
+				pkg = "bcp"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range []string{"api_test.go", "example_test.go", "bench_test.go"} {
+		scan(f)
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				scan(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	facade, err := parser.ParseFile(fset, "bcp.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	check := func(name *ast.Ident, isType bool) {
+		declared[name.Name] = true
+		if !name.IsExported() || used[name.Name] || isType && facadeTypeOnly[name.Name] != "" {
+			return
+		}
+		t.Errorf("bcp.%s has no caller in examples/, cmd/ or the root tests", name.Name)
+	}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			check(d.Name, false)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					check(s.Name, true)
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						check(name, false)
+					}
+				}
+			}
+		}
+	}
+	for name, why := range facadeTypeOnly {
+		if !declared[name] || used[name] {
+			t.Errorf("facadeTypeOnly lists %s (for %s), which bcp.go no longer declares or a caller now names", name, why)
+		}
 	}
 }

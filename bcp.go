@@ -4,11 +4,8 @@ import (
 	"math/rand"
 
 	"github.com/rtcl/bcp/internal/bcpd"
-	"github.com/rtcl/bcp/internal/chaos"
-	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/experiment"
-	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/realtime"
 	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/routing"
@@ -16,7 +13,6 @@ import (
 	"github.com/rtcl/bcp/internal/runtime"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
-	"github.com/rtcl/bcp/internal/trace"
 	"github.com/rtcl/bcp/internal/workload"
 )
 
@@ -52,10 +48,6 @@ var (
 	NewRandom = topology.NewRandom
 	// PathBetween builds a Path from a node sequence.
 	PathBetween = topology.PathBetween
-	// ParseTopology reads a graph from the text format (see cmd/bcptopo).
-	ParseTopology = topology.Parse
-	// FormatTopology writes a graph in the text format.
-	FormatTopology = topology.Format
 )
 
 // --- Channels and connections ------------------------------------------
@@ -132,8 +124,6 @@ var (
 	SingleNode = core.SingleNode
 	// DoubleNode fails two nodes simultaneously.
 	DoubleNode = core.DoubleNode
-	// NewFailure builds an arbitrary component failure.
-	NewFailure = core.NewFailure
 )
 
 // Activation orders.
@@ -142,8 +132,6 @@ const (
 	OrderByConn = core.OrderByConn
 	// OrderByPriority activates smaller multiplexing degrees first (§4.3).
 	OrderByPriority = core.OrderByPriority
-	// OrderRandom shuffles contention (models unsynchronized arrivals).
-	OrderRandom = core.OrderRandom
 )
 
 // --- Protocol engine ----------------------------------------------------
@@ -194,15 +182,11 @@ type (
 	// every protocol callback serialized on one execution lock.
 	RealtimeRuntime = realtime.Runtime
 	// Transport carries protocol traffic between daemons: the in-sim
-	// zero-copy scheduler, in-memory pipes, or loopback UDP datagrams.
+	// zero-copy scheduler (what NewProtocol uses) or in-memory pipes.
 	Transport = bcpd.Transport
-	// SimTransport is the deterministic zero-copy in-process transport.
-	SimTransport = bcpd.SimTransport
 	// PipeTransport carries live traffic over in-memory pipes (loss-free
 	// wire; losses only at down links, full pipes, full mailboxes).
 	PipeTransport = bcpd.PipeTransport
-	// UDPTransport carries live traffic as real loopback datagrams.
-	UDPTransport = bcpd.UDPTransport
 	// PostFunc enqueues work on a node's actor mailbox; a
 	// RealtimeRuntime's Post method has this shape.
 	PostFunc = bcpd.PostFunc
@@ -212,81 +196,19 @@ var (
 	// NewRealtimeRuntime creates a wall-clock runtime; call StartActors
 	// before building a protocol network on it, and Stop when done.
 	NewRealtimeRuntime = realtime.New
-	// NewSimTransport creates the deterministic in-process transport.
-	NewSimTransport = bcpd.NewSimTransport
 	// NewPipeTransport creates an in-memory live transport delivering
 	// through a PostFunc.
 	NewPipeTransport = bcpd.NewPipeTransport
-	// NewUDPTransport creates a loopback-datagram live transport.
-	NewUDPTransport = bcpd.NewUDPTransport
 )
 
 // NewProtocolOn builds the message-level engine on an explicit runtime and
-// transport: sim.Engine + SimTransport is NewProtocol; RealtimeRuntime +
-// Pipe/UDPTransport runs the same daemons live. With a live runtime, call
-// it (and every later FailLink/StartTraffic/stat read) through
-// RealtimeRuntime.Exec so it is serialized with the protocol.
+// transport: RealtimeRuntime + PipeTransport runs the daemons NewProtocol
+// simulates live. With a live runtime, call it (and every later
+// FailLink/StartTraffic/stat read) through RealtimeRuntime.Exec so it is
+// serialized with the protocol.
 func NewProtocolOn(rt Runtime, tr Transport, mgr *Manager, cfg ProtocolConfig) *Protocol {
 	return bcpd.NewOn(rt, tr, mgr, cfg)
 }
-
-// --- Observability --------------------------------------------------------
-
-type (
-	// TraceEvent is one typed protocol event (failure, report hop, state
-	// transition, claim, activation, rejoin, RCC frame...).
-	TraceEvent = trace.Event
-	// TraceKind discriminates TraceEvents.
-	TraceKind = trace.Kind
-	// TraceSink receives protocol events; set ProtocolConfig.Sink to tap a
-	// run. A nil sink costs nothing.
-	TraceSink = trace.Sink
-	// TraceRecorder is a TraceSink that buffers events in memory.
-	TraceRecorder = trace.Recorder
-	// TraceTee fans one event stream out to several sinks.
-	TraceTee = trace.Tee
-	// ConformanceParams tunes the trace-driven protocol checker.
-	ConformanceParams = conformance.Params
-	// ConformanceViolation is one invariant breach found in a trace.
-	ConformanceViolation = conformance.Violation
-	// ConformanceChecker validates an event stream against the Figure-4
-	// state machine, claim balance, the Γ recovery bound, and component
-	// health; it is itself a streaming TraceSink.
-	ConformanceChecker = conformance.Checker
-	// ProtocolAggregator folds an event stream into counters and
-	// histograms (recovery delay, RCC batching).
-	ProtocolAggregator = metrics.ProtocolAggregator
-	// TraceScenario parameterizes the canonical single-connection
-	// failure-recovery run (cmd/bcptrace, golden tests).
-	TraceScenario = experiment.TraceScenario
-	// TraceRun is a TraceScenario's recorded outcome.
-	TraceRun = experiment.TraceRun
-	// ArenaSink is a fixed-capacity TraceSink that batches events through a
-	// preallocated arena (flush mode) or keeps the most recent window of
-	// them (flight-recorder mode).
-	ArenaSink = trace.ArenaSink
-)
-
-var (
-	// NewConformanceChecker builds a streaming checker.
-	NewConformanceChecker = conformance.New
-	// CheckConformance validates a recorded event stream.
-	CheckConformance = conformance.Check
-	// NewProtocolAggregator builds an empty counter/histogram aggregator.
-	NewProtocolAggregator = metrics.NewProtocolAggregator
-	// WriteTraceJSONL / ReadTraceJSONL are the JSONL trace codec used by
-	// `bcptrace -json`.
-	WriteTraceJSONL = trace.WriteJSONL
-	ReadTraceJSONL  = trace.ReadJSONL
-	// DefaultTraceScenario / RunTraceScenario run the canonical recovery
-	// scenario and return its event stream.
-	DefaultTraceScenario = experiment.DefaultTraceScenario
-	RunTraceScenario     = experiment.RunTraceScenario
-	// NewArenaSink builds a flush-mode arena sink; NewFlightRecorder builds
-	// a keep-latest ring over the same arena.
-	NewArenaSink      = trace.NewArenaSink
-	NewFlightRecorder = trace.NewFlightRecorder
-)
 
 // --- Reliability mathematics --------------------------------------------
 
@@ -315,8 +237,6 @@ var (
 	// the flow-based MaxDisjointPaths of [WHA90, SID91]) share its scratch
 	// arenas and SPT cache (single-threaded).
 	NewRouter = routing.NewRouter
-	// NewExclusion builds an empty component-exclusion set.
-	NewExclusion = routing.NewExclusion
 )
 
 // RoutingConstraint restricts a path search.
@@ -325,7 +245,8 @@ type RoutingConstraint = routing.Constraint
 // Router is a reusable routing engine; see NewRouter.
 type Router = routing.Router
 
-// Exclusion accumulates components to avoid during disjoint routing.
+// Exclusion accumulates components to avoid during disjoint routing
+// (RoutingConstraint.Exclude); the zero value is empty.
 type Exclusion = routing.Exclusion
 
 // --- Workloads ------------------------------------------------------------
@@ -393,76 +314,20 @@ var (
 	RunSchemeComparison = experiment.RunSchemeComparison
 	// RunHotspot compares proposed vs brute-force under inhomogeneity.
 	RunHotspot = experiment.RunHotspot
-	// RunAblation evaluates the design ablations (routing, Π rule).
-	RunAblation = experiment.RunAblation
-	// RunSeverity sweeps R_fast against simultaneous failure counts.
-	RunSeverity = experiment.RunSeverity
 	// Sweep evaluates a failure list serially, aggregating R_fast.
 	Sweep = experiment.Sweep
 	// SweepParallel fans a failure list over a worker pool sharing one
 	// network plan (per-worker TrialViews); results are identical to
 	// Sweep for every worker count.
 	SweepParallel = experiment.SweepParallel
-	// EstablishAllPairsParallel establishes the paper's all-pairs workload
-	// through the speculative batch pipeline; state is bit-identical to the
-	// sequential walk (see RunScalability with Workers > 1).
-	EstablishAllPairsParallel = experiment.EstablishAllPairsParallel
 	// AllSingleLinkFailures enumerates one trial per simplex link.
 	AllSingleLinkFailures = experiment.AllSingleLinkFailures
-	// AllSingleNodeFailures enumerates one trial per node.
-	AllSingleNodeFailures = experiment.AllSingleNodeFailures
-	// AllDoubleNodeFailures enumerates (or samples) node pairs.
-	AllDoubleNodeFailures = experiment.AllDoubleNodeFailures
 )
 
-// DelayModel parameterizes the analytic delay-bound admission test.
+// DelayModel parameterizes the analytic delay-bound admission test
+// (Config.DelayModel).
 type DelayModel = rtchan.DelayModel
-
-// DefaultDelayModel matches the protocol engine's default timing.
-func DefaultDelayModel() DelayModel { return rtchan.DefaultDelayModel() }
 
 // NewRand returns a deterministic random source for tie-breaking and
 // workload generation.
 func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// --- Chaos model checking ------------------------------------------------
-
-type (
-	// ChaosSpec is one complete, replayable chaos episode: seed, topology,
-	// connections, hostile-transport intensities, and fault schedule.
-	ChaosSpec = chaos.Spec
-	// ChaosOptions parameterizes RunChaos (seed, episode count, schedule
-	// classes, shrink budget, artifact directory).
-	ChaosOptions = chaos.Options
-	// ChaosReport summarizes a model-check run: digests, totals, and the
-	// shrunk Failures.
-	ChaosReport = chaos.Report
-	// ChaosArtifact is the JSON reproducer written for a shrunk failure.
-	ChaosArtifact = chaos.Artifact
-	// ChaosParams seeds the hostile transport; LinkChaos is one link's
-	// fault intensities (drop, dup, corrupt, delay).
-	ChaosParams = bcpd.ChaosParams
-	LinkChaos   = bcpd.LinkChaos
-)
-
-var (
-	// RunChaos model-checks N seeded episodes, shrinking any failure to a
-	// minimal replayable artifact.
-	RunChaos = chaos.Run
-	// GenerateChaosSpec derives one episode spec from a seed and a
-	// schedule class (ChaosClasses lists them).
-	GenerateChaosSpec = chaos.Generate
-	// RunChaosEpisode executes a single spec and audits it.
-	RunChaosEpisode = chaos.RunEpisode
-	// ReplayChaosArtifact re-runs a reproducer exactly.
-	ReplayChaosArtifact = chaos.ReplayArtifact
-	// ReadChaosArtifact / WriteChaosArtifact are the JSON codec for
-	// reproducers.
-	ReadChaosArtifact  = chaos.ReadArtifact
-	WriteChaosArtifact = chaos.WriteArtifact
-	// ChaosClasses lists the fault-schedule classes.
-	ChaosClasses = chaos.Classes
-	// NewChaosTransport decorates any Transport with seeded loss,
-	// duplication, corruption, jitter, and asymmetric partitions.
-	NewChaosTransport = bcpd.NewChaosTransport
-)

@@ -1,13 +1,12 @@
 // Command bcplive boots a BCP network live — every daemon an actor goroutine
-// on the wall-clock runtime, traffic crossing a real transport (in-memory
-// pipes or loopback UDP datagrams) — injects a primary-link failure, and
-// reports the measured recovery delay against the paper's §5 Γ bound.
+// on the wall-clock runtime, traffic crossing in-memory pipes — injects a
+// primary-link failure, and reports the measured recovery delay against the
+// paper's §5 Γ bound.
 //
 // Usage:
 //
 //	bcplive                        # 3x3 mesh, pipe transport, 5 trials
 //	bcplive -rows 4 -cols 4        # bigger mesh
-//	bcplive -transport udp         # real datagrams on the loopback
 //	bcplive -rate 1000 -trials 10  # heavier traffic, more trials
 //
 // Each trial establishes one D-connection corner to corner (primary plus one
@@ -68,7 +67,6 @@ func main() {
 	rows := flag.Int("rows", 3, "mesh rows")
 	cols := flag.Int("cols", 3, "mesh columns")
 	capacity := flag.Float64("capacity", 10, "link capacity in Mbps")
-	transport := flag.String("transport", "pipe", "live transport: pipe or udp")
 	rate := flag.Float64("rate", 500, "data messages per second")
 	trials := flag.Int("trials", 5, "failure trials (fresh network each)")
 	seed := flag.Int64("seed", 1, "runtime RNG seed")
@@ -80,7 +78,7 @@ func main() {
 
 	var results []trialResult
 	for i := 0; i < *trials; i++ {
-		r, err := runTrial(*rows, *cols, *capacity, *transport, *rate, *seed+int64(i), cfg)
+		r, err := runTrial(*rows, *cols, *capacity, *rate, *seed+int64(i), cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bcplive: trial %d: %v\n", i, err)
 			os.Exit(1)
@@ -99,8 +97,8 @@ func main() {
 	hops := paths[0].Hops()
 	bound := time.Duration(hops-1) * perHopBound(cfg, *capacity)
 
-	fmt.Printf("bcplive: %dx%d mesh, %s transport, %d-hop primary, %.0f msg/s\n",
-		*rows, *cols, *transport, hops, *rate)
+	fmt.Printf("bcplive: %dx%d mesh, pipe transport, %d-hop primary, %.0f msg/s\n",
+		*rows, *cols, hops, *rate)
 	fmt.Printf("Γ bound (K-1)·D_max = %v\n\n", bound)
 	fmt.Printf("%-8s %-14s %-14s %-22s %s\n", "trial", "Γ (measured)", "data resumed", "timer late p50/p95", "within bound")
 	gammas := make([]time.Duration, 0, len(results))
@@ -125,7 +123,7 @@ func main() {
 
 // runTrial boots one fresh live network, crashes the primary's middle link,
 // and measures the recovery.
-func runTrial(rows, cols int, capacity float64, transport string, rate float64, seed int64, cfg bcp.ProtocolConfig) (trialResult, error) {
+func runTrial(rows, cols int, capacity, rate float64, seed int64, cfg bcp.ProtocolConfig) (trialResult, error) {
 	g := bcp.NewMesh(rows, cols, capacity)
 	mgr := bcp.NewManager(g, bcp.DefaultConfig())
 	paths := mgr.Router().SequentialDisjointPaths(0, bcp.NodeID(g.NumNodes()-1), 2, bcp.RoutingConstraint{})
@@ -139,16 +137,7 @@ func runTrial(rows, cols int, capacity float64, transport string, rate float64, 
 
 	rt := bcp.NewRealtimeRuntime(seed)
 	rt.StartActors(g.NumNodes(), 1024)
-	var tr bcp.Transport
-	switch transport {
-	case "pipe":
-		tr = bcp.NewPipeTransport(rt.Post, 1024)
-	case "udp":
-		tr = bcp.NewUDPTransport(rt.Post)
-	default:
-		rt.Stop()
-		return trialResult{}, fmt.Errorf("unknown transport %q", transport)
-	}
+	tr := bcp.NewPipeTransport(rt.Post, 1024)
 	defer rt.Stop()
 	defer tr.Close()
 

@@ -150,8 +150,7 @@ func DefaultConfig() Config {
 // the network's rcc.BufferPool) to the transport, which must either carry it
 // to deliverFrame (the network Puts it back after HandleFrame) or reclaim it
 // through the network's drop path. SendData likewise transfers the pooled
-// *dataPayload box. A transport that serializes to a real wire (UDP) copies
-// and reclaims immediately.
+// *dataPayload box.
 type Transport interface {
 	// Attach binds the transport to its network. Called exactly once, from
 	// NewOn, after the daemons and RCC endpoints exist and before any
@@ -166,7 +165,7 @@ type Transport interface {
 	// SetLinkDown fails or repairs link l: a down link loses everything
 	// submitted to it (and, per the crash model, everything queued).
 	SetLinkDown(l topology.LinkID, down bool)
-	// Close releases transport resources (goroutines, sockets). The sim
+	// Close releases the transport's goroutines. The sim
 	// transport is a no-op; live transports must be closed before their
 	// runtime is stopped.
 	Close()
@@ -311,10 +310,10 @@ func New(eng *sim.Engine, mgr *core.Manager, cfg Config) *Network {
 
 // NewOn builds the protocol engine against an explicit (Runtime, Transport)
 // pair: sim.Engine + SimTransport for deterministic runs, realtime.Runtime +
-// PipeTransport/UDPTransport for live ones. The manager's connections get
-// per-node channel state installed (P for primaries, B for backups); data
-// sources start on demand. Live callers must only touch the returned Network
-// from runtime-serialized context (actor callbacks, timers, Exec).
+// PipeTransport for live ones. The manager's connections get per-node channel
+// state installed (P for primaries, B for backups); data sources start on
+// demand. Live callers must only touch the returned Network from
+// runtime-serialized context (actor callbacks, timers, Exec).
 func NewOn(rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config) *Network {
 	if cfg.Scheme == 0 {
 		cfg.Scheme = Scheme3
@@ -647,17 +646,6 @@ func (n *Network) deliverData(l topology.LinkID, p *dataPayload) {
 // deliverHeartbeat records a heartbeat arrival at the far end of link l.
 func (n *Network) deliverHeartbeat(l topology.LinkID) {
 	n.heartbeatLastSeen[l] = n.rt.Now()
-}
-
-// deliverForeignFrame handles a control frame that arrived in a buffer the
-// network's pool never issued (a UDP receive buffer): same dispatch as
-// deliverFrame, but the buffer is left to the GC rather than Put into the
-// pool, keeping the pool's Get/Put pairing exact.
-func (n *Network) deliverForeignFrame(l topology.LinkID, data []byte) {
-	rev := n.mgr.Graph().Reverse(l)
-	if rev != topology.NoLink {
-		n.links[rev].rccE.HandleFrame(data)
-	}
 }
 
 // reclaimFrame returns a frame buffer whose packet was dropped in transit

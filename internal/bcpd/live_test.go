@@ -290,63 +290,3 @@ func TestSimLiveEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestLiveUDPRecovery reruns the failure scenario with traffic crossing real
-// loopback datagrams: frames are copied to the wire, parsed on receive, and
-// still drive the Figure-4 recovery. This is the socket transport's
-// integration test; the equivalence test keeps the stronger trace claim on
-// the loss-free pipes.
-func TestLiveUDPRecovery(t *testing.T) {
-	g := topology.NewMesh(3, 3, 10)
-	rt := realtime.New(1)
-	rt.StartActors(g.NumNodes(), 1024)
-	mgr := core.NewManager(g, core.DefaultConfig())
-	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
-	conn, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 0, 1, 2),
-		[]topology.Path{path(t, g, 0, 3, 4, 5, 2)},
-		[]int{1})
-	if err != nil {
-		rt.Stop()
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.RejoinTimeout = sim.Duration(60 * time.Second)
-	attachConformance(t, &cfg, liveConformanceParams(cfg))
-	tr := NewUDPTransport(rt.Post)
-	t.Cleanup(func() { tr.Close(); rt.Stop() })
-	var net *Network
-	rt.Exec(func() { net = NewOn(rt, tr, mgr, cfg) })
-
-	var startErr error
-	rt.Exec(func() { startErr = net.StartTraffic(conn.ID, 500) })
-	if startErr != nil {
-		t.Fatal(startErr)
-	}
-	wait := func(what string, cond func() bool) {
-		t.Helper()
-		limit := time.Now().Add(10 * time.Second)
-		for {
-			var ok bool
-			rt.Exec(func() { ok = cond() })
-			if ok {
-				return
-			}
-			if time.Now().After(limit) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	wait("pre-failure data", func() bool { return net.Stats().DataDelivered >= 20 })
-	rt.Exec(func() { net.FailLink(g.LinkBetween(1, 2)) })
-	wait("source switch", func() bool { return len(net.SourceSwitches(conn.ID)) == 1 })
-	var switched sim.Time
-	rt.Exec(func() { switched = net.SourceSwitches(conn.ID)[0] })
-	wait("post-switch data", func() bool {
-		_, ok := net.FirstArrivalAfter(conn.ID, switched)
-		return ok
-	})
-	tr.Close()
-	rt.Stop()
-}

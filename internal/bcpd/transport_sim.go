@@ -14,7 +14,7 @@ import (
 // pointer box and returns to the network's pool after delivery or drop.
 // Under sim.Engine this is bit-identical to the pre-seam engine; it works
 // under the wall-clock runtime too (every entry point is runtime-serialized),
-// though live runs normally use PipeTransport or UDPTransport.
+// though live runs normally use PipeTransport.
 type SimTransport struct {
 	n     *Network
 	links []*sched.Link
@@ -80,7 +80,7 @@ func (t *SimTransport) SendHeartbeat(l topology.LinkID) {
 // (reclaiming every pooled payload through the drop handler).
 func (t *SimTransport) SetLinkDown(l topology.LinkID, down bool) { t.links[l].SetDown(down) }
 
-// Close is a no-op: the sim transport owns no goroutines or sockets.
+// Close is a no-op: the sim transport owns no goroutines.
 func (t *SimTransport) Close() {}
 
 // deliver dispatches a packet arriving at the far end of link l.

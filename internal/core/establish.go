@@ -25,8 +25,12 @@ import (
 // is what makes the speculative EstablishBatch pipeline (batch.go) possible:
 // planners run under the reader lock against a frozen plan, and a plan
 // whose inputs did not change commits without any recomputation.
-// (EstablishOnPaths keeps the old incremental path: caller-supplied paths
-// need not be disjoint, so the argument above does not apply to it.)
+//
+// Both phases, and the three writers that admit a backup link by link
+// (EstablishOnPaths, ReplenishBackups, RestoreAsBackup, through
+// addBackupToLink), share one copy of the §3.2 rule: scanLink decides a new
+// backup's Π membership against a link's entries and wireLink applies the
+// decision (mux.go).
 
 // planBits is a link-id bitset recording which links a plan's routing
 // predicate approved. Free bandwidth only shrinks during a batch, so an
@@ -71,18 +75,17 @@ func (pp *pathPlan) set(g *topology.Graph, links []topology.LinkID) {
 
 // linkWire records the admission probe's outcome for one backup on one link:
 // which existing entries' Π sets gain the new backup (grow), which existing
-// entries the new backup's own Π set lists (pi), the new entry's spare
-// requirement, and the spare level the link must reach. Both lists hold
-// link-local entry indexes — the coordinates of the link's Π bit matrix —
-// which stay valid until commit because a plan whose link gained or lost an
-// entry is re-probed or replanned first (batch.go). Ranges index the owning
-// connPlan's flat arenas so reusing a plan never reallocates them.
+// entries the new backup's own Π set lists (pi), and the new entry's spare
+// requirement. Both lists hold link-local entry indexes — the coordinates of
+// the link's Π bit matrix — which stay valid until commit because a plan
+// whose link gained or lost an entry is re-probed or replanned first
+// (batch.go). Ranges index the owning connPlan's flat arenas so reusing a
+// plan never reallocates them.
 type linkWire struct {
 	link             topology.LinkID
 	growOff, growLen int32 // entry indexes in connPlan.growBuf
 	piOff, piLen     int32 // entry indexes in connPlan.piBuf
 	req              float64
-	need             float64
 }
 
 // backupPlan is one planned backup channel: its path, degree, threshold, and
@@ -144,6 +147,8 @@ type planContext struct {
 	excl   *routing.Exclusion
 	sig    []uint64
 	path   pathPlan // routeBackupPath's link/node buffers
+	grow   []int32  // scan's two lists
+	pi     []int32
 
 	// Per-plan state read by the persistent feasibility closure, so the hot
 	// routing constraint costs no allocation per establishment.
@@ -308,7 +313,7 @@ func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow
 		// corridors) still prefer short paths.
 		bw := pc.bw
 		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + m.prospectiveSpareIncrease(l, primRow, bw, nu)
+			return 0.05*bw + pc.prospectiveSpareIncrease(l, primRow, bw, nu)
 		}
 		if links, ok := pc.router.MinCostLinks(src, dst, c, w); ok {
 			return links, true
@@ -331,8 +336,7 @@ func (pc *planContext) routeBackupPath(src, dst topology.NodeID, nu float64, pri
 }
 
 // probeBackup runs the spare-pool admission probe for one routed backup,
-// recording the wiring that commit will replay. It performs exactly the scan
-// addBackupToLink would, without mutating anything.
+// recording the wiring that commit will replay, without mutating anything.
 func (pc *planContext) probeBackup(p *connPlan, bp *backupPlan) error {
 	if cap(bp.wires) < len(bp.path.links) {
 		bp.wires = make([]linkWire, 0, 2*len(bp.path.links))
@@ -348,47 +352,20 @@ func (pc *planContext) probeBackup(p *connPlan, bp *backupPlan) error {
 	return nil
 }
 
-// probeLink evaluates one link's admission scan read-only: Π decisions
-// against every existing entry, the new entry's requirement, and the spare
-// level the link must reach. The returned error is exactly what the
-// sequential add would fail with. pc.sig must hold the plan's primary. The
-// planned connection does not exist yet, so the same-connection case cannot
-// arise: backups of one plan never share links (disjointness is enforced
-// while planning, unlike EstablishOnPaths).
+// probeLink evaluates one link's admission read-only: scanLink's lists go
+// into p's arenas, and the spare level the link must reach is checked against
+// its capacity. The returned error is exactly what wireLink would fail with.
+// pc.sig must hold the plan's primary. The planned connection has no
+// signature row yet, and needs none: backups of one plan never share links
+// (disjointness is enforced while planning, unlike EstablishOnPaths).
 func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID) (linkWire, error) {
 	m := pc.m
 	lm := &m.plan.mux[l]
-	bw := p.spec.Bandwidth
 	w := linkWire{link: l, growOff: int32(len(p.growBuf)), piOff: int32(len(p.piBuf))}
-	req := bw
-	maxGrown := 0.0
-	for ei := range lm.entries {
-		e := &lm.entries[ei]
-		newInE, eInNew := m.plan.muxDecide(m.plan.sigRow(e.sig), pc.sig, e.nu, bp.nu)
-		if newInE {
-			p.growBuf = append(p.growBuf, int32(ei))
-			if g := e.req + bw; g > maxGrown {
-				maxGrown = g
-			}
-		}
-		if eInNew {
-			p.piBuf = append(p.piBuf, int32(ei))
-			req += e.bw
-		}
-	}
+	req, need := m.plan.scanLink(lm, -1, pc.sig, bp.nu, p.spec.Bandwidth, &p.growBuf, &p.piBuf)
 	w.growLen = int32(len(p.growBuf)) - w.growOff
 	w.piLen = int32(len(p.piBuf)) - w.piOff
 	w.req = req
-	// What requiredSpare() would return after the wiring: the unchanged
-	// entries' max, the grown entries' new requirements, and the new entry.
-	need := lm.requiredSpareRO()
-	if req > need {
-		need = req
-	}
-	if maxGrown > need {
-		need = maxGrown
-	}
-	w.need = need
 	if need > lm.spare {
 		if err := m.plan.net.SpareCheck(l, need); err != nil {
 			return w, fmt.Errorf("core: link %d cannot grow spare to %g: %w", l, need, err)
@@ -487,37 +464,19 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 }
 
 // commitBackupWires replays one backup's recorded wiring onto its links. On
-// the (defensively handled) SetSpare failure it rolls its own links back and
-// leaves the rest to the caller, mirroring addBackupToLink + addBackup.
+// the SetSpare failure (unreachable for a plan probed under this lock) it
+// rolls the already-wired prefix back and leaves the rest to the caller.
 func (m *Manager) commitBackupWires(p *connPlan, bp *backupPlan, conn *DConnection, bch *rtchan.Channel) error {
-	bw := bch.Bandwidth()
+	entry := muxEntry{id: bch.ID, sig: conn.sig, bw: bch.Bandwidth(), nu: bp.nu}
 	for wi := range bp.wires {
 		w := &bp.wires[wi]
-		lm := &m.plan.mux[w.link]
-		n := lm.appendEntry(muxEntry{id: bch.ID, sig: conn.sig, bw: bw, nu: bp.nu, req: w.req})
-		for _, ei := range p.growBuf[w.growOff : w.growOff+w.growLen] {
-			e := &lm.entries[ei]
-			lm.piSet(int(ei), n)
-			e.req += bw
-			lm.noteReq(e.req)
-		}
-		for _, ei := range p.piBuf[w.piOff : w.piOff+w.piLen] {
-			lm.piSet(n, int(ei))
-		}
-		lm.noteReq(w.req)
-		need := lm.requiredSpare()
-		if need > lm.spare {
-			if err := m.plan.net.SetSpare(w.link, need); err != nil {
-				// Unreachable for a plan probed under this lock; undo this
-				// link and the already-wired prefix.
-				lm.unwire(n)
-				lm.reqDirty = true
-				for _, u := range bp.wires[:wi] {
-					m.removeBackupFromLink(u.link, bch)
-				}
-				return fmt.Errorf("core: link %d cannot grow spare to %g: %w", w.link, need, err)
+		entry.req = w.req
+		err := m.wireLink(w.link, entry, p.growBuf[w.growOff:w.growOff+w.growLen], p.piBuf[w.piOff:w.piOff+w.piLen])
+		if err != nil {
+			for _, u := range bp.wires[:wi] {
+				m.removeBackupFromLink(u.link, bch)
 			}
-			lm.spare = need
+			return err
 		}
 	}
 	return nil

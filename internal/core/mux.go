@@ -29,8 +29,8 @@ type muxEntry struct {
 // the maximum requirement over its entries; activation claims draw the pool
 // down temporarily until reconfiguration.
 //
-// Entries live in a flat value slice, not a map: the admission scan in
-// addBackupToLink walks every entry once per link of every new backup —
+// Entries live in a flat value slice, not a map: the admission scan
+// (scanLink) walks every entry once per link of every new backup —
 // the hottest loop of establishment — and a contiguous scan beats map
 // iteration there. Lookups by channel ID (teardown, promotion, Ψ metrics)
 // linear-scan the inline ids over tens of entries.
@@ -205,46 +205,68 @@ func (lm *linkMux) noteReqShrink(oldReq float64) {
 // available returns the spare bandwidth an activation can still claim.
 func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
 
-// addBackupToLink registers backup ch on link l and resizes the link's spare
-// pool, enforcing the capacity invariant. On failure the link state is
-// unchanged.
-func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtchan.Channel, alpha int) error {
-	lm := &m.plan.mux[l]
-	bw := ch.Bandwidth()
-	entry := muxEntry{
-		id:  ch.ID,
-		sig: conn.sig,
-		bw:  bw,
-		nu:  reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
-	}
-	rowNew := m.plan.sigRow(conn.sig)
-	// Tentatively wire the new entry into the Π structure. No undo log is
-	// kept: the rare rollback below unwires it like any other removal.
-	n := lm.appendEntry(entry)
-	req := bw
-	for i := 0; i < n; i++ {
+// scanLink is the admission scan of §3.2 for a new backup on a link, and the
+// only loop that decides Π membership for a backup not yet wired: the new
+// backup (its connection's signature row rowNew, threshold nu, bandwidth bw)
+// against every existing entry. It appends to *grow the entries whose Π sets
+// gain the new backup and to *pi the entries the new backup's own Π set
+// lists, and returns the new entry's requirement and the spare level the link
+// must reach once it is wired — what requiredSpare would then return: the
+// unchanged entries' max, the grown entries' new requirements, and req.
+// sigNew is the new backup's connection's row index, so that backups of one
+// connection never share spare (see muxDecide); a planned connection that has
+// no row yet passes -1. Read-only: planners call it under the reader lock.
+func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, nu, bw float64, grow, pi *[]int32) (req, need float64) {
+	g, q := *grow, *pi
+	req = bw
+	need = lm.requiredSpareRO()
+	for i := range lm.entries {
 		e := &lm.entries[i]
-		// Backups of one connection never share spare (see muxDecide).
-		newInE, eInNew := true, true
-		if e.sig != entry.sig {
-			newInE, eInNew = m.plan.muxDecide(m.plan.sigRow(e.sig), rowNew, e.nu, entry.nu)
+		eCountsNew, newCountsE := true, true
+		if e.sig != sigNew {
+			eCountsNew, newCountsE = p.muxDecide(p.sigRow(e.sig), rowNew, e.nu, nu)
 		}
-		if newInE {
-			lm.piSet(i, n)
-			e.req += bw
-			lm.noteReq(e.req)
+		if eCountsNew {
+			g = append(g, int32(i))
+			if grown := e.req + bw; grown > need {
+				need = grown
+			}
 		}
-		if eInNew {
-			lm.piSet(n, i)
+		if newCountsE {
+			q = append(q, int32(i))
 			req += e.bw
 		}
 	}
-	lm.entries[n].req = req
-	lm.noteReq(req)
+	*grow, *pi = g, q
+	if req > need {
+		need = req
+	}
+	return req, need
+}
+
+// wireLink is the only writer that adds a backup to a link: it appends entry
+// (its req as scanLink returned it), sets the Π bits scanLink listed, folds
+// the grown requirements into the link's max and grows the spare pool to it,
+// enforcing the capacity invariant. On failure the link state is unchanged;
+// no undo log is kept, the rare rollback unwires the entry like any other
+// removal.
+func (m *Manager) wireLink(l topology.LinkID, entry muxEntry, grow, pi []int32) error {
+	lm := &m.plan.mux[l]
+	n := lm.appendEntry(entry)
+	for _, i := range grow {
+		e := &lm.entries[i]
+		lm.piSet(int(i), n)
+		e.req += entry.bw
+		lm.noteReq(e.req)
+	}
+	for _, i := range pi {
+		lm.piSet(n, int(i))
+	}
+	lm.noteReq(entry.req)
 	need := lm.requiredSpare()
 	if need > lm.spare {
 		if err := m.plan.net.SetSpare(l, need); err != nil {
-			// Roll back. The undone growth may have held the cached max.
+			// The undone growth may have held the cached max.
 			lm.unwire(n)
 			lm.reqDirty = true
 			return fmt.Errorf("core: link %d cannot grow spare to %g: %w", l, need, err)
@@ -252,6 +274,29 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 		lm.spare = need
 	}
 	return nil
+}
+
+// addBackupToLink registers backup ch of conn on link l: one scan, one
+// wiring. EstablishOnPaths, ReplenishBackups and RestoreAsBackup admit link
+// by link through it, because a caller-supplied path may meet the
+// connection's other backups.
+func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtchan.Channel, alpha int) error {
+	pc := m.estCtx
+	entry := muxEntry{
+		id:  ch.ID,
+		sig: conn.sig,
+		bw:  ch.Bandwidth(),
+		nu:  reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
+	}
+	entry.req, _ = pc.scan(l, conn.sig, m.plan.sigRow(conn.sig), entry.nu, entry.bw)
+	return m.wireLink(l, entry, pc.grow, pc.pi)
+}
+
+// scan runs scanLink on link l into pc's own lists, for the callers that keep
+// no plan record: addBackupToLink and the prospective* predictions.
+func (pc *planContext) scan(l topology.LinkID, sigNew int32, rowNew []uint64, nu, bw float64) (req, need float64) {
+	pc.grow, pc.pi = pc.grow[:0], pc.pi[:0]
+	return pc.m.plan.scanLink(&pc.m.plan.mux[l], sigNew, rowNew, nu, bw, &pc.grow, &pc.pi)
 }
 
 // removeBackupFromLink unregisters backup ch from link l, shrinking the
@@ -338,29 +383,9 @@ func (m *Manager) SpareOnLink(l topology.LinkID) float64 {
 // if a backup with the given bandwidth, threshold ν, and primary (given by its
 // signature row) were admitted — the link weight of the [HAN97b]-style
 // load-aware backup routing (RouteLoadAware). Read-only.
-func (m *Manager) prospectiveSpareIncrease(l topology.LinkID, primRow []uint64, bw, nu float64) float64 {
-	lm := &m.plan.mux[l]
-	newReq := bw
-	maxGrown := 0.0
-	for i := range lm.entries {
-		e := &lm.entries[i]
-		rowE := m.plan.sigRow(e.sig)
-		if rowE[0] == 0 {
-			continue
-		}
-		newInE, eInNew := m.plan.muxDecide(rowE, primRow, e.nu, nu)
-		if eInNew {
-			newReq += e.bw
-		}
-		if newInE && e.req+bw > maxGrown {
-			maxGrown = e.req + bw
-		}
-	}
-	need := math.Max(newReq, maxGrown)
-	if need <= lm.spare {
-		return 0
-	}
-	return need - lm.spare
+func (pc *planContext) prospectiveSpareIncrease(l topology.LinkID, primRow []uint64, bw, nu float64) float64 {
+	_, need := pc.scan(l, -1, primRow, nu, bw)
+	return math.Max(0, need-pc.m.plan.mux[l].spare)
 }
 
 // recomputeLinkMux rebuilds the Π structure of one link from scratch —

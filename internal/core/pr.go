@@ -45,23 +45,17 @@ func degreeAt(conn *DConnection, i int) int {
 // bPath protecting the primary with signature row primRow, if it were
 // admitted with multiplexing degree alpha — the information the paper's
 // reservation message collects on its forward pass "with various ν values"
-// (§3.4). Each peer is decided as the admission scan will decide it
-// (muxDecide; a momentarily primary-less connection is counted in Π), so the
-// prediction is the Ψ the commit realizes.
-func (m *Manager) prospectivePsiSizes(primRow []uint64, bPath topology.Path, alpha int) []int {
-	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
+// (§3.4). It runs the admission scan itself (a momentarily primary-less
+// connection is counted in Π), so the prediction is the Ψ the commit
+// realizes: every entry the new backup's Π set does not list.
+func (pc *planContext) prospectivePsiSizes(primRow []uint64, bPath topology.Path, alpha int) []int {
+	nu := reliability.NuForDegree(pc.m.plan.cfg.Lambda, alpha)
 	links := bPath.Links()
 	out := make([]int, len(links))
 	for i, l := range links {
-		lm := &m.plan.mux[l]
-		psi := 0
-		for ei := range lm.entries {
-			e := &lm.entries[ei]
-			if _, inPi := m.plan.muxDecide(m.plan.sigRow(e.sig), primRow, e.nu, nu); !inPi {
-				psi++
-			}
-		}
-		out[i] = psi
+		// Π membership does not depend on bandwidth; only the lists are read.
+		pc.scan(l, -1, primRow, nu, 0)
+		out[i] = len(pc.m.plan.mux[l].entries) - len(pc.pi)
 	}
 	return out
 }
@@ -69,14 +63,15 @@ func (m *Manager) prospectivePsiSizes(primRow []uint64, bPath topology.Path, alp
 // prospectivePr predicts the Pr a connection would get from the primary with
 // signature row primRow and the given backup paths with a uniform
 // multiplexing degree alpha.
-func (m *Manager) prospectivePr(primRow []uint64, backups []topology.Path, alpha int) float64 {
+func (pc *planContext) prospectivePr(primRow []uint64, backups []topology.Path, alpha int) float64 {
+	lambda := pc.m.plan.cfg.Lambda
 	infos := make([]reliability.BackupInfo, 0, len(backups))
-	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
+	nu := reliability.NuForDegree(lambda, alpha)
 	for _, b := range backups {
-		pmux := reliability.MuxFailureBound(nu, m.prospectivePsiSizes(primRow, b, alpha))
+		pmux := reliability.MuxFailureBound(nu, pc.prospectivePsiSizes(primRow, b, alpha))
 		infos = append(infos, reliability.BackupInfo{Components: b.NumComponents(), PMuxFail: pmux})
 	}
-	return reliability.Pr(m.plan.cfg.Lambda, int(primRow[0]), infos)
+	return reliability.Pr(lambda, int(primRow[0]), infos)
 }
 
 // EstablishWithPr implements the paper's second QoS-negotiation scheme
@@ -136,7 +131,7 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	for nb := 1; nb <= len(candidates); nb++ {
 		paths := candidates[:nb]
 		for alpha := maxAlpha; alpha >= 1; alpha-- {
-			if m.prospectivePr(primRow, paths, alpha) < requiredPr {
+			if m.estCtx.prospectivePr(primRow, paths, alpha) < requiredPr {
 				continue // too much multiplexing; tighten
 			}
 			if !m.estCtx.planOnPaths(p, paths, alpha) {

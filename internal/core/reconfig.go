@@ -17,10 +17,10 @@ import (
 // pair's inputs changed, and the incremental bookkeeping already maintains
 // everything else exactly:
 //
-//   - entry membership: addBackupToLink decides new pairs with the same
-//     muxDecide against current primaries the rebuild uses, and
-//     removeBackupFromLink/promoteBackup unwire departing channels from
-//     every Π set and requirement they appear in;
+//   - entry membership: scanLink decides new pairs with the same muxDecide
+//     against current primaries the rebuild uses, wireLink applies the
+//     decision, and removeBackupFromLink/promoteBackup unwire departing
+//     channels from every Π set and requirement they appear in;
 //   - requirements: req is adjusted by exactly the bandwidth of each added
 //     or removed Π member, and the maxReq cache rescans when a removal may
 //     have dethroned the cached maximum (noteReqShrink).

@@ -6,7 +6,6 @@ import (
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
-	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/wire"
 )
@@ -132,6 +131,3 @@ func (r ScalabilityResult) Render() string {
 	}
 	return t.String()
 }
-
-// DefaultSpecForScale keeps the workload definition in one place for tests.
-func DefaultSpecForScale() rtchan.TrafficSpec { return rtchan.DefaultSpec() }

@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -195,15 +194,4 @@ func RenderSeries(title string, series ...Series) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns the sorted keys of an int-keyed map, for deterministic
-// table row order.
-func SortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -83,11 +83,3 @@ func TestRenderSeries(t *testing.T) {
 		t.Fatal("empty render broken")
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{5: "a", 1: "b", 3: "c"}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("keys = %v", got)
-	}
-}

@@ -1,8 +1,8 @@
 // Package sched implements the run-time side of the real-time channel
 // service — the paper's Real-time Message Transmission Protocol (RMTP)
-// analogue: a token-bucket traffic regulator that smooths bursty sources,
-// and a non-preemptive static-priority link scheduler with three service
-// classes (RCC control traffic above real-time data above best-effort).
+// analogue: a non-preemptive static-priority link scheduler with three
+// service classes (RCC control traffic above real-time data above
+// best-effort).
 //
 // The scheduler drives packet timing in protocol-mode simulations: each link
 // serializes packets at its capacity, delivering them after a propagation
@@ -262,60 +262,4 @@ func (l *Link) startNext() {
 	txTime := sim.Duration(float64(l.cur.Size*8) / l.bps * float64(time.Second))
 	l.stats.BusyTime += txTime
 	l.eng.Schedule(txTime, l.txDoneFn)
-}
-
-// TokenBucket is the RMTP traffic regulator: tokens accrue at Rate per
-// second up to Burst; sending a message of cost c requires c tokens.
-type TokenBucket struct {
-	Rate  float64 // tokens per second
-	Burst float64 // bucket depth
-
-	tokens float64
-	last   sim.Time
-}
-
-// NewTokenBucket creates a full bucket.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
-	if rate <= 0 || burst <= 0 {
-		panic("sched: non-positive token bucket parameters")
-	}
-	return &TokenBucket{Rate: rate, Burst: burst, tokens: burst}
-}
-
-func (tb *TokenBucket) refill(now sim.Time) {
-	if now > tb.last {
-		tb.tokens += tb.Rate * now.Sub(tb.last).Seconds()
-		if tb.tokens > tb.Burst {
-			tb.tokens = tb.Burst
-		}
-		tb.last = now
-	}
-}
-
-// Admit consumes cost tokens if available at time now, reporting success.
-func (tb *TokenBucket) Admit(now sim.Time, cost float64) bool {
-	tb.refill(now)
-	if tb.tokens+1e-12 < cost {
-		return false
-	}
-	tb.tokens -= cost
-	return true
-}
-
-// NextEligible returns the earliest time at or after now when a message of
-// the given cost could be admitted (without consuming tokens).
-func (tb *TokenBucket) NextEligible(now sim.Time, cost float64) sim.Time {
-	tb.refill(now)
-	if tb.tokens >= cost {
-		return now
-	}
-	need := cost - tb.tokens
-	wait := sim.Duration(need / tb.Rate * float64(time.Second))
-	return now.Add(wait)
-}
-
-// Tokens returns the current token count as of the given time.
-func (tb *TokenBucket) Tokens(now sim.Time) float64 {
-	tb.refill(now)
-	return tb.tokens
 }

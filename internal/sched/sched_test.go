@@ -138,88 +138,6 @@ func TestEnqueuePanics(t *testing.T) {
 	}
 }
 
-func TestTokenBucketBasics(t *testing.T) {
-	tb := NewTokenBucket(10, 5) // 10 tokens/s, depth 5
-	now := sim.Time(0)
-	// Burst drains the bucket.
-	for i := 0; i < 5; i++ {
-		if !tb.Admit(now, 1) {
-			t.Fatalf("admit %d failed", i)
-		}
-	}
-	if tb.Admit(now, 1) {
-		t.Fatal("admitted past the burst")
-	}
-	// After 100 ms one token has accrued.
-	now = now.Add(100 * time.Millisecond)
-	if !tb.Admit(now, 1) {
-		t.Fatal("refill failed")
-	}
-	if tb.Admit(now, 1) {
-		t.Fatal("double admit")
-	}
-}
-
-func TestTokenBucketNextEligible(t *testing.T) {
-	tb := NewTokenBucket(10, 1)
-	now := sim.Time(0)
-	if !tb.Admit(now, 1) {
-		t.Fatal("initial admit failed")
-	}
-	next := tb.NextEligible(now, 1)
-	if next != sim.Time(100*time.Millisecond) {
-		t.Fatalf("next = %v, want 100ms", next)
-	}
-	if got := tb.NextEligible(next, 1); got != next {
-		t.Fatalf("eligible-now case returned %v", got)
-	}
-	// NextEligible must not consume tokens.
-	if !tb.Admit(next, 1) {
-		t.Fatal("NextEligible consumed tokens")
-	}
-}
-
-func TestTokenBucketCapsAtBurst(t *testing.T) {
-	tb := NewTokenBucket(1000, 2)
-	if got := tb.Tokens(sim.Time(time.Hour)); got != 2 {
-		t.Fatalf("tokens = %g, want burst cap 2", got)
-	}
-}
-
-func TestRegulatorShapesLinkTraffic(t *testing.T) {
-	// End-to-end: a bursty source regulated to 100 msgs/s over a fast link
-	// must deliver messages no faster than the token rate.
-	eng := sim.New(1)
-	var arrivals []sim.Time
-	l := NewLink(eng, 100, 0, 0, func(Packet) { arrivals = append(arrivals, eng.Now()) })
-	tb := NewTokenBucket(100, 1)
-	var send func(i int)
-	send = func(i int) {
-		if i >= 10 {
-			return
-		}
-		next := tb.NextEligible(eng.Now(), 1)
-		eng.At(next, func() {
-			if !tb.Admit(eng.Now(), 1) {
-				t.Error("admission failed at eligible time")
-				return
-			}
-			l.Enqueue(Packet{Class: ClassRealTime, Size: 125})
-			send(i + 1)
-		})
-	}
-	send(0)
-	eng.Run()
-	if len(arrivals) != 10 {
-		t.Fatalf("arrivals = %d", len(arrivals))
-	}
-	for i := 1; i < len(arrivals); i++ {
-		if gap := arrivals[i].Sub(arrivals[i-1]); gap < 9*time.Millisecond {
-			t.Fatalf("gap %d = %v, regulator failed", i, gap)
-		}
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if ClassControl.String() != "control" || Class(9).String() != "class(9)" {
 		t.Fatal("class strings wrong")

@@ -91,38 +91,6 @@ func NewLine(n int, capacity float64) *Graph {
 	return g
 }
 
-// NewStar builds a star with one hub (node 0) and n-1 leaves.
-func NewStar(n int, capacity float64) *Graph {
-	if n < 2 {
-		panic("topology: star requires at least 2 nodes")
-	}
-	g := NewGraph(fmt.Sprintf("star-%d", n), n)
-	for i := 1; i < n; i++ {
-		g.addDuplex(0, NodeID(i), capacity)
-	}
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// NewFullMesh builds a complete graph on n nodes.
-func NewFullMesh(n int, capacity float64) *Graph {
-	if n < 2 {
-		panic("topology: full mesh requires at least 2 nodes")
-	}
-	g := NewGraph(fmt.Sprintf("full-%d", n), n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.addDuplex(NodeID(i), NodeID(j), capacity)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // NewHypercube builds a d-dimensional hypercube (2^d nodes).
 func NewHypercube(d int, capacity float64) *Graph {
 	if d < 1 || d > 20 {

@@ -53,8 +53,7 @@ func TestMeshCounts(t *testing.T) {
 func TestEveryLinkHasReverse(t *testing.T) {
 	for _, g := range []*Graph{
 		NewTorus(8, 8, 200), NewMesh(4, 5, 300), NewRing(7, 10),
-		NewLine(5, 10), NewStar(6, 10), NewFullMesh(5, 10),
-		NewHypercube(4, 10), NewRandom(30, 3.5, 10, 42),
+		NewLine(5, 10), NewHypercube(4, 10), NewRandom(30, 3.5, 10, 42),
 	} {
 		for _, l := range g.Links() {
 			r := g.Reverse(l.ID)
