@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -14,11 +14,17 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# one-owner fails when D^RCC_max is re-derived outside bcpd.Config.HopBound:
+# the arithmetic cannot be written without RCC.RMax. bench/ keeps its copy
+# until a no-claim benchmark PR (ROADMAP 1(d)).
+one-owner:
+	! grep -rnE 'RCC\.RMax' --include='*.go' internal cmd bcp.go examples | grep -vE '^internal/(bcpd|rcc)/'
+
 # verify is the pre-merge gate: vet + build + the full suite under the race
 # detector (the parallel sweep worker pool runs even in short mode), then
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it.
-verify: bench-check
+verify: bench-check one-owner
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -13,9 +13,9 @@
 // disjoint backup), streams data, crashes the middle link of the primary, and
 // measures two wall-clock delays from the failure instant: Γ, when the source
 // switches to the backup, and the first data arrival at the destination after
-// the switch. Γ is compared to the §5.3 bound (K-1)·D_max with D_max computed
-// from the RCC parameters exactly as internal/experiment's Section 5 harness
-// does. On a quiet machine live Γ lands inside the bound; scheduler jitter
+// the switch. Γ is compared to the §5.3 bound (K-1)·D_max, with D_max the
+// protocol configuration's own HopBound for the mesh's link capacity. On a
+// quiet machine live Γ lands inside the bound; scheduler jitter
 // (unlike the simulator, the OS is part of the system) can push it over —
 // the tool reports, it does not assert. Beside both delays it prints how
 // late a 200 µs timer fired on the runtime during the trial (fired − due):
@@ -31,18 +31,8 @@ import (
 	"time"
 
 	"github.com/rtcl/bcp"
+	"github.com/rtcl/bcp/internal/conformance"
 )
-
-// perHopBound mirrors the Section 5 harness: worst-case one-hop control
-// delay = eligibility wait (1/R_max) + residual transmission of one
-// in-flight data packet + the frame's own transmission + propagation.
-func perHopBound(cfg bcp.ProtocolConfig, linkCapacityMbps float64) time.Duration {
-	bps := linkCapacityMbps * 1e6
-	eligibility := time.Duration(float64(time.Second) / cfg.RCC.RMax)
-	residual := time.Duration(float64(cfg.DataMsgSize*8) / bps * float64(time.Second))
-	frame := time.Duration(float64(cfg.RCC.SMax*8) / bps * float64(time.Second))
-	return eligibility + residual + frame + time.Duration(cfg.PropDelay)
-}
 
 type trialResult struct {
 	gamma  time.Duration   // failure -> source switch
@@ -95,7 +85,7 @@ func main() {
 		os.Exit(1)
 	}
 	hops := paths[0].Hops()
-	bound := time.Duration(hops-1) * perHopBound(cfg, *capacity)
+	bound := conformance.GammaBound(cfg.HopBound(*capacity), hops, 1)
 
 	fmt.Printf("bcplive: %dx%d mesh, pipe transport, %d-hop primary, %.0f msg/s\n",
 		*rows, *cols, hops, *rate)

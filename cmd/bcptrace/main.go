@@ -42,7 +42,7 @@ func main() {
 	flag.Parse()
 
 	s := experiment.DefaultTraceScenario()
-	s.Scheme = bcpd.Scheme(*scheme)
+	s.Config.Scheme = bcpd.Scheme(*scheme)
 	s.FailPos = *failPos
 	s.Backups = *backups
 	s.HitFirst = *hitFirst
@@ -93,11 +93,7 @@ func main() {
 		time.Duration(run.Net.MaxArrivalGap(conn.ID)))
 	fmt.Printf("\n%s", agg.Render())
 
-	p := conformance.Params{
-		DMax:           run.DMax,
-		DetectionSlack: bcpd.DefaultConfig().DetectionLatency + s.Repair,
-		PropSlack:      bcpd.DefaultConfig().PropDelay,
-	}
+	p := s.Config.Conformance(run.Mgr.Graph().Link(0).Capacity)
 	// A run that ends mid-rejoin can hold claims legitimately; bcptrace is
 	// a viewer, so report rather than fail.
 	p.AllowOutstandingClaims = true

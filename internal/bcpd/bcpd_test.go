@@ -32,16 +32,6 @@ func attachConformance(t *testing.T, cfg *Config, p conformance.Params) *conform
 	return c
 }
 
-// conformanceParams derives checker tolerances from a run's protocol
-// configuration: no Γ bound (testbed scenarios include congestion and
-// preemption), in-flight delivery tolerated for one propagation delay plus
-// a generous residual-transmission allowance.
-func conformanceParams(cfg Config) conformance.Params {
-	return conformance.Params{
-		PropSlack: cfg.PropDelay + sim.Duration(2*time.Millisecond),
-	}
-}
-
 // testbed is a 3x3 mesh with one D-connection 0->2 (primary 0-1-2, backup
 // 0-3-4-5-2) plus helpers.
 //
@@ -54,6 +44,7 @@ type testbed struct {
 	mgr  *core.Manager
 	net  *Network
 	conn *core.DConnection
+	chk  *conformance.Checker
 }
 
 func path(t *testing.T, g *topology.Graph, nodes ...topology.NodeID) topology.Path {
@@ -67,7 +58,16 @@ func path(t *testing.T, g *topology.Graph, nodes ...topology.NodeID) topology.Pa
 
 func newTestbed(t *testing.T, cfg Config) *testbed {
 	t.Helper()
-	g := topology.NewMesh(3, 3, 10)
+	return newTestbedChecked(t, cfg, cfg.Conformance(testbedMbps))
+}
+
+// testbedMbps is the testbed's link capacity.
+const testbedMbps = 10
+
+// newTestbedChecked is newTestbed under caller-adjusted checker tolerances.
+func newTestbedChecked(t *testing.T, cfg Config, p conformance.Params) *testbed {
+	t.Helper()
+	g := topology.NewMesh(3, 3, testbedMbps)
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
@@ -78,9 +78,9 @@ func newTestbed(t *testing.T, cfg Config) *testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	chk := attachConformance(t, &cfg, p)
 	net := New(eng, mgr, cfg)
-	return &testbed{g: g, eng: eng, mgr: mgr, net: net, conn: conn}
+	return &testbed{g: g, eng: eng, mgr: mgr, net: net, conn: conn, chk: chk}
 }
 
 func TestInstallSeedsChannelStates(t *testing.T) {
@@ -138,6 +138,10 @@ func TestLinkFailureFastRecovery(t *testing.T) {
 	// Recovery is fast: detection + reporting over 2 hops of RCC.
 	if delay := switches[0].Sub(failAt); delay > 50*time.Millisecond {
 		t.Fatalf("recovery delay %v too large", delay)
+	}
+	// The testbed's checker compared it against the §5 bound.
+	if got := tb.chk.GammaChecked(); got != 1 {
+		t.Fatalf("GammaChecked = %d, want 1", got)
 	}
 	// The backup is promoted in the resource plane.
 	if tb.conn.Primary == nil || tb.conn.Primary.Path.Hops() != 4 {
@@ -249,7 +253,7 @@ func TestSequentialFailuresWithTwoBackups(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {
 		t.Fatal(err)
@@ -282,7 +286,7 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
 	cfg.ReplenishTarget = 1
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {
 		t.Fatal(err)
@@ -357,7 +361,7 @@ func TestDivergentBackupSelectionConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {
 		t.Fatal(err)
@@ -465,7 +469,7 @@ func TestMuxFailureTriggersNextBackup(t *testing.T) {
 		t.Fatalf("spare on 5->6 = %g, want 1 (multiplexed)", got)
 	}
 	cfg := DefaultConfig()
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(connA.ID, 500); err != nil {
 		t.Fatal(err)

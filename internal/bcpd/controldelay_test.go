@@ -32,7 +32,7 @@ func TestControlDelayUnderSaturatedData(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.DataMsgSize = 1250 // 1 ms of transmission per hop at 10 Mbps
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	// Saturate the line: 8 Mbps of the 10 Mbps capacity.
 	if err := net.StartTraffic(conn.ID, 800); err != nil {
@@ -60,13 +60,8 @@ func TestControlDelayUnderSaturatedData(t *testing.T) {
 		t.Fatal("failure report never reached the source")
 	}
 	delay := reportedAt.Sub(failAt)
-	// Analytic per-hop bound: detection latency + 2 hops of
-	// (eligibility 1/RMax + residual data packet + control frame + prop).
-	perHop := time.Duration(float64(time.Second)/cfg.RCC.RMax) +
-		time.Duration(float64(cfg.DataMsgSize*8)/10e6*float64(time.Second)) +
-		time.Duration(float64(cfg.RCC.SMax*8)/10e6*float64(time.Second)) +
-		time.Duration(cfg.PropDelay)
-	bound := time.Duration(cfg.DetectionLatency) + 2*perHop + 200*time.Microsecond // + polling granularity
+	// Analytic bound: detection window + 2 hops of D^RCC_max.
+	bound := cfg.DetectionWindow() + 2*cfg.HopBound(g.Link(0).Capacity) + 200*time.Microsecond // + polling granularity
 	if time.Duration(delay) > bound {
 		t.Fatalf("control delay %v exceeds bound %v under saturated data", time.Duration(delay), bound)
 	}

@@ -1,7 +1,6 @@
 package bcpd
 
 import (
-	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
 	"github.com/rtcl/bcp/internal/wire"
@@ -60,11 +59,7 @@ func (n *Network) emitHeartbeat(l topology.LinkID) {
 // receiving node; like the emitter, the check closure is built once.
 func (n *Network) monitorHeartbeats(l topology.LinkID) {
 	lk := n.mgr.Graph().Link(l)
-	miss := n.cfg.HeartbeatMiss
-	if miss <= 0 {
-		miss = 3
-	}
-	deadline := sim.Duration(miss+1) * n.cfg.HeartbeatInterval
+	deadline := n.cfg.heartbeatDeadline()
 	var check func()
 	check = func() {
 		to := n.nodes[lk.To]

@@ -106,7 +106,9 @@ func TestHeartbeatNotificationLossRecoveredByRCC(t *testing.T) {
 	cfg.Scheme = Scheme2
 	rec := &trace.Recorder{}
 	cfg.Sink = rec
-	tb := newTestbed(t, cfg)
+	p := cfg.Conformance(testbedMbps)
+	p.DMax = 0 // recovery waits out a 400 ms outage of the notification's link: loss, no Γ bound
+	tb := newTestbedChecked(t, cfg, p)
 	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
 		t.Fatal(err)
 	}

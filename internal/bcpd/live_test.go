@@ -32,9 +32,10 @@ type liveTestbed struct {
 // value: under wall clock (and -race) a delivery can trail a failure by
 // scheduler jitter, not just propagation delay.
 func liveConformanceParams(cfg Config) conformance.Params {
-	return conformance.Params{
-		PropSlack: cfg.PropDelay + sim.Duration(500*time.Millisecond),
-	}
+	p := cfg.Conformance(testbedMbps)
+	p.DMax = 0 // wall clock: Γ p95 sits at the bound and needs testhost slack first (ROADMAP 1(b)-live)
+	p.PropSlack = cfg.PropDelay + sim.Duration(500*time.Millisecond)
+	return p
 }
 
 // newLiveTestbed boots the testbed scenario on a wall-clock runtime. The
@@ -42,7 +43,7 @@ func liveConformanceParams(cfg Config) conformance.Params {
 // final trace) runs after the shutdown cleanup stops the world.
 func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 	t.Helper()
-	g := topology.NewMesh(3, 3, 10)
+	g := topology.NewMesh(3, 3, testbedMbps)
 	rt := realtime.New(seed)
 	rt.StartActors(g.NumNodes(), 1024)
 	mgr := core.NewManager(g, core.DefaultConfig())

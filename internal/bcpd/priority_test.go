@@ -44,7 +44,7 @@ func priorityScenario(t *testing.T, cfg Config) (*Network, *sim.Engine, *topolog
 	if got := mgr.Network().Spare(g.LinkBetween(1, 5)); got != 1 {
 		t.Fatalf("spare on 1->5 = %g, want 1 (multiplexed)", got)
 	}
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	return net, eng, g, connLow, connHigh
 }
@@ -143,7 +143,7 @@ func TestPreemptionNeverHitsHigherPriority(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.AllowPreemption = true
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.RunFor(time.Second)

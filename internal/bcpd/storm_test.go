@@ -51,7 +51,7 @@ func TestProtocolStorm(t *testing.T) {
 			tc.tune(&cfg)
 			// A storm run is cut off at an arbitrary instant, so claims of
 			// activations still in flight are legitimately outstanding.
-			p := conformanceParams(cfg)
+			p := cfg.Conformance(g.Link(0).Capacity)
 			p.AllowOutstandingClaims = true
 			attachConformance(t, &cfg, p)
 			net := New(eng, mgr, cfg)

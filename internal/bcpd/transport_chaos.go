@@ -106,9 +106,6 @@ func NewChaosTransport(inner Transport, p ChaosParams) *ChaosTransport {
 	return &ChaosTransport{inner: inner, p: p}
 }
 
-// Inner returns the decorated transport.
-func (t *ChaosTransport) Inner() Transport { return t.inner }
-
 // Stats returns a snapshot of the chaos counters.
 func (t *ChaosTransport) Stats() ChaosStats { return t.stats }
 

@@ -26,7 +26,7 @@ func newChaosTestbed(t *testing.T, cfg Config, p ChaosParams) (*testbed, *ChaosT
 	if err != nil {
 		t.Fatal(err)
 	}
-	attachConformance(t, &cfg, conformanceParams(cfg))
+	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	ct := NewChaosTransport(NewSimTransport(), p)
 	net := NewOn(eng, ct, mgr, cfg)
 	return &testbed{g: g, eng: eng, mgr: mgr, net: net, conn: conn}, ct

@@ -89,29 +89,29 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	g := mgr.Graph()
 	eng := sim.New(spec.Seed)
 
-	digest := newDigestSink()
-	checker := conformance.New(conformance.Params{
-		// No Γ bound: chaos jitter, loss, and partitions have no
-		// closed-form recovery bound. Safety rules stay on.
-		DMax: 0,
-		// Packets already in flight (propagation plus residual
-		// transmission) may deliver shortly after a crash.
-		PropSlack: sim.Duration(6 * time.Millisecond),
-	})
-	sinks := trace.Tee{digest, checker}
-	if opts.Sink != nil {
-		sinks = append(sinks, opts.Sink)
-	}
-
 	cfg := bcpd.DefaultConfig()
 	cfg.RejoinTimeout = episodeRejoinTimeout
 	cfg.RejoinProbeDelay = episodeProbeDelay
 	cfg.MaxQueue = 128
-	cfg.Sink = sinks
 	cfg.Sabotage = opts.Sabotage
 	if tap := opts.FrameTap; tap != nil {
 		cfg.FrameTap = func(_ topology.LinkID, frame []byte) { tap(frame) }
 	}
+
+	digest := newDigestSink()
+	p := cfg.Conformance(g.Link(0).Capacity)
+	// Safety rules stay on; chaos jitter, loss, and partitions have no
+	// closed-form recovery bound.
+	p.DMax = 0 // needs the bound hop-exact under loss (ROADMAP 1(c))
+	// Packets already in flight (propagation plus residual transmission)
+	// may deliver shortly after a crash.
+	p.PropSlack = sim.Duration(6 * time.Millisecond)
+	checker := conformance.New(p)
+	sinks := trace.Tee{digest, checker}
+	if opts.Sink != nil {
+		sinks = append(sinks, opts.Sink)
+	}
+	cfg.Sink = sinks
 
 	params := bcpd.ChaosParams{
 		Seed: mix(spec.Seed, 0x9e3779b97f4a7c15),

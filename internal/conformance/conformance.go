@@ -30,11 +30,13 @@ import (
 	"github.com/rtcl/bcp/internal/trace"
 )
 
-// Params tunes the checker to a run's timing model.
+// Params tunes the checker to a run's timing model. bcpd.Config.Conformance
+// derives them from a protocol configuration; a run adjusts that result
+// rather than assembling its own.
 type Params struct {
 	// DMax is the per-hop worst-case control delay D^RCC_max. Zero disables
-	// the Γ-bound rule (scenarios with congestion, preemption, or heartbeat
-	// detection have no closed-form bound).
+	// the Γ-bound rule, for runs with no closed-form bound (loss, wall
+	// clock); the caller that zeroes it says why.
 	DMax sim.Duration
 	// DetectionSlack is added to the Γ bound to cover the gap between a
 	// component crash and its neighbors' failure reports (DetectionLatency,
@@ -130,6 +132,8 @@ type Checker struct {
 	lastCrash  sim.Time
 	anyCrash   bool
 	violations []Violation
+	// gammaChecked counts recoveries compared against the Γ bound.
+	gammaChecked int
 }
 
 // New creates a checker for one event stream.
@@ -271,11 +275,15 @@ func (c *Checker) Emit(ev trace.Event) {
 	case trace.KindSourceSwitch:
 		cs := c.conn(ev.Conn)
 		if cs.pending && c.p.DMax > 0 {
-			gamma := ev.At.Sub(cs.failAt)
-			if bound, ok := c.gammaBound(cs); ok && gamma > bound {
-				c.violate(ev, "gamma",
-					"connection %d recovered in %v, bound %v (K-1=%d hops, b=%d backups)",
-					ev.Conn, gamma, bound, c.maxHops(cs)-1, cs.pendingB)
+			if hops := c.maxHops(cs); hops >= 1 {
+				c.gammaChecked++
+				gamma := ev.At.Sub(cs.failAt)
+				bound := c.p.DetectionSlack + GammaBound(c.p.DMax, hops, cs.pendingB)
+				if gamma > bound {
+					c.violate(ev, "gamma",
+						"connection %d recovered in %v, bound %v (K-1=%d hops, b=%d backups)",
+						ev.Conn, gamma, bound, hops-1, cs.pendingB)
+				}
 			}
 		}
 		cs.pending = false
@@ -301,20 +309,23 @@ func (c *Checker) maxHops(cs *connState) int {
 	return max
 }
 
-// gammaBound computes the §5 bound for a pending recovery. The second
-// result is false when the stream never told us a hop count.
-func (c *Checker) gammaBound(cs *connState) (sim.Duration, bool) {
-	hops := c.maxHops(cs)
-	if hops < 1 {
-		return 0, false
-	}
+// GammaBound is the paper's §5.3 recovery-delay bound for a K-hop connection
+// with b backups: failure-reporting delay plus activation-retrial delay,
+// (K−1)·D_max + 2(b−1)(K−1)·D_max. A connection caught with no backup left
+// pays no retrial term.
+func GammaBound(dmax sim.Duration, hops, backups int) sim.Duration {
 	k := sim.Duration(hops - 1)
-	b := sim.Duration(cs.pendingB - 1)
+	b := sim.Duration(backups - 1)
 	if b < 0 {
 		b = 0
 	}
-	return c.p.DetectionSlack + k*c.p.DMax + 2*b*k*c.p.DMax, true
+	return k*dmax + 2*b*k*dmax
 }
+
+// GammaChecked returns how many recoveries were compared against the Γ
+// bound: zero when DMax is 0, and zero on a run whose sources carry no
+// traffic, so a harness that turns the rule on asserts it was exercised.
+func (c *Checker) GammaChecked() int { return c.gammaChecked }
 
 // Finish applies the end-of-stream rules and returns all violations (nil
 // when the stream conforms).

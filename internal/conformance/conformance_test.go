@@ -134,6 +134,19 @@ func TestGammaBoundViolationFlagged(t *testing.T) {
 	if viols := Check(late, Params{}); len(viols) != 0 {
 		t.Fatalf("gamma checked with DMax=0: %v", viols)
 	}
+	// A rule that is on counts each recovery it compared; off, it counts none.
+	for _, tc := range []struct {
+		p    Params
+		want int
+	}{{Params{DMax: dmax}, 1}, {Params{}, 0}} {
+		c := New(tc.p)
+		for _, ev := range fast {
+			c.Emit(ev)
+		}
+		if got := c.GammaChecked(); got != tc.want {
+			t.Errorf("GammaChecked with DMax=%v = %d, want %d", tc.p.DMax, got, tc.want)
+		}
+	}
 }
 
 func TestGammaCountsFailedBackupsInRetrialTerm(t *testing.T) {

@@ -277,16 +277,3 @@ func (m *Manager) NumConnections() int {
 	defer m.mu.RUnlock()
 	return m.plan.conns.Len()
 }
-
-// constraintForPrimary builds the admission-aware routing constraint for a
-// primary channel: every link must have bw free, and the path must respect
-// the QoS slack over the unconstrained shortest distance.
-func (m *Manager) constraintForPrimary(bw float64, maxHops int) routing.Constraint {
-	return routing.Constraint{
-		MaxHops:  maxHops,
-		TieBreak: m.plan.cfg.TieBreak,
-		LinkAllowed: func(l topology.LinkID) bool {
-			return m.plan.net.Free(l) >= bw-1e-9
-		},
-	}
-}

@@ -25,11 +25,15 @@ const (
 	Mesh8x8  Kind = "mesh-8x8"  // 300 Mbps links
 )
 
+// torusCapacityMbps is the torus's link capacity, which the harnesses on it
+// hand to bcpd.Config.Conformance.
+const torusCapacityMbps = 200
+
 // NewGraph builds the evaluation network.
 func NewGraph(kind Kind) *topology.Graph {
 	switch kind {
 	case Torus8x8:
-		return topology.NewTorus(8, 8, 200)
+		return topology.NewTorus(8, 8, torusCapacityMbps)
 	case Mesh8x8:
 		return topology.NewMesh(8, 8, 300)
 	default:

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/core"
 )
 
@@ -57,7 +58,7 @@ func TestScalabilityMonotoneAndSound(t *testing.T) {
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, DefaultOptions().config())
 	EstablishAllPairs(m, UniformDegrees(1, 3))
-	maxChans, bytes := RCCProvisioning(m)
+	maxChans, bytes := bcpd.RCCProvisioning(m)
 	if maxChans <= 0 || bytes != maxChans*14 {
 		t.Fatalf("provisioning: %d channels, %d bytes", maxChans, bytes)
 	}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/topology"
-	"github.com/rtcl/bcp/internal/wire"
 )
 
 // ScalabilityRow measures one network size.
@@ -73,41 +73,10 @@ func RunScalability(alpha int, opts Options) ScalabilityResult {
 			}
 		}
 		row.MeanBackupsLink = float64(totalBackups) / float64(g.NumLinks())
-		row.MaxControlsPair, row.RequiredRCCBytes = RCCProvisioning(m)
+		row.MaxControlsPair, row.RequiredRCCBytes = bcpd.RCCProvisioning(m)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
-}
-
-// RCCProvisioning evaluates §5.2's timely-delivery condition: the number of
-// control messages that can transit a link is bounded by the number of
-// channels on the link pair between its two incident nodes, so
-//
-//	S^RCC_max >= (control message size) · max over link pairs of
-//	             (channels on l + channels on reverse(l))
-//
-// It returns the worst-case channel count over link pairs and the required
-// S^RCC_max in bytes.
-func RCCProvisioning(m *core.Manager) (maxChannels, requiredBytes int) {
-	g := m.Graph()
-	net := m.Network()
-	seen := make(map[topology.LinkID]bool)
-	ctrlSize := (wire.Control{}).Size()
-	for _, l := range g.Links() {
-		if seen[l.ID] {
-			continue
-		}
-		count := len(net.ChannelsOnLink(l.ID))
-		if rev := g.Reverse(l.ID); rev != topology.NoLink {
-			seen[rev] = true
-			count += len(net.ChannelsOnLink(rev))
-		}
-		seen[l.ID] = true
-		if count > maxChannels {
-			maxChannels = count
-		}
-	}
-	return maxChannels, maxChannels * ctrlSize
 }
 
 // Render prints the scalability table.

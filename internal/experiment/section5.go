@@ -6,13 +6,8 @@ import (
 
 	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/conformance"
-	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
-	"github.com/rtcl/bcp/internal/routing"
-	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
-	"github.com/rtcl/bcp/internal/topology"
-	"github.com/rtcl/bcp/internal/trace"
 )
 
 // Section5Row is one failure-position measurement of the recovery-delay
@@ -50,18 +45,6 @@ func protocolTimingConfig() bcpd.Config {
 	return cfg
 }
 
-// perHopBound computes D^RCC_max for our RCC-over-priority-scheduler model:
-// worst-case one-hop control delay = eligibility wait (1/R_max) + residual
-// transmission of one in-flight lower-priority packet + the frame's own
-// transmission + propagation.
-func perHopBound(cfg bcpd.Config, linkCapacityMbps float64, dataMsgSize int) sim.Duration {
-	bps := linkCapacityMbps * 1e6
-	eligibility := sim.Duration(float64(time.Second) / cfg.RCC.RMax)
-	residual := sim.Duration(float64(dataMsgSize*8) / bps * float64(time.Second))
-	frame := sim.Duration(float64(cfg.RCC.SMax*8) / bps * float64(time.Second))
-	return eligibility + residual + frame + cfg.PropDelay
-}
-
 // RunSection5 validates the §5.3 recovery-delay bound on the paper's torus:
 // a K-hop D-connection with 1 or 2 backups carries traffic, one primary link
 // at each position fails, and the measured source recovery delay Γ is
@@ -71,109 +54,67 @@ func perHopBound(cfg bcpd.Config, linkCapacityMbps float64, dataMsgSize int) sim
 func RunSection5(opts Options) Section5Result {
 	const hops = 8
 	cfg := protocolTimingConfig()
+	p := cfg.Conformance(torusCapacityMbps)
 	res := Section5Result{
 		Hops:     hops,
-		DMax:     perHopBound(cfg, 200, cfg.DataMsgSize),
+		DMax:     p.DMax,
 		AllBound: true,
+	}
+	trial := func(backups, pos int, hitBackup bool) {
+		row := runSection5Trial(opts, cfg, p, backups, pos, hitBackup)
+		res.Rows = append(res.Rows, row)
+		res.AllBound = res.AllBound && row.Gamma <= row.Bound
 	}
 	// Single backup: sweep every failure position.
 	for pos := 0; pos < hops; pos++ {
-		row := runSection5Trial(opts, cfg, res.DMax, 1, pos, false)
-		res.Rows = append(res.Rows, row)
-		if row.Gamma > row.Bound {
-			res.AllBound = false
-		}
+		trial(1, pos, false)
 	}
 	// Double backups with the first backup also failed: retrial delay.
 	for _, pos := range []int{0, hops / 2, hops - 1} {
-		row := runSection5Trial(opts, cfg, res.DMax, 2, pos, true)
-		res.Rows = append(res.Rows, row)
-		if row.Gamma > row.Bound {
-			res.AllBound = false
-		}
+		trial(2, pos, true)
 	}
 	return res
 }
 
-// runSection5Trial builds a fresh torus with one instrumented connection and
-// measures one failure scenario.
-func runSection5Trial(opts Options, cfg bcpd.Config, dmax sim.Duration, backups, failPos int, hitBackup bool) Section5Row {
-	g := NewGraph(Torus8x8)
-	eng := sim.New(opts.Seed + int64(failPos))
-	mgr := core.NewManager(g, opts.config())
-	// An 8-hop connection across the torus: (0,0) -> (4,4).
-	src, dst := topology.NodeID(0), topology.NodeID(36)
-	paths := mgr.Router().SequentialDisjointPaths(src, dst, backups+1, routing.Constraint{})
-	if len(paths) < backups+1 {
-		panic("experiment: torus cannot route the requested channels")
+// runSection5Trial runs the single-connection scenario for one failure
+// position under cfg, conformance-checked live with tolerances p: with
+// p.DMax > 0 the checker re-derives the Γ bound the table reports and flags
+// any recovery that exceeds it, independently of the SourceSwitches
+// accounting below.
+func runSection5Trial(opts Options, cfg bcpd.Config, p conformance.Params, backups, failPos int, hitBackup bool) Section5Row {
+	chk := conformance.New(p)
+	cfg.Sink = chk
+	s := TraceScenario{
+		FailPos:  failPos,
+		Backups:  backups,
+		HitFirst: hitBackup,
+		FailAt:   sim.Time(100 * time.Millisecond),
+		Rate:     1000,
+		RunFor:   sim.Duration(2 * time.Second),
+		Seed:     opts.Seed + int64(failPos),
+		Core:     opts.config(),
+		Config:   cfg,
 	}
-	degrees := make([]int, backups)
-	for i := range degrees {
-		degrees[i] = 1
-	}
-	conn, err := mgr.EstablishOnPaths(rtchan.DefaultSpec(), paths[0], paths[1:backups+1], degrees)
+	run, err := s.Build()
 	if err != nil {
-		panic("experiment: " + err.Error())
+		panic(err.Error())
 	}
-	// Every trial is conformance-checked live: with dmax > 0 the checker
-	// re-derives the Γ bound the table reports and flags any recovery that
-	// exceeds it, independently of the SourceSwitches accounting below.
-	chk := conformance.New(conformance.Params{
-		DMax:           dmax,
-		DetectionSlack: cfg.DetectionLatency,
-		PropSlack:      cfg.PropDelay + sim.Duration(time.Millisecond),
-	})
-	if cfg.Sink != nil {
-		cfg.Sink = trace.Tee{cfg.Sink, chk}
-	} else {
-		cfg.Sink = chk
-	}
-	net := bcpd.New(eng, mgr, cfg)
-	const msgRate = 1000.0
-	if err := net.StartTraffic(conn.ID, msgRate); err != nil {
-		panic("experiment: " + err.Error())
-	}
-
-	failAt := sim.Time(100 * time.Millisecond)
-	primLink := conn.Primary.Path.Links()[failPos]
-	var backupLink topology.LinkID = topology.NoLink
-	if hitBackup {
-		// Fail the first backup's last link: the source cannot know and
-		// activates it first, paying the full retrial round trip — the
-		// 2(b-1)(K-1)·D_max term of the bound.
-		bLinks := conn.Backups[0].Path.Links()
-		backupLink = bLinks[len(bLinks)-1]
-	}
-	eng.At(failAt, func() {
-		net.FailLink(primLink)
-		if backupLink != topology.NoLink {
-			net.FailLink(backupLink)
-		}
-	})
-	eng.RunFor(2 * time.Second)
-
+	net, conn := run.Net, run.Conn
 	row := Section5Row{
 		FailPos:   failPos,
 		Backups:   backups,
 		BackupHit: hitBackup,
-		Bound:     boundGamma(dmax, paths[0].Hops(), backups),
+		Bound:     conformance.GammaBound(p.DMax, conn.Primary.Path.Hops(), backups),
 	}
+	run.Run()
 	switches := net.SourceSwitches(conn.ID)
 	if n := len(switches); n > 0 {
-		row.Gamma = switches[n-1].Sub(failAt)
+		row.Gamma = switches[n-1].Sub(s.FailAt)
 	}
 	row.DstDisrupt = net.MaxArrivalGap(conn.ID)
 	row.MessagesLost = net.Stats().DataSent - net.Stats().DataDelivered
 	row.Violations = chk.Finish()
 	return row
-}
-
-// boundGamma is the paper's Γ bound: failure-reporting delay plus activation
-// retrial delay, (K-1)·D_max + 2(b-1)(K-1)·D_max.
-func boundGamma(dmax sim.Duration, hops, backups int) sim.Duration {
-	k := sim.Duration(hops - 1)
-	b := sim.Duration(backups - 1)
-	return k*dmax + 2*b*k*dmax
 }
 
 // Render prints the Section 5 table.
@@ -227,7 +168,9 @@ func RunSchemeComparison(opts Options) SchemeComparisonResult {
 		for _, pos := range []int{0, hops / 2, hops - 1} {
 			cfg := protocolTimingConfig()
 			cfg.Scheme = scheme
-			row := runSection5Trial(opts, cfg, 0, 1, pos, false)
+			p := cfg.Conformance(torusCapacityMbps)
+			p.DMax = 0 // the paper's bound is derived for scheme-3 timing
+			row := runSection5Trial(opts, cfg, p, 1, pos, false)
 			res.Rows = append(res.Rows, SchemeRow{
 				Scheme:     scheme,
 				FailPos:    pos,

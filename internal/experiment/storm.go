@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
-	"github.com/rtcl/bcp/internal/core"
-	"github.com/rtcl/bcp/internal/routing"
-	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
-	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
 )
 
@@ -27,20 +23,16 @@ import (
 // rejoin restores the old primary as the new backup. The roles ping-pong
 // between the two disjoint paths from cycle to cycle.
 type Storm struct {
-	Eng  *sim.Engine
-	Mgr  *core.Manager
-	Net  *bcpd.Network
-	Conn *core.DConnection
+	*TraceRun // the built trace scenario: Eng, Mgr, Net, Conn
 
 	cycles int
 }
 
 // StormConfig parameterizes NewStorm. The zero value is usable.
 type StormConfig struct {
-	Scheme bcpd.Scheme // defaults to Scheme 3
-	Rate   float64     // data messages/second; 0 runs the control plane only
-	Seed   int64       // engine seed; same seed, same run
-	Sink   trace.Sink  // optional event sink
+	Rate float64    // data messages/second; 0 runs the control plane only
+	Seed int64      // engine seed; same seed, same run
+	Sink trace.Sink // optional event sink
 }
 
 // Cycle phase lengths: the crash phase covers detection, reports, and
@@ -52,38 +44,19 @@ const (
 	stormRepairPhase = sim.Duration(800 * time.Millisecond)
 )
 
-// NewStorm builds the network and establishes the connection: two disjoint
-// 0→36 paths on the torus, one primary and one degree-1 backup, matching
-// the trace scenario's layout.
+// NewStorm builds the trace scenario's network — two disjoint 0→36 paths on
+// the torus, one primary and one degree-1 backup, its rejoin timers — and
+// leaves the failing to Cycle.
 func NewStorm(cfg StormConfig) (*Storm, error) {
-	g := topology.NewTorus(8, 8, 200)
-	eng := sim.New(cfg.Seed)
-	mgr := core.NewManager(g, core.DefaultConfig())
-
-	src, dst := topology.NodeID(0), topology.NodeID(36)
-	paths := mgr.Router().SequentialDisjointPaths(src, dst, 2, routing.Constraint{})
-	if len(paths) < 2 {
-		return nil, fmt.Errorf("experiment: only %d disjoint paths for storm", len(paths))
-	}
-	conn, err := mgr.EstablishOnPaths(rtchan.DefaultSpec(), paths[0], paths[1:2], []int{1})
+	s := DefaultTraceScenario()
+	s.Seed = cfg.Seed
+	s.Rate = cfg.Rate
+	s.Config.Sink = cfg.Sink
+	run, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-
-	bcfg := bcpd.DefaultConfig()
-	if cfg.Scheme != 0 {
-		bcfg.Scheme = cfg.Scheme
-	}
-	bcfg.RejoinTimeout = sim.Duration(2 * time.Second)
-	bcfg.RejoinProbeDelay = sim.Duration(100 * time.Millisecond)
-	bcfg.Sink = cfg.Sink
-	net := bcpd.New(eng, mgr, bcfg)
-	if cfg.Rate > 0 {
-		if err := net.StartTraffic(conn.ID, cfg.Rate); err != nil {
-			return nil, err
-		}
-	}
-	return &Storm{Eng: eng, Mgr: mgr, Net: net, Conn: conn}, nil
+	return &Storm{TraceRun: run}, nil
 }
 
 // Cycle runs one crash→switch→repair→rejoin round and verifies it restored

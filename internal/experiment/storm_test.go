@@ -3,18 +3,32 @@ package experiment
 import (
 	"sync"
 	"testing"
+
+	"github.com/rtcl/bcp/internal/conformance"
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 // TestStormCyclesComplete drives several full crash→rejoin rounds and
-// checks each one restores redundancy (Cycle verifies internally).
+// checks each one restores redundancy (Cycle verifies internally) inside the
+// §5 bound of the scenario's own configuration.
 func TestStormCyclesComplete(t *testing.T) {
-	s, err := NewStorm(StormConfig{Rate: 100, Seed: 1})
+	p := DefaultTraceScenario().Config.Conformance(torusCapacityMbps)
+	chk := conformance.New(p)
+	worst := newGammaWorst(p)
+	s, err := NewStorm(StormConfig{Rate: 100, Seed: 1, Sink: trace.Tee{chk, worst}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(6); err != nil {
 		t.Fatal(err)
 	}
+	for _, v := range chk.Finish() {
+		t.Errorf("conformance: %v", v)
+	}
+	if got := chk.GammaChecked(); got < 6 {
+		t.Errorf("GammaChecked = %d, want >= 6: the bound is on but was not exercised", got)
+	}
+	t.Logf("%d recoveries checked, worst Γ/bound %v", chk.GammaChecked(), worst)
 	st := s.Stats()
 	if st.ActivationsStarted < 6 {
 		t.Errorf("ActivationsStarted = %d, want >= 6", st.ActivationsStarted)

@@ -3,25 +3,27 @@ package experiment
 import (
 	"runtime"
 	"testing"
-	"time"
 
+	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/conformance"
-	"github.com/rtcl/bcp/internal/sim"
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 // TestStormWideTorus runs mass-failure cycles on the loaded torus with a
-// streaming conformance checker attached, then drains and audits quiescence:
-// after every victim has been crashed and repaired once, the network must be
-// back to a clean steady state with no leaked claims, timers, or soft state.
+// streaming conformance checker attached, Γ rule on, then drains and audits
+// quiescence: after every victim has been crashed and repaired once, the
+// network must be back to a clean steady state with no leaked claims,
+// timers, or soft state.
 func TestStormWideTorus(t *testing.T) {
-	chk := conformance.New(conformance.Params{
-		// No Γ bound: a node failure floods shared links with hundreds of
-		// contending reports and activations, so the closed-form
-		// uncontended bound does not apply. In-flight deliveries get one
-		// propagation delay plus residual transmission.
-		PropSlack: sim.Duration(5 * time.Millisecond),
-	})
-	s, err := NewStormWide(StormWideConfig{Seed: 1, Sink: chk})
+	// NewStormWide runs DefaultConfig timing (it sets only the rejoin and
+	// replenish timers), so that is the configuration the bound is for. A
+	// node failure floods shared links with hundreds of contending reports
+	// and activations under an RCC far below §5.2; the sampled sources are
+	// where that either shows up in Γ or does not.
+	p := bcpd.DefaultConfig().Conformance(torusCapacityMbps)
+	chk := conformance.New(p)
+	worst := newGammaWorst(p)
+	s, err := NewStormWide(StormWideConfig{Seed: 1, Sink: trace.Tee{chk, worst}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +33,7 @@ func TestStormWideTorus(t *testing.T) {
 	if err := s.Run(len(s.Victims)); err != nil {
 		t.Fatal(err)
 	}
+	maxChans, need := bcpd.RCCProvisioning(s.Mgr)
 	if got := len(s.Latencies()); got == 0 {
 		t.Fatal("no source-switch latencies sampled across a full victim rotation")
 	}
@@ -38,6 +41,11 @@ func TestStormWideTorus(t *testing.T) {
 	for _, v := range chk.Finish() {
 		t.Errorf("conformance: %v", v)
 	}
+	if got := chk.GammaChecked(); got < 16 {
+		t.Errorf("GammaChecked = %d, want >= 16: the bound is on but was not exercised", got)
+	}
+	t.Logf("§5.2 asks %d B (%d channels on the worst pair), S_max is %d B; %d recoveries checked, worst Γ/bound %v",
+		need, maxChans, bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), worst)
 	if q := s.Net.CheckQuiescence(); len(q) != 0 {
 		t.Errorf("quiescence after drain: %v", q)
 	}

@@ -14,62 +14,71 @@ import (
 )
 
 // TraceScenario parameterizes the deterministic single-connection
-// failure-recovery run shared by cmd/bcptrace, the golden-trace regression
-// test, and the wire fuzz-corpus seeding: an 8-hop connection across the
-// paper's torus, one primary link crash mid-run, optional backup hit and
-// repair.
+// failure-recovery run every single-connection harness is built on —
+// cmd/bcptrace, the golden-trace regression test, the wire fuzz-corpus
+// seeding, the Section 5 and scheme-comparison tables, and Storm: an 8-hop
+// connection across the paper's torus with degree-1 disjoint backups, one
+// primary link crash mid-run, optional backup hit and repair.
 type TraceScenario struct {
-	Scheme   bcpd.Scheme
-	FailPos  int // primary link index to crash
-	Backups  int
+	FailPos  int          // primary link index to crash
+	Backups  int          // degree-1 disjoint backups
 	HitFirst bool         // also crash the first backup's last link
+	FailAt   sim.Time     // the crash instant
 	Repair   sim.Duration // repair the failed primary link after this delay (0 = never)
-	Rate     float64      // data message rate (msgs/s)
+	Rate     float64      // data message rate (msgs/s); 0 runs the control plane only
 	RunFor   sim.Duration
 
-	// Sink, when non-nil, receives the event stream in addition to the
-	// run's own recorder (e.g. a live renderer).
-	Sink trace.Sink
-	// FrameTap, when non-nil, observes every marshaled RCC frame.
-	FrameTap func(link topology.LinkID, frame []byte)
+	Seed int64       // engine seed; same scenario, same run
+	Core core.Config // resource-plane configuration
+	// Config is the protocol configuration the network runs under,
+	// including the scheme, the event sink and the frame tap.
+	Config bcpd.Config
 }
 
 // DefaultTraceScenario mirrors bcptrace's defaults: Scheme 3, third primary
-// link crashed, one backup, 500 msgs/s, 3 simulated seconds.
+// link crashed at 50 ms, one backup, 500 msgs/s, 3 simulated seconds, and
+// rejoin timers short enough that a repaired channel rejoins inside the run.
 func DefaultTraceScenario() TraceScenario {
+	cfg := bcpd.DefaultConfig()
+	cfg.RejoinTimeout = sim.Duration(2 * time.Second)
+	cfg.RejoinProbeDelay = sim.Duration(100 * time.Millisecond)
 	return TraceScenario{
-		Scheme:  bcpd.Scheme3,
 		FailPos: 2,
 		Backups: 1,
+		FailAt:  sim.Time(50 * time.Millisecond),
 		Rate:    500,
 		RunFor:  sim.Duration(3 * time.Second),
+		Seed:    1,
+		Core:    core.DefaultConfig(),
+		Config:  cfg,
 	}
 }
 
-// TraceRun is the outcome of one scenario: the recorded event stream plus
-// the handles a renderer or checker needs.
+// TraceRun is one built scenario: the live network and the handles a
+// renderer, checker or cycling harness needs.
 type TraceRun struct {
-	Conn        *core.DConnection
-	Net         *bcpd.Network
-	Events      []trace.Event
-	FailAt      sim.Time
-	FailedLinks []topology.LinkID
-	// DMax is the per-hop control-delay bound of this run's configuration,
-	// for Γ-bound checking over the recorded stream.
-	DMax sim.Duration
+	Eng  *sim.Engine
+	Mgr  *core.Manager
+	Conn *core.DConnection
+	Net  *bcpd.Network
+	// Events is the recorded stream (RunTraceScenario only).
+	Events []trace.Event
+
+	scenario TraceScenario
 }
 
-// RunTraceScenario executes the scenario to completion. The run is fully
-// deterministic: same scenario, same stream.
-func RunTraceScenario(s TraceScenario) (TraceRun, error) {
-	g := topology.NewTorus(8, 8, 200)
-	eng := sim.New(1)
-	mgr := core.NewManager(g, core.DefaultConfig())
+// Build loads the torus, establishes the connection, boots the protocol
+// network and starts the source; nothing has failed yet.
+func (s TraceScenario) Build() (*TraceRun, error) {
+	g := NewGraph(Torus8x8)
+	eng := sim.New(s.Seed)
+	mgr := core.NewManager(g, s.Core)
 
+	// An 8-hop connection across the torus: (0,0) -> (4,4).
 	src, dst := topology.NodeID(0), topology.NodeID(36)
 	paths := mgr.Router().SequentialDisjointPaths(src, dst, s.Backups+1, routing.Constraint{})
 	if len(paths) < s.Backups+1 {
-		return TraceRun{}, fmt.Errorf("experiment: only %d disjoint paths for %d channels", len(paths), s.Backups+1)
+		return nil, fmt.Errorf("experiment: only %d disjoint paths for %d channels", len(paths), s.Backups+1)
 	}
 	degrees := make([]int, s.Backups)
 	for i := range degrees {
@@ -77,51 +86,57 @@ func RunTraceScenario(s TraceScenario) (TraceRun, error) {
 	}
 	conn, err := mgr.EstablishOnPaths(rtchan.DefaultSpec(), paths[0], paths[1:s.Backups+1], degrees)
 	if err != nil {
-		return TraceRun{}, err
+		return nil, err
+	}
+	if s.FailPos < 0 || s.FailPos >= conn.Primary.Path.Hops() {
+		return nil, fmt.Errorf("experiment: fail index %d out of range", s.FailPos)
 	}
 
-	rec := &trace.Recorder{}
-	var sink trace.Sink = rec
-	if s.Sink != nil {
-		sink = trace.Tee{rec, s.Sink}
+	net := bcpd.New(eng, mgr, s.Config)
+	if s.Rate > 0 {
+		if err := net.StartTraffic(conn.ID, s.Rate); err != nil {
+			return nil, err
+		}
 	}
-	cfg := bcpd.DefaultConfig()
-	cfg.Scheme = s.Scheme
-	cfg.RejoinTimeout = sim.Duration(2 * time.Second)
-	cfg.RejoinProbeDelay = sim.Duration(100 * time.Millisecond)
-	cfg.Sink = sink
-	cfg.FrameTap = s.FrameTap
-	net := bcpd.New(eng, mgr, cfg)
-	if err := net.StartTraffic(conn.ID, s.Rate); err != nil {
-		return TraceRun{}, err
-	}
+	return &TraceRun{Eng: eng, Mgr: mgr, Conn: conn, Net: net, scenario: s}, nil
+}
 
-	if s.FailPos < 0 || s.FailPos >= len(conn.Primary.Path.Links()) {
-		return TraceRun{}, fmt.Errorf("experiment: fail index %d out of range", s.FailPos)
+// Run schedules the scenario's crash (and repair) and runs it to completion.
+func (r *TraceRun) Run() {
+	s := r.scenario
+	failed := []topology.LinkID{r.Conn.Primary.Path.Links()[s.FailPos]}
+	if s.HitFirst && len(r.Conn.Backups) > 0 {
+		// The first backup's last link: the source cannot know and
+		// activates it first, paying the full retrial round trip — the
+		// 2(b-1)(K-1)·D_max term of the bound.
+		bl := r.Conn.Backups[0].Path.Links()
+		failed = append(failed, bl[len(bl)-1])
 	}
-	run := TraceRun{
-		Conn:   conn,
-		Net:    net,
-		FailAt: sim.Time(50 * time.Millisecond),
-		DMax:   perHopBound(cfg, 200, cfg.DataMsgSize),
-	}
-	failLink := conn.Primary.Path.Links()[s.FailPos]
-	run.FailedLinks = append(run.FailedLinks, failLink)
-	if s.HitFirst && len(conn.Backups) > 0 {
-		bl := conn.Backups[0].Path.Links()
-		run.FailedLinks = append(run.FailedLinks, bl[len(bl)-1])
-	}
-	eng.At(run.FailAt, func() {
-		for _, l := range run.FailedLinks {
-			net.FailLink(l)
+	r.Eng.At(s.FailAt, func() {
+		for _, l := range failed {
+			r.Net.FailLink(l)
 		}
 	})
 	if s.Repair > 0 {
-		eng.At(run.FailAt.Add(s.Repair), func() {
-			net.RepairLink(failLink)
-		})
+		r.Eng.At(s.FailAt.Add(s.Repair), func() { r.Net.RepairLink(failed[0]) })
 	}
-	eng.RunFor(s.RunFor)
+	r.Eng.RunFor(s.RunFor)
+}
+
+// RunTraceScenario builds and runs the scenario with a recorder on its
+// event stream. The run is fully deterministic: same scenario, same stream.
+func RunTraceScenario(s TraceScenario) (*TraceRun, error) {
+	rec := &trace.Recorder{}
+	if s.Config.Sink != nil {
+		s.Config.Sink = trace.Tee{rec, s.Config.Sink}
+	} else {
+		s.Config.Sink = rec
+	}
+	run, err := s.Build()
+	if err != nil {
+		return nil, err
+	}
+	run.Run()
 	run.Events = rec.Events
 	return run, nil
 }

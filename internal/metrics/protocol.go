@@ -118,15 +118,6 @@ func (a *ProtocolAggregator) Emit(ev trace.Event) {
 	}
 }
 
-// EmitBatch folds a batch of events, e.g. from a trace.ArenaSink flush
-// callback: NewArenaSink(cap, agg.EmitBatch) aggregates full-fidelity
-// traces through a fixed-size arena with no per-event allocation.
-func (a *ProtocolAggregator) EmitBatch(evs []trace.Event) {
-	for _, ev := range evs {
-		a.Emit(ev)
-	}
-}
-
 // Reset zeroes every counter and histogram so the aggregator can fold a
 // fresh run, keeping all allocations.
 func (a *ProtocolAggregator) Reset() {

@@ -27,9 +27,6 @@ func NewCTMC(n int) *CTMC {
 	return &CTMC{n: n, q: q}
 }
 
-// NumStates returns the number of states.
-func (c *CTMC) NumStates() int { return c.n }
-
 // SetRate sets the transition rate from state i to state j.
 func (c *CTMC) SetRate(i, j int, rate float64) {
 	if i == j {

@@ -166,9 +166,6 @@ func (l *Link) drop(p Packet) {
 	}
 }
 
-// Down reports whether the link is failed.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown marks the link failed or repaired. Packets queued or in flight
 // when the link goes down are lost (a crashed link "loses all messages
 // transmitted over it").
@@ -208,15 +205,6 @@ func (l *Link) Each(fn func(Packet)) {
 	for i := l.flight.head; i < len(l.flight.q); i++ {
 		fn(l.flight.q[i])
 	}
-}
-
-// QueueLen returns the number of queued packets across classes.
-func (l *Link) QueueLen() int {
-	n := 0
-	for c := range l.queues {
-		n += l.queues[c].len()
-	}
-	return n
 }
 
 // Enqueue submits a packet for transmission.

@@ -18,7 +18,7 @@ import (
 func recordedFrames(tb testing.TB) [][]byte {
 	var frames [][]byte
 	s := experiment.DefaultTraceScenario()
-	s.FrameTap = func(_ topology.LinkID, frame []byte) {
+	s.Config.FrameTap = func(_ topology.LinkID, frame []byte) {
 		frames = append(frames, append([]byte(nil), frame...))
 	}
 	if _, err := experiment.RunTraceScenario(s); err != nil {
