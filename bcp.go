@@ -235,7 +235,7 @@ var (
 	// NewRouter builds a reusable routing engine for one graph: all
 	// searches (Distance, ShortestPath, the paper's SequentialDisjointPaths,
 	// the flow-based MaxDisjointPaths of [WHA90, SID91]) share its scratch
-	// arenas and SPT cache (single-threaded).
+	// arenas and distance rows (single-threaded).
 	NewRouter = routing.NewRouter
 )
 

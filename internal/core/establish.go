@@ -300,12 +300,26 @@ func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow
 	if cfg.BackupSlackHops >= 0 {
 		// QoS bound for the backup: after activation it carries the primary
 		// traffic, so its length is bounded relative to the shortest
-		// disjoint path regardless of current bandwidth availability. Only
-		// the length is needed, so skip the backtrack and materialization.
-		unconstrained := pc.excl.Constrain(routing.Constraint{})
-		if hops := pc.router.ShortestDistance(src, dst, unconstrained); hops >= 0 {
-			c.MaxHops = hops + cfg.BackupSlackHops
+		// disjoint path regardless of current bandwidth availability. That
+		// distance is never below the cached unconstrained one, so a path
+		// found within Distance+slack is within the bound, and is the path
+		// the search under the exact bound returns (the labels below its
+		// length are the same): only a miss pays for the exclusion-aware
+		// distance. A hop-bounded weighted search depends on the bound
+		// itself, so load-aware routing always starts from the exact one.
+		tried := 0
+		if cfg.BackupRouting != RouteLoadAware {
+			tried = pc.router.Distance(src, dst) + cfg.BackupSlackHops
+			c.MaxHops = tried
+			if links, ok := pc.router.ShortestLinks(src, dst, c); ok {
+				return links, true
+			}
 		}
+		hops := pc.router.ShortestDistance(src, dst, pc.excl.Constrain(routing.Constraint{}))
+		if hops < 0 || hops+cfg.BackupSlackHops <= tried {
+			return nil, false // cut off by the exclusion, or nothing new to try
+		}
+		c.MaxHops = hops + cfg.BackupSlackHops
 	}
 	if cfg.BackupRouting == RouteLoadAware {
 		// [HAN97b]: weight each link by the spare-pool growth the backup

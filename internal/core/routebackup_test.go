@@ -1,0 +1,135 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/rtcl/bcp/internal/routing"
+	"github.com/rtcl/bcp/internal/rtchan"
+	"github.com/rtcl/bcp/internal/topology"
+)
+
+// twoSearchPolicy is the §3.4 routing of one request as it was before
+// routeBackup searched once: the primary within Distance+SlackHops, then for
+// the backup always the exclusion-only distance first and one feasible search
+// under exactly that bound. It runs on its own Router and its own rng, so it
+// shares nothing with the Manager under test but the plan it reads.
+type twoSearchPolicy struct {
+	m   *Manager
+	r   *routing.Router
+	rng *rand.Rand // nil, or seeded like the Manager's TieBreak
+}
+
+// route returns the primary's and the backup's links, or the error string
+// Establish rejects the request with when routing fails.
+func (p *twoSearchPolicy) route(src, dst topology.NodeID, spec rtchan.TrafficSpec) (prim, backup []topology.LinkID, reject string) {
+	g := p.m.Graph()
+	feasible := func(l topology.LinkID) bool { return p.m.plan.net.Free(l) >= spec.Bandwidth-1e-9 }
+	primaryMax := p.r.Distance(src, dst) + spec.SlackHops
+	links, ok := p.r.ShortestLinks(src, dst, routing.Constraint{MaxHops: primaryMax, TieBreak: p.rng, LinkAllowed: feasible})
+	if !ok {
+		return nil, nil, fmt.Sprintf("core: no feasible primary path %d->%d within %d hops", src, dst, primaryMax)
+	}
+	prim = slices.Clone(links)
+	excl := routing.NewExclusion()
+	for i, l := range prim {
+		excl.AddLink(l)
+		if i > 0 {
+			excl.AddNode(g.Link(l).From)
+		}
+	}
+	c := excl.Constrain(routing.Constraint{TieBreak: p.rng, LinkAllowed: feasible})
+	if hops := p.r.ShortestDistance(src, dst, excl.Constrain(routing.Constraint{})); hops >= 0 {
+		c.MaxHops = hops + p.m.plan.cfg.BackupSlackHops
+	}
+	links, ok = p.r.ShortestLinks(src, dst, c)
+	if !ok {
+		return prim, nil, fmt.Sprintf("core: no feasible disjoint path for backup 1 of %d->%d", src, dst)
+	}
+	return prim, slices.Clone(links), ""
+}
+
+// TestRouteBackupMatchesTwoSearchPolicy loads a torus with every ordered pair,
+// checking each establishment against the two-search policy before it
+// commits: the same primary, the same backup, the same rejection, and — with
+// randomized ties — the same number of rng draws. The evaluation torus takes
+// the whole workload; the starved one runs out of bandwidth, so some backups
+// are longer than Distance+slack (found only under the exact bound) and some
+// are rejected.
+func TestRouteBackupMatchesTwoSearchPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity float64
+		seeded   bool
+	}{
+		{"loaded", 200, false},
+		{"loaded-tiebreak", 200, true},
+		{"starved", 80, false},
+		{"starved-tiebreak", 80, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := topology.NewTorus(8, 8, tc.capacity)
+			cfg := DefaultConfig()
+			ref := &twoSearchPolicy{r: routing.NewRouter(g)}
+			if tc.seeded {
+				cfg.TieBreak = rand.New(rand.NewSource(7))
+				ref.rng = rand.New(rand.NewSource(7))
+			}
+			m := NewManager(g, cfg)
+			ref.m = m
+			spec := rtchan.DefaultSpec()
+			var backups, pastSlack, rejected, wantSearches uint64
+			for s := topology.NodeID(0); int(s) < g.NumNodes(); s++ {
+				for d := topology.NodeID(0); int(d) < g.NumNodes(); d++ {
+					if s == d {
+						continue
+					}
+					prim, backup, reject := ref.route(s, d, spec)
+					conn, err := m.Establish(s, d, spec, []int{3})
+					wantSearches++ // the primary's
+					if prim != nil {
+						wantSearches++ // the backup's first, and for most its only one
+					}
+					if reject != "" {
+						rejected++
+						if err == nil || err.Error() != reject {
+							t.Fatalf("%d->%d: Establish = %v, the two-search policy rejects with %q", s, d, err, reject)
+						}
+						continue
+					}
+					if err != nil {
+						// Routed alike; the spare pool could not grow. The
+						// probe is not routing's business.
+						continue
+					}
+					if got := conn.Primary.Path.Links(); !slices.Equal(got, prim) {
+						t.Fatalf("%d->%d: primary %v, the two-search policy routes %v", s, d, got, prim)
+					}
+					if got := conn.Backups[0].Path.Links(); !slices.Equal(got, backup) {
+						t.Fatalf("%d->%d: backup %v, the two-search policy routes %v", s, d, got, backup)
+					}
+					backups++
+					if len(backup) > ref.r.Distance(s, d)+cfg.BackupSlackHops {
+						pastSlack++
+					}
+				}
+			}
+			if tc.seeded && cfg.TieBreak.Int63() != ref.rng.Int63() {
+				t.Fatal("the tie-break rng ended in a different state than under the two-search policy")
+			}
+			st := m.estCtx.router.Stats()
+			extra := st.Searches - wantSearches
+			t.Logf("%d backups (%d past Distance+slack), %d rejected; router %+v, %d searches beyond one per channel",
+				backups, pastSlack, rejected, st, extra)
+			if tc.capacity < 200 {
+				if pastSlack == 0 || rejected == 0 {
+					t.Fatalf("the starved torus missed a side of the exact bound: %d backups past the slack, %d rejected", pastSlack, rejected)
+				}
+			} else if rejected != 0 || extra*20 > backups {
+				t.Fatalf("loaded torus: %d rejected, %d searches beyond one per channel for %d backups; want 0 and under 5%%", rejected, extra, backups)
+			}
+		})
+	}
+}

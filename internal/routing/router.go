@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math"
+
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -8,13 +10,15 @@ import (
 // piece of scratch state the searches need — generation-stamped label
 // arrays, the BFS queue, the Dijkstra heap, the unit-capacity flow network —
 // so repeated searches allocate nothing once the arenas are warm. It also
-// caches one unconstrained shortest-path tree per source node, so batch
-// workloads that query Distance for every pair (all-pairs establishment) pay
-// N tree builds instead of N² breadth-first searches.
+// caches one unconstrained distance-to-destination row per destination node.
+// The row answers Distance in O(1), so batch workloads that query every pair
+// (all-pairs establishment) pay N tree builds instead of N² breadth-first
+// searches, and it is the lower bound that keeps every constrained search
+// inside the nodes that can still lie on a short enough path (bfsForward).
 //
-// Arenas and the SPT cache are stamped with the graph's Version (its
+// Arenas and the distance rows are stamped with the graph's Version (its
 // mutation epoch): the first search after an AddLink resizes the arenas and
-// drops every cached tree. Graphs are immutable once their generator
+// drops every cached row. Graphs are immutable once their generator
 // returns, so in steady state the version check is a single compare.
 //
 // A Router is not safe for concurrent use. Parallel drivers build one
@@ -48,9 +52,12 @@ type Router struct {
 	dVia  []topology.LinkID
 	heap  []pqItem
 
-	// spt[src] is the unconstrained hop distance from src to every node
-	// (-1 unreachable), built lazily, dropped on a version change.
-	spt [][]int32
+	// toDst[dst][n] is the unconstrained hop distance from n to dst (-1
+	// unreachable): one reverse BFS per row, built lazily, dropped on a
+	// version change.
+	toDst [][]int32
+
+	stats Stats
 
 	// Pooled flow network for the disjoint-path max-flow.
 	fnEdges  [][]flowEdge
@@ -63,6 +70,18 @@ type Router struct {
 
 	seqExcl *Exclusion // SequentialDisjointPaths' reusable exclusion
 }
+
+// Stats counts the work of the constrained searches (ShortestLinks,
+// ShortestPath, ShortestDistance) since the Router was created.
+type Stats struct {
+	Searches uint64 // searches that ran at least one pass
+	Raises   uint64 // passes re-run because the bound had to be raised
+	Plain    uint64 // searches that ended in the plain, MaxHops-only pass
+	Labelled uint64 // nodes labelled, summed over every pass
+}
+
+// Stats returns the search counters.
+func (r *Router) Stats() Stats { return r.stats }
 
 // pqItem is a priority-queue entry for Dijkstra's algorithm.
 type pqItem struct {
@@ -85,7 +104,7 @@ func (r *Router) Graph() *topology.Graph { return r.g }
 
 // sync sizes the arenas for the graph's current version. Steady state is a
 // single uint64 compare; after a mutation it regrows what changed and drops
-// the per-source SPT cache (the epoch invalidation rule).
+// the distance rows (the epoch invalidation rule).
 func (r *Router) sync() {
 	v := r.g.Version()
 	if r.init && v == r.gver {
@@ -108,14 +127,8 @@ func (r *Router) sync() {
 		r.usedOut = make([][]int32, 2*n)
 		r.usedHead = make([]int32, 2*n)
 	}
-	// Drop the SPT cache: the link set changed under it.
-	if len(r.spt) != n {
-		r.spt = make([][]int32, n)
-	} else {
-		for i := range r.spt {
-			r.spt[i] = nil
-		}
-	}
+	// Drop the distance rows: the link set changed under them.
+	r.toDst = make([][]int32, n)
 	r.gver = v
 	r.init = true
 }
@@ -157,84 +170,132 @@ func (r *Router) nextMark() uint32 {
 }
 
 // Distance returns the unconstrained hop distance from src to dst, or -1 if
-// unreachable, answered from the per-source shortest-path tree (built on
-// first query for src, O(1) afterwards). Used to evaluate the paper's QoS
-// rule: a channel meets its end-to-end delay requirement iff its path is at
-// most 2 hops longer than the shortest possible path.
+// unreachable, answered from dst's distance row (built on first query for
+// dst, O(1) afterwards). Used to evaluate the paper's QoS rule: a channel
+// meets its end-to-end delay requirement iff its path is at most 2 hops
+// longer than the shortest possible path.
 func (r *Router) Distance(src, dst topology.NodeID) int {
 	r.sync()
-	t := r.spt[src]
-	if t == nil {
-		t = r.buildSPT(src)
-	}
-	return int(t[dst])
+	return int(r.distTo(dst)[src])
 }
 
-// buildSPT runs one full unconstrained BFS from src and caches the distance
-// vector. The vector allocation is the cache entry itself (amortized across
-// every later Distance query), not per-call scratch.
-func (r *Router) buildSPT(src topology.NodeID) []int32 {
+// distTo returns dst's distance row, running one full unconstrained BFS over
+// the in-links on first use. The vector allocation is the cache entry itself
+// (amortized across every later query and search toward dst), not per-call
+// scratch.
+func (r *Router) distTo(dst topology.NodeID) []int32 {
+	if t := r.toDst[dst]; t != nil {
+		return t
+	}
 	g := r.g
 	t := make([]int32, g.NumNodes())
 	for i := range t {
 		t[i] = -1
 	}
-	t[src] = 0
-	q := r.queue[:0]
-	q = append(q, src)
+	t[dst] = 0
+	q := append(r.queue[:0], dst)
 	for head := 0; head < len(q); head++ {
 		n := q[head]
-		for _, l := range g.Out(n) {
-			to := g.Link(l).To
-			if t[to] >= 0 {
+		for _, l := range g.In(n) {
+			from := g.Link(l).From
+			if t[from] >= 0 {
 				continue
 			}
-			t[to] = t[n] + 1
-			q = append(q, to)
+			t[from] = t[n] + 1
+			q = append(q, from)
 		}
 	}
 	r.queue = q
-	r.spt[src] = t
+	r.toDst[dst] = t
 	return t
 }
 
-// bfsForward labels reachable nodes with their constrained hop distance
-// from src, stopping once target is dequeued (every node at a strictly
-// smaller distance is fully labeled by then). Returns the stamp identifying
-// this search's labels.
+// maxRaises is how many times a search raises its bound before one plain
+// pass, bounded by MaxHops alone, takes over. Each raise restarts the
+// labelling, so a target far beyond its unconstrained distance must not
+// cost a pass per hop of detour.
+const maxRaises = 3
+
+// bfsForward labels nodes with their constrained hop distance from src,
+// goal-directed: with h(n) the unconstrained distance from n to target, a
+// pass at bound B admits a node only when dist+1+h ≤ B, and tests that
+// before the constraint, so the links it prunes are never consulted. B
+// starts at h(src) and is raised to the smallest pruned dist+1+h until
+// target is labelled, nothing within MaxHops was pruned, or maxRaises is
+// spent and the bound becomes MaxHops itself.
+//
+// h obeys the triangle inequality, so every node on a constrained path of
+// length ≤ B passes the test and is reached in BFS order: a pass labels
+// exactly the nodes with d+h ≤ B, each with its true constrained distance d.
+// A shortest path's nodes all have d+h ≤ its length, which is why the
+// backtrack in ShortestLinks finds the same candidates, in the same order,
+// as after an exhaustive search. Returns the stamp of the last pass, which
+// is always a fresh one: a search that labels nothing must not hand back the
+// previous search's labels.
 func (r *Router) bfsForward(src topology.NodeID, c Constraint, target topology.NodeID) uint32 {
+	h := r.distTo(target)
+	limit := int32(math.MaxInt32)
+	if c.MaxHops > 0 && c.MaxHops < math.MaxInt32 {
+		limit = int32(c.MaxHops)
+	}
+	bound := h[src]
+	if bound < 0 || bound > limit {
+		return r.nextGen()
+	}
+	r.stats.Searches++
+	for raises := 0; ; raises++ {
+		gen, next := r.bfsPass(src, c, target, h, bound, limit)
+		if r.nodeGen[target] == gen || next == 0 {
+			return gen
+		}
+		bound = next
+		if raises == maxRaises {
+			bound = limit
+			r.stats.Plain++
+		}
+		r.stats.Raises++
+	}
+}
+
+// bfsPass is one labelling pass of bfsForward at the given bound, stopping
+// once target is dequeued (every node at a strictly smaller distance is
+// fully labeled by then). next is the smallest dist+1+h the bound pruned
+// that limit would still admit, or 0 when there is none and a higher bound
+// could label nothing more.
+func (r *Router) bfsPass(src topology.NodeID, c Constraint, target topology.NodeID, h []int32, bound, limit int32) (gen uint32, next int32) {
 	g := r.g
-	gen := r.nextGen()
+	gen = r.nextGen()
 	r.dist[src] = 0
 	r.nodeGen[src] = gen
-	q := r.queue[:0]
-	q = append(q, src)
+	q := append(r.queue[:0], src)
 	for head := 0; head < len(q); head++ {
 		n := q[head]
 		if n == target {
 			break
 		}
-		if c.MaxHops > 0 && int(r.dist[n]) >= c.MaxHops {
-			continue
-		}
+		d := r.dist[n] + 1
 		for _, l := range g.Out(n) {
-			if !c.linkOK(l) {
-				continue
-			}
 			to := g.Link(l).To
-			if r.nodeGen[to] == gen {
+			if r.nodeGen[to] == gen || h[to] < 0 {
 				continue
 			}
-			if to != target && !c.nodeOK(to) {
+			if f := d + h[to]; f > bound {
+				if f <= limit && (next == 0 || f < next) {
+					next = f
+				}
 				continue
 			}
-			r.dist[to] = r.dist[n] + 1
+			if !c.linkOK(l) || (to != target && !c.nodeOK(to)) {
+				continue
+			}
+			r.dist[to] = d
 			r.nodeGen[to] = gen
 			q = append(q, to)
 		}
 	}
 	r.queue = q
-	return gen
+	r.stats.Labelled += uint64(len(q))
+	return gen, next
 }
 
 // ShortestDistance returns the hop count of a shortest src→dst path under c,
@@ -273,48 +334,28 @@ func (r *Router) ShortestLinks(src, dst topology.NodeID, c Constraint) ([]topolo
 	}
 	links := r.links[:n]
 	// Backtrack from dst, at each step choosing an in-link whose tail is one
-	// hop closer to src. Randomized tie-breaking when c.TieBreak is set.
+	// hop closer to src: the lowest link id, or a c.TieBreak draw among them.
 	cur := dst
 	for d := n; d > 0; d-- {
-		var choice topology.LinkID
+		cands := r.cand[:0]
+		for _, l := range g.In(cur) {
+			from := g.Link(l).From
+			if r.nodeGen[from] != gen || int(r.dist[from]) != d-1 {
+				continue
+			}
+			if !c.linkOK(l) || (from != src && !c.nodeOK(from)) {
+				continue
+			}
+			cands = append(cands, l)
+		}
+		r.cand = cands
+		choice := cands[0]
 		if c.TieBreak == nil {
-			// Deterministic: lowest link id wins.
-			choice = topology.NoLink
-			for _, l := range g.In(cur) {
-				if !c.linkOK(l) {
-					continue
-				}
-				from := g.Link(l).From
-				if r.nodeGen[from] != gen || int(r.dist[from]) != d-1 {
-					continue
-				}
-				if from != src && !c.nodeOK(from) {
-					continue
-				}
-				if choice == topology.NoLink || l < choice {
-					choice = l
-				}
+			for _, l := range cands[1:] {
+				choice = min(choice, l)
 			}
-		} else {
-			cands := r.cand[:0]
-			for _, l := range g.In(cur) {
-				if !c.linkOK(l) {
-					continue
-				}
-				from := g.Link(l).From
-				if r.nodeGen[from] != gen || int(r.dist[from]) != d-1 {
-					continue
-				}
-				if from != src && !c.nodeOK(from) {
-					continue
-				}
-				cands = append(cands, l)
-			}
-			r.cand = cands
-			choice = cands[0]
-			if len(cands) > 1 {
-				choice = cands[c.TieBreak.Intn(len(cands))]
-			}
+		} else if len(cands) > 1 {
+			choice = cands[c.TieBreak.Intn(len(cands))]
 		}
 		links[d-1] = choice
 		cur = g.Link(choice).From
@@ -481,18 +522,6 @@ func (r *Router) MinCostLinks(src, dst topology.NodeID, c Constraint, w WeightFu
 	}
 	r.links = links
 	return links, true
-}
-
-// MinCostPath returns a minimum-cost path from src to dst under c with link
-// costs given by w, and whether one exists.
-func (r *Router) MinCostPath(src, dst topology.NodeID, c Constraint, w WeightFunc) (topology.Path, bool) {
-	links, ok := r.MinCostLinks(src, dst, c, w)
-	if !ok {
-		return topology.Path{}, false
-	}
-	// MinCostLinks' mark-stamp walk already rejected revisits, and the via
-	// chain is contiguous by construction.
-	return topology.NewPathUnchecked(r.g, links, r.nodesFor(links)), true
 }
 
 // SequentialDisjointPaths implements the paper's routing discipline: it

@@ -2,7 +2,9 @@ package routing
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -415,7 +417,27 @@ func corpusGraphs() []*topology.Graph {
 		deg := 2.5 + float64(seed)*0.3
 		gs = append(gs, topology.NewRandom(n, deg, 100, seed))
 	}
+	for seed := int64(1); seed <= 4; seed++ {
+		gs = append(gs, oneWayGraph(6+int(seed)*6, seed))
+	}
 	return gs
+}
+
+// oneWayGraph is a directed cycle over n nodes with as many one-way chords,
+// so the distance to a node is not the distance from it, plus a node nothing
+// leads to (n) and a node that leads nowhere (n+1): an unreachable target
+// and an unreachable source for every other node.
+func oneWayGraph(n int, seed int64) *topology.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := topology.NewGraph("oneway", n+2)
+	add := func(a, b int) { _, _ = g.AddLink(topology.NodeID(a), topology.NodeID(b), 100) } // duplicates and self-loops are skipped
+	for i := 0; i < n; i++ {
+		add(i, (i+1)%n)
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	add(n, 0)
+	add(1, n+1)
+	return g
 }
 
 // corpusConstraint derives a deterministic pseudo-random constraint from
@@ -465,6 +487,33 @@ func corpusConstraint(g *topology.Graph, variant int, rng *rand.Rand) (router, r
 	return router, ref
 }
 
+// compareSearches runs the constrained searches on r and on the references and
+// demands the same distance, the same link sequence under both tie-break
+// rules, and, for the randomized one, the same rng state afterwards: the
+// Router must draw from c.TieBreak exactly when the reference does.
+func compareSearches(t *testing.T, tag string, r *Router, src, dst topology.NodeID, cRouter, cRef Constraint, seed int64) {
+	t.Helper()
+	g := r.Graph()
+	if got, want := r.ShortestDistance(src, dst, cRouter), refDistance(g, src, dst, cRef); got != want {
+		t.Fatalf("%s: ShortestDistance(%d,%d) = %d, want %d", tag, src, dst, got, want)
+	}
+	gp, gok := r.ShortestPath(src, dst, cRouter)
+	wp, wok := refShortestPath(g, src, dst, cRef)
+	if gok != wok || (gok && !samePath(gp, wp)) {
+		t.Fatalf("%s: ShortestPath(%d,%d) = %v,%v want %v,%v", tag, src, dst, gp, gok, wp, wok)
+	}
+	cRouter.TieBreak = rand.New(rand.NewSource(seed))
+	cRef.TieBreak = rand.New(rand.NewSource(seed))
+	gp, gok = r.ShortestPath(src, dst, cRouter)
+	wp, wok = refShortestPath(g, src, dst, cRef)
+	if gok != wok || (gok && !samePath(gp, wp)) {
+		t.Fatalf("%s: tie-broken ShortestPath(%d,%d) = %v,%v want %v,%v", tag, src, dst, gp, gok, wp, wok)
+	}
+	if cRouter.TieBreak.Int63() != cRef.TieBreak.Int63() {
+		t.Fatalf("%s: tie-broken ShortestPath(%d,%d) left the rng in a different state", tag, src, dst)
+	}
+}
+
 // TestRouterMatchesReference is the equivalence property: one Router per
 // graph, reused across every query and compared against the from-scratch
 // implementations on the same inputs. Link sequences must match exactly.
@@ -480,34 +529,25 @@ func TestRouterMatchesReference(t *testing.T) {
 			}
 			variant := rng.Intn(16)
 			cRouter, cRef := corpusConstraint(g, variant, rng)
+			tag := fmt.Sprintf("graph %d trial %d", gi, trial)
 
-			// Unconstrained distance (SPT cache path).
-			if got, want := r.Distance(src, dst), refDistance(g, src, dst, Constraint{}); got != want {
-				t.Fatalf("graph %d trial %d: Distance(%d,%d) = %d, want %d", gi, trial, src, dst, got, want)
+			// Unconstrained distance (distance-row path).
+			h := r.Distance(src, dst)
+			if want := refDistance(g, src, dst, Constraint{}); h != want {
+				t.Fatalf("%s: Distance(%d,%d) = %d, want %d", tag, src, dst, h, want)
 			}
-			// Constrained distance (arena BFS path).
-			if got, want := r.ShortestDistance(src, dst, cRouter), refDistance(g, src, dst, cRef); got != want {
-				t.Fatalf("graph %d trial %d: ShortestDistance(%d,%d) = %d, want %d", gi, trial, src, dst, got, want)
+			// Constrained searches (arena BFS path), first as drawn.
+			compareSearches(t, tag, r, src, dst, cRouter, cRef, rng.Int63())
+			// Then at every hop bound around the search's starting bound
+			// h(src): below it (gives up before labelling, right after a
+			// search that labelled dst), at it, and one by one up past the
+			// raises into the plain pass.
+			drawn := cRouter.MaxHops
+			for mh := max(h-1, 1); h > 0 && mh <= h+maxRaises+3; mh++ {
+				cRouter.MaxHops, cRef.MaxHops = mh, mh
+				compareSearches(t, fmt.Sprintf("%s MaxHops %d", tag, mh), r, src, dst, cRouter, cRef, rng.Int63())
 			}
-
-			// Shortest path, deterministic tie-break.
-			gp, gok := r.ShortestPath(src, dst, cRouter)
-			wp, wok := refShortestPath(g, src, dst, cRef)
-			if gok != wok || (gok && !samePath(gp, wp)) {
-				t.Fatalf("graph %d trial %d: ShortestPath(%d,%d) = %v,%v want %v,%v", gi, trial, src, dst, gp, gok, wp, wok)
-			}
-
-			// Shortest path, randomized tie-break: identical seeds must
-			// consume the rng identically and return identical paths.
-			seed := rng.Int63()
-			cr, cf := cRouter, cRef
-			cr.TieBreak = rand.New(rand.NewSource(seed))
-			cf.TieBreak = rand.New(rand.NewSource(seed))
-			gp, gok = r.ShortestPath(src, dst, cr)
-			wp, wok = refShortestPath(g, src, dst, cf)
-			if gok != wok || (gok && !samePath(gp, wp)) {
-				t.Fatalf("graph %d trial %d: tie-broken ShortestPath(%d,%d) = %v,%v want %v,%v", gi, trial, src, dst, gp, gok, wp, wok)
-			}
+			cRouter.MaxHops, cRef.MaxHops = drawn, drawn
 
 			// Weighted search. The weight is a deterministic hash of the
 			// link id, heavy on ties to stress heap-order compatibility.
@@ -515,19 +555,35 @@ func TestRouterMatchesReference(t *testing.T) {
 			w := func(l topology.LinkID) float64 {
 				return 1 + float64((int64(l)*2654435761>>16+wh)%4)
 			}
-			gp, gok = r.MinCostPath(src, dst, cRouter, w)
-			wp, wok = refMinCostPath(g, src, dst, cRef, w)
-			if gok != wok || (gok && !samePath(gp, wp)) {
-				t.Fatalf("graph %d trial %d: MinCostPath(%d,%d) = %v,%v want %v,%v", gi, trial, src, dst, gp, gok, wp, wok)
+			gl, gok := r.MinCostLinks(src, dst, cRouter, w)
+			wp, wok := refMinCostPath(g, src, dst, cRef, w)
+			if gok != wok || (gok && !slices.Equal(gl, wp.Links())) {
+				t.Fatalf("%s: MinCostLinks(%d,%d) = %v,%v want %v,%v", tag, src, dst, gl, gok, wp, wok)
 			}
 
 			// Disjoint sets, both disciplines.
 			count := 1 + rng.Intn(4)
 			if got, want := r.MaxDisjointPaths(src, dst, count, cRouter), refMaxDisjointPaths(g, src, dst, count, cRef); !samePaths(got, want) {
-				t.Fatalf("graph %d trial %d: MaxDisjointPaths(%d,%d,%d) = %v want %v", gi, trial, src, dst, count, got, want)
+				t.Fatalf("%s: MaxDisjointPaths(%d,%d,%d) = %v want %v", tag, src, dst, count, got, want)
 			}
 			if got, want := r.SequentialDisjointPaths(src, dst, count, cRouter), refSequentialDisjointPaths(g, src, dst, count, cRef); !samePaths(got, want) {
-				t.Fatalf("graph %d trial %d: SequentialDisjointPaths(%d,%d,%d) = %v want %v", gi, trial, src, dst, count, got, want)
+				t.Fatalf("%s: SequentialDisjointPaths(%d,%d,%d) = %v want %v", tag, src, dst, count, got, want)
+			}
+
+			// Last, with dst itself excluded (end nodes are always allowed) and
+			// then cut off: every link into it banned.
+			if variant&8 != 0 {
+				cRouter.Exclude.AddNode(dst)
+				compareSearches(t, tag+" dst excluded", r, src, dst, cRouter, cRef, rng.Int63())
+				for _, l := range g.In(dst) {
+					cRouter.Exclude.AddLink(l)
+				}
+				if d := r.ShortestDistance(src, dst, cRouter); d != -1 {
+					t.Fatalf("%s: ShortestDistance(%d,%d) = %d with every in-link of dst excluded", tag, src, dst, d)
+				}
+				if _, ok := r.ShortestLinks(src, dst, cRouter); ok {
+					t.Fatalf("%s: ShortestLinks(%d,%d) found a path into a cut-off dst", tag, src, dst)
+				}
 			}
 		}
 	}
@@ -535,7 +591,9 @@ func TestRouterMatchesReference(t *testing.T) {
 
 // TestRouterSeesTopologyGrowth checks the epoch invalidation rule: a Router
 // created before AddLink must observe the new link on its next query (the
-// SPT cache and arenas resize and recompute).
+// distance rows and arenas resize and recompute). The rows steer the
+// constrained searches too, so a stale one would hide a newly reachable
+// target from them, not just misreport its distance.
 func TestRouterSeesTopologyGrowth(t *testing.T) {
 	g := topology.NewLine(6, 100)
 	r := NewRouter(g)
@@ -546,11 +604,106 @@ func TestRouterSeesTopologyGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := r.Distance(0, 5); d != 1 {
-		t.Fatalf("after shortcut, distance = %d, want 1 (stale SPT cache?)", d)
+		t.Fatalf("after shortcut, distance = %d, want 1 (stale distance row?)", d)
 	}
 	if p, ok := r.ShortestPath(0, 5, Constraint{}); !ok || p.Hops() != 1 {
 		t.Fatalf("after shortcut, path = %v,%v, want the 1-hop path", p, ok)
 	}
+
+	g = topology.NewGraph("island", 4)
+	for _, e := range [][2]topology.NodeID{{0, 1}, {1, 2}} {
+		if _, err := g.AddLink(e[0], e[1], 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r = NewRouter(g)
+	if _, ok := r.ShortestLinks(0, 3, Constraint{}); ok {
+		t.Fatal("found a path to an island")
+	}
+	if _, err := g.AddLink(2, 3, 100); err != nil {
+		t.Fatal(err)
+	}
+	if links, ok := r.ShortestLinks(0, 3, Constraint{}); !ok || len(links) != 3 {
+		t.Fatalf("after the bridge, links = %v,%v, want the 3-hop path (stale distance row?)", links, ok)
+	}
+	if d := r.ShortestDistance(0, 3, Constraint{MaxHops: 3}); d != 3 {
+		t.Fatalf("after the bridge, ShortestDistance = %d, want 3", d)
+	}
+}
+
+// TestRouterGiveUpLabelsNothing pins the stamp rule of the early exits: a
+// search that gives up before its first pass (hop bound below the
+// unconstrained distance, or no way to the target at all) must not read the
+// labels the previous search left on the same target.
+func TestRouterGiveUpLabelsNothing(t *testing.T) {
+	g := topology.NewGraph("fork", 4) // 0 -> 1 -> 2, and 3 -> 0; nothing leads to 3
+	for _, e := range [][2]topology.NodeID{{0, 1}, {1, 2}, {3, 0}} {
+		if _, err := g.AddLink(e[0], e[1], 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRouter(g)
+	if d := r.ShortestDistance(0, 2, Constraint{}); d != 2 {
+		t.Fatalf("ShortestDistance(0,2) = %d, want 2", d)
+	}
+	if d := r.ShortestDistance(0, 2, Constraint{MaxHops: 1}); d != -1 {
+		t.Fatalf("ShortestDistance(0,2) within 1 hop = %d, want -1", d)
+	}
+	if _, ok := r.ShortestLinks(3, 0, Constraint{}); !ok {
+		t.Fatal("no path 3->0")
+	}
+	if _, ok := r.ShortestLinks(2, 0, Constraint{}); ok {
+		t.Fatal("found a path 2->0: the previous search's label on 0 was read")
+	}
+	want := Stats{Searches: 2, Labelled: 5}
+	if got := r.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v: the two give-ups are not searches", got, want)
+	}
+}
+
+// FuzzRouterMatchesReference drives the constrained searches of one Router
+// against the reference BFS on a fuzzer-chosen directed graph, pair, exclusion
+// and hop bound. The same Router first answers an unconstrained query to the
+// same target, so every early exit runs with that target freshly labelled.
+func FuzzRouterMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(5), uint64(0), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(27), uint64(0xf0f0), uint8(4))
+	f.Add(int64(3), uint8(3), uint8(19), ^uint64(0), uint8(9))
+	f.Fuzz(func(t *testing.T, graphSeed int64, s, d uint8, exclBits uint64, maxHops uint8) {
+		g := oneWayGraph(4+int(uint64(graphSeed)%28), graphSeed)
+		src, dst := topology.NodeID(int(s)%g.NumNodes()), topology.NodeID(int(d)%g.NumNodes())
+		if src == dst {
+			return
+		}
+		// Bit i of exclBits bans link i (mod the link count); the top byte
+		// bans nodes the same way.
+		excl := NewExclusion()
+		bannedLinks := map[topology.LinkID]bool{}
+		bannedNodes := map[topology.NodeID]bool{}
+		for i := 0; i < 56; i++ {
+			if exclBits&(1<<i) != 0 {
+				l := topology.LinkID(i % g.NumLinks())
+				excl.AddLink(l)
+				bannedLinks[l] = true
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if exclBits&(1<<(56+i)) != 0 {
+				n := topology.NodeID((i * 5) % g.NumNodes())
+				excl.AddNode(n)
+				bannedNodes[n] = true
+			}
+		}
+		cRouter := excl.Constrain(Constraint{MaxHops: int(maxHops)})
+		cRef := Constraint{
+			MaxHops:     int(maxHops),
+			LinkAllowed: func(l topology.LinkID) bool { return !bannedLinks[l] },
+			NodeAllowed: func(n topology.NodeID) bool { return !bannedNodes[n] },
+		}
+		r := NewRouter(g)
+		compareSearches(t, "unconstrained", r, src, dst, Constraint{}, Constraint{}, graphSeed)
+		compareSearches(t, "constrained", r, src, dst, cRouter, cRef, graphSeed)
+	})
 }
 
 // --- steady-state allocation guarantees ---

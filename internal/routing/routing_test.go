@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -249,23 +250,23 @@ func TestMinCostPath(t *testing.T) {
 		}
 		return 1
 	}
-	p, ok := NewRouter(g).MinCostPath(0, 1, Constraint{}, w)
+	links, ok := NewRouter(g).MinCostLinks(0, 1, Constraint{}, w)
 	if !ok {
 		t.Fatal("no path")
 	}
-	if p.Hops() != 4 {
-		t.Fatalf("hops = %d, want 4 (around the ring)", p.Hops())
+	if len(links) != 4 {
+		t.Fatalf("hops = %d, want 4 (around the ring)", len(links))
 	}
 	// With a hop bound the heavy link is the only choice.
-	p, ok = NewRouter(g).MinCostPath(0, 1, Constraint{MaxHops: 2}, w)
-	if !ok || p.Hops() != 1 {
-		t.Fatalf("bounded min-cost path wrong: ok=%v", ok)
+	links, ok = NewRouter(g).MinCostLinks(0, 1, Constraint{MaxHops: 2}, w)
+	if !ok || len(links) != 1 || links[0] != heavy {
+		t.Fatalf("bounded min-cost path wrong: %v ok=%v", links, ok)
 	}
 }
 
 func TestMinCostPathNilWeight(t *testing.T) {
 	g := topology.NewRing(5, 10)
-	if _, ok := NewRouter(g).MinCostPath(0, 1, Constraint{}, nil); ok {
+	if _, ok := NewRouter(g).MinCostLinks(0, 1, Constraint{}, nil); ok {
 		t.Fatal("nil weight should fail")
 	}
 }
@@ -291,11 +292,39 @@ func TestExclusion(t *testing.T) {
 
 func BenchmarkShortestPathTorus(b *testing.B) {
 	g := topology.NewTorus(8, 8, 200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := NewRouter(g).ShortestPath(0, 36, Constraint{}); !ok {
-			b.Fatal("no path")
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := NewRouter(g).ShortestPath(0, 36, Constraint{}); !ok {
+				b.Fatal("no path")
+			}
 		}
+	})
+	// What establishment pays per backup: a warm Router, the primary's
+	// components excluded, a feasibility predicate that rejects some links,
+	// and the slack bound. Diagonal neighbours (the backup is as short as the
+	// primary), the far corner (the widest diamond of shortest paths), and
+	// one row (every disjoint route is two hops longer, so the bound is
+	// raised).
+	for _, pair := range [][2]topology.NodeID{{1, 10}, {0, 36}, {0, 4}} {
+		src, dst := pair[0], pair[1]
+		b.Run(fmt.Sprintf("backup-%d-%d", src, dst), func(b *testing.B) {
+			r := NewRouter(g)
+			prim, _ := r.ShortestPath(src, dst, Constraint{})
+			excl := NewExclusion()
+			excl.AddPath(prim)
+			c := excl.Constrain(Constraint{
+				MaxHops:     r.Distance(src, dst) + 2,
+				LinkAllowed: func(l topology.LinkID) bool { return l%11 != 0 },
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := r.ShortestLinks(src, dst, c); !ok {
+					b.Fatal("no path")
+				}
+			}
+		})
 	}
 }
 
