@@ -21,10 +21,11 @@ one-owner:
 	! grep -rnE 'RCC\.RMax' --include='*.go' internal cmd bcp.go examples | grep -vE '^internal/(bcpd|rcc)/'
 
 # verify is the pre-merge gate: vet + build + the full suite under the race
-# detector (the parallel sweep worker pool runs even in short mode), then
+# detector (the parallel sweep worker pool runs even in short mode), after
 # bench-check, because the root commands never compile bench/ and an
-# internal/ signature change is exactly what breaks it.
-verify: bench-check one-owner
+# internal/ signature change is exactly what breaks it, and chaos-nightly,
+# which is what "same behaviour" means here.
+verify: bench-check one-owner chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -56,12 +57,12 @@ bench-pair:
 
 # chaos is the CI smoke budget: a fixed seed, a small episode count, and
 # the seeded-bug catch run under the race detector. CHAOS_SEED/CHAOS_EPISODES
-# override the defaults. chaos-nightly is the documented nightly budget —
-# 1000 episodes at seed 1 (a few seconds, zero violations) — and the
-# bit-identity gate a change that claims "same behaviour" cites: the run
-# digest covers every episode's schedule, event stream and verdict, and the
-# target fails when it is not the pinned one. A change that means to move
-# behaviour re-pins it and says why.
+# override the defaults. chaos-nightly is 1000 episodes at seed 1 (a few
+# seconds, zero violations), run by `make verify` and by CI's chaos-smoke
+# job: the bit-identity gate for "same behaviour". The run digest covers
+# every episode's schedule, event stream and verdict, and the target fails
+# when it is not the pinned one. A change that means to move behaviour
+# re-pins it and says why.
 CHAOS_SEED ?= 1
 CHAOS_EPISODES ?= 40
 chaos:

@@ -233,31 +233,28 @@ func TestPublicConcurrentSweep(t *testing.T) {
 // facadeTypeOnly lists the type aliases no caller spells as bcp.X, each with
 // the kept name whose signature or field needs the type to be nameable.
 var facadeTypeOnly = map[string]string{
-	"ConnID":           "DConnection.ID",
-	"ChannelID":        "Channel.ID",
-	"TrafficSpec":      "DefaultSpec",
-	"Channel":          "DConnection.Primary",
-	"TrialView":        "Manager.NewTrialView",
-	"EstablishRequest": "Manager.EstablishBatch",
-	"BatchOptions":     "Manager.EstablishBatch",
-	"BatchResult":      "Manager.EstablishBatch",
-	"RecoveryStats":    "Manager.Trial",
-	"ActivationOrder":  "OrderByConn",
-	"Engine":           "NewEngine",
-	"Timer":            "Engine.At",
-	"Scheme":           "Scheme1",
-	"Runtime":          "NewProtocolOn",
-	"Transport":        "NewProtocolOn",
-	"RealtimeRuntime":  "NewRealtimeRuntime",
-	"PipeTransport":    "NewPipeTransport",
-	"PostFunc":         "NewPipeTransport",
-	"Router":           "NewRouter",
-	"Exclusion":        "RoutingConstraint.Exclude",
-	"Request":          "AllPairs",
-	"Table1Result":     "RunTable1",
-	"Table2Result":     "RunTable2",
-	"SweepResult":      "Sweep",
-	"DelayModel":       "Config.DelayModel",
+	"ConnID":          "DConnection.ID",
+	"ChannelID":       "Channel.ID",
+	"TrafficSpec":     "DefaultSpec",
+	"Channel":         "DConnection.Primary",
+	"TrialView":       "Manager.NewTrialView",
+	"RecoveryStats":   "Manager.Trial",
+	"ActivationOrder": "OrderByConn",
+	"Engine":          "NewEngine",
+	"Timer":           "Engine.At",
+	"Scheme":          "Scheme1",
+	"Runtime":         "NewProtocolOn",
+	"Transport":       "NewProtocolOn",
+	"RealtimeRuntime": "NewRealtimeRuntime",
+	"PipeTransport":   "NewPipeTransport",
+	"PostFunc":        "NewPipeTransport",
+	"Router":          "NewRouter",
+	"Exclusion":       "RoutingConstraint.Exclude",
+	"Request":         "AllPairs",
+	"Table1Result":    "RunTable1",
+	"Table2Result":    "RunTable2",
+	"SweepResult":     "Sweep",
+	"DelayModel":      "Config.DelayModel",
 }
 
 // TestFacadeIsWhatIsCalled keeps bcp.go to what its callers use: every

@@ -74,14 +74,6 @@ type (
 	// network plan: create one per sweep worker with Manager.NewTrialView
 	// and call Trial concurrently.
 	TrialView = core.TrialView
-	// EstablishRequest is one establishment in a batch (the arguments of an
-	// Establish call).
-	EstablishRequest = core.EstablishRequest
-	// BatchOptions configures Manager.EstablishBatch.
-	BatchOptions = core.BatchOptions
-	// BatchResult reports a batch's per-request outcomes and pipeline
-	// statistics.
-	BatchResult = core.BatchResult
 )
 
 // DefaultSpec returns the paper's homogeneous traffic contract: 1 Mbps,
@@ -269,9 +261,6 @@ var (
 	Dynamic = workload.Dynamic
 	// EstablishWorkload applies a static workload to a manager.
 	EstablishWorkload = workload.Establish
-	// EstablishWorkloadBatch applies a static workload through the
-	// speculative batch pipeline — identical results, less wall time.
-	EstablishWorkloadBatch = workload.EstablishBatch
 	// RunChurn schedules a dynamic workload on an engine.
 	RunChurn = workload.RunChurn
 )

@@ -187,25 +187,6 @@ func BenchmarkEstablishAllPairs(b *testing.B) {
 	}
 }
 
-// benchmarkEstablishBatch measures the same 4032-connection workload as
-// BenchmarkEstablishAllPairs through the speculative plan/commit pipeline.
-// Results are bit-identical to the sequential loop; the win is wall time.
-func benchmarkEstablishBatch(b *testing.B, workers int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g := bcp.NewTorus(8, 8, 200)
-		mgr := bcp.NewManager(g, bcp.DefaultConfig())
-		reqs := bcp.AllPairs(g, bcp.DefaultSpec(), []int{3})
-		est, _ := bcp.EstablishWorkloadBatch(mgr, reqs, workers)
-		if est != 4032 {
-			b.Fatalf("established %d", est)
-		}
-	}
-}
-
-func BenchmarkEstablishBatchW1(b *testing.B) { benchmarkEstablishBatch(b, 1) }
-func BenchmarkEstablishBatchW4(b *testing.B) { benchmarkEstablishBatch(b, 4) }
-
 // BenchmarkSingleEstablish measures one D-connection setup on a loaded
 // network (routing + admission + multiplexing).
 func BenchmarkSingleEstablish(b *testing.B) {

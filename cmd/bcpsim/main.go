@@ -23,7 +23,8 @@
 //	-sample N   sample N double-node failures instead of all pairs
 //	-lambda F   per-component failure probability (default 1e-4)
 //	-seed N     seed for randomized orders/workloads
-//	-workers N  worker pool for sweeps and pipelined establishment
+//	-order O    activation order: conn (default) | priority | random
+//	-workers N  worker pool for failure sweeps and figures
 //	            (0/1 serial, -1 = GOMAXPROCS); results are identical
 //	-json       emit results as JSON instead of paper-style tables
 package main
@@ -46,7 +47,7 @@ func main() {
 		lambda  = flag.Float64("lambda", 1e-4, "per-component failure probability per time unit")
 		seed    = flag.Int64("seed", 1, "random seed")
 		order   = flag.String("order", "conn", "activation order: conn|priority|random")
-		workers = flag.Int("workers", 0, "worker pool for failure sweeps and pipelined establishment (0/1 = serial, -1 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "worker pool for failure sweeps and figures (0/1 = serial, -1 = GOMAXPROCS)")
 		asJSON  = flag.Bool("json", false, "emit results as JSON")
 	)
 	flag.Parse()

@@ -178,6 +178,11 @@ type linkRuntime struct {
 	id   topology.LinkID
 	rccE *rcc.Endpoint // owned by the From-side daemon; sends over this link
 	down bool
+	// Heartbeat detection state, idle unless Config.HeartbeatInterval > 0:
+	// when the To-side daemon last heard a beat, and whether it has already
+	// declared the link failed.
+	heartbeatLastSeen sim.Time
+	declaredDown      bool
 }
 
 // Network is the protocol engine for one topology.
@@ -197,9 +202,6 @@ type Network struct {
 
 	sources map[rtchan.ConnID]*source
 	sinks   map[rtchan.ConnID]*sink
-	// Heartbeat detection state (nil maps when disabled).
-	heartbeatLastSeen map[topology.LinkID]sim.Time
-	declaredDown      map[topology.LinkID]bool
 
 	// em wraps cfg.Sink; the zero Emitter (nil sink) disables all protocol
 	// event emission at the cost of one branch per site.
@@ -328,9 +330,6 @@ func NewOn(rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config) *Net
 		nodes:   make([]*daemon, g.NumNodes()),
 		sources: make(map[rtchan.ConnID]*source),
 		sinks:   make(map[rtchan.ConnID]*sink),
-
-		heartbeatLastSeen: make(map[topology.LinkID]sim.Time),
-		declaredDown:      make(map[topology.LinkID]bool),
 
 		em:        trace.NewEmitter(cfg.Sink),
 		framePool: &rcc.BufferPool{},
@@ -645,7 +644,7 @@ func (n *Network) deliverData(l topology.LinkID, p *dataPayload) {
 
 // deliverHeartbeat records a heartbeat arrival at the far end of link l.
 func (n *Network) deliverHeartbeat(l topology.LinkID) {
-	n.heartbeatLastSeen[l] = n.rt.Now()
+	n.links[l].heartbeatLastSeen = n.rt.Now()
 }
 
 // reclaimFrame returns a frame buffer whose packet was dropped in transit

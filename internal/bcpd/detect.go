@@ -34,7 +34,7 @@ func (n *Network) startHeartbeats() {
 		return
 	}
 	for _, l := range n.mgr.Graph().Links() {
-		n.heartbeatLastSeen[l.ID] = n.rt.Now()
+		n.links[l.ID].heartbeatLastSeen = n.rt.Now()
 		n.emitHeartbeat(l.ID)
 		n.monitorHeartbeats(l.ID)
 	}
@@ -59,11 +59,12 @@ func (n *Network) emitHeartbeat(l topology.LinkID) {
 // receiving node; like the emitter, the check closure is built once.
 func (n *Network) monitorHeartbeats(l topology.LinkID) {
 	lk := n.mgr.Graph().Link(l)
+	lr := n.links[l]
 	deadline := n.cfg.heartbeatDeadline()
 	var check func()
 	check = func() {
 		to := n.nodes[lk.To]
-		if !to.dead && !n.declaredDown[l] && n.rt.Now().Sub(n.heartbeatLastSeen[l]) > deadline {
+		if !to.dead && !lr.declaredDown && n.rt.Now().Sub(lr.heartbeatLastSeen) > deadline {
 			n.declareLinkFailure(l)
 		}
 		n.rt.Schedule(n.cfg.HeartbeatInterval, check)
@@ -75,7 +76,7 @@ func (n *Network) monitorHeartbeats(l topology.LinkID) {
 // it originates the downstream failure reports and notifies the upstream
 // neighbor over the reverse link.
 func (n *Network) declareLinkFailure(l topology.LinkID) {
-	n.declaredDown[l] = true
+	n.links[l].declaredDown = true
 	n.stats.Detections++
 	lk := n.mgr.Graph().Link(l)
 	if n.em.Enabled() {

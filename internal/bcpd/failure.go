@@ -48,8 +48,8 @@ func (n *Network) RepairLink(l topology.LinkID) {
 		n.emitComponent(trace.KindLinkUp, topology.NoNode, l)
 	}
 	if n.cfg.HeartbeatInterval > 0 {
-		n.heartbeatLastSeen[l] = n.rt.Now()
-		n.declaredDown[l] = false
+		lr := n.links[l]
+		lr.heartbeatLastSeen, lr.declaredDown = n.rt.Now(), false
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 	"github.com/rtcl/bcp/internal/topology"
 )
 
-// ClaimBatch/ReleaseClaimBatch carry the same contract as EstablishBatch
-// (batch_test.go): bit-identical equivalence with the sequential per-link
-// loop the protocol engine used before batching — same admission decisions,
+// ClaimBatch/ReleaseClaimBatch carry one contract: bit-identical equivalence
+// with the sequential per-link loop the protocol engine used before batching — same admission decisions,
 // same stop-at-first-failure residue, same rejection strings out of
 // ActivateClaimed. This test drives two managers through one randomized op
 // stream — claims, partial releases, activations, teardowns — applying the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -48,10 +49,13 @@ func TestTrialViewMatchesManagerTrial(t *testing.T) {
 
 // TestConcurrentTrialsDuringWrites is the race property test for the
 // single-writer boundary: many goroutines run read-only trials through
-// per-goroutine TrialViews while a writer goroutine churns the plan with
-// Establish/Teardown (and the protocol-plane claim calls). Run under
-// `go test -race`; the test then asserts the mux engine's invariants and
-// that the plan epoch advanced once per write transaction.
+// per-goroutine TrialViews, and one through the Manager's own serialized
+// Trial, while a writer goroutine churns the plan with Establish/Teardown,
+// the protocol-plane claim calls and Apply. Apply runs Trial's walk under the
+// write lock over a scratch of its own, never through m.Trial or trialMu
+// (m.Trial takes trialMu, then the read lock: the opposite order). Run under
+// `go test -race`; the test then asserts the mux engine's invariants and that
+// the plan epoch advanced once per write transaction.
 func TestConcurrentTrialsDuringWrites(t *testing.T) {
 	m := loadedTorus(t, 3)
 	g := m.Graph()
@@ -89,11 +93,38 @@ func TestConcurrentTrialsDuringWrites(t *testing.T) {
 		}(r)
 	}
 
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; pass < 6; pass++ {
+			for _, f := range failures {
+				if s := m.Trial(f, OrderByPriority, nil); s.FastRecovered+s.MuxFailed+s.BackupDead > s.FailedPrimaries {
+					t.Errorf("manager trial outcome counts exceed failed primaries: %+v", s)
+					return
+				}
+			}
+		}
+	}()
+
 	writes := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writerOps; i++ {
+			if i%8 == 7 {
+				f := failures[(i*7)%len(failures)]
+				want := m.Trial(f, OrderByConn, nil) // no other writer: the plan cannot move in between
+				got, err := m.Apply(f, OrderByConn, nil)
+				writes++
+				if err != nil {
+					t.Errorf("apply: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("apply %+v != trial %+v", got, want)
+					return
+				}
+			}
 			src := topology.NodeID(i % g.NumNodes())
 			dst := topology.NodeID((i + 5) % g.NumNodes())
 			conn, err := m.Establish(src, dst, rtchan.DefaultSpec(), []int{2})

@@ -145,25 +145,21 @@ type Manager struct {
 
 	// estCtx is the writer-side planning context (wrapping m.router and an
 	// exclusion set shared by Establish, EstablishWithPr and ReplenishBackups,
-	// never live at once) and seqPlan its reusable plan buffer: sequential
-	// Establish is plan+commit over these under the write lock, the same code
-	// path the EstablishBatch pipeline speculates over (see establish.go).
+	// never live at once) and seqPlan its reusable plan buffer: Establish is
+	// plan+commit over these under the write lock (see establish.go).
 	estCtx  *planContext
 	seqPlan *connPlan
-	// routers leases per-worker routing engines to batch planners; built
-	// lazily on the first EstablishBatch (routersOnce).
-	routers     *routing.RouterPool
-	routersOnce sync.Once
-	// pcPool recycles batch planner contexts (signature row, exclusion) and
-	// planPool the per-request plan buffers, across EstablishBatch calls.
-	pcPool   sync.Pool
-	planPool sync.Pool
 
 	// trial backs the Manager's own serial Trial entry point; trialMu keeps
 	// that entry point safe against itself (concurrent sweeps should prefer
-	// per-goroutine TrialViews, which don't contend on it).
-	trialMu sync.Mutex
-	trial   trialScratch
+	// per-goroutine TrialViews, which don't contend on it). applyTrial is
+	// Apply's scratch for the same walk, owned by the write lock: Apply
+	// holds mu exclusively, so it can neither call Trial nor take trialMu
+	// (Trial takes trialMu, then mu shared), and its scratch records the
+	// winners, which no trial wants.
+	trialMu    sync.Mutex
+	trial      trialScratch
+	applyTrial trialScratch
 
 	// touched is the writer-side touched-link scratch shared by every
 	// reconfiguration entry point (ActivateClaimed, TeardownChannel, Apply):

@@ -21,35 +21,15 @@ import (
 // on each backup's links) are all excluded from every later search of the
 // same connection, and the per-link admission probes of distinct backups
 // touch disjoint links. So a plan computed against the unmutated state equals
-// what the sequential route-commit-route-commit loop would compute — which
-// is what makes the speculative EstablishBatch pipeline (batch.go) possible:
-// planners run under the reader lock against a frozen plan, and a plan
-// whose inputs did not change commits without any recomputation.
+// what the incremental route-commit-route-commit loop would compute, and
+// EstablishWithPr can try (count, degree) combinations at the cost of
+// admission probes alone (planOnPaths).
 //
 // Both phases, and the three writers that admit a backup link by link
 // (EstablishOnPaths, ReplenishBackups, RestoreAsBackup, through
 // addBackupToLink), share one copy of the §3.2 rule: scanLink decides a new
 // backup's Π membership against a link's entries and wireLink applies the
 // decision (mux.go).
-
-// planBits is a link-id bitset recording which links a plan's routing
-// predicate approved. Free bandwidth only shrinks during a batch, so an
-// approval is the only answer that can rot; the committer rechecks exactly
-// these links (batch.go) to decide whether a speculative plan is still the
-// one sequential establishment would produce.
-type planBits struct{ w []uint64 }
-
-func (b *planBits) reset(numLinks int) {
-	words := (numLinks + 63) / 64
-	if cap(b.w) < words {
-		b.w = make([]uint64, words)
-		return
-	}
-	b.w = b.w[:words]
-	clear(b.w)
-}
-
-func (b *planBits) set(i int) { b.w[i>>6] |= 1 << (uint(i) & 63) }
 
 // pathPlan is a path held as raw link/node sequences in reusable buffers; a
 // topology.Path is materialized only at commit time, once per admitted
@@ -77,10 +57,9 @@ func (pp *pathPlan) set(g *topology.Graph, links []topology.LinkID) {
 // which existing entries' Π sets gain the new backup (grow), which existing
 // entries the new backup's own Π set lists (pi), and the new entry's spare
 // requirement. Both lists hold link-local entry indexes — the coordinates of
-// the link's Π bit matrix — which stay valid until commit because a plan
-// whose link gained or lost an entry is re-probed or replanned first
-// (batch.go). Ranges index the owning connPlan's flat arenas so reusing a
-// plan never reallocates them.
+// the link's Π bit matrix — which stay valid until commit because plan and
+// commit run under one hold of the write lock. Ranges index the owning
+// connPlan's flat arenas so reusing a plan never reallocates them.
 type linkWire struct {
 	link             topology.LinkID
 	growOff, growLen int32 // entry indexes in connPlan.growBuf
@@ -99,24 +78,13 @@ type backupPlan struct {
 
 // connPlan is a complete establishment decision: either a rejection (err set,
 // nothing to commit — rejections mutate no state in either phase) or the
-// full wiring record for a new D-connection. Plans are reused: the Manager
-// keeps one for sequential establishment and pools them for batches.
+// full wiring record for a new D-connection. The Manager keeps one and
+// reuses it for every establishment.
 type connPlan struct {
 	src, dst topology.NodeID
 	spec     rtchan.TrafficSpec
 	degrees  []int
 	err      error
-
-	// seq is the batch state version the plan was computed against, and
-	// strict marks decisions outside the monotone staleness rules (explicit
-	// delay contracts, load-aware weights): a strict plan is only valid if
-	// nothing at all was committed since seq. stable marks rejections that
-	// depend on nothing but the request and the topology (src == dst, bad
-	// bandwidth, disconnected endpoints) and so never go stale. See batch.go.
-	seq       uint64
-	strict    bool
-	stable    bool
-	consulted planBits
 
 	prim     pathPlan
 	backups  []backupPlan
@@ -136,11 +104,10 @@ func (p *connPlan) backupAt(i int) *backupPlan {
 	return &p.backups[i]
 }
 
-// planContext bundles the per-worker machinery a plan needs: a routing
-// engine, an exclusion set, and a scratch signature row for the primary being
-// planned, which has no connection and so no slab row yet. The Manager's own
-// context (estCtx) wraps its writer-side scratch; batch planners lease pooled
-// contexts so they never share mutable state.
+// planContext bundles the machinery a plan needs: a routing engine, an
+// exclusion set, and a scratch signature row for the primary being planned,
+// which has no connection and so no slab row yet. The Manager owns the only
+// one (estCtx), writer-side.
 type planContext struct {
 	m      *Manager
 	router *routing.Router
@@ -150,65 +117,44 @@ type planContext struct {
 	grow   []int32  // scan's two lists
 	pi     []int32
 
-	// Per-plan state read by the persistent feasibility closure, so the hot
-	// routing constraint costs no allocation per establishment.
+	// bw is read by the persistent feasibility closure, so the hot routing
+	// constraint costs no allocation per establishment.
 	bw           float64
-	cur          *connPlan
-	track        bool
 	linkFeasible func(topology.LinkID) bool
 }
 
 func newPlanContext(m *Manager, r *routing.Router, excl *routing.Exclusion) *planContext {
 	pc := &planContext{m: m, router: r, excl: excl, sig: make([]uint64, m.plan.sigStride)}
 	pc.linkFeasible = func(l topology.LinkID) bool {
-		if pc.m.plan.net.Free(l) < pc.bw-1e-9 {
-			return false
-		}
-		if pc.track {
-			pc.cur.consulted.set(int(l))
-		}
-		return true
+		return pc.m.plan.net.Free(l) >= pc.bw-1e-9
 	}
 	return pc
 }
 
 // plan computes the full establishment decision for one request into p,
-// read-only against the shared plan. Callers hold the manager's lock: the
-// write side for sequential establishment, the read side for batch planners
-// (every structure plan touches on the Manager is read-only or owned by pc).
-// track records approved links into p.consulted for later revalidation.
-func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.TrafficSpec, degrees []int, track bool) {
+// read-only against the shared plan. Callers hold the manager's write lock.
+func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.TrafficSpec, degrees []int) {
 	m := pc.m
 	p.src, p.dst, p.spec = src, dst, spec
 	p.degrees = append(p.degrees[:0], degrees...)
 	p.err = nil
-	p.strict = false
-	p.stable = false
 	p.nBackups = 0
 	p.growBuf = p.growBuf[:0]
 	p.piBuf = p.piBuf[:0]
-	pc.cur = p
 	pc.bw = spec.Bandwidth
-	pc.track = track
 	g := m.plan.net.Graph()
-	if track {
-		p.consulted.reset(g.NumLinks())
-	}
 
 	if src == dst {
 		p.err = fmt.Errorf("core: src == dst (%d)", src)
-		p.stable = true
 		return
 	}
 	if spec.Bandwidth <= 0 {
 		p.err = fmt.Errorf("core: non-positive bandwidth")
-		p.stable = true
 		return
 	}
 	base := pc.router.Distance(src, dst)
 	if base < 0 {
 		p.err = fmt.Errorf("core: %d and %d are disconnected", src, dst)
-		p.stable = true
 		return
 	}
 
@@ -221,9 +167,6 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 	}
 	p.prim.set(g, links)
 	if spec.DelayBound > 0 {
-		// The analytic admission test reads the load of every channel on the
-		// path, which later commits can change in either direction: strict.
-		p.strict = true
 		model := m.plan.cfg.DelayModel
 		if model.ControlFrameSize == 0 {
 			model = rtchan.DefaultDelayModel()
@@ -240,11 +183,6 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 		return
 	}
 
-	if m.plan.cfg.BackupRouting == RouteLoadAware {
-		// The load-aware weight reads every candidate link's spare pool, far
-		// beyond what consulted-link tracking can revalidate: strict.
-		p.strict = true
-	}
 	excl := pc.excl.Reset()
 	addExcluded(excl, &p.prim)
 	for i, alpha := range p.degrees {
@@ -285,7 +223,7 @@ func addExcluded(excl *routing.Exclusion, pp *pathPlan) {
 // exact spare-pool check is the admission probe. nu and primRow (the
 // primary's signature row) feed the load-aware weight when RouteLoadAware is
 // configured. Every caller — the plan phase, ReplenishBackups,
-// EstablishWithPr — sets pc.bw and pc.track first.
+// EstablishWithPr — sets pc.bw first.
 func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow []uint64) ([]topology.LinkID, bool) {
 	m := pc.m
 	cfg := &m.plan.cfg
@@ -402,9 +340,7 @@ func (pc *planContext) planOnPaths(p *connPlan, paths []topology.Path, alpha int
 	p.growBuf = p.growBuf[:0]
 	p.piBuf = p.piBuf[:0]
 	p.degrees = p.degrees[:0]
-	pc.cur = p
 	pc.bw = p.spec.Bandwidth
-	pc.track = false
 	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
 	for i, path := range paths {
 		bp := p.backupAt(i)
@@ -422,10 +358,9 @@ func (pc *planContext) planOnPaths(p *connPlan, paths []topology.Path, alpha int
 
 // commitPlan applies a plan under the write lock: it materializes the
 // channels and replays the recorded wiring. No routing and no admission
-// decisions happen here — for a plan computed (or revalidated) under the
-// same lock, the replay is exact. Rejections commit by returning the
-// planned error; they mutate nothing and consume no ids, exactly like the
-// sequential loop's all-or-nothing rejection.
+// decisions happen here — for a plan computed under the same hold of the
+// lock, the replay is exact. Rejections commit by returning the planned
+// error; they mutate nothing and consume no ids.
 func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 	if p.err != nil {
 		return nil, p.err

@@ -30,7 +30,7 @@ func (m *Manager) Establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, d
 // while keeping the commit path free of routing and admission scans.
 func (m *Manager) establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, degrees []int) (*DConnection, error) {
 	p := m.seqPlan
-	m.estCtx.plan(p, src, dst, spec, degrees, false)
+	m.estCtx.plan(p, src, dst, spec, degrees)
 	return m.commitPlan(p)
 }
 
@@ -126,7 +126,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 		return 0, fmt.Errorf("core: connection %d has no primary", id)
 	}
 	pc := m.estCtx
-	pc.bw, pc.track = conn.Spec.Bandwidth, false
+	pc.bw = conn.Spec.Bandwidth
 	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
 	added := 0
 	for len(conn.Backups) < target {

@@ -333,7 +333,7 @@ func TestRouteBackupRespectsExclusion(t *testing.T) {
 	}
 	pc := m.estCtx
 	pc.excl.Reset().AddPath(p)
-	pc.bw, pc.track = 1, false
+	pc.bw = 1
 	b, ok := pc.routeBackupPath(0, 5, reliability.NuForDegree(m.plan.cfg.Lambda, 1), nil)
 	if !ok {
 		t.Fatal("no backup path")

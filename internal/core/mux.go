@@ -170,23 +170,6 @@ func (lm *linkMux) requiredSpare() float64 {
 	return lm.maxReq
 }
 
-// requiredSpareRO returns the same value requiredSpare would, but never
-// writes: a deferred rescan is serviced into a local instead of the cache.
-// The establishment planner runs under the reader lock, where settling the
-// dirty flag would be a data race.
-func (lm *linkMux) requiredSpareRO() float64 {
-	if !lm.reqDirty {
-		return lm.maxReq
-	}
-	var max float64
-	for i := range lm.entries {
-		if lm.entries[i].req > max {
-			max = lm.entries[i].req
-		}
-	}
-	return max
-}
-
 // noteReq folds one entry's (possibly grown) requirement into the cached max.
 func (lm *linkMux) noteReq(req float64) {
 	if req > lm.maxReq {
@@ -215,11 +198,12 @@ func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
 // unchanged entries' max, the grown entries' new requirements, and req.
 // sigNew is the new backup's connection's row index, so that backups of one
 // connection never share spare (see muxDecide); a planned connection that has
-// no row yet passes -1. Read-only: planners call it under the reader lock.
+// no row yet passes -1. It changes nothing but the link's cached max, which
+// requiredSpare may settle: every caller holds the write lock.
 func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, nu, bw float64, grow, pi *[]int32) (req, need float64) {
 	g, q := *grow, *pi
 	req = bw
-	need = lm.requiredSpareRO()
+	need = lm.requiredSpare()
 	for i := range lm.entries {
 		e := &lm.entries[i]
 		eCountsNew, newCountsE := true, true

@@ -137,6 +137,9 @@ func (p *NetworkPlan) tryActivate(conn *DConnection, t *trialScratch) activation
 			for _, l := range links {
 				t.claim(l, bw)
 			}
+			if t.keepWinners {
+				t.winners = append(t.winners, b)
+			}
 			return activated
 		}
 		// Multiplexing failure on this backup; reported like a component

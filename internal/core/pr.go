@@ -100,7 +100,7 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	defer m.beginWrite()()
 	// Plan the primary once; it does not depend on the backup configuration.
 	p := m.seqPlan
-	m.estCtx.plan(p, src, dst, spec, nil, false)
+	m.estCtx.plan(p, src, dst, spec, nil)
 	if p.err != nil {
 		return nil, p.err
 	}

@@ -102,7 +102,8 @@ func (m *Manager) degreeOf(ch rtchan.ChannelID) int {
 // PreemptClaim implements the preemption flavor of priority-based
 // activation (§4.3): when link l has no spare left for backup ch (degree
 // alpha), a claim held by a strictly lower-priority backup (larger degree)
-// is revoked to make room. It returns the victim channel (to be handled as
+// is revoked to make room: the holder of the largest degree, the lowest
+// channel id among equals. It returns the victim channel (to be handled as
 // if disabled by a component failure) and whether preemption succeeded.
 func (m *Manager) PreemptClaim(l topology.LinkID, ch rtchan.ChannelID, alpha int, bw float64) (rtchan.ChannelID, bool) {
 	defer m.beginWrite()()
@@ -113,7 +114,9 @@ func (m *Manager) PreemptClaim(l topology.LinkID, ch rtchan.ChannelID, alpha int
 		if heldBW+lm.available() < bw-1e-9 {
 			continue // evicting this claim would not free enough
 		}
-		if d := m.degreeOf(held); d > victimDegree {
+		// Largest degree loses; the lowest channel id among equals, so the
+		// choice never depends on map order.
+		if d := m.degreeOf(held); d > victimDegree || (d == victimDegree && victim != 0 && held < victim) {
 			victim = held
 			victimDegree = d
 		}

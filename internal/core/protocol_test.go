@@ -229,6 +229,50 @@ func TestPreemptClaimOrdering(t *testing.T) {
 	}
 }
 
+// TestPreemptClaimTieIsDeterministic: two held claims that tie on degree are
+// both eligible victims, and the one evicted must not depend on the claims
+// map's iteration order — the lowest channel id goes, the router's rule for
+// link ties. Two same-pair connections (backups not multiplexed with each
+// other: spare 2) hold the link; a third, multiplexed with both, preempts.
+func TestPreemptClaimTieIsDeterministic(t *testing.T) {
+	g := topology.NewTorus(4, 4, 10)
+	path := func(nodes ...topology.NodeID) topology.Path {
+		p, err := topology.PathBetween(g, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	l := g.LinkBetween(4, 5)
+	for run := 0; run < 128; run++ {
+		m := newTestManager(g)
+		var holders [2]*DConnection
+		for i := range holders {
+			c, err := m.EstablishOnPaths(spec1(), path(0, 1, 2), []topology.Path{path(0, 4, 5, 6, 2)}, []int{3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			holders[i] = c
+		}
+		p, err := m.EstablishOnPaths(spec1(), path(8, 9, 10), []topology.Path{path(8, 4, 5, 6, 10)}, []int{2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.SpareOnLink(l); got != 2 {
+			t.Fatalf("spare on the contended link = %g, want 2", got)
+		}
+		for _, c := range holders {
+			if !m.ClaimSpareFor(l, c.Backups[0].ID, 1) {
+				t.Fatal("holder's claim failed")
+			}
+		}
+		victim, ok := m.PreemptClaim(l, p.Backups[0].ID, 2, 1)
+		if want := holders[0].Backups[0].ID; !ok || victim != want {
+			t.Fatalf("run %d: victim %d ok=%v, want the lower id %d", run, victim, ok, want)
+		}
+	}
+}
+
 func TestDegreeOf(t *testing.T) {
 	g, path := mesh3(t)
 	m := newTestManager(g)

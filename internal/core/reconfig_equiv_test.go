@@ -44,7 +44,7 @@ func requireEquivalentMux(t *testing.T, ctx string, me, mc *Manager) {
 			t.Fatalf("%s: link %d spare/claimed (%g,%g) vs (%g,%g)",
 				ctx, l, lme.spare, lme.claimed, lmc.spare, lmc.claimed)
 		}
-		if re, rc := lme.requiredSpareRO(), lmc.requiredSpareRO(); re != rc {
+		if re, rc := lme.requiredSpare(), lmc.requiredSpare(); re != rc {
 			t.Fatalf("%s: link %d required spare %g vs %g", ctx, l, re, rc)
 		}
 		if len(lme.claims) != len(lmc.claims) {

@@ -314,42 +314,6 @@ func (s RecoveryStats) RFast() float64 {
 	return float64(s.FastRecovered) / float64(s.FailedPrimaries)
 }
 
-// addDegree accumulates into the alpha class's breakdown.
-func (s *RecoveryStats) addDegree(alpha, failed, recovered int) {
-	if s.ByDegree == nil {
-		s.ByDegree = make(map[int]DegreeStats)
-	}
-	d := s.ByDegree[alpha]
-	d.FailedPrimaries += failed
-	d.FastRecovered += recovered
-	s.ByDegree[alpha] = d
-}
-
-// affectedConnections groups the channels hit by f by connection, using the
-// per-link/per-node indexes.
-func (m *Manager) affectedConnections(f Failure) map[rtchan.ConnID][]*rtchan.Channel {
-	seen := make(map[rtchan.ChannelID]struct{})
-	affected := make(map[rtchan.ConnID][]*rtchan.Channel)
-	add := func(ch *rtchan.Channel) {
-		if _, dup := seen[ch.ID]; dup {
-			return
-		}
-		seen[ch.ID] = struct{}{}
-		affected[ch.Conn] = append(affected[ch.Conn], ch)
-	}
-	f.eachLink(func(l topology.LinkID) {
-		for _, ch := range m.plan.net.ChannelsOnLink(l) {
-			add(ch)
-		}
-	})
-	f.eachNode(func(n topology.NodeID) {
-		for _, ch := range m.plan.net.ChannelsAtNode(n) {
-			add(ch)
-		}
-	})
-	return affected
-}
-
 // orderedConns sorts the connections needing activation according to order.
 func orderedConns(conns []*DConnection, order ActivationOrder, rng *rand.Rand) []*DConnection {
 	slices.SortFunc(conns, func(a, b *DConnection) int { return int(a.ID) - int(b.ID) })
@@ -402,7 +366,7 @@ const (
 // Apply executes a failure event against live state: winning backups claim
 // spare bandwidth and are promoted to primaries; failed channels are torn
 // down; spare pools are re-sized (§4.4 resource reconfiguration). It returns
-// the same statistics as Trial.
+// the same statistics as Trial, because Trial's walk is what decides them.
 //
 // Connections that lose every channel are torn down entirely (the paper
 // informs the client of the unrecoverable failure; re-establishment from
@@ -413,77 +377,49 @@ func (m *Manager) Apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 }
 
 func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (RecoveryStats, error) {
-	var stats RecoveryStats
-	affected := m.affectedConnections(f)
-
-	type plan struct {
-		conn        *DConnection
-		failedChans []*rtchan.Channel
-		primaryHit  bool
-		excluded    bool
-	}
-	var plans []*plan
-	var needsRecovery []*DConnection
-	byConn := make(map[rtchan.ConnID]*plan)
-	for connID, channels := range affected {
-		conn := m.plan.conns.Get(connID)
-		if conn == nil {
-			continue
-		}
-		p := &plan{conn: conn, failedChans: channels}
-		byConn[connID] = p
-		plans = append(plans, p)
-		if f.NodeFailed(conn.Src) || f.NodeFailed(conn.Dst) {
-			p.excluded = true
-			stats.ExcludedConns++
-			continue
-		}
-		for _, ch := range channels {
-			if ch.Role == rtchan.RolePrimary {
-				p.primaryHit = true
-			} else {
-				stats.FailedBackups++
-			}
-		}
-		if p.primaryHit {
-			stats.FailedPrimaries++
-			stats.addDegree(firstDegree(conn), 1, 0)
-			needsRecovery = append(needsRecovery, conn)
-		}
-	}
-
-	// Phase 1: activation claims against the pre-failure spare sizing.
-	needsRecovery = orderedConns(needsRecovery, order, rng)
-	activatedBackups := make(map[rtchan.ConnID]*rtchan.Channel)
-	for _, conn := range needsRecovery {
-		b, outcome := m.claimActivation(conn, f)
-		switch outcome {
-		case activated:
-			stats.FastRecovered++
-			stats.addDegree(firstDegree(conn), 0, 1)
-			activatedBackups[conn.ID] = b
-		case allBackupsDead:
-			stats.BackupDead++
-		case spareExhausted:
-			stats.MuxFailed++
+	// Phase 1: the trial itself, over the writer's own scratch, decides who
+	// recovers against the pre-failure spare sizing. It leaves behind the
+	// affected connections (t.conns), the stamp on every disabled channel
+	// (t.hit) and the activated backups in activation order (t.winners),
+	// whose claims are then made real.
+	t := &m.applyTrial
+	t.keepWinners, t.winners = true, t.winners[:0]
+	stats := m.plan.trial(f, order, rng, t)
+	for _, b := range t.winners {
+		for _, l := range b.Path.Links() {
+			m.plan.mux[l].claimed += b.Bandwidth()
 		}
 	}
 
 	// Phase 2: reconfiguration — promote winners, tear down failed
-	// channels, resize spare pools. Plans were collected in map order;
-	// sort by connection so runs are reproducible.
-	slices.SortFunc(plans, func(a, b *plan) int { return int(a.conn.ID) - int(b.conn.ID) })
-	touched := make(map[topology.LinkID]struct{})
-	for _, p := range plans {
-		conn := p.conn
-		winner := activatedBackups[conn.ID]
-		if winner != nil {
-			if err := m.promoteBackup(conn, winner, touched); err != nil {
-				return stats, err
+	// channels, resize spare pools — connection by connection in id order so
+	// runs are reproducible. The walk is over t.conns, not the connections
+	// the statistics counted: trial leaves a connection whose end node
+	// failed out of the numbers, and it is torn down all the same.
+	slices.Sort(t.conns)
+	slices.SortFunc(t.winners, func(a, b *rtchan.Channel) int { return int(a.Conn) - int(b.Conn) })
+	winners := t.winners
+	touched := m.takeTouched()
+	var failed []*rtchan.Channel
+	for _, id := range t.conns {
+		conn := m.plan.conns.Get(id)
+		if conn == nil {
+			continue
+		}
+		// Collected before promotion, which overwrites conn.Primary.
+		failed = failed[:0]
+		for _, ch := range conn.Channels() {
+			if t.hit(ch.ID) {
+				failed = append(failed, ch)
 			}
 		}
-		// Tear down every failed channel of the connection.
-		for _, ch := range p.failedChans {
+		if len(winners) > 0 && winners[0].Conn == id {
+			if err := m.promoteBackup(conn, winners[0], touched); err != nil {
+				return stats, err
+			}
+			winners = winners[1:]
+		}
+		for _, ch := range failed {
 			if err := m.dropChannel(conn, ch, touched); err != nil {
 				return stats, err
 			}
@@ -502,41 +438,7 @@ func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 
 	// Phase 3: spare pools on every touched link are recomputed from the
 	// surviving backup population.
-	if err := m.reconfigureLinks(touched); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
-// claimActivation is the mutating variant of tryActivate: claims are
-// recorded in the per-link mux state.
-func (m *Manager) claimActivation(conn *DConnection, f Failure) (*rtchan.Channel, activationOutcome) {
-	bw := conn.Spec.Bandwidth
-	sawHealthy := false
-	for _, b := range conn.Backups {
-		if f.HitsPath(b.Path) {
-			continue
-		}
-		sawHealthy = true
-		links := b.Path.Links()
-		ok := true
-		for _, l := range links {
-			if m.plan.mux[l].available() < bw-1e-9 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, l := range links {
-				m.plan.mux[l].claimed += bw
-			}
-			return b, activated
-		}
-	}
-	if sawHealthy {
-		return nil, spareExhausted
-	}
-	return nil, allBackupsDead
+	return stats, m.reconfigureLinks(touched)
 }
 
 // promoteBackup converts a claimed backup into the connection's primary:

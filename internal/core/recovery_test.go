@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/rtchan"
@@ -412,4 +414,106 @@ func TestTrialStampMatchesHitsPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestApplyReturnsTrialStats pins Apply's promise, "the same statistics as
+// Trial", and what Apply must do beyond them. On random loaded 6x6 tori,
+// under single-link, single-node and four-component failures and all three
+// activation orders (equal-seeded rngs), Trial immediately before Apply
+// returns a deeply equal RecoveryStats, ByDegree included. After Apply no
+// surviving channel crosses a failed component, a connection whose end node
+// failed is gone although the statistics left it out, the reservation
+// network holds exactly the channels the connections list (a promoted
+// connection's old primary was torn down, not orphaned), and the invariants
+// hold.
+func TestApplyReturnsTrialStats(t *testing.T) {
+	var total RecoveryStats
+	steps := 0
+	for seed := int64(0); seed < 8; seed++ {
+		for _, order := range []ActivationOrder{OrderByConn, OrderByPriority, OrderRandom} {
+			rng := rand.New(rand.NewSource(seed))
+			g := topology.NewTorus(6, 6, 30)
+			m := newTestManager(g)
+			for i := 0; i < 320; i++ {
+				s, d := topology.NodeID(rng.Intn(36)), topology.NodeID(rng.Intn(36))
+				if s == d {
+					continue
+				}
+				degrees := make([]int, 1+rng.Intn(2))
+				for j := range degrees {
+					degrees[j] = 1 + rng.Intn(6)
+				}
+				_, _ = m.Establish(s, d, rtchan.DefaultSpec(), degrees)
+			}
+			for step := 0; step < 10; step++ {
+				var f Failure
+				switch step % 3 {
+				case 0:
+					f = SingleLink(topology.LinkID(rng.Intn(g.NumLinks())))
+				case 1:
+					f = SingleNode(topology.NodeID(rng.Intn(36)))
+				default:
+					f = NewFailure(
+						[]topology.LinkID{topology.LinkID(rng.Intn(g.NumLinks())), topology.LinkID(rng.Intn(g.NumLinks()))},
+						[]topology.NodeID{topology.NodeID(rng.Intn(36)), topology.NodeID(rng.Intn(36))})
+				}
+				ctx := fmt.Sprintf("seed %d order %d step %d (links %v nodes %v)", seed, order, step, f.Links(), f.Nodes())
+				var excluded []rtchan.ConnID
+				for _, c := range m.Connections() {
+					if f.NodeFailed(c.Src) || f.NodeFailed(c.Dst) {
+						excluded = append(excluded, c.ID)
+					}
+				}
+				shuffle := seed*100 + int64(step)
+				want := m.Trial(f, order, rand.New(rand.NewSource(shuffle)))
+				got, err := m.Apply(f, order, rand.New(rand.NewSource(shuffle)))
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s:\n trial %+v\n apply %+v", ctx, want, got)
+				}
+				if got.ExcludedConns != len(excluded) {
+					t.Fatalf("%s: %d excluded, %d connections end at a failed node", ctx, got.ExcludedConns, len(excluded))
+				}
+				for _, id := range excluded {
+					if m.Connection(id) != nil {
+						t.Fatalf("%s: excluded connection %d survived", ctx, id)
+					}
+				}
+				listed := 0
+				for _, c := range m.Connections() {
+					if c.Primary == nil {
+						t.Fatalf("%s: connection %d left without a primary", ctx, c.ID)
+					}
+					for _, ch := range c.Channels() {
+						listed++
+						if f.HitsPath(ch.Path) {
+							t.Fatalf("%s: channel %d of connection %d survives on a failed component", ctx, ch.ID, c.ID)
+						}
+					}
+				}
+				if n := m.plan.net.NumChannels(); n != listed {
+					t.Fatalf("%s: network holds %d channels, connections list %d", ctx, n, listed)
+				}
+				if err := m.CheckMuxInvariants(); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				if err := m.plan.net.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				steps++
+				total.FailedPrimaries += got.FailedPrimaries
+				total.FastRecovered += got.FastRecovered
+				total.MuxFailed += got.MuxFailed
+				total.BackupDead += got.BackupDead
+				total.ExcludedConns += got.ExcludedConns
+				total.FailedBackups += got.FailedBackups
+			}
+		}
+	}
+	if total.FastRecovered == 0 || total.MuxFailed == 0 || total.BackupDead == 0 || total.ExcludedConns == 0 || total.FailedBackups == 0 {
+		t.Fatalf("corpus misses an outcome class: %+v", total)
+	}
+	t.Logf("%d steps: %+v", steps, total)
 }

@@ -23,8 +23,8 @@ import (
 // live connections. A connection owns its row from the moment its id is
 // minted until it leaves plan.conns (or its establishment rolls back), and
 // primaryChanged rewrites the row at every site that assigns conn.Primary.
-// Every write happens under the writer lock; establishment planners read rows
-// under the reader lock, like the rest of the plan.
+// Every write, and every admission scan that reads the rows, happens under
+// the writer lock.
 
 // sigRow returns row i of the slab.
 func (p *NetworkPlan) sigRow(i int32) []uint64 {

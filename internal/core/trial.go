@@ -32,6 +32,12 @@ type trialScratch struct {
 	// the end of the trial.
 	degAlpha []int
 	degStat  []DegreeStats
+
+	// keepWinners makes tryActivate record each backup it activates, in
+	// activation order. Only Apply's scratch sets it: a trial has no use for
+	// the list, and Apply turns exactly these claims into promotions.
+	keepWinners bool
+	winners     []*rtchan.Channel
 }
 
 // addDegree accumulates into the alpha class's per-trial breakdown.

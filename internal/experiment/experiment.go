@@ -7,7 +7,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
@@ -102,37 +101,6 @@ func EstablishAllPairs(m *core.Manager, degreesFor func(i int) []int) (establish
 		}
 	}
 	return established, rejected
-}
-
-// EstablishAllPairsParallel establishes the same workload as
-// EstablishAllPairs through core.EstablishBatch: the requests are generated
-// in the identical ascending (src, dst) order and committed in that order,
-// so the resulting network state — channel ids, paths, spare pools,
-// rejections — is bit-identical to the sequential walk, while workers
-// planner goroutines overlap the routing and admission work. workers
-// follows Options.Workers semantics (<=1 serial, negative = GOMAXPROCS).
-func EstablishAllPairsParallel(m *core.Manager, degreesFor func(i int) []int, workers int) (established, rejected int) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := m.Graph()
-	n := g.NumNodes()
-	reqs := make([]core.EstablishRequest, 0, n*(n-1))
-	idx := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			reqs = append(reqs, core.EstablishRequest{
-				Src: topology.NodeID(s), Dst: topology.NodeID(d),
-				Spec: rtchan.DefaultSpec(), Degrees: degreesFor(idx),
-			})
-			idx++
-		}
-	}
-	res := m.EstablishBatch(reqs, core.BatchOptions{Workers: workers})
-	return res.Established, res.Rejected
 }
 
 // UniformDegrees returns a degreesFor function assigning the same backup

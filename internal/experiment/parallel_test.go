@@ -118,44 +118,3 @@ func sweepResultsEqual(a, b SweepResult) bool {
 	}
 	return true
 }
-
-// TestEstablishAllPairsParallelMatchesSequential establishes the paper's
-// workload sequentially and through the batch pipeline on identical fresh
-// networks: counts and the full reservation state must coincide (the deep
-// bit-identity property is covered by core's batch tests; this pins the
-// experiment-layer request generation to the sequential pair order).
-func TestEstablishAllPairsParallelMatchesSequential(t *testing.T) {
-	build := func() *core.Manager {
-		// A tight 6x6 torus so the workload includes rejections.
-		return core.NewManager(topology.NewTorus(6, 6, 40), core.DefaultConfig())
-	}
-	degrees := UniformDegrees(1, 3)
-	seq := build()
-	wantEst, wantRej := EstablishAllPairs(seq, degrees)
-	if wantEst == 0 || wantRej == 0 {
-		t.Fatalf("workload not discriminating: est=%d rej=%d", wantEst, wantRej)
-	}
-	for _, workers := range []int{2, 4} {
-		par := build()
-		gotEst, gotRej := EstablishAllPairsParallel(par, degrees, workers)
-		if gotEst != wantEst || gotRej != wantRej {
-			t.Fatalf("workers=%d: est/rej %d/%d, want %d/%d", workers, gotEst, gotRej, wantEst, wantRej)
-		}
-		g := seq.Graph()
-		for _, l := range g.Links() {
-			if seq.Network().Free(l.ID) != par.Network().Free(l.ID) {
-				t.Fatalf("workers=%d: link %d free %g != %g",
-					workers, l.ID, par.Network().Free(l.ID), seq.Network().Free(l.ID))
-			}
-		}
-		if s, p := seq.Network().SpareFraction(), par.Network().SpareFraction(); s != p {
-			t.Fatalf("workers=%d: spare fraction %g != %g", workers, p, s)
-		}
-	}
-	// The zero-worker path must fall back to the plain sequential loop.
-	fall := build()
-	gotEst, gotRej := EstablishAllPairsParallel(fall, degrees, 0)
-	if gotEst != wantEst || gotRej != wantRej {
-		t.Fatalf("fallback: est/rej %d/%d, want %d/%d", gotEst, gotRej, wantEst, wantRej)
-	}
-}

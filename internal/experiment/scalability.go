@@ -35,23 +35,14 @@ type ScalabilityResult struct {
 }
 
 // RunScalability sweeps square tori from 4x4 to 12x12 with the paper's
-// per-pair workload at the given multiplexing degree. With opts.Workers > 1
-// the establishment runs through the speculative batch pipeline
-// (EstablishAllPairsParallel) — same state, less wall time — so the
-// reported EstablishTime measures the pipelined path.
+// per-pair workload at the given multiplexing degree.
 func RunScalability(alpha int, opts Options) ScalabilityResult {
 	res := ScalabilityResult{Alpha: alpha}
-	workers := opts.workerCount()
 	for _, side := range []int{4, 6, 8, 10, 12} {
 		g := topology.NewTorus(side, side, 200*float64(side*side)/64)
 		m := core.NewManager(g, opts.config())
 		start := time.Now()
-		var est int
-		if workers > 1 {
-			est, _ = EstablishAllPairsParallel(m, UniformDegrees(1, alpha), workers)
-		} else {
-			est, _ = EstablishAllPairs(m, UniformDegrees(1, alpha))
-		}
+		est, _ := EstablishAllPairs(m, UniformDegrees(1, alpha))
 		elapsed := time.Since(start)
 
 		row := ScalabilityRow{

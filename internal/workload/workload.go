@@ -103,19 +103,6 @@ func Establish(m *core.Manager, reqs []Request) (established, rejected int) {
 	return established, rejected
 }
 
-// EstablishBatch applies a static workload through the speculative batch
-// pipeline (core.EstablishBatch): requests are committed in slice order, so
-// counts and resulting network state are identical to Establish, with the
-// planning work overlapped across workers goroutines.
-func EstablishBatch(m *core.Manager, reqs []Request, workers int) (established, rejected int) {
-	batch := make([]core.EstablishRequest, len(reqs))
-	for i, r := range reqs {
-		batch[i] = core.EstablishRequest{Src: r.Src, Dst: r.Dst, Spec: r.Spec, Degrees: r.Degrees}
-	}
-	res := m.EstablishBatch(batch, core.BatchOptions{Workers: workers})
-	return res.Established, res.Rejected
-}
-
 // DynamicConfig parameterizes Poisson churn.
 type DynamicConfig struct {
 	// ArrivalRate is the request arrival rate (per second).
