@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,18 @@ race:
 one-owner:
 	! grep -rnE 'RCC\.RMax' --include='*.go' internal cmd bcp.go examples | grep -vE '^internal/(bcpd|rcc)/'
 
+# one-heap fails when a second timer heap appears: sim.TimerArena is the one
+# queue under both clocks (sim.Engine and realtime.Runtime each own one), and
+# the container/heap oracle in sim/arena_test.go covers only that copy.
+one-heap:
+	! grep -rlE 'func \(.*\) siftDown\(' --include='*.go' internal cmd | grep -v '^internal/sim/arena.go$$'
+
 # verify is the pre-merge gate: vet + build + the full suite under the race
 # detector (the parallel sweep worker pool runs even in short mode), after
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here.
-verify: bench-check one-owner chaos-nightly
+verify: bench-check one-owner one-heap chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -18,10 +18,14 @@ import (
 // fixed amount of spare bandwidth regardless of which backups traverse it.
 // The paper sizes this uniform reservation to the *average* spare required
 // by the proposed scheme, making the comparison resource-neutral.
+//
+// The pools are fixed at construction: build it after establishment settles.
+// Trial is not safe for concurrent use with itself; parallel sweeps give each
+// worker its own NewTrialView.
 type BruteForce struct {
-	m        *core.Manager
-	perLink  float64
-	capLimit bool
+	m     *core.Manager
+	pools []float64 // by LinkID
+	view  *core.TrialView
 }
 
 // NewBruteForce wraps an established manager. perLink is the uniform spare
@@ -29,11 +33,17 @@ type BruteForce struct {
 // a link is additionally capped by the link's actual headroom
 // (capacity − dedicated), which matters on heavily loaded links.
 func NewBruteForce(m *core.Manager, perLink float64, capLimit bool) *BruteForce {
-	return &BruteForce{m: m, perLink: perLink, capLimit: capLimit}
+	net := m.Network()
+	pools := make([]float64, m.Graph().NumLinks())
+	for i := range pools {
+		pools[i] = perLink
+		if capLimit {
+			l := topology.LinkID(i)
+			pools[i] = min(perLink, net.Capacity(l)-net.Dedicated(l))
+		}
+	}
+	return &BruteForce{m: m, pools: pools, view: m.NewTrialViewWithPools(pools)}
 }
-
-// PerLink returns the uniform per-link spare reservation.
-func (b *BruteForce) PerLink() float64 { return b.perLink }
 
 // UniformSpareFromManager returns the proposed scheme's average spare per
 // link, the paper's sizing rule for the brute-force comparison.
@@ -46,141 +56,15 @@ func UniformSpareFromManager(m *core.Manager) float64 {
 	return total / float64(g.NumLinks())
 }
 
-// Trial mirrors core.Manager.Trial but draws activations from the uniform
-// pools instead of the multiplexing engine's sized pools.
+// NewTrialView returns a per-goroutine view that trials against the uniform
+// pools: core.Manager.Trial's walk with this scheme's number on every link.
+func (b *BruteForce) NewTrialView() *core.TrialView {
+	return b.m.NewTrialViewWithPools(b.pools)
+}
+
+// Trial evaluates a failure event through the scheme's own view.
 func (b *BruteForce) Trial(f core.Failure, order core.ActivationOrder, rng *rand.Rand) core.RecoveryStats {
-	var stats core.RecoveryStats
-	var needs []*core.DConnection
-	for _, conn := range b.m.Connections() {
-		if f.NodeFailed(conn.Src) || f.NodeFailed(conn.Dst) {
-			if connAffected(conn, f) {
-				stats.ExcludedConns++
-			}
-			continue
-		}
-		primaryHit := conn.Primary != nil && f.HitsPath(conn.Primary.Path)
-		for _, bk := range conn.Backups {
-			if f.HitsPath(bk.Path) {
-				stats.FailedBackups++
-			}
-		}
-		if primaryHit {
-			stats.FailedPrimaries++
-			bumpDegree(&stats, conn, 1, 0)
-			needs = append(needs, conn)
-		}
-	}
-	sortConns(needs, order, rng)
-
-	claimed := make(map[topology.LinkID]float64)
-	for _, conn := range needs {
-		switch b.tryActivate(conn, f, claimed) {
-		case outcomeActivated:
-			stats.FastRecovered++
-			bumpDegree(&stats, conn, 0, 1)
-		case outcomeBackupsDead:
-			stats.BackupDead++
-		case outcomeExhausted:
-			stats.MuxFailed++
-		}
-	}
-	return stats
-}
-
-type outcome uint8
-
-const (
-	outcomeActivated outcome = iota
-	outcomeBackupsDead
-	outcomeExhausted
-)
-
-func (b *BruteForce) tryActivate(conn *core.DConnection, f core.Failure, claimed map[topology.LinkID]float64) outcome {
-	bw := conn.Spec.Bandwidth
-	sawHealthy := false
-	for _, bk := range conn.Backups {
-		if f.HitsPath(bk.Path) {
-			continue
-		}
-		sawHealthy = true
-		links := bk.Path.Links()
-		ok := true
-		for _, l := range links {
-			if claimed[l]+bw > b.pool(l)+1e-9 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, l := range links {
-				claimed[l] += bw
-			}
-			return outcomeActivated
-		}
-	}
-	if sawHealthy {
-		return outcomeExhausted
-	}
-	return outcomeBackupsDead
-}
-
-// pool returns the usable uniform spare on link l.
-func (b *BruteForce) pool(l topology.LinkID) float64 {
-	if !b.capLimit {
-		return b.perLink
-	}
-	head := b.m.Network().Capacity(l) - b.m.Network().Dedicated(l)
-	if head < b.perLink {
-		return head
-	}
-	return b.perLink
-}
-
-func connAffected(conn *core.DConnection, f core.Failure) bool {
-	if conn.Primary != nil && f.HitsPath(conn.Primary.Path) {
-		return true
-	}
-	for _, bk := range conn.Backups {
-		if f.HitsPath(bk.Path) {
-			return true
-		}
-	}
-	return f.NodeFailed(conn.Src) || f.NodeFailed(conn.Dst)
-}
-
-func bumpDegree(stats *core.RecoveryStats, conn *core.DConnection, failed, recovered int) {
-	alpha := 1 << 30
-	if len(conn.Degrees) > 0 {
-		alpha = conn.Degrees[0]
-	}
-	if stats.ByDegree == nil {
-		stats.ByDegree = make(map[int]core.DegreeStats)
-	}
-	d := stats.ByDegree[alpha]
-	d.FailedPrimaries += failed
-	d.FastRecovered += recovered
-	stats.ByDegree[alpha] = d
-}
-
-func sortConns(conns []*core.DConnection, order core.ActivationOrder, rng *rand.Rand) {
-	sort.Slice(conns, func(i, j int) bool { return conns[i].ID < conns[j].ID })
-	switch order {
-	case core.OrderByPriority:
-		sort.SliceStable(conns, func(i, j int) bool {
-			di, dj := 1<<30, 1<<30
-			if len(conns[i].Degrees) > 0 {
-				di = conns[i].Degrees[0]
-			}
-			if len(conns[j].Degrees) > 0 {
-				dj = conns[j].Degrees[0]
-			}
-			return di < dj
-		})
-	case core.OrderRandom:
-		if rng != nil {
-			rng.Shuffle(len(conns), func(i, j int) { conns[i], conns[j] = conns[j], conns[i] })
-		}
-	}
+	return b.view.Trial(f, order, rng)
 }
 
 // Reestablish evaluates the [BAN93]-style baseline: no backups and no spare

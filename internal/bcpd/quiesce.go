@@ -31,7 +31,9 @@ type Sabotage struct {
 //   - daemon state agrees with the resource plane along every registered
 //     channel's path (P for the connection's primary, B for backups), and
 //     every surviving primary-role channel is its connection's primary;
-//   - no spare-bandwidth claims left behind.
+//   - no spare-bandwidth claims left behind, and the resource plane's own
+//     audit (core.Manager.CheckMuxInvariants: spare sizing, Π matrices, the
+//     signature slab, the claim ledger) is clean.
 //
 // Anything still in flight — packets, live rejoin timers, pending repairs —
 // legitimately fails these rules; callers quiesce first (StopTraffic, repair
@@ -132,6 +134,9 @@ func (n *Network) CheckQuiescence() []string {
 
 	if claims := n.mgr.OutstandingClaims(); claims > 0 {
 		v = append(v, fmt.Sprintf("%d spare-bandwidth claims leaked", claims))
+	}
+	if err := n.mgr.CheckMuxInvariants(); err != nil {
+		v = append(v, err.Error())
 	}
 	return n.checkRoundQuiescence(v)
 }

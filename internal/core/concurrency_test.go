@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -44,6 +45,54 @@ func TestTrialViewMatchesManagerTrial(t *testing.T) {
 			want.ExcludedConns != got.ExcludedConns {
 			t.Fatalf("link %d: view trial %+v != manager trial %+v", l.ID, got, want)
 		}
+	}
+}
+
+// TestPoolsViewMatchesTrial holds the pools view to the walk it shares with
+// Manager.Trial, with no reference evaluator: handed each link's own
+// available spare as its pool, the view must return Manager.Trial's
+// statistics exactly, for every single-component failure of the loaded
+// evaluation torus under every activation order; handed empty pools, the
+// same walk must find the same failures and recover none of them.
+func TestPoolsViewMatchesTrial(t *testing.T) {
+	m := loadedEvalTorus(64 * 63)
+	g := m.Graph()
+	own := make([]float64, g.NumLinks())
+	for l := range own {
+		own[l] = m.plan.mux[l].available()
+	}
+	same := m.NewTrialViewWithPools(own)
+	empty := m.NewTrialViewWithPools(make([]float64, g.NumLinks()))
+
+	var failures []Failure
+	for _, l := range g.Links() {
+		failures = append(failures, SingleLink(l.ID))
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		failures = append(failures, SingleNode(topology.NodeID(n)))
+	}
+	recovered := 0
+	for _, order := range []ActivationOrder{OrderByConn, OrderByPriority, OrderRandom} {
+		for i, f := range failures {
+			want := m.Trial(f, order, rand.New(rand.NewSource(int64(i))))
+			got := same.Trial(f, order, rand.New(rand.NewSource(int64(i))))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("order %v failure %d: own-spare pools %+v, Manager.Trial %+v", order, i, got, want)
+			}
+			recovered += want.FastRecovered
+			none := empty.Trial(f, order, rand.New(rand.NewSource(int64(i))))
+			if none.FailedPrimaries != want.FailedPrimaries || none.FailedBackups != want.FailedBackups ||
+				none.ExcludedConns != want.ExcludedConns || none.BackupDead != want.BackupDead {
+				t.Fatalf("order %v failure %d: empty pools found %+v, Manager.Trial %+v", order, i, none, want)
+			}
+			if none.FastRecovered != 0 || none.MuxFailed != want.FastRecovered+want.MuxFailed {
+				t.Fatalf("order %v failure %d: empty pools recovered %d, refused %d of %d", order, i,
+					none.FastRecovered, none.MuxFailed, want.FastRecovered+want.MuxFailed)
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Fatal("no trial recovered anything: the comparison is vacuous")
 	}
 }
 

@@ -435,10 +435,21 @@ func (m *Manager) CheckMuxInvariants() error {
 				return fmt.Errorf("core: link %d cached max requirement %g, recomputed %g", l, lm.maxReq, max)
 			}
 		}
-		if lm.spare+1e-9 < lm.requiredSpare() && lm.claimed == 0 {
-			return fmt.Errorf("core: link %d spare %g below requirement %g", l, lm.spare, lm.requiredSpare())
+		var held float64
+		for _, bw := range lm.claims {
+			held += bw
 		}
-		if got := m.plan.net.Spare(topology.LinkID(l)); math.Abs(got-lm.spare) > 1e-6 {
+		if math.Abs(held-lm.claimed) > 1e-9 {
+			return fmt.Errorf("core: link %d claimed %g, its claims hold %g", l, lm.claimed, held)
+		}
+		// The pool covers the requirement and what is claimed, up to the
+		// headroom reconfigureLinks caps it at on a full link.
+		lid := topology.LinkID(l)
+		need := math.Min(math.Max(lm.requiredSpare(), lm.claimed), m.plan.net.Capacity(lid)-m.plan.net.Dedicated(lid))
+		if lm.spare+1e-9 < need {
+			return fmt.Errorf("core: link %d spare %g below requirement %g", l, lm.spare, need)
+		}
+		if got := m.plan.net.Spare(lid); math.Abs(got-lm.spare) > 1e-6 {
 			return fmt.Errorf("core: link %d spare mirror drift: mux=%g rtchan=%g", l, lm.spare, got)
 		}
 		n := len(lm.entries)

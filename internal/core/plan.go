@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"github.com/rtcl/bcp/internal/idtab"
@@ -127,8 +128,13 @@ func (p *NetworkPlan) tryActivate(conn *DConnection, t *trialScratch) activation
 		links := b.Path.Links()
 		ok := true
 		for _, l := range links {
-			lm := &p.mux[l]
-			if lm.available()-t.claimed(l) < bw-1e-9 {
+			var pool float64
+			if t.pools != nil {
+				pool = t.pools[l]
+			} else {
+				pool = p.mux[l].available()
+			}
+			if pool-t.claimed(l) < bw-1e-9 {
 				ok = false
 				break
 			}
@@ -169,6 +175,18 @@ type TrialView struct {
 // NewTrialView returns a fresh per-goroutine view over the manager's plan.
 func (m *Manager) NewTrialView() *TrialView {
 	return &TrialView{m: m}
+}
+
+// NewTrialViewWithPools returns a view whose trials are Manager.Trial's walk
+// (same discovery, exclusions, activation order and serial-backup rule) with
+// one number per link changed: activations on link l draw from pools[l]
+// instead of the spare the multiplexing engine sized there. The view keeps
+// pools, which must hold one entry per link and not change afterwards.
+func (m *Manager) NewTrialViewWithPools(pools []float64) *TrialView {
+	if len(pools) != m.Graph().NumLinks() {
+		panic(fmt.Sprintf("core: %d pools for %d links", len(pools), m.Graph().NumLinks()))
+	}
+	return &TrialView{m: m, scratch: trialScratch{pools: pools}}
 }
 
 // Trial evaluates a failure event read-only over the shared plan. See

@@ -223,9 +223,9 @@ func (m *Manager) ActivateClaimed(connID rtchan.ConnID, b *rtchan.Channel) error
 	}
 	touched := m.takeTouched()
 	for _, l := range b.Path.Links() {
-		lm := &m.plan.mux[l]
-		delete(lm.claims, b.ID)
-		lm.claimed -= bw
+		// The bandwidth stays in the link's claimed total until promoteBackup
+		// turns it into dedicated bandwidth.
+		delete(m.plan.mux[l].claims, b.ID)
 		if m.traceEm.Enabled() {
 			m.emitClaim(trace.KindClaimConvert, l, b.ID, 0)
 		}

@@ -26,6 +26,11 @@ type trialScratch struct {
 	claimGen []uint32  // by LinkID
 	claimVal []float64 // by LinkID: bandwidth claimed this trial
 
+	// pools, when set, replaces each link's available spare as the pool
+	// activations draw from (by LinkID; NewTrialViewWithPools). It is how a
+	// comparison scheme that sizes spare differently runs the same walk.
+	pools []float64
+
 	// Per-degree accumulation for RecoveryStats.ByDegree. A trial sees a
 	// handful of distinct degrees, so a linear-scan pair of slices beats a
 	// map in the per-connection hot path; the map is materialized once at

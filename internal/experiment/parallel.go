@@ -21,16 +21,15 @@ type sweepJob struct {
 	set, idx int
 }
 
-// viewable is satisfied by *core.Manager: a trialer that can hand out cheap
-// per-goroutine read views over its shared plan.
+// viewable is satisfied by *core.Manager and *baseline.BruteForce: a trialer
+// that can hand out cheap per-goroutine read views over its shared plan.
 type viewable interface {
 	NewTrialView() *core.TrialView
 }
 
-// workerTrialer returns the Trialer one pool worker should call. A
-// *core.Manager is wrapped in a per-worker TrialView (private scratch over
-// the shared plan); any other trialer — e.g. the brute-force baseline, whose
-// Trial keeps all mutable state on the stack — is shared as-is.
+// workerTrialer returns the Trialer one pool worker should call: a
+// per-worker TrialView (private scratch over the shared plan) when the
+// trialer hands them out, the trialer itself otherwise.
 func workerTrialer(t Trialer) Trialer {
 	if v, ok := t.(viewable); ok {
 		return v.NewTrialView()

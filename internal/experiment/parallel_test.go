@@ -32,6 +32,29 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTable3ParallelMatchesSerial sweeps the brute-force trialer with a
+// worker pool: a Table 3 column (random activation order, so the per-trial rng
+// is in play too) must come out the same at Workers 4 as at Workers 0. The
+// brute-force scheme trials through core's walk over per-worker views;
+// under `go test -race` a view shared between workers is a reported race.
+func TestTable3ParallelMatchesSerial(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Seed = 42
+	opts.DoubleNodeSample = 64
+	opts.Order = core.OrderRandom
+
+	serial := opts
+	serial.Workers = 0
+	parallel := opts
+	parallel.Workers = 4
+
+	want := RenderTable3(RunTable3(Torus8x8, []int{5}, serial))
+	got := RenderTable3(RunTable3(Torus8x8, []int{5}, parallel))
+	if want != got {
+		t.Fatalf("parallel table differs from serial:\nserial:\n%s\nparallel:\n%s", want, got)
+	}
+}
+
 // TestParallelSweepSmall exercises the worker pool on a small network in
 // short mode, so `go test -race` covers the fan-out/fold machinery cheaply.
 // One manager is established once and shared: the pool workers trial over

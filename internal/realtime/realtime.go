@@ -19,12 +19,12 @@
 //
 // # Timers
 //
-// The timer arena is the PR-6 design verbatim: an index-based 4-ary min-heap
-// over pooled, generation-stamped slots, value sim.Timer handles, O(log n)
-// Stop, release-before-fire so a callback can re-arm into its own slot. A
-// single timer goroutine waits for the earliest deadline (Waiter: a Go timer
-// while it is far, precise sleeps for the last stretch), then fires due events
-// one at a time under the execution lock; because popping happens with both
+// Timers live in a sim.TimerArena, the queue sim.Engine runs on, held here
+// behind the timer lock: value sim.Timer handles, O(log n) Stop,
+// release-before-fire so a callback can re-arm into its own slot. A single
+// timer goroutine waits for the earliest deadline (Waiter: a Go timer while
+// it is far, precise sleeps for the last stretch), then fires due events one
+// at a time under the execution lock; because popping happens with both
 // locks held, Stop returning true guarantees the callback never runs, also
 // when the stopper is a callback of the same round.
 //
@@ -50,33 +50,19 @@ import (
 // The wall-clock runtime stands wherever sim.Engine does.
 var _ runtime.Runtime = (*Runtime)(nil)
 
-// timerSlot mirrors sim's arena entry: generation-stamped so stale handles
-// read as dead, with the slot's heap position tracked for O(log n) removal.
-type timerSlot struct {
-	at        sim.Time
-	seq       uint64
-	fn        func()
-	gen       uint32
-	pos       int32 // index in Runtime.heap; -1 when not queued
-	prevFired bool
-}
-
 // Runtime drives protocol daemons on the wall clock. Create with New, start
 // actors with StartActors, and always Stop it (not from a protocol callback).
 type Runtime struct {
 	start time.Time // monotonic epoch; Now() is nanoseconds since here
 
 	// mu is the execution lock: every protocol callback — timer fire, actor
-	// mailbox item, Exec closure — runs under it. tmu guards the timer arena
-	// only. Lock order is mu before tmu; Schedule/At/Stop take only tmu so
+	// mailbox item, Exec closure — runs under it. tmu guards timers only.
+	// Lock order is mu before tmu; Schedule/At/Stop take only tmu so
 	// callbacks already holding mu can re-arm and cancel timers.
 	mu  sync.Mutex
 	tmu sync.Mutex
 
-	slots []timerSlot
-	free  []int32 // recycled arena slots
-	heap  []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
-	seq   uint64
+	timers sim.TimerArena
 
 	rng *rand.Rand // only touched under mu (runtime-serialized callbacks)
 
@@ -128,210 +114,33 @@ func (r *Runtime) At(t sim.Time, fn func()) sim.Timer {
 		panic("realtime: nil event function")
 	}
 	r.tmu.Lock()
-	var idx int32
-	if n := len(r.free); n > 0 {
-		idx = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		r.slots = append(r.slots, timerSlot{})
-		idx = int32(len(r.slots) - 1)
-	}
-	s := &r.slots[idx]
-	s.at = t
-	s.seq = r.seq
-	s.fn = fn
-	r.seq++
-	s.pos = int32(len(r.heap))
-	r.heap = append(r.heap, idx)
-	r.siftUp(int(s.pos))
-	gen := s.gen
-	becameEarliest := r.heap[0] == idx
+	idx, gen, head := r.timers.Add(t, fn)
 	r.tmu.Unlock()
 
-	if becameEarliest {
-		// The new deadline may precede what the timer goroutine is sleeping
+	if head {
+		// The new deadline precedes what the timer goroutine is sleeping
 		// toward; nudge it to recompute.
 		select {
 		case r.wake <- struct{}{}:
 		default:
 		}
 	}
-	return sim.MakeTimer(r, idx, gen, t)
+	return sim.MakeTimer(r, idx, gen)
 }
 
-// ScheduleBatch schedules every function in fns to run after delay d
-// (clamped to zero), appending one handle per function to out and returning
-// it. Semantically identical to len(fns) sequential Schedule calls, but the
-// timer lock is taken once for the whole batch, the heap is restored once
-// (per-item sift-up for small batches, bottom-up heapify when the batch
-// rivals the standing population), and the timer goroutine is nudged at
-// most once. Recovery storms arm their per-channel rejoin timers here.
-func (r *Runtime) ScheduleBatch(d sim.Duration, fns []func(), out []sim.Timer) []sim.Timer {
-	if d < 0 {
-		d = 0
-	}
-	if len(fns) == 0 {
-		return out
-	}
-	t := r.Now().Add(d)
-	r.tmu.Lock()
-	var oldEarliest int32 = -1
-	if len(r.heap) > 0 {
-		oldEarliest = r.heap[0]
-	}
-	start := len(r.heap)
-	for _, fn := range fns {
-		if fn == nil {
-			r.tmu.Unlock()
-			panic("realtime: nil event function")
-		}
-		var idx int32
-		if n := len(r.free); n > 0 {
-			idx = r.free[n-1]
-			r.free = r.free[:n-1]
-		} else {
-			r.slots = append(r.slots, timerSlot{})
-			idx = int32(len(r.slots) - 1)
-		}
-		s := &r.slots[idx]
-		s.at = t
-		s.seq = r.seq
-		s.fn = fn
-		r.seq++
-		s.pos = int32(len(r.heap))
-		r.heap = append(r.heap, idx)
-		out = append(out, sim.MakeTimer(r, idx, s.gen, t))
-	}
-	n := len(r.heap)
-	if k := n - start; k*4 < n || n < 8 {
-		for i := start; i < n; i++ {
-			r.siftUp(i)
-		}
-	} else {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			r.siftDown(i)
-		}
-	}
-	becameEarliest := r.heap[0] != oldEarliest
-	r.tmu.Unlock()
-
-	if becameEarliest {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-	}
-	return out
-}
-
-// StopTimer implements sim.TimerHost: cancel the (idx, gen) slot if that
-// generation is still pending. Because due timers are popped with both mu
-// and tmu held, a true return guarantees the callback will not run.
+// StopTimer implements sim.TimerHost. Because due timers are popped with
+// both mu and tmu held, a true return guarantees the callback will not run.
 func (r *Runtime) StopTimer(idx int32, gen uint32) bool {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
-	s := &r.slots[idx]
-	if s.gen != gen {
-		return false // already fired or stopped
-	}
-	r.removeAt(int(s.pos))
-	r.release(idx, false)
-	return true
+	return r.timers.Stop(idx, gen)
 }
 
 // TimerActive implements sim.TimerHost.
 func (r *Runtime) TimerActive(idx int32, gen uint32) bool {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
-	return r.slots[idx].gen == gen
-}
-
-// TimerFired implements sim.TimerHost.
-func (r *Runtime) TimerFired(idx int32, gen uint32) bool {
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
-	s := &r.slots[idx]
-	if s.gen == gen {
-		return false // still pending
-	}
-	return s.prevFired
-}
-
-// release retires slot idx's current generation and recycles it. Caller
-// holds tmu.
-func (r *Runtime) release(idx int32, fired bool) {
-	s := &r.slots[idx]
-	s.fn = nil
-	s.pos = -1
-	s.prevFired = fired
-	s.gen++
-	r.free = append(r.free, idx)
-}
-
-func (r *Runtime) less(a, b int32) bool {
-	sa, sb := &r.slots[a], &r.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-func (r *Runtime) siftUp(i int) {
-	item := r.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := r.heap[parent]
-		if !r.less(item, p) {
-			break
-		}
-		r.heap[i] = p
-		r.slots[p].pos = int32(i)
-		i = parent
-	}
-	r.heap[i] = item
-	r.slots[item].pos = int32(i)
-}
-
-func (r *Runtime) siftDown(i int) {
-	n := len(r.heap)
-	item := r.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if r.less(r.heap[c], r.heap[best]) {
-				best = c
-			}
-		}
-		if !r.less(r.heap[best], item) {
-			break
-		}
-		r.heap[i] = r.heap[best]
-		r.slots[r.heap[i]].pos = int32(i)
-		i = best
-	}
-	r.heap[i] = item
-	r.slots[item].pos = int32(i)
-}
-
-func (r *Runtime) removeAt(i int) {
-	n := len(r.heap) - 1
-	last := r.heap[n]
-	r.heap = r.heap[:n]
-	if i == n {
-		return
-	}
-	r.heap[i] = last
-	r.slots[last].pos = int32(i)
-	r.siftDown(i)
-	r.siftUp(int(r.slots[last].pos))
+	return r.timers.Active(idx, gen)
 }
 
 // timerLoop waits for the earliest deadline, then fires what is due, one
@@ -346,9 +155,9 @@ func (r *Runtime) timerLoop() {
 	defer r.waiter.Close()
 	for {
 		r.tmu.Lock()
-		var deadline time.Time // empty heap: nothing to do until woken
-		if len(r.heap) > 0 {
-			deadline = r.start.Add(time.Duration(r.slots[r.heap[0]].at))
+		var deadline time.Time // empty arena: nothing to do until woken
+		if at, ok := r.timers.Earliest(); ok {
+			deadline = r.start.Add(time.Duration(at))
 		}
 		r.tmu.Unlock()
 
@@ -365,15 +174,11 @@ func (r *Runtime) timerLoop() {
 		now := r.Now()
 		for {
 			r.tmu.Lock()
-			if len(r.heap) == 0 || r.slots[r.heap[0]].at > now {
-				r.tmu.Unlock()
+			_, fn, ok := r.timers.Pop(now)
+			r.tmu.Unlock()
+			if !ok {
 				break
 			}
-			idx := r.heap[0]
-			fn := r.slots[idx].fn
-			r.removeAt(0)
-			r.release(idx, true)
-			r.tmu.Unlock()
 			fn()
 		}
 		r.mu.Unlock()

@@ -69,68 +69,38 @@ func TestStopPreventsFire(t *testing.T) {
 	if fired.Load() {
 		t.Fatal("stopped timer fired anyway")
 	}
-	if tm.Fired() {
-		t.Fatal("stopped timer reports Fired")
-	}
 }
 
-// TestScheduleBatch checks the bulk-insert path on the wall clock: a batch
-// fires in FIFO order among itself, interleaves with standing timers by
-// deadline, honors Stop on individual handles, and wakes the timer
-// goroutine when the batch introduces a new earliest deadline.
-func TestScheduleBatch(t *testing.T) {
+// TestEarlierTimerWakesSleeper checks the wake path At derives from the
+// arena: with the timer goroutine asleep toward a distant head, a timer armed
+// earlier becomes the head, wakes it and fires on its own deadline, and so
+// does one armed earlier still; a timer armed behind the head wakes nothing
+// and changes nothing.
+func TestEarlierTimerWakesSleeper(t *testing.T) {
 	r := New(1)
 	defer r.Stop()
 
-	var mu sync.Mutex
-	var got []int
-	done := make(chan struct{})
-	const total = 14 // 12 surviving batch timers + 1 late + 1 standing
-	add := func(v int) func() {
-		return func() {
-			mu.Lock()
-			got = append(got, v)
-			n := len(got)
-			mu.Unlock()
-			if n == total {
-				close(done)
+	r.Schedule(time.Hour, func() { t.Error("distant head fired") })
+	time.Sleep(10 * time.Millisecond) // let the timer goroutine go to sleep on it
+	fired := make(chan sim.Time, 2)
+	arm := func(d time.Duration) sim.Time {
+		due := r.Now().Add(d)
+		r.At(due, func() { fired <- r.Now() })
+		return due
+	}
+	dueLate := arm(120 * time.Millisecond)
+	r.Schedule(30*time.Minute, func() { t.Error("timer behind the head fired") })
+	dueEarly := arm(20 * time.Millisecond)
+	for _, due := range []sim.Time{dueEarly, dueLate} {
+		select {
+		case at := <-fired:
+			// Early is impossible; late by most of the gap between the two
+			// deadlines means the sleeper was not woken for this one.
+			if late := at.Sub(due); late < 0 || late > 50*time.Millisecond {
+				t.Fatalf("timer due at %v fired at %v", due, at)
 			}
-		}
-	}
-	// A standing timer far out, so the batch at 20ms becomes the new
-	// earliest deadline and must wake the sleeping timer goroutine.
-	r.Schedule(60*time.Millisecond, add(999))
-	fns := make([]func(), 13)
-	for i := range fns {
-		fns[i] = add(i)
-	}
-	handles := r.ScheduleBatch(20*time.Millisecond, fns, nil)
-	if len(handles) != 13 {
-		t.Fatalf("got %d handles, want 13", len(handles))
-	}
-	if !handles[7].Stop() {
-		t.Fatal("Stop on a pending batch handle should return true")
-	}
-	r.Schedule(40*time.Millisecond, add(1000))
-
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch timers did not fire")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := make([]int, 0, total)
-	for i := 0; i < 13; i++ {
-		if i == 7 {
-			continue
-		}
-		want = append(want, i)
-	}
-	want = append(want, 1000, 999)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", got, want)
+		case <-time.After(5 * time.Second):
+			t.Fatal("timer armed ahead of a sleeping head did not fire")
 		}
 	}
 }
@@ -157,8 +127,8 @@ func TestRearmFromCallback(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("re-armed timer stalled at %d ticks", n.Load())
 	}
-	if !tm.Fired() {
-		t.Fatal("first generation should report Fired")
+	if tm.Active() {
+		t.Fatal("first generation should read dead once fired")
 	}
 	if tm.Stop() {
 		t.Fatal("Stop on a fired handle must not cancel a later generation")
@@ -256,8 +226,8 @@ func TestStopInSameRound(t *testing.T) {
 		if ran {
 			t.Error("timer ran after a Stop from the same round")
 		}
-		if second.Fired() {
-			t.Error("stopped timer reports Fired")
+		if second.Active() {
+			t.Error("stopped timer still reads active")
 		}
 	})
 }

@@ -5,13 +5,13 @@
 //
 //   - sim.Engine: deterministic virtual time. Events fire in (time, FIFO)
 //     order on a single goroutine; runs are bit-identical for a given seed.
-//   - realtime.Runtime: wall clock. Timers fire from a monotonic-clock heap,
+//   - realtime.Runtime: wall clock. Timers fire against the monotonic clock,
 //     and all protocol callbacks are serialized on one execution lock so the
 //     daemons keep their single-threaded world view.
 //
-// Timer handles are sim.Timer values regardless of which runtime issued them
+// Both queue their timers in a sim.TimerArena and hand out sim.Timer values
 // (the handle delegates to its issuing sim.TimerHost), so protocol code that
-// arms, stops, and queries timers works verbatim under either clock.
+// arms, stops, and queries timers is the same code under either clock.
 package runtime
 
 import (
@@ -26,8 +26,6 @@ import (
 // enforced by a lock in realtime), so protocol state needs no further
 // synchronization.
 type Runtime interface {
-	sim.TimerHost
-
 	// Now returns the current time: virtual in sim, monotonic nanoseconds
 	// since runtime start on the wall clock.
 	Now() sim.Time
@@ -36,13 +34,6 @@ type Runtime interface {
 	// At runs fn at absolute time t (>= Now in sim; clamped to now by the
 	// wall-clock runtime).
 	At(t sim.Time, fn func()) sim.Timer
-	// ScheduleBatch schedules every function in fns to run after delay d,
-	// appending one handle per function to out (reusing its capacity) and
-	// returning it. Equivalent to len(fns) sequential Schedule calls — same
-	// deadlines, same FIFO order — but the host restores its timer heap
-	// (and, on the wall clock, takes its timer lock and nudges the timer
-	// goroutine) once per batch instead of once per timer.
-	ScheduleBatch(d sim.Duration, fns []func(), out []sim.Timer) []sim.Timer
 	// RNG returns the runtime's random source. It is only safe to use from
 	// runtime-serialized callbacks.
 	RNG() *rand.Rand

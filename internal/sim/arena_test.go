@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -50,24 +51,18 @@ func TestSlotRecycling(t *testing.T) {
 	e := New(1)
 	first := e.Schedule(time.Millisecond, func() {})
 	e.Step()
-	if len(e.slots) != 1 {
-		t.Fatalf("slots = %d, want 1", len(e.slots))
+	if len(e.timers.slots) != 1 {
+		t.Fatalf("slots = %d, want 1", len(e.timers.slots))
 	}
 	second := e.Schedule(time.Millisecond, func() {})
-	if len(e.slots) != 1 {
-		t.Fatalf("slot not recycled: slots = %d", len(e.slots))
+	if len(e.timers.slots) != 1 {
+		t.Fatalf("slot not recycled: slots = %d", len(e.timers.slots))
 	}
 	if first.Active() {
 		t.Fatal("fired handle reads active after slot reuse")
 	}
-	if !first.Fired() {
-		t.Fatal("fired handle lost its outcome after slot reuse")
-	}
 	if !second.Active() {
 		t.Fatal("fresh handle on recycled slot not active")
-	}
-	if second.Fired() {
-		t.Fatal("pending handle on recycled slot reads fired")
 	}
 	if first.Stop() {
 		t.Fatal("Stop through a stale handle cancelled the new generation")
@@ -75,8 +70,8 @@ func TestSlotRecycling(t *testing.T) {
 	if !second.Stop() {
 		t.Fatal("fresh handle failed to stop")
 	}
-	if second.Fired() {
-		t.Fatal("stopped handle reads fired")
+	if second.Active() {
+		t.Fatal("stopped handle reads active")
 	}
 }
 
@@ -90,28 +85,10 @@ func TestZeroTimerInert(t *testing.T) {
 	if tm.Active() {
 		t.Fatal("zero Timer is active")
 	}
-	if tm.Fired() {
-		t.Fatal("zero Timer reads fired")
-	}
-	if tm.When() != 0 {
-		t.Fatal("zero Timer has a deadline")
-	}
 }
 
-// TestWhenSurvivesRecycling: When is stored on the handle, so it stays
-// exact even after the arena slot is reused for a different deadline.
-func TestWhenSurvivesRecycling(t *testing.T) {
-	e := New(1)
-	first := e.Schedule(3*time.Millisecond, func() {})
-	e.Run()
-	e.Schedule(9*time.Millisecond, func() {})
-	if first.When() != Time(3*time.Millisecond) {
-		t.Fatalf("When = %v after recycling, want 3ms", first.When())
-	}
-}
-
-// TestSteadyStateSchedulingAllocFree is the alloc guard for the tentpole:
-// once the arena and heap are warm, schedule+fire and schedule+cancel
+// TestSteadyStateSchedulingAllocFree is the arena's alloc guard: once the
+// slots and heap are warm, schedule+fire and schedule+cancel
 // cycles must not allocate.
 func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	e := New(1)
@@ -140,79 +117,12 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("schedule+cancel allocates %v/op, want 0", n)
 	}
-	// Bulk insert with a reused handle slice: warm, then alloc-free. This is
-	// the storm path — one component failure arming a round's worth of
-	// rejoin timers in one call.
-	fns := make([]func(), 16)
-	for i := range fns {
-		fns[i] = fn
-	}
-	handles := e.ScheduleBatch(time.Microsecond, fns, nil)
-	for _, tm := range handles {
-		tm.Stop()
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		handles = e.ScheduleBatch(time.Microsecond, fns, handles[:0])
-		for _, tm := range handles {
-			tm.Stop()
-		}
-	}); n != 0 {
-		t.Fatalf("ScheduleBatch allocates %v/op, want 0", n)
-	}
-}
-
-// TestScheduleBatchEquivalence drives a batch big enough to take the
-// bottom-up heapify branch against a standing population and checks the
-// firing order is exactly the sequential-schedule order: batch entries fire
-// FIFO among themselves and interleave with the standing timers by
-// deadline.
-func TestScheduleBatchEquivalence(t *testing.T) {
-	e := New(1)
-	var got []int
-	record := func(id int) func() { return func() { got = append(got, id) } }
-	// Standing timers at 1ms, 3ms, 5ms.
-	e.Schedule(1*time.Millisecond, record(1))
-	e.Schedule(3*time.Millisecond, record(3))
-	e.Schedule(5*time.Millisecond, record(5))
-	// A batch of 12 at 4ms — k*4 >= n forces the heapify path.
-	fns := make([]func(), 12)
-	for i := range fns {
-		fns[i] = record(100 + i)
-	}
-	handles := e.ScheduleBatch(4*time.Millisecond, fns, nil)
-	if len(handles) != 12 {
-		t.Fatalf("got %d handles, want 12", len(handles))
-	}
-	for _, h := range handles {
-		if !h.Active() || h.When() != Time(4*time.Millisecond) {
-			t.Fatalf("batch handle not pending at 4ms: active=%v when=%v", h.Active(), h.When())
-		}
-	}
-	// Stop one mid-batch handle; the rest must be unaffected.
-	handles[5].Stop()
-	e.Run()
-	want := []int{1, 3}
-	for i := 0; i < 12; i++ {
-		if i == 5 {
-			continue
-		}
-		want = append(want, 100+i)
-	}
-	want = append(want, 5)
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
 }
 
 // --- differential oracle ---------------------------------------------------
 
-// oracleTimer and oracleHeap reimplement the seed's container/heap queue
-// with lazy deletion, serving as the reference semantics.
+// oracleTimer and oracleHeap are a container/heap queue with lazy deletion:
+// the reference semantics for TimerArena, which both clocks run on.
 type oracleTimer struct {
 	at      Time
 	seq     uint64
@@ -250,35 +160,41 @@ func (h *oracleHeap) Pop() any {
 	return t
 }
 
-type oracleEngine struct {
-	now    Time
+type oracleQueue struct {
 	events oracleHeap
 	seq    uint64
 }
 
-func (o *oracleEngine) schedule(at Time, id int) *oracleTimer {
+func (o *oracleQueue) add(at Time, id int) *oracleTimer {
 	t := &oracleTimer{at: at, seq: o.seq, id: id}
 	o.seq++
 	heap.Push(&o.events, t)
 	return t
 }
 
-// step pops the next live event, skipping stopped tombstones, and returns
-// its id, or -1 when drained.
-func (o *oracleEngine) step() int {
-	for len(o.events) > 0 {
-		t := heap.Pop(&o.events).(*oracleTimer)
-		if t.stopped {
-			continue
-		}
-		o.now = t.at
-		t.fired = true
-		return t.id
+// head discards stopped tombstones and returns the next live timer, or nil.
+func (o *oracleQueue) head() *oracleTimer {
+	for len(o.events) > 0 && o.events[0].stopped {
+		heap.Pop(&o.events)
 	}
-	return -1
+	if len(o.events) == 0 {
+		return nil
+	}
+	return o.events[0]
 }
 
-func (o *oracleEngine) livePending() int {
+// pop removes and returns the live head if it is due at or before limit.
+func (o *oracleQueue) pop(limit Time) *oracleTimer {
+	t := o.head()
+	if t == nil || t.at > limit {
+		return nil
+	}
+	heap.Pop(&o.events)
+	t.fired = true
+	return t
+}
+
+func (o *oracleQueue) live() int {
 	n := 0
 	for _, t := range o.events {
 		if !t.stopped {
@@ -288,100 +204,101 @@ func (o *oracleEngine) livePending() int {
 	return n
 }
 
-// TestDifferentialVsContainerHeap drives the indexed arena heap and a
-// container/heap oracle through identical random schedule / cancel / fire
-// sequences — with deliberately colliding deadlines so equal-deadline FIFO
-// stability is exercised — and requires identical firing order, clock
-// positions, and live queue lengths throughout.
+// TestDifferentialVsContainerHeap drives a TimerArena and the container/heap
+// oracle through identical random add / stop / pop sequences, with colliding
+// deadlines and same-deadline bursts so equal-deadline FIFO is exercised, and
+// requires the same answer from every call: which timer Pop returns and when
+// it refuses, Stop's result, Earliest, Len, and Add's report that the new
+// timer became the head (the wall-clock runtime's wake signal).
 func TestDifferentialVsContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		e := New(1)
-		o := &oracleEngine{}
+		var a TimerArena
+		o := &oracleQueue{}
+		var now Time   // deadline of the last timer popped, as a host's clock
+		var popped int // id of the timer whose function ran last
 
 		type pair struct {
-			subject Timer
-			oracle  *oracleTimer
+			idx    int32
+			gen    uint32
+			oracle *oracleTimer
 		}
 		var live []pair
 		nextID := 0
-
-		var batchTimers []Timer // reused ScheduleBatch output
-		var batchFns []func()
+		add := func(op int, at Time) {
+			id := nextID
+			nextID++
+			wantHead := true
+			if h := o.head(); h != nil && h.at <= at {
+				wantHead = false
+			}
+			idx, gen, head := a.Add(at, func() { popped = id })
+			if head != wantHead {
+				t.Fatalf("seed %d op %d: Add at %v reports head=%v, oracle %v", seed, op, at, head, wantHead)
+			}
+			live = append(live, pair{idx, gen, o.add(at, id)})
+		}
+		pop := func(op int, limit Time) bool {
+			at, fn, ok := a.Pop(limit)
+			want := o.pop(limit)
+			if ok != (want != nil) {
+				t.Fatalf("seed %d op %d: Pop(%v) ok=%v, oracle %v", seed, op, limit, ok, want)
+			}
+			if !ok {
+				return false
+			}
+			fn()
+			if popped != want.id || at != want.at {
+				t.Fatalf("seed %d op %d: popped timer %d at %v, oracle %d at %v", seed, op, popped, at, want.id, want.at)
+			}
+			now = at
+			return true
+		}
 
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Intn(12); {
-			case r < 5: // schedule; coarse deadlines force ties
-				at := e.Now().Add(time.Duration(rng.Intn(8)) * time.Millisecond)
-				id := nextID
-				nextID++
-				st := e.At(at, func() {})
-				ot := o.schedule(at, id)
-				live = append(live, pair{st, ot})
-			case r < 7: // bulk insert: must equal k sequential schedules
-				d := time.Duration(rng.Intn(8)) * time.Millisecond
-				k := 1 + rng.Intn(6)
-				batchFns = batchFns[:0]
-				for j := 0; j < k; j++ {
-					batchFns = append(batchFns, func() {})
+			case r < 5: // add; coarse deadlines force ties
+				add(op, now.Add(time.Duration(rng.Intn(8))*time.Millisecond))
+			case r < 7: // a burst at one deadline
+				at := now.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
+				for k := 1 + rng.Intn(6); k > 0; k-- {
+					add(op, at)
 				}
-				batchTimers = e.ScheduleBatch(d, batchFns, batchTimers[:0])
-				at := e.Now().Add(d)
-				for j := 0; j < k; j++ {
-					id := nextID
-					nextID++
-					live = append(live, pair{batchTimers[j], o.schedule(at, id)})
-				}
-			case r < 10: // fire next
-				var subjectFired bool
-				if len(e.heap) > 0 {
-					subjectFired = true
-					e.Step()
-				}
-				oid := o.step()
-				if subjectFired != (oid >= 0) {
-					t.Fatalf("seed %d op %d: subject fired=%v oracle id=%d", seed, op, subjectFired, oid)
-				}
-				if e.Now() != o.now && oid >= 0 {
-					t.Fatalf("seed %d op %d: clocks diverged %v vs %v", seed, op, e.Now(), o.now)
-				}
-			default: // cancel a random live timer (often mid-heap)
+			case r < 9: // pop the head whatever its deadline
+				pop(op, math.MaxInt64)
+			case r < 10: // pop only what a clock reading has made due
+				pop(op, now.Add(time.Duration(rng.Intn(4))*time.Millisecond))
+			default: // stop a random timer: pending (often mid-heap), fired or stopped
 				if len(live) == 0 {
 					continue
 				}
 				i := rng.Intn(len(live))
 				p := live[i]
-				gotStop := p.subject.Stop()
-				wantStop := !p.oracle.stopped && !p.oracle.fired
-				p.oracle.stopped = true
-				if gotStop != wantStop {
-					t.Fatalf("seed %d op %d: Stop = %v, oracle %v", seed, op, gotStop, wantStop)
+				want := !p.oracle.stopped && !p.oracle.fired
+				if got := a.Active(p.idx, p.gen); got != want {
+					t.Fatalf("seed %d op %d: Active = %v, oracle %v", seed, op, got, want)
 				}
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
+				if got := a.Stop(p.idx, p.gen); got != want {
+					t.Fatalf("seed %d op %d: Stop = %v, oracle %v", seed, op, got, want)
+				}
+				p.oracle.stopped = true
+				if rng.Intn(2) == 0 { // else keep the dead handle for a later stale Stop
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
 			}
-			if e.Pending() != o.livePending() {
-				t.Fatalf("seed %d op %d: pending %d vs oracle %d", seed, op, e.Pending(), o.livePending())
+			if a.Len() != o.live() {
+				t.Fatalf("seed %d op %d: Len %d vs oracle %d", seed, op, a.Len(), o.live())
+			}
+			at, ok := a.Earliest()
+			if h := o.head(); ok != (h != nil) || ok && at != h.at {
+				t.Fatalf("seed %d op %d: Earliest = %v, %v; oracle head %v", seed, op, at, ok, h)
 			}
 		}
-
-		// Drain both and compare full firing order via clock at each step.
-		for {
-			var subjectFired bool
-			if len(e.heap) > 0 {
-				subjectFired = true
-				e.Step()
-			}
-			oid := o.step()
-			if subjectFired != (oid >= 0) {
-				t.Fatalf("seed %d drain: lengths diverged", seed)
-			}
-			if !subjectFired {
-				break
-			}
-			if e.Now() != o.now {
-				t.Fatalf("seed %d drain: clocks diverged %v vs %v", seed, e.Now(), o.now)
-			}
+		for pop(-1, math.MaxInt64) { // drain both, comparing the full firing order
+		}
+		if a.Len() != 0 {
+			t.Fatalf("seed %d: %d timers left after drain", seed, a.Len())
 		}
 	}
 }

@@ -5,16 +5,15 @@
 // Events scheduled at equal times fire in scheduling order (FIFO), so runs
 // are reproducible for a given seed.
 //
-// The event queue is an index-based 4-ary min-heap over a pooled,
-// generation-stamped timer arena: Schedule/At hand out value handles rather
-// than boxed pointers, cancellation removes the slot from the heap in
-// O(log n) via its stored heap position (no lazy-deletion garbage
-// accumulating in long rejoin-heavy runs), and freed slots are recycled
-// through a free list, so steady-state scheduling performs zero allocations.
+// The event queue is a TimerArena (arena.go): Schedule/At hand out value
+// handles, Stop removes the event at once, and steady-state scheduling
+// performs zero allocations. internal/realtime runs the wall clock on the
+// same type.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -38,93 +37,12 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 func (t Time) String() string { return Duration(t).String() }
 
-// TimerHost is the issuing runtime's side of a Timer handle: the three
-// queries a handle needs against the arena slot it names. *Engine implements
-// it for simulated time; internal/realtime implements it over a wall-clock
-// heap with the same generation-stamp semantics, so protocol code holds one
-// Timer type regardless of which runtime issued it.
-type TimerHost interface {
-	// StopTimer cancels the (idx, gen) slot if that generation is still
-	// pending, reporting whether the cancellation prevented the fire.
-	StopTimer(idx int32, gen uint32) bool
-	// TimerActive reports whether the (idx, gen) slot is still pending.
-	TimerActive(idx int32, gen uint32) bool
-	// TimerFired reports how the (idx, gen) slot's generation ended; exact
-	// until the host reuses the slot a second time.
-	TimerFired(idx int32, gen uint32) bool
-}
-
-// Timer is a handle to a scheduled event: an arena slot index plus the
-// generation stamp the slot carried when the event was scheduled. The zero
-// Timer is inactive; handles are values and may be copied freely. A Timer
-// may be stopped before it fires; stopping a fired or already-stopped timer
-// is a no-op.
-type Timer struct {
-	host TimerHost
-	idx  int32
-	gen  uint32
-	at   Time
-}
-
-// MakeTimer builds a handle for a sibling TimerHost implementation (the
-// wall-clock runtime). Simulation code never needs it: Engine issues its own
-// handles.
-func MakeTimer(h TimerHost, idx int32, gen uint32, at Time) Timer {
-	return Timer{host: h, idx: idx, gen: gen, at: at}
-}
-
-// timerSlot is one arena entry. gen is bumped every time the slot is
-// released (fire or stop), invalidating all outstanding handles to the
-// retired generation; prevFired records how that generation ended so a
-// just-retired handle can still answer Fired exactly.
-type timerSlot struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	gen       uint32
-	pos       int32 // index in Engine.heap; -1 when not queued
-	prevFired bool
-}
-
-// Stop cancels the timer, unlinking it from the event heap in O(log n). It
-// reports whether the cancellation prevented the event from firing.
-func (t Timer) Stop() bool {
-	if t.host == nil {
-		return false
-	}
-	return t.host.StopTimer(t.idx, t.gen)
-}
-
-// Fired reports whether the timer's event has run. The answer is exact
-// while the timer is pending and until the engine reuses its arena slot a
-// second time; after that it reports the slot's most recently recorded
-// outcome (no protocol code holds handles that long — rejoin timers are
-// either stopped or queried before re-arming).
-func (t Timer) Fired() bool {
-	if t.host == nil {
-		return false
-	}
-	return t.host.TimerFired(t.idx, t.gen)
-}
-
-// Active reports whether the timer is still pending: scheduled, not fired,
-// and not stopped. The zero Timer is inactive.
-func (t Timer) Active() bool {
-	return t.host != nil && t.host.TimerActive(t.idx, t.gen)
-}
-
-// When returns the scheduled firing time.
-func (t Timer) When() Time { return t.at }
-
 // Engine is the simulation executive. It is not safe for concurrent use:
 // the simulated world is single-threaded by design, which keeps protocol
 // traces reproducible.
 type Engine struct {
 	now       Time
-	slots     []timerSlot
-	free      []int32 // recycled arena slots
-	heap      []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
-	seq       uint64
+	timers    TimerArena
 	rng       *rand.Rand
 	processed uint64
 }
@@ -143,9 +61,8 @@ func (e *Engine) RNG() *rand.Rand { return e.rng }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently scheduled. Stopped timers
-// leave the queue immediately, so the count is exact.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of events currently scheduled.
+func (e *Engine) Pending() int { return e.timers.Len() }
 
 // Schedule runs fn after delay d. A negative delay panics: the simulated
 // world cannot rewrite its past.
@@ -164,213 +81,32 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, timerSlot{})
-		idx = int32(len(e.slots) - 1)
-	}
-	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
-	s.fn = fn
-	e.seq++
-	s.pos = int32(len(e.heap))
-	e.heap = append(e.heap, idx)
-	e.siftUp(int(s.pos))
-	return Timer{host: e, idx: idx, gen: s.gen, at: t}
+	idx, gen, _ := e.timers.Add(t, fn)
+	return Timer{host: e, idx: idx, gen: gen}
 }
 
-// ScheduleBatch schedules every function in fns to run after delay d,
-// appending one handle per function to out (whose capacity is reused) and
-// returning it. The batch behaves exactly like len(fns) sequential Schedule
-// calls — same deadlines, same FIFO order among the batch and against
-// everything else in the queue — but the heap is restored once per batch:
-// small batches sift each new slot up individually, while a batch that
-// rivals the standing population re-heapifies bottom-up in O(n). Recovery
-// storms arm their per-channel rejoin timers through this path.
-func (e *Engine) ScheduleBatch(d Duration, fns []func(), out []Timer) []Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	t := e.now.Add(d)
-	start := len(e.heap)
-	for _, fn := range fns {
-		if fn == nil {
-			panic("sim: nil event function")
-		}
-		var idx int32
-		if n := len(e.free); n > 0 {
-			idx = e.free[n-1]
-			e.free = e.free[:n-1]
-		} else {
-			e.slots = append(e.slots, timerSlot{})
-			idx = int32(len(e.slots) - 1)
-		}
-		s := &e.slots[idx]
-		s.at = t
-		s.seq = e.seq
-		s.fn = fn
-		e.seq++
-		s.pos = int32(len(e.heap))
-		e.heap = append(e.heap, idx)
-		out = append(out, Timer{host: e, idx: idx, gen: s.gen, at: t})
-	}
-	e.restoreSuffix(start)
-	return out
-}
-
-// restoreSuffix restores the heap property after new entries were appended
-// at positions [start, len). Per-item sift-up costs O(k log n); when the
-// batch rivals the standing population a bottom-up heapify is O(n) total
-// and wins. Either strategy yields the same (at, seq) firing order.
-func (e *Engine) restoreSuffix(start int) {
-	n := len(e.heap)
-	k := n - start
-	if k == 0 {
-		return
-	}
-	if k*4 < n || n < 8 {
-		for i := start; i < n; i++ {
-			e.siftUp(i)
-		}
-		return
-	}
-	for i := (n - 2) / 4; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// StopTimer implements TimerHost: it cancels the (idx, gen) slot if that
-// generation is still pending, unlinking it from the heap in O(log n).
-func (e *Engine) StopTimer(idx int32, gen uint32) bool {
-	s := &e.slots[idx]
-	if s.gen != gen {
-		return false // already fired or stopped
-	}
-	e.removeAt(int(s.pos))
-	e.release(idx, false)
-	return true
-}
+// StopTimer implements TimerHost.
+func (e *Engine) StopTimer(idx int32, gen uint32) bool { return e.timers.Stop(idx, gen) }
 
 // TimerActive implements TimerHost.
-func (e *Engine) TimerActive(idx int32, gen uint32) bool {
-	return e.slots[idx].gen == gen
-}
+func (e *Engine) TimerActive(idx int32, gen uint32) bool { return e.timers.Active(idx, gen) }
 
-// TimerFired implements TimerHost.
-func (e *Engine) TimerFired(idx int32, gen uint32) bool {
-	s := &e.slots[idx]
-	if s.gen == gen {
-		return false // still pending
-	}
-	return s.prevFired
-}
-
-// release retires slot idx's current generation (recording how it ended)
-// and returns the slot to the free list.
-func (e *Engine) release(idx int32, fired bool) {
-	s := &e.slots[idx]
-	s.fn = nil
-	s.pos = -1
-	s.prevFired = fired
-	s.gen++
-	e.free = append(e.free, idx)
-}
-
-// less orders heap entries by firing time, then scheduling order (FIFO for
-// equal deadlines).
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-// siftUp restores the heap property from position i toward the root,
-// keeping each slot's stored heap position current.
-func (e *Engine) siftUp(i int) {
-	item := e.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := e.heap[parent]
-		if !e.less(item, p) {
-			break
-		}
-		e.heap[i] = p
-		e.slots[p].pos = int32(i)
-		i = parent
-	}
-	e.heap[i] = item
-	e.slots[item].pos = int32(i)
-}
-
-// siftDown restores the heap property from position i toward the leaves.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	item := e.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.less(e.heap[best], item) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.slots[e.heap[i]].pos = int32(i)
-		i = best
-	}
-	e.heap[i] = item
-	e.slots[item].pos = int32(i)
-}
-
-// removeAt unlinks the heap entry at position i in O(log n).
-func (e *Engine) removeAt(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i == n {
-		return
-	}
-	e.heap[i] = last
-	e.slots[last].pos = int32(i)
-	// The moved entry may need to travel either direction.
-	e.siftDown(i)
-	e.siftUp(int(e.slots[last].pos))
-}
-
-// Step executes the next pending event, advancing the clock. It reports
-// whether an event was executed (false when the queue is empty).
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+// fire executes the next pending event if it is due at or before limit,
+// advancing the clock to it, and reports whether one ran.
+func (e *Engine) fire(limit Time) bool {
+	at, fn, ok := e.timers.Pop(limit)
+	if !ok {
 		return false
 	}
-	idx := e.heap[0]
-	s := &e.slots[idx]
-	e.now = s.at
-	fn := s.fn
-	e.removeAt(0)
-	// Release before running fn: the event may reschedule into this slot,
-	// and any handle to the fired generation must already read as dead.
-	e.release(idx, true)
+	e.now = at
 	e.processed++
 	fn()
 	return true
 }
+
+// Step executes the next pending event, advancing the clock. It reports
+// whether an event was executed (false when the queue is empty).
+func (e *Engine) Step() bool { return e.fire(math.MaxInt64) }
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
@@ -381,8 +117,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with firing times <= t, then advances the clock
 // to exactly t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
-		e.Step()
+	for e.fire(t) {
 	}
 	if t > e.now {
 		e.now = t

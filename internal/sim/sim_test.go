@@ -70,17 +70,18 @@ func TestTimerStop(t *testing.T) {
 	if ran {
 		t.Fatal("stopped timer fired")
 	}
-	if tm.Fired() {
-		t.Fatal("stopped timer reports fired")
+	if tm.Active() {
+		t.Fatal("stopped timer reads active")
 	}
 }
 
 func TestStopAfterFire(t *testing.T) {
 	e := New(1)
-	tm := e.Schedule(time.Millisecond, func() {})
+	ran := false
+	tm := e.Schedule(time.Millisecond, func() { ran = true })
 	e.Run()
-	if !tm.Fired() {
-		t.Fatal("timer did not fire")
+	if !ran || tm.Active() {
+		t.Fatalf("after Run: ran=%v active=%v, want a fired, dead timer", ran, tm.Active())
 	}
 	if tm.Stop() {
 		t.Fatal("Stop after firing returned true")
