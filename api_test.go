@@ -114,10 +114,10 @@ func TestPublicWorkloads(t *testing.T) {
 	}
 	rng := bcp.NewRand(1)
 	hs := bcp.HotSpot(g, bcp.HotSpotConfig{
-		Requests: 50, HotNodes: []bcp.NodeID{5}, HotFraction: 0.5,
+		Draws: 50, HotNodes: []bcp.NodeID{5}, HeavyBandwidth: 3,
 		Spec: bcp.DefaultSpec(),
 	}, rng)
-	if len(hs) != 50 {
+	if len(hs) == 0 || len(hs) > 50 {
 		t.Fatalf("hotspot = %d", len(hs))
 	}
 	dyn := bcp.Dynamic(g, bcp.DynamicConfig{
@@ -201,20 +201,14 @@ func TestPublicSchemeConstants(t *testing.T) {
 func TestPublicConcurrentSweep(t *testing.T) {
 	g := bcp.NewTorus(4, 4, 200)
 	mgr := bcp.NewManager(g, bcp.DefaultConfig())
-	for s := 0; s < g.NumNodes(); s++ {
-		for d := 0; d < g.NumNodes(); d++ {
-			if s != d {
-				if _, err := mgr.Establish(bcp.NodeID(s), bcp.NodeID(d), bcp.DefaultSpec(), []int{3}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	if _, rej := bcp.EstablishWorkload(mgr, bcp.AllPairs(g, bcp.DefaultSpec(), []int{3})); rej != 0 {
+		t.Fatalf("%d requests rejected", rej)
 	}
 	failures := bcp.AllSingleLinkFailures(g)
 	opts := bcp.DefaultExperimentOptions()
 	serial := bcp.Sweep(mgr, failures, opts)
 	opts.Workers = 4
-	pooled := bcp.SweepParallel(mgr, failures, opts)
+	pooled := bcp.Sweep(mgr, failures, opts)
 	if serial.RFast != pooled.RFast || serial.Trials != pooled.Trials {
 		t.Fatalf("parallel sweep %+v != serial %+v", pooled, serial)
 	}
@@ -254,7 +248,6 @@ var facadeTypeOnly = map[string]string{
 	"Table1Result":    "RunTable1",
 	"Table2Result":    "RunTable2",
 	"SweepResult":     "Sweep",
-	"DelayModel":      "Config.DelayModel",
 }
 
 // TestFacadeIsWhatIsCalled keeps bcp.go to what its callers use: every

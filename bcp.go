@@ -303,19 +303,14 @@ var (
 	RunSchemeComparison = experiment.RunSchemeComparison
 	// RunHotspot compares proposed vs brute-force under inhomogeneity.
 	RunHotspot = experiment.RunHotspot
-	// Sweep evaluates a failure list serially, aggregating R_fast.
+	// Sweep evaluates a failure list, aggregating R_fast, on
+	// ExperimentOptions.Workers pool workers sharing one network plan
+	// (per-worker TrialViews); results are identical for every worker
+	// count.
 	Sweep = experiment.Sweep
-	// SweepParallel fans a failure list over a worker pool sharing one
-	// network plan (per-worker TrialViews); results are identical to
-	// Sweep for every worker count.
-	SweepParallel = experiment.SweepParallel
 	// AllSingleLinkFailures enumerates one trial per simplex link.
 	AllSingleLinkFailures = experiment.AllSingleLinkFailures
 )
-
-// DelayModel parameterizes the analytic delay-bound admission test
-// (Config.DelayModel).
-type DelayModel = rtchan.DelayModel
 
 // NewRand returns a deterministic random source for tie-breaking and
 // workload generation.

@@ -24,9 +24,12 @@
 //	-lambda F   per-component failure probability (default 1e-4)
 //	-seed N     seed for randomized orders/workloads
 //	-order O    activation order: conn (default) | priority | random
-//	-workers N  worker pool for failure sweeps and figures
+//	-workers N  worker pool for every failure sweep and figure
 //	            (0/1 serial, -1 = GOMAXPROCS); results are identical
 //	-json       emit results as JSON instead of paper-style tables
+//
+// Every table's output at -sample 200 is pinned by
+// `go test ./internal/experiment -run GoldenTables`.
 package main
 
 import (
@@ -47,7 +50,7 @@ func main() {
 		lambda  = flag.Float64("lambda", 1e-4, "per-component failure probability per time unit")
 		seed    = flag.Int64("seed", 1, "random seed")
 		order   = flag.String("order", "conn", "activation order: conn|priority|random")
-		workers = flag.Int("workers", 0, "worker pool for failure sweeps and figures (0/1 = serial, -1 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "worker pool for every failure sweep and figure (0/1 = serial, -1 = GOMAXPROCS)")
 		asJSON  = flag.Bool("json", false, "emit results as JSON")
 	)
 	flag.Parse()
@@ -74,23 +77,24 @@ func main() {
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = []string{"table1a", "table1b", "table1c", "table2a", "table2b", "table2c",
-			"table3a", "table3b", "fig9a", "fig9b", "fig9c", "fig3", "sec5", "schemes", "hotspot", "ablation", "severity", "scalability", "baselines"}
+		ids = experiment.IDs
 	}
 	for _, id := range ids {
-		if err := run(strings.TrimSpace(id), opts, *asJSON); err != nil {
+		id = strings.TrimSpace(id)
+		res, err := experiment.Run(id, opts)
+		if err == nil {
+			err = emit(id, res, *asJSON)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "bcpsim: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// renderable pairs an experiment result with its paper-style presentation.
-type renderable interface{ Render() string }
-
 // emit prints one experiment result, as a table or as a JSON document
 // tagged with the experiment id.
-func emit(id string, res renderable, asJSON bool) error {
+func emit(id string, res experiment.Renderable, asJSON bool) error {
 	if !asJSON {
 		fmt.Println(res.Render())
 		return nil
@@ -103,60 +107,3 @@ func emit(id string, res renderable, asJSON bool) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
 }
-
-var alphas = []int{1, 3, 5, 6}
-
-func run(id string, opts experiment.Options, asJSON bool) error {
-	var res renderable
-	switch id {
-	case "table1a":
-		res = experiment.RunTable1(experiment.Torus8x8, 1, alphas, opts)
-	case "table1b":
-		res = experiment.RunTable1(experiment.Torus8x8, 2, alphas, opts)
-	case "table1c":
-		res = experiment.RunTable1(experiment.Mesh8x8, 1, alphas, opts)
-	case "table2a":
-		res = experiment.RunTable2(experiment.Torus8x8, 1, alphas, opts)
-	case "table2b":
-		res = experiment.RunTable2(experiment.Torus8x8, 2, alphas, opts)
-	case "table2c":
-		res = experiment.RunTable2(experiment.Mesh8x8, 1, alphas, opts)
-	case "table3a":
-		res = table3Result{experiment.RunTable3(experiment.Torus8x8, alphas, opts)}
-	case "table3b":
-		res = table3Result{experiment.RunTable3(experiment.Mesh8x8, alphas, opts)}
-	case "fig9a":
-		res = experiment.RunFigure9(experiment.Torus8x8, 1, []int{0, 1, 3, 5, 6}, 256, opts)
-	case "fig9b":
-		res = experiment.RunFigure9(experiment.Torus8x8, 2, []int{0, 1, 3, 5, 6}, 256, opts)
-	case "fig9c":
-		res = experiment.RunFigure9(experiment.Mesh8x8, 1, []int{0, 1, 3, 5, 6}, 256, opts)
-	case "fig3":
-		res = experiment.RunFigure3(4, 6, 1e-5, 100,
-			[]float64{1, 10, 100, 1000, 10000, 100000})
-	case "sec5":
-		res = experiment.RunSection5(opts)
-	case "schemes":
-		res = experiment.RunSchemeComparison(opts)
-	case "hotspot":
-		res = experiment.RunHotspot(opts)
-	case "ablation":
-		res = experiment.RunAblation(opts)
-	case "severity":
-		res = experiment.RunSeverity(5, 200, opts)
-	case "scalability":
-		res = experiment.RunScalability(3, opts)
-	case "baselines":
-		res = experiment.RunBaselineComparison(opts)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
-	}
-	return emit(id, res, asJSON)
-}
-
-// table3Result wraps Table 3 runs with their brute-force presentation.
-type table3Result struct {
-	experiment.Table1Result
-}
-
-func (r table3Result) Render() string { return experiment.RenderTable3(r.Table1Result) }

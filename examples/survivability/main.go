@@ -25,15 +25,8 @@ func main() {
 	for _, alpha := range []int{1, 3, 5, 6} {
 		g := bcp.NewTorus(6, 6, 200)
 		mgr := bcp.NewManager(g, bcp.DefaultConfig())
-		for s := 0; s < g.NumNodes(); s++ {
-			for d := 0; d < g.NumNodes(); d++ {
-				if s == d {
-					continue
-				}
-				if _, err := mgr.Establish(bcp.NodeID(s), bcp.NodeID(d), bcp.DefaultSpec(), []int{alpha}); err != nil {
-					log.Fatalf("mux=%d %d->%d: %v", alpha, s, d, err)
-				}
-			}
+		if _, rej := bcp.EstablishWorkload(mgr, bcp.AllPairs(g, bcp.DefaultSpec(), []int{alpha})); rej != 0 {
+			log.Fatalf("mux=%d: %d connections rejected", alpha, rej)
 		}
 		rows[0].values = append(rows[0].values, mgr.Network().SpareFraction())
 

@@ -38,11 +38,6 @@ type LinkChaos struct {
 	DelayMax sim.Duration
 }
 
-// enabled reports whether the plan can affect any packet.
-func (c LinkChaos) enabled() bool {
-	return c.Drop > 0 || c.Dup > 0 || c.Corrupt > 0 || (c.Delay > 0 && c.DelayMax > 0)
-}
-
 // ChaosParams configures a ChaosTransport.
 type ChaosParams struct {
 	// Seed drives every adversarial decision; same seed, same chaos.

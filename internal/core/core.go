@@ -69,11 +69,6 @@ type Config struct {
 	// +2 rule.
 	BackupSlackHops int
 
-	// DelayModel parameterizes the analytic end-to-end delay admission test
-	// applied to primaries whose TrafficSpec carries a DelayBound. The zero
-	// value falls back to rtchan.DefaultDelayModel.
-	DelayModel rtchan.DelayModel
-
 	// DisablePiDegreeRestriction turns off the paper's §3.2 refinement that
 	// Π(Bi,ℓ) only counts backups with no greater multiplexing degree.
 	// With the refinement off, one small-ν backup forces the link's spare

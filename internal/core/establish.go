@@ -167,12 +167,8 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 	}
 	p.prim.set(g, links)
 	if spec.DelayBound > 0 {
-		model := m.plan.cfg.DelayModel
-		if model.ControlFrameSize == 0 {
-			model = rtchan.DefaultDelayModel()
-		}
 		pPath := topology.NewPathUnchecked(g, p.prim.links, p.prim.nodes)
-		if bound, ok := m.plan.net.DelayAdmission(pPath, spec, model); !ok {
+		if bound, ok := m.plan.net.DelayAdmission(pPath, spec, rtchan.DefaultDelayModel()); !ok {
 			p.err = fmt.Errorf("core: delay admission failed for %d->%d: bound %v vs contract %v",
 				src, dst, bound, spec.DelayBound)
 			return

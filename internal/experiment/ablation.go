@@ -5,6 +5,7 @@ import (
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // AblationRow is one design-choice variant evaluated on the standard
@@ -44,7 +45,7 @@ func RunAblation(opts Options) AblationResult {
 	for _, v := range routingVariants {
 		cfg := opts.config()
 		cfg.BackupRouting = v.mode
-		res.Routing = append(res.Routing, runAblationRow(v.name, cfg, UniformDegrees(1, 3), opts))
+		res.Routing = append(res.Routing, runAblationRow(v.name, cfg, []int{3}, opts))
 	}
 
 	for _, restricted := range []bool{true, false} {
@@ -54,15 +55,17 @@ func RunAblation(opts Options) AblationResult {
 		}
 		cfg := opts.config()
 		cfg.DisablePiDegreeRestriction = !restricted
-		res.PiRule = append(res.PiRule, runAblationRow(name, cfg, CyclicDegrees(1, []int{1, 3, 5, 6}), opts))
+		res.PiRule = append(res.PiRule, runAblationRow(name, cfg, []int{1, 3, 5, 6}, opts))
 	}
 	return res
 }
 
-func runAblationRow(name string, cfg core.Config, degreesFor func(int) []int, opts Options) AblationRow {
+// runAblationRow establishes the all-pairs workload with one backup at
+// degrees alphas (mixed as in Table 2 when there are several).
+func runAblationRow(name string, cfg core.Config, alphas []int, opts Options) AblationRow {
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, cfg)
-	est, rej := EstablishAllPairs(m, degreesFor)
+	est, rej := workload.Establish(m, allPairs(g, 1, alphas...))
 	row := AblationRow{
 		Name:        name,
 		Established: est,

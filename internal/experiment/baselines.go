@@ -7,7 +7,7 @@ import (
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/rtchan"
-	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // BaselineComparisonResult contrasts BCP against the [BAN93]-style
@@ -43,7 +43,7 @@ func RunBaselineComparison(opts Options) BaselineComparisonResult {
 	{
 		g := NewGraph(Torus8x8)
 		m := core.NewManager(g, opts.config())
-		res.BCPAdmitted = establishRounds(m, g, []int{3}, rounds)
+		res.BCPAdmitted = establishRounds(m, allPairs(g, 1, 3), rounds)
 		res.BCPLoad = m.Network().NetworkLoad()
 		res.BCPSpare = m.Network().SpareFraction()
 		res.BCPOneLink = Sweep(m, AllSingleLinkFailures(g), opts).RFast
@@ -53,7 +53,7 @@ func RunBaselineComparison(opts Options) BaselineComparisonResult {
 	{
 		g := NewGraph(Torus8x8)
 		m := core.NewManager(g, opts.config())
-		res.ReAdmitted = establishRounds(m, g, nil, rounds)
+		res.ReAdmitted = establishRounds(m, workload.AllPairs(g, rtchan.DefaultSpec(), nil), rounds)
 		res.ReLoad = m.Network().NetworkLoad()
 		re := baseline.NewReestablish(m)
 		var link, node metrics.Ratio
@@ -71,22 +71,13 @@ func RunBaselineComparison(opts Options) BaselineComparisonResult {
 	return res
 }
 
-// establishRounds offers the all-pairs workload `rounds` times, returning
-// the number of connections admitted.
-func establishRounds(m *core.Manager, g *topology.Graph, degrees []int, rounds int) int {
+// establishRounds offers a workload `rounds` times, returning the number of
+// connections admitted.
+func establishRounds(m *core.Manager, reqs []workload.Request, rounds int) int {
 	admitted := 0
-	n := g.NumNodes()
 	for round := 0; round < rounds; round++ {
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s == d {
-					continue
-				}
-				if _, err := m.Establish(topology.NodeID(s), topology.NodeID(d), rtchan.DefaultSpec(), degrees); err == nil {
-					admitted++
-				}
-			}
-		}
+		est, _ := workload.Establish(m, reqs)
+		admitted += est
 	}
 	return admitted
 }

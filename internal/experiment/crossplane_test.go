@@ -20,6 +20,7 @@ import (
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 func TestProtocolMatchesTransactionalTrial(t *testing.T) {
@@ -38,7 +39,7 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		// Transactional world: establish and predict.
 		gT := NewGraph(Torus8x8)
 		mT := core.NewManager(gT, opts.config())
-		EstablishAllPairs(mT, UniformDegrees(1, 3))
+		workload.Establish(mT, allPairs(gT, 1, 3))
 		trial := mT.Trial(core.SingleLink(failLink), core.OrderByConn, nil)
 		var failedIDs []rtchan.ConnID
 		for _, conn := range mT.Connections() {
@@ -53,7 +54,7 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		// Protocol world: identical establishment, failure by messages.
 		gP := NewGraph(Torus8x8)
 		mP := core.NewManager(gP, opts.config())
-		EstablishAllPairs(mP, UniformDegrees(1, 3))
+		workload.Establish(mP, allPairs(gP, 1, 3))
 		eng := sim.New(1)
 		cfg := bcpd.DefaultConfig()
 		cfg.DetectionLatency = 0

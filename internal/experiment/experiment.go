@@ -12,6 +12,7 @@ import (
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // Kind names an evaluation network.
@@ -76,55 +77,68 @@ func (o Options) config() core.Config {
 	return cfg
 }
 
-// EstablishAllPairs establishes the paper's workload: one D-connection per
-// ordered node pair (64·63 = 4032 on the evaluation networks), in ascending
-// (src, dst) order, each requiring 1 Mbps and tolerating 2 extra hops.
-// degreesFor returns the backup degrees for the i-th connection (i counts
-// attempted establishments). It returns the number of connections
-// established and rejected.
-func EstablishAllPairs(m *core.Manager, degreesFor func(i int) []int) (established, rejected int) {
-	g := m.Graph()
-	n := g.NumNodes()
-	idx := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			_, err := m.Establish(topology.NodeID(s), topology.NodeID(d), rtchan.DefaultSpec(), degreesFor(idx))
-			if err != nil {
-				rejected++
-			} else {
-				established++
-			}
-			idx++
-		}
+// Renderable is an experiment result with its paper-style presentation.
+type Renderable interface{ Render() string }
+
+// IDs names every experiment Run knows, in the order `bcpsim -exp all` runs
+// them.
+var IDs = []string{"table1a", "table1b", "table1c", "table2a", "table2b", "table2c",
+	"table3a", "table3b", "fig9a", "fig9b", "fig9c", "fig3", "sec5", "schemes",
+	"hotspot", "ablation", "severity", "scalability", "baselines"}
+
+// Run runs the experiment named id with the paper's parameters.
+func Run(id string, opts Options) (Renderable, error) {
+	alphas := []int{1, 3, 5, 6}
+	fig9 := []int{0, 1, 3, 5, 6}
+	switch id {
+	case "table1a":
+		return RunTable1(Torus8x8, 1, alphas, opts), nil
+	case "table1b":
+		return RunTable1(Torus8x8, 2, alphas, opts), nil
+	case "table1c":
+		return RunTable1(Mesh8x8, 1, alphas, opts), nil
+	case "table2a":
+		return RunTable2(Torus8x8, 1, alphas, opts), nil
+	case "table2b":
+		return RunTable2(Torus8x8, 2, alphas, opts), nil
+	case "table2c":
+		return RunTable2(Mesh8x8, 1, alphas, opts), nil
+	case "table3a":
+		return table3{RunTable3(Torus8x8, alphas, opts)}, nil
+	case "table3b":
+		return table3{RunTable3(Mesh8x8, alphas, opts)}, nil
+	case "fig9a":
+		return RunFigure9(Torus8x8, 1, fig9, 256, opts), nil
+	case "fig9b":
+		return RunFigure9(Torus8x8, 2, fig9, 256, opts), nil
+	case "fig9c":
+		return RunFigure9(Mesh8x8, 1, fig9, 256, opts), nil
+	case "fig3":
+		return RunFigure3(4, 6, 1e-5, 100, []float64{1, 10, 100, 1000, 10000, 100000}), nil
+	case "sec5":
+		return RunSection5(opts), nil
+	case "schemes":
+		return RunSchemeComparison(opts), nil
+	case "hotspot":
+		return RunHotspot(opts), nil
+	case "ablation":
+		return RunAblation(opts), nil
+	case "severity":
+		return RunSeverity(5, 200, opts), nil
+	case "scalability":
+		return RunScalability(3, opts), nil
+	case "baselines":
+		return RunBaselineComparison(opts), nil
 	}
-	return established, rejected
+	return nil, fmt.Errorf("unknown experiment %q", id)
 }
 
-// UniformDegrees returns a degreesFor function assigning the same backup
-// configuration to every connection.
-func UniformDegrees(backups, alpha int) func(int) []int {
-	degrees := make([]int, backups)
-	for i := range degrees {
-		degrees[i] = alpha
-	}
-	return func(int) []int { return degrees }
-}
-
-// CyclicDegrees reproduces Table 2's mixed workload: connection i gets
-// backups at degree alphas[i % len(alphas)], so each class holds an equal
-// quarter of the connections.
-func CyclicDegrees(backups int, alphas []int) func(int) []int {
-	return func(i int) []int {
-		alpha := alphas[i%len(alphas)]
-		degrees := make([]int, backups)
-		for j := range degrees {
-			degrees[j] = alpha
-		}
-		return degrees
-	}
+// allPairs is the paper's workload on g (PAPER.md): one 1 Mbps request per
+// ordered node pair (64·63 = 4032 on the evaluation networks), each with
+// `backups` backups at degree alphas[i % len(alphas)] — one alpha for
+// Tables 1 and 3, Table 2's mix for several.
+func allPairs(g *topology.Graph, backups int, alphas ...int) []workload.Request {
+	return workload.Mixed(g, rtchan.DefaultSpec(), backups, alphas)
 }
 
 // Trialer runs one failure trial; implemented by *core.Manager and the
@@ -145,15 +159,13 @@ type SweepResult struct {
 	TotalFailedPrimaries int
 }
 
-// Sweep evaluates a trialer over every failure in the list, aggregating
-// R_fast as total-fast / total-failed across trials (the paper's ratio of
-// fast recoveries to failed primary channels).
+// Sweep evaluates a trialer over every failure in the list on
+// opts.Workers pool workers (see sweepMany), aggregating R_fast as
+// total-fast / total-failed across trials (the paper's ratio of fast
+// recoveries to failed primary channels). The result is the same for every
+// worker count.
 func Sweep(t Trialer, failures []core.Failure, opts Options) SweepResult {
-	stats := make([]core.RecoveryStats, len(failures))
-	for i, f := range failures {
-		stats[i] = t.Trial(f, opts.Order, opts.trialRNG(i))
-	}
-	return foldStats(stats)
+	return sweepMany(t, [][]core.Failure{failures}, opts)[0]
 }
 
 // trialRNG returns the activation-shuffle rng for the trial-th failure of a

@@ -7,6 +7,8 @@ import (
 
 	"github.com/rtcl/bcp/internal/baseline"
 	"github.com/rtcl/bcp/internal/core"
+	"github.com/rtcl/bcp/internal/rtchan"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 func TestNewGraphKinds(t *testing.T) {
@@ -24,33 +26,18 @@ func TestNewGraphKinds(t *testing.T) {
 	NewGraph(Kind("bogus"))
 }
 
-func TestEstablishAllPairsCount(t *testing.T) {
+// TestAllPairsWorkloadCount holds the paper's workload to its numbers: all
+// 64·63 pairs admitted on the torus at about a third of its capacity.
+func TestAllPairsWorkloadCount(t *testing.T) {
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, DefaultOptions().config())
-	est, rej := EstablishAllPairs(m, UniformDegrees(0, 0))
+	est, rej := workload.Establish(m, workload.AllPairs(g, rtchan.DefaultSpec(), nil))
 	if est != 4032 || rej != 0 {
 		t.Fatalf("est=%d rej=%d", est, rej)
 	}
 	load := m.Network().NetworkLoad()
 	if load < 0.30 || load > 0.36 {
 		t.Fatalf("load = %g, paper reports 0.33-0.34", load)
-	}
-}
-
-func TestCyclicDegreesPartition(t *testing.T) {
-	f := CyclicDegrees(2, []int{1, 3, 5, 6})
-	counts := map[int]int{}
-	for i := 0; i < 400; i++ {
-		d := f(i)
-		if len(d) != 2 || d[0] != d[1] {
-			t.Fatalf("degrees %v", d)
-		}
-		counts[d[0]]++
-	}
-	for _, alpha := range []int{1, 3, 5, 6} {
-		if counts[alpha] != 100 {
-			t.Fatalf("class %d got %d connections", alpha, counts[alpha])
-		}
 	}
 }
 
@@ -142,7 +129,7 @@ func TestTable2ClassGuaranteesHold(t *testing.T) {
 func TestBruteForceUniformSizing(t *testing.T) {
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, DefaultOptions().config())
-	EstablishAllPairs(m, UniformDegrees(1, 3))
+	workload.Establish(m, allPairs(g, 1, 3))
 	uniform := baseline.UniformSpareFromManager(m)
 	// Average of per-link spare must equal total spare / links.
 	var total float64

@@ -6,6 +6,7 @@ import (
 
 	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/core"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 func TestSeveritySweepShape(t *testing.T) {
@@ -57,7 +58,7 @@ func TestScalabilityMonotoneAndSound(t *testing.T) {
 	// provisioning helper and one small establishment directly.
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, DefaultOptions().config())
-	EstablishAllPairs(m, UniformDegrees(1, 3))
+	workload.Establish(m, allPairs(g, 1, 3))
 	maxChans, bytes := bcpd.RCCProvisioning(m)
 	if maxChans <= 0 || bytes != maxChans*14 {
 		t.Fatalf("provisioning: %d channels, %d bytes", maxChans, bytes)
@@ -86,7 +87,7 @@ func TestMixedDegreesNeedPriorityActivation(t *testing.T) {
 	opts := DefaultOptions()
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, opts.config())
-	EstablishAllPairs(m, CyclicDegrees(1, []int{1, 3, 5, 6}))
+	workload.Establish(m, allPairs(g, 1, 1, 3, 5, 6))
 
 	withPriority := opts
 	withPriority.Order = core.OrderByPriority

@@ -3,14 +3,11 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/reliability"
-	"github.com/rtcl/bcp/internal/rtchan"
-	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // Figure9Result reproduces one panel of Figure 9: average spare-bandwidth
@@ -25,68 +22,30 @@ type Figure9Result struct {
 // RunFigure9 establishes the all-pairs workload incrementally for each
 // degree in alphas, sampling (network load, spare fraction) every
 // sampleEvery connections. alpha = 0 is the "multiplexing disabled" curve.
-// The per-degree runs are independent (each has its own network), so with
-// opts.Workers > 1 they execute concurrently; series stay in alphas order.
+// The per-degree runs are independent (each has its own network), so they
+// share forEach's pool of opts.Workers; series stay in alphas order.
 func RunFigure9(kind Kind, backups int, alphas []int, sampleEvery int, opts Options) Figure9Result {
 	if sampleEvery <= 0 {
 		sampleEvery = 100
 	}
 	res := Figure9Result{Kind: kind, Backups: backups, Series: make([]metrics.Series, len(alphas))}
-	workers := opts.workerCount()
-	if workers > len(alphas) {
-		workers = len(alphas)
-	}
-	if workers <= 1 {
-		for i, alpha := range alphas {
-			res.Series[i] = figure9Series(kind, backups, alpha, sampleEvery, opts)
+	forEach(len(alphas), opts.workerCount(), func(_, i int) {
+		g := NewGraph(kind)
+		m := core.NewManager(g, opts.config())
+		s := &res.Series[i]
+		*s = metrics.Series{Name: fmt.Sprintf("mux=%d", alphas[i]), XLabel: "network-load", YLabel: "spare-bandwidth"}
+		// One sample after every full chunk of sampleEvery requests, and one
+		// at the end.
+		reqs := allPairs(g, backups, alphas[i])
+		for len(reqs) >= sampleEvery {
+			workload.Establish(m, reqs[:sampleEvery])
+			reqs = reqs[sampleEvery:]
+			s.Append(m.Network().NetworkLoad(), m.Network().SpareFraction())
 		}
-		return res
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(alphas) {
-					return
-				}
-				res.Series[i] = figure9Series(kind, backups, alphas[i], sampleEvery, opts)
-			}
-		}()
-	}
-	wg.Wait()
+		workload.Establish(m, reqs)
+		s.Append(m.Network().NetworkLoad(), m.Network().SpareFraction())
+	})
 	return res
-}
-
-// figure9Series runs one degree's incremental establishment curve.
-func figure9Series(kind Kind, backups, alpha, sampleEvery int, opts Options) metrics.Series {
-	g := NewGraph(kind)
-	m := core.NewManager(g, opts.config())
-	s := metrics.Series{
-		Name:   fmt.Sprintf("mux=%d", alpha),
-		XLabel: "network-load",
-		YLabel: "spare-bandwidth",
-	}
-	degrees := UniformDegrees(backups, alpha)
-	n := g.NumNodes()
-	idx := 0
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			_, _ = m.Establish(topology.NodeID(src), topology.NodeID(dst), rtchan.DefaultSpec(), degrees(idx))
-			idx++
-			if idx%sampleEvery == 0 {
-				s.Append(m.Network().NetworkLoad(), m.Network().SpareFraction())
-			}
-		}
-	}
-	s.Append(m.Network().NetworkLoad(), m.Network().SpareFraction())
-	return s
 }
 
 // Render prints the figure as aligned data columns.

@@ -12,7 +12,7 @@ import (
 	"github.com/rtcl/bcp/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
+var updateGolden = flag.Bool("update", false, "rewrite golden trace and table files")
 
 // TestGoldenTrace pins the exact event stream of the canonical Scheme-3
 // single-link-crash scenario. The simulator is deterministic, so any

@@ -9,6 +9,7 @@ import (
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // HotspotResult quantifies §7.1/§7.4's inhomogeneity claim: with hot-spot
@@ -33,32 +34,16 @@ type HotspotResult struct {
 func RunHotspot(opts Options) HotspotResult {
 	g := NewGraph(Torus8x8)
 	m := core.NewManager(g, opts.config())
-	rng := rand.New(rand.NewSource(opts.Seed))
-	hot := []topology.NodeID{9, 14, 49, 54}
-	n := g.NumNodes()
+	reqs := workload.HotSpot(g, workload.HotSpotConfig{
+		Draws:          3000,
+		HotNodes:       []topology.NodeID{9, 14, 49, 54},
+		HeavyBandwidth: 3,
+		Spec:           rtchan.DefaultSpec(),
+		Degrees:        []int{3},
+	}, rand.New(rand.NewSource(opts.Seed)))
 
 	res := HotspotResult{Kind: Torus8x8}
-	for i := 0; i < 3000; i++ {
-		src := topology.NodeID(rng.Intn(n))
-		var dst topology.NodeID
-		if i%2 == 0 {
-			dst = hot[rng.Intn(len(hot))]
-		} else {
-			dst = topology.NodeID(rng.Intn(n))
-		}
-		if src == dst {
-			continue
-		}
-		spec := rtchan.DefaultSpec()
-		if rng.Intn(4) == 0 {
-			spec.Bandwidth = 3
-		}
-		if _, err := m.Establish(src, dst, spec, []int{3}); err != nil {
-			res.Rejected++
-		} else {
-			res.Established++
-		}
-	}
+	res.Established, res.Rejected = workload.Establish(m, reqs)
 	res.SpareBW = m.Network().SpareFraction()
 
 	brute := baseline.NewBruteForce(m, baseline.UniformSpareFromManager(m), true)

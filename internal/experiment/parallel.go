@@ -16,6 +16,33 @@ func (o Options) workerCount() int {
 	return o.Workers
 }
 
+// forEach is the package's one worker pool: it calls fn(w, i) once for
+// every i in [0, n), where w < workers names the calling worker, so fn can
+// keep per-worker state in a slice indexed by w. With workers <= 1 (or
+// n <= 1) it runs inline in index order on worker 0; otherwise each worker
+// claims the next index until none are left.
+func forEach(n, workers int, fn func(w, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // sweepJob addresses one trial in a flattened batch of failure lists.
 type sweepJob struct {
 	set, idx int
@@ -27,45 +54,20 @@ type viewable interface {
 	NewTrialView() *core.TrialView
 }
 
-// workerTrialer returns the Trialer one pool worker should call: a
-// per-worker TrialView (private scratch over the shared plan) when the
-// trialer hands them out, the trialer itself otherwise.
-func workerTrialer(t Trialer) Trialer {
-	if v, ok := t.(viewable); ok {
-		return v.NewTrialView()
-	}
-	return t
-}
-
 // sweepMany evaluates several failure lists against one shared trialer,
 // returning one SweepResult per list. With opts.Workers > 1 the trials are
-// fanned out over a worker pool; every worker trials against the same
+// fanned out over forEach's pool; every worker trials against the same
 // NetworkPlan through its own TrialView (per-goroutine scratch, shared
-// read-only state), so the pool pays no per-worker establishment cost.
-// Results are stored by trial index and folded in list order, so the output
-// is bit-identical to a serial run.
+// read-only state), so the pool pays no per-worker establishment cost. A
+// trialer that hands out no views runs serially: nothing says it is safe to
+// share. Results are stored by trial index and folded in list order, so the
+// output is bit-identical to a serial run.
 //
 // OrderRandom sweeps parallelize too: each trial derives its shuffle rng
 // from (Options.Seed, trial index) — see Options.trialRNG — so the shuffle
 // is a function of the trial alone, not of the execution schedule.
 func sweepMany(t Trialer, sets [][]core.Failure, opts Options) []SweepResult {
-	workers := opts.workerCount()
-	total := 0
-	for _, fs := range sets {
-		total += len(fs)
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		out := make([]SweepResult, len(sets))
-		for i, fs := range sets {
-			out[i] = Sweep(t, fs, opts)
-		}
-		return out
-	}
-
-	jobs := make([]sweepJob, 0, total)
+	var jobs []sweepJob
 	stats := make([][]core.RecoveryStats, len(sets))
 	for si, fs := range sets {
 		stats[si] = make([]core.RecoveryStats, len(fs))
@@ -74,35 +76,23 @@ func sweepMany(t Trialer, sets [][]core.Failure, opts Options) []SweepResult {
 		}
 	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wt := workerTrialer(t)
-			for {
-				j := next.Add(1) - 1
-				if j >= int64(len(jobs)) {
-					return
-				}
-				job := jobs[j]
-				stats[job.set][job.idx] = wt.Trial(sets[job.set][job.idx], opts.Order, opts.trialRNG(job.idx))
+	trialers := []Trialer{t}
+	if workers := min(opts.workerCount(), len(jobs)); workers > 1 {
+		if v, ok := t.(viewable); ok {
+			trialers = make([]Trialer, workers)
+			for w := range trialers {
+				trialers[w] = v.NewTrialView()
 			}
-		}()
+		}
 	}
-	wg.Wait()
+	forEach(len(jobs), len(trialers), func(w, j int) {
+		job := jobs[j]
+		stats[job.set][job.idx] = trialers[w].Trial(sets[job.set][job.idx], opts.Order, opts.trialRNG(job.idx))
+	})
 
 	out := make([]SweepResult, len(sets))
 	for i := range sets {
 		out[i] = foldStats(stats[i])
 	}
 	return out
-}
-
-// SweepParallel evaluates one failure list against a shared trialer with
-// opts.Workers pool workers (see sweepMany). It is the parallel counterpart
-// of Sweep and returns the identical result for every worker count.
-func SweepParallel(t Trialer, failures []core.Failure, opts Options) SweepResult {
-	return sweepMany(t, [][]core.Failure{failures}, opts)[0]
 }

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"github.com/rtcl/bcp/internal/core"
-	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // TestParallelSweepMatchesSerial runs a full Table 1 column serially and
@@ -48,8 +48,8 @@ func TestTable3ParallelMatchesSerial(t *testing.T) {
 	parallel := opts
 	parallel.Workers = 4
 
-	want := RenderTable3(RunTable3(Torus8x8, []int{5}, serial))
-	got := RenderTable3(RunTable3(Torus8x8, []int{5}, parallel))
+	want := table3{RunTable3(Torus8x8, []int{5}, serial)}.Render()
+	got := table3{RunTable3(Torus8x8, []int{5}, parallel)}.Render()
 	if want != got {
 		t.Fatalf("parallel table differs from serial:\nserial:\n%s\nparallel:\n%s", want, got)
 	}
@@ -62,15 +62,7 @@ func TestTable3ParallelMatchesSerial(t *testing.T) {
 func TestParallelSweepSmall(t *testing.T) {
 	g := topology.NewMesh(4, 4, 50)
 	m := core.NewManager(g, core.DefaultConfig())
-	n := g.NumNodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				_, _ = m.Establish(topology.NodeID(s), topology.NodeID(d),
-					rtchan.DefaultSpec(), []int{3})
-			}
-		}
-	}
+	workload.Establish(m, allPairs(g, 1, 3))
 	sets := [][]core.Failure{
 		AllSingleLinkFailures(g),
 		AllSingleNodeFailures(g),
@@ -96,13 +88,7 @@ func TestParallelSweepSmall(t *testing.T) {
 func TestParallelRandomOrderMatchesSerial(t *testing.T) {
 	g := topology.NewMesh(3, 3, 20)
 	m := core.NewManager(g, core.DefaultConfig())
-	for s := 0; s < g.NumNodes(); s++ {
-		for d := 0; d < g.NumNodes(); d++ {
-			if s != d {
-				_, _ = m.Establish(topology.NodeID(s), topology.NodeID(d), rtchan.DefaultSpec(), []int{3})
-			}
-		}
-	}
+	workload.Establish(m, allPairs(g, 1, 3))
 	sets := [][]core.Failure{AllSingleLinkFailures(g)}
 	opts := Options{Order: core.OrderRandom, Seed: 7}
 	want := Sweep(m, sets[0], opts)

@@ -8,6 +8,7 @@ import (
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // ScalabilityRow measures one network size.
@@ -41,8 +42,9 @@ func RunScalability(alpha int, opts Options) ScalabilityResult {
 	for _, side := range []int{4, 6, 8, 10, 12} {
 		g := topology.NewTorus(side, side, 200*float64(side*side)/64)
 		m := core.NewManager(g, opts.config())
+		reqs := allPairs(g, 1, alpha)
 		start := time.Now()
-		est, _ := EstablishAllPairs(m, UniformDegrees(1, alpha))
+		est, _ := workload.Establish(m, reqs)
 		elapsed := time.Since(start)
 
 		row := ScalabilityRow{

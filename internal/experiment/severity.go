@@ -7,6 +7,7 @@ import (
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // SeverityResult extends the paper's three failure models into a severity
@@ -47,7 +48,7 @@ func RunSeverity(maxFail, trials int, opts Options) SeverityResult {
 	for _, cfg := range configs {
 		g := NewGraph(Torus8x8)
 		m := core.NewManager(g, opts.config())
-		EstablishAllPairs(m, UniformDegrees(cfg.backups, cfg.alpha))
+		workload.Establish(m, allPairs(g, cfg.backups, cfg.alpha))
 		rFast := make([]float64, maxFail)
 		bOK := make([]float64, maxFail)
 		for k := 1; k <= maxFail; k++ {

@@ -12,6 +12,7 @@ import (
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // StormWide is the mass-failure counterpart of Storm: instead of crashing
@@ -46,11 +47,9 @@ type StormWide struct {
 // torus with all pairs between non-victim endpoints.
 type StormWideConfig struct {
 	// Mesh switches the topology from the paper's 8×8 torus (64 nodes) to a
-	// 16×16 mesh (256 nodes) with a sampled workload.
+	// 16×16 mesh (256 nodes) with a sampled workload of
+	// stormWideMeshConns connections.
 	Mesh bool
-	// MaxConns caps how many connections are established. 0 means all
-	// non-victim pairs on the torus, or stormWideMeshConns on the mesh.
-	MaxConns int
 	// PerMessageDispatch runs the per-message dispatch engine instead of
 	// dispatch rounds — the A/B baseline for the batching work.
 	PerMessageDispatch bool
@@ -112,49 +111,32 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 
 	eng := sim.New(cfg.Seed)
 	mgr := core.NewManager(g, core.DefaultConfig())
-	limit := cfg.MaxConns
-	if limit == 0 && cfg.Mesh {
-		limit = stormWideMeshConns
-	}
-
-	var conns []*core.DConnection
 	if cfg.Mesh {
 		// Sampled random pairs: the seeded generator makes the workload a
 		// pure function of the seed, so A/B runs load identical networks.
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
-		for len(conns) < limit {
+		for n := 0; n < stormWideMeshConns; {
 			s := topology.NodeID(rng.Intn(g.NumNodes()))
 			d := topology.NodeID(rng.Intn(g.NumNodes()))
 			if s == d || isVictim[s] || isVictim[d] {
 				continue
 			}
-			c, err := mgr.Establish(s, d, rtchan.DefaultSpec(), []int{1})
-			if err != nil {
-				continue // capacity or disjointness — skip the pair
+			// A rejection (capacity or disjointness) skips the pair.
+			if _, err := mgr.Establish(s, d, rtchan.DefaultSpec(), []int{1}); err == nil {
+				n++
 			}
-			conns = append(conns, c)
 		}
 	} else {
-		for s := 0; s < g.NumNodes(); s++ {
-			for d := 0; d < g.NumNodes(); d++ {
-				src, dst := topology.NodeID(s), topology.NodeID(d)
-				if src == dst || isVictim[src] || isVictim[dst] {
-					continue
-				}
-				c, err := mgr.Establish(src, dst, rtchan.DefaultSpec(), []int{1})
-				if err != nil {
-					continue
-				}
-				conns = append(conns, c)
-				if limit > 0 && len(conns) >= limit {
-					break
-				}
-			}
-			if limit > 0 && len(conns) >= limit {
-				break
+		// All pairs between non-victim endpoints, in AllPairs order.
+		var reqs []workload.Request
+		for _, r := range workload.AllPairs(g, rtchan.DefaultSpec(), []int{1}) {
+			if !isVictim[r.Src] && !isVictim[r.Dst] {
+				reqs = append(reqs, r)
 			}
 		}
+		workload.Establish(mgr, reqs)
 	}
+	conns := mgr.Connections()
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("experiment: storm-wide established no connections")
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/rtcl/bcp/internal/baseline"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/metrics"
+	"github.com/rtcl/bcp/internal/workload"
 )
 
 // AlphaColumn is one column of Tables 1 and 3: the outcome of a whole
@@ -46,7 +47,7 @@ func RunTable1(kind Kind, backups int, alphas []int, opts Options) Table1Result 
 func runAlphaColumn(kind Kind, backups, alpha int, opts Options, brute bool) AlphaColumn {
 	g := NewGraph(kind)
 	m := core.NewManager(g, opts.config())
-	est, rej := EstablishAllPairs(m, UniformDegrees(backups, alpha))
+	est, rej := workload.Establish(m, allPairs(g, backups, alpha))
 	col := AlphaColumn{Alpha: alpha, Established: est, Rejected: rej}
 	nan := func() float64 { var z float64; return 0 / z }
 	if rej*20 > est+rej {
@@ -74,23 +75,19 @@ func runAlphaColumn(kind Kind, backups, alpha int, opts Options, brute bool) Alp
 
 // Render prints the result in the paper's Table 1 layout.
 func (r Table1Result) Render() string {
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Table 1: R_fast with same multiplexing degrees — %d backup(s) in %s", r.Backups, r.Kind),
-		Columns: append([]string{"Muxing degree"}, degreeHeaders(r.Columns)...),
-	}
-	addAlphaRows(t, r.Columns)
-	return t.String()
+	return r.render(fmt.Sprintf("Table 1: R_fast with same multiplexing degrees — %d backup(s) in %s", r.Backups, r.Kind),
+		"Muxing degree")
 }
 
-func degreeHeaders(cols []AlphaColumn) []string {
-	out := make([]string, len(cols))
+// render lays out Tables 1 and 3: one column per degree, one row per
+// metric, under the given title and corner label.
+func (r Table1Result) render(title, corner string) string {
+	cols := r.Columns
+	alphas := make([]int, len(cols))
 	for i, c := range cols {
-		out[i] = fmt.Sprintf("mux=%d", c.Alpha)
+		alphas[i] = c.Alpha
 	}
-	return out
-}
-
-func addAlphaRows(t *metrics.Table, cols []AlphaColumn) {
+	t := &metrics.Table{Title: title, Columns: muxHeaders(corner, alphas)}
 	row := func(label string, get func(AlphaColumn) float64) {
 		vals := make([]float64, len(cols))
 		for i, c := range cols {
@@ -102,6 +99,17 @@ func addAlphaRows(t *metrics.Table, cols []AlphaColumn) {
 	row("1 link failure", func(c AlphaColumn) float64 { return c.OneLink })
 	row("1 node failure", func(c AlphaColumn) float64 { return c.OneNode })
 	row("2 node failures", func(c AlphaColumn) float64 { return c.TwoNodes })
+	return t.String()
+}
+
+// muxHeaders is a table's header row: the corner label, then "mux=α" per
+// degree.
+func muxHeaders(corner string, alphas []int) []string {
+	out := []string{corner}
+	for _, a := range alphas {
+		out = append(out, fmt.Sprintf("mux=%d", a))
+	}
+	return out
 }
 
 // Table2Result reproduces one sub-table of Table 2 ("R_fast with mixed
@@ -131,7 +139,7 @@ func RunTable2(kind Kind, backups int, alphas []int, opts Options) Table2Result 
 	opts.Order = core.OrderByPriority
 	g := NewGraph(kind)
 	m := core.NewManager(g, opts.config())
-	est, rej := EstablishAllPairs(m, CyclicDegrees(backups, alphas))
+	est, rej := workload.Establish(m, allPairs(g, backups, alphas...))
 	res := Table2Result{
 		Kind: kind, Backups: backups, Alphas: alphas,
 		Established: est, Rejected: rej,
@@ -153,7 +161,7 @@ func (r Table2Result) Render() string {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Table 2: R_fast with mixed multiplexing degrees — %d backup(s) in %s (spare bandwidth %s)",
 			r.Backups, r.Kind, metrics.FormatPercent(r.SpareBW)),
-		Columns: append([]string{"Muxing degree"}, alphaHeaders(r.Alphas)...),
+		Columns: muxHeaders("Muxing degree", r.Alphas),
 	}
 	row := func(label string, m map[int]float64) {
 		vals := make([]float64, len(r.Alphas))
@@ -173,14 +181,6 @@ func (r Table2Result) Render() string {
 	return t.String()
 }
 
-func alphaHeaders(alphas []int) []string {
-	out := make([]string, len(alphas))
-	for i, a := range alphas {
-		out[i] = fmt.Sprintf("mux=%d", a)
-	}
-	return out
-}
-
 // RunTable3 reproduces Table 3: brute-force multiplexing with the uniform
 // per-link spare sized to the proposed scheme's average at each degree.
 func RunTable3(kind Kind, alphas []int, opts Options) Table1Result {
@@ -191,13 +191,10 @@ func RunTable3(kind Kind, alphas []int, opts Options) Table1Result {
 	return res
 }
 
-// RenderTable3 prints a Table-3 style table (same rows as Table 1, brute
-// force activation).
-func RenderTable3(r Table1Result) string {
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Table 3: R_fast with brute-force multiplexing — %s", r.Kind),
-		Columns: append([]string{"Spare bandwidth"}, degreeHeaders(r.Columns)...),
-	}
-	addAlphaRows(t, r.Columns)
-	return t.String()
+// table3 gives a Table 3 run its brute-force presentation: Table 1's rows
+// under a Table 3 title.
+type table3 struct{ Table1Result }
+
+func (r table3) Render() string {
+	return r.render(fmt.Sprintf("Table 3: R_fast with brute-force multiplexing — %s", r.Kind), "Spare bandwidth")
 }

@@ -1,47 +1,23 @@
 package trace
 
-// ArenaSink is a Sink backed by one pre-sized arena of fixed-width event
-// records. Emit writes into the arena without allocating; what happens at
-// the capacity boundary depends on whether a flush function is attached:
-//
-//   - With an OnFlush callback (NewArenaSink), the arena drains through the
-//     callback whenever it fills, and again on an explicit Flush. The
-//     callback's slice aliases the arena — consumers copy out anything they
-//     keep.
-//   - Without one (NewFlightRecorder), the arena wraps: the sink keeps the
-//     most recent Cap events, flight-recorder style, and Events reassembles
-//     them in emission order.
+// ArenaSink is a flight recorder: a Sink backed by one pre-sized ring of
+// fixed-width event records. Emit writes into the ring without allocating;
+// once full, it wraps, so the sink keeps the most recent events and Events
+// reassembles them in emission order.
 //
 // Like every Sink, an ArenaSink is driven from the single-threaded
 // simulation loop and needs no locking.
 type ArenaSink struct {
 	buf     []Event
-	n       int  // valid records (write position when not wrapped)
-	wrapped bool // ring mode only: buf is full and n is the oldest record
-
-	onFlush func([]Event)
+	n       int  // write position; valid records when not wrapped
+	wrapped bool // buf is full and n is the oldest record
 
 	total   uint64 // events emitted over the sink's lifetime
-	dropped uint64 // ring mode: events overwritten before being read
-	flushes uint64 // flush-mode: times onFlush ran
+	dropped uint64 // events overwritten before being read
 }
 
-// NewArenaSink returns a flush-mode arena holding capacity events. onFlush
-// receives the arena's contents each time it fills and on Flush; it must
-// not retain the slice. capacity must be positive; onFlush must not be nil
-// (use NewFlightRecorder for the wrap-around variant).
-func NewArenaSink(capacity int, onFlush func([]Event)) *ArenaSink {
-	if capacity <= 0 {
-		panic("trace: non-positive arena capacity")
-	}
-	if onFlush == nil {
-		panic("trace: nil flush function (use NewFlightRecorder)")
-	}
-	return &ArenaSink{buf: make([]Event, capacity), onFlush: onFlush}
-}
-
-// NewFlightRecorder returns a ring-mode arena that retains the most recent
-// capacity events.
+// NewFlightRecorder returns an arena that retains the most recent capacity
+// events.
 func NewFlightRecorder(capacity int) *ArenaSink {
 	if capacity <= 0 {
 		panic("trace: non-positive arena capacity")
@@ -49,18 +25,11 @@ func NewFlightRecorder(capacity int) *ArenaSink {
 	return &ArenaSink{buf: make([]Event, capacity)}
 }
 
-// Cap returns the arena capacity in events.
-func (a *ArenaSink) Cap() int { return len(a.buf) }
-
 // Total returns the number of events emitted over the sink's lifetime.
 func (a *ArenaSink) Total() uint64 { return a.total }
 
-// Dropped returns how many events a ring-mode sink has overwritten. Always
-// zero in flush mode.
+// Dropped returns how many events the ring has overwritten.
 func (a *ArenaSink) Dropped() uint64 { return a.dropped }
-
-// Flushes returns how many times the flush callback has run.
-func (a *ArenaSink) Flushes() uint64 { return a.flushes }
 
 // Len returns the number of events currently buffered.
 func (a *ArenaSink) Len() int {
@@ -73,15 +42,6 @@ func (a *ArenaSink) Len() int {
 // Emit implements Sink.
 func (a *ArenaSink) Emit(ev Event) {
 	a.total++
-	if a.onFlush != nil {
-		a.buf[a.n] = ev
-		a.n++
-		if a.n == len(a.buf) {
-			a.flush()
-		}
-		return
-	}
-	// Ring mode.
 	if a.wrapped {
 		a.dropped++
 	}
@@ -93,25 +53,8 @@ func (a *ArenaSink) Emit(ev Event) {
 	}
 }
 
-func (a *ArenaSink) flush() {
-	a.flushes++
-	a.onFlush(a.buf[:a.n])
-	a.n = 0
-}
-
-// Flush drains buffered events through the flush callback (flush mode
-// only; a no-op when empty or in ring mode). Call it at the end of a run —
-// the flush boundary — so the tail of the trace reaches the consumer.
-func (a *ArenaSink) Flush() {
-	if a.onFlush == nil || a.n == 0 {
-		return
-	}
-	a.flush()
-}
-
-// Events appends the buffered events in emission order to dst and returns
-// the result. In flush mode this is the unflushed tail; in ring mode, the
-// retained window.
+// Events appends the retained window in emission order to dst and returns
+// the result.
 func (a *ArenaSink) Events(dst []Event) []Event {
 	if a.wrapped {
 		dst = append(dst, a.buf[a.n:]...)

@@ -10,46 +10,6 @@ func ev(i int) Event {
 	return Event{At: sim.Time(i), Kind: KindClaim, Aux: int64(i)}
 }
 
-func TestArenaSinkFlushMode(t *testing.T) {
-	var got []Event
-	var flushSizes []int
-	a := NewArenaSink(4, func(evs []Event) {
-		flushSizes = append(flushSizes, len(evs))
-		got = append(got, evs...) // consumer copies out
-	})
-	for i := 0; i < 10; i++ {
-		a.Emit(ev(i))
-	}
-	if a.Flushes() != 2 {
-		t.Fatalf("flushes = %d, want 2", a.Flushes())
-	}
-	if a.Len() != 2 {
-		t.Fatalf("buffered = %d, want 2", a.Len())
-	}
-	a.Flush()
-	if a.Len() != 0 {
-		t.Fatalf("buffered after Flush = %d", a.Len())
-	}
-	a.Flush() // empty: no-op
-	if a.Flushes() != 3 {
-		t.Fatalf("flushes = %d, want 3", a.Flushes())
-	}
-	if len(flushSizes) != 3 || flushSizes[0] != 4 || flushSizes[1] != 4 || flushSizes[2] != 2 {
-		t.Fatalf("flush sizes = %v", flushSizes)
-	}
-	if len(got) != 10 {
-		t.Fatalf("delivered %d events", len(got))
-	}
-	for i, e := range got {
-		if e.Aux != int64(i) {
-			t.Fatalf("event %d out of order: %+v", i, e)
-		}
-	}
-	if a.Total() != 10 || a.Dropped() != 0 {
-		t.Fatalf("total=%d dropped=%d", a.Total(), a.Dropped())
-	}
-}
-
 func TestFlightRecorderWraps(t *testing.T) {
 	a := NewFlightRecorder(4)
 	for i := 0; i < 3; i++ {
@@ -89,25 +49,19 @@ func TestFlightRecorderWraps(t *testing.T) {
 	}
 }
 
-// TestArenaSinkEmitAllocFree is the tentpole alloc guard: steady-state
-// emission into either arena mode must not allocate.
+// TestArenaSinkEmitAllocFree is the alloc guard: steady-state emission,
+// wrap boundary included, must not allocate.
 func TestArenaSinkEmitAllocFree(t *testing.T) {
 	ring := NewFlightRecorder(256)
 	if n := testing.AllocsPerRun(1000, func() { ring.Emit(ev(1)) }); n != 0 {
 		t.Fatalf("ring Emit allocates %v/op", n)
 	}
-	flush := NewArenaSink(256, func([]Event) {})
-	if n := testing.AllocsPerRun(1000, func() { flush.Emit(ev(1)) }); n != 0 {
-		t.Fatalf("flush-mode Emit allocates %v/op (including flush boundary)", n)
-	}
 }
 
 func TestArenaSinkPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero-cap-flush": func() { NewArenaSink(0, func([]Event) {}) },
-		"nil-flush":      func() { NewArenaSink(8, nil) },
-		"zero-cap-ring":  func() { NewFlightRecorder(0) },
-		"negative-ring":  func() { NewFlightRecorder(-1) },
+		"zero-cap-ring": func() { NewFlightRecorder(0) },
+		"negative-ring": func() { NewFlightRecorder(-1) },
 	} {
 		func() {
 			defer func() {

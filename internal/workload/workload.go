@@ -1,8 +1,10 @@
-// Package workload generates connection-request workloads for the
-// evaluation: the paper's homogeneous all-pairs load, inhomogeneous
-// variants (hot-spots, mixed bandwidths, §7.1), and dynamic churn with
-// Poisson arrivals and exponential holding times — the setting the paper
-// argues distinguishes BCP from design-time VP-restoration schemes (§8).
+// Package workload is the one place the evaluation's connection requests
+// are written: the paper's homogeneous all-pairs load, Table 2's mixed
+// degrees, the hot-spot load with mixed bandwidths (§7.1), and dynamic
+// churn with Poisson arrivals and exponential holding times — the setting
+// the paper argues distinguishes BCP from design-time VP-restoration
+// schemes (§8). Establish is the one loop that offers a static workload to
+// a manager.
 package workload
 
 import (
@@ -46,16 +48,34 @@ func AllPairs(g *topology.Graph, spec rtchan.TrafficSpec, degrees []int) []Reque
 	return out
 }
 
+// Mixed is AllPairs with Table 2's mixed degrees: request i gets backups
+// backups, all at degree alphas[i % len(alphas)], so each class holds an
+// equal share of the connections. One alpha is the uniform workload of
+// Tables 1 and 3.
+func Mixed(g *topology.Graph, spec rtchan.TrafficSpec, backups int, alphas []int) []Request {
+	classes := make([][]int, len(alphas))
+	for c, alpha := range alphas {
+		classes[c] = make([]int, backups)
+		for j := range classes[c] {
+			classes[c][j] = alpha
+		}
+	}
+	reqs := AllPairs(g, spec, nil)
+	for i := range reqs {
+		reqs[i].Degrees = classes[i%len(classes)]
+	}
+	return reqs
+}
+
 // HotSpotConfig parameterizes the inhomogeneous workload of §7.1.
 type HotSpotConfig struct {
-	// Requests is the number of connection requests to generate.
-	Requests int
-	// HotNodes receive a disproportionate share of destinations.
+	// Draws is the number of endpoint draws; draws that pick src == dst
+	// are dropped, so HotSpot returns at most Draws requests.
+	Draws int
+	// HotNodes receive the destination of every even-numbered draw.
 	HotNodes []topology.NodeID
-	// HotFraction of requests terminate at a hot node.
-	HotFraction float64
-	// HeavyFraction of requests use HeavyBandwidth instead of the spec's.
-	HeavyFraction  float64
+	// HeavyBandwidth replaces the spec's bandwidth on one request in four
+	// (0 keeps the spec's; the draw is made either way).
 	HeavyBandwidth float64
 	// Spec is the base traffic contract.
 	Spec rtchan.TrafficSpec
@@ -63,17 +83,19 @@ type HotSpotConfig struct {
 	Degrees []int
 }
 
-// HotSpot generates the inhomogeneous workload. Deterministic per rng seed.
+// HotSpot generates the inhomogeneous workload: a uniform source, a
+// destination drawn from HotNodes on even draws and uniformly on odd ones,
+// and a one-in-four chance of HeavyBandwidth. Deterministic per rng seed.
 func HotSpot(g *topology.Graph, cfg HotSpotConfig, rng *rand.Rand) []Request {
-	if len(cfg.HotNodes) == 0 || cfg.Requests <= 0 {
+	if len(cfg.HotNodes) == 0 || cfg.Draws <= 0 {
 		return nil
 	}
 	n := g.NumNodes()
-	out := make([]Request, 0, cfg.Requests)
-	for len(out) < cfg.Requests {
+	out := make([]Request, 0, cfg.Draws)
+	for i := 0; i < cfg.Draws; i++ {
 		src := topology.NodeID(rng.Intn(n))
 		var dst topology.NodeID
-		if rng.Float64() < cfg.HotFraction {
+		if i%2 == 0 {
 			dst = cfg.HotNodes[rng.Intn(len(cfg.HotNodes))]
 		} else {
 			dst = topology.NodeID(rng.Intn(n))
@@ -82,7 +104,7 @@ func HotSpot(g *topology.Graph, cfg HotSpotConfig, rng *rand.Rand) []Request {
 			continue
 		}
 		spec := cfg.Spec
-		if cfg.HeavyFraction > 0 && rng.Float64() < cfg.HeavyFraction {
+		if rng.Intn(4) == 0 && cfg.HeavyBandwidth > 0 {
 			spec.Bandwidth = cfg.HeavyBandwidth
 		}
 		out = append(out, Request{Src: src, Dst: dst, Spec: spec, Degrees: cfg.Degrees})

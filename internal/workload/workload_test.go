@@ -30,19 +30,50 @@ func TestAllPairs(t *testing.T) {
 	}
 }
 
+// TestMixedPartition holds Mixed to Table 2's assignment: every request
+// carries `backups` backups at one degree, the degrees cycle through alphas
+// in request order, and each class gets an equal share of the pairs.
+func TestMixedPartition(t *testing.T) {
+	g := topology.NewTorus(5, 4, 200) // 20·19 = 380 requests
+	alphas := []int{1, 3, 5, 6}
+	reqs := Mixed(g, rtchan.DefaultSpec(), 2, alphas)
+	pairs := AllPairs(g, rtchan.DefaultSpec(), nil)
+	if len(reqs) != len(pairs) {
+		t.Fatalf("requests = %d, want %d", len(reqs), len(pairs))
+	}
+	counts := map[int]int{}
+	for i, r := range reqs {
+		if r.Src != pairs[i].Src || r.Dst != pairs[i].Dst {
+			t.Fatalf("request %d is %d->%d, AllPairs has %d->%d", i, r.Src, r.Dst, pairs[i].Src, pairs[i].Dst)
+		}
+		d := r.Degrees
+		if len(d) != 2 || d[0] != d[1] || d[0] != alphas[i%len(alphas)] {
+			t.Fatalf("request %d degrees %v", i, d)
+		}
+		counts[d[0]]++
+	}
+	for _, alpha := range alphas {
+		if counts[alpha] != 95 {
+			t.Fatalf("class %d got %d connections", alpha, counts[alpha])
+		}
+	}
+}
+
+// TestHotSpotDistribution checks the draw order's shares: every even draw
+// targets a hot node, so with the odd draws' uniform picks about half of the
+// requests end at one; one request in four is heavy.
 func TestHotSpotDistribution(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
 	hot := []topology.NodeID{9, 14}
 	reqs := HotSpot(g, HotSpotConfig{
-		Requests:       2000,
+		Draws:          2000,
 		HotNodes:       hot,
-		HotFraction:    0.5,
-		HeavyFraction:  0.25,
 		HeavyBandwidth: 3,
 		Spec:           rtchan.DefaultSpec(),
 		Degrees:        []int{3},
 	}, rand.New(rand.NewSource(1)))
-	if len(reqs) != 2000 {
+	// Only src == dst draws are dropped: ~1 in 64.
+	if len(reqs) < 1940 || len(reqs) >= 2000 {
 		t.Fatalf("requests = %d", len(reqs))
 	}
 	hotCount, heavyCount := 0, 0
@@ -56,9 +87,12 @@ func TestHotSpotDistribution(t *testing.T) {
 		if r.Spec.Bandwidth == 3 {
 			heavyCount++
 		}
+		if len(r.Degrees) != 1 || r.Degrees[0] != 3 {
+			t.Fatalf("degrees %v", r.Degrees)
+		}
 	}
-	// ~50% hot (plus the uniform picks that land on hot nodes by chance).
-	if hotCount < 900 || hotCount > 1300 {
+	// ~1000 hot from the even draws plus ~1000·2/64 uniform odd picks.
+	if hotCount < 950 || hotCount > 1100 {
 		t.Fatalf("hot destinations = %d", hotCount)
 	}
 	if heavyCount < 400 || heavyCount > 600 {
