@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-recovery verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -26,12 +26,19 @@ one-owner:
 one-heap:
 	! grep -rlE 'func \(.*\) siftDown\(' --include='*.go' internal cmd | grep -v '^internal/sim/arena.go$$'
 
+# one-recovery fails when a recovery is derived outside trace.Recoveries: a
+# crash-to-switch span cannot be written without the source's switch log or a
+# remembered crash instant. bcpd owns the log; bench/ keeps its own copy until
+# a no-claim benchmark PR (ROADMAP 1(c)).
+one-recovery:
+	! grep -rnE 'SourceSwitches\(|lastCrash' --include='*.go' --exclude='*_test.go' internal cmd | grep -vE '^internal/(bcpd/|trace/recovery\.go:)'
+
 # verify is the pre-merge gate: vet + build + the full suite under the race
 # detector (the parallel sweep worker pool runs even in short mode), after
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here.
-verify: bench-check one-owner one-heap chaos-nightly
+verify: bench-check one-owner one-heap one-recovery chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -75,6 +82,6 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestModelCheck|TestSabotageCaught|TestGolden' \
 		./internal/chaos -chaos.seed=$(CHAOS_SEED) -chaos.episodes=$(CHAOS_EPISODES)
 
-CHAOS_NIGHTLY_DIGEST = 8d5268cc2d1ef767eaae8f3a3611bb8bb250c5c72b04144d348e0a4d409fd61d
+CHAOS_NIGHTLY_DIGEST = 4a0d37abf9bbb93a4f44db9299fd1cf85bb9237bd234bdc4e09ff577064956ee
 chaos-nightly:
 	$(GO) run ./cmd/bcpchaos -seed 1 -episodes 1000 -v -want $(CHAOS_NIGHTLY_DIGEST)

@@ -11,16 +11,18 @@
 //
 // Each trial establishes one D-connection corner to corner (primary plus one
 // disjoint backup), streams data, crashes the middle link of the primary, and
-// measures two wall-clock delays from the failure instant: Γ, when the source
-// switches to the backup, and the first data arrival at the destination after
-// the switch. Γ is compared to the §5.3 bound (K-1)·D_max, with D_max the
-// protocol configuration's own HopBound for the mesh's link capacity. On a
-// quiet machine live Γ lands inside the bound; scheduler jitter
-// (unlike the simulator, the OS is part of the system) can push it over —
-// the tool reports, it does not assert. Beside both delays it prints how
-// late a 200 µs timer fired on the runtime during the trial (fired − due):
-// every wait on the recovery path is a timer, so that column is the host's
-// share of the milliseconds and the rest is the protocol's.
+// reads the recovery off the event stream (trace.Recoveries), on the wall
+// clock from the crash: Γ, when the source switched to the backup; the
+// disruption, when the first data on the backup reached the destination; and
+// the five stages between (detect, report, activate, switch, resume). Γ is
+// compared to the §5.3 bound for the recovery's own K and b, with D_max the
+// protocol configuration's HopBound for the mesh's link capacity. On a quiet
+// machine live Γ lands inside the bound; scheduler jitter (unlike the
+// simulator, the OS is part of the system) can push it over — the tool
+// reports, it does not assert. Beside them it prints how late a 200 µs timer
+// fired on the runtime during the trial (fired − due): every wait on the
+// recovery path is a timer, so that column is the host's share of the
+// milliseconds and the rest is the protocol's.
 package main
 
 import (
@@ -32,12 +34,12 @@ import (
 
 	"github.com/rtcl/bcp"
 	"github.com/rtcl/bcp/internal/conformance"
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 type trialResult struct {
-	gamma  time.Duration   // failure -> source switch
-	resume time.Duration   // failure -> first data arrival after the switch
-	late   []time.Duration // timer probe: fired - due, sorted
+	rec  trace.Recovery
+	late []time.Duration // timer probe: fired - due, sorted
 }
 
 // probeDelay is the timer-lateness probe's period, the benchmark's.
@@ -76,31 +78,22 @@ func main() {
 		results = append(results, r)
 	}
 
-	// The bound depends only on the topology and config; recompute the
-	// path length once for the report.
-	g := bcp.NewMesh(*rows, *cols, *capacity)
-	paths := bcp.NewRouter(g).SequentialDisjointPaths(0, bcp.NodeID(g.NumNodes()-1), 2, bcp.RoutingConstraint{})
-	if len(paths) < 2 {
-		fmt.Fprintf(os.Stderr, "bcplive: no disjoint corner-to-corner paths on %dx%d mesh\n", *rows, *cols)
-		os.Exit(1)
-	}
-	hops := paths[0].Hops()
-	bound := conformance.GammaBound(cfg.HopBound(*capacity), hops, 1)
-
-	fmt.Printf("bcplive: %dx%d mesh, pipe transport, %d-hop primary, %.0f msg/s\n",
-		*rows, *cols, hops, *rate)
-	fmt.Printf("Γ bound (K-1)·D_max = %v\n\n", bound)
-	fmt.Printf("%-8s %-14s %-14s %-22s %s\n", "trial", "Γ (measured)", "data resumed", "timer late p50/p95", "within bound")
+	dmax := cfg.HopBound(*capacity)
+	fmt.Printf("bcplive: %dx%d mesh, pipe transport, %.0f msg/s, D_max %v\n\n", *rows, *cols, *rate, dmax)
 	gammas := make([]time.Duration, 0, len(results))
 	var late []time.Duration
 	for i, r := range results {
-		in := "yes"
-		if r.gamma > bound {
-			in = "NO (wall-clock jitter)"
+		bound := conformance.GammaBound(dmax, r.rec.Hops, r.rec.Backups)
+		within := "≤"
+		if r.rec.Gamma() > bound {
+			within = "> (wall-clock jitter)"
 		}
-		fmt.Printf("%-8d %-14v %-14v %-22s %s\n", i, r.gamma, r.resume,
-			fmt.Sprintf("%v/%v", quantile(r.late, 0.5), quantile(r.late, 0.95)), in)
-		gammas = append(gammas, r.gamma)
+		fmt.Printf("trial %d: Γ %v %s bound %v (K=%d, b=%d); disruption %v =", i, r.rec.Gamma(), within, bound, r.rec.Hops, r.rec.Backups, r.rec.Disruption())
+		for k, name := range trace.StageNames {
+			fmt.Printf(" %s %v", name, r.rec.Stage(k))
+		}
+		fmt.Printf("; timer late p50/p95 %v/%v\n", quantile(r.late, 0.5), quantile(r.late, 0.95))
+		gammas = append(gammas, r.rec.Gamma())
 		late = append(late, r.late...)
 	}
 	sortDurations(gammas)
@@ -112,7 +105,7 @@ func main() {
 }
 
 // runTrial boots one fresh live network, crashes the primary's middle link,
-// and measures the recovery.
+// and returns the recovery its event stream derives.
 func runTrial(rows, cols int, capacity, rate float64, seed int64, cfg bcp.ProtocolConfig) (trialResult, error) {
 	g := bcp.NewMesh(rows, cols, capacity)
 	mgr := bcp.NewManager(g, bcp.DefaultConfig())
@@ -125,6 +118,8 @@ func runTrial(rows, cols int, capacity, rate float64, seed int64, cfg bcp.Protoc
 		return trialResult{}, err
 	}
 
+	recs := &trace.Recoveries{}
+	cfg.Sink = recs
 	rt := bcp.NewRealtimeRuntime(seed)
 	rt.StartActors(g.NumNodes(), 1024)
 	tr := bcp.NewPipeTransport(rt.Post, 1024)
@@ -178,33 +173,16 @@ func runTrial(rows, cols int, capacity, rate float64, seed int64, cfg bcp.Protoc
 	}
 
 	links := conn.Primary.Path.Links()
-	fail := links[len(links)/2]
-	var failAt bcp.Time
+	rt.Exec(func() { net.FailLink(links[len(links)/2]) })
+	if err := wait("data resumption", func() bool { return len(recs.Done) > 0 }); err != nil {
+		return trialResult{}, err
+	}
+
+	var r trialResult
 	rt.Exec(func() {
-		failAt = rt.Now()
-		net.FailLink(fail)
+		probing = false
+		r = trialResult{rec: recs.Done[0], late: late}
 	})
-
-	if err := wait("source switch", func() bool { return len(net.SourceSwitches(conn.ID)) == 1 }); err != nil {
-		return trialResult{}, err
-	}
-	var switchAt bcp.Time
-	rt.Exec(func() { switchAt = net.SourceSwitches(conn.ID)[0] })
-
-	var resumeAt bcp.Time
-	if err := wait("data resumption", func() bool {
-		at, ok := net.FirstArrivalAfter(conn.ID, switchAt)
-		resumeAt = at
-		return ok
-	}); err != nil {
-		return trialResult{}, err
-	}
-
-	rt.Exec(func() { probing = false })
-	sortDurations(late)
-	return trialResult{
-		gamma:  switchAt.Sub(failAt),
-		resume: resumeAt.Sub(failAt),
-		late:   late,
-	}, nil
+	sortDurations(r.late)
+	return r, nil
 }

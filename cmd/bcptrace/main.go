@@ -68,8 +68,10 @@ func main() {
 		fmt.Printf("backup %d: %v\n", i+1, b.Path)
 	}
 	agg := metrics.NewProtocolAggregator()
+	var recs trace.Recoveries
 	for _, ev := range run.Events {
 		agg.Emit(ev)
+		recs.Emit(ev)
 		switch ev.Kind {
 		case trace.KindRCCFrame, trace.KindRCCRetransmit, trace.KindRCCAck:
 			if !*withRCC {
@@ -91,6 +93,13 @@ func main() {
 	fmt.Printf("data: sent=%d delivered=%d lost=%d  disruption=%v\n",
 		st.DataSent, st.DataDelivered, st.DataSent-st.DataDelivered,
 		time.Duration(run.Net.MaxArrivalGap(conn.ID)))
+	for _, r := range recs.Done {
+		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v, disruption %v =", r.Conn, r.Hops, r.Backups, r.Gamma(), r.Disruption())
+		for k, name := range trace.StageNames {
+			fmt.Printf(" %s %v", name, r.Stage(k))
+		}
+		fmt.Println()
+	}
 	fmt.Printf("\n%s", agg.Render())
 
 	p := s.Config.Conformance(run.Mgr.Graph().Link(0).Capacity)
@@ -176,6 +185,8 @@ func describe(ev trace.Event) string {
 		what = fmt.Sprintf("rcc retransmits frame %d on link %d", ev.Aux, ev.Link)
 	case trace.KindRCCAck:
 		what = fmt.Sprintf("rcc pure ack on link %d (cum %d)", ev.Link, ev.Aux)
+	case trace.KindDataResume:
+		what = fmt.Sprintf("first data of connection %d on channel %d arrives", ev.Conn, ev.Channel)
 	default:
 		what = ev.String()
 	}

@@ -150,9 +150,10 @@ func TestLinkFailureFastRecovery(t *testing.T) {
 	if len(tb.conn.Backups) != 0 {
 		t.Fatal("backup list not consumed")
 	}
-	// Data resumed at the destination; loss is bounded by the outage.
-	if _, ok := tb.net.FirstArrivalAfter(tb.conn.ID, switches[0]); !ok {
-		t.Fatal("no data after recovery")
+	// Data resumed on the backup at the destination; loss is bounded by the
+	// outage.
+	if got := len(tb.chk.Recoveries()); got != 1 {
+		t.Fatalf("recoveries closed by data on the backup = %d, want 1", got)
 	}
 	st := tb.net.Stats()
 	if st.DataDropped == 0 {
@@ -253,7 +254,7 @@ func TestSequentialFailuresWithTwoBackups(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
+	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {
 		t.Fatal(err)
@@ -268,8 +269,8 @@ func TestSequentialFailuresWithTwoBackups(t *testing.T) {
 	if conn.Primary == nil || conn.Primary.Path.Hops() != 7 {
 		t.Fatalf("final primary = %v", conn.Primary)
 	}
-	if _, ok := net.FirstArrivalAfter(conn.ID, switches[1]); !ok {
-		t.Fatal("no data after the second recovery")
+	if got := len(chk.Recoveries()); got != 2 {
+		t.Fatalf("recoveries closed by data on a backup = %d, want 2", got)
 	}
 }
 
@@ -286,7 +287,7 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
 	cfg.ReplenishTarget = 1
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
+	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {
 		t.Fatal(err)
@@ -312,8 +313,8 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	if conn.Primary == nil {
 		t.Fatal("connection lost")
 	}
-	if _, ok := net.FirstArrivalAfter(conn.ID, switches[1]); !ok {
-		t.Fatal("no data after the second recovery")
+	if got := len(chk.Recoveries()); got != 2 {
+		t.Fatalf("recoveries closed by data on a backup = %d, want 2", got)
 	}
 	if err := mgr.CheckMuxInvariants(); err != nil {
 		t.Fatal(err)
@@ -361,7 +362,7 @@ func TestDivergentBackupSelectionConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
+	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {
 		t.Fatal(err)
@@ -380,9 +381,10 @@ func TestDivergentBackupSelectionConverges(t *testing.T) {
 	if len(switches) == 0 || len(switches) > 2 {
 		t.Fatalf("switches = %v", switches)
 	}
-	// Data flows after convergence.
-	if _, ok := net.FirstArrivalAfter(conn.ID, switches[len(switches)-1]); !ok {
-		t.Fatal("no data after convergence")
+	// Data flows on backup 2 after convergence: one recovery, however many
+	// switches it took.
+	if got := len(chk.Recoveries()); got != 1 {
+		t.Fatalf("recoveries closed by data on a backup = %d, want 1", got)
 	}
 	if err := mgr.CheckMuxInvariants(); err != nil {
 		t.Fatal(err)

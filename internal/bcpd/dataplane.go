@@ -34,6 +34,7 @@ type sink struct {
 	received  uint64
 	lastSeq   uint64
 	reordered uint64
+	resumeOn  rtchan.ChannelID // the source's last switch, until data arrives on it
 }
 
 // StartTraffic attaches a data source (rate messages/second) and sink to an
@@ -132,6 +133,12 @@ func (d *daemon) handleData(p *dataPayload) {
 			sk.reordered++
 		}
 		sk.lastSeq = p.seq
+		if p.ch == sk.resumeOn {
+			sk.resumeOn = 0
+			if n.em.Enabled() {
+				n.emitChan(trace.KindDataResume, d.id, p.ch, 0)
+			}
+		}
 		n.putDataBox(p)
 		return
 	}
@@ -147,6 +154,7 @@ func (n *Network) noteSourceSwitch(connID rtchan.ConnID, ch rtchan.ChannelID) {
 	}
 	s.active = ch
 	s.switchedAt = append(s.switchedAt, n.rt.Now())
+	n.sinks[connID].resumeOn = ch
 	if n.em.Enabled() {
 		node := topology.NoNode
 		if c := n.mgr.Network().Channel(ch); c != nil {
@@ -192,15 +200,4 @@ func (n *Network) MaxArrivalGap(connID rtchan.ConnID) sim.Duration {
 		}
 	}
 	return max
-}
-
-// FirstArrivalAfter returns the first data arrival at or after t, and
-// whether one exists.
-func (n *Network) FirstArrivalAfter(connID rtchan.ConnID, t sim.Time) (sim.Time, bool) {
-	for _, a := range n.SinkArrivals(connID) {
-		if a >= t {
-			return a, true
-		}
-	}
-	return 0, false
 }

@@ -26,6 +26,7 @@ type liveTestbed struct {
 	net  *Network
 	conn *core.DConnection
 	tr   *PipeTransport
+	chk  *conformance.Checker
 }
 
 // liveConformanceParams widens the in-flight tolerance far past the sim
@@ -56,9 +57,9 @@ func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 		rt.Stop()
 		t.Fatal(err)
 	}
-	attachConformance(t, &cfg, liveConformanceParams(cfg))
+	chk := attachConformance(t, &cfg, liveConformanceParams(cfg))
 	tr := NewPipeTransport(rt.Post, 1024)
-	lt := &liveTestbed{g: g, rt: rt, mgr: mgr, conn: conn, tr: tr}
+	lt := &liveTestbed{g: g, rt: rt, mgr: mgr, conn: conn, tr: tr, chk: chk}
 	t.Cleanup(lt.shutdown)
 	// Construction arms timers and emits install events; run it serialized
 	// so nothing fires against a half-built network.
@@ -117,17 +118,12 @@ func TestLiveRecoveryAndCleanShutdown(t *testing.T) {
 		return lt.net.Stats().DataDelivered >= 20
 	})
 
-	// Fail the primary's last hop; the source must switch to the backup.
+	// Fail the primary's last hop; the source must switch to the backup and
+	// data arrive on it.
 	l := lt.g.LinkBetween(1, 2)
 	lt.exec(func() { lt.net.FailLink(l) })
-	lt.waitFor(t, "source switch", 10*time.Second, func() bool {
-		return len(lt.net.SourceSwitches(lt.conn.ID)) == 1
-	})
-	var switched sim.Time
-	lt.exec(func() { switched = lt.net.SourceSwitches(lt.conn.ID)[0] })
-	lt.waitFor(t, "post-switch data", 10*time.Second, func() bool {
-		_, ok := lt.net.FirstArrivalAfter(lt.conn.ID, switched)
-		return ok
+	lt.waitFor(t, "data on the backup", 10*time.Second, func() bool {
+		return len(lt.chk.Recoveries()) == 1
 	})
 
 	// Repair; the probed rejoin request is held across the outage and the

@@ -8,9 +8,9 @@
 //   - Claim balance: spare-bandwidth claims are never doubled, only released
 //     or converted while held, and none survive the run (unless the scenario
 //     legitimately ends mid-recovery).
-//   - Recovery delay: every recovery that completes (a source switch
-//     following a failure report for the connection's primary) does so
-//     within the §5 bound Γ ≤ (K−1)·D_max + 2(b−1)(K−1)·D_max, plus the
+//   - Recovery delay: every source switch of a recovery in progress (as
+//     trace.Recoveries derives it) lands within the §5 bound
+//     Γ ≤ (K−1)·D_max + 2(b−1)(K−1)·D_max of that recovery's crash, plus the
 //     configured detection allowance.
 //   - Healthy traversal: failure reports and activation messages are only
 //     delivered across links that are up (modulo in-flight propagation) and
@@ -103,17 +103,6 @@ type linkChan struct {
 	ch   rtchan.ChannelID
 }
 
-// connState tracks what the stream has established about one connection.
-type connState struct {
-	primary  rtchan.ChannelID
-	hops     map[rtchan.ChannelID]int // per channel, from install/replenish
-	backups  map[rtchan.ChannelID]bool
-	failed   map[rtchan.ChannelID]bool // backups lost since the last recovery
-	pending  bool
-	failAt   sim.Time
-	pendingB int // backups configured when the recovery began
-}
-
 // Checker consumes an event stream and accumulates violations. It is a
 // trace.Sink; call Finish after the run for the end-of-stream rules and the
 // collected violations.
@@ -128,9 +117,7 @@ type Checker struct {
 	claims     map[linkChan]bool
 	linkDown   map[topology.LinkID]sim.Time
 	nodeDown   map[topology.NodeID]sim.Time
-	conns      map[rtchan.ConnID]*connState
-	lastCrash  sim.Time
-	anyCrash   bool
+	rec        trace.Recoveries // the Γ rule's crash, K and b
 	violations []Violation
 	// gammaChecked counts recoveries compared against the Γ bound.
 	gammaChecked int
@@ -145,7 +132,6 @@ func New(p Params) *Checker {
 		claims:     make(map[linkChan]bool),
 		linkDown:   make(map[topology.LinkID]sim.Time),
 		nodeDown:   make(map[topology.NodeID]sim.Time),
-		conns:      make(map[rtchan.ConnID]*connState),
 	}
 }
 
@@ -167,35 +153,21 @@ func (c *Checker) violate(ev trace.Event, rule, format string, args ...interface
 	})
 }
 
-func (c *Checker) conn(id rtchan.ConnID) *connState {
-	cs := c.conns[id]
-	if cs == nil {
-		cs = &connState{
-			hops:    make(map[rtchan.ChannelID]int),
-			backups: make(map[rtchan.ChannelID]bool),
-			failed:  make(map[rtchan.ChannelID]bool),
-		}
-		c.conns[id] = cs
-	}
-	return cs
-}
-
 // Emit implements trace.Sink.
 func (c *Checker) Emit(ev trace.Event) {
 	if ev.At < c.lastAt {
 		c.violate(ev, "order", "timestamp %v before predecessor %v", ev.At, c.lastAt)
 	}
 	c.lastAt = ev.At
+	c.rec.Emit(ev)
 
 	switch ev.Kind {
 	case trace.KindLinkDown:
 		c.linkDown[ev.Link] = ev.At
-		c.lastCrash, c.anyCrash = ev.At, true
 	case trace.KindLinkUp:
 		delete(c.linkDown, ev.Link)
 	case trace.KindNodeDown:
 		c.nodeDown[ev.Node] = ev.At
-		c.lastCrash, c.anyCrash = ev.At, true
 	case trace.KindNodeUp:
 		delete(c.nodeDown, ev.Node)
 
@@ -249,64 +221,19 @@ func (c *Checker) Emit(ev trace.Event) {
 			c.violate(ev, "traversal", "%s delivered to dead node %d", ev.Kind, ev.Node)
 		}
 
-	case trace.KindInstall, trace.KindReplenish:
-		cs := c.conn(ev.Conn)
-		cs.hops[ev.Channel] = int(ev.Aux)
-		if ev.Kind == trace.KindInstall && ev.To == trace.StateP {
-			cs.primary = ev.Channel
-		} else {
-			cs.backups[ev.Channel] = true
-			delete(cs.failed, ev.Channel)
-		}
-
-	case trace.KindReportOriginate:
-		cs := c.conn(ev.Conn)
-		if ev.Channel == cs.primary {
-			if !cs.pending && c.anyCrash {
-				cs.pending = true
-				cs.failAt = c.lastCrash
-				cs.pendingB = len(cs.backups) + len(cs.failed)
-			}
-		} else if cs.backups[ev.Channel] {
-			delete(cs.backups, ev.Channel)
-			cs.failed[ev.Channel] = true
-		}
-
 	case trace.KindSourceSwitch:
-		cs := c.conn(ev.Conn)
-		if cs.pending && c.p.DMax > 0 {
-			if hops := c.maxHops(cs); hops >= 1 {
-				c.gammaChecked++
-				gamma := ev.At.Sub(cs.failAt)
-				bound := c.p.DetectionSlack + GammaBound(c.p.DMax, hops, cs.pendingB)
-				if gamma > bound {
-					c.violate(ev, "gamma",
-						"connection %d recovered in %v, bound %v (K-1=%d hops, b=%d backups)",
-						ev.Conn, gamma, bound, hops-1, cs.pendingB)
-				}
+		r, open := c.rec.Open(ev.Conn)
+		if open && c.p.DMax > 0 && r.Hops >= 1 {
+			c.gammaChecked++
+			bound := c.p.DetectionSlack + GammaBound(c.p.DMax, r.Hops, r.Backups)
+			if r.Gamma() > bound {
+				c.violate(ev, "gamma",
+					"connection %d recovered in %v, bound %v (K-1=%d hops, b=%d backups)",
+					ev.Conn, r.Gamma(), bound, r.Hops-1, r.Backups)
 			}
 		}
-		cs.pending = false
-		cs.primary = ev.Channel
-		delete(cs.backups, ev.Channel)
-		cs.failed = make(map[rtchan.ChannelID]bool)
-
-	case trace.KindTeardown:
-		delete(c.conns, ev.Conn)
 	}
 	c.seq++
-}
-
-// maxHops is the longest configured path among the connection's channels —
-// the conservative K−1 of the Γ bound.
-func (c *Checker) maxHops(cs *connState) int {
-	max := 0
-	for _, h := range cs.hops {
-		if h > max {
-			max = h
-		}
-	}
-	return max
 }
 
 // GammaBound is the paper's §5.3 recovery-delay bound for a K-hop connection
@@ -326,6 +253,10 @@ func GammaBound(dmax sim.Duration, hops, backups int) sim.Duration {
 // bound: zero when DMax is 0, and zero on a run whose sources carry no
 // traffic, so a harness that turns the rule on asserts it was exercised.
 func (c *Checker) GammaChecked() int { return c.gammaChecked }
+
+// Recoveries returns the recoveries the stream closed so far: the same
+// derivation (trace.Recoveries) the Γ rule reads.
+func (c *Checker) Recoveries() []trace.Recovery { return c.rec.Done }
 
 // Finish applies the end-of-stream rules and returns all violations (nil
 // when the stream conforms).

@@ -69,8 +69,7 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		// configuration.
 		p := cfg.Conformance(torusCapacityMbps)
 		chk := conformance.New(p)
-		worst := newGammaWorst(p)
-		cfg.Sink = trace.Tee{chk, worst}
+		cfg.Sink = chk
 		net := bcpd.New(eng, mP, cfg)
 		for _, id := range failedIDs {
 			if err := net.StartTraffic(id, 100); err != nil {
@@ -81,7 +80,7 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		eng.RunFor(2 * time.Second)
 		viols := chk.Finish()
 		t.Logf("link %d, S_max %d B (§5.2: %d channels on the worst pair -> %d B): %d recoveries checked, %d over the bound, worst %v",
-			failLink, cfg.RCC.SMax, maxChans, need, chk.GammaChecked(), len(viols), worst)
+			failLink, cfg.RCC.SMax, maxChans, need, chk.GammaChecked(), len(viols), gammaWorst(p, chk.Recoveries()))
 		if tc.provisioned {
 			for _, v := range viols {
 				t.Errorf("link %d: conformance: %v", failLink, v)
@@ -117,41 +116,18 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 	}
 }
 
-// gammaWorst is a sink that remembers the recovery closest to (or furthest
-// past) its Γ bound, for the ratios EXPERIMENTS.md quotes; the verdict is
-// the checker's. It assumes what the harnesses using it set up: one backup
-// per connection, one crash at a time.
-type gammaWorst struct {
-	p            conformance.Params
-	hops         map[rtchan.ConnID]int
-	crashAt      sim.Time
-	gamma, bound sim.Duration
-}
-
-func newGammaWorst(p conformance.Params) *gammaWorst {
-	return &gammaWorst{p: p, hops: make(map[rtchan.ConnID]int)}
-}
-
-func (w *gammaWorst) Emit(ev trace.Event) {
-	switch ev.Kind {
-	case trace.KindLinkDown, trace.KindNodeDown:
-		w.crashAt = ev.At
-	case trace.KindInstall, trace.KindReplenish:
-		if h := int(ev.Aux); h > w.hops[ev.Conn] {
-			w.hops[ev.Conn] = h
-		}
-	case trace.KindSourceSwitch:
-		gamma := ev.At.Sub(w.crashAt)
-		bound := w.p.DetectionSlack + conformance.GammaBound(w.p.DMax, w.hops[ev.Conn], 1)
-		if w.bound == 0 || float64(gamma)*float64(w.bound) > float64(w.gamma)*float64(bound) {
-			w.gamma, w.bound = gamma, bound
+// gammaWorst renders the recovery closest to (or furthest past) its Γ bound,
+// for the ratios EXPERIMENTS.md quotes; the verdict is the checker's.
+func gammaWorst(p conformance.Params, rs []trace.Recovery) string {
+	worst, bound, ratio := sim.Duration(0), sim.Duration(0), -1.0
+	for _, r := range rs {
+		b := p.DetectionSlack + conformance.GammaBound(p.DMax, r.Hops, r.Backups)
+		if q := float64(r.Gamma()) / float64(b); q > ratio {
+			worst, bound, ratio = r.Gamma(), b, q
 		}
 	}
-}
-
-func (w *gammaWorst) String() string {
-	if w.bound == 0 {
+	if ratio < 0 {
 		return "none"
 	}
-	return fmt.Sprintf("%v vs %v (%.2f)", time.Duration(w.gamma), time.Duration(w.bound), float64(w.gamma)/float64(w.bound))
+	return fmt.Sprintf("%v vs %v (%.2f)", time.Duration(worst), time.Duration(bound), ratio)
 }

@@ -78,24 +78,12 @@ func RunSection5(opts Options) Section5Result {
 
 // runSection5Trial runs the single-connection scenario for one failure
 // position under cfg, conformance-checked live with tolerances p: with
-// p.DMax > 0 the checker re-derives the Γ bound the table reports and flags
-// any recovery that exceeds it, independently of the SourceSwitches
-// accounting below.
+// p.DMax > 0 the checker holds the recovery to the Γ bound the table reports.
+// The gamma column is that recovery's Γ (crash to the last source switch).
 func runSection5Trial(opts Options, cfg bcpd.Config, p conformance.Params, backups, failPos int, hitBackup bool) Section5Row {
 	chk := conformance.New(p)
 	cfg.Sink = chk
-	s := TraceScenario{
-		FailPos:  failPos,
-		Backups:  backups,
-		HitFirst: hitBackup,
-		FailAt:   sim.Time(100 * time.Millisecond),
-		Rate:     1000,
-		RunFor:   sim.Duration(2 * time.Second),
-		Seed:     opts.Seed + int64(failPos),
-		Core:     opts.config(),
-		Config:   cfg,
-	}
-	run, err := s.Build()
+	run, err := section5Scenario(opts, cfg, backups, failPos, hitBackup).Build()
 	if err != nil {
 		panic(err.Error())
 	}
@@ -107,14 +95,28 @@ func runSection5Trial(opts Options, cfg bcpd.Config, p conformance.Params, backu
 		Bound:     conformance.GammaBound(p.DMax, conn.Primary.Path.Hops(), backups),
 	}
 	run.Run()
-	switches := net.SourceSwitches(conn.ID)
-	if n := len(switches); n > 0 {
-		row.Gamma = switches[n-1].Sub(s.FailAt)
+	if rs := chk.Recoveries(); len(rs) > 0 {
+		row.Gamma = rs[0].Gamma()
 	}
 	row.DstDisrupt = net.MaxArrivalGap(conn.ID)
 	row.MessagesLost = net.Stats().DataSent - net.Stats().DataDelivered
 	row.Violations = chk.Finish()
 	return row
+}
+
+// section5Scenario is the single-connection scenario of one Section 5 row.
+func section5Scenario(opts Options, cfg bcpd.Config, backups, failPos int, hitBackup bool) TraceScenario {
+	return TraceScenario{
+		FailPos:  failPos,
+		Backups:  backups,
+		HitFirst: hitBackup,
+		FailAt:   sim.Time(100 * time.Millisecond),
+		Rate:     1000,
+		RunFor:   sim.Duration(2 * time.Second),
+		Seed:     opts.Seed + int64(failPos),
+		Core:     opts.config(),
+		Config:   cfg,
+	}
 }
 
 // Render prints the Section 5 table.

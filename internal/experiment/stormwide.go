@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
@@ -37,9 +36,7 @@ type StormWide struct {
 	Victims []topology.NodeID
 
 	conns   []*core.DConnection
-	traffic []*core.DConnection // sampled sources measured for switch latency
-	seen    map[rtchan.ConnID]int
-	lat     []sim.Duration
+	traffic []*core.DConnection // sampled sources, so crashes disrupt data
 	cycles  int
 }
 
@@ -168,7 +165,6 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 		Net:     net,
 		Victims: victims,
 		conns:   conns,
-		seen:    make(map[rtchan.ConnID]int, stormWideSources),
 	}
 	// Traffic rides on connections whose primary crosses a victim, spread
 	// round-robin over the victims so every cycle interrupts some sources.
@@ -207,8 +203,7 @@ func pathCrossesNode(p topology.Path, v topology.NodeID) bool {
 // and runs the expiry/replenish wave. Progress is asserted through the
 // protocol counters: the crash phase must start activations; the repair
 // phase must expire the dead channels' soft state and replenish backups.
-// Source-switch latencies observed on the sampled traffic accumulate into
-// Latencies.
+// The sampled sources' recoveries are in the event stream (Sink).
 func (s *StormWide) Cycle() error {
 	v, err := s.CrashPhase()
 	if err != nil {
@@ -241,26 +236,16 @@ func (s *StormWide) pickVictim() topology.NodeID {
 }
 
 // CrashPhase is the restoration half of a cycle — the part the benchmarks
-// time: it crashes the most loaded victim, runs the detection/report/
-// activation storm to completion, and collects the failure→source-switch
-// latencies observed on the sampled traffic. Returns the victim for
-// RepairPhase.
+// time: it crashes the most loaded victim and runs the detection/report/
+// activation storm to completion. Returns the victim for RepairPhase.
 func (s *StormWide) CrashPhase() (topology.NodeID, error) {
 	v := s.pickVictim()
 	before := s.Net.Stats()
-	failAt := s.Eng.Now()
 	s.Net.FailNode(v)
 	s.Eng.RunFor(stormWideCrashPhase)
 	mid := s.Net.Stats()
 	if mid.ActivationsStarted == before.ActivationsStarted {
 		return v, fmt.Errorf("experiment: storm-wide cycle %d: node %d crash started no activations", s.cycles, v)
-	}
-	for _, c := range s.traffic {
-		switches := s.Net.SourceSwitches(c.ID)
-		for _, at := range switches[s.seen[c.ID]:] {
-			s.lat = append(s.lat, at.Sub(failAt))
-		}
-		s.seen[c.ID] = len(switches)
 	}
 	return v, nil
 }
@@ -315,11 +300,3 @@ func (s *StormWide) Conns() int { return len(s.conns) }
 
 // Stats returns the protocol counters accumulated so far.
 func (s *StormWide) Stats() bcpd.Stats { return s.Net.Stats() }
-
-// Latencies returns the failure→source-switch delays observed on the
-// sampled traffic so far, sorted ascending.
-func (s *StormWide) Latencies() []sim.Duration {
-	out := append([]sim.Duration(nil), s.lat...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

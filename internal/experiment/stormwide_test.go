@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/bcpd"
@@ -22,8 +23,7 @@ func TestStormWideTorus(t *testing.T) {
 	// where that either shows up in Γ or does not.
 	p := bcpd.DefaultConfig().Conformance(torusCapacityMbps)
 	chk := conformance.New(p)
-	worst := newGammaWorst(p)
-	s, err := NewStormWide(StormWideConfig{Seed: 1, Sink: trace.Tee{chk, worst}})
+	s, err := NewStormWide(StormWideConfig{Seed: 1, Sink: chk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestStormWideTorus(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxChans, need := bcpd.RCCProvisioning(s.Mgr)
-	if got := len(s.Latencies()); got == 0 {
-		t.Fatal("no source-switch latencies sampled across a full victim rotation")
+	if got := len(chk.Recoveries()); got == 0 {
+		t.Fatal("no sampled source recovered across a full victim rotation")
 	}
 	s.Drain()
 	for _, v := range chk.Finish() {
@@ -45,7 +45,7 @@ func TestStormWideTorus(t *testing.T) {
 		t.Errorf("GammaChecked = %d, want >= 16: the bound is on but was not exercised", got)
 	}
 	t.Logf("§5.2 asks %d B (%d channels on the worst pair), S_max is %d B; %d recoveries checked, worst Γ/bound %v",
-		need, maxChans, bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), worst)
+		need, maxChans, bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), gammaWorst(p, chk.Recoveries()))
 	if q := s.Net.CheckQuiescence(); len(q) != 0 {
 		t.Errorf("quiescence after drain: %v", q)
 	}
@@ -70,7 +70,7 @@ func TestStormWideMesh(t *testing.T) {
 // TestStormWideCycleAllocs pins a warmed mass-failure cycle (a transit-node
 // crash and its restoration, after a full victim rotation). A cycle
 // legitimately allocates: replenishment re-establishes the expired channels
-// (~120 establishments) and the data plane appends latency samples. The
+// (~120 establishments) and the sinks append arrival times. The
 // ceiling guards the dispatch machinery around that — a per-control staging
 // leak or an unpooled fan-out buffer multiplies by the hundreds of controls
 // per cycle and blows well past it.
@@ -186,8 +186,9 @@ func crashPhaseAllocs(t *testing.T, s *StormWide) float64 {
 // The time half of that floor is the storm_node_crash ops_per_s bound in the
 // repository benchmark.
 func TestStormWidePerMessageParity(t *testing.T) {
-	run := func(perMsg bool) *StormWide {
-		s, err := NewStormWide(StormWideConfig{Seed: 7, PerMessageDispatch: perMsg})
+	run := func(perMsg bool) (*StormWide, *trace.Recoveries) {
+		recs := &trace.Recoveries{}
+		s, err := NewStormWide(StormWideConfig{Seed: 7, PerMessageDispatch: perMsg, Sink: recs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,20 +196,15 @@ func TestStormWidePerMessageParity(t *testing.T) {
 		if err := s.Run(len(s.Victims)); err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return s, recs
 	}
-	bat, seq := run(false), run(true)
+	bat, br := run(false)
+	seq, sr := run(true)
 	if bat.Stats() != seq.Stats() {
 		t.Fatalf("storm counters diverged:\n  batched:     %+v\n  per-message: %+v", bat.Stats(), seq.Stats())
 	}
-	bl, sl := bat.Latencies(), seq.Latencies()
-	if len(bl) != len(sl) {
-		t.Fatalf("latency sample counts diverged: %d vs %d", len(bl), len(sl))
-	}
-	for i := range bl {
-		if bl[i] != sl[i] {
-			t.Fatalf("latency sample %d diverged: %v vs %v", i, bl[i], sl[i])
-		}
+	if len(br.Done) == 0 || !slices.Equal(br.Done, sr.Done) {
+		t.Fatalf("recoveries diverged:\n  batched:     %v\n  per-message: %v", br.Done, sr.Done)
 	}
 	ba, sa := crashPhaseAllocs(t, bat), crashPhaseAllocs(t, seq)
 	t.Logf("crash phase allocs: batched %.0f, per-message %.0f", ba, sa)

@@ -47,27 +47,18 @@ func TestProtocolAggregatorCountsAndHistograms(t *testing.T) {
 	for _, ev := range stream {
 		a.Emit(ev)
 	}
-	if got := a.Claims(); got != 2 {
-		t.Fatalf("claims = %d", got)
-	}
-	if got := a.Retransmissions(); got != 1 {
-		t.Fatalf("retransmissions = %d", got)
-	}
-	if got := a.MuxFailures(); got != 1 {
-		t.Fatalf("mux failures = %d", got)
+	for k, want := range map[trace.Kind]uint64{
+		trace.KindClaim: 2, trace.KindRCCRetransmit: 1, trace.KindMuxFailure: 1, trace.KindSourceSwitch: 1,
+	} {
+		if got := a.Count(k); got != want {
+			t.Fatalf("%v count = %d, want %d", k, got, want)
+		}
 	}
 	if a.Batch.N != 1 || a.Batch.Sum != 3 {
 		t.Fatalf("batch histogram: N=%d sum=%g", a.Batch.N, a.Batch.Sum)
 	}
-	if a.Recovery.N != 1 {
-		t.Fatalf("recovery histogram: N=%d", a.Recovery.N)
-	}
-	// 3ms recovery falls in the (1ms, 3ms] bucket.
-	if got := a.Recovery.Quantile(1); got != 3e-3 {
-		t.Fatalf("recovery p100 bucket = %g", got)
-	}
 	out := a.Render()
-	for _, frag := range []string{"claim", "rcc-retransmit", "recovery delay", "rcc batching"} {
+	for _, frag := range []string{"claim", "rcc-retransmit", "source-switch", "rcc batching"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("render missing %q:\n%s", frag, out)
 		}

@@ -3,12 +3,13 @@
 // printf tracing. Every protocol-relevant occurrence — component crashes,
 // failure detection, report and activation hops, per-node channel state
 // transitions (Figure 4), spare-bandwidth claims, multiplexing failures,
-// rejoins, teardowns, and RCC reliability actions — is one fixed-shape
-// Event handed to a pluggable Sink.
+// rejoins, teardowns, RCC reliability actions, data resuming — is one
+// fixed-shape Event, of 29 kinds, handed to a pluggable Sink.
 //
-// Consumers include the conformance checker (internal/conformance), the
-// counter/histogram aggregator (internal/metrics), and the bcptrace CLI,
-// which renders events for humans or exports them as JSONL.
+// Recoveries derives crash → report → activate → switch → data-on-backup
+// from the stream, for the conformance checker (internal/conformance) and
+// the bcptrace and bcplive CLIs. The counter/histogram aggregator
+// (internal/metrics) and bcptrace's JSONL export are the other consumers.
 //
 // A nil sink costs nothing: producers hold an Emitter and guard every
 // emission with Enabled(), so disabled tracing neither constructs events
@@ -105,6 +106,9 @@ const (
 	KindRCCRetransmit
 	// KindRCCAck records a pure-ACK frame on Link acknowledging Aux.
 	KindRCCAck
+	// KindDataResume records, at the destination Node, the first data
+	// message to arrive on the Channel the source last switched to.
+	KindDataResume
 
 	kindMax
 )
@@ -141,6 +145,7 @@ var kindNames = [...]string{
 	KindRCCFrame:        "rcc-frame",
 	KindRCCRetransmit:   "rcc-retransmit",
 	KindRCCAck:          "rcc-ack",
+	KindDataResume:      "data-resume",
 }
 
 func (k Kind) String() string {
