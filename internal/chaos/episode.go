@@ -33,9 +33,6 @@ type RunOptions struct {
 	// clean ones at send time and corrupted ones after mangling — for
 	// fuzz-corpus harvesting. The buffer is pooled; the tap must copy.
 	FrameTap func(frame []byte)
-	// Sink, when non-nil, additionally receives the episode's full event
-	// stream (debugging, golden capture).
-	Sink trace.Sink
 }
 
 // Result is the outcome of one episode.
@@ -107,11 +104,7 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	// may deliver shortly after a crash.
 	p.PropSlack = sim.Duration(6 * time.Millisecond)
 	checker := conformance.New(p)
-	sinks := trace.Tee{digest, checker}
-	if opts.Sink != nil {
-		sinks = append(sinks, opts.Sink)
-	}
-	cfg.Sink = sinks
+	cfg.Sink = trace.Tee{digest, checker}
 
 	params := bcpd.ChaosParams{
 		Seed: mix(spec.Seed, 0x9e3779b97f4a7c15),

@@ -1,52 +1,12 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/workload"
 )
-
-func TestSeveritySweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	opts := DefaultOptions()
-	res := RunSeverity(3, 40, opts)
-	if len(res.RFast) != 3 || len(res.RFast[0]) != 3 {
-		t.Fatalf("shape: %dx%d", len(res.RFast), len(res.RFast[0]))
-	}
-	// Coverage degrades (weakly) with severity for every configuration.
-	for i, name := range res.Configs {
-		for k := 1; k < res.MaxFail; k++ {
-			if res.RFast[i][k] > res.RFast[i][k-1]+0.02 {
-				t.Errorf("%s: R_fast rose from k=%d to k=%d (%.3f -> %.3f)",
-					name, k, k+1, res.RFast[i][k-1], res.RFast[i][k])
-			}
-		}
-	}
-	// Two backups dominate one backup at every severity.
-	for k := 0; k < res.MaxFail; k++ {
-		if res.RFast[2][k]+1e-9 < res.RFast[0][k] {
-			t.Errorf("k=%d: double backups (%.3f) below single (%.3f)",
-				k+1, res.RFast[2][k], res.RFast[0][k])
-		}
-	}
-	// R_fast never exceeds backup survival.
-	for i := range res.Configs {
-		for k := 0; k < res.MaxFail; k++ {
-			if res.RFast[i][k] > res.BackupOK[i][k]+1e-9 {
-				t.Errorf("config %d k=%d: R_fast %.3f above survival %.3f",
-					i, k+1, res.RFast[i][k], res.BackupOK[i][k])
-			}
-		}
-	}
-	if out := res.Render(); !strings.Contains(out, "k=3") {
-		t.Fatal("render broken")
-	}
-}
 
 func TestScalabilityMonotoneAndSound(t *testing.T) {
 	if testing.Short() {
@@ -98,34 +58,5 @@ func TestMixedDegreesNeedPriorityActivation(t *testing.T) {
 	plain := Sweep(m, AllSingleLinkFailures(g), opts).ByDegree
 	if plain[1] >= 1 {
 		t.Fatalf("plain order unexpectedly preserved the mux=1 guarantee (%v); the negative control is vacuous", plain[1])
-	}
-}
-
-func TestAblationDirections(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	opts := DefaultOptions()
-	opts.DoubleNodeSample = 50
-	res := RunAblation(opts)
-	byName := map[string]AblationRow{}
-	for _, r := range append(append([]AblationRow{}, res.Routing...), res.PiRule...) {
-		byName[r.Name] = r
-	}
-	seq := byName["sequential shortest-path (paper)"]
-	aware := byName["load-aware [HAN97b]"]
-	if aware.SpareBW >= seq.SpareBW {
-		t.Fatalf("load-aware spare %.4f not below sequential %.4f", aware.SpareBW, seq.SpareBW)
-	}
-	if aware.OneLink < 0.99 {
-		t.Fatalf("load-aware lost the mux=3 link guarantee: %.4f", aware.OneLink)
-	}
-	on := byName["Π degree restriction on (paper)"]
-	off := byName["Π degree restriction off"]
-	if off.SpareBW <= on.SpareBW {
-		t.Fatalf("disabling the Π rule should inflate spare: on=%.4f off=%.4f", on.SpareBW, off.SpareBW)
-	}
-	if out := res.Render(); !strings.Contains(out, "Π degree restriction") {
-		t.Fatal("render broken")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/rtcl/bcp/internal/trace"
 )
 
+// -update never writes testdata/paper: those cells are transcribed by hand.
 var updateGolden = flag.Bool("update", false, "rewrite golden trace and table files")
 
 // TestGoldenTrace pins the exact event stream of the canonical Scheme-3

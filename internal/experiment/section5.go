@@ -119,7 +119,8 @@ func section5Scenario(opts Options, cfg bcpd.Config, backups, failPos int, hitBa
 	}
 }
 
-// Render prints the Section 5 table.
+// Render prints the Section 5 table, then one line per conformance
+// violation (none on a sound run).
 func (r Section5Result) Render() string {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Section 5: recovery-delay bound validation (K=%d hops, D_max=%v per hop, all within bound: %v)",
@@ -137,7 +138,13 @@ func (r Section5Result) Render() string {
 			fmt.Sprintf("%d", row.MessagesLost),
 		)
 	}
-	return t.String()
+	out := t.String()
+	for _, row := range r.Rows {
+		for _, v := range row.Violations {
+			out += fmt.Sprintf("violation: link %d, %d backup(s): %v\n", row.FailPos, row.Backups, v)
+		}
+	}
+	return out
 }
 
 // SchemeRow is one scheme/failure-position measurement.
@@ -186,7 +193,8 @@ func RunSchemeComparison(opts Options) SchemeComparisonResult {
 	return res
 }
 
-// Render prints the scheme comparison.
+// Render prints the scheme comparison, then one line per conformance
+// violation (none on a sound run).
 func (r SchemeComparisonResult) Render() string {
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("Figure 5 schemes: recovery delay by failure position (K=%d hops)", r.Hops),
@@ -201,5 +209,11 @@ func (r SchemeComparisonResult) Render() string {
 			fmt.Sprintf("%d", row.Lost),
 		)
 	}
-	return t.String()
+	out := t.String()
+	for _, row := range r.Rows {
+		for _, v := range row.Violations {
+			out += fmt.Sprintf("violation: scheme %d, link %d: %v\n", row.Scheme, row.FailPos, v)
+		}
+	}
+	return out
 }
