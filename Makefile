@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-recovery verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-recovery one-value verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,7 @@ race:
 
 # one-owner fails when D^RCC_max is re-derived outside bcpd.Config.HopBound:
 # the arithmetic cannot be written without RCC.RMax. bench/ keeps its copy
-# until a no-claim benchmark PR (ROADMAP 1(d)).
+# until a no-claim benchmark PR (ROADMAP 1(c)).
 one-owner:
 	! grep -rnE 'RCC\.RMax' --include='*.go' internal cmd bcp.go examples | grep -vE '^internal/(bcpd|rcc)/'
 
@@ -33,12 +33,20 @@ one-heap:
 one-recovery:
 	! grep -rnE 'SourceSwitches\(|lastCrash' --include='*.go' --exclude='*_test.go' internal cmd | grep -vE '^internal/(bcpd/|trace/recovery\.go:)'
 
+# one-value fails when a field of a configuration struct (core.Config,
+# bcpd.Config, chaos.Options, ...) is never written by product code outside
+# its Default* constructor and is not listed with a reason: a setting only
+# ever left at one value is a constant. The test type-checks the non-test Go
+# under internal/, cmd/ and bench/.
+one-value:
+	$(GO) test -count=1 -run '^TestConfigFieldsHaveProductSetters$$' .
+
 # verify is the pre-merge gate: vet + build + the full suite under the race
 # detector (the parallel sweep worker pool runs even in short mode), after
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here.
-verify: bench-check one-owner one-heap one-recovery chaos-nightly
+verify: bench-check one-owner one-heap one-recovery one-value chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -58,13 +58,12 @@ func main() {
 	}
 
 	opts := chaos.Options{
-		Seed:         *seed,
-		Episodes:     *episodes,
-		Sabotage:     sab,
-		ArtifactDir:  *artifacts,
-		MaxFailures:  *maxFail,
-		FrameTap:     tap,
-		ShrinkBudget: 0, // default
+		Seed:        *seed,
+		Episodes:    *episodes,
+		Sabotage:    sab,
+		ArtifactDir: *artifacts,
+		MaxFailures: *maxFail,
+		FrameTap:    tap,
 	}
 	if *class != "" {
 		opts.Classes = strings.Split(*class, ",")
@@ -139,9 +138,12 @@ func runReplay(path string, sab *bcpd.Sabotage, tap func([]byte), harvest *corpu
 	fmt.Printf("replayed %s: %s schedule, %d events, digest %s\n",
 		path, a.Spec.Class, len(a.Spec.Events), res.Digest)
 	if harvest != nil {
-		if n, err := harvest.Flush(); err == nil {
-			fmt.Printf("corpus: %d distinct frames\n", n)
+		n, err := harvest.Flush()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bcpchaos: corpus: %v\n", err)
+			return 1
 		}
+		fmt.Printf("corpus: %d distinct frames\n", n)
 	}
 	if len(res.Violations) == 0 {
 		fmt.Println("PASS")

@@ -57,7 +57,6 @@ func main() {
 	eng := bcp.NewEngine(1)
 	cfg := bcp.DefaultProtocolConfig()
 	cfg.HeartbeatInterval = 5 * time.Millisecond
-	cfg.HeartbeatMiss = 3
 	proto := bcp.NewProtocol(eng, mgr, cfg)
 	for _, c := range conns {
 		if err := proto.StartTraffic(c.ID, 200); err != nil {

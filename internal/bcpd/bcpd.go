@@ -87,8 +87,6 @@ type Config struct {
 	// is not time-critical, so replenishment runs well after switching).
 	// The new backups reuse the connection's last configured degree.
 	ReplenishDelay sim.Duration
-	// ReplenishTarget is the backup count to restore (default 1).
-	ReplenishTarget int
 
 	// PerMessageDispatch disables dispatch rounds (round.go): every control
 	// is submitted, every rejoin timer armed, and every claim released one
@@ -99,12 +97,10 @@ type Config struct {
 
 	// HeartbeatInterval enables heartbeat-based failure detection: every
 	// daemon emits a heartbeat per outgoing link at this interval, and the
-	// downstream neighbor declares the link failed after HeartbeatMiss
+	// downstream neighbor declares the link failed after heartbeatMiss
 	// silent intervals. Zero (the default) keeps oracle detection:
 	// FailLink/FailNode notify the neighbors after DetectionLatency.
 	HeartbeatInterval sim.Duration
-	// HeartbeatMiss is the consecutive-miss threshold (default 3).
-	HeartbeatMiss int
 
 	// Sink, when non-nil, receives a typed trace.Event for every protocol
 	// occurrence (detection, report and activation hops, Figure-4 state
@@ -587,17 +583,16 @@ func (n *Network) scheduleReplenish(connID rtchan.ConnID) {
 	n.rt.Schedule(n.cfg.ReplenishDelay, func() { n.replenishNow(connID) })
 }
 
+// replenishTarget is the backup count replenishment restores.
+const replenishTarget = 1
+
 // replenishNow re-checks the connection's backup count and establishes
 // replacements if it is short — the §4.4 replenishment action, shared by
 // both timer flavors. Duplicate requests are harmless: the first fire
 // restores the target and the rest see a full population.
 func (n *Network) replenishNow(connID rtchan.ConnID) {
-	target := n.cfg.ReplenishTarget
-	if target <= 0 {
-		target = 1
-	}
 	conn := n.mgr.Connection(connID)
-	if conn == nil || conn.Primary == nil || len(conn.Backups) >= target {
+	if conn == nil || conn.Primary == nil || len(conn.Backups) >= replenishTarget {
 		return
 	}
 	alpha := 1
@@ -609,7 +604,7 @@ func (n *Network) replenishNow(connID rtchan.ConnID) {
 	if n.linksDown > 0 {
 		avoid = func(l topology.LinkID) bool { return n.links[l].down }
 	}
-	added, err := n.mgr.ReplenishBackups(connID, target, alpha, avoid)
+	added, err := n.mgr.ReplenishBackups(connID, replenishTarget, alpha, avoid)
 	if err != nil || added == 0 {
 		return
 	}

@@ -286,7 +286,6 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
-	cfg.ReplenishTarget = 1
 	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
 	net := New(eng, mgr, cfg)
 	if err := net.StartTraffic(conn.ID, 1000); err != nil {

@@ -189,8 +189,8 @@ func (n *Network) SinkArrivals(connID rtchan.ConnID) []sim.Time {
 }
 
 // MaxArrivalGap returns the largest gap between consecutive data arrivals
-// after warmup — the destination-observed service disruption when a single
-// failure hits the connection mid-run.
+// over the whole run — the destination-observed service disruption when a
+// single failure hits the connection mid-run.
 func (n *Network) MaxArrivalGap(connID rtchan.ConnID) sim.Duration {
 	arr := n.SinkArrivals(connID)
 	var max sim.Duration

@@ -10,7 +10,7 @@ import (
 // are detected by their neighbor nodes" and defers mechanisms to [HAN97a];
 // this file supplies one: every daemon emits a small heartbeat packet on
 // each outgoing link at a fixed interval, and the downstream neighbor
-// declares the link failed after HeartbeatMiss consecutive silent intervals.
+// declares the link failed after heartbeatMiss consecutive silent intervals.
 // The downstream detector then notifies the upstream node over the
 // reverse-direction link (still healthy under a simplex-link crash), so both
 // neighbors originate the failure reports their side of the channel-

@@ -12,7 +12,6 @@ import (
 func heartbeatConfig() Config {
 	cfg := DefaultConfig()
 	cfg.HeartbeatInterval = sim.Duration(5 * time.Millisecond)
-	cfg.HeartbeatMiss = 3
 	return cfg
 }
 

@@ -26,14 +26,14 @@ func (c Config) HopBound(capacityMbps float64) sim.Duration {
 	return eligibility + residual + frame + c.PropDelay
 }
 
+// heartbeatMiss is how many consecutive heartbeat intervals a link may miss
+// before its downstream node declares it failed.
+const heartbeatMiss = 3
+
 // heartbeatDeadline is how long a link may stay silent before its
 // downstream node declares it failed.
 func (c Config) heartbeatDeadline() sim.Duration {
-	miss := c.HeartbeatMiss
-	if miss <= 0 {
-		miss = 3
-	}
-	return sim.Duration(miss+1) * c.HeartbeatInterval
+	return sim.Duration(heartbeatMiss+1) * c.HeartbeatInterval
 }
 
 // DetectionWindow is the longest a crash goes unreported by the failed

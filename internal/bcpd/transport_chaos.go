@@ -42,10 +42,8 @@ type LinkChaos struct {
 type ChaosParams struct {
 	// Seed drives every adversarial decision; same seed, same chaos.
 	Seed int64
-	// Default is the plan applied to every link without an override.
+	// Default is every link's plan until SetLinkChaos replaces it.
 	Default LinkChaos
-	// PerLink overrides the default plan for specific links.
-	PerLink map[topology.LinkID]LinkChaos
 	// CorruptTap, when non-nil, observes every corrupted frame image (after
 	// the byte flips, before the deliver-or-drop decision). The buffer is
 	// pooled — the tap must copy anything it retains.
@@ -113,11 +111,6 @@ func (t *ChaosTransport) Attach(n *Network) {
 	t.cut = make([]bool, nl)
 	for i := range t.plans {
 		t.plans[i] = t.p.Default
-	}
-	for l, plan := range t.p.PerLink {
-		if int(l) >= 0 && int(l) < nl {
-			t.plans[l] = plan
-		}
 	}
 	t.inner.Attach(n)
 }

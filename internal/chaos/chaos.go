@@ -22,8 +22,6 @@ type Options struct {
 	// Sabotage re-introduces a known-fixed bug in every episode — the
 	// harness self-test: the run must catch and shrink it.
 	Sabotage *bcpd.Sabotage
-	// ShrinkBudget caps probe episodes per shrink (default 400).
-	ShrinkBudget int
 	// ArtifactDir, when non-empty, receives one JSON reproducer per
 	// failing episode.
 	ArtifactDir string
@@ -120,7 +118,7 @@ func Run(opts Options) (*Report, error) {
 		}
 		logf("episode %d (%s, seed %d): %d violation(s); shrinking (%d events)...",
 			i, class, epSeed, len(res.Violations), len(spec.Events))
-		sh := &Shrinker{Opts: runOpts, Budget: opts.ShrinkBudget}
+		sh := &Shrinker{Opts: runOpts}
 		shrunk := sh.Shrink(spec)
 		sres, err := RunEpisode(shrunk, runOpts)
 		if err != nil {

@@ -23,15 +23,16 @@ type Shrinker struct {
 	// Opts are applied to every probe run (sabotage must stay on while
 	// shrinking a sabotage-caught failure).
 	Opts RunOptions
-	// Budget caps probe episodes (default 400).
-	Budget int
 
 	runs int
 }
 
+// shrinkBudget caps the probe episodes of one Shrink.
+const shrinkBudget = 400
+
 // fails probes a candidate spec, consuming budget.
 func (sh *Shrinker) fails(s Spec) bool {
-	if sh.runs >= sh.Budget {
+	if sh.runs >= shrinkBudget {
 		return false // out of budget: treat as "does not fail", keep current
 	}
 	sh.runs++
@@ -45,9 +46,6 @@ func (sh *Shrinker) Runs() int { return sh.runs }
 // Shrink minimizes spec. The input must fail (the caller just watched it
 // fail); the result is the smallest failing spec found.
 func (sh *Shrinker) Shrink(spec Spec) Spec {
-	if sh.Budget <= 0 {
-		sh.Budget = 400
-	}
 	sh.runs = 0
 	cur := spec
 	for changed := true; changed; {

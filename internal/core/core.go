@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"github.com/rtcl/bcp/internal/routing"
@@ -54,20 +53,8 @@ type Config struct {
 	// (the paper's λ). It scales every multiplexing threshold.
 	Lambda float64
 
-	// TieBreak randomizes shortest-path tie-breaking when non-nil. The
-	// paper's tie-breaking is unspecified; randomized tie-breaking spreads
-	// load across a symmetric topology the way the reported numbers imply.
-	TieBreak *rand.Rand
-
 	// BackupRouting selects the backup path algorithm (default sequential).
 	BackupRouting BackupRouting
-
-	// BackupSlackHops bounds each backup path to the shortest feasible
-	// disjoint path length plus this slack. Negative means unbounded;
-	// 0 means shortest-disjoint only. The paper does not state a bound for
-	// backups; the default (DefaultBackupSlackHops) mirrors the primary's
-	// +2 rule.
-	BackupSlackHops int
 
 	// DisablePiDegreeRestriction turns off the paper's §3.2 refinement that
 	// Π(Bi,ℓ) only counts backups with no greater multiplexing degree.
@@ -77,13 +64,10 @@ type Config struct {
 	DisablePiDegreeRestriction bool
 }
 
-// DefaultBackupSlackHops mirrors the primary channels' +2-hop QoS rule.
-const DefaultBackupSlackHops = 2
-
 // DefaultConfig returns the configuration used by the paper's evaluation:
 // λ=1e-4 and sequential shortest-path routing.
 func DefaultConfig() Config {
-	return Config{Lambda: 1e-4, BackupSlackHops: DefaultBackupSlackHops}
+	return Config{Lambda: 1e-4}
 }
 
 // DConnection is a dependable connection: a primary channel and its backups.

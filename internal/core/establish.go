@@ -159,7 +159,7 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 	}
 
 	primaryMax := base + spec.SlackHops
-	c := routing.Constraint{MaxHops: primaryMax, TieBreak: m.plan.cfg.TieBreak, LinkAllowed: pc.linkFeasible}
+	c := routing.Constraint{MaxHops: primaryMax, LinkAllowed: pc.linkFeasible}
 	links, ok := pc.router.ShortestLinks(src, dst, c)
 	if !ok {
 		p.err = fmt.Errorf("core: no feasible primary path %d->%d within %d hops", src, dst, primaryMax)
@@ -211,6 +211,12 @@ func addExcluded(excl *routing.Exclusion, pp *pathPlan) {
 	}
 }
 
+// backupSlackHops bounds each backup path to the shortest disjoint path
+// length plus this slack. The paper states the +2-hop QoS rule for primaries
+// only; a backup carries the primary's traffic once activated, so it follows
+// the same rule.
+const backupSlackHops = 2
+
 // routeBackup is the §3.4 backup-routing policy: it routes one backup channel
 // from src to dst around everything in pc.excl (the connection's earlier
 // channels, which is what keeps the pair disjoint) and returns its links in
@@ -223,7 +229,7 @@ func addExcluded(excl *routing.Exclusion, pp *pathPlan) {
 func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow []uint64) ([]topology.LinkID, bool) {
 	m := pc.m
 	cfg := &m.plan.cfg
-	c := pc.excl.Constrain(routing.Constraint{TieBreak: cfg.TieBreak, LinkAllowed: pc.linkFeasible})
+	c := pc.excl.Constrain(routing.Constraint{LinkAllowed: pc.linkFeasible})
 	if cfg.BackupRouting == RouteMaxFlow {
 		sets := pc.router.DisjointLinks(src, dst, 1, c)
 		if len(sets) == 0 {
@@ -231,30 +237,27 @@ func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow
 		}
 		return sets[0], true
 	}
-	if cfg.BackupSlackHops >= 0 {
-		// QoS bound for the backup: after activation it carries the primary
-		// traffic, so its length is bounded relative to the shortest
-		// disjoint path regardless of current bandwidth availability. That
-		// distance is never below the cached unconstrained one, so a path
-		// found within Distance+slack is within the bound, and is the path
-		// the search under the exact bound returns (the labels below its
-		// length are the same): only a miss pays for the exclusion-aware
-		// distance. A hop-bounded weighted search depends on the bound
-		// itself, so load-aware routing always starts from the exact one.
-		tried := 0
-		if cfg.BackupRouting != RouteLoadAware {
-			tried = pc.router.Distance(src, dst) + cfg.BackupSlackHops
-			c.MaxHops = tried
-			if links, ok := pc.router.ShortestLinks(src, dst, c); ok {
-				return links, true
-			}
+	// The slack bound is relative to the shortest disjoint path regardless
+	// of current bandwidth availability. That distance is never below the
+	// cached unconstrained one, so a path found within Distance+slack is
+	// within the bound, and is the path the search under the exact bound
+	// returns (the labels below its length are the same): only a miss pays
+	// for the exclusion-aware distance. A hop-bounded weighted search depends
+	// on the bound itself, so load-aware routing always starts from the exact
+	// one.
+	tried := 0
+	if cfg.BackupRouting != RouteLoadAware {
+		tried = pc.router.Distance(src, dst) + backupSlackHops
+		c.MaxHops = tried
+		if links, ok := pc.router.ShortestLinks(src, dst, c); ok {
+			return links, true
 		}
-		hops := pc.router.ShortestDistance(src, dst, pc.excl.Constrain(routing.Constraint{}))
-		if hops < 0 || hops+cfg.BackupSlackHops <= tried {
-			return nil, false // cut off by the exclusion, or nothing new to try
-		}
-		c.MaxHops = hops + cfg.BackupSlackHops
 	}
+	hops := pc.router.ShortestDistance(src, dst, pc.excl.Constrain(routing.Constraint{}))
+	if hops < 0 || hops+backupSlackHops <= tried {
+		return nil, false // cut off by the exclusion, or nothing new to try
+	}
+	c.MaxHops = hops + backupSlackHops
 	if cfg.BackupRouting == RouteLoadAware {
 		// [HAN97b]: weight each link by the spare-pool growth the backup
 		// would cause there, plus a small per-hop cost so ties (zero-growth

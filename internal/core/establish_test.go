@@ -11,21 +11,16 @@ import (
 )
 
 type establishVariant struct {
-	name string
-	cfg  func(seed int64) Config
-	spec func(rng *rand.Rand) rtchan.TrafficSpec
+	name    string
+	routing BackupRouting
+	spec    func(rng *rand.Rand) rtchan.TrafficSpec
 }
 
 func establishVariants() []establishVariant {
 	return []establishVariant{
-		{
-			name: "default",
-			cfg:  func(int64) Config { return DefaultConfig() },
-			spec: defaultBatchSpec,
-		},
+		{name: "default", spec: defaultBatchSpec},
 		{
 			name: "delay-bound", // explicit delay contracts: the analytic admission test
-			cfg:  func(int64) Config { return DefaultConfig() },
 			spec: func(rng *rand.Rand) rtchan.TrafficSpec {
 				spec := defaultBatchSpec(rng)
 				if rng.Intn(2) == 0 {
@@ -34,43 +29,18 @@ func establishVariants() []establishVariant {
 				return spec
 			},
 		},
-		{
-			name: "load-aware", // spare-aware backup weights
-			cfg: func(int64) Config {
-				cfg := DefaultConfig()
-				cfg.BackupRouting = RouteLoadAware
-				return cfg
-			},
-			spec: defaultBatchSpec,
-		},
-		{
-			name: "max-flow",
-			cfg: func(int64) Config {
-				cfg := DefaultConfig()
-				cfg.BackupRouting = RouteMaxFlow
-				return cfg
-			},
-			spec: defaultBatchSpec,
-		},
-		{
-			name: "tiebreak", // randomized routing, equal-seeded per manager
-			cfg: func(seed int64) Config {
-				cfg := DefaultConfig()
-				cfg.TieBreak = rand.New(rand.NewSource(seed + 7))
-				return cfg
-			},
-			spec: defaultBatchSpec,
-		},
+		{name: "load-aware", routing: RouteLoadAware, spec: defaultBatchSpec}, // spare-aware backup weights
+		{name: "max-flow", routing: RouteMaxFlow, spec: defaultBatchSpec},
 	}
 }
 
 // TestEstablishVariantsKeepInvariants is the randomized run of plan +
 // commitPlan under every configuration that changes what a plan decides:
-// five variants over tight tori, meshes and random graphs. After the fill the
+// four variants over tight tori, meshes and random graphs. After the fill the
 // multiplexing and reservation invariants hold; a rejection consumed no
 // connection id and moved no link's accounts; and a second manager fed the
 // same requests ends in the identical state (establishment is a function of
-// the request sequence, the tie-break rng included).
+// the request sequence).
 func TestEstablishVariantsKeepInvariants(t *testing.T) {
 	for _, v := range establishVariants() {
 		v := v
@@ -82,7 +52,9 @@ func TestEstablishVariantsKeepInvariants(t *testing.T) {
 				reqs := batchRequests(rng, g, 90, v.spec)
 				ctx := fmt.Sprintf("%s seed %d", v.name, seed)
 
-				m, twin := NewManager(g, v.cfg(seed)), NewManager(g, v.cfg(seed))
+				cfg := DefaultConfig()
+				cfg.BackupRouting = v.routing
+				m, twin := NewManager(g, cfg), NewManager(g, cfg)
 				spare := make([]float64, g.NumLinks())
 				dedicated := make([]float64, g.NumLinks())
 				for i := range reqs {

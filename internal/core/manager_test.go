@@ -127,33 +127,6 @@ func TestEstablishMaxFlowRouting(t *testing.T) {
 	}
 }
 
-func TestTieBreakSpreadsLoad(t *testing.T) {
-	g := topology.NewTorus(8, 8, 200)
-	det := NewManager(g, DefaultConfig())
-	cfgR := DefaultConfig()
-	cfgR.TieBreak = rand.New(rand.NewSource(7))
-	rnd := NewManager(g, cfgR)
-	for _, m := range []*Manager{det, rnd} {
-		for i := 0; i < 32; i++ {
-			if _, err := m.Establish(0, 36, rtchan.DefaultSpec(), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	maxLoad := func(m *Manager) float64 {
-		var mx float64
-		for _, l := range g.Links() {
-			if d := m.plan.net.Dedicated(l.ID); d > mx {
-				mx = d
-			}
-		}
-		return mx
-	}
-	if maxLoad(rnd) >= maxLoad(det) {
-		t.Fatalf("random tie-break did not spread load: det=%g rnd=%g", maxLoad(det), maxLoad(rnd))
-	}
-}
-
 func TestEstablishOnPathsValidation(t *testing.T) {
 	g, path := mesh3(t)
 	m := newTestManager(g)
@@ -208,9 +181,7 @@ func TestFullTorusEstablishment(t *testing.T) {
 		t.Skip("short mode")
 	}
 	g := topology.NewTorus(8, 8, 200)
-	cfg := DefaultConfig()
-	cfg.TieBreak = rand.New(rand.NewSource(1))
-	m := NewManager(g, cfg)
+	m := NewManager(g, DefaultConfig())
 	n := g.NumNodes()
 	count := 0
 	for s := 0; s < n; s++ {
@@ -246,9 +217,7 @@ func TestFullTorusEstablishment(t *testing.T) {
 
 func TestRandomChurnKeepsInvariants(t *testing.T) {
 	g := topology.NewTorus(6, 6, 50)
-	cfg := DefaultConfig()
-	cfg.TieBreak = rand.New(rand.NewSource(3))
-	m := NewManager(g, cfg)
+	m := NewManager(g, DefaultConfig())
 	rng := rand.New(rand.NewSource(99))
 	var live []rtchan.ConnID
 	for step := 0; step < 300; step++ {

@@ -32,11 +32,7 @@ func randomManager(t *testing.T, seed int64, alphaPick func(*rand.Rand) int) (*M
 	default:
 		g = topology.NewRandom(24+rng.Intn(16), 3.5, 60, seed)
 	}
-	cfg := DefaultConfig()
-	if rng.Intn(2) == 0 {
-		cfg.TieBreak = rand.New(rand.NewSource(seed + 1))
-	}
-	m := NewManager(g, cfg)
+	m := NewManager(g, DefaultConfig())
 	n := g.NumNodes()
 	for i := 0; i < 120; i++ {
 		s := topology.NodeID(rng.Intn(n))

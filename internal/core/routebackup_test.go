@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -14,12 +13,11 @@ import (
 // twoSearchPolicy is the §3.4 routing of one request as it was before
 // routeBackup searched once: the primary within Distance+SlackHops, then for
 // the backup always the exclusion-only distance first and one feasible search
-// under exactly that bound. It runs on its own Router and its own rng, so it
-// shares nothing with the Manager under test but the plan it reads.
+// under exactly that bound. It runs on its own Router, so it shares nothing
+// with the Manager under test but the plan it reads.
 type twoSearchPolicy struct {
-	m   *Manager
-	r   *routing.Router
-	rng *rand.Rand // nil, or seeded like the Manager's TieBreak
+	m *Manager
+	r *routing.Router
 }
 
 // route returns the primary's and the backup's links, or the error string
@@ -28,7 +26,7 @@ func (p *twoSearchPolicy) route(src, dst topology.NodeID, spec rtchan.TrafficSpe
 	g := p.m.Graph()
 	feasible := func(l topology.LinkID) bool { return p.m.plan.net.Free(l) >= spec.Bandwidth-1e-9 }
 	primaryMax := p.r.Distance(src, dst) + spec.SlackHops
-	links, ok := p.r.ShortestLinks(src, dst, routing.Constraint{MaxHops: primaryMax, TieBreak: p.rng, LinkAllowed: feasible})
+	links, ok := p.r.ShortestLinks(src, dst, routing.Constraint{MaxHops: primaryMax, LinkAllowed: feasible})
 	if !ok {
 		return nil, nil, fmt.Sprintf("core: no feasible primary path %d->%d within %d hops", src, dst, primaryMax)
 	}
@@ -40,9 +38,9 @@ func (p *twoSearchPolicy) route(src, dst topology.NodeID, spec rtchan.TrafficSpe
 			excl.AddNode(g.Link(l).From)
 		}
 	}
-	c := excl.Constrain(routing.Constraint{TieBreak: p.rng, LinkAllowed: feasible})
+	c := excl.Constrain(routing.Constraint{LinkAllowed: feasible})
 	if hops := p.r.ShortestDistance(src, dst, excl.Constrain(routing.Constraint{})); hops >= 0 {
-		c.MaxHops = hops + p.m.plan.cfg.BackupSlackHops
+		c.MaxHops = hops + backupSlackHops
 	}
 	links, ok = p.r.ShortestLinks(src, dst, c)
 	if !ok {
@@ -53,32 +51,22 @@ func (p *twoSearchPolicy) route(src, dst topology.NodeID, spec rtchan.TrafficSpe
 
 // TestRouteBackupMatchesTwoSearchPolicy loads a torus with every ordered pair,
 // checking each establishment against the two-search policy before it
-// commits: the same primary, the same backup, the same rejection, and — with
-// randomized ties — the same number of rng draws. The evaluation torus takes
-// the whole workload; the starved one runs out of bandwidth, so some backups
-// are longer than Distance+slack (found only under the exact bound) and some
-// are rejected.
+// commits: the same primary, the same backup, the same rejection. The
+// evaluation torus takes the whole workload; the starved one runs out of
+// bandwidth, so some backups are longer than Distance+slack (found only under
+// the exact bound) and some are rejected.
 func TestRouteBackupMatchesTwoSearchPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		capacity float64
-		seeded   bool
 	}{
-		{"loaded", 200, false},
-		{"loaded-tiebreak", 200, true},
-		{"starved", 80, false},
-		{"starved-tiebreak", 80, true},
+		{"loaded", 200},
+		{"starved", 80},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := topology.NewTorus(8, 8, tc.capacity)
-			cfg := DefaultConfig()
-			ref := &twoSearchPolicy{r: routing.NewRouter(g)}
-			if tc.seeded {
-				cfg.TieBreak = rand.New(rand.NewSource(7))
-				ref.rng = rand.New(rand.NewSource(7))
-			}
-			m := NewManager(g, cfg)
-			ref.m = m
+			m := NewManager(g, DefaultConfig())
+			ref := &twoSearchPolicy{m: m, r: routing.NewRouter(g)}
 			spec := rtchan.DefaultSpec()
 			var backups, pastSlack, rejected, wantSearches uint64
 			for s := topology.NodeID(0); int(s) < g.NumNodes(); s++ {
@@ -111,13 +99,10 @@ func TestRouteBackupMatchesTwoSearchPolicy(t *testing.T) {
 						t.Fatalf("%d->%d: backup %v, the two-search policy routes %v", s, d, got, backup)
 					}
 					backups++
-					if len(backup) > ref.r.Distance(s, d)+cfg.BackupSlackHops {
+					if len(backup) > ref.r.Distance(s, d)+backupSlackHops {
 						pastSlack++
 					}
 				}
-			}
-			if tc.seeded && cfg.TieBreak.Int63() != ref.rng.Int63() {
-				t.Fatal("the tie-break rng ended in a different state than under the two-search policy")
 			}
 			st := m.estCtx.router.Stats()
 			extra := st.Searches - wantSearches

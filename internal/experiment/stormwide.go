@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
@@ -40,17 +39,13 @@ type StormWide struct {
 	cycles  int
 }
 
-// StormWideConfig parameterizes NewStormWide. The zero value is the 8×8
+// StormWideConfig parameterizes NewStormWide. The network is always the 8×8
 // torus with all pairs between non-victim endpoints.
 type StormWideConfig struct {
-	// Mesh switches the topology from the paper's 8×8 torus (64 nodes) to a
-	// 16×16 mesh (256 nodes) with a sampled workload of
-	// stormWideMeshConns connections.
-	Mesh bool
 	// PerMessageDispatch runs the per-message dispatch engine instead of
 	// dispatch rounds — the A/B baseline for the batching work.
 	PerMessageDispatch bool
-	// Seed drives the engine and the mesh workload sample.
+	// Seed drives the engine.
 	Seed int64
 	// Sink optionally taps the protocol event stream.
 	Sink trace.Sink
@@ -59,9 +54,9 @@ type StormWideConfig struct {
 // Cycle phases: the crash phase covers detection, the report storm, and the
 // activation wave; the repair phase covers the soft-state expiries tearing
 // down the channels lost through the crashed node and the replenishments
-// restoring every connection's backup count. Both are generous on the torus
-// and the mesh — the cycle asserts progress through counters, not
-// completion of every last replenishment.
+// restoring every connection's backup count. Both are generous — the cycle
+// asserts progress through counters, not completion of every last
+// replenishment.
 const (
 	stormWideCrashPhase = sim.Duration(300 * time.Millisecond)
 	// The repair phase reboots the victim immediately, so every
@@ -71,9 +66,6 @@ const (
 	// keeps victims loaded with crossing primaries across cycles; holding
 	// the victim down through the replenish wave drains them instead.
 	stormWideRepairPhase = sim.Duration(900 * time.Millisecond)
-	// stormWideMeshConns is the default sampled workload on the 256-node
-	// mesh, where all pairs would be 65 thousand connections.
-	stormWideMeshConns = 600
 	// stormWideSources is how many victim-crossing connections carry data,
 	// so cycles yield a service-interruption latency distribution.
 	stormWideSources = 16
@@ -84,23 +76,8 @@ const (
 // degree-1 disjoint backups on every connection, data traffic on a sample of
 // victim-crossing connections.
 func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
-	var g *topology.Graph
-	var victims []topology.NodeID
-	if cfg.Mesh {
-		g = topology.NewMesh(16, 16, 200)
-		// The four center nodes. Unlike the torus, a mesh concentrates
-		// shortest paths through its center, so center victims keep a dense
-		// population of crossing primaries: each cycle's promotions and
-		// replenishments re-thread routes through the repaired victim fast
-		// enough that re-failing it always finds primaries to activate
-		// around. Quadrant-interior victims drain instead — after one
-		// rotation the sampled workload routes around them for good and a
-		// re-failure finds nothing to restore.
-		victims = []topology.NodeID{7*16 + 7, 7*16 + 8, 8*16 + 7, 8*16 + 8}
-	} else {
-		g = topology.NewTorus(8, 8, 200)
-		victims = []topology.NodeID{1*8 + 1, 3*8 + 3, 4*8 + 4, 6*8 + 6}
-	}
+	g := topology.NewTorus(8, 8, 200)
+	victims := []topology.NodeID{1*8 + 1, 3*8 + 3, 4*8 + 4, 6*8 + 6}
 	isVictim := make(map[topology.NodeID]bool, len(victims))
 	for _, v := range victims {
 		isVictim[v] = true
@@ -108,31 +85,14 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 
 	eng := sim.New(cfg.Seed)
 	mgr := core.NewManager(g, core.DefaultConfig())
-	if cfg.Mesh {
-		// Sampled random pairs: the seeded generator makes the workload a
-		// pure function of the seed, so A/B runs load identical networks.
-		rng := rand.New(rand.NewSource(cfg.Seed + 1))
-		for n := 0; n < stormWideMeshConns; {
-			s := topology.NodeID(rng.Intn(g.NumNodes()))
-			d := topology.NodeID(rng.Intn(g.NumNodes()))
-			if s == d || isVictim[s] || isVictim[d] {
-				continue
-			}
-			// A rejection (capacity or disjointness) skips the pair.
-			if _, err := mgr.Establish(s, d, rtchan.DefaultSpec(), []int{1}); err == nil {
-				n++
-			}
+	// All pairs between non-victim endpoints, in AllPairs order.
+	var reqs []workload.Request
+	for _, r := range workload.AllPairs(g, rtchan.DefaultSpec(), []int{1}) {
+		if !isVictim[r.Src] && !isVictim[r.Dst] {
+			reqs = append(reqs, r)
 		}
-	} else {
-		// All pairs between non-victim endpoints, in AllPairs order.
-		var reqs []workload.Request
-		for _, r := range workload.AllPairs(g, rtchan.DefaultSpec(), []int{1}) {
-			if !isVictim[r.Src] && !isVictim[r.Dst] {
-				reqs = append(reqs, r)
-			}
-		}
-		workload.Establish(mgr, reqs)
 	}
+	workload.Establish(mgr, reqs)
 	conns := mgr.Connections()
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("experiment: storm-wide established no connections")
@@ -154,7 +114,6 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 	bcfg.RejoinTimeout = sim.Duration(500 * time.Millisecond)
 	bcfg.RejoinProbeDelay = sim.Duration(100 * time.Millisecond)
 	bcfg.ReplenishDelay = sim.Duration(400 * time.Millisecond)
-	bcfg.ReplenishTarget = 1
 	bcfg.PerMessageDispatch = cfg.PerMessageDispatch
 	bcfg.Sink = cfg.Sink
 	net := bcpd.New(eng, mgr, bcfg)

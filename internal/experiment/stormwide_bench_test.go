@@ -4,18 +4,18 @@ import (
 	"testing"
 )
 
-// The mass-failure storm kernels: the seeded cycle sequence on the batched
-// dispatch engine (dispatch rounds, bulk timer arming, batched claim release,
-// coalesced reconfiguration), on the paper's torus and on the 256-node mesh.
-// The timed region is the restoration storm (CrashPhase); the repair/
+// BenchmarkStormWide is the mass-failure storm kernel: the seeded cycle
+// sequence on the batched dispatch engine (dispatch rounds, bulk timer
+// arming, batched claim release, coalesced reconfiguration) on the paper's
+// torus. The timed region is the restoration storm (CrashPhase); the repair/
 // replenish half runs with the timer stopped — re-establishing the expired
 // channels is establishment work and would otherwise drown the dispatch
 // signal. The per-message reference engine is not benchmarked:
 // TestStormWidePerMessageParity holds it to the same protocol behaviour and
 // pins the allocation gap, and the end-to-end number is the storm_node_crash
 // workload of the repository benchmark (bench/).
-func benchmarkStormWide(b *testing.B, cfg StormWideConfig) {
-	s, err := NewStormWide(cfg)
+func BenchmarkStormWide(b *testing.B) {
+	s, err := NewStormWide(StormWideConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,12 +35,4 @@ func benchmarkStormWide(b *testing.B, cfg StormWideConfig) {
 		}
 		b.StartTimer()
 	}
-}
-
-func BenchmarkStormWide(b *testing.B) {
-	benchmarkStormWide(b, StormWideConfig{Seed: 1})
-}
-
-func BenchmarkStormWideMesh256(b *testing.B) {
-	benchmarkStormWide(b, StormWideConfig{Seed: 1, Mesh: true})
 }

@@ -51,22 +51,6 @@ func TestStormWideTorus(t *testing.T) {
 	}
 }
 
-// TestStormWideMesh runs one cycle on the 256-node sampled mesh — the
-// scale variant; the torus test covers the full rotation and audit.
-func TestStormWideMesh(t *testing.T) {
-	s, err := NewStormWide(StormWideConfig{Mesh: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-	if q := s.Net.CheckQuiescence(); len(q) != 0 {
-		t.Errorf("quiescence after drain: %v", q)
-	}
-}
-
 // TestStormWideCycleAllocs pins a warmed mass-failure cycle (a transit-node
 // crash and its restoration, after a full victim rotation). A cycle
 // legitimately allocates: replenishment re-establishes the expired channels

@@ -40,7 +40,6 @@ type Router struct {
 	mark     uint32
 	nodeMark []uint32
 
-	cand    []topology.LinkID // backtrack tie candidates
 	links   []topology.LinkID // result buffer for the *Links searches
 	nodeSeq []topology.NodeID // node-sequence buffer for path materialization
 
@@ -317,7 +316,8 @@ func (r *Router) ShortestDistance(src, dst topology.NodeID, c Constraint) int {
 // ShortestLinks returns the link sequence of a shortest src→dst path under
 // c, and whether one exists. The slice is the router's scratch buffer: it is
 // valid until the next search on r, and must be copied to outlive it.
-// Tie-breaking is identical to ShortestPath (lowest link id, or c.TieBreak).
+// Among equally short paths it takes the lowest link id at each hop, backward
+// from dst.
 func (r *Router) ShortestLinks(src, dst topology.NodeID, c Constraint) ([]topology.LinkID, bool) {
 	if src == dst {
 		return nil, false
@@ -333,11 +333,11 @@ func (r *Router) ShortestLinks(src, dst topology.NodeID, c Constraint) ([]topolo
 		r.links = make([]topology.LinkID, n)
 	}
 	links := r.links[:n]
-	// Backtrack from dst, at each step choosing an in-link whose tail is one
-	// hop closer to src: the lowest link id, or a c.TieBreak draw among them.
+	// Backtrack from dst, at each step taking the lowest-id in-link whose tail
+	// is one hop closer to src.
 	cur := dst
 	for d := n; d > 0; d-- {
-		cands := r.cand[:0]
+		choice := topology.NoLink
 		for _, l := range g.In(cur) {
 			from := g.Link(l).From
 			if r.nodeGen[from] != gen || int(r.dist[from]) != d-1 {
@@ -346,16 +346,9 @@ func (r *Router) ShortestLinks(src, dst topology.NodeID, c Constraint) ([]topolo
 			if !c.linkOK(l) || (from != src && !c.nodeOK(from)) {
 				continue
 			}
-			cands = append(cands, l)
-		}
-		r.cand = cands
-		choice := cands[0]
-		if c.TieBreak == nil {
-			for _, l := range cands[1:] {
-				choice = min(choice, l)
+			if choice == topology.NoLink || l < choice {
+				choice = l
 			}
-		} else if len(cands) > 1 {
-			choice = cands[c.TieBreak.Intn(len(cands))]
 		}
 		links[d-1] = choice
 		cur = g.Link(choice).From

@@ -12,10 +12,10 @@ import (
 )
 
 // This file checks the Router's arena-based searches against straightforward
-// from-scratch reference implementations (the package's pre-Router code,
-// kept here verbatim modulo naming). The property corpus runs many queries
-// through ONE Router per graph, so arena reuse, generation stamping, and the
-// SPT cache are all exercised between comparisons. Every comparison demands
+// from-scratch reference implementations (the package's pre-Router code).
+// The property corpus runs many queries through ONE Router per graph, so
+// arena reuse, generation stamping, and the SPT cache are all exercised
+// between comparisons. Every comparison demands
 // byte-identical link sequences, not just equal lengths: the Router must
 // preserve tie-breaking exactly.
 
@@ -97,7 +97,7 @@ func refShortestPath(g *topology.Graph, src, dst topology.NodeID, c Constraint) 
 	links := make([]topology.LinkID, dist[dst])
 	cur := dst
 	for d := dist[dst]; d > 0; d-- {
-		var candidates []topology.LinkID
+		choice := topology.NoLink
 		for _, l := range g.In(cur) {
 			if !c.linkOK(l) {
 				continue
@@ -109,17 +109,9 @@ func refShortestPath(g *topology.Graph, src, dst topology.NodeID, c Constraint) 
 			if from != src && !c.nodeOK(from) {
 				continue
 			}
-			if c.TieBreak == nil {
-				if candidates == nil || l < candidates[0] {
-					candidates = []topology.LinkID{l}
-				}
-				continue
+			if choice == topology.NoLink || l < choice {
+				choice = l
 			}
-			candidates = append(candidates, l)
-		}
-		choice := candidates[0]
-		if c.TieBreak != nil && len(candidates) > 1 {
-			choice = candidates[c.TieBreak.Intn(len(candidates))]
 		}
 		links[d-1] = choice
 		cur = g.Link(choice).From
@@ -488,10 +480,8 @@ func corpusConstraint(g *topology.Graph, variant int, rng *rand.Rand) (router, r
 }
 
 // compareSearches runs the constrained searches on r and on the references and
-// demands the same distance, the same link sequence under both tie-break
-// rules, and, for the randomized one, the same rng state afterwards: the
-// Router must draw from c.TieBreak exactly when the reference does.
-func compareSearches(t *testing.T, tag string, r *Router, src, dst topology.NodeID, cRouter, cRef Constraint, seed int64) {
+// demands the same distance and the same link sequence.
+func compareSearches(t *testing.T, tag string, r *Router, src, dst topology.NodeID, cRouter, cRef Constraint) {
 	t.Helper()
 	g := r.Graph()
 	if got, want := r.ShortestDistance(src, dst, cRouter), refDistance(g, src, dst, cRef); got != want {
@@ -501,16 +491,6 @@ func compareSearches(t *testing.T, tag string, r *Router, src, dst topology.Node
 	wp, wok := refShortestPath(g, src, dst, cRef)
 	if gok != wok || (gok && !samePath(gp, wp)) {
 		t.Fatalf("%s: ShortestPath(%d,%d) = %v,%v want %v,%v", tag, src, dst, gp, gok, wp, wok)
-	}
-	cRouter.TieBreak = rand.New(rand.NewSource(seed))
-	cRef.TieBreak = rand.New(rand.NewSource(seed))
-	gp, gok = r.ShortestPath(src, dst, cRouter)
-	wp, wok = refShortestPath(g, src, dst, cRef)
-	if gok != wok || (gok && !samePath(gp, wp)) {
-		t.Fatalf("%s: tie-broken ShortestPath(%d,%d) = %v,%v want %v,%v", tag, src, dst, gp, gok, wp, wok)
-	}
-	if cRouter.TieBreak.Int63() != cRef.TieBreak.Int63() {
-		t.Fatalf("%s: tie-broken ShortestPath(%d,%d) left the rng in a different state", tag, src, dst)
 	}
 }
 
@@ -537,7 +517,7 @@ func TestRouterMatchesReference(t *testing.T) {
 				t.Fatalf("%s: Distance(%d,%d) = %d, want %d", tag, src, dst, h, want)
 			}
 			// Constrained searches (arena BFS path), first as drawn.
-			compareSearches(t, tag, r, src, dst, cRouter, cRef, rng.Int63())
+			compareSearches(t, tag, r, src, dst, cRouter, cRef)
 			// Then at every hop bound around the search's starting bound
 			// h(src): below it (gives up before labelling, right after a
 			// search that labelled dst), at it, and one by one up past the
@@ -545,7 +525,7 @@ func TestRouterMatchesReference(t *testing.T) {
 			drawn := cRouter.MaxHops
 			for mh := max(h-1, 1); h > 0 && mh <= h+maxRaises+3; mh++ {
 				cRouter.MaxHops, cRef.MaxHops = mh, mh
-				compareSearches(t, fmt.Sprintf("%s MaxHops %d", tag, mh), r, src, dst, cRouter, cRef, rng.Int63())
+				compareSearches(t, fmt.Sprintf("%s MaxHops %d", tag, mh), r, src, dst, cRouter, cRef)
 			}
 			cRouter.MaxHops, cRef.MaxHops = drawn, drawn
 
@@ -574,7 +554,7 @@ func TestRouterMatchesReference(t *testing.T) {
 			// then cut off: every link into it banned.
 			if variant&8 != 0 {
 				cRouter.Exclude.AddNode(dst)
-				compareSearches(t, tag+" dst excluded", r, src, dst, cRouter, cRef, rng.Int63())
+				compareSearches(t, tag+" dst excluded", r, src, dst, cRouter, cRef)
 				for _, l := range g.In(dst) {
 					cRouter.Exclude.AddLink(l)
 				}
@@ -701,8 +681,8 @@ func FuzzRouterMatchesReference(f *testing.F) {
 			NodeAllowed: func(n topology.NodeID) bool { return !bannedNodes[n] },
 		}
 		r := NewRouter(g)
-		compareSearches(t, "unconstrained", r, src, dst, Constraint{}, Constraint{}, graphSeed)
-		compareSearches(t, "constrained", r, src, dst, cRouter, cRef, graphSeed)
+		compareSearches(t, "unconstrained", r, src, dst, Constraint{}, Constraint{})
+		compareSearches(t, "constrained", r, src, dst, cRouter, cRef)
 	})
 }
 

@@ -15,11 +15,7 @@
 // the core Manager and the experiment drivers hold one per worker.
 package routing
 
-import (
-	"math/rand"
-
-	"github.com/rtcl/bcp/internal/topology"
-)
+import "github.com/rtcl/bcp/internal/topology"
 
 // Constraint restricts a path search.
 //
@@ -39,13 +35,6 @@ type Constraint struct {
 	// pays two word lookups per candidate component instead of two map
 	// probes and two closure frames (the former Constrain chaining).
 	Exclude *Exclusion
-
-	// TieBreak, if non-nil, randomizes the choice among equally short
-	// predecessors during path reconstruction. A nil TieBreak selects the
-	// lowest link id, which is deterministic but concentrates traffic on a
-	// torus; experiments pass a seeded RNG to spread load like the paper's
-	// (unspecified) tie-breaking evidently does.
-	TieBreak *rand.Rand
 }
 
 func (c Constraint) linkOK(l topology.LinkID) bool {

@@ -12,28 +12,15 @@ type DotOptions struct {
 	// HighlightPaths draws each path in a distinct color (cycled from a
 	// small palette) with penwidth 2.
 	HighlightPaths []Path
-	// FailedLinks and FailedNodes render dashed/red.
-	FailedLinks []LinkID
-	FailedNodes []NodeID
-	// LinkLabels, when non-nil, supplies an edge label per link (e.g.
-	// "dedicated/spare/capacity" from the resource plane).
-	LinkLabels func(LinkID) string
 }
 
 var dotPalette = []string{"blue", "forestgreen", "darkorange", "purple", "crimson", "teal"}
 
-// WriteDot renders the graph in Graphviz DOT format. Duplex link pairs
-// collapse into one undirected edge unless their attributes differ; simplex
-// links without a reverse render as directed edges.
+// WriteDot renders the graph in Graphviz DOT format. Every duplex link pair
+// collapses into one undirected edge, colored when either direction lies on
+// a highlighted path; simplex links without a reverse render as directed
+// edges.
 func (g *Graph) WriteDot(w io.Writer, opts DotOptions) error {
-	failedLink := make(map[LinkID]bool, len(opts.FailedLinks))
-	for _, l := range opts.FailedLinks {
-		failedLink[l] = true
-	}
-	failedNode := make(map[NodeID]bool, len(opts.FailedNodes))
-	for _, n := range opts.FailedNodes {
-		failedNode[n] = true
-	}
 	linkColor := make(map[LinkID]string)
 	nodeOnPath := make(map[NodeID]bool)
 	for i, p := range opts.HighlightPaths {
@@ -50,14 +37,8 @@ func (g *Graph) WriteDot(w io.Writer, opts DotOptions) error {
 	fmt.Fprintf(&b, "graph %q {\n", g.Name())
 	b.WriteString("  layout=neato;\n  node [shape=circle, fontsize=10];\n")
 	for v := 0; v < g.NumNodes(); v++ {
-		attrs := []string{}
-		if failedNode[NodeID(v)] {
-			attrs = append(attrs, `color=red`, `style=dashed`)
-		} else if nodeOnPath[NodeID(v)] {
-			attrs = append(attrs, `style=bold`)
-		}
-		if len(attrs) > 0 {
-			fmt.Fprintf(&b, "  %d [%s];\n", v, strings.Join(attrs, ", "))
+		if nodeOnPath[NodeID(v)] {
+			fmt.Fprintf(&b, "  %d [style=bold];\n", v)
 		} else {
 			fmt.Fprintf(&b, "  %d;\n", v)
 		}
@@ -77,19 +58,12 @@ func (g *Graph) WriteDot(w io.Writer, opts DotOptions) error {
 		}
 		emitted[l.ID] = true
 		var attrs []string
-		if failedLink[l.ID] || (rev != NoLink && failedLink[rev]) {
-			attrs = append(attrs, "color=red", "style=dashed")
-		} else if c, ok := linkColor[l.ID]; ok {
-			attrs = append(attrs, fmt.Sprintf("color=%s", c), "penwidth=2")
-		} else if rev != NoLink {
-			if c, ok := linkColor[rev]; ok {
-				attrs = append(attrs, fmt.Sprintf("color=%s", c), "penwidth=2")
-			}
+		c, ok := linkColor[l.ID]
+		if !ok && !directed {
+			c, ok = linkColor[rev]
 		}
-		if opts.LinkLabels != nil {
-			if lbl := opts.LinkLabels(l.ID); lbl != "" {
-				attrs = append(attrs, fmt.Sprintf("label=%q", lbl))
-			}
+		if ok {
+			attrs = append(attrs, "color="+c, "penwidth=2")
 		}
 		arrow := " -- "
 		if directed {

