@@ -226,6 +226,52 @@ func BenchmarkFailureTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkTrialSweep measures the paper's Table 1 inner loop on the fully
+// loaded torus: all 256 single-link and 64 single-node failure trials through
+// one TrialView. One op is the whole sweep.
+func BenchmarkTrialSweep(b *testing.B) {
+	g := bcp.NewTorus(8, 8, 200)
+	mgr := bcp.NewManager(g, bcp.DefaultConfig())
+	bcp.EstablishWorkload(mgr, bcp.AllPairs(g, bcp.DefaultSpec(), []int{3}))
+	var fs []bcp.Failure
+	for _, l := range g.Links() {
+		fs = append(fs, bcp.SingleLink(l.ID))
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		fs = append(fs, bcp.SingleNode(bcp.NodeID(n)))
+	}
+	view := mgr.NewTrialView()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		failed := 0
+		for _, f := range fs {
+			failed += view.Trial(f, bcp.OrderByConn, nil).FailedPrimaries
+		}
+		if failed == 0 {
+			b.Fatal("no failures")
+		}
+	}
+}
+
+// BenchmarkApply measures one Apply (the trial, promotion, teardown and
+// reconfiguration) of a single-node failure on a freshly loaded torus; the
+// 4032-pair fill runs off the clock before each.
+func BenchmarkApply(b *testing.B) {
+	g := bcp.NewTorus(8, 8, 200)
+	reqs := bcp.AllPairs(g, bcp.DefaultSpec(), []int{3})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		mgr := bcp.NewManager(g, bcp.DefaultConfig())
+		bcp.EstablishWorkload(mgr, reqs)
+		b.StartTimer()
+		if _, err := mgr.Apply(bcp.SingleNode(27), bcp.OrderByConn, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkProtocolRecovery measures one message-level failure recovery
 // (detection -> reports -> activation -> promotion) end to end.
 func BenchmarkProtocolRecovery(b *testing.B) {

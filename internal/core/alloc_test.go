@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -100,4 +102,53 @@ func TestTrialAllocs(t *testing.T) {
 		t.Fatalf("trial = %.1f allocs/op, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("trial = %.1f allocs/op", allocs)
+
+	// A holder's snapshot and marks are sized from the live population, so
+	// after a write that keeps its size (a connection torn down and the same
+	// pair established again) the recopy reuses every buffer.
+	var h trialScratch
+	h.begin(&m.plan)
+	warm := h.snap
+	conn := m.Connections()[100]
+	if err := m.Teardown(conn.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Establish(conn.Src, conn.Dst, conn.Spec, conn.Degrees); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.begin(&m.plan)
+	runtime.ReadMemStats(&after)
+	if len(h.snap.refs) != len(warm.refs) || len(h.snap.bkLinks) != len(warm.bkLinks) {
+		t.Fatalf("population changed size: %d refs and %d backup links, was %d and %d",
+			len(h.snap.refs), len(h.snap.bkLinks), len(warm.refs), len(warm.bkLinks))
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("recopying a same-sized population allocated %d times, want 0", n)
+	}
+	// One holder's memory on the 4,032-connection torus, against the
+	// plan's own several megabytes.
+	bytes := holderBytes(&h)
+	if bytes > 1.25e6 {
+		t.Fatalf("one holder's snapshot and marks take %d bytes, ceiling 1.25 MB", bytes)
+	}
+	t.Logf("one holder: %d bytes (%d refs, %d connections, %d backups)", bytes, len(h.snap.refs), len(h.snap.conns), len(h.snap.backups))
+}
+
+// holderBytes is the memory behind a trial holder's snapshot and marks.
+func holderBytes(t *trialScratch) int {
+	s := &t.snap
+	size := func(n int, elem uintptr) int { return n * int(elem) }
+	return size(cap(s.linkOff), unsafe.Sizeof(int32(0))) +
+		size(cap(s.refs), unsafe.Sizeof(chanRef{})) +
+		size(cap(s.conns), unsafe.Sizeof(connRec{})) +
+		size(cap(s.backups), unsafe.Sizeof(backupRec{})) +
+		size(cap(s.bkLinks), unsafe.Sizeof(topology.LinkID(0))) +
+		size(cap(s.avail), unsafe.Sizeof(float64(0))) +
+		size(cap(t.conn), unsafe.Sizeof(connMark{})) +
+		size(cap(t.bkHit), unsafe.Sizeof(uint32(0))) +
+		size(cap(t.claim), unsafe.Sizeof(linkClaim{})) +
+		size(cap(t.conns)+cap(t.needs)+cap(t.winners), unsafe.Sizeof(int32(0))) +
+		size(cap(t.need.words), unsafe.Sizeof(uint64(0)))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -45,6 +46,132 @@ func TestTrialViewMatchesManagerTrial(t *testing.T) {
 			want.ExcludedConns != got.ExcludedConns {
 			t.Fatalf("link %d: view trial %+v != manager trial %+v", l.ID, got, want)
 		}
+	}
+}
+
+// TestTrialHoldersSeeEveryWriter pins the snapshot's epoch check: after any
+// write transaction, a view that trialed before it (and Manager.Trial's own
+// scratch) must return what a fresh view returns. Each writer below is chosen
+// to change some trial of the sweep, which is asserted, so a holder that kept
+// its old snapshot fails here.
+func TestTrialHoldersSeeEveryWriter(t *testing.T) {
+	m := loadedTorus(t, 3)
+	g := m.Graph()
+	var failures []Failure
+	for _, l := range g.Links() {
+		failures = append(failures, SingleLink(l.ID))
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		failures = append(failures, SingleNode(topology.NodeID(n)))
+	}
+	sweep := func(trial func(Failure, ActivationOrder, *rand.Rand) RecoveryStats) []RecoveryStats {
+		out := make([]RecoveryStats, len(failures))
+		for i, f := range failures {
+			out[i] = trial(f, OrderByConn, nil)
+		}
+		return out
+	}
+	// fullClaim is a claim of everything link l has left: any activation
+	// across l now fails.
+	fullClaim := func(l topology.LinkID) float64 { return m.plan.mux[l].available() }
+	// backed returns the first live connection from the i-th on that still
+	// has a backup: earlier writes may have promoted or dropped some.
+	backed := func(i int) *DConnection {
+		for _, c := range m.Connections()[i:] {
+			if c.Primary != nil && len(c.Backups) > 0 {
+				return c
+			}
+		}
+		t.Fatalf("no connection from the %d-th on has a backup", i)
+		return nil
+	}
+	var (
+		oldPrimary *rtchan.Channel
+		claimLinks []topology.LinkID
+		claimer    *rtchan.Channel
+	)
+	conns := m.Connections()
+	victim, spare := conns[7].ID, conns[40]
+	var promoted, activated rtchan.ConnID
+
+	view := m.NewTrialView()
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"Establish", func() error {
+			_, err := m.Establish(0, 10, rtchan.DefaultSpec(), []int{2})
+			return err
+		}},
+		{"Teardown", func() error { return m.Teardown(victim) }},
+		{"Apply", func() error {
+			f := SingleLink(spare.Primary.Path.Links()[0])
+			if _, err := m.Apply(f, OrderByConn, nil); err != nil {
+				return err
+			}
+			promoted = spare.ID
+			return nil
+		}},
+		{"ReplenishBackups", func() error {
+			if n, err := m.ReplenishBackups(promoted, 1, 3, nil); err != nil || n != 1 {
+				return fmt.Errorf("replenished %d: %v", n, err)
+			}
+			return nil
+		}},
+		{"ClaimBatch", func() error {
+			claimer = backed(3).Backups[0]
+			claimLinks = claimer.Path.Links()
+			bw := fullClaim(claimLinks[0])
+			for _, l := range claimLinks {
+				bw = min(bw, fullClaim(l))
+			}
+			if _, ok := m.ClaimBatch(claimLinks, claimer.ID, bw); !ok {
+				return fmt.Errorf("claim batch refused")
+			}
+			return nil
+		}},
+		{"ReleaseClaimBatch", func() error {
+			m.ReleaseClaimBatch(claimLinks, claimer.ID)
+			return nil
+		}},
+		{"ClaimSpareFor", func() error {
+			if !m.ClaimSpareFor(claimLinks[0], claimer.ID, fullClaim(claimLinks[0])) {
+				return fmt.Errorf("claim refused")
+			}
+			return nil
+		}},
+		{"ReleaseClaimFor", func() error {
+			m.ReleaseClaimFor(claimLinks[0], claimer.ID)
+			return nil
+		}},
+		{"ActivateClaimed", func() error {
+			c := backed(21)
+			activated, oldPrimary = c.ID, c.Primary
+			return m.ActivateClaimed(activated, c.Backups[0])
+		}},
+		{"RestoreAsBackup", func() error { return m.RestoreAsBackup(activated, oldPrimary.ID, 3) }},
+		{"TeardownChannel", func() error {
+			c := backed(30)
+			return m.TeardownChannel(c.ID, c.Backups[0].ID)
+		}},
+	} {
+		before := sweep(view.Trial)
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		want := sweep(m.NewTrialView().Trial)
+		if reflect.DeepEqual(want, before) {
+			t.Fatalf("%s: no trial of the sweep changed, so a stale snapshot would pass", w.name)
+		}
+		if got := sweep(view.Trial); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the view that trialed before the write differs from a fresh one", w.name)
+		}
+		if got := sweep(m.Trial); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Manager.Trial differs from a fresh view", w.name)
+		}
+	}
+	if err := m.CheckMuxInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

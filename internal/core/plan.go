@@ -43,105 +43,98 @@ type NetworkPlan struct {
 // in the given order; a backup activates iff it is itself unaffected by the
 // failure and every link of its path has enough unclaimed spare bandwidth.
 //
-// trial is a pure read over the plan: every mutation lands in the caller's
-// scratch, so any number of trials may run concurrently over one plan as
-// long as each carries its own scratch and no writer is active (TrialView
-// arranges both).
+// trial is a pure read over the plan: it reads the plan through the
+// snapshot in the caller's scratch, recopied when the plan's epoch has moved,
+// and every mutation lands in that scratch, so any number of trials may run
+// concurrently over one plan as long as each carries its own scratch and no
+// writer is active (TrialView arranges both).
 func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t *trialScratch) RecoveryStats {
 	var stats RecoveryStats
-	t.begin(p.net.Graph().NumLinks())
+	s := t.begin(p)
 
-	// Discover the affected channels via the per-link/per-node indexes,
-	// deduped and grouped by connection in the stamped scratch slices.
-	add := func(ch *rtchan.Channel) {
-		if !t.markChan(ch.ID) {
-			return
-		}
-		slot := t.connSlot(ch.Conn)
-		if ch.Role == rtchan.RolePrimary {
-			t.connPrim[slot] = true
-		} else {
-			t.connBkup[slot]++
-		}
-	}
+	// Discover the disabled channels: the refs of every failed link, and of
+	// every link into or out of a failed node.
 	f.eachLink(func(l topology.LinkID) {
-		for _, ch := range p.net.ChannelsOnLink(l) {
-			add(ch)
+		for _, r := range s.onLink(l) {
+			t.mark(r)
 		}
 	})
+	g := p.net.Graph()
 	f.eachNode(func(n topology.NodeID) {
-		for _, ch := range p.net.ChannelsAtNode(n) {
-			add(ch)
+		for _, l := range g.Out(n) {
+			for _, r := range s.onLink(l) {
+				t.mark(r)
+			}
+		}
+		for _, l := range g.In(n) {
+			for _, r := range s.onLink(l) {
+				t.mark(r)
+			}
 		}
 	})
 
-	needsRecovery := t.needs[:0]
-	for _, connID := range t.conns {
-		conn := p.conns.Get(connID)
-		if conn == nil {
-			continue
-		}
-		if f.nodeFailed(conn.Src) || f.nodeFailed(conn.Dst) {
+	nodes := f.numNodes() > 0
+	for _, c := range t.conns {
+		rec := &s.conns[c]
+		if nodes && (f.nodeFailed(rec.src) || f.nodeFailed(rec.dst)) {
 			stats.ExcludedConns++
 			continue
 		}
-		stats.FailedBackups += int(t.connBkup[connID])
-		if t.connPrim[connID] {
+		m := &t.conn[c]
+		stats.FailedBackups += int(m.bkup)
+		if m.prim {
 			stats.FailedPrimaries++
-			t.addDegree(firstDegree(conn), 1, 0)
-			needsRecovery = append(needsRecovery, conn)
+			t.addDegree(int(rec.deg), 1, 0)
+			t.need.add(c)
 		}
 	}
 
-	needsRecovery = orderedConns(needsRecovery, order, rng)
-	for _, conn := range needsRecovery {
-		outcome := p.tryActivate(conn, t)
-		switch outcome {
+	needs := t.need.drain(t.needs[:0])
+	orderConns(needs, s.conns, order, rng)
+	for _, c := range needs {
+		switch t.tryActivate(c) {
 		case activated:
 			stats.FastRecovered++
-			t.addDegree(firstDegree(conn), 0, 1)
+			t.addDegree(int(s.conns[c].deg), 0, 1)
 		case allBackupsDead:
 			stats.BackupDead++
 		case spareExhausted:
 			stats.MuxFailed++
 		}
 	}
-	t.needs = needsRecovery[:0]
+	t.needs = needs[:0]
 	stats.ByDegree = t.degreeMap()
 	return stats
 }
 
-// tryActivate walks the connection's backups in serial order, claiming
-// spare bandwidth from the shared per-link pools recorded in the trial
-// scratch. It reads the plan's mux state but never writes it. Whether the
-// failure disabled a backup is the stamp trial left on it: the per-link and
-// per-node indexes list a channel under every component of its path, end
-// nodes included, so "stamped" is Failure.HitsPath without the path walk.
-func (p *NetworkPlan) tryActivate(conn *DConnection, t *trialScratch) activationOutcome {
-	bw := conn.Spec.Bandwidth
+// tryActivate walks connection c's backups in serial order, claiming spare
+// bandwidth from the per-link pools in the snapshot; the claims live in the
+// scratch, never in the plan. Whether the failure disabled a backup is the
+// stamp discovery left on it: the snapshot lists a backup under every link of
+// its path, and so under a link of every node it visits, end nodes included,
+// so "stamped" is Failure.HitsPath without the path walk.
+func (t *trialScratch) tryActivate(c int32) activationOutcome {
+	s := &t.snap
+	rec := &s.conns[c]
+	bw := rec.bw
 	sawHealthy := false
-	for _, b := range conn.Backups {
-		if t.hit(b.ID) {
+	for b := rec.bk0; b < rec.bk1; b++ {
+		if t.backupHit(b) {
 			continue
 		}
 		sawHealthy = true
-		links := b.Path.Links()
+		bk := &s.backups[b]
+		links := s.bkLinks[bk.l0:bk.l1]
 		ok := true
 		for _, l := range links {
-			var pool float64
-			if t.pools != nil {
-				pool = t.pools[l]
-			} else {
-				pool = p.mux[l].available()
-			}
-			if pool-t.claimed(l) < bw-1e-9 {
+			if s.avail[l]-t.claimed(l) < bw-1e-9 {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			for _, l := range links {
-				t.claim(l, bw)
+				t.claimLink(l, bw)
 			}
 			if t.keepWinners {
 				t.winners = append(t.winners, b)
@@ -164,9 +157,11 @@ func (p *NetworkPlan) tryActivate(conn *DConnection, t *trialScratch) activation
 // the read-mostly workload of the paper's failure sweeps (§7).
 //
 // Views are not safe for concurrent use with themselves: create one view
-// per goroutine (they are a few hundred bytes until their scratch grows).
+// per goroutine. A view is a few hundred bytes until its first trial copies
+// the plan into its snapshot (≈0.7 MB on the 4,032-connection torus).
 // Trials observe a consistent plan: a concurrent writer (Establish,
-// Teardown, Apply, ...) is serialized against them by the Manager's lock.
+// Teardown, Apply, ...) is serialized against them by the Manager's lock,
+// and the next trial after a write recopies the snapshot.
 type TrialView struct {
 	m       *Manager
 	scratch trialScratch

@@ -314,20 +314,18 @@ func (s RecoveryStats) RFast() float64 {
 	return float64(s.FastRecovered) / float64(s.FailedPrimaries)
 }
 
-// orderedConns sorts the connections needing activation according to order.
-func orderedConns(conns []*DConnection, order ActivationOrder, rng *rand.Rand) []*DConnection {
-	slices.SortFunc(conns, func(a, b *DConnection) int { return int(a.ID) - int(b.ID) })
+// orderConns puts the dense indexes of the connections needing activation,
+// ascending (so in connection-id order), in the given order; recs is the
+// snapshot's connection table.
+func orderConns(needs []int32, recs []connRec, order ActivationOrder, rng *rand.Rand) {
 	switch order {
 	case OrderByPriority:
-		slices.SortStableFunc(conns, func(a, b *DConnection) int {
-			return firstDegree(a) - firstDegree(b)
-		})
+		slices.SortStableFunc(needs, func(a, b int32) int { return int(recs[a].deg) - int(recs[b].deg) })
 	case OrderRandom:
 		if rng != nil {
-			rng.Shuffle(len(conns), func(i, j int) { conns[i], conns[j] = conns[j], conns[i] })
+			rng.Shuffle(len(needs), func(i, j int) { needs[i], needs[j] = needs[j], needs[i] })
 		}
 	}
-	return conns
 }
 
 func firstDegree(c *DConnection) int {
@@ -378,16 +376,20 @@ func (m *Manager) Apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 
 func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (RecoveryStats, error) {
 	// Phase 1: the trial itself, over the writer's own scratch, decides who
-	// recovers against the pre-failure spare sizing. It leaves behind the
-	// affected connections (t.conns), the stamp on every disabled channel
-	// (t.hit) and the activated backups in activation order (t.winners),
-	// whose claims are then made real.
+	// recovers against the pre-failure spare sizing. This write has already
+	// moved the epoch, so the trial recopies the snapshot: one copy per call.
+	// The trial leaves behind the affected connections (t.conns), the stamp
+	// on every disabled channel and the activated backups in activation
+	// order (t.winners), whose claims are then made real. The snapshot stays
+	// the pre-failure copy while phase 2 rewrites the plan under it.
 	t := &m.applyTrial
 	t.keepWinners, t.winners = true, t.winners[:0]
 	stats := m.plan.trial(f, order, rng, t)
+	s := &t.snap
 	for _, b := range t.winners {
-		for _, l := range b.Path.Links() {
-			m.plan.mux[l].claimed += b.Bandwidth()
+		bk := &s.backups[b]
+		for _, l := range s.bkLinks[bk.l0:bk.l1] {
+			m.plan.mux[l].claimed += bk.ch.Bandwidth()
 		}
 	}
 
@@ -395,26 +397,29 @@ func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 	// channels, resize spare pools — connection by connection in id order so
 	// runs are reproducible. The walk is over t.conns, not the connections
 	// the statistics counted: trial leaves a connection whose end node
-	// failed out of the numbers, and it is torn down all the same.
+	// failed out of the numbers, and it is torn down all the same. Dense
+	// indexes sort as ids do, and a backup's dense index as its connection's.
 	slices.Sort(t.conns)
-	slices.SortFunc(t.winners, func(a, b *rtchan.Channel) int { return int(a.Conn) - int(b.Conn) })
+	slices.Sort(t.winners)
 	winners := t.winners
 	touched := m.takeTouched()
 	var failed []*rtchan.Channel
-	for _, id := range t.conns {
-		conn := m.plan.conns.Get(id)
-		if conn == nil {
-			continue
-		}
+	for _, c := range t.conns {
+		rec := &s.conns[c]
+		conn := m.plan.conns.Get(rec.id)
 		// Collected before promotion, which overwrites conn.Primary.
 		failed = failed[:0]
-		for _, ch := range conn.Channels() {
-			if t.hit(ch.ID) {
-				failed = append(failed, ch)
+		if t.primaryHit(c) {
+			failed = append(failed, conn.Primary)
+		}
+		for b := rec.bk0; b < rec.bk1; b++ {
+			if t.backupHit(b) {
+				failed = append(failed, s.backups[b].ch)
 			}
 		}
-		if len(winners) > 0 && winners[0].Conn == id {
-			if err := m.promoteBackup(conn, winners[0], touched); err != nil {
+		// Earlier connections took their winners, so winners[0] >= rec.bk0.
+		if len(winners) > 0 && winners[0] < rec.bk1 {
+			if err := m.promoteBackup(conn, s.backups[winners[0]].ch, touched); err != nil {
 				return stats, err
 			}
 			winners = winners[1:]

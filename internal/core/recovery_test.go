@@ -375,14 +375,14 @@ func TestApplyRandomizedStorm(t *testing.T) {
 	}
 }
 
-// TestTrialStampMatchesHitsPath pins what tryActivate relies on: after a
-// trial, a channel carries the trial's stamp exactly when the failure hits
-// its path, because rtchan lists a channel under every link and every node
-// of its path, end nodes included. Checked for every channel of every
-// connection on the loaded evaluation torus — not only the affected ones —
-// under single-component failures, double-node failures (the inline
-// representation) and failures of more than two components of a kind (the
-// map-backed one).
+// TestTrialStampMatchesHitsPath pins what tryActivate and Apply rely on:
+// after a trial, a channel carries the trial's stamp exactly when the failure
+// hits its path, because the snapshot lists a channel under every link of its
+// path and every node it visits has one of those links in or out, end nodes
+// included. Checked for every channel of every connection on the loaded
+// evaluation torus — not only the affected ones — under single-component
+// failures, double-node failures (the inline representation) and failures of
+// more than two components of a kind (the map-backed one).
 func TestTrialStampMatchesHitsPath(t *testing.T) {
 	m := loadedEvalTorus(4032)
 	g := m.Graph()
@@ -405,9 +405,21 @@ func TestTrialStampMatchesHitsPath(t *testing.T) {
 	var scratch trialScratch
 	for _, f := range failures {
 		m.plan.trial(f, OrderByConn, nil, &scratch)
-		for _, conn := range m.Connections() {
-			for _, ch := range conn.Channels() {
-				if got, want := scratch.hit(ch.ID), f.HitsPath(ch.Path); got != want {
+		s := &scratch.snap
+		for i, conn := range m.Connections() {
+			c := int32(i)
+			if s.conns[c].id != conn.ID {
+				t.Fatalf("dense connection %d is %d, want %d", c, s.conns[c].id, conn.ID)
+			}
+			stamped := []bool{scratch.primaryHit(c)}
+			for b := s.conns[c].bk0; b < s.conns[c].bk1; b++ {
+				stamped = append(stamped, scratch.backupHit(b))
+			}
+			if len(stamped) != 1+len(conn.Backups) || conn.Primary == nil {
+				t.Fatalf("conn %d: snapshot holds %d channels, the connection %d", conn.ID, len(stamped), len(conn.Channels()))
+			}
+			for j, ch := range conn.Channels() {
+				if got, want := stamped[j], f.HitsPath(ch.Path); got != want {
 					t.Fatalf("failure links %v nodes %v: channel %d (conn %d, path %v) stamped %v, HitsPath %v",
 						f.Links(), f.Nodes(), ch.ID, conn.ID, ch.Path, got, want)
 				}
