@@ -4,6 +4,10 @@
 // activations, spare-bandwidth claims, multiplexing failures, rejoins,
 // teardowns, and RCC retransmissions.
 //
+// After the events it prints one line per recovery: Γ against the bound the
+// conformance checker holds it to (detection window plus the §5 bound for
+// the recovery's K and b), then the disruption split into its stages.
+//
 // Usage:
 //
 //	bcptrace                       # default: 8-hop torus connection, link crash
@@ -93,8 +97,19 @@ func main() {
 	fmt.Printf("data: sent=%d delivered=%d lost=%d  disruption=%v\n",
 		st.DataSent, st.DataDelivered, st.DataSent-st.DataDelivered,
 		time.Duration(run.Net.MaxArrivalGap(conn.ID)))
+	p := s.Config.Conformance(run.Mgr.Graph().Link(0).Capacity)
+	// A run that ends mid-rejoin can hold claims legitimately; bcptrace is
+	// a viewer, so report rather than fail.
+	p.AllowOutstandingClaims = true
 	for _, r := range recs.Done {
-		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v, disruption %v =", r.Conn, r.Hops, r.Backups, r.Gamma(), r.Disruption())
+		// The bound the checker holds this recovery to.
+		bound := p.DetectionSlack + conformance.GammaBound(p.DMax, r.Hops, r.Backups)
+		within := "≤"
+		if r.Gamma() > bound {
+			within = ">"
+		}
+		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v %s bound %v, disruption %v =",
+			r.Conn, r.Hops, r.Backups, r.Gamma(), within, bound, r.Disruption())
 		for k, name := range trace.StageNames {
 			fmt.Printf(" %s %v", name, r.Stage(k))
 		}
@@ -102,10 +117,6 @@ func main() {
 	}
 	fmt.Printf("\n%s", agg.Render())
 
-	p := s.Config.Conformance(run.Mgr.Graph().Link(0).Capacity)
-	// A run that ends mid-rejoin can hold claims legitimately; bcptrace is
-	// a viewer, so report rather than fail.
-	p.AllowOutstandingClaims = true
 	if viols := conformance.Check(run.Events, p); len(viols) > 0 {
 		fmt.Printf("\nconformance violations:\n")
 		for _, v := range viols {

@@ -46,13 +46,19 @@ func TestTimerFiresInOrder(t *testing.T) {
 }
 
 // TestStopPreventsFire checks the sim contract: a Stop that returns true
-// means the callback never runs, and the handle reads dead afterwards.
+// means the callback never runs, and the handle reads dead afterwards. The
+// wait is a proof, not a sleep: a sentinel armed after the stopped timer at
+// the same deadline fires after it in the arena's (deadline, sequence) order,
+// so once the sentinel has run the stopped callback would have too.
 func TestStopPreventsFire(t *testing.T) {
 	r := New(1)
 	defer r.Stop()
 
 	var fired atomic.Bool
-	tm := r.Schedule(50*time.Millisecond, func() { fired.Store(true) })
+	due := r.Now().Add(50 * time.Millisecond)
+	tm := r.At(due, func() { fired.Store(true) })
+	sentinel := make(chan struct{})
+	r.At(due, func() { close(sentinel) })
 	if !tm.Active() {
 		t.Fatal("pending timer should be active")
 	}
@@ -65,7 +71,11 @@ func TestStopPreventsFire(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop should be a no-op")
 	}
-	time.Sleep(120 * time.Millisecond)
+	select {
+	case <-sentinel:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sentinel timer did not fire")
+	}
 	if fired.Load() {
 		t.Fatal("stopped timer fired anyway")
 	}
@@ -198,27 +208,26 @@ func TestStopIsCleanAndIdempotent(t *testing.T) {
 // TestStopInSameRound is the regression for the batch pop: two timers share a
 // deadline, so one wake-up finds both due, and the first stops the second.
 // As on sim.Engine, that Stop must return true and the second must not run.
+// A sentinel armed third at the same deadline runs after the second would
+// have, so waiting for it proves the second did not run.
 func TestStopInSameRound(t *testing.T) {
 	r := New(1)
 	defer r.Stop()
 
 	var second sim.Timer
 	var stopped, ran bool // only touched under the execution lock
-	done := make(chan struct{})
-	r.Exec(func() { // armed under the lock, so neither fires before both exist
+	sentinel := make(chan struct{})
+	r.Exec(func() { // armed under the lock, so none fires before all exist
 		at := r.Now().Add(20 * time.Millisecond)
-		r.At(at, func() {
-			stopped = second.Stop()
-			close(done)
-		})
+		r.At(at, func() { stopped = second.Stop() })
 		second = r.At(at, func() { ran = true })
+		r.At(at, func() { close(sentinel) })
 	})
 	select {
-	case <-done:
+	case <-sentinel:
 	case <-time.After(5 * time.Second):
-		t.Fatal("first timer did not fire")
+		t.Fatal("sentinel timer did not fire")
 	}
-	time.Sleep(5 * time.Millisecond)
 	r.Exec(func() {
 		if !stopped {
 			t.Error("Stop on a timer due in the same round returned false")

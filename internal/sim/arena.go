@@ -42,31 +42,45 @@ func (t Timer) Active() bool {
 	return t.host != nil && t.host.TimerActive(t.idx, t.gen)
 }
 
-// timerSlot is one arena entry. gen is bumped every time the slot is
-// released (fire or stop), invalidating all outstanding handles to the
-// retired generation.
+// timerSlot is one arena slot: what a handle names. gen is bumped every time
+// the slot is released (fire or stop), invalidating all outstanding handles to
+// the retired generation. The ordering key lives in the slot's heap entry.
 type timerSlot struct {
-	at  Time
-	seq uint64
 	fn  func()
 	gen uint32
 	pos int32 // index in TimerArena.heap; -1 when not queued
 }
 
-// TimerArena is the timer queue under both clocks: an index-based 4-ary
-// min-heap over pooled, generation-stamped slots, ordered by deadline and
-// then by insertion (FIFO among equal deadlines). Stop unlinks a slot in
-// O(log n) through its stored heap position, so cancelled timers leave no
-// garbage behind, and freed slots are recycled through a free list, so
-// steady-state scheduling performs zero allocations.
+// timerEntry is one heap element: the ordering key (at, seq) inline, so
+// sifting compares neighbouring entries without loading their slots, and the
+// slot it belongs to.
+type timerEntry struct {
+	at  Time
+	seq uint64
+	idx int32
+}
+
+// before orders heap entries by firing time, then insertion order. seq is
+// unique, so this is a total order.
+func (e *timerEntry) before(f *timerEntry) bool {
+	return e.at < f.at || e.at == f.at && e.seq < f.seq
+}
+
+// TimerArena is the timer queue under both clocks: a 4-ary min-heap of
+// (deadline, sequence, slot) entries over pooled, generation-stamped slots,
+// ordered by deadline and then by insertion (FIFO among equal deadlines).
+// Each slot records its entry's heap position, so Stop unlinks it in
+// O(log n) and cancelled timers leave no garbage behind, and freed slots are
+// recycled through a free list, so steady-state scheduling performs zero
+// allocations.
 //
 // The arena reads no clock and takes no lock: sim.Engine owns one on its
 // single goroutine, realtime.Runtime owns one behind its timer lock. The
 // zero value is an empty arena.
 type TimerArena struct {
 	slots []timerSlot
-	free  []int32 // recycled slots
-	heap  []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
+	free  []int32      // recycled slots
+	heap  []timerEntry // 4-ary min-heap ordered by (at, seq)
 	seq   uint64
 }
 
@@ -79,7 +93,7 @@ func (a *TimerArena) Earliest() (at Time, ok bool) {
 	if len(a.heap) == 0 {
 		return 0, false
 	}
-	return a.slots[a.heap[0]].at, true
+	return a.heap[0].at, true
 }
 
 // Add queues fn for time at and returns the slot and generation a handle to
@@ -93,15 +107,11 @@ func (a *TimerArena) Add(at Time, fn func()) (idx int32, gen uint32, head bool) 
 		a.slots = append(a.slots, timerSlot{})
 		idx = int32(len(a.slots) - 1)
 	}
-	s := &a.slots[idx]
-	s.at = at
-	s.seq = a.seq
-	s.fn = fn
+	a.slots[idx].fn = fn
+	a.heap = append(a.heap, timerEntry{at: at, seq: a.seq, idx: idx})
 	a.seq++
-	s.pos = int32(len(a.heap))
-	a.heap = append(a.heap, idx)
-	a.siftUp(int(s.pos))
-	return idx, s.gen, a.heap[0] == idx
+	a.siftUp(len(a.heap) - 1)
+	return idx, a.slots[idx].gen, a.heap[0].idx == idx
 }
 
 // Stop cancels the (idx, gen) slot if that generation is still pending,
@@ -126,15 +136,11 @@ func (a *TimerArena) Active(idx int32, gen uint32) bool {
 // due. The slot is released before Pop returns: the function may re-arm
 // into it, and any handle to the fired generation already reads as dead.
 func (a *TimerArena) Pop(limit Time) (at Time, fn func(), ok bool) {
-	if len(a.heap) == 0 {
+	if len(a.heap) == 0 || a.heap[0].at > limit {
 		return 0, nil, false
 	}
-	idx := a.heap[0]
-	s := &a.slots[idx]
-	if s.at > limit {
-		return 0, nil, false
-	}
-	at, fn = s.at, s.fn
+	at, idx := a.heap[0].at, a.heap[0].idx
+	fn = a.slots[idx].fn
 	a.removeAt(0)
 	a.release(idx)
 	return at, fn, true
@@ -150,64 +156,54 @@ func (a *TimerArena) release(idx int32) {
 	a.free = append(a.free, idx)
 }
 
-// less orders heap entries by firing time, then insertion order.
-func (a *TimerArena) less(x, y int32) bool {
-	sx, sy := &a.slots[x], &a.slots[y]
-	if sx.at != sy.at {
-		return sx.at < sy.at
-	}
-	return sx.seq < sy.seq
-}
-
 // siftUp restores the heap property from position i toward the root,
-// keeping each slot's stored heap position current.
+// keeping each moved entry's slot position current.
 func (a *TimerArena) siftUp(i int) {
-	item := a.heap[i]
+	h := a.heap
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		p := a.heap[parent]
-		if !a.less(item, p) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		a.heap[i] = p
-		a.slots[p].pos = int32(i)
+		h[i] = h[parent]
+		a.slots[h[i].idx].pos = int32(i)
 		i = parent
 	}
-	a.heap[i] = item
-	a.slots[item].pos = int32(i)
+	h[i] = e
+	a.slots[e.idx].pos = int32(i)
 }
 
 // siftDown restores the heap property from position i toward the leaves.
 func (a *TimerArena) siftDown(i int) {
-	n := len(a.heap)
-	item := a.heap[i]
+	h := a.heap
+	n := len(h)
+	e := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if a.less(a.heap[c], a.heap[best]) {
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !a.less(a.heap[best], item) {
+		if !h[best].before(&e) {
 			break
 		}
-		a.heap[i] = a.heap[best]
-		a.slots[a.heap[i]].pos = int32(i)
+		h[i] = h[best]
+		a.slots[h[i].idx].pos = int32(i)
 		i = best
 	}
-	a.heap[i] = item
-	a.slots[item].pos = int32(i)
+	h[i] = e
+	a.slots[e.idx].pos = int32(i)
 }
 
-// removeAt unlinks the heap entry at position i in O(log n).
+// removeAt unlinks the heap entry at position i in O(log n). The last entry
+// fills the hole and travels whichever way its key says: up if it precedes
+// the hole's parent (then it precedes the hole's children too), else down.
 func (a *TimerArena) removeAt(i int) {
 	n := len(a.heap) - 1
 	last := a.heap[n]
@@ -216,8 +212,9 @@ func (a *TimerArena) removeAt(i int) {
 		return
 	}
 	a.heap[i] = last
-	a.slots[last].pos = int32(i)
-	// The moved entry may need to travel either direction.
-	a.siftDown(i)
-	a.siftUp(int(a.slots[last].pos))
+	if i > 0 && last.before(&a.heap[(i-1)/4]) {
+		a.siftUp(i)
+	} else {
+		a.siftDown(i)
+	}
 }

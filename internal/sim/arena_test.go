@@ -2,8 +2,10 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -204,103 +206,193 @@ func (o *oracleQueue) live() int {
 	return n
 }
 
-// TestDifferentialVsContainerHeap drives a TimerArena and the container/heap
-// oracle through identical random add / stop / pop sequences, with colliding
-// deadlines and same-deadline bursts so equal-deadline FIFO is exercised, and
-// requires the same answer from every call: which timer Pop returns and when
-// it refuses, Stop's result, Earliest, Len, and Add's report that the new
-// timer became the head (the wall-clock runtime's wake signal).
+// checkHeap asserts the arena's structural invariants: heap order over
+// (at, seq), every entry's slot pointing back at its position, every free
+// slot unqueued, and every slot either queued or free.
+func checkHeap(t testing.TB, a *TimerArena) {
+	t.Helper()
+	for i, e := range a.heap {
+		if i > 0 {
+			p := a.heap[(i-1)/4]
+			if p.at > e.at || p.at == e.at && p.seq > e.seq {
+				t.Fatalf("heap[%d] (%v, %d) precedes its parent heap[%d] (%v, %d)", i, e.at, e.seq, (i-1)/4, p.at, p.seq)
+			}
+		}
+		if pos := a.slots[e.idx].pos; pos != int32(i) {
+			t.Fatalf("heap[%d] holds slot %d, whose pos is %d", i, e.idx, pos)
+		}
+	}
+	for _, idx := range a.free {
+		if pos := a.slots[idx].pos; pos != -1 {
+			t.Fatalf("free slot %d has pos %d, want -1", idx, pos)
+		}
+	}
+	if len(a.heap)+len(a.free) != len(a.slots) {
+		t.Fatalf("%d queued + %d free != %d slots", len(a.heap), len(a.free), len(a.slots))
+	}
+}
+
+// arenaDiff drives a TimerArena and the container/heap oracle through the
+// same add / stop / pop calls and requires the same answer from every one:
+// which timer Pop returns and when it refuses, Stop's and Active's results,
+// Earliest, Len, and Add's report that the new timer became the head (the
+// wall-clock runtime's wake signal). Handles are kept after they fire or
+// stop, so a later Stop through one is a stale-handle probe.
+type arenaDiff struct {
+	t       testing.TB
+	name    string
+	op      int
+	a       TimerArena
+	o       oracleQueue
+	now     Time // deadline of the last timer popped, as a host's clock
+	popped  int  // id of the timer whose function ran last
+	handles []arenaHandle
+}
+
+type arenaHandle struct {
+	idx    int32
+	gen    uint32
+	oracle *oracleTimer
+}
+
+func (d *arenaDiff) fatalf(format string, args ...any) {
+	d.t.Helper()
+	d.t.Fatalf("%s op %d: "+format, append([]any{d.name, d.op}, args...)...)
+}
+
+func (d *arenaDiff) add(at Time) {
+	d.t.Helper()
+	id := len(d.handles)
+	wantHead := true
+	if h := d.o.head(); h != nil && h.at <= at {
+		wantHead = false
+	}
+	idx, gen, head := d.a.Add(at, func() { d.popped = id })
+	if head != wantHead {
+		d.fatalf("Add at %v reports head=%v, oracle %v", at, head, wantHead)
+	}
+	d.handles = append(d.handles, arenaHandle{idx, gen, d.o.add(at, id)})
+}
+
+// pop pops at limit from both queues, runs the arena's function and checks
+// it is the oracle's timer, reporting whether one was due.
+func (d *arenaDiff) pop(limit Time) bool {
+	d.t.Helper()
+	at, fn, ok := d.a.Pop(limit)
+	want := d.o.pop(limit)
+	if ok != (want != nil) {
+		d.fatalf("Pop(%v) ok=%v, oracle %v", limit, ok, want)
+	}
+	if !ok {
+		return false
+	}
+	fn()
+	if d.popped != want.id || at != want.at {
+		d.fatalf("popped timer %d at %v, oracle %d at %v", d.popped, at, want.id, want.at)
+	}
+	d.now = at
+	return true
+}
+
+// stop stops handle i, which may be pending (often mid-heap), fired or
+// already stopped.
+func (d *arenaDiff) stop(i int) {
+	d.t.Helper()
+	h := d.handles[i]
+	want := !h.oracle.stopped && !h.oracle.fired
+	if got := d.a.Active(h.idx, h.gen); got != want {
+		d.fatalf("Active = %v, oracle %v", got, want)
+	}
+	if got := d.a.Stop(h.idx, h.gen); got != want {
+		d.fatalf("Stop = %v, oracle %v", got, want)
+	}
+	h.oracle.stopped = true
+}
+
+// check ends an op: the queues agree on Len and Earliest and the arena's
+// invariants hold.
+func (d *arenaDiff) check() {
+	d.t.Helper()
+	if d.a.Len() != d.o.live() {
+		d.fatalf("Len %d vs oracle %d", d.a.Len(), d.o.live())
+	}
+	at, ok := d.a.Earliest()
+	if h := d.o.head(); ok != (h != nil) || ok && at != h.at {
+		d.fatalf("Earliest = %v, %v; oracle head %v", at, ok, h)
+	}
+	checkHeap(d.t, &d.a)
+	d.op++
+}
+
+// drain pops both queues dry, comparing the full firing order.
+func (d *arenaDiff) drain() {
+	d.t.Helper()
+	for d.pop(math.MaxInt64) {
+		d.check()
+	}
+	if d.a.Len() != 0 {
+		d.fatalf("%d timers left after drain", d.a.Len())
+	}
+}
+
+// TestDifferentialVsContainerHeap drives random add / stop / pop sequences
+// through arenaDiff, with colliding deadlines and same-deadline bursts so
+// equal-deadline FIFO is exercised.
 func TestDifferentialVsContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var a TimerArena
-		o := &oracleQueue{}
-		var now Time   // deadline of the last timer popped, as a host's clock
-		var popped int // id of the timer whose function ran last
-
-		type pair struct {
-			idx    int32
-			gen    uint32
-			oracle *oracleTimer
-		}
-		var live []pair
-		nextID := 0
-		add := func(op int, at Time) {
-			id := nextID
-			nextID++
-			wantHead := true
-			if h := o.head(); h != nil && h.at <= at {
-				wantHead = false
-			}
-			idx, gen, head := a.Add(at, func() { popped = id })
-			if head != wantHead {
-				t.Fatalf("seed %d op %d: Add at %v reports head=%v, oracle %v", seed, op, at, head, wantHead)
-			}
-			live = append(live, pair{idx, gen, o.add(at, id)})
-		}
-		pop := func(op int, limit Time) bool {
-			at, fn, ok := a.Pop(limit)
-			want := o.pop(limit)
-			if ok != (want != nil) {
-				t.Fatalf("seed %d op %d: Pop(%v) ok=%v, oracle %v", seed, op, limit, ok, want)
-			}
-			if !ok {
-				return false
-			}
-			fn()
-			if popped != want.id || at != want.at {
-				t.Fatalf("seed %d op %d: popped timer %d at %v, oracle %d at %v", seed, op, popped, at, want.id, want.at)
-			}
-			now = at
-			return true
-		}
-
+		d := &arenaDiff{t: t, name: fmt.Sprintf("seed %d", seed)}
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Intn(12); {
 			case r < 5: // add; coarse deadlines force ties
-				add(op, now.Add(time.Duration(rng.Intn(8))*time.Millisecond))
+				d.add(d.now.Add(time.Duration(rng.Intn(8)) * time.Millisecond))
 			case r < 7: // a burst at one deadline
-				at := now.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
+				at := d.now.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
 				for k := 1 + rng.Intn(6); k > 0; k-- {
-					add(op, at)
+					d.add(at)
 				}
 			case r < 9: // pop the head whatever its deadline
-				pop(op, math.MaxInt64)
+				d.pop(math.MaxInt64)
 			case r < 10: // pop only what a clock reading has made due
-				pop(op, now.Add(time.Duration(rng.Intn(4))*time.Millisecond))
-			default: // stop a random timer: pending (often mid-heap), fired or stopped
-				if len(live) == 0 {
-					continue
-				}
-				i := rng.Intn(len(live))
-				p := live[i]
-				want := !p.oracle.stopped && !p.oracle.fired
-				if got := a.Active(p.idx, p.gen); got != want {
-					t.Fatalf("seed %d op %d: Active = %v, oracle %v", seed, op, got, want)
-				}
-				if got := a.Stop(p.idx, p.gen); got != want {
-					t.Fatalf("seed %d op %d: Stop = %v, oracle %v", seed, op, got, want)
-				}
-				p.oracle.stopped = true
-				if rng.Intn(2) == 0 { // else keep the dead handle for a later stale Stop
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
+				d.pop(d.now.Add(time.Duration(rng.Intn(4)) * time.Millisecond))
+			default: // stop a random handle: pending, fired or stopped
+				if len(d.handles) > 0 {
+					d.stop(rng.Intn(len(d.handles)))
 				}
 			}
-			if a.Len() != o.live() {
-				t.Fatalf("seed %d op %d: Len %d vs oracle %d", seed, op, a.Len(), o.live())
-			}
-			at, ok := a.Earliest()
-			if h := o.head(); ok != (h != nil) || ok && at != h.at {
-				t.Fatalf("seed %d op %d: Earliest = %v, %v; oracle head %v", seed, op, at, ok, h)
-			}
+			d.check()
 		}
-		for pop(-1, math.MaxInt64) { // drain both, comparing the full firing order
-		}
-		if a.Len() != 0 {
-			t.Fatalf("seed %d: %d timers left after drain", seed, a.Len())
-		}
+		d.drain()
 	}
+}
+
+// FuzzTimerArena is TestDifferentialVsContainerHeap with the op sequence
+// read from the input, two bytes an op: add at now plus 0–15 ms, stop any
+// handle ever issued (live, fired or stale), pop at now plus 0–7 ms, or pop
+// whatever is due.
+func FuzzTimerArena(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 3, 0, 1, 1, 0, 2, 0, 3, 0})
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 2, 1, 1, 0, 9, 3, 0, 1, 0, 0, 5, 2, 7})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := &arenaDiff{t: t, name: "fuzz"}
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 4 {
+			case 0:
+				d.add(d.now.Add(time.Duration(arg%16) * time.Millisecond))
+			case 1:
+				if len(d.handles) > 0 {
+					d.stop(arg % len(d.handles))
+				}
+			case 2:
+				d.pop(d.now.Add(time.Duration(arg%8) * time.Millisecond))
+			case 3:
+				d.pop(math.MaxInt64)
+			}
+			d.check()
+		}
+		d.drain()
+	})
 }
 
 // TestDifferentialFIFOOrder checks firing *identity* order, not just
@@ -362,5 +454,46 @@ func BenchmarkTimerCancelMidHeap(b *testing.B) {
 	b.StopTimer()
 	for _, tm := range standing {
 		tm.Stop()
+	}
+}
+
+// BenchmarkTimerHold is storm_node_crash's timer load in miniature: a
+// standing population at the storm's mean (171) and peak (802) pending
+// events, each fire re-arming one timer with the storm's delay mix rounded to
+// six delays (500 µs 41 %, 40 µs 36 %, 10 ms 7 %, 20 ms 4 %, immediate 4 %,
+// the remaining 8 % at 2 ms), so an op is one Pop and one Add at the heap
+// depth the workload runs at.
+func BenchmarkTimerHold(b *testing.B) {
+	var mix []time.Duration
+	for _, m := range []struct {
+		d   time.Duration
+		pct int
+	}{
+		{500 * time.Microsecond, 41}, {40 * time.Microsecond, 36}, {2 * time.Millisecond, 8},
+		{10 * time.Millisecond, 7}, {20 * time.Millisecond, 4}, {0, 4},
+	} {
+		for i := 0; i < m.pct; i++ {
+			mix = append(mix, m.d)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(mix), func(i, j int) { mix[i], mix[j] = mix[j], mix[i] })
+	for _, n := range []int{171, 802} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			e := New(1)
+			k := 0
+			var rearm func()
+			rearm = func() {
+				e.Schedule(mix[k%len(mix)], rearm)
+				k++
+			}
+			for i := 0; i < n; i++ {
+				rearm()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

@@ -5,10 +5,11 @@
 // Events scheduled at equal times fire in scheduling order (FIFO), so runs
 // are reproducible for a given seed.
 //
-// The event queue is a TimerArena (arena.go): Schedule/At hand out value
-// handles, Stop removes the event at once, and steady-state scheduling
-// performs zero allocations. internal/realtime runs the wall clock on the
-// same type.
+// The event queue is a TimerArena (arena.go): a 4-ary heap whose entries
+// carry their (deadline, sequence) key inline beside the slot they fire.
+// Schedule/At hand out value handles to slots, Stop removes the event at
+// once, and steady-state scheduling performs zero allocations.
+// internal/realtime runs the wall clock on the same type.
 package sim
 
 import (
