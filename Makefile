@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-recovery one-value verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-recovery one-value one-decision verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,23 @@ one-recovery:
 one-value:
 	$(GO) test -count=1 -run '^TestConfigFieldsHaveProductSetters$$' .
 
+# one-decision fails when the Π decision is made in floating point outside
+# the threshold table: simS and its (1-λ)^k table may be used only by
+# internal/core/sig.go's table builder (the piThresholds type, newPiThresholds,
+# newQpowTab, simS itself and thrRow), so every admission decision is the
+# integer muxDecide. Tests are exempt: they hold the table to the reference.
+one-decision:
+	@awk 'FNR == 1 { fn = "" } /^(func|type) / { fn = $$0 } \
+		/simS\(|qpowTab/ && !(FILENAME == "internal/core/sig.go" && fn ~ /^(type piThresholds |func newPiThresholds\(|func newQpowTab\(|func \(p \*NetworkPlan\) (simS|thrRow)\()/) \
+		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
+		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
+
 # verify is the pre-merge gate: vet + build + the full suite under the race
 # detector (the parallel sweep worker pool runs even in short mode), after
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here.
-verify: bench-check one-owner one-heap one-recovery one-value chaos-nightly
+verify: bench-check one-owner one-heap one-recovery one-value one-decision chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -69,12 +80,14 @@ bench-check:
 # bench-pair is the same-box A/B a performance claim rests on: BASE's
 # committed files (exported under .bench_build/pair/) against the working
 # tree, PAIRS alternating runs of the driver's own command on WORKLOAD, then
-# per-metric median [q1,q3], ratio, wins and verdict (cmd/benchpair).
+# per-metric median [q1,q3], ratio, wins and verdict (cmd/benchpair). JSON=FILE
+# also appends the report, every run included, to FILE's "runs" list.
 BASE ?= HEAD
 WORKLOAD ?= establish_churn
 PAIRS ?= 10
+JSON ?=
 bench-pair:
-	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) $(if $(JSON),-json $(JSON))
 
 # chaos is the CI smoke budget: a fixed seed, a small episode count, and
 # the seeded-bug catch run under the race detector. CHAOS_SEED/CHAOS_EPISODES

@@ -99,7 +99,7 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	p := cfg.Conformance(g.Link(0).Capacity)
 	// Safety rules stay on; chaos jitter, loss, and partitions have no
 	// closed-form recovery bound.
-	p.DMax = 0 // needs the bound hop-exact under loss (ROADMAP 1(c))
+	p.DMax = 0 // needs the bound hop-exact under loss (ROADMAP 1(a))
 	// Packets already in flight (propagation plus residual transmission)
 	// may deliver shortly after a crash.
 	p.PropSlack = sim.Duration(6 * time.Millisecond)

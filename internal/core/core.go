@@ -170,11 +170,13 @@ func NewManager(g *topology.Graph, cfg Config) *Manager {
 	}
 	m := &Manager{
 		plan: NetworkPlan{
-			cfg:       cfg,
-			net:       rtchan.NewNetwork(g),
-			mux:       make([]linkMux, g.NumLinks()),
-			sigStride: 1 + (g.NumNodes()+g.NumLinks()+63)/64,
-			qpowTab:   newQpowTab(cfg.Lambda, g.NumNodes()),
+			cfg:          cfg,
+			net:          rtchan.NewNetwork(g),
+			mux:          make([]linkMux, g.NumLinks()),
+			sigStride:    1 + (g.NumNodes()+g.NumLinks()+63)/64,
+			sigNodeWords: (g.NumNodes() + 63) / 64,
+			sigNodeMask:  ^uint64(0) >> ((64 - g.NumNodes()%64) % 64),
+			thr:          newPiThresholds(cfg.Lambda, g.NumNodes()),
 		},
 		nextConn: 1,
 		router:   routing.NewRouter(g),

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/routing"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -67,12 +66,12 @@ type linkWire struct {
 	req              float64
 }
 
-// backupPlan is one planned backup channel: its path, degree, threshold, and
-// the per-link wiring record.
+// backupPlan is one planned backup channel: its path, degree, threshold
+// class, and the per-link wiring record.
 type backupPlan struct {
 	path  pathPlan
 	alpha int
-	nu    float64
+	cls   int32
 	wires []linkWire
 }
 
@@ -184,8 +183,8 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 	for i, alpha := range p.degrees {
 		bp := p.backupAt(i)
 		bp.alpha = alpha
-		bp.nu = reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
-		links, ok := pc.routeBackup(src, dst, bp.nu, pc.sig)
+		bp.cls = m.plan.degreeClass(alpha)
+		links, ok := pc.routeBackup(src, dst, bp.cls, pc.sig)
 		if !ok {
 			p.err = fmt.Errorf("core: no feasible disjoint path for backup %d of %d->%d", i+1, src, dst)
 			return
@@ -222,11 +221,11 @@ const backupSlackHops = 2
 // channels, which is what keeps the pair disjoint) and returns its links in
 // pc.router's scratch, valid until the next search. Candidate links must have
 // pc.bw free — the paper's forward-pass reservation without multiplexing; the
-// exact spare-pool check is the admission probe. nu and primRow (the
-// primary's signature row) feed the load-aware weight when RouteLoadAware is
-// configured. Every caller — the plan phase, ReplenishBackups,
-// EstablishWithPr — sets pc.bw first.
-func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow []uint64) ([]topology.LinkID, bool) {
+// exact spare-pool check is the admission probe. cls (the backup's threshold
+// class) and primRow (the primary's signature row) feed the load-aware weight
+// when RouteLoadAware is configured. Every caller — the plan phase,
+// ReplenishBackups, EstablishWithPr — sets pc.bw first.
+func (pc *planContext) routeBackup(src, dst topology.NodeID, cls int32, primRow []uint64) ([]topology.LinkID, bool) {
 	m := pc.m
 	cfg := &m.plan.cfg
 	c := pc.excl.Constrain(routing.Constraint{LinkAllowed: pc.linkFeasible})
@@ -264,7 +263,7 @@ func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow
 		// corridors) still prefer short paths.
 		bw := pc.bw
 		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + pc.prospectiveSpareIncrease(l, primRow, bw, nu)
+			return 0.05*bw + pc.prospectiveSpareIncrease(l, primRow, bw, cls)
 		}
 		if links, ok := pc.router.MinCostLinks(src, dst, c, w); ok {
 			return links, true
@@ -276,8 +275,8 @@ func (pc *planContext) routeBackup(src, dst topology.NodeID, nu float64, primRow
 
 // routeBackupPath is routeBackup for the callers that establish the channel
 // at once and so need a Path rather than a plan record.
-func (pc *planContext) routeBackupPath(src, dst topology.NodeID, nu float64, primRow []uint64) (topology.Path, bool) {
-	links, ok := pc.routeBackup(src, dst, nu, primRow)
+func (pc *planContext) routeBackupPath(src, dst topology.NodeID, cls int32, primRow []uint64) (topology.Path, bool) {
+	links, ok := pc.routeBackup(src, dst, cls, primRow)
 	if !ok {
 		return topology.Path{}, false
 	}
@@ -313,7 +312,7 @@ func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID)
 	m := pc.m
 	lm := &m.plan.mux[l]
 	w := linkWire{link: l, growOff: int32(len(p.growBuf)), piOff: int32(len(p.piBuf))}
-	req, need := m.plan.scanLink(lm, -1, pc.sig, bp.nu, p.spec.Bandwidth, &p.growBuf, &p.piBuf)
+	req, need := m.plan.scanLink(lm, -1, pc.sig, bp.cls, p.spec.Bandwidth, &p.growBuf, &p.piBuf)
 	w.growLen = int32(len(p.growBuf)) - w.growOff
 	w.piLen = int32(len(p.piBuf)) - w.piOff
 	w.req = req
@@ -340,11 +339,11 @@ func (pc *planContext) planOnPaths(p *connPlan, paths []topology.Path, alpha int
 	p.piBuf = p.piBuf[:0]
 	p.degrees = p.degrees[:0]
 	pc.bw = p.spec.Bandwidth
-	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
+	cls := m.plan.degreeClass(alpha)
 	for i, path := range paths {
 		bp := p.backupAt(i)
 		bp.alpha = alpha
-		bp.nu = nu
+		bp.cls = cls
 		bp.path.set(g, path.Links())
 		if err := pc.probeBackup(p, bp); err != nil {
 			return false
@@ -415,7 +414,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 // the SetSpare failure (unreachable for a plan probed under this lock) it
 // rolls the already-wired prefix back and leaves the rest to the caller.
 func (m *Manager) commitBackupWires(p *connPlan, bp *backupPlan, conn *DConnection, bch *rtchan.Channel) error {
-	entry := muxEntry{id: bch.ID, sig: conn.sig, bw: bch.Bandwidth(), nu: bp.nu}
+	entry := muxEntry{id: bch.ID, sig: conn.sig, cls: bp.cls, bw: bch.Bandwidth()}
 	for wi := range bp.wires {
 		w := &bp.wires[wi]
 		entry.req = w.req

@@ -104,9 +104,9 @@ func requireSameManagers(t *testing.T, ctx string, ms, mb *Manager) {
 		}
 		for i := range lms.entries {
 			es, eb := &lms.entries[i], &lmb.entries[i]
-			if es.id != eb.id || es.nu != eb.nu {
+			if nus, nub := ms.plan.thr.nus[es.cls], mb.plan.thr.nus[eb.cls]; es.id != eb.id || nus != nub {
 				t.Fatalf("%s: link %d entry %d: chan %d/ν%g vs chan %d/ν%g",
-					ctx, l, i, es.id, es.nu, eb.id, eb.nu)
+					ctx, l, i, es.id, nus, eb.id, nub)
 			}
 			if math.Abs(es.req-eb.req) > 1e-9 {
 				t.Fatalf("%s: link %d entry %d req %g vs %g", ctx, l, i, es.req, eb.req)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
@@ -127,7 +126,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 	}
 	pc := m.estCtx
 	pc.bw = conn.Spec.Bandwidth
-	nu := reliability.NuForDegree(m.plan.cfg.Lambda, alpha)
+	cls := m.plan.degreeClass(alpha)
 	added := 0
 	for len(conn.Backups) < target {
 		excl := pc.excl.Reset()
@@ -142,7 +141,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 				}
 			}
 		}
-		bPath, ok := pc.routeBackupPath(conn.Src, conn.Dst, nu, m.plan.sigRow(conn.sig))
+		bPath, ok := pc.routeBackupPath(conn.Src, conn.Dst, cls, m.plan.sigRow(conn.sig))
 		if !ok {
 			break
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/routing"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -303,7 +302,7 @@ func TestRouteBackupRespectsExclusion(t *testing.T) {
 	pc := m.estCtx
 	pc.excl.Reset().AddPath(p)
 	pc.bw = 1
-	b, ok := pc.routeBackupPath(0, 5, reliability.NuForDegree(m.plan.cfg.Lambda, 1), nil)
+	b, ok := pc.routeBackupPath(0, 5, m.plan.degreeClass(1), nil)
 	if !ok {
 		t.Fatal("no backup path")
 	}

@@ -6,20 +6,22 @@ import (
 	"math/bits"
 	"slices"
 
-	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
 // muxEntry is the per-link bookkeeping for one backup channel (§3.2). The
-// channel's id and bandwidth and its connection's signature row are stored
-// inline so find and the admission scans walk the entry slice without
-// dereferencing the channel or the connection.
+// channel's id and bandwidth, its connection's signature row and its
+// threshold class are stored inline so find and the admission scans walk the
+// entry slice without dereferencing the channel or the connection: 32 bytes,
+// two entries to a cache line.
 type muxEntry struct {
 	id  rtchan.ChannelID
 	sig int32 // the owning connection's row of plan.sig
+	// cls is the class of the backup's threshold ν = (α-0.5)·λ, α the
+	// paper's multiplexing degree: an index into plan.thr.nus (sig.go).
+	cls int32
 	bw  float64
-	nu  float64 // threshold ν = (α-0.5)·λ, α the paper's multiplexing degree
 	// req is this backup's spare-bandwidth requirement on the link:
 	// bw(Bi) + Σ_{Bj ∈ Π(Bi,ℓ)} bw(Bj). Π itself is a row of linkMux.pi.
 	req float64
@@ -190,25 +192,27 @@ func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
 
 // scanLink is the admission scan of §3.2 for a new backup on a link, and the
 // only loop that decides Π membership for a backup not yet wired: the new
-// backup (its connection's signature row rowNew, threshold nu, bandwidth bw)
-// against every existing entry. It appends to *grow the entries whose Π sets
-// gain the new backup and to *pi the entries the new backup's own Π set
-// lists, and returns the new entry's requirement and the spare level the link
-// must reach once it is wired — what requiredSpare would then return: the
+// backup (its connection's signature row rowNew, threshold class cls,
+// bandwidth bw) against every existing entry, one muxDecide each. It appends
+// to *grow the entries whose Π sets gain the new backup and to *pi the
+// entries the new backup's own Π set lists, and returns the new entry's
+// requirement and the spare level the link must reach once it is wired —
+// what requiredSpare would then return: the
 // unchanged entries' max, the grown entries' new requirements, and req.
 // sigNew is the new backup's connection's row index, so that backups of one
 // connection never share spare (see muxDecide); a planned connection that has
 // no row yet passes -1. It changes nothing but the link's cached max, which
 // requiredSpare may settle: every caller holds the write lock.
-func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, nu, bw float64, grow, pi *[]int32) (req, need float64) {
+func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls int32, bw float64, grow, pi *[]int32) (req, need float64) {
 	g, q := *grow, *pi
 	req = bw
 	need = lm.requiredSpare()
+	n := p.probe(rowNew, cls)
 	for i := range lm.entries {
 		e := &lm.entries[i]
 		eCountsNew, newCountsE := true, true
 		if e.sig != sigNew {
-			eCountsNew, newCountsE = p.muxDecide(p.sigRow(e.sig), rowNew, e.nu, nu)
+			eCountsNew, newCountsE = p.muxDecide(p.sigRow(e.sig), e.cls, &n)
 		}
 		if eCountsNew {
 			g = append(g, int32(i))
@@ -269,18 +273,18 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 	entry := muxEntry{
 		id:  ch.ID,
 		sig: conn.sig,
+		cls: m.plan.degreeClass(alpha),
 		bw:  ch.Bandwidth(),
-		nu:  reliability.NuForDegree(m.plan.cfg.Lambda, alpha),
 	}
-	entry.req, _ = pc.scan(l, conn.sig, m.plan.sigRow(conn.sig), entry.nu, entry.bw)
+	entry.req, _ = pc.scan(l, conn.sig, m.plan.sigRow(conn.sig), entry.cls, entry.bw)
 	return m.wireLink(l, entry, pc.grow, pc.pi)
 }
 
 // scan runs scanLink on link l into pc's own lists, for the callers that keep
 // no plan record: addBackupToLink and the prospective* predictions.
-func (pc *planContext) scan(l topology.LinkID, sigNew int32, rowNew []uint64, nu, bw float64) (req, need float64) {
+func (pc *planContext) scan(l topology.LinkID, sigNew int32, rowNew []uint64, cls int32, bw float64) (req, need float64) {
 	pc.grow, pc.pi = pc.grow[:0], pc.pi[:0]
-	return pc.m.plan.scanLink(&pc.m.plan.mux[l], sigNew, rowNew, nu, bw, &pc.grow, &pc.pi)
+	return pc.m.plan.scanLink(&pc.m.plan.mux[l], sigNew, rowNew, cls, bw, &pc.grow, &pc.pi)
 }
 
 // removeBackupFromLink unregisters backup ch from link l, shrinking the
@@ -364,11 +368,11 @@ func (m *Manager) SpareOnLink(l topology.LinkID) float64 {
 }
 
 // prospectiveSpareIncrease predicts how much link l's spare pool would grow
-// if a backup with the given bandwidth, threshold ν, and primary (given by its
-// signature row) were admitted — the link weight of the [HAN97b]-style
+// if a backup with the given bandwidth, threshold class and primary (given by
+// its signature row) were admitted — the link weight of the [HAN97b]-style
 // load-aware backup routing (RouteLoadAware). Read-only.
-func (pc *planContext) prospectiveSpareIncrease(l topology.LinkID, primRow []uint64, bw, nu float64) float64 {
-	_, need := pc.scan(l, -1, primRow, nu, bw)
+func (pc *planContext) prospectiveSpareIncrease(l topology.LinkID, primRow []uint64, bw float64, cls int32) float64 {
+	_, need := pc.scan(l, -1, primRow, cls, bw)
 	return math.Max(0, need-pc.m.plan.mux[l].spare)
 }
 
@@ -386,11 +390,12 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 	// pure function of the entry set).
 	for i := range lm.entries {
 		a := &lm.entries[i]
+		n := m.plan.probe(m.plan.sigRow(a.sig), a.cls)
 		for j := i + 1; j < len(lm.entries); j++ {
 			b := &lm.entries[j]
 			aCountsB, bCountsA := true, true
 			if a.sig != b.sig {
-				aCountsB, bCountsA = m.plan.muxDecide(m.plan.sigRow(a.sig), m.plan.sigRow(b.sig), a.nu, b.nu)
+				bCountsA, aCountsB = m.plan.muxDecide(m.plan.sigRow(b.sig), b.cls, &n)
 			}
 			if aCountsB {
 				lm.piSet(i, j)
@@ -478,7 +483,7 @@ func (m *Manager) CheckMuxInvariants() error {
 				// The ν-ordering rule applies between connections that both
 				// have primaries; a primary-less connection (mid-recovery
 				// rejoin) is counted conservatively from both sides.
-				if !m.plan.cfg.DisablePiDegreeRestriction && pe.nu > e.nu+1e-18 && pe.sig != e.sig &&
+				if !m.plan.cfg.DisablePiDegreeRestriction && m.plan.thr.nus[pe.cls] > m.plan.thr.nus[e.cls] && pe.sig != e.sig &&
 					m.plan.sigRow(pe.sig)[0] != 0 && m.plan.sigRow(e.sig)[0] != 0 {
 					return fmt.Errorf("core: link %d entry %d counts peer %d with larger ν", l, id, pe.id)
 				}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -323,4 +325,58 @@ func TestPsiSizes(t *testing.T) {
 			t.Fatalf("psi1 = %v", psi1)
 		}
 	}
+}
+
+// TestMuxEntryIs32Bytes pins the layout the admission scan streams: the
+// threshold class sits in the padding after the signature row index, two
+// entries to a cache line.
+func TestMuxEntryIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(muxEntry{}); n != 32 {
+		t.Fatalf("muxEntry is %d bytes, want 32", n)
+	}
+}
+
+// BenchmarkScanLink times the admission scan alone, shaped like
+// establish_churn's: 2000 seeded requests are planned against the loaded 8x8
+// torus (every ordered pair, one backup at degree 3), and each iteration scans
+// the backup links of one of them with its primary's signature, as probeLink
+// does. It reports the time per existing entry the scan decides.
+func BenchmarkScanLink(b *testing.B) {
+	m := loadedEvalTorus(1 << 30)
+	n := m.Graph().NumNodes()
+	rng := rand.New(rand.NewSource(1))
+	type plannedScan struct {
+		row   []uint64
+		links []topology.LinkID
+	}
+	var scans []plannedScan
+	entries := 0
+	p, pc := &connPlan{}, m.estCtx
+	for len(scans) < 2000 {
+		src, dst := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n))
+		if pc.plan(p, src, dst, rtchan.DefaultSpec(), []int{3}); p.err != nil || p.nBackups == 0 {
+			continue
+		}
+		s := plannedScan{row: append([]uint64(nil), pc.sig...), links: append([]topology.LinkID(nil), p.backups[0].path.links...)}
+		for _, l := range s.links {
+			entries += len(m.plan.mux[l].entries)
+		}
+		scans = append(scans, s)
+	}
+	cls := m.plan.degreeClass(3)
+	bw := rtchan.DefaultSpec().Bandwidth
+	var grow, pi []int32
+	scanned := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &scans[i%len(scans)]
+		for _, l := range s.links {
+			lm := &m.plan.mux[l]
+			grow, pi = grow[:0], pi[:0]
+			m.plan.scanLink(lm, -1, s.row, cls, bw, &grow, &pi)
+			scanned += len(lm.entries)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/entry")
+	b.ReportMetric(float64(entries)/float64(len(scans)), "entries/plan")
 }

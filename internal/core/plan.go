@@ -29,12 +29,15 @@ type NetworkPlan struct {
 	conns idtab.Table[rtchan.ConnID, DConnection]
 	mux   []linkMux // one per link
 	// sig is the primary-signature slab (sig.go): sigStride words per live
-	// connection, free rows listed in sigFree.
-	sig       []uint64
-	sigStride int
-	sigFree   []int32
-	qpowTab   []float64 // (1-λ)^k by k, backing simS
-	epoch     uint64    // write-transaction counter (see Manager.PlanEpoch)
+	// connection, free rows listed in sigFree. Words 1..sigNodeWords hold the
+	// node bits, the last of them under sigNodeMask.
+	sig          []uint64
+	sigStride    int
+	sigNodeWords int
+	sigNodeMask  uint64
+	sigFree      []int32
+	thr          piThresholds // the Π decision's integer thresholds (sig.go)
+	epoch        uint64       // write-transaction counter (see Manager.PlanEpoch)
 }
 
 // trial evaluates a failure event against the plan without changing any

@@ -49,12 +49,12 @@ func degreeAt(conn *DConnection, i int) int {
 // connection is counted in Π), so the prediction is the Ψ the commit
 // realizes: every entry the new backup's Π set does not list.
 func (pc *planContext) prospectivePsiSizes(primRow []uint64, bPath topology.Path, alpha int) []int {
-	nu := reliability.NuForDegree(pc.m.plan.cfg.Lambda, alpha)
+	cls := pc.m.plan.degreeClass(alpha)
 	links := bPath.Links()
 	out := make([]int, len(links))
 	for i, l := range links {
 		// Π membership does not depend on bandwidth; only the lists are read.
-		pc.scan(l, -1, primRow, nu, 0)
+		pc.scan(l, -1, primRow, cls, 0)
 		out[i] = len(pc.m.plan.mux[l].entries) - len(pc.pi)
 	}
 	return out
@@ -117,9 +117,9 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	{
 		excl := m.estCtx.excl.Reset()
 		addExcluded(excl, &p.prim)
-		nu := reliability.NuForDegree(m.plan.cfg.Lambda, maxAlpha)
+		cls := m.plan.degreeClass(maxAlpha)
 		for i := 0; i < maxBackups; i++ {
-			bPath, ok := m.estCtx.routeBackupPath(src, dst, nu, primRow)
+			bPath, ok := m.estCtx.routeBackupPath(src, dst, cls, primRow)
 			if !ok {
 				break
 			}

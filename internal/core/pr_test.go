@@ -243,10 +243,10 @@ func TestEstablishWithPrBesidePrimarylessConnection(t *testing.T) {
 	primary, backup := rejoining.Backups[0].Path, rejoining.Backups[1].Path
 	primRow := make([]uint64, m.plan.sigStride)
 	m.plan.writeSig(primRow, primary.Links(), primary.Nodes())
-	nu := reliability.NuForDegree(m.plan.cfg.Lambda, 3)
+	cls := m.plan.degreeClass(3)
 	var predicted, before []float64
 	for _, l := range backup.Links() {
-		predicted = append(predicted, m.estCtx.prospectiveSpareIncrease(l, primRow, spec.Bandwidth, nu))
+		predicted = append(predicted, m.estCtx.prospectiveSpareIncrease(l, primRow, spec.Bandwidth, cls))
 		before = append(before, m.SpareOnLink(l))
 	}
 	if _, err := m.EstablishOnPaths(spec, primary, []topology.Path{backup}, []int{3}); err != nil {

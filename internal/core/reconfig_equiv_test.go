@@ -60,9 +60,9 @@ func requireEquivalentMux(t *testing.T, ctx string, me, mc *Manager) {
 		}
 		for i := range lme.entries {
 			ee, ec := &lme.entries[i], &lmc.entries[i]
-			if ee.id != ec.id || ee.nu != ec.nu {
+			if nue, nuc := me.plan.thr.nus[ee.cls], mc.plan.thr.nus[ec.cls]; ee.id != ec.id || nue != nuc {
 				t.Fatalf("%s: link %d entry %d: chan %d/ν%g vs chan %d/ν%g",
-					ctx, l, i, ee.id, ee.nu, ec.id, ec.nu)
+					ctx, l, i, ee.id, nue, ec.id, nuc)
 			}
 			if ee.req != ec.req {
 				t.Fatalf("%s: link %d entry %d (chan %d) req %g vs %g", ctx, l, i, ee.id, ee.req, ec.req)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
+	"github.com/rtcl/bcp/internal/reliability"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
@@ -16,8 +18,9 @@ import (
 // D-connection: word 0 is c(M) — 0 while the connection has no primary — and
 // the remaining words are a bitset over the graph's node ids followed by its
 // link ids with the primary's components set. sc(Mi,Mj) is then the popcount
-// of the AND of two rows, and a decision reads two rows and nothing else: no
-// connection, channel or path is dereferenced on the admission scan.
+// of the AND of two rows, and a decision reads two rows and one threshold
+// (below) and nothing else: no connection, channel or path is dereferenced on
+// the admission scan.
 //
 // Rows come from a free list, so the slab is bounded by the peak number of
 // live connections. A connection owns its row from the moment its id is
@@ -92,27 +95,116 @@ func (m *Manager) forget(conn *DConnection) {
 	m.plan.releaseSig(conn.sig)
 }
 
+// The rule itself (§3.2) is "multiplex iff S(Bi,Bj) < ν", and S depends on
+// the pair only through c(Mi), c(Mj) and sc(Mi,Mj). For fixed component
+// counts S is non-decreasing in sc (newQpowTab asserts the monotonicity this
+// rests on), so "S ≥ ν" is "sc ≥ K" for the least sc at which S reaches ν:
+// piThresholds holds that K per (ν, c(Mn), c(Me)), and the decision compares
+// an overlap with it instead of evaluating S: bit-identical by construction.
+// The table is a function of (λ, ν, the two counts) alone, not a memo of
+// anything a connection or link holds, so no write ever invalidates a row.
+// At λ = 1e-4, K = α for most cells (S ≈ sc·λ); long primaries get less.
+
+// piThresholds is the plan's integer form of the Π decision. Each distinct ν
+// is a class, numbered in first-use order; rows[cls][cn][ce] is K for class
+// cls, a new-side primary of cn components and an existing one of ce, built a
+// row at a time on first use under the writer lock. A row or entry for a
+// count of 0 (no primary) is 0: such a backup counts, and is counted by,
+// everything. An entry no overlap reaches is min(ce,cn)+1.
+type piThresholds struct {
+	qpowTab []float64 // (1-λ)^k by k; read only by simS, for the rows
+	nus     []float64 // ν by class
+	rows    [][][]uint16
+}
+
+// newPiThresholds returns the table for λ on a graph of numNodes nodes, with
+// no class registered yet.
+func newPiThresholds(lambda float64, numNodes int) piThresholds {
+	return piThresholds{qpowTab: newQpowTab(lambda, numNodes)}
+}
+
 // newQpowTab returns (1-λ)^k for k up to any component sum two primaries can
 // produce: a simple path has at most 2(N-1)+1 components. Entries are
 // computed with math.Pow so simS is bit-identical to the reference
-// reliability.SimultaneousActivation formula.
+// reliability.SimultaneousActivation formula. The table must be
+// non-increasing in k: with the subtractions in simS rounding monotonically,
+// that makes S non-decreasing in sc, which is what the thresholds rest on.
 func newQpowTab(lambda float64, numNodes int) []float64 {
 	t := make([]float64, 4*numNodes+1)
 	for k := range t {
 		t[k] = math.Pow(1-lambda, float64(k))
+		if k > 0 && t[k] > t[k-1] {
+			panic(fmt.Sprintf("core: (1-λ)^k not monotone at λ=%g k=%d", lambda, k))
+		}
 	}
 	return t
 }
 
 // simS is S(Bi,Bj) given the primaries' component counts and their overlap:
-// three table loads instead of three math.Pow calls.
+// three table loads instead of three math.Pow calls. Only thrRow calls it.
 func (p *NetworkPlan) simS(ci, cj, sc int) float64 {
-	t := p.qpowTab
+	t := p.thr.qpowTab
 	s := 1 - (t[ci] + t[cj] - t[ci+cj-sc])
 	if s < 0 { // clamp tiny negative round-off, as the reference does
 		return 0
 	}
 	return s
+}
+
+// degreeClass returns the class of multiplexing degree alpha's threshold
+// ν = (α-0.5)·λ, registering it on first use. Callers hold the writer lock.
+func (p *NetworkPlan) degreeClass(alpha int) int32 {
+	nu := reliability.NuForDegree(p.cfg.Lambda, alpha)
+	t := &p.thr
+	for i, v := range t.nus {
+		if v == nu {
+			return int32(i)
+		}
+	}
+	t.nus = append(t.nus, nu)
+	t.rows = append(t.rows, make([][]uint16, 2*p.net.Graph().NumNodes()))
+	return int32(len(t.nus) - 1)
+}
+
+// thrRow returns class cls's thresholds for a new-side primary of cn
+// components, indexed by the existing side's count, building the row on
+// first use. Callers hold the writer lock.
+func (p *NetworkPlan) thrRow(cls int32, cn int) []uint16 {
+	if r := p.thr.rows[cls][cn]; r != nil {
+		return r
+	}
+	nu := p.thr.nus[cls]
+	r := make([]uint16, len(p.thr.rows[cls]))
+	if cn > 0 {
+		for ce := 1; ce < len(r); ce++ {
+			n := min(ce, cn) + 1
+			r[ce] = uint16(sort.Search(n, func(sc int) bool { return p.simS(ce, cn, sc) >= nu }))
+		}
+	}
+	p.thr.rows[cls][cn] = r
+	return r
+}
+
+// pairThresholds returns the overlaps at which an existing backup of class
+// eCls counts a new one of class newCls (ke) and the reverse (kn), for
+// primaries of ce and cn components. Each side compares against its own ν,
+// and, unless DisablePiDegreeRestriction is set, only counts peers whose ν is
+// no greater than its own; a side that may not count gets min(ce,cn)+1.
+// A primary-less side (count 0) counts and is counted unconditionally.
+func (p *NetworkPlan) pairThresholds(ce, cn int, eCls, newCls int32) (ke, kn int) {
+	if ce == 0 || cn == 0 {
+		return 0, 0
+	}
+	ke, kn = min(ce, cn)+1, min(ce, cn)+1
+	nuE, nuN := p.thr.nus[eCls], p.thr.nus[newCls]
+	free := p.cfg.DisablePiDegreeRestriction
+	if free || nuN <= nuE {
+		ke = int(p.thrRow(eCls, cn)[ce])
+	}
+	if free || nuE <= nuN {
+		kn = int(p.thrRow(newCls, cn)[ce])
+	}
+	return ke, kn
 }
 
 // sigShared returns sc(Mi,Mj) for two signature rows: the number of
@@ -126,28 +218,73 @@ func sigShared(a, b []uint64) int {
 	return sc
 }
 
-// muxDecide is the Π decision (§3.2) for an existing backup e against a new
-// one, each given by its connection's signature row and its own threshold ν:
-// they may share spare bandwidth iff S < ν, evaluated per side against that
-// side's ν, and each side only *counts* peers with no greater degree. It
-// reports (e counts new in Π(e), new counts e in Π(new)). A connection that
-// momentarily has no primary (its repaired channel is rejoining while
-// recovery is still unresolved) gets conservative treatment: its backup
-// shares spare with nothing. Backups of one connection never share spare
-// either — the same primary failure activates them — which callers that can
-// meet that case test by row index before calling.
-func (p *NetworkPlan) muxDecide(rowE, rowNew []uint64, eNu, newNu float64) (eCountsNew, newCountsE bool) {
-	ce, cn := rowE[0], rowNew[0]
-	if ce == 0 || cn == 0 {
-		return true, true
+// sharedAtLeast reports sc(Mi,Mj) ≥ k for two signature rows, reading the
+// link words only when the node words cannot decide (reaches).
+func (p *NetworkPlan) sharedAtLeast(a, b []uint64, k int) bool {
+	return p.reaches(a, b, p.sharedNodes(a, b), k)
+}
+
+// sharedNodes returns the number of nodes two signature rows share. The last
+// node word also holds the first link bits, so it is masked.
+func (p *NetworkPlan) sharedNodes(a, b []uint64) int {
+	nw := p.sigNodeWords
+	b = b[:len(a)]
+	sn := bits.OnesCount64(a[nw] & b[nw] & p.sigNodeMask)
+	for i := 1; i < nw; i++ {
+		sn += bits.OnesCount64(a[i] & b[i])
 	}
-	s := p.simS(int(ce), int(cn), sigShared(rowE, rowNew))
-	if p.cfg.DisablePiDegreeRestriction {
-		return s >= eNu, s >= newNu
+	return sn
+}
+
+// reaches reports sc(Mi,Mj) ≥ k given sn, the nodes the two rows share. Two
+// simple paths that share sn nodes share between sn and 2sn-1 components
+// (the shared links all join shared nodes and lie on one simple path, so
+// there are at most sn-1 of them), and none when sn = 0: only
+// sn < k ≤ 2sn-1 needs the link words.
+func (p *NetworkPlan) reaches(a, b []uint64, sn, k int) bool {
+	if k <= sn || k > 2*sn-1 {
+		return k <= sn
 	}
-	eCountsNew = newNu <= eNu && s >= eNu
-	newCountsE = eNu <= newNu && s >= newNu
-	return eCountsNew, newCountsE
+	return sigShared(a, b) >= k
+}
+
+// piProbe is the new side of a Π decision: the signature row of the new
+// backup's primary, its threshold class, and that class's thresholds for the
+// row's component count (thrRow), resolved once per scan.
+type piProbe struct {
+	row []uint64
+	thr []uint16
+	cls int32
+}
+
+// probe returns the new side of the decisions for a backup of class cls
+// whose primary has signature row row. Callers hold the writer lock.
+func (p *NetworkPlan) probe(row []uint64, cls int32) piProbe {
+	return piProbe{row: row, thr: p.thrRow(cls, int(row[0])), cls: cls}
+}
+
+// muxDecide is the Π decision (§3.2) for an existing backup of class eCls,
+// whose primary has signature row rowE, against the new one n describes.
+// They may share spare bandwidth iff S < ν, evaluated per side against that
+// side's ν, and each side only *counts* peers with no greater degree
+// (pairThresholds). It reports (e counts new in Π(e), new counts e in
+// Π(new)). Two backups of one class have one threshold, an entry of n.thr:
+// one load and one overlap test. A connection that momentarily has no
+// primary (its repaired channel is rejoining while recovery is still
+// unresolved) gets conservative treatment: its backup shares spare with
+// nothing — its row's count is 0, and so is every threshold that involves
+// it. Backups of one connection never share spare either — the same primary
+// failure activates them — which callers that can meet that case test by row
+// index before calling.
+func (p *NetworkPlan) muxDecide(rowE []uint64, eCls int32, n *piProbe) (eCountsNew, newCountsE bool) {
+	if eCls != n.cls {
+		ke, kn := p.pairThresholds(int(rowE[0]), int(n.row[0]), eCls, n.cls)
+		return p.sharedAtLeast(rowE, n.row, ke), p.sharedAtLeast(rowE, n.row, kn)
+	}
+	// sharedAtLeast spelled out: the compiler does not inline it, and the
+	// call costs a twentieth of the admission scan.
+	c := p.reaches(rowE, n.row, p.sharedNodes(rowE, n.row), int(n.thr[rowE[0]]))
+	return c, c
 }
 
 // checkSig validates the slab against the connections it summarises: every

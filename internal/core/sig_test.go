@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/reliability"
@@ -320,4 +321,210 @@ func TestEstablishOnPathsRejectsBadPaths(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
+}
+
+// TestPiThresholdExact holds the integer Π decision to the floating-point
+// rule it replaces, exhaustively on the 8x8 torus: for every pair of odd
+// component counts a simple path there can have, every overlap the pair can
+// have, and every pair of degrees 0–8, each side counts the other iff
+// sc ≥ its threshold iff the reference formula says S ≥ ν (and, with the
+// degree restriction on, the other side's ν is no greater). A primary-less
+// side (count 0) counts and is counted unconditionally.
+func TestPiThresholdExact(t *testing.T) {
+	g := topology.NewTorus(8, 8, 200)
+	maxC := 2*g.NumNodes() - 1
+	const degrees = 9
+	for _, lambda := range []float64{1e-4, 1e-3, 1e-6, 0.3} {
+		for _, free := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Lambda, cfg.DisablePiDegreeRestriction = lambda, free
+			p := &NewManager(g, cfg).plan
+			var cls [degrees]int32
+			var nu [degrees]float64
+			for a := range cls {
+				cls[a], nu[a] = p.degreeClass(a), reliability.NuForDegree(lambda, a)
+			}
+			atAlpha := 0 // cells of degree 3 whose threshold is 3
+			var ke, kn [degrees * degrees]int
+			for ce := 1; ce <= maxC; ce += 2 {
+				for cn := 1; cn <= maxC; cn += 2 {
+					for ae := range cls {
+						for an := range cls {
+							ke[ae*degrees+an], kn[ae*degrees+an] = p.pairThresholds(ce, cn, cls[ae], cls[an])
+						}
+					}
+					if ke[3*degrees+3] == 3 {
+						atAlpha++
+					}
+					for sc := 0; sc <= min(ce, cn); sc++ {
+						s := reliability.SimultaneousActivation(lambda, ce, cn, sc)
+						for ae := range cls {
+							for an := range cls {
+								i := ae*degrees + an
+								wantE := (free || nu[an] <= nu[ae]) && s >= nu[ae]
+								wantN := (free || nu[ae] <= nu[an]) && s >= nu[an]
+								if (sc >= ke[i]) != wantE || (sc >= kn[i]) != wantN {
+									t.Fatalf("λ=%g free=%v c=(%d,%d) sc=%d α=(%d,%d): thresholds (%d,%d) decide (%v,%v), reference S=%v decides (%v,%v)",
+										lambda, free, ce, cn, sc, ae, an, ke[i], kn[i], sc >= ke[i], sc >= kn[i], s, wantE, wantN)
+								}
+							}
+						}
+					}
+				}
+			}
+			for a := range cls {
+				if ke, kn := p.pairThresholds(0, 7, cls[a], cls[(a+1)%degrees]); ke != 0 || kn != 0 {
+					t.Fatalf("λ=%g: primary-less side gets thresholds (%d,%d), want (0,0)", lambda, ke, kn)
+				}
+				for _, k := range p.thrRow(cls[a], 0) {
+					if k != 0 {
+						t.Fatalf("λ=%g α=%d: the row for a primary-less new side holds %d", lambda, a, k)
+					}
+				}
+			}
+			if lambda == 1e-4 && !free {
+				t.Logf("λ=1e-4: K = α at α = 3 for %d of %d cells", atAlpha, (maxC+1)*(maxC+1)/4)
+			}
+		}
+	}
+}
+
+// randomSimplePath returns the node sequence of a simple path that contains
+// a random stretch of base (reversed or not) when base is non-empty, grown at
+// both ends by self-avoiding random walks; from a random node otherwise. Every
+// link of the mesh and torus has a reverse, so a reversed path is a path.
+func randomSimplePath(g *topology.Graph, rng *rand.Rand, base []topology.NodeID, maxHops int) []topology.NodeID {
+	var nodes []topology.NodeID
+	if len(base) > 0 {
+		i := rng.Intn(len(base))
+		j := i + 1 + rng.Intn(len(base)-i)
+		nodes = append(nodes, base[i:j]...)
+	} else {
+		nodes = append(nodes, topology.NodeID(rng.Intn(g.NumNodes())))
+	}
+	on := make(map[topology.NodeID]bool, len(nodes))
+	for _, n := range nodes {
+		on[n] = true
+	}
+	walk := func() {
+		for h := rng.Intn(maxHops/2 + 1); h > 0; h-- {
+			var next []topology.NodeID
+			for _, l := range g.Out(nodes[len(nodes)-1]) {
+				if to := g.Link(l).To; !on[to] {
+					next = append(next, to)
+				}
+			}
+			if len(next) == 0 {
+				return
+			}
+			n := next[rng.Intn(len(next))]
+			nodes, on[n] = append(nodes, n), true
+		}
+	}
+	walk()
+	slices.Reverse(nodes)
+	walk()
+	if rng.Intn(2) == 0 {
+		slices.Reverse(nodes)
+	}
+	if len(nodes) == 1 { // a path has at least one hop
+		nodes = append(nodes, g.Link(g.Out(nodes[0])[0]).To)
+	}
+	return nodes
+}
+
+// checkSharedAtLeast holds sharedAtLeast to the full popcount for the rows
+// of two simple paths at every k, and checks that outside sn < k ≤ 2sn-1 the
+// node words decide alone: with every link bit of one row set, the answer
+// must not move. It reports whether the paths share a link.
+func checkSharedAtLeast(t *testing.T, p *NetworkPlan, an, bn []topology.NodeID) bool {
+	t.Helper()
+	g := p.net.Graph()
+	row := func(nodes []topology.NodeID) []uint64 {
+		path, err := topology.PathBetween(g, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := make([]uint64, p.sigStride)
+		p.writeSig(r, path.Links(), path.Nodes())
+		return r
+	}
+	a, b := row(an), row(bn)
+	poisoned := slices.Clone(b)
+	for l := 0; l < g.NumLinks(); l++ {
+		i := g.NumNodes() + l
+		poisoned[1+i>>6] |= 1 << (uint(i) & 63)
+	}
+	sc, sn := sigShared(a, b), 0
+	for _, n := range an {
+		if slices.Contains(bn, n) {
+			sn++
+		}
+	}
+	for k := 0; k <= int(min(a[0], b[0]))+2; k++ {
+		if got, want := p.sharedAtLeast(a, b, k), sc >= k; got != want {
+			t.Fatalf("sharedAtLeast(k=%d) = %v, sc = %d (sn %d)\n%v\n%v", k, got, sc, sn, an, bn)
+		}
+		if sn < k && k <= 2*sn-1 {
+			continue
+		}
+		if got, want := p.sharedAtLeast(a, poisoned, k), sc >= k; got != want {
+			t.Fatalf("sharedAtLeast(k=%d) read the link words outside the window: %v, sc = %d (sn %d)\n%v\n%v", k, got, sc, sn, an, bn)
+		}
+	}
+	return sc > sn
+}
+
+// sharedAtLeastGraphs are the layouts the overlap test covers: node and link
+// bits sharing word 1 (N = 16), one full node word (N = 64), and two node
+// words, the second shared with links (N = 81).
+func sharedAtLeastGraphs() []*NetworkPlan {
+	var out []*NetworkPlan
+	for _, g := range []*topology.Graph{topology.NewMesh(4, 4, 200), topology.NewTorus(8, 8, 200), topology.NewTorus(9, 9, 200)} {
+		out = append(out, &NewManager(g, DefaultConfig()).plan)
+	}
+	return out
+}
+
+// TestSharedAtLeastMatchesPopcount runs checkSharedAtLeast over seeded pairs
+// of simple paths: unrelated ones, and ones built around a stretch of the
+// other, forwards or reversed, so overlaps of every size and both sides of
+// the 2sn-1 bound occur.
+func TestSharedAtLeastMatchesPopcount(t *testing.T) {
+	for _, p := range sharedAtLeastGraphs() {
+		rng := rand.New(rand.NewSource(1))
+		window := 0
+		for i := 0; i < 3000; i++ {
+			a := randomSimplePath(p.net.Graph(), rng, nil, 24)
+			var b []topology.NodeID
+			if i%4 == 0 {
+				b = randomSimplePath(p.net.Graph(), rng, nil, 24)
+			} else {
+				b = randomSimplePath(p.net.Graph(), rng, a, 24)
+			}
+			if checkSharedAtLeast(t, p, a, b) {
+				window++
+			}
+		}
+		t.Logf("N=%d: %d of 3000 pairs share a link", p.net.Graph().NumNodes(), window)
+	}
+}
+
+// FuzzSharedAtLeast is TestSharedAtLeastMatchesPopcount with the seed and the
+// graph drawn by the fuzzer.
+func FuzzSharedAtLeast(f *testing.F) {
+	plans := sharedAtLeastGraphs()
+	for seed := int64(0); seed < 6; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, graph uint8) {
+		p := plans[int(graph)%len(plans)]
+		rng := rand.New(rand.NewSource(seed))
+		a := randomSimplePath(p.net.Graph(), rng, nil, 32)
+		base := a
+		if rng.Intn(4) == 0 {
+			base = nil
+		}
+		checkSharedAtLeast(t, p, a, randomSimplePath(p.net.Graph(), rng, base, 32))
+	})
 }
