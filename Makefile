@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-recovery one-value one-decision verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-recovery one-value one-decision one-harness verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,13 @@ one-heap:
 one-recovery:
 	! grep -rnE 'SourceSwitches\(|lastCrash' --include='*.go' --exclude='*_test.go' internal cmd | grep -vE '^internal/(bcpd/|trace/recovery\.go:)'
 
+# one-harness fails when a checked run is assembled outside bcpd.NewChecked:
+# a conformance checker or a flight recorder built anywhere else is a harness
+# whose violations carry no events. bench/ keeps its own checker until a
+# no-claim benchmark PR (ROADMAP 1(c)).
+one-harness:
+	! grep -rnE 'conformance\.New\(|trace\.NewFlightRecorder\(' --include='*.go' --exclude='*_test.go' internal cmd bcp.go | grep -v '^internal/bcpd/checked\.go:'
+
 # one-value fails when a field of a configuration struct (core.Config,
 # bcpd.Config, chaos.Options, ...) is never written by product code outside
 # its Default* constructor and is not listed with a reason: a setting only
@@ -57,7 +64,7 @@ one-decision:
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here.
-verify: bench-check one-owner one-heap one-recovery one-value one-decision chaos-nightly
+verify: bench-check one-owner one-heap one-recovery one-value one-decision one-harness chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

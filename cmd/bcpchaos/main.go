@@ -7,7 +7,7 @@
 //
 //	bcpchaos -episodes 1000                 # model-check run
 //	bcpchaos -seed 7 -class pingpong        # one class only
-//	bcpchaos -replay repro.json             # re-run a reproducer artifact
+//	bcpchaos -replay repro.json             # re-run a reproducer: recoveries, flight tail
 //	bcpchaos -replay repro.json -sabotage   # ...with the historical bug back in
 //	bcpchaos -artifacts out/                # write reproducers for failures
 //	bcpchaos -corpus corpus/                # harvest wire frames for fuzzing
@@ -145,9 +145,18 @@ func runReplay(path string, sab *bcpd.Sabotage, tap func([]byte), harvest *corpu
 		}
 		fmt.Printf("corpus: %d distinct frames\n", n)
 	}
+	for _, r := range res.Recoveries {
+		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v, disruption %v =%s\n",
+			r.Conn, r.Hops, r.Backups, r.Gamma(), r.Disruption(), r.Stages())
+	}
 	if len(res.Violations) == 0 {
 		fmt.Println("PASS")
 		return 0
+	}
+	tail := res.Flight[max(len(res.Flight)-bcpd.ReportTail, 0):]
+	fmt.Printf("last %d recorded events up to the first violation:\n", len(tail))
+	for _, ev := range tail {
+		fmt.Printf("  %v\n", ev)
 	}
 	for _, v := range res.Violations {
 		fmt.Printf("  %s\n", v)

@@ -52,6 +52,9 @@ func main() {
 	s.HitFirst = *hitFirst
 	s.Repair = *repair
 	s.Rate = *rate
+	// A run that ends mid-rejoin can hold claims legitimately; bcptrace is
+	// a viewer, so report rather than fail.
+	s.Checks = func(p *conformance.Params) { p.AllowOutstandingClaims = true }
 	run, err := experiment.RunTraceScenario(s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcptrace:", err)
@@ -72,10 +75,8 @@ func main() {
 		fmt.Printf("backup %d: %v\n", i+1, b.Path)
 	}
 	agg := metrics.NewProtocolAggregator()
-	var recs trace.Recoveries
 	for _, ev := range run.Events {
 		agg.Emit(ev)
-		recs.Emit(ev)
 		switch ev.Kind {
 		case trace.KindRCCFrame, trace.KindRCCRetransmit, trace.KindRCCAck:
 			if !*withRCC {
@@ -97,27 +98,18 @@ func main() {
 	fmt.Printf("data: sent=%d delivered=%d lost=%d  disruption=%v\n",
 		st.DataSent, st.DataDelivered, st.DataSent-st.DataDelivered,
 		time.Duration(run.Net.MaxArrivalGap(conn.ID)))
-	p := s.Config.Conformance(run.Mgr.Graph().Link(0).Capacity)
-	// A run that ends mid-rejoin can hold claims legitimately; bcptrace is
-	// a viewer, so report rather than fail.
-	p.AllowOutstandingClaims = true
-	for _, r := range recs.Done {
-		// The bound the checker holds this recovery to.
-		bound := p.DetectionSlack + conformance.GammaBound(p.DMax, r.Hops, r.Backups)
-		within := "≤"
+	chk := run.Net.Checker
+	for _, r := range chk.Recoveries() {
+		within, bound := "≤", chk.Bound(r)
 		if r.Gamma() > bound {
 			within = ">"
 		}
-		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v %s bound %v, disruption %v =",
-			r.Conn, r.Hops, r.Backups, r.Gamma(), within, bound, r.Disruption())
-		for k, name := range trace.StageNames {
-			fmt.Printf(" %s %v", name, r.Stage(k))
-		}
-		fmt.Println()
+		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v %s bound %v, disruption %v =%s\n",
+			r.Conn, r.Hops, r.Backups, r.Gamma(), within, bound, r.Disruption(), r.Stages())
 	}
 	fmt.Printf("\n%s", agg.Render())
 
-	if viols := conformance.Check(run.Events, p); len(viols) > 0 {
+	if viols := chk.Finish(); len(viols) > 0 {
 		fmt.Printf("\nconformance violations:\n")
 		for _, v := range viols {
 			fmt.Printf("  %v\n", v)

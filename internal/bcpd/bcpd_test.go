@@ -7,29 +7,34 @@ import (
 	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/rtchan"
+	"github.com/rtcl/bcp/internal/runtime"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
-	"github.com/rtcl/bcp/internal/trace"
 )
 
-// attachConformance tees a streaming conformance checker into cfg's sink and
-// fails the test at cleanup on any protocol-invariant violation, so every
-// test through the shared testbed is invariant-checked, not just
-// end-state-checked.
-func attachConformance(t *testing.T, cfg *Config, p conformance.Params) *conformance.Checker {
+// newChecked is NewChecked under test: at cleanup the test fails on every
+// violation the checker found, with the flight recorder's last events before
+// the first one in the log.
+func newChecked(t *testing.T, rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config, p conformance.Params) *Checked {
 	t.Helper()
-	c := conformance.New(p)
-	if cfg.Sink == nil {
-		cfg.Sink = c
-	} else {
-		cfg.Sink = trace.Tee{cfg.Sink, c}
-	}
-	t.Cleanup(func() {
-		for _, v := range c.Finish() {
-			t.Errorf("conformance: %v", v)
-		}
-	})
+	c := NewChecked(rt, tr, mgr, cfg, p)
+	t.Cleanup(func() { verdict(t, c) })
 	return c
+}
+
+// verdict fails t on every violation c's checker found and logs the last
+// ReportTail recorded events up to the first one.
+func verdict(t *testing.T, c *Checked) {
+	vs := c.Checker.Finish()
+	for _, v := range vs {
+		t.Errorf("conformance: %v", v)
+	}
+	if len(vs) > 0 {
+		fl := c.Flight(vs)
+		for _, ev := range fl[max(len(fl)-ReportTail, 0):] {
+			t.Logf("flight: %v", ev)
+		}
+	}
 }
 
 // testbed is a 3x3 mesh with one D-connection 0->2 (primary 0-1-2, backup
@@ -42,9 +47,8 @@ type testbed struct {
 	g    *topology.Graph
 	eng  *sim.Engine
 	mgr  *core.Manager
-	net  *Network
+	net  *Checked
 	conn *core.DConnection
-	chk  *conformance.Checker
 }
 
 func path(t *testing.T, g *topology.Graph, nodes ...topology.NodeID) topology.Path {
@@ -56,31 +60,52 @@ func path(t *testing.T, g *topology.Graph, nodes ...topology.NodeID) topology.Pa
 	return p
 }
 
+// establish sets up one connection on explicit routes, failing t if the
+// resource plane refuses it.
+func establish(t *testing.T, mgr *core.Manager, spec rtchan.TrafficSpec, primary topology.Path, backups []topology.Path, degrees ...int) *core.DConnection {
+	t.Helper()
+	c, err := mgr.EstablishOnPaths(spec, primary, backups, degrees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// testbedConn establishes the testbed's connection on a fresh mesh.
+func testbedConn(t *testing.T) (*topology.Graph, *core.Manager, *core.DConnection) {
+	t.Helper()
+	g := topology.NewMesh(3, 3, testbedMbps)
+	mgr := core.NewManager(g, core.DefaultConfig())
+	conn := establish(t, mgr, rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2},
+		path(t, g, 0, 1, 2), []topology.Path{path(t, g, 0, 3, 4, 5, 2)}, 1)
+	return g, mgr, conn
+}
+
+// startTraffic starts each connection's source at rate messages/second.
+func startTraffic(t *testing.T, net *Checked, rate float64, conns ...*core.DConnection) {
+	t.Helper()
+	for _, c := range conns {
+		if err := net.StartTraffic(c.ID, rate); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func newTestbed(t *testing.T, cfg Config) *testbed {
 	t.Helper()
-	return newTestbedChecked(t, cfg, cfg.Conformance(testbedMbps))
+	return newTestbedOn(t, NewSimTransport(), cfg, cfg.Conformance(testbedMbps))
 }
 
 // testbedMbps is the testbed's link capacity.
 const testbedMbps = 10
 
-// newTestbedChecked is newTestbed under caller-adjusted checker tolerances.
-func newTestbedChecked(t *testing.T, cfg Config, p conformance.Params) *testbed {
+// newTestbedOn is newTestbed over a given transport, under caller-adjusted
+// checker tolerances.
+func newTestbedOn(t *testing.T, tr Transport, cfg Config, p conformance.Params) *testbed {
 	t.Helper()
-	g := topology.NewMesh(3, 3, testbedMbps)
+	g, mgr, conn := testbedConn(t)
 	eng := sim.New(1)
-	mgr := core.NewManager(g, core.DefaultConfig())
-	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
-	conn, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 0, 1, 2),
-		[]topology.Path{path(t, g, 0, 3, 4, 5, 2)},
-		[]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chk := attachConformance(t, &cfg, p)
-	net := New(eng, mgr, cfg)
-	return &testbed{g: g, eng: eng, mgr: mgr, net: net, conn: conn, chk: chk}
+	return &testbed{g: g, eng: eng, mgr: mgr, net: newChecked(t, eng, tr, mgr, cfg, p), conn: conn}
 }
 
 func TestInstallSeedsChannelStates(t *testing.T) {
@@ -101,9 +126,7 @@ func TestInstallSeedsChannelStates(t *testing.T) {
 
 func TestDataFlowsBeforeFailure(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.RunFor(100 * time.Millisecond)
 	st := tb.net.Stats()
 	if st.DataDelivered < 90 {
@@ -116,9 +139,7 @@ func TestDataFlowsBeforeFailure(t *testing.T) {
 
 func TestLinkFailureFastRecovery(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	failAt := sim.Time(50 * time.Millisecond)
 	var failed topology.LinkID
 	tb.eng.At(failAt, func() {
@@ -140,7 +161,7 @@ func TestLinkFailureFastRecovery(t *testing.T) {
 		t.Fatalf("recovery delay %v too large", delay)
 	}
 	// The testbed's checker compared it against the §5 bound.
-	if got := tb.chk.GammaChecked(); got != 1 {
+	if got := tb.net.Checker.GammaChecked(); got != 1 {
 		t.Fatalf("GammaChecked = %d, want 1", got)
 	}
 	// The backup is promoted in the resource plane.
@@ -152,7 +173,7 @@ func TestLinkFailureFastRecovery(t *testing.T) {
 	}
 	// Data resumed on the backup at the destination; loss is bounded by the
 	// outage.
-	if got := len(tb.chk.Recoveries()); got != 1 {
+	if got := len(tb.net.Checker.Recoveries()); got != 1 {
 		t.Fatalf("recoveries closed by data on the backup = %d, want 1", got)
 	}
 	st := tb.net.Stats()
@@ -175,9 +196,7 @@ func TestLinkFailureFastRecovery(t *testing.T) {
 
 func TestNodeFailureFastRecovery(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.At(sim.Time(50*time.Millisecond), func() { tb.net.FailNode(1) })
 	tb.eng.RunFor(500 * time.Millisecond)
 	if got := len(tb.net.SourceSwitches(tb.conn.ID)); got != 1 {
@@ -210,9 +229,7 @@ func TestDoubleFailureUnrecoverable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RejoinTimeout = sim.Duration(200 * time.Millisecond)
 	tb := newTestbed(t, cfg)
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.At(sim.Time(50*time.Millisecond), func() {
 		tb.net.FailLink(tb.g.LinkBetween(1, 2))
 		tb.net.FailLink(tb.g.LinkBetween(4, 5))
@@ -243,22 +260,10 @@ func TestSequentialFailuresWithTwoBackups(t *testing.T) {
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 4}
-	conn, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2),
-		[]topology.Path{
-			path(t, g, 1, 5, 6, 2),
-			path(t, g, 1, 0, 4, 8, 9, 10, 6, 2),
-		},
-		[]int{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := establish(t, mgr, spec, path(t, g, 1, 2), []topology.Path{path(t, g, 1, 5, 6, 2), path(t, g, 1, 0, 4, 8, 9, 10, 6, 2)}, 1, 1)
 	cfg := DefaultConfig()
-	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
-	if err := net.StartTraffic(conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	startTraffic(t, net, 1000, conn)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.At(sim.Time(300*time.Millisecond), func() { net.FailLink(g.LinkBetween(5, 6)) })
 	eng.RunFor(2 * time.Second)
@@ -269,7 +274,7 @@ func TestSequentialFailuresWithTwoBackups(t *testing.T) {
 	if conn.Primary == nil || conn.Primary.Path.Hops() != 7 {
 		t.Fatalf("final primary = %v", conn.Primary)
 	}
-	if got := len(chk.Recoveries()); got != 2 {
+	if got := len(net.Checker.Recoveries()); got != 2 {
 		t.Fatalf("recoveries closed by data on a backup = %d, want 2", got)
 	}
 }
@@ -286,11 +291,8 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
-	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
-	if err := net.StartTraffic(conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	startTraffic(t, net, 1000, conn)
 	eng.At(sim.Time(50*time.Millisecond), func() {
 		net.FailLink(conn.Primary.Path.Links()[0])
 	})
@@ -312,7 +314,7 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	if conn.Primary == nil {
 		t.Fatal("connection lost")
 	}
-	if got := len(chk.Recoveries()); got != 2 {
+	if got := len(net.Checker.Recoveries()); got != 2 {
 		t.Fatalf("recoveries closed by data on a backup = %d, want 2", got)
 	}
 	if err := mgr.CheckMuxInvariants(); err != nil {
@@ -350,22 +352,10 @@ func TestDivergentBackupSelectionConverges(t *testing.T) {
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 4}
-	conn, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2),
-		[]topology.Path{
-			path(t, g, 1, 5, 6, 2),
-			path(t, g, 1, 0, 4, 8, 9, 10, 11, 7, 3, 2),
-		},
-		[]int{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := establish(t, mgr, spec, path(t, g, 1, 2), []topology.Path{path(t, g, 1, 5, 6, 2), path(t, g, 1, 0, 4, 8, 9, 10, 11, 7, 3, 2)}, 1, 1)
 	cfg := DefaultConfig()
-	chk := attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
-	if err := net.StartTraffic(conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	startTraffic(t, net, 1000, conn)
 	eng.At(sim.Time(50*time.Millisecond), func() {
 		net.FailLink(g.LinkBetween(1, 2)) // primary
 		net.FailLink(g.LinkBetween(6, 2)) // backup 1's last link
@@ -382,7 +372,7 @@ func TestDivergentBackupSelectionConverges(t *testing.T) {
 	}
 	// Data flows on backup 2 after convergence: one recovery, however many
 	// switches it took.
-	if got := len(chk.Recoveries()); got != 1 {
+	if got := len(net.Checker.Recoveries()); got != 1 {
 		t.Fatalf("recoveries closed by data on a backup = %d, want 1", got)
 	}
 	if err := mgr.CheckMuxInvariants(); err != nil {
@@ -397,9 +387,7 @@ func TestScheme1RecoversViaDestination(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = Scheme1
 	tb := newTestbed(t, cfg)
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.At(sim.Time(50*time.Millisecond), func() { tb.net.FailLink(tb.g.LinkBetween(0, 1)) })
 	tb.eng.RunFor(time.Second)
 	if len(tb.net.SourceSwitches(tb.conn.ID)) != 1 {
@@ -419,9 +407,7 @@ func TestScheme3FasterThanScheme1NearDestination(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Scheme = scheme
 		tb := newTestbed(t, cfg)
-		if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-			t.Fatal(err)
-		}
+		startTraffic(t, tb.net, 1000, tb.conn)
 		failAt := sim.Time(50 * time.Millisecond)
 		tb.eng.At(failAt, func() { tb.net.FailLink(tb.g.LinkBetween(1, 2)) })
 		tb.eng.RunFor(time.Second)
@@ -451,33 +437,14 @@ func TestMuxFailureTriggersNextBackup(t *testing.T) {
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 4}
-	connA, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2, 3),
-		[]topology.Path{path(t, g, 1, 5, 6, 7, 3)}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	connB, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2, 6),
-		[]topology.Path{
-			path(t, g, 1, 5, 6),
-			path(t, g, 1, 0, 4, 8, 9, 10, 6),
-		}, []int{8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	connA := establish(t, mgr, spec, path(t, g, 1, 2, 3), []topology.Path{path(t, g, 1, 5, 6, 7, 3)}, 8)
+	connB := establish(t, mgr, spec, path(t, g, 1, 2, 6), []topology.Path{path(t, g, 1, 5, 6), path(t, g, 1, 0, 4, 8, 9, 10, 6)}, 8, 8)
 	if got := mgr.Network().Spare(g.LinkBetween(5, 6)); got != 1 {
 		t.Fatalf("spare on 5->6 = %g, want 1 (multiplexed)", got)
 	}
 	cfg := DefaultConfig()
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
-	if err := net.StartTraffic(connA.ID, 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.StartTraffic(connB.ID, 500); err != nil {
-		t.Fatal(err)
-	}
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	startTraffic(t, net, 500, connA, connB)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.RunFor(2 * time.Second)
 
@@ -581,9 +548,7 @@ func TestClosureUndoesPartialRejoin(t *testing.T) {
 
 func TestTeardownConnectionPropagatesClosure(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	prim := tb.conn.Primary
 	back := tb.conn.Backups[0]
 	tb.eng.RunFor(50 * time.Millisecond)

@@ -25,19 +25,12 @@ func TestControlDelayUnderSaturatedData(t *testing.T) {
 	// The observed connection: primary along the line. No disjoint backup
 	// exists on a line, so failure recovery is not the point here — we
 	// measure failure-REPORT latency from the far end to the source.
-	conn, err := mgr.EstablishOnPaths(spec,
-		mustLinePath(t, g, 0, 1, 2, 3), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := establish(t, mgr, spec, path(t, g, 0, 1, 2, 3), nil)
 	cfg := DefaultConfig()
 	cfg.DataMsgSize = 1250 // 1 ms of transmission per hop at 10 Mbps
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
 	// Saturate the line: 8 Mbps of the 10 Mbps capacity.
-	if err := net.StartTraffic(conn.ID, 800); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, net, 800, conn)
 
 	// Crash the last link; the upstream detector (node 2) reports toward
 	// the source over two RCC hops that compete with the data flood.
@@ -69,13 +62,4 @@ func TestControlDelayUnderSaturatedData(t *testing.T) {
 	if net.Stats().DataDelivered == 0 {
 		t.Fatal("no data flowed")
 	}
-}
-
-func mustLinePath(t *testing.T, g *topology.Graph, nodes ...topology.NodeID) topology.Path {
-	t.Helper()
-	p, err := topology.PathBetween(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }

@@ -17,9 +17,7 @@ func heartbeatConfig() Config {
 
 func TestHeartbeatNoFalsePositives(t *testing.T) {
 	tb := newTestbed(t, heartbeatConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 2000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 2000, tb.conn)
 	tb.eng.RunFor(2 * time.Second)
 	if got := tb.net.Stats().Detections; got != 0 {
 		t.Fatalf("%d false detections on a healthy network under load", got)
@@ -31,9 +29,7 @@ func TestHeartbeatNoFalsePositives(t *testing.T) {
 
 func TestHeartbeatDetectsLinkFailure(t *testing.T) {
 	tb := newTestbed(t, heartbeatConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	failAt := sim.Time(100 * time.Millisecond)
 	tb.eng.At(failAt, func() { tb.net.FailLink(tb.g.LinkBetween(1, 2)) })
 	tb.eng.RunFor(2 * time.Second)
@@ -58,9 +54,7 @@ func TestHeartbeatDetectsLinkFailure(t *testing.T) {
 
 func TestHeartbeatDetectsNodeFailure(t *testing.T) {
 	tb := newTestbed(t, heartbeatConfig())
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.At(sim.Time(100*time.Millisecond), func() { tb.net.FailNode(1) })
 	tb.eng.RunFor(2 * time.Second)
 	// Node 1 has several incident links; every one with live monitors fires.
@@ -82,9 +76,7 @@ func TestHeartbeatUpstreamNotification(t *testing.T) {
 	cfg := heartbeatConfig()
 	cfg.Scheme = Scheme2
 	tb := newTestbed(t, cfg)
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.At(sim.Time(100*time.Millisecond), func() { tb.net.FailLink(tb.g.LinkBetween(1, 2)) })
 	tb.eng.RunFor(2 * time.Second)
 	if len(tb.net.SourceSwitches(tb.conn.ID)) != 1 {
@@ -107,10 +99,8 @@ func TestHeartbeatNotificationLossRecoveredByRCC(t *testing.T) {
 	cfg.Sink = rec
 	p := cfg.Conformance(testbedMbps)
 	p.DMax = 0 // recovery waits out a 400 ms outage of the notification's link: loss, no Γ bound
-	tb := newTestbedChecked(t, cfg, p)
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	tb := newTestbedOn(t, NewSimTransport(), cfg, p)
+	startTraffic(t, tb.net, 1000, tb.conn)
 	fwd := tb.g.LinkBetween(1, 2)
 	rev := tb.g.LinkBetween(2, 1)
 	failAt := sim.Time(100 * time.Millisecond)

@@ -31,31 +31,16 @@ type dispatchWorld struct {
 	quiet  []string
 }
 
-func runDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool) dispatchWorld {
-	return runTappedDispatchWorld(t, seed, perMsg, heartbeat, nil)
-}
-
-// runTappedDispatchWorld is runDispatchWorld with an optional FrameTap —
+// runDispatchWorld runs one seeded storm, checked, with an optional FrameTap:
 // the corpus harvester (harvest_test.go) taps the same storms the
 // equivalence tests compare.
-func runTappedDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, tap func(topology.LinkID, []byte)) dispatchWorld {
+func runDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, tap func(topology.LinkID, []byte)) dispatchWorld {
 	t.Helper()
 	g := topology.NewTorus(6, 6, 100)
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	rng := rand.New(rand.NewSource(seed))
-	var conns []*core.DConnection
-	for i := 0; i < 70; i++ {
-		s := topology.NodeID(rng.Intn(36))
-		d := topology.NodeID(rng.Intn(36))
-		if s == d {
-			continue
-		}
-		c, err := mgr.Establish(s, d, rtchan.DefaultSpec(), []int{1 + rng.Intn(4)})
-		if err == nil {
-			conns = append(conns, c)
-		}
-	}
+	conns := randomConns(mgr, rng, 70, 4)
 	rec := &trace.Recorder{}
 	cfg := DefaultConfig()
 	cfg.Sink = rec
@@ -66,12 +51,8 @@ func runTappedDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, ta
 		cfg.HeartbeatInterval = sim.Duration(20 * time.Millisecond)
 	}
 	cfg.FrameTap = tap
-	net := New(eng, mgr, cfg)
-	for _, c := range conns[:4] {
-		if err := net.StartTraffic(c.ID, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	startTraffic(t, net, 100, conns[:4]...)
 	// Draw the whole fault schedule upfront so both worlds consume the rng
 	// identically regardless of what the run does with it.
 	var failedNodes []topology.NodeID
@@ -114,7 +95,7 @@ func runTappedDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, ta
 	}
 	eng.RunFor(5 * time.Second)
 	w := dispatchWorld{events: rec.Events, stats: net.Stats(), quiet: net.CheckQuiescence()}
-	w.states = nodeStates(net)
+	w.states = nodeStates(net.Network)
 	return w
 }
 
@@ -179,8 +160,8 @@ func TestBatchedDispatchMatchesPerMessage(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				ctx := fmt.Sprintf("%s/seed%d", name, seed)
-				seq := runDispatchWorld(t, seed, true, hb)
-				bat := runDispatchWorld(t, seed, false, hb)
+				seq := runDispatchWorld(t, seed, true, hb, nil)
+				bat := runDispatchWorld(t, seed, false, hb, nil)
 				if len(seq.events) == 0 {
 					t.Fatalf("%s: storm produced no events; the comparison is vacuous", ctx)
 				}

@@ -35,7 +35,7 @@ func TestHarvestRCCFuzzCorpus(t *testing.T) {
 		}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		runHarvestStorm(t, seed, tap)
+		runDispatchWorld(t, seed, false, true, tap)
 	}
 	if len(byCount) == 0 {
 		t.Fatal("storms produced no multi-control frames to harvest")
@@ -52,11 +52,4 @@ func TestHarvestRCCFuzzCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("harvested %d frames into %s", len(byCount), dir)
-}
-
-// runHarvestStorm drives one seeded storm with the tap attached, reusing the
-// dispatch-equivalence storm driver.
-func runHarvestStorm(t *testing.T, seed int64, tap func(topology.LinkID, []byte)) {
-	t.Helper()
-	runTappedDispatchWorld(t, seed, false, true, tap)
 }

@@ -22,11 +22,9 @@ import (
 type liveTestbed struct {
 	g    *topology.Graph
 	rt   *realtime.Runtime
-	mgr  *core.Manager
-	net  *Network
+	net  *Checked
 	conn *core.DConnection
 	tr   *PipeTransport
-	chk  *conformance.Checker
 }
 
 // liveConformanceParams widens the in-flight tolerance far past the sim
@@ -40,30 +38,20 @@ func liveConformanceParams(cfg Config) conformance.Params {
 }
 
 // newLiveTestbed boots the testbed scenario on a wall-clock runtime. The
-// conformance checker is attached first so its cleanup (which inspects the
-// final trace) runs after the shutdown cleanup stops the world.
+// checker's verdict is registered first so it (which inspects the final
+// trace) runs after the shutdown cleanup stops the world.
 func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 	t.Helper()
-	g := topology.NewMesh(3, 3, testbedMbps)
+	g, mgr, conn := testbedConn(t)
 	rt := realtime.New(seed)
 	rt.StartActors(g.NumNodes(), 1024)
-	mgr := core.NewManager(g, core.DefaultConfig())
-	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
-	conn, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 0, 1, 2),
-		[]topology.Path{path(t, g, 0, 3, 4, 5, 2)},
-		[]int{1})
-	if err != nil {
-		rt.Stop()
-		t.Fatal(err)
-	}
-	chk := attachConformance(t, &cfg, liveConformanceParams(cfg))
 	tr := NewPipeTransport(rt.Post, 1024)
-	lt := &liveTestbed{g: g, rt: rt, mgr: mgr, conn: conn, tr: tr, chk: chk}
+	lt := &liveTestbed{g: g, rt: rt, conn: conn, tr: tr}
+	t.Cleanup(func() { verdict(t, lt.net) })
 	t.Cleanup(lt.shutdown)
 	// Construction arms timers and emits install events; run it serialized
 	// so nothing fires against a half-built network.
-	rt.Exec(func() { lt.net = NewOn(rt, tr, mgr, cfg) })
+	rt.Exec(func() { lt.net = NewChecked(rt, tr, mgr, cfg, liveConformanceParams(cfg)) })
 	return lt
 }
 
@@ -123,7 +111,7 @@ func TestLiveRecoveryAndCleanShutdown(t *testing.T) {
 	l := lt.g.LinkBetween(1, 2)
 	lt.exec(func() { lt.net.FailLink(l) })
 	lt.waitFor(t, "data on the backup", 10*time.Second, func() bool {
-		return len(lt.chk.Recoveries()) == 1
+		return len(lt.net.Checker.Recoveries()) == 1
 	})
 
 	// Repair; the probed rejoin request is held across the outage and the
@@ -204,7 +192,7 @@ func formatSequences(m map[chanOn][]hop) string {
 
 // TestSimLiveEquivalence runs the same scripted link failure under the
 // deterministic engine and under the wall-clock runtime with live pipes,
-// checks both traces with the conformance checker (via attachConformance),
+// checks both traces with each testbed's conformance checker,
 // and requires every (node, channel) to walk the identical ordered Figure-4
 // transition sequence. Timestamps differ between the worlds; the protocol's
 // state skeleton must not.
@@ -215,9 +203,7 @@ func TestSimLiveEquivalence(t *testing.T) {
 	cfg.RejoinTimeout = sim.Duration(60 * time.Second)
 	cfg.Sink = simRec
 	tb := newTestbed(t, cfg)
-	if err := tb.net.StartTraffic(tb.conn.ID, 1000); err != nil {
-		t.Fatal(err)
-	}
+	startTraffic(t, tb.net, 1000, tb.conn)
 	tb.eng.At(sim.Time(50*time.Millisecond), func() {
 		tb.net.FailLink(tb.g.LinkBetween(1, 2))
 	})

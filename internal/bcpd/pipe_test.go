@@ -60,10 +60,7 @@ func newPipeBed(t *testing.T, depth int, hops ...[2]topology.NodeID) *pipeBed {
 		sent: make([][]sim.Time, len(hops)),
 	}
 	for _, h := range hops {
-		c, err := mgr.EstablishOnPaths(rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}, path(t, g, h[0], h[1]), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := establish(t, mgr, rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}, path(t, g, h[0], h[1]), nil)
 		b.conns = append(b.conns, c)
 		b.links = append(b.links, g.LinkBetween(h[0], h[1]))
 	}

@@ -29,24 +29,13 @@ func priorityScenario(t *testing.T, cfg Config) (*Network, *sim.Engine, *topolog
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
-	connLow, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2, 3),
-		[]topology.Path{path(t, g, 1, 5, 6, 7, 3)}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	connHigh, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2, 6),
-		[]topology.Path{path(t, g, 1, 5, 6)}, []int{7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	connLow := establish(t, mgr, spec, path(t, g, 1, 2, 3), []topology.Path{path(t, g, 1, 5, 6, 7, 3)}, 8)
+	connHigh := establish(t, mgr, spec, path(t, g, 1, 2, 6), []topology.Path{path(t, g, 1, 5, 6)}, 7)
 	if got := mgr.Network().Spare(g.LinkBetween(1, 5)); got != 1 {
 		t.Fatalf("spare on 1->5 = %g, want 1 (multiplexed)", got)
 	}
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
-	return net, eng, g, connLow, connHigh
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	return net.Network, eng, g, connLow, connHigh
 }
 
 func TestWithoutPriorityContentionCanDeadlock(t *testing.T) {
@@ -129,22 +118,11 @@ func TestPreemptionNeverHitsHigherPriority(t *testing.T) {
 	eng := sim.New(1)
 	mgr := core.NewManager(g, core.DefaultConfig())
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
-	connHigh, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2, 6),
-		[]topology.Path{path(t, g, 1, 5, 6)}, []int{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	connLow, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 1, 2, 3),
-		[]topology.Path{path(t, g, 1, 5, 6, 7, 3)}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	connHigh := establish(t, mgr, spec, path(t, g, 1, 2, 6), []topology.Path{path(t, g, 1, 5, 6)}, 7)
+	connLow := establish(t, mgr, spec, path(t, g, 1, 2, 3), []topology.Path{path(t, g, 1, 5, 6, 7, 3)}, 8)
 	cfg := DefaultConfig()
 	cfg.AllowPreemption = true
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
-	net := New(eng, mgr, cfg)
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.RunFor(time.Second)
 	if net.Stats().Preemptions != 0 {

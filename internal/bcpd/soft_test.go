@@ -165,7 +165,7 @@ func TestSoftAuditCatchesCorruption(t *testing.T) {
 			if q := tb.net.checkSoft(nil); len(q) != 0 {
 				t.Fatalf("audit of a fresh network: %v", q)
 			}
-			c.corrupt(tb.net, tb.net.soft.tab.Get(tb.conn.Primary.ID))
+			c.corrupt(tb.net.Network, tb.net.soft.tab.Get(tb.conn.Primary.ID))
 			q := tb.net.checkSoft(nil)
 			if !strings.Contains(strings.Join(q, "\n"), c.want) {
 				t.Fatalf("audit %q does not mention %q", q, c.want)

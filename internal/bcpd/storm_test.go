@@ -33,18 +33,7 @@ func TestProtocolStorm(t *testing.T) {
 			eng := sim.New(1)
 			mgr := core.NewManager(g, core.DefaultConfig())
 			rng := rand.New(rand.NewSource(7))
-			var conns []*core.DConnection
-			for i := 0; i < 80; i++ {
-				s := topology.NodeID(rng.Intn(36))
-				d := topology.NodeID(rng.Intn(36))
-				if s == d {
-					continue
-				}
-				c, err := mgr.Establish(s, d, rtchan.DefaultSpec(), []int{1 + rng.Intn(6)})
-				if err == nil {
-					conns = append(conns, c)
-				}
-			}
+			conns := randomConns(mgr, rng, 80, 6)
 			cfg := DefaultConfig()
 			cfg.RejoinTimeout = sim.Duration(700 * time.Millisecond)
 			cfg.RejoinProbeDelay = sim.Duration(80 * time.Millisecond)
@@ -53,13 +42,8 @@ func TestProtocolStorm(t *testing.T) {
 			// activations still in flight are legitimately outstanding.
 			p := cfg.Conformance(g.Link(0).Capacity)
 			p.AllowOutstandingClaims = true
-			attachConformance(t, &cfg, p)
-			net := New(eng, mgr, cfg)
-			for _, c := range conns[:10] {
-				if err := net.StartTraffic(c.ID, 200); err != nil {
-					t.Fatal(err)
-				}
-			}
+			net := newChecked(t, eng, NewSimTransport(), mgr, cfg, p)
+			startTraffic(t, net, 200, conns[:10]...)
 			// The storm: 12 failures over 3 seconds; a third get repaired.
 			for i := 0; i < 12; i++ {
 				at := sim.Duration(100+250*i) * sim.Duration(time.Millisecond)
@@ -134,4 +118,22 @@ func TestProtocolStorm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randomConns makes attempts at connections between random node pairs, each
+// with one backup of multiplexing degree 1..maxDegree, and returns those the
+// resource plane admitted.
+func randomConns(mgr *core.Manager, rng *rand.Rand, attempts, maxDegree int) []*core.DConnection {
+	n := mgr.Graph().NumNodes()
+	var conns []*core.DConnection
+	for i := 0; i < attempts; i++ {
+		s, d := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n))
+		if s == d {
+			continue
+		}
+		if c, err := mgr.Establish(s, d, rtchan.DefaultSpec(), []int{1 + rng.Intn(maxDegree)}); err == nil {
+			conns = append(conns, c)
+		}
+	}
+	return conns
 }

@@ -4,32 +4,20 @@ import (
 	"testing"
 	"time"
 
-	"github.com/rtcl/bcp/internal/core"
-	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/wire"
 )
 
-// newChaosTestbed is newTestbed with a ChaosTransport wrapped around the
-// simulated links.
-func newChaosTestbed(t *testing.T, cfg Config, p ChaosParams) (*testbed, *ChaosTransport) {
+// newChaosTestbed is newTestbed, its rejoin timeout 1 s, with a
+// ChaosTransport under p at seed 7 wrapped around the simulated links.
+func newChaosTestbed(t *testing.T, p ChaosParams) (*testbed, *ChaosTransport) {
 	t.Helper()
-	g := topology.NewMesh(3, 3, 10)
-	eng := sim.New(1)
-	mgr := core.NewManager(g, core.DefaultConfig())
-	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 2}
-	conn, err := mgr.EstablishOnPaths(spec,
-		path(t, g, 0, 1, 2),
-		[]topology.Path{path(t, g, 0, 3, 4, 5, 2)},
-		[]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attachConformance(t, &cfg, cfg.Conformance(g.Link(0).Capacity))
+	cfg := DefaultConfig()
+	cfg.RejoinTimeout = sim.Duration(time.Second)
+	p.Seed = 7
 	ct := NewChaosTransport(NewSimTransport(), p)
-	net := NewOn(eng, ct, mgr, cfg)
-	return &testbed{g: g, eng: eng, mgr: mgr, net: net, conn: conn}, ct
+	return newTestbedOn(t, ct, cfg, cfg.Conformance(testbedMbps)), ct
 }
 
 // auditPool drains the engine and verifies the pooled-buffer census: every
@@ -58,12 +46,7 @@ func auditPool(t *testing.T, tb *testbed, ct *ChaosTransport) {
 // driving the pool census negative — or corrupt a recycled buffer in
 // flight. Dup=1 doubles every frame through a full recovery cycle.
 func TestChaosDuplicateDoesNotAliasPool(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RejoinTimeout = sim.Duration(time.Second)
-	tb, ct := newChaosTestbed(t, cfg, ChaosParams{
-		Seed:    7,
-		Default: LinkChaos{Dup: 1.0},
-	})
+	tb, ct := newChaosTestbed(t, ChaosParams{Default: LinkChaos{Dup: 1.0}})
 	tb.net.FailLink(tb.conn.Primary.Path.Links()[0])
 	tb.eng.RunFor(sim.Duration(200 * time.Millisecond))
 	tb.net.RepairLink(tb.conn.Primary.Path.Links()[0])
@@ -78,12 +61,7 @@ func TestChaosDuplicateDoesNotAliasPool(t *testing.T) {
 // Chaos is then lifted so the stalled recovery can finish — an eternal
 // blackout would legitimately leave activation claims outstanding.
 func TestChaosDropReclaimsFrames(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RejoinTimeout = sim.Duration(time.Second)
-	tb, ct := newChaosTestbed(t, cfg, ChaosParams{
-		Seed:    7,
-		Default: LinkChaos{Drop: 1.0},
-	})
+	tb, ct := newChaosTestbed(t, ChaosParams{Default: LinkChaos{Drop: 1.0}})
 	l := tb.conn.Primary.Path.Links()[0]
 	tb.net.FailLink(l)
 	tb.eng.RunFor(sim.Duration(100 * time.Millisecond))
@@ -106,8 +84,7 @@ func TestChaosDropReclaimsFrames(t *testing.T) {
 // that direction only, keep the pool balanced, and stay invisible to the
 // protocol's component-failure oracle.
 func TestChaosPartitionIsAsymmetric(t *testing.T) {
-	cfg := DefaultConfig()
-	tb, ct := newChaosTestbed(t, cfg, ChaosParams{Seed: 7})
+	tb, ct := newChaosTestbed(t, ChaosParams{})
 	// Cut the direction node 1 -> node 0: the failure report about the
 	// primary's second link must cross it to reach the source. The forward
 	// direction stays open, the protocol sees a healthy link (failures are
@@ -145,10 +122,7 @@ func TestChaosPartitionIsAsymmetric(t *testing.T) {
 func TestChaosCorruptionNeverDecodable(t *testing.T) {
 	decodable := 0
 	tapped := 0
-	cfg := DefaultConfig()
-	cfg.RejoinTimeout = sim.Duration(time.Second)
-	tb, ct := newChaosTestbed(t, cfg, ChaosParams{
-		Seed:    7,
+	tb, ct := newChaosTestbed(t, ChaosParams{
 		Default: LinkChaos{Corrupt: 1.0},
 		CorruptTap: func(_ topology.LinkID, frame []byte) {
 			tapped++
@@ -180,12 +154,7 @@ func TestChaosCorruptionNeverDecodable(t *testing.T) {
 // TestChaosDelayPreservesDelivery: pure jitter (no loss) must not lose or
 // leak any pooled buffer, and recovery must still complete.
 func TestChaosDelayPreservesDelivery(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RejoinTimeout = sim.Duration(time.Second)
-	tb, ct := newChaosTestbed(t, cfg, ChaosParams{
-		Seed:    7,
-		Default: LinkChaos{Delay: 1.0, DelayMax: sim.Duration(3 * time.Millisecond)},
-	})
+	tb, ct := newChaosTestbed(t, ChaosParams{Default: LinkChaos{Delay: 1.0, DelayMax: sim.Duration(3 * time.Millisecond)}})
 	l := tb.conn.Primary.Path.Links()[0]
 	tb.net.FailLink(l)
 	tb.eng.RunFor(sim.Duration(200 * time.Millisecond))

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 // Artifact is a replayable failure record: the (usually shrunk) spec plus
@@ -21,6 +23,9 @@ type Artifact struct {
 	// Note records provenance (e.g. "shrunk from seed 42 episode 17 in 83
 	// probe runs").
 	Note string `json:"note,omitempty"`
+	// Flight is the failing run's flight recorder (Result.Flight): the
+	// events that led up to the first violation.
+	Flight []trace.Event `json:"flight,omitempty"`
 }
 
 // WriteArtifact serializes a to path, creating parent directories.

@@ -140,6 +140,7 @@ func Run(opts Options) (*Report, error) {
 				Spec:       shrunk,
 				Violations: sres.Violations,
 				Digest:     sres.Digest,
+				Flight:     sres.Flight,
 				Note: fmt.Sprintf("shrunk from %s schedule, run seed %d episode %d, %d probe runs",
 					class, opts.Seed, i, sh.Runs()),
 			}

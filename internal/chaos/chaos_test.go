@@ -68,11 +68,12 @@ func TestDeterminism(t *testing.T) {
 // final repair is subsumed by the episode's heal step.
 func TestSabotageCaught(t *testing.T) {
 	rep, err := Run(Options{
-		Seed:     *chaosSeed,
-		Episodes: *chaosEpisodes,
-		Classes:  []string{ClassPingPong, ClassFlapping},
-		Sabotage: &bcpd.Sabotage{SkipPromoteRearm: true},
-		Log:      t.Logf,
+		Seed:        *chaosSeed,
+		Episodes:    *chaosEpisodes,
+		Classes:     []string{ClassPingPong, ClassFlapping},
+		Sabotage:    &bcpd.Sabotage{SkipPromoteRearm: true},
+		ArtifactDir: t.TempDir(),
+		Log:         t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -90,13 +91,21 @@ func TestSabotageCaught(t *testing.T) {
 	if len(f.Violations) == 0 {
 		t.Error("shrunk reproducer no longer fails")
 	}
-	// The reproducer must replay: same spec, same violations class.
-	res, err := RunEpisode(f.Shrunk, RunOptions{Sabotage: &bcpd.Sabotage{SkipPromoteRearm: true}})
+	// The written reproducer must replay: same digest, still failing, and
+	// it carries the flight that led up to the failure.
+	a, err := ReadArtifact(f.ArtifactPath)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if len(a.Flight) == 0 {
+		t.Error("reproducer artifact carries no flight")
+	}
+	res, err := ReplayArtifact(a, RunOptions{Sabotage: &bcpd.Sabotage{SkipPromoteRearm: true}})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if len(res.Violations) == 0 {
-		t.Error("reproducer replay came back clean")
+	if len(res.Violations) == 0 || res.Digest != a.Digest {
+		t.Errorf("reproducer replay: %d violations, digest %s, artifact records %s", len(res.Violations), res.Digest, a.Digest)
 	}
 	// And without the sabotage the same schedule must pass — the failure is
 	// the bug's, not the schedule's.
@@ -106,36 +115,6 @@ func TestSabotageCaught(t *testing.T) {
 	}
 	if len(clean.Violations) != 0 {
 		t.Errorf("reproducer fails even without sabotage: %v", clean.Violations)
-	}
-}
-
-// TestArtifactRoundTrip checks that a written reproducer replays to the
-// same digest after a JSON round trip.
-func TestArtifactRoundTrip(t *testing.T) {
-	spec, err := Generate(*chaosSeed, ClassDouble)
-	if err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	res, err := RunEpisode(spec, RunOptions{})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	path := t.TempDir() + "/repro.json"
-	a := Artifact{Spec: spec, Violations: res.Violations, Digest: res.Digest}
-	if err := WriteArtifact(path, a); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	back, err := ReadArtifact(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	res2, err := ReplayArtifact(back, RunOptions{})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if res2.Digest != res.Digest {
-		t.Fatalf("round-tripped spec replays to a different digest:\n  %s\n  %s",
-			res.Digest, res2.Digest)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
-	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
@@ -51,6 +50,11 @@ type Result struct {
 	// Net and Chaos are the protocol and transport counters.
 	Net   bcpd.Stats
 	Chaos bcpd.ChaosStats
+	// Recoveries are the recoveries the episode closed.
+	Recoveries []trace.Recovery
+	// Flight is what the flight recorder kept up to the first conformance
+	// violation, or to the end when only the audits failed; nil on a pass.
+	Flight []trace.Event
 }
 
 // digestSink hashes the event stream in JSONL encoding as it is emitted, so
@@ -96,6 +100,7 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	}
 
 	digest := newDigestSink()
+	cfg.Sink = digest
 	p := cfg.Conformance(g.Link(0).Capacity)
 	// Safety rules stay on; chaos jitter, loss, and partitions have no
 	// closed-form recovery bound.
@@ -103,8 +108,6 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	// Packets already in flight (propagation plus residual transmission)
 	// may deliver shortly after a crash.
 	p.PropSlack = sim.Duration(6 * time.Millisecond)
-	checker := conformance.New(p)
-	cfg.Sink = trace.Tee{digest, checker}
 
 	params := bcpd.ChaosParams{
 		Seed: mix(spec.Seed, 0x9e3779b97f4a7c15),
@@ -120,7 +123,7 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 		params.CorruptTap = func(_ topology.LinkID, frame []byte) { tap(frame) }
 	}
 	ct := bcpd.NewChaosTransport(bcpd.NewSimTransport(), params)
-	net := bcpd.NewOn(eng, ct, mgr, cfg)
+	net := bcpd.NewChecked(eng, ct, mgr, cfg, p)
 
 	for _, c := range conns {
 		if err := net.StartTraffic(c.ID, episodeTrafficRate); err != nil {
@@ -183,7 +186,8 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 		violations = append(violations,
 			fmt.Sprintf("failed to quiesce: %d events still pending after %v drain", eng.Pending(), episodeDrainBudget))
 	}
-	for _, v := range checker.Finish() {
+	checked := net.Checker.Finish()
+	for _, v := range checked {
 		violations = append(violations, "conformance: "+v.String())
 	}
 	violations = append(violations, net.CheckQuiescence()...)
@@ -197,6 +201,10 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	}
 
 	res.Violations = violations
+	if len(violations) > 0 {
+		res.Flight = net.Flight(checked)
+	}
+	res.Recoveries = net.Checker.Recoveries()
 	res.Digest = digest.Sum()
 	res.Events = digest.events
 	res.Net = net.Stats()

@@ -225,8 +225,7 @@ func (c *Checker) Emit(ev trace.Event) {
 		r, open := c.rec.Open(ev.Conn)
 		if open && c.p.DMax > 0 && r.Hops >= 1 {
 			c.gammaChecked++
-			bound := c.p.DetectionSlack + GammaBound(c.p.DMax, r.Hops, r.Backups)
-			if r.Gamma() > bound {
+			if bound := c.Bound(r); r.Gamma() > bound {
 				c.violate(ev, "gamma",
 					"connection %d recovered in %v, bound %v (K-1=%d hops, b=%d backups)",
 					ev.Conn, r.Gamma(), bound, r.Hops-1, r.Backups)
@@ -247,6 +246,12 @@ func GammaBound(dmax sim.Duration, hops, backups int) sim.Duration {
 		b = 0
 	}
 	return k*dmax + 2*b*k*dmax
+}
+
+// Bound is the Γ bound the checker holds recovery r to: the detection
+// allowance plus GammaBound for r's K and b.
+func (c *Checker) Bound(r trace.Recovery) sim.Duration {
+	return c.p.DetectionSlack + GammaBound(c.p.DMax, r.Hops, r.Backups)
 }
 
 // GammaChecked returns how many recoveries were compared against the Γ

@@ -19,7 +19,6 @@ import (
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
-	"github.com/rtcl/bcp/internal/trace"
 	"github.com/rtcl/bcp/internal/workload"
 )
 
@@ -55,7 +54,6 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		gP := NewGraph(Torus8x8)
 		mP := core.NewManager(gP, opts.config())
 		workload.Establish(mP, allPairs(gP, 1, 3))
-		eng := sim.New(1)
 		cfg := bcpd.DefaultConfig()
 		cfg.DetectionLatency = 0
 		cfg.RejoinTimeout = sim.Duration(time.Hour) // no teardown during the check
@@ -67,10 +65,9 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		// disrupted source carries traffic, so every fast recovery is a
 		// source switch the checker compares against the bound of this
 		// configuration.
-		p := cfg.Conformance(torusCapacityMbps)
-		chk := conformance.New(p)
-		cfg.Sink = chk
-		net := bcpd.New(eng, mP, cfg)
+		eng := sim.New(1)
+		net := bcpd.NewChecked(eng, bcpd.NewSimTransport(), mP, cfg, cfg.Conformance(torusCapacityMbps))
+		chk := net.Checker
 		for _, id := range failedIDs {
 			if err := net.StartTraffic(id, 100); err != nil {
 				t.Fatal(err)
@@ -80,7 +77,7 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		eng.RunFor(2 * time.Second)
 		viols := chk.Finish()
 		t.Logf("link %d, S_max %d B (§5.2: %d channels on the worst pair -> %d B): %d recoveries checked, %d over the bound, worst %v",
-			failLink, cfg.RCC.SMax, maxChans, need, chk.GammaChecked(), len(viols), gammaWorst(p, chk.Recoveries()))
+			failLink, cfg.RCC.SMax, maxChans, need, chk.GammaChecked(), len(viols), gammaWorst(chk))
 		if tc.provisioned {
 			for _, v := range viols {
 				t.Errorf("link %d: conformance: %v", failLink, v)
@@ -118,10 +115,10 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 
 // gammaWorst renders the recovery closest to (or furthest past) its Γ bound,
 // for the ratios EXPERIMENTS.md quotes; the verdict is the checker's.
-func gammaWorst(p conformance.Params, rs []trace.Recovery) string {
+func gammaWorst(chk *conformance.Checker) string {
 	worst, bound, ratio := sim.Duration(0), sim.Duration(0), -1.0
-	for _, r := range rs {
-		b := p.DetectionSlack + conformance.GammaBound(p.DMax, r.Hops, r.Backups)
+	for _, r := range chk.Recoveries() {
+		b := chk.Bound(r)
 		if q := float64(r.Gamma()) / float64(b); q > ratio {
 			worst, bound, ratio = r.Gamma(), b, q
 		}

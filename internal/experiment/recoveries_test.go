@@ -66,20 +66,17 @@ func TestRecoveriesMatchDataPlane(t *testing.T) {
 	t.Run("section5", func(t *testing.T) {
 		opts, cfg := DefaultOptions(), protocolTimingConfig()
 		for _, row := range RunSection5(opts).Rows {
-			var recs trace.Recoveries
-			c := cfg
-			c.Sink = &recs
-			s := section5Scenario(opts, c, row.Backups, row.FailPos, row.BackupHit)
+			s := section5Scenario(opts, cfg, row.Backups, row.FailPos, row.BackupHit)
 			run, err := s.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			run.Run()
-			sw := run.Net.SourceSwitches(run.Conn.ID)
-			if len(recs.Done) != 1 || len(sw) == 0 {
-				t.Fatalf("link %d, %d backups: %d recoveries, %d switches", row.FailPos, row.Backups, len(recs.Done), len(sw))
+			recs, sw := run.Net.Checker.Recoveries(), run.Net.SourceSwitches(run.Conn.ID)
+			if len(recs) != 1 || len(sw) == 0 {
+				t.Fatalf("link %d, %d backups: %d recoveries, %d switches", row.FailPos, row.Backups, len(recs), len(sw))
 			}
-			r := recs.Done[0]
+			r := recs[0]
 			if g := sw[len(sw)-1].Sub(s.FailAt); r.Gamma() != g || r.Gamma() != row.Gamma {
 				t.Errorf("link %d, %d backups: Γ %v, last switch %v, table %v", row.FailPos, row.Backups, r.Gamma(), g, row.Gamma)
 			}

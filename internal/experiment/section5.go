@@ -54,14 +54,13 @@ func protocolTimingConfig() bcpd.Config {
 func RunSection5(opts Options) Section5Result {
 	const hops = 8
 	cfg := protocolTimingConfig()
-	p := cfg.Conformance(torusCapacityMbps)
 	res := Section5Result{
 		Hops:     hops,
-		DMax:     p.DMax,
+		DMax:     cfg.HopBound(torusCapacityMbps),
 		AllBound: true,
 	}
 	trial := func(backups, pos int, hitBackup bool) {
-		row := runSection5Trial(opts, cfg, p, backups, pos, hitBackup)
+		row := runSection5Trial(section5Scenario(opts, cfg, backups, pos, hitBackup))
 		res.Rows = append(res.Rows, row)
 		res.AllBound = res.AllBound && row.Gamma <= row.Bound
 	}
@@ -76,23 +75,21 @@ func RunSection5(opts Options) Section5Result {
 	return res
 }
 
-// runSection5Trial runs the single-connection scenario for one failure
-// position under cfg, conformance-checked live with tolerances p: with
-// p.DMax > 0 the checker holds the recovery to the Γ bound the table reports.
-// The gamma column is that recovery's Γ (crash to the last source switch).
-func runSection5Trial(opts Options, cfg bcpd.Config, p conformance.Params, backups, failPos int, hitBackup bool) Section5Row {
-	chk := conformance.New(p)
-	cfg.Sink = chk
-	run, err := section5Scenario(opts, cfg, backups, failPos, hitBackup).Build()
+// runSection5Trial runs one failure position's scenario, conformance-checked
+// live: with the Γ rule on, the checker holds the recovery to the bound the
+// table reports. The gamma column is that recovery's Γ (crash to the last
+// source switch).
+func runSection5Trial(s TraceScenario) Section5Row {
+	run, err := s.Build()
 	if err != nil {
 		panic(err.Error())
 	}
-	net, conn := run.Net, run.Conn
+	net, conn, chk := run.Net, run.Conn, run.Net.Checker
 	row := Section5Row{
-		FailPos:   failPos,
-		Backups:   backups,
-		BackupHit: hitBackup,
-		Bound:     conformance.GammaBound(p.DMax, conn.Primary.Path.Hops(), backups),
+		FailPos:   s.FailPos,
+		Backups:   s.Backups,
+		BackupHit: s.HitFirst,
+		Bound:     conformance.GammaBound(s.Config.HopBound(torusCapacityMbps), conn.Primary.Path.Hops(), s.Backups),
 	}
 	run.Run()
 	if rs := chk.Recoveries(); len(rs) > 0 {
@@ -177,9 +174,11 @@ func RunSchemeComparison(opts Options) SchemeComparisonResult {
 		for _, pos := range []int{0, hops / 2, hops - 1} {
 			cfg := protocolTimingConfig()
 			cfg.Scheme = scheme
-			p := cfg.Conformance(torusCapacityMbps)
-			p.DMax = 0 // the paper's bound is derived for scheme-3 timing
-			row := runSection5Trial(opts, cfg, p, 1, pos, false)
+			s := section5Scenario(opts, cfg, 1, pos, false)
+			s.Checks = func(p *conformance.Params) {
+				p.DMax = 0 // the paper's bound is derived for scheme-3 timing
+			}
+			row := runSection5Trial(s)
 			res.Rows = append(res.Rows, SchemeRow{
 				Scheme:     scheme,
 				FailPos:    pos,

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/sim"
-	"github.com/rtcl/bcp/internal/trace"
 )
 
 // Storm is a long-lived recovery-storm harness: one connection on the
@@ -23,16 +21,15 @@ import (
 // rejoin restores the old primary as the new backup. The roles ping-pong
 // between the two disjoint paths from cycle to cycle.
 type Storm struct {
-	*TraceRun // the built trace scenario: Eng, Mgr, Net, Conn
+	*TraceRun // the built trace scenario: Eng, Net (with its checker), Conn
 
 	cycles int
 }
 
 // StormConfig parameterizes NewStorm. The zero value is usable.
 type StormConfig struct {
-	Rate float64    // data messages/second; 0 runs the control plane only
-	Seed int64      // engine seed; same seed, same run
-	Sink trace.Sink // optional event sink
+	Rate float64 // data messages/second; 0 runs the control plane only
+	Seed int64   // engine seed; same seed, same run
 }
 
 // Cycle phase lengths: the crash phase covers detection, reports, and
@@ -51,7 +48,6 @@ func NewStorm(cfg StormConfig) (*Storm, error) {
 	s := DefaultTraceScenario()
 	s.Seed = cfg.Seed
 	s.Rate = cfg.Rate
-	s.Config.Sink = cfg.Sink
 	run, err := s.Build()
 	if err != nil {
 		return nil, err
@@ -99,6 +95,3 @@ func (s *Storm) Run(n int) error {
 
 // Cycles returns the number of completed cycles.
 func (s *Storm) Cycles() int { return s.cycles }
-
-// Stats returns the protocol counters accumulated so far.
-func (s *Storm) Stats() bcpd.Stats { return s.Net.Stats() }

@@ -3,20 +3,17 @@ package experiment
 import (
 	"sync"
 	"testing"
-
-	"github.com/rtcl/bcp/internal/conformance"
 )
 
 // TestStormCyclesComplete drives several full crash→rejoin rounds and
 // checks each one restores redundancy (Cycle verifies internally) inside the
 // §5 bound of the scenario's own configuration.
 func TestStormCyclesComplete(t *testing.T) {
-	p := DefaultTraceScenario().Config.Conformance(torusCapacityMbps)
-	chk := conformance.New(p)
-	s, err := NewStorm(StormConfig{Rate: 100, Seed: 1, Sink: chk})
+	s, err := NewStorm(StormConfig{Rate: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	chk := s.Net.Checker
 	if err := s.Run(6); err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +23,8 @@ func TestStormCyclesComplete(t *testing.T) {
 	if got := chk.GammaChecked(); got < 6 {
 		t.Errorf("GammaChecked = %d, want >= 6: the bound is on but was not exercised", got)
 	}
-	t.Logf("%d recoveries checked, worst Γ/bound %v", chk.GammaChecked(), gammaWorst(p, chk.Recoveries()))
-	st := s.Stats()
+	t.Logf("%d recoveries checked, worst Γ/bound %v", chk.GammaChecked(), gammaWorst(chk))
+	st := s.Net.Stats()
 	if st.ActivationsStarted < 6 {
 		t.Errorf("ActivationsStarted = %d, want >= 6", st.ActivationsStarted)
 	}
@@ -54,7 +51,7 @@ func TestStormDeterminism(t *testing.T) {
 		if err := s.Run(4); err != nil {
 			t.Fatal(err)
 		}
-		return s.Cycles(), [2]interface{}{s.Stats(), s.Eng.Now()}
+		return s.Cycles(), [2]interface{}{s.Net.Stats(), s.Eng.Now()}
 	}
 	c1, s1 := run()
 	c2, s2 := run()
@@ -92,7 +89,8 @@ func TestStormsInParallel(t *testing.T) {
 // TestStormCycleAllocs pins the steady state the harness exists to show:
 // after warmup a full crash→switch→repair→rejoin cycle runs on recycled
 // timers, frames and scratch (control plane only, so nothing else is in the
-// measurement).
+// measurement). The cycle is a checked one: the conformance checker and the
+// flight recorder see every event, as in every Storm.
 func TestStormCycleAllocs(t *testing.T) {
 	s, err := NewStorm(StormConfig{Seed: 1})
 	if err != nil {
@@ -106,8 +104,8 @@ func TestStormCycleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 1.0; an unpooled timer or frame costs one allocation per
-	// message, hundreds per cycle.
+	// Measured 2.0 with the checker and recorder on; an unpooled timer or
+	// frame costs one allocation per message, hundreds per cycle.
 	const ceiling = 50
 	if allocs > ceiling {
 		t.Fatalf("storm cycle = %.1f allocs/op, ceiling %d", allocs, ceiling)

@@ -21,8 +21,7 @@ func TestStormWideTorus(t *testing.T) {
 	// node failure floods shared links with hundreds of contending reports
 	// and activations under an RCC far below §5.2; the sampled sources are
 	// where that either shows up in Γ or does not.
-	p := bcpd.DefaultConfig().Conformance(torusCapacityMbps)
-	chk := conformance.New(p)
+	chk := conformance.New(bcpd.DefaultConfig().Conformance(torusCapacityMbps))
 	s, err := NewStormWide(StormWideConfig{Seed: 1, Sink: chk})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +44,7 @@ func TestStormWideTorus(t *testing.T) {
 		t.Errorf("GammaChecked = %d, want >= 16: the bound is on but was not exercised", got)
 	}
 	t.Logf("§5.2 asks %d B (%d channels on the worst pair), S_max is %d B; %d recoveries checked, worst Γ/bound %v",
-		need, maxChans, bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), gammaWorst(p, chk.Recoveries()))
+		need, maxChans, bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), gammaWorst(chk))
 	if q := s.Net.CheckQuiescence(); len(q) != 0 {
 		t.Errorf("quiescence after drain: %v", q)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
+	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/routing"
 	"github.com/rtcl/bcp/internal/rtchan"
@@ -33,6 +34,9 @@ type TraceScenario struct {
 	// Config is the protocol configuration the network runs under,
 	// including the scheme, the event sink and the frame tap.
 	Config bcpd.Config
+	// Checks, when set, edits the tolerances Build derives from Config
+	// (Config.Conformance on the torus's links) for the run's checker.
+	Checks func(*conformance.Params)
 }
 
 // DefaultTraceScenario mirrors bcptrace's defaults: Scheme 3, third primary
@@ -54,21 +58,20 @@ func DefaultTraceScenario() TraceScenario {
 	}
 }
 
-// TraceRun is one built scenario: the live network and the handles a
-// renderer, checker or cycling harness needs.
+// TraceRun is one built scenario: the live network, its checker, and the
+// handles a renderer or cycling harness needs.
 type TraceRun struct {
 	Eng  *sim.Engine
-	Mgr  *core.Manager
 	Conn *core.DConnection
-	Net  *bcpd.Network
+	Net  *bcpd.Checked
 	// Events is the recorded stream (RunTraceScenario only).
 	Events []trace.Event
 
 	scenario TraceScenario
 }
 
-// Build loads the torus, establishes the connection, boots the protocol
-// network and starts the source; nothing has failed yet.
+// Build loads the torus, establishes the connection, boots the checked
+// protocol network and starts the source; nothing has failed yet.
 func (s TraceScenario) Build() (*TraceRun, error) {
 	g := NewGraph(Torus8x8)
 	eng := sim.New(s.Seed)
@@ -92,13 +95,17 @@ func (s TraceScenario) Build() (*TraceRun, error) {
 		return nil, fmt.Errorf("experiment: fail index %d out of range", s.FailPos)
 	}
 
-	net := bcpd.New(eng, mgr, s.Config)
+	p := s.Config.Conformance(torusCapacityMbps)
+	if s.Checks != nil {
+		s.Checks(&p)
+	}
+	net := bcpd.NewChecked(eng, bcpd.NewSimTransport(), mgr, s.Config, p)
 	if s.Rate > 0 {
 		if err := net.StartTraffic(conn.ID, s.Rate); err != nil {
 			return nil, err
 		}
 	}
-	return &TraceRun{Eng: eng, Mgr: mgr, Conn: conn, Net: net, scenario: s}, nil
+	return &TraceRun{Eng: eng, Conn: conn, Net: net, scenario: s}, nil
 }
 
 // Run schedules the scenario's crash (and repair) and runs it to completion.
@@ -123,15 +130,11 @@ func (r *TraceRun) Run() {
 	r.Eng.RunFor(s.RunFor)
 }
 
-// RunTraceScenario builds and runs the scenario with a recorder on its
-// event stream. The run is fully deterministic: same scenario, same stream.
+// RunTraceScenario builds and runs the scenario with a recorder as its
+// Config.Sink. The run is fully deterministic: same scenario, same stream.
 func RunTraceScenario(s TraceScenario) (*TraceRun, error) {
 	rec := &trace.Recorder{}
-	if s.Config.Sink != nil {
-		s.Config.Sink = trace.Tee{rec, s.Config.Sink}
-	} else {
-		s.Config.Sink = rec
-	}
+	s.Config.Sink = rec
 	run, err := s.Build()
 	if err != nil {
 		return nil, err

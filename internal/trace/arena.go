@@ -8,12 +8,9 @@ package trace
 // Like every Sink, an ArenaSink is driven from the single-threaded
 // simulation loop and needs no locking.
 type ArenaSink struct {
-	buf     []Event
-	n       int  // write position; valid records when not wrapped
-	wrapped bool // buf is full and n is the oldest record
-
-	total   uint64 // events emitted over the sink's lifetime
-	dropped uint64 // events overwritten before being read
+	buf   []Event
+	n     int    // write position: the oldest record once the ring has wrapped
+	total uint64 // events emitted over the sink's lifetime
 }
 
 // NewFlightRecorder returns an arena that retains the most recent capacity
@@ -28,43 +25,20 @@ func NewFlightRecorder(capacity int) *ArenaSink {
 // Total returns the number of events emitted over the sink's lifetime.
 func (a *ArenaSink) Total() uint64 { return a.total }
 
-// Dropped returns how many events the ring has overwritten.
-func (a *ArenaSink) Dropped() uint64 { return a.dropped }
-
-// Len returns the number of events currently buffered.
-func (a *ArenaSink) Len() int {
-	if a.wrapped {
-		return len(a.buf)
-	}
-	return a.n
-}
-
 // Emit implements Sink.
 func (a *ArenaSink) Emit(ev Event) {
 	a.total++
-	if a.wrapped {
-		a.dropped++
-	}
 	a.buf[a.n] = ev
-	a.n++
-	if a.n == len(a.buf) {
+	if a.n++; a.n == len(a.buf) {
 		a.n = 0
-		a.wrapped = true
 	}
 }
 
 // Events appends the retained window in emission order to dst and returns
 // the result.
 func (a *ArenaSink) Events(dst []Event) []Event {
-	if a.wrapped {
+	if a.total >= uint64(len(a.buf)) {
 		dst = append(dst, a.buf[a.n:]...)
 	}
 	return append(dst, a.buf[:a.n]...)
-}
-
-// Reset discards buffered events (and the wrap state), keeping the arena
-// and lifetime counters.
-func (a *ArenaSink) Reset() {
-	a.n = 0
-	a.wrapped = false
 }

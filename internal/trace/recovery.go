@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
 )
@@ -38,6 +40,16 @@ func (r Recovery) Disruption() sim.Duration { return r.bound(NumStages).Sub(r.At
 // recorded), so they are clamped monotone and to the resume: an overtaken
 // stage reads zero, and the stages sum to the disruption.
 func (r Recovery) Stage(k int) sim.Duration { return r.bound(k + 1).Sub(r.bound(k)) }
+
+// Stages renders the stage split, " detect 1ms report 0s ...", the way every
+// recovery line prints it.
+func (r Recovery) Stages() string {
+	s := ""
+	for k, name := range StageNames {
+		s += fmt.Sprintf(" %s %v", name, r.Stage(k))
+	}
+	return s
+}
 
 func (r Recovery) bound(i int) sim.Time {
 	b, end := r.At[0], max(r.At[NumStages], r.At[0])
