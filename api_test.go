@@ -165,23 +165,6 @@ func TestPublicApplyRecovery(t *testing.T) {
 	}
 }
 
-func TestPublicBackupRoutingModes(t *testing.T) {
-	for _, mode := range []bcp.Config{
-		func() bcp.Config { c := bcp.DefaultConfig(); c.BackupRouting = bcp.RouteSequential; return c }(),
-		func() bcp.Config { c := bcp.DefaultConfig(); c.BackupRouting = bcp.RouteMaxFlow; return c }(),
-		func() bcp.Config { c := bcp.DefaultConfig(); c.BackupRouting = bcp.RouteLoadAware; return c }(),
-	} {
-		mgr := bcp.NewManager(bcp.NewTorus(6, 6, 200), mode)
-		conn, err := mgr.Establish(0, 14, bcp.DefaultSpec(), []int{3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !conn.Primary.Path.ComponentDisjoint(conn.Backups[0].Path) {
-			t.Fatal("backup not disjoint")
-		}
-	}
-}
-
 func TestPublicSchemeConstants(t *testing.T) {
 	if bcp.Scheme1 == bcp.Scheme2 || bcp.Scheme2 == bcp.Scheme3 {
 		t.Fatal("scheme constants collide")
@@ -230,6 +213,7 @@ var facadeTypeOnly = map[string]string{
 	"ConnID":          "DConnection.ID",
 	"ChannelID":       "Channel.ID",
 	"TrafficSpec":     "DefaultSpec",
+	"Config":          "DefaultConfig",
 	"Channel":         "DConnection.Primary",
 	"TrialView":       "Manager.NewTrialView",
 	"RecoveryStats":   "Manager.Trial",

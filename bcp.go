@@ -80,22 +80,11 @@ type (
 // delay bound satisfied within 2 hops over shortest.
 func DefaultSpec() TrafficSpec { return rtchan.DefaultSpec() }
 
-// DefaultConfig returns the paper's control-plane parameters (λ = 1e-4,
-// sequential shortest-path backup routing).
+// DefaultConfig returns the paper's control-plane parameters (λ = 1e-4).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewManager creates a BCP control plane over an empty network.
 func NewManager(g *Graph, cfg Config) *Manager { return core.NewManager(g, cfg) }
-
-// Backup routing algorithm selectors.
-const (
-	// RouteSequential is the paper's sequential shortest-path method.
-	RouteSequential = core.RouteSequential
-	// RouteMaxFlow finds disjoint paths by unit-capacity max-flow.
-	RouteMaxFlow = core.RouteMaxFlow
-	// RouteLoadAware weights links by prospective spare growth ([HAN97b]).
-	RouteLoadAware = core.RouteLoadAware
-)
 
 // --- Failures and recovery ---------------------------------------------
 

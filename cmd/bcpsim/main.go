@@ -12,7 +12,6 @@
 //	bcpsim -exp sec5               # recovery-delay bound validation
 //	bcpsim -exp schemes            # failure-reporting scheme comparison
 //	bcpsim -exp hotspot            # inhomogeneous-traffic comparison
-//	bcpsim -exp ablation           # design-choice ablations (routing, Π rule)
 //	bcpsim -exp severity           # R_fast vs number of simultaneous failures
 //	bcpsim -exp scalability        # §6: establishment cost vs network size
 //	bcpsim -exp baselines          # BCP vs recover-by-reestablishment (§8)

@@ -28,44 +28,15 @@ import (
 	"github.com/rtcl/bcp/internal/trace"
 )
 
-// BackupRouting selects the algorithm used to route backup channels.
-type BackupRouting uint8
-
-const (
-	// RouteSequential is the paper's method: each backup takes a shortest
-	// feasible path avoiding all components of the connection's earlier
-	// channels.
-	RouteSequential BackupRouting = iota
-	// RouteMaxFlow uses unit-capacity max-flow to find component-disjoint
-	// paths, avoiding greedy traps ([WHA90, SID91]).
-	RouteMaxFlow
-	// RouteLoadAware implements the spare-resource-aware backup routing the
-	// authors develop in [HAN97b]: each link is weighted by the growth of
-	// its spare pool if the backup crossed it, so backups gravitate toward
-	// links where they multiplex well. Reduces total spare bandwidth at the
-	// cost of (bounded) longer backup paths.
-	RouteLoadAware
-)
-
 // Config parameterizes a Manager.
 type Config struct {
 	// Lambda is the per-component failure probability during one time unit
 	// (the paper's λ). It scales every multiplexing threshold.
 	Lambda float64
-
-	// BackupRouting selects the backup path algorithm (default sequential).
-	BackupRouting BackupRouting
-
-	// DisablePiDegreeRestriction turns off the paper's §3.2 refinement that
-	// Π(Bi,ℓ) only counts backups with no greater multiplexing degree.
-	// With the refinement off, one small-ν backup forces the link's spare
-	// pool to cover every conflicting backup — the overestimation the paper
-	// warns about. Exposed for the ablation experiment.
-	DisablePiDegreeRestriction bool
 }
 
 // DefaultConfig returns the configuration used by the paper's evaluation:
-// λ=1e-4 and sequential shortest-path routing.
+// λ=1e-4.
 func DefaultConfig() Config {
 	return Config{Lambda: 1e-4}
 }

@@ -184,7 +184,7 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 		bp := p.backupAt(i)
 		bp.alpha = alpha
 		bp.cls = m.plan.degreeClass(alpha)
-		links, ok := pc.routeBackup(src, dst, bp.cls, pc.sig)
+		links, ok := pc.routeBackup(src, dst)
 		if !ok {
 			p.err = fmt.Errorf("core: no feasible disjoint path for backup %d of %d->%d", i+1, src, dst)
 			return
@@ -221,62 +221,33 @@ const backupSlackHops = 2
 // channels, which is what keeps the pair disjoint) and returns its links in
 // pc.router's scratch, valid until the next search. Candidate links must have
 // pc.bw free — the paper's forward-pass reservation without multiplexing; the
-// exact spare-pool check is the admission probe. cls (the backup's threshold
-// class) and primRow (the primary's signature row) feed the load-aware weight
-// when RouteLoadAware is configured. Every caller — the plan phase,
-// ReplenishBackups, EstablishWithPr — sets pc.bw first.
-func (pc *planContext) routeBackup(src, dst topology.NodeID, cls int32, primRow []uint64) ([]topology.LinkID, bool) {
-	m := pc.m
-	cfg := &m.plan.cfg
+// exact spare-pool check is the admission probe. Every caller — the plan
+// phase, ReplenishBackups, EstablishWithPr — sets pc.bw first.
+func (pc *planContext) routeBackup(src, dst topology.NodeID) ([]topology.LinkID, bool) {
 	c := pc.excl.Constrain(routing.Constraint{LinkAllowed: pc.linkFeasible})
-	if cfg.BackupRouting == RouteMaxFlow {
-		sets := pc.router.DisjointLinks(src, dst, 1, c)
-		if len(sets) == 0 {
-			return nil, false
-		}
-		return sets[0], true
-	}
 	// The slack bound is relative to the shortest disjoint path regardless
 	// of current bandwidth availability. That distance is never below the
 	// cached unconstrained one, so a path found within Distance+slack is
 	// within the bound, and is the path the search under the exact bound
 	// returns (the labels below its length are the same): only a miss pays
-	// for the exclusion-aware distance. A hop-bounded weighted search depends
-	// on the bound itself, so load-aware routing always starts from the exact
-	// one.
-	tried := 0
-	if cfg.BackupRouting != RouteLoadAware {
-		tried = pc.router.Distance(src, dst) + backupSlackHops
-		c.MaxHops = tried
-		if links, ok := pc.router.ShortestLinks(src, dst, c); ok {
-			return links, true
-		}
+	// for the exclusion-aware distance.
+	tried := pc.router.Distance(src, dst) + backupSlackHops
+	c.MaxHops = tried
+	if links, ok := pc.router.ShortestLinks(src, dst, c); ok {
+		return links, true
 	}
 	hops := pc.router.ShortestDistance(src, dst, pc.excl.Constrain(routing.Constraint{}))
 	if hops < 0 || hops+backupSlackHops <= tried {
 		return nil, false // cut off by the exclusion, or nothing new to try
 	}
 	c.MaxHops = hops + backupSlackHops
-	if cfg.BackupRouting == RouteLoadAware {
-		// [HAN97b]: weight each link by the spare-pool growth the backup
-		// would cause there, plus a small per-hop cost so ties (zero-growth
-		// corridors) still prefer short paths.
-		bw := pc.bw
-		w := func(l topology.LinkID) float64 {
-			return 0.05*bw + pc.prospectiveSpareIncrease(l, primRow, bw, cls)
-		}
-		if links, ok := pc.router.MinCostLinks(src, dst, c, w); ok {
-			return links, true
-		}
-		// Fall through to shortest-path if the weighted search fails.
-	}
 	return pc.router.ShortestLinks(src, dst, c)
 }
 
 // routeBackupPath is routeBackup for the callers that establish the channel
 // at once and so need a Path rather than a plan record.
-func (pc *planContext) routeBackupPath(src, dst topology.NodeID, cls int32, primRow []uint64) (topology.Path, bool) {
-	links, ok := pc.routeBackup(src, dst, cls, primRow)
+func (pc *planContext) routeBackupPath(src, dst topology.NodeID) (topology.Path, bool) {
+	links, ok := pc.routeBackup(src, dst)
 	if !ok {
 		return topology.Path{}, false
 	}

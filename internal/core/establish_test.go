@@ -11,9 +11,8 @@ import (
 )
 
 type establishVariant struct {
-	name    string
-	routing BackupRouting
-	spec    func(rng *rand.Rand) rtchan.TrafficSpec
+	name string
+	spec func(rng *rand.Rand) rtchan.TrafficSpec
 }
 
 func establishVariants() []establishVariant {
@@ -29,14 +28,12 @@ func establishVariants() []establishVariant {
 				return spec
 			},
 		},
-		{name: "load-aware", routing: RouteLoadAware, spec: defaultBatchSpec}, // spare-aware backup weights
-		{name: "max-flow", routing: RouteMaxFlow, spec: defaultBatchSpec},
 	}
 }
 
 // TestEstablishVariantsKeepInvariants is the randomized run of plan +
 // commitPlan under every configuration that changes what a plan decides:
-// four variants over tight tori, meshes and random graphs. After the fill the
+// two variants over tight tori, meshes and random graphs. After the fill the
 // multiplexing and reservation invariants hold; a rejection consumed no
 // connection id and moved no link's accounts; and a second manager fed the
 // same requests ends in the identical state (establishment is a function of
@@ -53,7 +50,6 @@ func TestEstablishVariantsKeepInvariants(t *testing.T) {
 				ctx := fmt.Sprintf("%s seed %d", v.name, seed)
 
 				cfg := DefaultConfig()
-				cfg.BackupRouting = v.routing
 				m, twin := NewManager(g, cfg), NewManager(g, cfg)
 				spare := make([]float64, g.NumLinks())
 				dedicated := make([]float64, g.NumLinks())

@@ -126,7 +126,6 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 	}
 	pc := m.estCtx
 	pc.bw = conn.Spec.Bandwidth
-	cls := m.plan.degreeClass(alpha)
 	added := 0
 	for len(conn.Backups) < target {
 		excl := pc.excl.Reset()
@@ -141,7 +140,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 				}
 			}
 		}
-		bPath, ok := pc.routeBackupPath(conn.Src, conn.Dst, cls, m.plan.sigRow(conn.sig))
+		bPath, ok := pc.routeBackupPath(conn.Src, conn.Dst)
 		if !ok {
 			break
 		}

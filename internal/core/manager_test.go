@@ -107,25 +107,6 @@ func TestEstablishZeroBackups(t *testing.T) {
 	}
 }
 
-func TestEstablishMaxFlowRouting(t *testing.T) {
-	g := topology.NewTorus(8, 8, 200)
-	cfg := DefaultConfig()
-	cfg.BackupRouting = RouteMaxFlow
-	m := NewManager(g, cfg)
-	conn, err := m.Establish(3, 40, rtchan.DefaultSpec(), []int{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chans := conn.Channels()
-	for i := range chans {
-		for j := i + 1; j < len(chans); j++ {
-			if !chans[i].Path.ComponentDisjoint(chans[j].Path) {
-				t.Fatal("max-flow backups not disjoint")
-			}
-		}
-	}
-}
-
 func TestEstablishOnPathsValidation(t *testing.T) {
 	g, path := mesh3(t)
 	m := newTestManager(g)
@@ -302,7 +283,7 @@ func TestRouteBackupRespectsExclusion(t *testing.T) {
 	pc := m.estCtx
 	pc.excl.Reset().AddPath(p)
 	pc.bw = 1
-	b, ok := pc.routeBackupPath(0, 5, m.plan.degreeClass(1), nil)
+	b, ok := pc.routeBackupPath(0, 5)
 	if !ok {
 		t.Fatal("no backup path")
 	}

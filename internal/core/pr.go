@@ -117,9 +117,8 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	{
 		excl := m.estCtx.excl.Reset()
 		addExcluded(excl, &p.prim)
-		cls := m.plan.degreeClass(maxAlpha)
 		for i := 0; i < maxBackups; i++ {
-			bPath, ok := m.estCtx.routeBackupPath(src, dst, cls, primRow)
+			bPath, ok := m.estCtx.routeBackupPath(src, dst)
 			if !ok {
 				break
 			}

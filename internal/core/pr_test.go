@@ -237,26 +237,6 @@ func TestEstablishWithPrBesidePrimarylessConnection(t *testing.T) {
 	if !met {
 		t.Fatal("the negotiated backups never met the primary-less connection's")
 	}
-	// The load-aware link weight is the same scan: along a path that hosts
-	// the primary-less connection's backup, the predicted spare growth of
-	// each link is what admitting a backup there then costs.
-	primary, backup := rejoining.Backups[0].Path, rejoining.Backups[1].Path
-	primRow := make([]uint64, m.plan.sigStride)
-	m.plan.writeSig(primRow, primary.Links(), primary.Nodes())
-	cls := m.plan.degreeClass(3)
-	var predicted, before []float64
-	for _, l := range backup.Links() {
-		predicted = append(predicted, m.estCtx.prospectiveSpareIncrease(l, primRow, spec.Bandwidth, cls))
-		before = append(before, m.SpareOnLink(l))
-	}
-	if _, err := m.EstablishOnPaths(spec, primary, []topology.Path{backup}, []int{3}); err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range backup.Links() {
-		if grew := m.SpareOnLink(l) - before[i]; grew != predicted[i] {
-			t.Fatalf("link %d: spare grew by %g, the load-aware weight predicted %g", l, grew, predicted[i])
-		}
-	}
 	if err := m.CheckMuxInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -177,30 +177,3 @@ func TestPropertyApplyKeepsCapacityInvariant(t *testing.T) {
 		}
 	}
 }
-
-func TestPropertyPiRestrictionSavesSpare(t *testing.T) {
-	// The §3.2 refinement can only reduce (or keep) each link's spare.
-	build := func(disable bool, seed int64) float64 {
-		cfg := DefaultConfig()
-		cfg.DisablePiDegreeRestriction = disable
-		g := topology.NewTorus(6, 6, 100)
-		m := NewManager(g, cfg)
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 200; i++ {
-			s := topology.NodeID(rng.Intn(36))
-			d := topology.NodeID(rng.Intn(36))
-			if s == d {
-				continue
-			}
-			_, _ = m.Establish(s, d, rtchan.DefaultSpec(), []int{1 + rng.Intn(6)})
-		}
-		return m.plan.net.SpareFraction()
-	}
-	for seed := int64(60); seed < 64; seed++ {
-		with := build(false, seed)
-		without := build(true, seed)
-		if with > without+1e-9 {
-			t.Fatalf("seed %d: restricted spare %g exceeds unrestricted %g", seed, with, without)
-		}
-	}
-}

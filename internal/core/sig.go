@@ -188,8 +188,8 @@ func (p *NetworkPlan) thrRow(cls int32, cn int) []uint16 {
 // pairThresholds returns the overlaps at which an existing backup of class
 // eCls counts a new one of class newCls (ke) and the reverse (kn), for
 // primaries of ce and cn components. Each side compares against its own ν,
-// and, unless DisablePiDegreeRestriction is set, only counts peers whose ν is
-// no greater than its own; a side that may not count gets min(ce,cn)+1.
+// and only counts peers whose ν is no greater than its own; a side that may
+// not count gets min(ce,cn)+1.
 // A primary-less side (count 0) counts and is counted unconditionally.
 func (p *NetworkPlan) pairThresholds(ce, cn int, eCls, newCls int32) (ke, kn int) {
 	if ce == 0 || cn == 0 {
@@ -197,11 +197,10 @@ func (p *NetworkPlan) pairThresholds(ce, cn int, eCls, newCls int32) (ke, kn int
 	}
 	ke, kn = min(ce, cn)+1, min(ce, cn)+1
 	nuE, nuN := p.thr.nus[eCls], p.thr.nus[newCls]
-	free := p.cfg.DisablePiDegreeRestriction
-	if free || nuN <= nuE {
+	if nuN <= nuE {
 		ke = int(p.thrRow(eCls, cn)[ce])
 	}
-	if free || nuE <= nuN {
+	if nuE <= nuN {
 		kn = int(p.thrRow(newCls, cn)[ce])
 	}
 	return ke, kn

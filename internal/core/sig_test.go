@@ -327,64 +327,62 @@ func TestEstablishOnPathsRejectsBadPaths(t *testing.T) {
 // rule it replaces, exhaustively on the 8x8 torus: for every pair of odd
 // component counts a simple path there can have, every overlap the pair can
 // have, and every pair of degrees 0–8, each side counts the other iff
-// sc ≥ its threshold iff the reference formula says S ≥ ν (and, with the
-// degree restriction on, the other side's ν is no greater). A primary-less
+// sc ≥ its threshold iff the reference formula says S ≥ ν and the other
+// side's ν is no greater (the §3.2 degree restriction). A primary-less
 // side (count 0) counts and is counted unconditionally.
 func TestPiThresholdExact(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
 	maxC := 2*g.NumNodes() - 1
 	const degrees = 9
 	for _, lambda := range []float64{1e-4, 1e-3, 1e-6, 0.3} {
-		for _, free := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.Lambda, cfg.DisablePiDegreeRestriction = lambda, free
-			p := &NewManager(g, cfg).plan
-			var cls [degrees]int32
-			var nu [degrees]float64
-			for a := range cls {
-				cls[a], nu[a] = p.degreeClass(a), reliability.NuForDegree(lambda, a)
-			}
-			atAlpha := 0 // cells of degree 3 whose threshold is 3
-			var ke, kn [degrees * degrees]int
-			for ce := 1; ce <= maxC; ce += 2 {
-				for cn := 1; cn <= maxC; cn += 2 {
+		cfg := DefaultConfig()
+		cfg.Lambda = lambda
+		p := &NewManager(g, cfg).plan
+		var cls [degrees]int32
+		var nu [degrees]float64
+		for a := range cls {
+			cls[a], nu[a] = p.degreeClass(a), reliability.NuForDegree(lambda, a)
+		}
+		atAlpha := 0 // cells of degree 3 whose threshold is 3
+		var ke, kn [degrees * degrees]int
+		for ce := 1; ce <= maxC; ce += 2 {
+			for cn := 1; cn <= maxC; cn += 2 {
+				for ae := range cls {
+					for an := range cls {
+						ke[ae*degrees+an], kn[ae*degrees+an] = p.pairThresholds(ce, cn, cls[ae], cls[an])
+					}
+				}
+				if ke[3*degrees+3] == 3 {
+					atAlpha++
+				}
+				for sc := 0; sc <= min(ce, cn); sc++ {
+					s := reliability.SimultaneousActivation(lambda, ce, cn, sc)
 					for ae := range cls {
 						for an := range cls {
-							ke[ae*degrees+an], kn[ae*degrees+an] = p.pairThresholds(ce, cn, cls[ae], cls[an])
-						}
-					}
-					if ke[3*degrees+3] == 3 {
-						atAlpha++
-					}
-					for sc := 0; sc <= min(ce, cn); sc++ {
-						s := reliability.SimultaneousActivation(lambda, ce, cn, sc)
-						for ae := range cls {
-							for an := range cls {
-								i := ae*degrees + an
-								wantE := (free || nu[an] <= nu[ae]) && s >= nu[ae]
-								wantN := (free || nu[ae] <= nu[an]) && s >= nu[an]
-								if (sc >= ke[i]) != wantE || (sc >= kn[i]) != wantN {
-									t.Fatalf("λ=%g free=%v c=(%d,%d) sc=%d α=(%d,%d): thresholds (%d,%d) decide (%v,%v), reference S=%v decides (%v,%v)",
-										lambda, free, ce, cn, sc, ae, an, ke[i], kn[i], sc >= ke[i], sc >= kn[i], s, wantE, wantN)
-								}
+							i := ae*degrees + an
+							wantE := nu[an] <= nu[ae] && s >= nu[ae]
+							wantN := nu[ae] <= nu[an] && s >= nu[an]
+							if (sc >= ke[i]) != wantE || (sc >= kn[i]) != wantN {
+								t.Fatalf("λ=%g c=(%d,%d) sc=%d α=(%d,%d): thresholds (%d,%d) decide (%v,%v), reference S=%v decides (%v,%v)",
+									lambda, ce, cn, sc, ae, an, ke[i], kn[i], sc >= ke[i], sc >= kn[i], s, wantE, wantN)
 							}
 						}
 					}
 				}
 			}
-			for a := range cls {
-				if ke, kn := p.pairThresholds(0, 7, cls[a], cls[(a+1)%degrees]); ke != 0 || kn != 0 {
-					t.Fatalf("λ=%g: primary-less side gets thresholds (%d,%d), want (0,0)", lambda, ke, kn)
-				}
-				for _, k := range p.thrRow(cls[a], 0) {
-					if k != 0 {
-						t.Fatalf("λ=%g α=%d: the row for a primary-less new side holds %d", lambda, a, k)
-					}
+		}
+		for a := range cls {
+			if ke, kn := p.pairThresholds(0, 7, cls[a], cls[(a+1)%degrees]); ke != 0 || kn != 0 {
+				t.Fatalf("λ=%g: primary-less side gets thresholds (%d,%d), want (0,0)", lambda, ke, kn)
+			}
+			for _, k := range p.thrRow(cls[a], 0) {
+				if k != 0 {
+					t.Fatalf("λ=%g α=%d: the row for a primary-less new side holds %d", lambda, a, k)
 				}
 			}
-			if lambda == 1e-4 && !free {
-				t.Logf("λ=1e-4: K = α at α = 3 for %d of %d cells", atAlpha, (maxC+1)*(maxC+1)/4)
-			}
+		}
+		if lambda == 1e-4 {
+			t.Logf("λ=1e-4: K = α at α = 3 for %d of %d cells", atAlpha, (maxC+1)*(maxC+1)/4)
 		}
 	}
 }

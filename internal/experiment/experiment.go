@@ -84,7 +84,7 @@ type Renderable interface{ Render() string }
 // them.
 var IDs = []string{"table1a", "table1b", "table1c", "table2a", "table2b", "table2c",
 	"table3a", "table3b", "fig9a", "fig9b", "fig9c", "fig3", "sec5", "schemes",
-	"hotspot", "ablation", "severity", "scalability", "baselines"}
+	"hotspot", "severity", "scalability", "baselines"}
 
 // Run runs the experiment named id with the paper's parameters.
 func Run(id string, opts Options) (Renderable, error) {
@@ -121,8 +121,6 @@ func Run(id string, opts Options) (Renderable, error) {
 		return RunSchemeComparison(opts), nil
 	case "hotspot":
 		return RunHotspot(opts), nil
-	case "ablation":
-		return RunAblation(opts), nil
 	case "severity":
 		return RunSeverity(5, 200, opts), nil
 	case "scalability":

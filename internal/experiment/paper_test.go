@@ -248,14 +248,10 @@ func shapeClaims(tables map[string]string) []string {
 	for _, f := range fails {
 		claim(v("table1b", f, "mux=6") > v("table1a", f, "mux=5"), "%s: two backups at mux=6 not above one at mux=5", f)
 	}
-	// Hot spots: proposed beats brute force. Ablation: load-aware routing
-	// saves spare and keeps link coverage; dropping the Π rule inflates it.
+	// Hot spots: proposed beats brute force.
 	for _, f := range fails[:2] {
 		claim(v("hotspot", "proposed", f) > v("hotspot", "brute-force", f), "hotspot %s: brute force not beaten", f)
 	}
-	claim(v("ablation", "load-aware [HAN97b]", "Spare bw") < v("ablation", "sequential shortest-path (paper)", "Spare bw"), "ablation: load-aware spare not below sequential")
-	claim(v("ablation", "load-aware [HAN97b]", "1 link") >= 99, "ablation: load-aware lost link coverage")
-	claim(v("ablation", "Π degree restriction off", "Spare bw") > v("ablation", "Π degree restriction on (paper)", "Spare bw"), "ablation: Π off does not inflate spare")
 
 	// §5: every row within its bound (the title's verdict), Γ not falling
 	// with the failure's distance from the source for one backup (the first

@@ -8,9 +8,9 @@ import (
 
 // Router is a reusable path-finding engine bound to one graph. It owns every
 // piece of scratch state the searches need — generation-stamped label
-// arrays, the BFS queue, the Dijkstra heap, the unit-capacity flow network —
-// so repeated searches allocate nothing once the arenas are warm. It also
-// caches one unconstrained distance-to-destination row per destination node.
+// arrays, the BFS queue, the unit-capacity flow network — so repeated
+// searches allocate nothing once the arenas are warm. It also caches one
+// unconstrained distance-to-destination row per destination node.
 // The row answers Distance in O(1), so batch workloads that query every pair
 // (all-pairs establishment) pay N tree builds instead of N² breadth-first
 // searches, and it is the lower bound that keeps every constrained search
@@ -43,14 +43,6 @@ type Router struct {
 	links   []topology.LinkID // result buffer for the *Links searches
 	nodeSeq []topology.NodeID // node-sequence buffer for path materialization
 
-	// Dijkstra arena. Labels are valid iff dGen[n] == dgen.
-	dgen  uint32
-	dGen  []uint32
-	dDist []float64
-	dHops []int32
-	dVia  []topology.LinkID
-	heap  []pqItem
-
 	// toDst[dst][n] is the unconstrained hop distance from n to dst (-1
 	// unreachable): one reverse BFS per row, built lazily, dropped on a
 	// version change.
@@ -82,12 +74,6 @@ type Stats struct {
 // Stats returns the search counters.
 func (r *Router) Stats() Stats { return r.stats }
 
-// pqItem is a priority-queue entry for Dijkstra's algorithm.
-type pqItem struct {
-	node topology.NodeID
-	dist float64
-}
-
 // flowPred records the BFS predecessor arc during flow augmentation.
 type flowPred struct {
 	node, idx int32
@@ -114,11 +100,7 @@ func (r *Router) sync() {
 		r.nodeGen = make([]uint32, n)
 		r.dist = make([]int32, n)
 		r.nodeMark = make([]uint32, n)
-		r.dGen = make([]uint32, n)
-		r.dDist = make([]float64, n)
-		r.dHops = make([]int32, n)
-		r.dVia = make([]topology.LinkID, n)
-		r.gen, r.mark, r.dgen = 0, 0, 0
+		r.gen, r.mark = 0, 0
 	}
 	if len(r.fnEdges) < 2*n {
 		r.fnEdges = make([][]flowEdge, 2*n)
@@ -142,18 +124,6 @@ func (r *Router) nextGen() uint32 {
 		r.gen = 1
 	}
 	return r.gen
-}
-
-// nextDGen advances the Dijkstra label stamp, clearing the arena on wrap.
-func (r *Router) nextDGen() uint32 {
-	r.dgen++
-	if r.dgen == 0 {
-		for i := range r.dGen {
-			r.dGen[i] = 0
-		}
-		r.dgen = 1
-	}
-	return r.dgen
 }
 
 // nextMark advances the validity-check stamp, clearing the arena on wrap.
@@ -383,138 +353,6 @@ func (r *Router) nodesFor(links []topology.LinkID) []topology.NodeID {
 	}
 	r.nodeSeq = nodes
 	return nodes
-}
-
-// heapPush and heapPop mirror container/heap's sift rules exactly (binary
-// arity, identical comparison and swap sequence), so the pop order among
-// equal-distance entries — and therefore tie-breaking among equal-cost
-// paths — is byte-identical to the boxed implementation they replace. The
-// win is structural: no interface boxing, no per-push allocation, labels in
-// flat arrays instead of per-call slices.
-func (r *Router) heapPush(it pqItem) {
-	r.heap = append(r.heap, it)
-	j := len(r.heap) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(r.heap[j].dist < r.heap[i].dist) {
-			break
-		}
-		r.heap[i], r.heap[j] = r.heap[j], r.heap[i]
-		j = i
-	}
-}
-
-func (r *Router) heapPop() pqItem {
-	h := r.heap
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
-			j = j2
-		}
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	it := h[n]
-	r.heap = h[:n]
-	return it
-}
-
-// MinCostLinks returns the link sequence of a minimum-cost src→dst path
-// under c with link costs given by w, and whether one exists. Hop limits in
-// c are honored as a hard constraint on the number of links. The slice is
-// the router's scratch buffer, valid until the next search on r.
-func (r *Router) MinCostLinks(src, dst topology.NodeID, c Constraint, w WeightFunc) ([]topology.LinkID, bool) {
-	if src == dst || w == nil {
-		return nil, false
-	}
-	r.sync()
-	g := r.g
-	gen := r.nextDGen()
-	r.dGen[src] = gen
-	r.dDist[src] = 0
-	r.dHops[src] = 0
-	r.dVia[src] = topology.NoLink
-	r.heap = r.heap[:0]
-	r.heapPush(pqItem{node: src, dist: 0})
-	for len(r.heap) > 0 {
-		it := r.heapPop()
-		if it.dist > r.dDist[it.node] {
-			continue // stale entry
-		}
-		if it.node == dst {
-			break
-		}
-		if c.MaxHops > 0 && int(r.dHops[it.node]) >= c.MaxHops {
-			continue
-		}
-		base, hops := r.dDist[it.node], r.dHops[it.node]
-		for _, l := range g.Out(it.node) {
-			if !c.linkOK(l) {
-				continue
-			}
-			lk := g.Link(l)
-			if lk.To != dst && !c.nodeOK(lk.To) {
-				continue
-			}
-			cost := w(l)
-			if cost <= 0 {
-				cost = 1e-9 // guard against zero/negative weights
-			}
-			nd := base + cost
-			if r.dGen[lk.To] != gen || nd < r.dDist[lk.To] {
-				r.dGen[lk.To] = gen
-				r.dDist[lk.To] = nd
-				r.dHops[lk.To] = hops + 1
-				r.dVia[lk.To] = l
-				r.heapPush(pqItem{node: lk.To, dist: nd})
-			}
-		}
-	}
-	if r.dGen[dst] != gen {
-		return nil, false
-	}
-	// Walk the via chain to count hops (a label overwrite can leave dHops
-	// inconsistent with the final chain), then fill the buffer backwards.
-	// The mark stamps reject any node revisit — the arena equivalent of the
-	// NewPath validation the boxed implementation leaned on.
-	mark := r.nextMark()
-	n := 0
-	for cur := dst; cur != src; {
-		if r.nodeMark[cur] == mark {
-			return nil, false // braided under MaxHops; treat as no path
-		}
-		r.nodeMark[cur] = mark
-		cur = g.Link(r.dVia[cur]).From
-		n++
-		if n > g.NumNodes() {
-			return nil, false
-		}
-	}
-	if c.MaxHops > 0 && n > c.MaxHops {
-		return nil, false
-	}
-	if cap(r.links) < n {
-		r.links = make([]topology.LinkID, n)
-	}
-	links := r.links[:n]
-	for cur := dst; cur != src; {
-		l := r.dVia[cur]
-		n--
-		links[n] = l
-		cur = g.Link(l).From
-	}
-	r.links = links
-	return links, true
 }
 
 // SequentialDisjointPaths implements the paper's routing discipline: it

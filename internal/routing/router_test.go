@@ -1,10 +1,8 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -119,95 +117,6 @@ func refShortestPath(g *topology.Graph, src, dst topology.NodeID, c Constraint) 
 	p, err := topology.NewPath(g, links)
 	if err != nil {
 		panic("routing: reference backtrack built invalid path: " + err.Error())
-	}
-	return p, true
-}
-
-type refPQItem struct {
-	node topology.NodeID
-	dist float64
-}
-
-type refPQ []refPQItem
-
-func (q refPQ) Len() int            { return len(q) }
-func (q refPQ) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q refPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *refPQ) Push(x interface{}) { *q = append(*q, x.(refPQItem)) }
-func (q *refPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-func refMinCostPath(g *topology.Graph, src, dst topology.NodeID, c Constraint, w WeightFunc) (topology.Path, bool) {
-	if src == dst || w == nil {
-		return topology.Path{}, false
-	}
-	type label struct {
-		dist float64
-		hops int
-		via  topology.LinkID
-	}
-	labels := make([]label, g.NumNodes())
-	for i := range labels {
-		labels[i] = label{dist: -1, via: topology.NoLink}
-	}
-	labels[src] = label{dist: 0, via: topology.NoLink}
-	q := &refPQ{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(refPQItem)
-		lb := labels[it.node]
-		if it.dist > lb.dist {
-			continue
-		}
-		if it.node == dst {
-			break
-		}
-		if c.MaxHops > 0 && lb.hops >= c.MaxHops {
-			continue
-		}
-		for _, l := range g.Out(it.node) {
-			if !c.linkOK(l) {
-				continue
-			}
-			lk := g.Link(l)
-			if lk.To != dst && !c.nodeOK(lk.To) {
-				continue
-			}
-			cost := w(l)
-			if cost <= 0 {
-				cost = 1e-9
-			}
-			nd := lb.dist + cost
-			tl := labels[lk.To]
-			if tl.dist < 0 || nd < tl.dist {
-				labels[lk.To] = label{dist: nd, hops: lb.hops + 1, via: l}
-				heap.Push(q, refPQItem{node: lk.To, dist: nd})
-			}
-		}
-	}
-	if labels[dst].dist < 0 {
-		return topology.Path{}, false
-	}
-	var rev []topology.LinkID
-	for cur := dst; cur != src; {
-		l := labels[cur].via
-		rev = append(rev, l)
-		cur = g.Link(l).From
-	}
-	links := make([]topology.LinkID, len(rev))
-	for i, l := range rev {
-		links[len(rev)-1-i] = l
-	}
-	p, err := topology.NewPath(g, links)
-	if err != nil {
-		return topology.Path{}, false
-	}
-	if c.MaxHops > 0 && p.Hops() > c.MaxHops {
-		return topology.Path{}, false
 	}
 	return p, true
 }
@@ -529,18 +438,6 @@ func TestRouterMatchesReference(t *testing.T) {
 			}
 			cRouter.MaxHops, cRef.MaxHops = drawn, drawn
 
-			// Weighted search. The weight is a deterministic hash of the
-			// link id, heavy on ties to stress heap-order compatibility.
-			wh := rng.Int63n(1 << 20)
-			w := func(l topology.LinkID) float64 {
-				return 1 + float64((int64(l)*2654435761>>16+wh)%4)
-			}
-			gl, gok := r.MinCostLinks(src, dst, cRouter, w)
-			wp, wok := refMinCostPath(g, src, dst, cRef, w)
-			if gok != wok || (gok && !slices.Equal(gl, wp.Links())) {
-				t.Fatalf("%s: MinCostLinks(%d,%d) = %v,%v want %v,%v", tag, src, dst, gl, gok, wp, wok)
-			}
-
 			// Disjoint sets, both disciplines.
 			count := 1 + rng.Intn(4)
 			if got, want := r.MaxDisjointPaths(src, dst, count, cRouter), refMaxDisjointPaths(g, src, dst, count, cRef); !samePaths(got, want) {
@@ -694,7 +591,6 @@ func TestRouterZeroAllocSteadyState(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
 	r := NewRouter(g)
 	src, dst := topology.NodeID(0), topology.NodeID(36)
-	w := func(l topology.LinkID) float64 { return 1 + float64(int(l)%3) }
 	excl := NewExclusion()
 	c := excl.Constrain(Constraint{})
 
@@ -706,11 +602,6 @@ func TestRouterZeroAllocSteadyState(t *testing.T) {
 		{"ShortestDistance", func() { r.ShortestDistance(src, dst, c) }},
 		{"ShortestLinks", func() {
 			if _, ok := r.ShortestLinks(src, dst, c); !ok {
-				t.Fatal("no path")
-			}
-		}},
-		{"MinCostLinks", func() {
-			if _, ok := r.MinCostLinks(src, dst, c, w); !ok {
 				t.Fatal("no path")
 			}
 		}},

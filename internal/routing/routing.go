@@ -1,6 +1,6 @@
 // Package routing provides the path-selection algorithms used to establish
-// primary and backup channels: constrained breadth-first shortest paths,
-// weighted shortest paths, and disjoint path search.
+// primary and backup channels: constrained breadth-first shortest paths and
+// disjoint path search.
 //
 // The paper routes channels with a "sequential shortest-path search": the
 // primary is routed on a shortest feasible path, then each backup on a
@@ -10,9 +10,9 @@
 // the unconstrained distance computation and the bandwidth-constrained one.
 //
 // All searches run on a Router, a reusable engine that owns every piece of
-// scratch state (label arrays, queues, the Dijkstra heap, the flow network),
-// so steady-state searches allocate nothing. A Router is single-threaded:
-// the core Manager and the experiment drivers hold one per worker.
+// scratch state (label arrays, queues, the flow network), so steady-state
+// searches allocate nothing. A Router is single-threaded: the core Manager
+// and the experiment drivers hold one per worker.
 package routing
 
 import "github.com/rtcl/bcp/internal/topology"
@@ -50,12 +50,6 @@ func (c Constraint) nodeOK(n topology.NodeID) bool {
 	}
 	return c.NodeAllowed == nil || c.NodeAllowed(n)
 }
-
-// WeightFunc assigns a positive cost to a link. Weighted routing is used by
-// load-aware backup-routing extensions ([HAN97b] reduces spare bandwidth by
-// steering backups toward links where they multiplex well); the paper's main
-// results use unit weights.
-type WeightFunc func(topology.LinkID) float64
 
 // bitset is a fixed-universe membership set over dense int ids, grown on
 // demand so the zero value works for any graph size.

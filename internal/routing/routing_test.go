@@ -223,37 +223,6 @@ func TestMaxDisjointPathsRespectsConstraints(t *testing.T) {
 	}
 }
 
-func TestMinCostPath(t *testing.T) {
-	g := topology.NewRing(5, 10)
-	// Penalize the clockwise 0->1 link heavily: 0->1 should go around.
-	heavy := g.LinkBetween(0, 1)
-	w := func(l topology.LinkID) float64 {
-		if l == heavy {
-			return 100
-		}
-		return 1
-	}
-	links, ok := NewRouter(g).MinCostLinks(0, 1, Constraint{}, w)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if len(links) != 4 {
-		t.Fatalf("hops = %d, want 4 (around the ring)", len(links))
-	}
-	// With a hop bound the heavy link is the only choice.
-	links, ok = NewRouter(g).MinCostLinks(0, 1, Constraint{MaxHops: 2}, w)
-	if !ok || len(links) != 1 || links[0] != heavy {
-		t.Fatalf("bounded min-cost path wrong: %v ok=%v", links, ok)
-	}
-}
-
-func TestMinCostPathNilWeight(t *testing.T) {
-	g := topology.NewRing(5, 10)
-	if _, ok := NewRouter(g).MinCostLinks(0, 1, Constraint{}, nil); ok {
-		t.Fatal("nil weight should fail")
-	}
-}
-
 func TestExclusion(t *testing.T) {
 	g := topology.NewMesh(3, 3, 10)
 	p, _ := topology.PathBetween(g, []topology.NodeID{0, 1, 2})
