@@ -110,6 +110,6 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestModelCheck|TestSabotageCaught|TestGolden' \
 		./internal/chaos -chaos.seed=$(CHAOS_SEED) -chaos.episodes=$(CHAOS_EPISODES)
 
-CHAOS_NIGHTLY_DIGEST = 4a0d37abf9bbb93a4f44db9299fd1cf85bb9237bd234bdc4e09ff577064956ee
+CHAOS_NIGHTLY_DIGEST = 04637abcbb6176ef9e90766caed724ee9c4c944eb8dfe16a052759407dbb94a1
 chaos-nightly:
 	$(GO) run ./cmd/bcpchaos -seed 1 -episodes 1000 -v -want $(CHAOS_NIGHTLY_DIGEST)

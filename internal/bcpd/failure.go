@@ -1,6 +1,7 @@
 package bcpd
 
 import (
+	"github.com/rtcl/bcp/internal/rcc"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
@@ -160,7 +161,16 @@ func (n *Network) RepairNode(v topology.NodeID) {
 		n.emitComponent(trace.KindNodeUp, v, topology.NoLink)
 	}
 	n.nodes[v] = &daemon{net: n, id: v}
+	// The reboot lost the node's RCC sessions, so each pair of endpoints on
+	// its links starts a new one: neither side retransmits, or acts on, a
+	// frame of the dead incarnation. A link without a reverse carries no
+	// session (deliverFrame).
 	g := n.mgr.Graph()
+	for _, l := range g.Out(v) {
+		if rev := g.Reverse(l); rev != topology.NoLink {
+			rcc.Restart(n.links[l].rccE, n.links[rev].rccE)
+		}
+	}
 	for _, l := range g.Out(v) {
 		n.RepairLink(l)
 	}

@@ -82,7 +82,8 @@ func TestRandomizedDuplex(t *testing.T) {
 // test above: arbitrary bytes into the receive path must never panic, a
 // well-formed frame must never be delivered twice, and batched delivery
 // (SetBatchReceiver) must deliver exactly what per-message delivery does, in
-// the same order with the same counters. Inline seeds cover a valid
+// the same order with the same counters. The same bytes then script a duplex
+// session with restarts (sessionScript). Inline seeds cover a valid
 // single-control frame, multi-control and budget-full frames, a pure ack,
 // and truncations; testdata/fuzz/FuzzHandleFrame carries frames harvested
 // from protocol storm runs (regenerate with bcpd's TestHarvestRCCFuzzCorpus).
@@ -115,6 +116,10 @@ func FuzzHandleFrame(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add(multi[:len(multi)-2])
 	f.Add([]byte{})
+	// Session scripts: a restart with both sessions' first frames on the
+	// wire, and one with a's frames lost until after the restart.
+	f.Add([]byte{0, 1, 6, 7, 0, 1, 254})
+	f.Add([]byte{3, 0, 0, 1, 42, 3, 7, 1, 0, 254})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := sim.New(1)
 		var seqDeliv, batDeliv []wire.Control
@@ -150,5 +155,71 @@ func FuzzHandleFrame(f *testing.F) {
 			t.Fatalf("endpoint counters diverged:\n  per-message: %+v\n  batched:     %+v",
 				e1.Stats(), e2.Stats())
 		}
+		sessionScript(t, data)
 	})
+}
+
+// sessionScript runs two endpoints joined by a 2 ms pipe through the ops in
+// script, one per byte (low two bits): submit on a, submit on b, advance the
+// clock by the byte's upper bits in 100 µs steps, or — bit 2 set — Restart
+// the pair, else toggle loss of every frame. Each control names its session
+// and its index there, and each receiver demands the current session's next
+// index: delivery is in order and exactly once within a session, and nothing
+// of an earlier session arrives after a restart. After the script the pipe
+// is lossless, and the last session must deliver everything submitted in it.
+func sessionScript(t *testing.T, script []byte) {
+	eng := sim.New(1)
+	const delay = 2 * sim.Duration(time.Millisecond)
+	var (
+		a, b      *Endpoint
+		lossy     bool
+		session   int64
+		submitted [2]int64 // this session's controls, a→b and b→a
+		delivered [2]int64
+	)
+	send := func(peer **Endpoint) func([]byte) {
+		return func(data []byte) {
+			if lossy {
+				return
+			}
+			d := append([]byte(nil), data...)
+			eng.Schedule(delay, func() { (*peer).HandleFrame(d) })
+		}
+	}
+	recv := func(dir int) func(wire.Control) {
+		return func(c wire.Control) {
+			if c.Origin != int32(dir) || c.Channel>>32 != session || c.Channel&(1<<32-1) != delivered[dir] {
+				t.Fatalf("direction %d in session %d after %d deliveries got control %d/%d of session %d",
+					dir, session, delivered[dir], c.Origin, c.Channel&(1<<32-1), c.Channel>>32)
+			}
+			delivered[dir]++
+		}
+	}
+	a = NewEndpoint(eng, DefaultParams(), send(&b), recv(1))
+	b = NewEndpoint(eng, DefaultParams(), send(&a), recv(0))
+	submit := func(e *Endpoint, dir int) {
+		e.Submit(wire.Control{Type: wire.MsgActivation, Channel: session<<32 | submitted[dir], Origin: int32(dir), Toward: 1})
+		submitted[dir]++
+	}
+	for _, op := range script {
+		switch {
+		case op&3 == 0:
+			submit(a, 0)
+		case op&3 == 1:
+			submit(b, 1)
+		case op&3 == 2:
+			eng.RunFor(sim.Duration(op>>2) * 100 * sim.Duration(time.Microsecond))
+		case op&4 != 0:
+			Restart(a, b)
+			session++
+			submitted, delivered = [2]int64{}, [2]int64{}
+		default:
+			lossy = !lossy
+		}
+	}
+	lossy = false
+	eng.RunFor(sim.Duration(time.Minute))
+	if delivered != submitted {
+		t.Fatalf("session %d delivered %v of %v controls", session, delivered, submitted)
+	}
 }
