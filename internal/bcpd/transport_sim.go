@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/rtcl/bcp/internal/sched"
+	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -12,9 +13,8 @@ import (
 // delivering them after the propagation delay, with control frames carried
 // zero-copy — the marshaled buffer rides the scheduler inside a recycled
 // pointer box and returns to the network's pool after delivery or drop.
-// Under sim.Engine this is bit-identical to the pre-seam engine; it works
-// under the wall-clock runtime too (every entry point is runtime-serialized),
-// though live runs normally use PipeTransport.
+// It runs on the simulator only (sched.Link keys its events on sim.Engine);
+// live runs use PipeTransport.
 type SimTransport struct {
 	n     *Network
 	links []*sched.Link
@@ -27,17 +27,21 @@ type SimTransport struct {
 // NewSimTransport creates an unattached sim transport; NewOn attaches it.
 func NewSimTransport() *SimTransport { return &SimTransport{} }
 
-// Attach builds the per-link transmitters against the network's runtime and
-// graph. One drop handler is shared by every link: the payload type alone
-// says what to reclaim.
+// Attach builds the per-link transmitters against the network's simulator
+// and graph, and panics on any other runtime. One drop handler is shared by
+// every link: the payload type alone says what to reclaim.
 func (t *SimTransport) Attach(n *Network) {
+	eng, ok := n.rt.(*sim.Engine)
+	if !ok {
+		panic(fmt.Sprintf("bcpd: SimTransport needs the simulator (*sim.Engine), not %T; live runs use PipeTransport", n.rt))
+	}
 	t.n = n
 	g := n.mgr.Graph()
 	t.links = make([]*sched.Link, g.NumLinks())
 	drop := t.reclaim
 	for _, l := range g.Links() {
 		lID := l.ID
-		sl := sched.NewLink(n.rt, l.Capacity, n.cfg.PropDelay, n.cfg.MaxQueue, func(p sched.Packet) {
+		sl := sched.NewLink(eng, l.Capacity, n.cfg.PropDelay, n.cfg.MaxQueue, func(p sched.Packet) {
 			t.deliver(lID, p)
 		})
 		sl.SetDropHandler(drop)

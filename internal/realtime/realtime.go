@@ -174,7 +174,7 @@ func (r *Runtime) timerLoop() {
 		now := r.Now()
 		for {
 			r.tmu.Lock()
-			_, fn, ok := r.timers.Pop(now)
+			_, _, fn, ok := r.timers.Pop(now)
 			r.tmu.Unlock()
 			if !ok {
 				break

@@ -4,17 +4,16 @@
 // service classes (RCC control traffic above real-time data above
 // best-effort).
 //
-// The scheduler drives packet timing in protocol-mode simulations: each link
-// serializes packets at its capacity, delivering them after a propagation
-// delay. Failed links drop everything silently, matching the paper's crash
-// model.
+// The scheduler drives packet timing in protocol-mode simulations on
+// sim.Engine: each link serializes packets at its capacity, delivering them
+// after a propagation delay. Failed links drop everything silently, matching
+// the paper's crash model.
 package sched
 
 import (
 	"fmt"
 	"time"
 
-	"github.com/rtcl/bcp/internal/runtime"
 	"github.com/rtcl/bcp/internal/sim"
 )
 
@@ -83,6 +82,19 @@ func (cq *classQueue) pop() Packet {
 	return p
 }
 
+// popTail removes the newest packet.
+func (cq *classQueue) popTail() Packet {
+	n := len(cq.q) - 1
+	p := cq.q[n]
+	cq.q[n] = Packet{}
+	cq.q = cq.q[:n]
+	if cq.head == n {
+		cq.q = cq.q[:0]
+		cq.head = 0
+	}
+	return p
+}
+
 func (cq *classQueue) clear() {
 	for i := cq.head; i < len(cq.q); i++ {
 		cq.q[i] = Packet{}
@@ -94,12 +106,17 @@ func (cq *classQueue) clear() {
 // Link is one simplex link's transmitter: a serializing resource at a fixed
 // capacity with per-class FIFO queues and a propagation delay.
 //
-// The transmit loop runs on two closures built once at construction
-// (txDoneFn, deliverFn); the packet being serialized and those in
-// propagation live in cur and the flight queue rather than in per-event
-// closures, so a busy link schedules events without allocating.
+// A packet hop costs one event. When a transmission starts, the packet joins
+// the flight queue and its arrival is scheduled at start + tx + prop; the
+// key a transmit-done event at start + tx would get is only reserved
+// (txEnd). That event is queued under the reserved key when something must
+// happen at transmit end: a packet waits behind the one being serialized, or
+// the link went down during its serialization (the packet is then lost). An
+// idle link notices a finished transmission from the key alone
+// (sim.Engine.Fired). Both events run on closures built once at
+// construction, so a busy link schedules without allocating.
 type Link struct {
-	eng     runtime.Runtime
+	eng     *sim.Engine
 	bps     float64 // capacity in bits/second
 	prop    sim.Duration
 	deliver func(Packet)
@@ -107,21 +124,25 @@ type Link struct {
 
 	queues   [numClasses]classQueue
 	maxQueue int
-	busy     bool
+	busy     bool // a transmission started at txEnd's reservation; see serializing
 	down     bool
 	stats    LinkStats
 
-	cur       Packet     // packet currently being serialized
-	flight    classQueue // packets in propagation, in delivery order
+	// flight holds every packet that has left the queues, in arrival order;
+	// while serializing, its tail is the packet on the wire.
+	flight    classQueue
+	txEnd     sim.Key   // reserved key of the current transmission's end
+	txQueued  bool      // txDoneFn is queued under txEnd
+	arrival   sim.Timer // the tail's arrival, stopped if it is lost
 	txDoneFn  func()
 	deliverFn func()
 }
 
-// NewLink creates a transmitter. capacityMbps is the link bandwidth in
-// Mbps (1e6 bits/s); prop is the propagation delay; deliver is invoked in
-// simulated time when a packet reaches the far end. maxQueue bounds each
-// class queue (0 = unbounded).
-func NewLink(eng runtime.Runtime, capacityMbps float64, prop sim.Duration, maxQueue int, deliver func(Packet)) *Link {
+// NewLink creates a transmitter on the simulator. capacityMbps is the link
+// bandwidth in Mbps (1e6 bits/s); prop is the propagation delay; deliver is
+// invoked in simulated time when a packet reaches the far end. maxQueue
+// bounds each class queue (0 = unbounded).
+func NewLink(eng *sim.Engine, capacityMbps float64, prop sim.Duration, maxQueue int, deliver func(Packet)) *Link {
 	if capacityMbps <= 0 {
 		panic("sched: non-positive capacity")
 	}
@@ -130,20 +151,18 @@ func NewLink(eng runtime.Runtime, capacityMbps float64, prop sim.Duration, maxQu
 	}
 	l := &Link{eng: eng, bps: capacityMbps * 1e6, prop: prop, maxQueue: maxQueue, deliver: deliver}
 	l.txDoneFn = func() {
-		if !l.down {
-			// The packet enters propagation. The propagation delay is fixed
-			// per link and transmissions serialize, so deliveries fire in
-			// flight-queue order.
-			l.flight.push(l.cur)
-			l.eng.Schedule(l.prop, l.deliverFn)
-		} else {
+		l.txQueued = false
+		if l.down {
+			// The packet never finished leaving the transmitter.
+			l.arrival.Stop()
 			l.stats.DroppedDown++
-			l.drop(l.cur)
-			l.cur = Packet{}
+			l.drop(l.flight.popTail())
 		}
 		l.startNext()
 	}
 	l.deliverFn = func() {
+		// The propagation delay is fixed per link and transmissions
+		// serialize, so arrivals fire in flight-queue order.
 		p := l.flight.pop()
 		l.stats.Delivered++
 		l.deliver(p)
@@ -166,15 +185,30 @@ func (l *Link) drop(p Packet) {
 	}
 }
 
-// SetDown marks the link failed or repaired. Packets queued or in flight
-// when the link goes down are lost (a crashed link "loses all messages
-// transmitted over it").
+// serializing reports whether a packet is on the wire now: a transmission
+// started and its end key has not fired. Whether an event is queued under
+// that key does not matter.
+func (l *Link) serializing() bool {
+	return l.busy && !l.eng.Fired(l.txEnd)
+}
+
+// queueTxDone makes sure the transmit-done event runs at txEnd.
+func (l *Link) queueTxDone() {
+	if !l.txQueued {
+		l.txQueued = true
+		l.eng.AtKey(l.txEnd, l.txDoneFn)
+	}
+}
+
+// SetDown marks the link failed or repaired. Packets queued or being
+// serialized when the link goes down are lost (a crashed link "loses all
+// messages transmitted over it"); one being serialized is dropped when its
+// transmission would have ended, unless the link is back up by then.
 func (l *Link) SetDown(down bool) {
 	l.down = down
 	if down {
-		// Queued packets are lost; packets already in propagation (the
-		// flight queue) still arrive — they left the transmitter before the
-		// crash.
+		// Queued packets are lost; packets already in propagation still
+		// arrive — they left the transmitter before the crash.
 		for c := range l.queues {
 			cq := &l.queues[c]
 			l.stats.DroppedDown += uint64(cq.len())
@@ -184,6 +218,9 @@ func (l *Link) SetDown(down bool) {
 				}
 			}
 			cq.clear()
+		}
+		if l.serializing() {
+			l.queueTxDone()
 		}
 	}
 }
@@ -199,10 +236,12 @@ func (l *Link) Each(fn func(Packet)) {
 			fn(cq.q[i])
 		}
 	}
-	if l.busy {
-		fn(l.cur)
+	n := len(l.flight.q)
+	if l.serializing() {
+		n--
+		fn(l.flight.q[n])
 	}
-	for i := l.flight.head; i < len(l.flight.q); i++ {
+	for i := l.flight.head; i < n; i++ {
 		fn(l.flight.q[i])
 	}
 }
@@ -227,27 +266,38 @@ func (l *Link) Enqueue(p Packet) {
 	}
 	l.stats.Enqueued++
 	l.queues[p.Class].push(p)
-	if !l.busy {
+	if l.serializing() {
+		l.queueTxDone()
+	} else {
 		l.startNext()
 	}
 }
 
-// startNext dequeues the highest-priority packet and transmits it.
+// startNext dequeues the highest-priority packet and transmits it: reserve
+// the transmit-done key first, so it takes the sequence number a scheduled
+// transmit-done would have, then schedule the arrival. The transmit-done
+// event is queued now only if another packet is already waiting.
 func (l *Link) startNext() {
-	found := false
-	for c := Class(0); c < numClasses; c++ {
-		if l.queues[c].len() > 0 {
-			l.cur = l.queues[c].pop()
-			found = true
-			break
+	for c := range l.queues {
+		cq := &l.queues[c]
+		if cq.len() == 0 {
+			continue
 		}
-	}
-	if !found {
-		l.busy = false
+		p := cq.pop()
+		waiting := cq.len() > 0
+		for d := c + 1; !waiting && d < len(l.queues); d++ {
+			waiting = l.queues[d].len() > 0
+		}
+		l.busy = true
+		txTime := sim.Duration(float64(p.Size*8) / l.bps * float64(time.Second))
+		l.stats.BusyTime += txTime
+		l.txEnd = l.eng.ReserveKey(l.eng.Now().Add(txTime))
+		l.flight.push(p)
+		l.arrival = l.eng.At(l.txEnd.At.Add(l.prop), l.deliverFn)
+		if waiting {
+			l.queueTxDone()
+		}
 		return
 	}
-	l.busy = true
-	txTime := sim.Duration(float64(l.cur.Size*8) / l.bps * float64(time.Second))
-	l.stats.BusyTime += txTime
-	l.eng.Schedule(txTime, l.txDoneFn)
+	l.busy = false
 }

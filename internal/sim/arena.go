@@ -100,6 +100,23 @@ func (a *TimerArena) Earliest() (at Time, ok bool) {
 // it carries (see MakeTimer). head reports that the new timer is now the
 // earliest, which is when a host sleeping toward the old head must wake.
 func (a *TimerArena) Add(at Time, fn func()) (idx int32, gen uint32, head bool) {
+	seq := a.seq
+	a.seq++
+	return a.AddKeyed(at, seq, fn)
+}
+
+// ReserveSeq takes the sequence number the next Add would use without
+// queueing anything, so a timer queued later under it with AddKeyed orders
+// among equal deadlines as if it had been added now.
+func (a *TimerArena) ReserveSeq() uint64 {
+	seq := a.seq
+	a.seq++
+	return seq
+}
+
+// AddKeyed is Add under a sequence number ReserveSeq handed out. Each
+// reserved number may be queued at most once: (at, seq) must stay unique.
+func (a *TimerArena) AddKeyed(at Time, seq uint64, fn func()) (idx int32, gen uint32, head bool) {
 	if n := len(a.free); n > 0 {
 		idx = a.free[n-1]
 		a.free = a.free[:n-1]
@@ -108,8 +125,7 @@ func (a *TimerArena) Add(at Time, fn func()) (idx int32, gen uint32, head bool) 
 		idx = int32(len(a.slots) - 1)
 	}
 	a.slots[idx].fn = fn
-	a.heap = append(a.heap, timerEntry{at: at, seq: a.seq, idx: idx})
-	a.seq++
+	a.heap = append(a.heap, timerEntry{at: at, seq: seq, idx: idx})
 	a.siftUp(len(a.heap) - 1)
 	return idx, a.slots[idx].gen, a.heap[0].idx == idx
 }
@@ -131,19 +147,20 @@ func (a *TimerArena) Active(idx int32, gen uint32) bool {
 	return a.slots[idx].gen == gen
 }
 
-// Pop removes the head if it is due at or before limit and returns its
-// deadline and function for the caller to run; ok is false when nothing is
-// due. The slot is released before Pop returns: the function may re-arm
-// into it, and any handle to the fired generation already reads as dead.
-func (a *TimerArena) Pop(limit Time) (at Time, fn func(), ok bool) {
+// Pop removes the head if it is due at or before limit and returns its key
+// (deadline and sequence number) and function for the caller to run; ok is
+// false when nothing is due. The slot is released before Pop returns: the
+// function may re-arm into it, and any handle to the fired generation
+// already reads as dead.
+func (a *TimerArena) Pop(limit Time) (at Time, seq uint64, fn func(), ok bool) {
 	if len(a.heap) == 0 || a.heap[0].at > limit {
-		return 0, nil, false
+		return 0, 0, nil, false
 	}
-	at, idx := a.heap[0].at, a.heap[0].idx
-	fn = a.slots[idx].fn
+	head := a.heap[0]
+	fn = a.slots[head.idx].fn
 	a.removeAt(0)
-	a.release(idx)
-	return at, fn, true
+	a.release(head.idx)
+	return head.at, head.seq, fn, true
 }
 
 // release retires slot idx's current generation and returns the slot to

@@ -119,6 +119,15 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("schedule+cancel allocates %v/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() {
+		k := e.ReserveKey(e.Now().Add(time.Microsecond))
+		e.Schedule(2*time.Microsecond, fn)
+		e.AtKey(k, fn)
+		e.Step()
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("reserve+keyed add+fire allocates %v/op, want 0", n)
+	}
 }
 
 // --- differential oracle ---------------------------------------------------
@@ -165,13 +174,31 @@ func (h *oracleHeap) Pop() any {
 type oracleQueue struct {
 	events oracleHeap
 	seq    uint64
+	last   *oracleTimer // the timer popped last; nil before the first
 }
 
 func (o *oracleQueue) add(at Time, id int) *oracleTimer {
-	t := &oracleTimer{at: at, seq: o.seq, id: id}
+	return o.addKeyed(at, o.reserve(), id)
+}
+
+// reserve hands out the sequence number the next add would take.
+func (o *oracleQueue) reserve() uint64 {
 	o.seq++
+	return o.seq - 1
+}
+
+// addKeyed queues a timer under a reserved sequence number: it orders by
+// that number, not by when it was queued.
+func (o *oracleQueue) addKeyed(at Time, seq uint64, id int) *oracleTimer {
+	t := &oracleTimer{at: at, seq: seq, id: id}
 	heap.Push(&o.events, t)
 	return t
+}
+
+// fired reports whether a timer keyed (at, seq) would already have run: the
+// oracle has popped a timer at or after that key.
+func (o *oracleQueue) fired(at Time, seq uint64) bool {
+	return o.last != nil && (at < o.last.at || at == o.last.at && seq <= o.last.seq)
 }
 
 // head discards stopped tombstones and returns the next live timer, or nil.
@@ -193,6 +220,7 @@ func (o *oracleQueue) pop(limit Time) *oracleTimer {
 	}
 	heap.Pop(&o.events)
 	t.fired = true
+	o.last = t
 	return t
 }
 
@@ -233,20 +261,32 @@ func checkHeap(t testing.TB, a *TimerArena) {
 }
 
 // arenaDiff drives a TimerArena and the container/heap oracle through the
-// same add / stop / pop calls and requires the same answer from every one:
-// which timer Pop returns and when it refuses, Stop's and Active's results,
-// Earliest, Len, and Add's report that the new timer became the head (the
-// wall-clock runtime's wake signal). Handles are kept after they fire or
-// stop, so a later Stop through one is a stale-handle probe.
+// same add / reserve / keyed add / stop / pop calls and requires the same
+// answer from every one: which timer Pop returns (deadline and sequence
+// number) and when it refuses, Stop's and Active's results, Earliest, Len,
+// the reserved sequence numbers, and Add's and AddKeyed's report that the
+// new timer became the head (the wall-clock runtime's wake signal). Handles
+// are kept after they fire or stop, so a later Stop through one is a
+// stale-handle probe. A reservation is queued later only if its key has not
+// fired, which is judged from the key Pop last reported (as sim.Engine
+// does) and must agree with the oracle's popped order.
 type arenaDiff struct {
-	t       testing.TB
-	name    string
-	op      int
-	a       TimerArena
-	o       oracleQueue
-	now     Time // deadline of the last timer popped, as a host's clock
-	popped  int  // id of the timer whose function ran last
-	handles []arenaHandle
+	t        testing.TB
+	name     string
+	op       int
+	a        TimerArena
+	o        oracleQueue
+	now      Time   // deadline of the last timer popped, as a host's clock
+	nowSeq   uint64 // its sequence number
+	anyPop   bool
+	popped   int // id of the timer whose function ran last
+	handles  []arenaHandle
+	reserved []reservedKey // reserved, not yet queued
+}
+
+type reservedKey struct {
+	at  Time
+	seq uint64
 }
 
 type arenaHandle struct {
@@ -274,11 +314,46 @@ func (d *arenaDiff) add(at Time) {
 	d.handles = append(d.handles, arenaHandle{idx, gen, d.o.add(at, id)})
 }
 
+// reserve takes a sequence number for a timer at at, to be queued later.
+func (d *arenaDiff) reserve(at Time) {
+	d.t.Helper()
+	seq := d.a.ReserveSeq()
+	if want := d.o.reserve(); seq != want {
+		d.fatalf("ReserveSeq = %d, oracle %d", seq, want)
+	}
+	d.reserved = append(d.reserved, reservedKey{at, seq})
+}
+
+// queueReserved queues reservation i under its key, or, if the key has
+// already fired, checks that the oracle agrees and forgets it.
+func (d *arenaDiff) queueReserved(i int) {
+	d.t.Helper()
+	r := d.reserved[i]
+	d.reserved = append(d.reserved[:i], d.reserved[i+1:]...)
+	fired := d.anyPop && (r.at < d.now || r.at == d.now && r.seq <= d.nowSeq)
+	if want := d.o.fired(r.at, r.seq); fired != want {
+		d.fatalf("key (%v, %d) fired=%v, oracle %v", r.at, r.seq, fired, want)
+	}
+	if fired {
+		return
+	}
+	id := len(d.handles)
+	wantHead := true
+	if h := d.o.head(); h != nil && (h.at < r.at || h.at == r.at && h.seq < r.seq) {
+		wantHead = false
+	}
+	idx, gen, head := d.a.AddKeyed(r.at, r.seq, func() { d.popped = id })
+	if head != wantHead {
+		d.fatalf("AddKeyed at (%v, %d) reports head=%v, oracle %v", r.at, r.seq, head, wantHead)
+	}
+	d.handles = append(d.handles, arenaHandle{idx, gen, d.o.addKeyed(r.at, r.seq, id)})
+}
+
 // pop pops at limit from both queues, runs the arena's function and checks
 // it is the oracle's timer, reporting whether one was due.
 func (d *arenaDiff) pop(limit Time) bool {
 	d.t.Helper()
-	at, fn, ok := d.a.Pop(limit)
+	at, seq, fn, ok := d.a.Pop(limit)
 	want := d.o.pop(limit)
 	if ok != (want != nil) {
 		d.fatalf("Pop(%v) ok=%v, oracle %v", limit, ok, want)
@@ -287,10 +362,10 @@ func (d *arenaDiff) pop(limit Time) bool {
 		return false
 	}
 	fn()
-	if d.popped != want.id || at != want.at {
-		d.fatalf("popped timer %d at %v, oracle %d at %v", d.popped, at, want.id, want.at)
+	if d.popped != want.id || at != want.at || seq != want.seq {
+		d.fatalf("popped timer %d at (%v, %d), oracle %d at (%v, %d)", d.popped, at, seq, want.id, want.at, want.seq)
 	}
-	d.now = at
+	d.now, d.nowSeq, d.anyPop = at, seq, true
 	return true
 }
 
@@ -335,15 +410,16 @@ func (d *arenaDiff) drain() {
 	}
 }
 
-// TestDifferentialVsContainerHeap drives random add / stop / pop sequences
-// through arenaDiff, with colliding deadlines and same-deadline bursts so
-// equal-deadline FIFO is exercised.
+// TestDifferentialVsContainerHeap drives random add / reserve / keyed add /
+// stop / pop sequences through arenaDiff, with colliding deadlines and
+// same-deadline bursts so equal-deadline FIFO is exercised, and reservations
+// queued late among timers added after them.
 func TestDifferentialVsContainerHeap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		d := &arenaDiff{t: t, name: fmt.Sprintf("seed %d", seed)}
 		for op := 0; op < 2000; op++ {
-			switch r := rng.Intn(12); {
+			switch r := rng.Intn(15); {
 			case r < 5: // add; coarse deadlines force ties
 				d.add(d.now.Add(time.Duration(rng.Intn(8)) * time.Millisecond))
 			case r < 7: // a burst at one deadline
@@ -355,9 +431,15 @@ func TestDifferentialVsContainerHeap(t *testing.T) {
 				d.pop(math.MaxInt64)
 			case r < 10: // pop only what a clock reading has made due
 				d.pop(d.now.Add(time.Duration(rng.Intn(4)) * time.Millisecond))
-			default: // stop a random handle: pending, fired or stopped
+			case r < 12: // stop a random handle: pending, fired or stopped
 				if len(d.handles) > 0 {
 					d.stop(rng.Intn(len(d.handles)))
+				}
+			case r < 13: // reserve a key to queue later
+				d.reserve(d.now.Add(time.Duration(rng.Intn(8)) * time.Millisecond))
+			default: // queue a reservation, or find it has fired
+				if len(d.reserved) > 0 {
+					d.queueReserved(rng.Intn(len(d.reserved)))
 				}
 			}
 			d.check()
@@ -368,16 +450,18 @@ func TestDifferentialVsContainerHeap(t *testing.T) {
 
 // FuzzTimerArena is TestDifferentialVsContainerHeap with the op sequence
 // read from the input, two bytes an op: add at now plus 0–15 ms, stop any
-// handle ever issued (live, fired or stale), pop at now plus 0–7 ms, or pop
-// whatever is due.
+// handle ever issued (live, fired or stale), pop at now plus 0–7 ms, pop
+// whatever is due, reserve a key at now plus 0–15 ms, or queue any
+// outstanding reservation under its key.
 func FuzzTimerArena(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 0, 1, 1, 0, 2, 0, 3, 0})
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 2, 1, 1, 0, 9, 3, 0, 1, 0, 0, 5, 2, 7})
+	f.Add([]byte{4, 2, 0, 2, 4, 2, 0, 1, 5, 1, 3, 0, 5, 0, 3, 0, 4, 0, 3, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		d := &arenaDiff{t: t, name: "fuzz"}
 		for i := 0; i+1 < len(ops); i += 2 {
 			arg := int(ops[i+1])
-			switch ops[i] % 4 {
+			switch ops[i] % 6 {
 			case 0:
 				d.add(d.now.Add(time.Duration(arg%16) * time.Millisecond))
 			case 1:
@@ -388,6 +472,12 @@ func FuzzTimerArena(f *testing.F) {
 				d.pop(d.now.Add(time.Duration(arg%8) * time.Millisecond))
 			case 3:
 				d.pop(math.MaxInt64)
+			case 4:
+				d.reserve(d.now.Add(time.Duration(arg%16) * time.Millisecond))
+			case 5:
+				if len(d.reserved) > 0 {
+					d.queueReserved(arg % len(d.reserved))
+				}
 			}
 			d.check()
 		}

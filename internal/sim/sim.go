@@ -10,6 +10,13 @@
 // Schedule/At hand out value handles to slots, Stop removes the event at
 // once, and steady-state scheduling performs zero allocations.
 // internal/realtime runs the wall clock on the same type.
+//
+// A caller that may need an event at a known instant can reserve its key
+// now (ReserveKey) and queue it later only if it turns out to be needed
+// (AtKey): the event then fires exactly where it would have had it been
+// scheduled at reservation time, and Fired says whether that point has
+// passed. sched.Link is the one user: a packet hop's transmit-done event is
+// queued only when something waits on it.
 package sim
 
 import (
@@ -42,10 +49,22 @@ func (t Time) String() string { return Duration(t).String() }
 // the simulated world is single-threaded by design, which keeps protocol
 // traces reproducible.
 type Engine struct {
-	now       Time
+	now Time
+	// mark is the first sequence number at now not yet run: every key
+	// (now, seq < mark) has fired. Running an event sets it past the event's
+	// own seq; RunUntil, which has run everything due, sets it past every
+	// seq handed out.
+	mark      uint64
 	timers    TimerArena
 	rng       *rand.Rand
 	processed uint64
+}
+
+// Key is an event's place in the firing order: its deadline, then the
+// sequence number that breaks ties among equal deadlines.
+type Key struct {
+	At  Time
+	seq uint64
 }
 
 // New creates an engine whose random source is seeded deterministically.
@@ -82,8 +101,38 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	idx, gen, _ := e.timers.Add(t, fn)
+	idx, gen, _ := e.timers.AddKeyed(t, e.timers.ReserveSeq(), fn)
 	return Timer{host: e, idx: idx, gen: gen}
+}
+
+// ReserveKey takes the key an event scheduled now for time t would get,
+// without scheduling it. AtKey may queue one event under it later, as long
+// as the key has not fired.
+func (e *Engine) ReserveKey(t Time) Key {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: reserve at %v before now %v", t, e.now))
+	}
+	return Key{At: t, seq: e.timers.ReserveSeq()}
+}
+
+// AtKey runs fn under the reserved key k: it fires where an event scheduled
+// when k was reserved would have. Queueing under a fired key panics, and a
+// key may be queued at most once.
+func (e *Engine) AtKey(k Key, fn func()) Timer {
+	if e.Fired(k) {
+		panic(fmt.Sprintf("sim: key at %v has already fired (now %v)", k.At, e.now))
+	}
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	idx, gen, _ := e.timers.AddKeyed(k.At, k.seq, fn)
+	return Timer{host: e, idx: idx, gen: gen}
+}
+
+// Fired reports whether the engine has run past key k: an event queued
+// under it would already have fired (or is the one running now).
+func (e *Engine) Fired(k Key) bool {
+	return k.At < e.now || k.At == e.now && k.seq < e.mark
 }
 
 // StopTimer implements TimerHost.
@@ -95,11 +144,12 @@ func (e *Engine) TimerActive(idx int32, gen uint32) bool { return e.timers.Activ
 // fire executes the next pending event if it is due at or before limit,
 // advancing the clock to it, and reports whether one ran.
 func (e *Engine) fire(limit Time) bool {
-	at, fn, ok := e.timers.Pop(limit)
+	at, seq, fn, ok := e.timers.Pop(limit)
 	if !ok {
 		return false
 	}
 	e.now = at
+	e.mark = seq + 1
 	e.processed++
 	fn()
 	return true
@@ -120,8 +170,9 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for e.fire(t) {
 	}
-	if t > e.now {
+	if t >= e.now {
 		e.now = t
+		e.mark = e.timers.seq
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -179,6 +180,71 @@ func TestPendingCount(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("pending after run = %d", e.Pending())
 	}
+}
+
+// TestReservedKeyFiresWhereReserved queues an event under a key reserved
+// before two same-deadline events were scheduled: it fires ahead of them,
+// as if scheduled at reservation time, and Fired tracks the running event.
+func TestReservedKeyFiresWhereReserved(t *testing.T) {
+	e := New(1)
+	at := Time(time.Millisecond)
+	var order []string
+	k := e.ReserveKey(at)
+	e.At(at, func() {
+		order = append(order, "a")
+		if !e.Fired(k) {
+			t.Error("reserved key reads unfired inside a later event at its instant")
+		}
+	})
+	e.At(at, func() { order = append(order, "b") })
+	e.Schedule(0, func() {
+		if e.Fired(k) {
+			t.Error("reserved key reads fired before its instant")
+		}
+		e.AtKey(k, func() {
+			order = append(order, "k")
+			if !e.Fired(k) {
+				t.Error("key reads unfired while its own event runs")
+			}
+		})
+	})
+	e.Run()
+	if got := strings.Join(order, ""); got != "kab" {
+		t.Fatalf("order = %q, want kab", got)
+	}
+}
+
+// TestFiredAfterRunUntil: RunUntil(t) has run everything due at t, so a key
+// reserved for t reads fired afterwards even though nothing was queued under
+// it and other events at t ran before it; a key reserved after RunUntil for
+// the same instant does not.
+func TestFiredAfterRunUntil(t *testing.T) {
+	e := New(1)
+	at := Time(time.Millisecond)
+	e.At(at, func() {})
+	k := e.ReserveKey(at)
+	e.Step()
+	if e.Fired(k) {
+		t.Fatal("key reserved after the event that ran reads fired")
+	}
+	e.RunUntil(at)
+	if !e.Fired(k) {
+		t.Fatal("key at t reads unfired after RunUntil(t)")
+	}
+	late := e.ReserveKey(at)
+	if e.Fired(late) {
+		t.Fatal("key reserved after RunUntil(t) reads fired")
+	}
+	e.AtKey(late, func() {})
+	if !e.Step() || !e.Fired(late) {
+		t.Fatal("late key did not fire")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AtKey under a fired key did not panic")
+		}
+	}()
+	e.AtKey(k, func() {})
 }
 
 func BenchmarkScheduleRun(b *testing.B) {
