@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-recovery one-value one-decision one-harness verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-key one-recovery one-value one-decision one-harness verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ one-owner:
 # the container/heap oracle in sim/arena_test.go covers only that copy.
 one-heap:
 	! grep -rlE 'func \(.*\) siftDown\(' --include='*.go' internal cmd | grep -v '^internal/sim/arena.go$$'
+
+# one-key fails when an event key is reserved, or an event queued under a
+# reserved key, outside internal/sim and internal/sched: sched.Link is the one
+# caller (a packet hop's transmit-done is queued only when something waits on
+# it), so ROADMAP 6(a)'s seeded tie-break has one reserving caller to re-key.
+one-key:
+	! grep -rnE '(ReserveKey|AtKey|ReserveSeq|AddKeyed)\(' --include='*.go' --exclude='*_test.go' internal cmd bcp.go examples | grep -vE '^internal/(sim|sched)/'
 
 # one-recovery fails when a recovery is derived outside trace.Recoveries: a
 # crash-to-switch span cannot be written without the source's switch log or a
@@ -64,7 +71,7 @@ one-decision:
 # bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here.
-verify: bench-check one-owner one-heap one-recovery one-value one-decision one-harness chaos-nightly
+verify: bench-check one-owner one-heap one-key one-recovery one-value one-decision one-harness chaos-nightly
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

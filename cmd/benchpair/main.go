@@ -19,6 +19,12 @@
 // kept), so a performance claim's evidence is data:
 //
 //	benchpair -base HEAD~1 -workload establish_churn -json BENCH_x.json
+//
+// With -trajectory the arguments are such files, and nothing is run: per
+// workload it prints the chain of ratios the PRs measured against their own
+// bases, with the latest direct drift audit beside it (see trajectory):
+//
+//	benchpair -trajectory BENCH_*.json
 package main
 
 import (
@@ -101,8 +107,15 @@ func main() {
 	pairs := flag.Int("pairs", 10, "number of base/change pairs")
 	seconds := flag.Int("seconds", 0, "measurement window per run (default: BENCHMARK.json run_seconds)")
 	jsonFile := flag.String("json", "", "append the report to the \"runs\" list of the JSON object in this file")
+	traj := flag.Bool("trajectory", false, "print the per-workload ratio chain of the BENCH_pr<N>.json files given as arguments, run nothing")
 	flag.Parse()
-	if err := run(*base, *workload, *pairs, *seconds, *jsonFile); err != nil {
+	var err error
+	if *traj {
+		err = trajectory(os.Stdout, flag.Args())
+	} else {
+		err = run(*base, *workload, *pairs, *seconds, *jsonFile)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +73,65 @@ func TestJSONRoundTripsThePrintedReport(t *testing.T) {
 		render(&again, &doc.Runs[i])
 		if again.String() != printed.String() {
 			t.Fatalf("run %d renders differently from its JSON:\n%s\nprinted:\n%s", i, again.String(), printed.String())
+		}
+	}
+}
+
+// TestTrajectoryChainsTheCommittedFiles reads the repository's own
+// BENCH_pr35.json and BENCH_pr38.json, given newest first: per workload the
+// PRs' ratios come in PR order with their running product, and each drift
+// audit (a run against another base than the file's first) is printed
+// beside the chain instead of in it.
+func TestTrajectoryChainsTheCommittedFiles(t *testing.T) {
+	path := func(f string) string { return filepath.Join("..", "..", f) }
+	var out bytes.Buffer
+	if err := trajectory(&out, []string{path("BENCH_pr38.json"), path("BENCH_pr35.json")}); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	// row is the line of file's longest run of workload against the file's
+	// own base, with chain as the running product.
+	row := func(pr int, file, workload string, chain float64) (string, float64) {
+		t.Helper()
+		bf, err := readBenchFile(path(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var best *report
+		for i, r := range bf.runs {
+			if r.Workload == workload && r.BaseCommit == bf.runs[0].BaseCommit && (best == nil || len(r.Pairs) >= len(best.Pairs)) {
+				best = &bf.runs[i]
+			}
+		}
+		if best == nil {
+			t.Fatalf("%s has no %s run against its base", file, workload)
+		}
+		for _, m := range best.Metrics {
+			if m.Name == trajectoryMetric {
+				chain *= m.Ratio
+				return fmt.Sprintf("  %-4d %-12.12s %-12.12s %8.4f %3d/%-3d  %-10s %8.4f  %s\n",
+					pr, best.BaseCommit, best.HeadCommit, m.Ratio, m.Wins, m.Decided, m.Verdict, chain, file), chain
+			}
+		}
+		t.Fatalf("%s's %s run has no %s summary", file, workload, trajectoryMetric)
+		return "", 0
+	}
+	churn35, chain := row(35, "BENCH_pr35.json", "establish_churn", 1)
+	churn38, _ := row(38, "BENCH_pr38.json", "establish_churn", chain)
+	storm35, chain := row(35, "BENCH_pr35.json", "storm_node_crash", 1)
+	storm38, _ := row(38, "BENCH_pr38.json", "storm_node_crash", chain)
+	for _, want := range []string{
+		// The older file's claim as it was printed, the newer file's run
+		// chained onto it, and the older file's drift audit since 39d9298
+		// beside them.
+		"  35   2f7169111b6d 2f7169111b6d   1.1128  10/10   better       1.1128  BENCH_pr35.json\n",
+		churn35 + churn38 + "  drift audit 39d92984aa61..2f7169111b6d   1.6399  10/10   better     in BENCH_pr35.json\n",
+		"  drift audit 39d92984aa61..2f7169111b6d   2.7349  10/10   better     in BENCH_pr35.json\n",
+		// storm_node_crash has no audit.
+		storm35 + storm38 + "  drift audit: none\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("trajectory lacks\n%s\ngot:\n%s", want, got)
 		}
 	}
 }

@@ -24,8 +24,11 @@ func newChecked(t *testing.T, rt runtime.Runtime, tr Transport, mgr *core.Manage
 
 // verdict fails t on every violation c's checker found and logs the last
 // ReportTail recorded events up to the first one.
-func verdict(t *testing.T, c *Checked) {
-	vs := c.Checker.Finish()
+func verdict(t *testing.T, c *Checked) { fail(t, c, c.Checker.Finish()) }
+
+// fail fails t on each of vs, c's violations, and logs the last ReportTail
+// recorded events up to the first.
+func fail(t *testing.T, c *Checked, vs []conformance.Violation) {
 	for _, v := range vs {
 		t.Errorf("conformance: %v", v)
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/rtcl/bcp/internal/realtime"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
+	"github.com/rtcl/bcp/internal/testhost"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
 )
@@ -27,19 +28,39 @@ type liveTestbed struct {
 	tr   *PipeTransport
 }
 
-// liveConformanceParams widens the in-flight tolerance far past the sim
-// value: under wall clock (and -race) a delivery can trail a failure by
-// scheduler jitter, not just propagation delay.
+// liveHostAllowance is what the wall clock may add to a recovery beyond the
+// protocol waits the Γ bound counts: the OS waking actor and delay-line
+// goroutines, up to one millisecond late for a parked Go process (DESIGN.md
+// §11). Measured on a 2-vCPU box, this testbed's Γ was 1.63–1.85 ms quiet,
+// 1.82–2.19 ms under -race and up to 3.98 ms beside CPU-bound tests, against
+// a bound of 8.51 ms (three hops at 2.50 ms plus the 1 ms detection window):
+// the bound holds with room, and the allowance covers the one thing the
+// simulator cannot show.
+const liveHostAllowance = sim.Duration(time.Millisecond)
+
+// How many runs a live recovery gets to come in under the Γ bound, and how
+// much CPU other processes may use during one before a miss is put down to
+// the host (testhost.Retry). A miss is the wall clock's to forgive, never a
+// wrong transition: every other rule fails the test on the first run.
+const (
+	liveAttempts = 3
+	liveTolerate = 30 * time.Millisecond
+)
+
+// liveConformanceParams keeps the checker's Γ bound (cfg.Conformance) and
+// adds liveHostAllowance to its detection allowance, and widens the
+// in-flight tolerance far past the sim value: under wall clock (and -race) a
+// delivery can trail a failure by scheduler jitter, not just propagation
+// delay.
 func liveConformanceParams(cfg Config) conformance.Params {
 	p := cfg.Conformance(testbedMbps)
-	p.DMax = 0 // wall clock: Γ p95 sits at the bound and needs testhost slack first (ROADMAP 1(b)-live)
+	p.DetectionSlack += liveHostAllowance
 	p.PropSlack = cfg.PropDelay + sim.Duration(500*time.Millisecond)
 	return p
 }
 
 // newLiveTestbed boots the testbed scenario on a wall-clock runtime. The
-// checker's verdict is registered first so it (which inspects the final
-// trace) runs after the shutdown cleanup stops the world.
+// caller ends the run with gammaVerdict; the shutdown cleanup is a backstop.
 func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 	t.Helper()
 	g, mgr, conn := testbedConn(t)
@@ -47,7 +68,6 @@ func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 	rt.StartActors(g.NumNodes(), 1024)
 	tr := NewPipeTransport(rt.Post, 1024)
 	lt := &liveTestbed{g: g, rt: rt, conn: conn, tr: tr}
-	t.Cleanup(func() { verdict(t, lt.net) })
 	t.Cleanup(lt.shutdown)
 	// Construction arms timers and emits install events; run it serialized
 	// so nothing fires against a half-built network.
@@ -61,6 +81,33 @@ func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 func (lt *liveTestbed) shutdown() {
 	lt.tr.Close()
 	lt.rt.Stop()
+}
+
+// gammaVerdict stops the world and reads the checker: every violation but a
+// Γ miss fails t, and the run must have held at least one recovery to the
+// bound. Γ misses come back as the error testhost.Retry judges.
+func (lt *liveTestbed) gammaVerdict(t *testing.T) error {
+	t.Helper()
+	lt.shutdown()
+	var gamma, other []conformance.Violation
+	for _, v := range lt.net.Checker.Finish() {
+		if v.Rule == "gamma" {
+			gamma = append(gamma, v)
+		} else {
+			other = append(other, v)
+		}
+	}
+	fail(t, lt.net, other)
+	if lt.net.Checker.GammaChecked() == 0 {
+		t.Error("no recovery was held to the Γ bound")
+	}
+	for _, r := range lt.net.Checker.Recoveries() {
+		t.Logf("connection %d: Γ %v, bound %v", r.Conn, r.Gamma(), lt.net.Checker.Bound(r))
+	}
+	if len(gamma) > 0 {
+		return fmt.Errorf("%d recoveries over the Γ bound, first %v", len(gamma), gamma[0])
+	}
+	return nil
 }
 
 // exec runs fn serialized with the protocol.
@@ -84,63 +131,68 @@ func (lt *liveTestbed) waitFor(t *testing.T, what string, deadline time.Duration
 }
 
 // TestLiveRecoveryAndCleanShutdown drives nine live daemons through a full
-// fail -> recover -> rejoin cycle over the pipe transport, then shuts the
-// world down and checks that every goroutine the runtime and transport
-// started has exited. Run under -race this also vouches that all protocol
-// state is reached only through the execution lock and that late posts after
-// Stop are refused rather than panicking on a closed channel.
+// fail -> recover -> rejoin cycle over the pipe transport, holds the
+// recovery to the §5 Γ bound (plus liveHostAllowance), then shuts the world
+// down and checks that every goroutine the runtime and transport started has
+// exited. Run under -race this also vouches that all protocol state is
+// reached only through the execution lock and that late posts after Stop are
+// refused rather than panicking on a closed channel.
 func TestLiveRecoveryAndCleanShutdown(t *testing.T) {
-	before := goruntime.NumGoroutine()
-
 	cfg := DefaultConfig()
 	cfg.RejoinTimeout = sim.Duration(60 * time.Second)
 	cfg.RejoinProbeDelay = sim.Duration(25 * time.Millisecond)
-	lt := newLiveTestbed(t, cfg, 1)
+	testhost.Retry(t, liveAttempts, liveTolerate, func() error {
+		before := goruntime.NumGoroutine()
+		lt := newLiveTestbed(t, cfg, 1)
 
-	var startErr error
-	lt.exec(func() { startErr = lt.net.StartTraffic(lt.conn.ID, 500) })
-	if startErr != nil {
-		t.Fatal(startErr)
-	}
-	lt.waitFor(t, "pre-failure data", 10*time.Second, func() bool {
-		return lt.net.Stats().DataDelivered >= 20
-	})
-
-	// Fail the primary's last hop; the source must switch to the backup and
-	// data arrive on it.
-	l := lt.g.LinkBetween(1, 2)
-	lt.exec(func() { lt.net.FailLink(l) })
-	lt.waitFor(t, "data on the backup", 10*time.Second, func() bool {
-		return len(lt.net.Checker.Recoveries()) == 1
-	})
-
-	// Repair; the probed rejoin request is held across the outage and the
-	// old primary rejoins as a healthy channel.
-	lt.exec(func() { lt.net.RepairLink(l) })
-	lt.waitFor(t, "rejoin", 10*time.Second, func() bool {
-		return lt.net.Stats().Rejoins >= 1
-	})
-
-	lt.shutdown()
-
-	// A post after Stop must be refused, never panic.
-	if lt.rt.Post(0, func() {}) {
-		t.Fatal("Post accepted work after Stop")
-	}
-	// shutdown() double-stops via the cleanup; make one explicit too.
-	lt.shutdown()
-
-	// Every runtime, actor, and pipe goroutine has joined. Poll briefly:
-	// a goroutine is still counted for an instant after its WaitGroup.Done.
-	limit := time.Now().Add(5 * time.Second)
-	for {
-		if n := goruntime.NumGoroutine(); n <= before {
-			break
-		} else if time.Now().After(limit) {
-			t.Fatalf("goroutine leak: %d before, %d after shutdown", before, n)
+		var startErr error
+		lt.exec(func() { startErr = lt.net.StartTraffic(lt.conn.ID, 500) })
+		if startErr != nil {
+			t.Fatal(startErr)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		lt.waitFor(t, "pre-failure data", 10*time.Second, func() bool {
+			return lt.net.Stats().DataDelivered >= 20
+		})
+
+		// Fail the primary's last hop; the source must switch to the backup
+		// and data arrive on it.
+		l := lt.g.LinkBetween(1, 2)
+		lt.exec(func() { lt.net.FailLink(l) })
+		lt.waitFor(t, "data on the backup", 10*time.Second, func() bool {
+			return len(lt.net.Checker.Recoveries()) == 1
+		})
+
+		// Repair; the probed rejoin request is held across the outage and
+		// the old primary rejoins as a healthy channel.
+		lt.exec(func() { lt.net.RepairLink(l) })
+		lt.waitFor(t, "rejoin", 10*time.Second, func() bool {
+			return lt.net.Stats().Rejoins >= 1
+		})
+
+		gammaErr := lt.gammaVerdict(t)
+
+		// A post after Stop must be refused, never panic.
+		if lt.rt.Post(0, func() {}) {
+			t.Fatal("Post accepted work after Stop")
+		}
+		// gammaVerdict stopped the world and the cleanup stops it again;
+		// make one more explicit stop too.
+		lt.shutdown()
+
+		// Every runtime, actor, and pipe goroutine has joined. Poll briefly:
+		// a goroutine is still counted for an instant after its
+		// WaitGroup.Done.
+		limit := time.Now().Add(5 * time.Second)
+		for {
+			if n := goruntime.NumGoroutine(); n <= before {
+				break
+			} else if time.Now().After(limit) {
+				t.Fatalf("goroutine leak: %d before, %d after shutdown", before, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return gammaErr
+	})
 }
 
 // chanOn identifies one channel's state machine at one node.
@@ -210,51 +262,56 @@ func TestSimLiveEquivalence(t *testing.T) {
 	tb.eng.RunFor(400 * time.Millisecond)
 	simSeq := stateSequences(simRec.Events)
 
-	// Live leg: same topology, connection, and failure script.
-	liveRec := &trace.Recorder{}
-	liveCfg := DefaultConfig()
-	liveCfg.RejoinTimeout = sim.Duration(60 * time.Second)
-	liveCfg.Sink = liveRec
-	lt := newLiveTestbed(t, liveCfg, 1)
-	var startErr error
-	lt.exec(func() { startErr = lt.net.StartTraffic(lt.conn.ID, 1000) })
-	if startErr != nil {
-		t.Fatal(startErr)
-	}
-	lt.waitFor(t, "pre-failure data", 10*time.Second, func() bool {
-		return lt.net.Stats().DataDelivered >= 20
-	})
-	lt.exec(func() { lt.net.FailLink(lt.g.LinkBetween(1, 2)) })
-	lt.waitFor(t, "source switch", 10*time.Second, func() bool {
-		return len(lt.net.SourceSwitches(lt.conn.ID)) == 1
-	})
-	// Quiescence: no new state transitions for a spell.
-	count := func() (n int) {
-		for _, ev := range liveRec.Events {
-			if ev.Kind == trace.KindState {
-				n++
+	// Live leg: same topology, connection, and failure script. Its
+	// recovery is held to the Γ bound, so a busy host gets retries.
+	var liveSeq map[chanOn][]hop
+	testhost.Retry(t, liveAttempts, liveTolerate, func() error {
+		liveRec := &trace.Recorder{}
+		liveCfg := DefaultConfig()
+		liveCfg.RejoinTimeout = sim.Duration(60 * time.Second)
+		liveCfg.Sink = liveRec
+		lt := newLiveTestbed(t, liveCfg, 1)
+		var startErr error
+		lt.exec(func() { startErr = lt.net.StartTraffic(lt.conn.ID, 1000) })
+		if startErr != nil {
+			t.Fatal(startErr)
+		}
+		lt.waitFor(t, "pre-failure data", 10*time.Second, func() bool {
+			return lt.net.Stats().DataDelivered >= 20
+		})
+		lt.exec(func() { lt.net.FailLink(lt.g.LinkBetween(1, 2)) })
+		lt.waitFor(t, "source switch", 10*time.Second, func() bool {
+			return len(lt.net.SourceSwitches(lt.conn.ID)) == 1
+		})
+		// Quiescence: no new state transitions for a spell.
+		count := func() (n int) {
+			for _, ev := range liveRec.Events {
+				if ev.Kind == trace.KindState {
+					n++
+				}
+			}
+			return n
+		}
+		var last int
+		lt.exec(func() { last = count() })
+		limit := time.Now().Add(10 * time.Second)
+		for streak := 0; streak < 10; {
+			time.Sleep(20 * time.Millisecond)
+			var now int
+			lt.exec(func() { now = count() })
+			if now == last {
+				streak++
+			} else {
+				streak, last = 0, now
+			}
+			if time.Now().After(limit) {
+				t.Fatal("live run did not quiesce")
 			}
 		}
-		return n
-	}
-	var last int
-	lt.exec(func() { last = count() })
-	limit := time.Now().Add(10 * time.Second)
-	for streak := 0; streak < 10; {
-		time.Sleep(20 * time.Millisecond)
-		var now int
-		lt.exec(func() { now = count() })
-		if now == last {
-			streak++
-		} else {
-			streak, last = 0, now
-		}
-		if time.Now().After(limit) {
-			t.Fatal("live run did not quiesce")
-		}
-	}
-	lt.shutdown()
-	liveSeq := stateSequences(liveRec.Events)
+		err := lt.gammaVerdict(t)
+		liveSeq = stateSequences(liveRec.Events)
+		return err
+	})
 
 	if len(simSeq) != len(liveSeq) {
 		t.Fatalf("state machines touched: sim %d, live %d\nsim:\n%slive:\n%s",

@@ -1,7 +1,8 @@
 // Package runtime defines the execution seam between the protocol stack and
-// whatever drives it. The protocol daemons (bcpd, rcc, sched) are written
-// against Runtime alone: a clock, one-shot timers, and a random source. Two
-// implementations exist:
+// whatever drives it. The protocol daemons (bcpd, rcc) are written against
+// Runtime alone: a clock, one-shot timers, and a random source. (sched's
+// link transmitter is simulator-only: it reserves event keys on sim.Engine.)
+// Two implementations exist:
 //
 //   - sim.Engine: deterministic virtual time. Events fire in (time, FIFO)
 //     order on a single goroutine; runs are bit-identical for a given seed.

@@ -124,7 +124,7 @@ type Link struct {
 
 	queues   [numClasses]classQueue
 	maxQueue int
-	busy     bool // a transmission started at txEnd's reservation; see serializing
+	busy     bool // txEnd belongs to a started transmission; see serializing
 	down     bool
 	stats    LinkStats
 

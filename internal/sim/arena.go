@@ -100,9 +100,7 @@ func (a *TimerArena) Earliest() (at Time, ok bool) {
 // it carries (see MakeTimer). head reports that the new timer is now the
 // earliest, which is when a host sleeping toward the old head must wake.
 func (a *TimerArena) Add(at Time, fn func()) (idx int32, gen uint32, head bool) {
-	seq := a.seq
-	a.seq++
-	return a.AddKeyed(at, seq, fn)
+	return a.AddKeyed(at, a.ReserveSeq(), fn)
 }
 
 // ReserveSeq takes the sequence number the next Add would use without

@@ -121,9 +121,7 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		k := e.ReserveKey(e.Now().Add(time.Microsecond))
-		e.Schedule(2*time.Microsecond, fn)
 		e.AtKey(k, fn)
-		e.Step()
 		e.Step()
 	}); n != 0 {
 		t.Fatalf("reserve+keyed add+fire allocates %v/op, want 0", n)

@@ -101,6 +101,7 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
+	// Add's body, one call shallower: Add itself is not inlined.
 	idx, gen, _ := e.timers.AddKeyed(t, e.timers.ReserveSeq(), fn)
 	return Timer{host: e, idx: idx, gen: gen}
 }
