@@ -145,6 +145,7 @@ func NewManager(g *topology.Graph, cfg Config) *Manager {
 			net:          rtchan.NewNetwork(g),
 			mux:          make([]linkMux, g.NumLinks()),
 			sigStride:    1 + (g.NumNodes()+g.NumLinks()+63)/64,
+			sigNodes:     g.NumNodes(),
 			sigNodeWords: (g.NumNodes() + 63) / 64,
 			sigNodeMask:  ^uint64(0) >> ((64 - g.NumNodes()%64) % 64),
 			thr:          newPiThresholds(cfg.Lambda, g.NumNodes()),

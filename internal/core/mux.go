@@ -32,9 +32,9 @@ type muxEntry struct {
 // down temporarily until reconfiguration.
 //
 // Entries live in a flat value slice, not a map: the admission scan
-// (scanLink) walks every entry once per link of every new backup —
-// the hottest loop of establishment — and a contiguous scan beats map
-// iteration there. Lookups by channel ID (teardown, promotion, Ψ metrics)
+// (scanLink) walks the entries once per link of every new backup — the
+// hottest loop of establishment, which the node columns narrow to the
+// candidates — and a contiguous slice beats map iteration there. Lookups by channel ID (teardown, promotion, Ψ metrics)
 // linear-scan the inline ids over tens of entries.
 type linkMux struct {
 	entries []muxEntry
@@ -50,7 +50,15 @@ type linkMux struct {
 	// admission probe decides pairs from signature rows and reads req alone.
 	// The stride only grows: restride widens the rows when an entry index
 	// first needs another word, and a link that drains keeps the width.
-	pi      []uint64
+	pi []uint64
+	// cols is the link's node columns, the admission scan's filter: column
+	// v < N (the graph's node count) is a bitset over entry indexes, stride
+	// words like a Π row, with bit i set iff entries[i]'s connection has a
+	// primary that visits node v; column N holds the entries whose
+	// connection has no primary. They index the signature rows by node and
+	// change wherever a row or an index does: wireLink, unwire,
+	// primaryChanged and restride. No bit is set at or beyond len(entries).
+	cols    []uint64
 	stride  int
 	spare   float64 // committed spare reservation (mirrors rtchan account)
 	claimed float64 // drawn by activations since the last reconfiguration
@@ -95,13 +103,14 @@ func (lm *linkMux) piCount(i int) int {
 	return n
 }
 
-// appendEntry appends e with an empty Π row and returns its index. Rows are
-// widened first when the new index is the first to need another word; the
-// matrix itself grows by append's amortised doubling.
-func (lm *linkMux) appendEntry(e muxEntry) int {
+// appendEntry appends e with an empty Π row and no column bits, and returns
+// its index. Rows and columns are widened first when the new index is the
+// first to need another word (ncols is the column count, N+1); the matrix
+// itself grows by append's amortised doubling.
+func (lm *linkMux) appendEntry(e muxEntry, ncols int) int {
 	n := len(lm.entries)
 	if n>>6 >= lm.stride {
-		lm.restride(n>>6 + 1)
+		lm.restride(n>>6+1, ncols)
 	}
 	lm.entries = append(lm.entries, e)
 	// Words past len may hold a removed row; clear what the new row reuses.
@@ -113,23 +122,67 @@ func (lm *linkMux) appendEntry(e muxEntry) int {
 }
 
 // restride re-lays the matrix out at a wider stride, leaving room for the
-// rows that will follow the one that forced the move.
-func (lm *linkMux) restride(stride int) {
+// rows that will follow the one that forced the move, and the ncols node
+// columns at the same stride. It is the only place the columns allocate.
+func (lm *linkMux) restride(stride, ncols int) {
 	n := len(lm.entries)
 	grown := make([]uint64, n*stride, 2*n*stride)
 	for i := 0; i < n; i++ {
 		copy(grown[i*stride:], lm.pi[i*lm.stride:(i+1)*lm.stride])
 	}
-	lm.pi, lm.stride = grown, stride
+	cols := make([]uint64, ncols*stride)
+	for v := 0; v < ncols && lm.stride > 0; v++ {
+		copy(cols[v*stride:], lm.cols[v*lm.stride:(v+1)*lm.stride])
+	}
+	lm.pi, lm.cols, lm.stride = grown, cols, stride
 }
 
-// unwire swap-deletes the entry at index idx and removes it from the Π
-// relation in one pass over the rows: row last moves to row idx, and in
+// moveCols moves entry from's bit to entry to in every node column that
+// signature row row selects: the columns of the nodes its primary visits, or
+// the primary-less column when it has none. from < 0 only sets to's bits and
+// to < 0 only clears from's.
+func (p *NetworkPlan) moveCols(lm *linkMux, row []uint64, from, to int) {
+	var fw, tw int
+	var fb, tb uint64
+	if from >= 0 {
+		fw, fb = from>>6, 1<<(uint(from)&63)
+	}
+	if to >= 0 {
+		tw, tb = to>>6, 1<<(uint(to)&63)
+	}
+	s := lm.stride
+	if row[0] == 0 {
+		c := lm.cols[p.sigNodes*s : (p.sigNodes+1)*s]
+		c[fw] &^= fb
+		c[tw] |= tb
+		return
+	}
+	for k, w := range row[1 : 1+p.sigNodeWords] {
+		if k == p.sigNodeWords-1 {
+			w &= p.sigNodeMask
+		}
+		for ; w != 0; w &= w - 1 {
+			v := k<<6 + bits.TrailingZeros64(w)
+			c := lm.cols[v*s : (v+1)*s]
+			c[fw] &^= fb
+			c[tw] |= tb
+		}
+	}
+}
+
+// unwire swap-deletes the entry at index idx from link lm and removes it from
+// the Π relation in one pass over the rows: row last moves to row idx, and in
 // every remaining row column idx is tested and cleared — an entry that
 // counted the departing backup sheds its bandwidth from req — and column
-// last moves to column idx. Shared by teardown, promotion and both rollbacks.
-func (lm *linkMux) unwire(idx int) {
+// last moves to column idx. The node columns drop idx's bits and move last's
+// to idx, read from the two entries' signature rows. Shared by teardown,
+// promotion and both rollbacks.
+func (p *NetworkPlan) unwire(lm *linkMux, idx int) {
 	last := len(lm.entries) - 1
+	p.moveCols(lm, p.sigRow(lm.entries[idx].sig), idx, -1)
+	if idx != last {
+		p.moveCols(lm, p.sigRow(lm.entries[last].sig), last, idx)
+	}
 	s := lm.stride
 	bw := lm.entries[idx].bw
 	lm.noteReqShrink(lm.entries[idx].req)
@@ -193,7 +246,7 @@ func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
 // scanLink is the admission scan of §3.2 for a new backup on a link, and the
 // only loop that decides Π membership for a backup not yet wired: the new
 // backup (its connection's signature row rowNew, threshold class cls,
-// bandwidth bw) against every existing entry, one muxDecide each. It appends
+// bandwidth bw) against the link's entries, one muxDecide each. It appends
 // to *grow the entries whose Π sets gain the new backup and to *pi the
 // entries the new backup's own Π set lists, and returns the new entry's
 // requirement and the spare level the link must reach once it is wired —
@@ -203,26 +256,58 @@ func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
 // connection never share spare (see muxDecide); a planned connection that has
 // no row yet passes -1. It changes nothing but the link's cached max, which
 // requiredSpare may settle: every caller holds the write lock.
+//
+// Only candidates are decided: the entries whose primaries share at least
+// n.shared nodes with the new one (probe), read bit-parallel off the node
+// columns of the new primary's nodes with "≥1" and "≥2" accumulators, and
+// every primary-less entry. Any other entry is false both ways, so it
+// neither grows nor counts; with n.shared = 0 every entry is a candidate.
 func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls int32, bw float64, grow, pi *[]int32) (req, need float64) {
 	g, q := *grow, *pi
 	req = bw
 	need = lm.requiredSpare()
 	n := p.probe(rowNew, cls)
-	for i := range lm.entries {
-		e := &lm.entries[i]
-		eCountsNew, newCountsE := true, true
-		if e.sig != sigNew {
-			eCountsNew, newCountsE = p.muxDecide(p.sigRow(e.sig), e.cls, &n)
-		}
-		if eCountsNew {
-			g = append(g, int32(i))
-			if grown := e.req + bw; grown > need {
-				need = grown
+	s, ne := lm.stride, len(lm.entries)
+	nodes := rowNew[1 : 1+p.sigNodeWords]
+	for w := 0; w<<6 < ne; w++ {
+		cand := ^uint64(0)
+		if n.shared > 0 {
+			var ones, twos uint64
+			for k, nw := range nodes {
+				if k == len(nodes)-1 {
+					nw &= p.sigNodeMask
+				}
+				for ; nw != 0; nw &= nw - 1 {
+					c := lm.cols[(k<<6+bits.TrailingZeros64(nw))*s+w]
+					twos |= ones & c
+					ones |= c
+				}
 			}
+			if cand = ones; n.shared == 2 {
+				cand = twos
+			}
+			cand |= lm.cols[p.sigNodes*s+w]
 		}
-		if newCountsE {
-			q = append(q, int32(i))
-			req += e.bw
+		if rest := ne - w<<6; rest < 64 {
+			cand &= 1<<uint(rest) - 1
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			i := w<<6 + bits.TrailingZeros64(cand)
+			e := &lm.entries[i]
+			eCountsNew, newCountsE := true, true
+			if e.sig != sigNew {
+				eCountsNew, newCountsE = p.muxDecide(p.sigRow(e.sig), e.cls, &n)
+			}
+			if eCountsNew {
+				g = append(g, int32(i))
+				if grown := e.req + bw; grown > need {
+					need = grown
+				}
+			}
+			if newCountsE {
+				q = append(q, int32(i))
+				req += e.bw
+			}
 		}
 	}
 	*grow, *pi = g, q
@@ -235,12 +320,14 @@ func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls i
 // wireLink is the only writer that adds a backup to a link: it appends entry
 // (its req as scanLink returned it), sets the Π bits scanLink listed, folds
 // the grown requirements into the link's max and grows the spare pool to it,
-// enforcing the capacity invariant. On failure the link state is unchanged;
+// enforcing the capacity invariant, and sets the entry's node-column bits
+// from its connection's signature row. On failure the link state is unchanged;
 // no undo log is kept, the rare rollback unwires the entry like any other
 // removal.
 func (m *Manager) wireLink(l topology.LinkID, entry muxEntry, grow, pi []int32) error {
 	lm := &m.plan.mux[l]
-	n := lm.appendEntry(entry)
+	n := lm.appendEntry(entry, m.plan.sigNodes+1)
+	m.plan.moveCols(lm, m.plan.sigRow(entry.sig), -1, n)
 	for _, i := range grow {
 		e := &lm.entries[i]
 		lm.piSet(int(i), n)
@@ -255,7 +342,7 @@ func (m *Manager) wireLink(l topology.LinkID, entry muxEntry, grow, pi []int32) 
 	if need > lm.spare {
 		if err := m.plan.net.SetSpare(l, need); err != nil {
 			// The undone growth may have held the cached max.
-			lm.unwire(n)
+			m.plan.unwire(lm, n)
 			lm.reqDirty = true
 			return fmt.Errorf("core: link %d cannot grow spare to %g: %w", l, need, err)
 		}
@@ -297,7 +384,7 @@ func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 	if idx < 0 {
 		return
 	}
-	lm.unwire(idx)
+	m.plan.unwire(lm, idx)
 	need := lm.requiredSpare()
 	if need < lm.spare {
 		// Never shrink below what activations have already claimed.
@@ -412,8 +499,8 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 // CheckMuxInvariants validates the engine's internal consistency; tests call
 // it after mutation sequences. Besides the paper-level invariants it
 // cross-checks the incrementally maintained state (the per-link max
-// requirement, the Π matrices and the primary-signature slab) against
-// from-scratch recomputation.
+// requirement, the Π matrices, the node columns and the primary-signature
+// slab) against from-scratch recomputation.
 func (m *Manager) CheckMuxInvariants() error {
 	// Exclusive, not shared: requiredSpare may service a deferred rescan
 	// (writing lm.maxReq), so this "read-only" check is a writer to the
@@ -490,6 +577,40 @@ func (m *Manager) CheckMuxInvariants() error {
 				return fmt.Errorf("core: link %d entry %d req drift: stored %g recomputed %g", l, id, e.req, want)
 			}
 		}
+		if err := m.plan.checkCols(lm); err != nil {
+			return fmt.Errorf("core: link %d %w", l, err)
+		}
 	}
 	return m.plan.checkSig()
+}
+
+// checkCols rebuilds lm's node columns and primary-less set from its
+// entries' signature rows, bit by bit, and reports the first difference.
+func (p *NetworkPlan) checkCols(lm *linkMux) error {
+	nc, s := p.sigNodes+1, lm.stride
+	if len(lm.cols) != nc*s {
+		return fmt.Errorf("holds %d column words for %d columns at stride %d", len(lm.cols), nc, s)
+	}
+	want := make([]uint64, len(lm.cols))
+	for i := range lm.entries {
+		row := p.sigRow(lm.entries[i].sig)
+		if row[0] == 0 {
+			want[p.sigNodes*s+i>>6] |= 1 << (uint(i) & 63)
+			continue
+		}
+		for v := 0; v < p.sigNodes; v++ {
+			if row[1+v>>6] == 0 {
+				v |= 63 // no node of this word
+			} else if row[1+v>>6]&(1<<(uint(v)&63)) != 0 {
+				want[v*s+i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+	}
+	for w := range want {
+		if got := lm.cols[w]; got != want[w] {
+			return fmt.Errorf("node column %d word %d = %#x, rebuilt from the signature rows %#x (column %d is the primary-less set)",
+				w/s, w%s, got, want[w], p.sigNodes)
+		}
+	}
+	return nil
 }

@@ -30,9 +30,11 @@ type NetworkPlan struct {
 	mux   []linkMux // one per link
 	// sig is the primary-signature slab (sig.go): sigStride words per live
 	// connection, free rows listed in sigFree. Words 1..sigNodeWords hold the
-	// node bits, the last of them under sigNodeMask.
+	// node bits of the graph's sigNodes nodes, the last of them under
+	// sigNodeMask.
 	sig          []uint64
 	sigStride    int
+	sigNodes     int
 	sigNodeWords int
 	sigNodeMask  uint64
 	sigFree      []int32

@@ -455,7 +455,7 @@ func (m *Manager) promoteBackup(conn *DConnection, b *rtchan.Channel, touched ma
 		// Drop the mux entry without resizing: the pool shrink happens
 		// explicitly, converting the claim into dedicated bandwidth.
 		if idx := lm.find(b.ID); idx >= 0 {
-			lm.unwire(idx)
+			m.plan.unwire(lm, idx)
 		}
 		lm.claimed -= bw
 		lm.spare -= bw
