@@ -125,11 +125,13 @@ func requireMatrixMatchesModel(t *testing.T, ctx string, m *Manager, pm *piModel
 // TestPiMatrixMatchesSetModel drives seeded random add / remove / failed-add
 // rollback / rebuild sequences over a two-link line 0→1→2 whose every backup
 // lands on one or both links, so each link's entry count sweeps up past 128,
-// down below 64 and back: the matrix restrides on the way up and keeps its
-// wider rows clean on the way down. Primary and backup of a connection use
-// the same path (EstablishOnPaths does not enforce disjointness), which makes
-// the three endpoint pairs overlap in 1, 3 or 5 components — with degrees
-// 0..6 that yields every kind of pair: mutual, one-sided and multiplexed.
+// down below 64 and back: the matrix and the node columns restride on the
+// way up and keep their wider words clean on the way down (every step ends
+// in CheckMuxInvariants, which rebuilds the columns from the signature
+// rows). Primary and backup of a connection use the same path
+// (EstablishOnPaths does not enforce disjointness), which makes the three
+// endpoint pairs overlap in 1, 3 or 5 components — with degrees 0..6 that
+// yields every kind of pair: mutual, one-sided and multiplexed.
 func TestPiMatrixMatchesSetModel(t *testing.T) {
 	seeds := int64(3)
 	if testing.Short() {
