@@ -105,10 +105,9 @@ type Manager struct {
 	// per-goroutine TrialViews, which don't contend on it). applyTrial is
 	// Apply's scratch for the same walk, owned by the write lock: Apply
 	// holds mu exclusively, so it can neither call Trial nor take trialMu
-	// (Trial takes trialMu, then mu shared), and its scratch records the
-	// winners, which no trial wants. Each holds its own snapshot of the
-	// plan (trial.go); Apply's is recopied on every call, since Apply's own
-	// write transaction has moved the epoch.
+	// (Trial takes trialMu, then mu shared). Each holds its own snapshot of
+	// the plan (trial.go); Apply's is recopied on every call, since Apply's
+	// own write transaction has moved the epoch.
 	trialMu    sync.Mutex
 	trial      trialScratch
 	applyTrial trialScratch

@@ -57,68 +57,49 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 	var stats RecoveryStats
 	s := t.begin(p)
 
-	// Discover the disabled channels: the refs of every failed link, and of
-	// every link into or out of a failed node.
+	// Discover and count the disabled channels: the refs of every failed
+	// link; for every failed node, the refs of its out-links and the refs
+	// that end on its in-links (trialSnapshot), so each channel that visits
+	// the node is stamped once.
 	f.eachLink(func(l topology.LinkID) {
 		for _, r := range s.onLink(l) {
-			t.mark(r)
+			t.mark(r, &f, &stats)
 		}
 	})
 	g := p.net.Graph()
 	f.eachNode(func(n topology.NodeID) {
 		for _, l := range g.Out(n) {
 			for _, r := range s.onLink(l) {
-				t.mark(r)
+				t.mark(r, &f, &stats)
 			}
 		}
 		for _, l := range g.In(n) {
-			for _, r := range s.onLink(l) {
-				t.mark(r)
+			for _, r := range s.endingOn(l) {
+				t.mark(r, &f, &stats)
 			}
 		}
 	})
 
-	nodes := f.numNodes() > 0
-	for _, c := range t.conns {
-		rec := &s.conns[c]
-		if nodes && (f.nodeFailed(rec.src) || f.nodeFailed(rec.dst)) {
-			stats.ExcludedConns++
-			continue
-		}
-		m := &t.conn[c]
-		stats.FailedBackups += int(m.bkup)
-		if m.prim {
-			stats.FailedPrimaries++
-			t.addDegree(int(rec.deg), 1, 0)
-			t.need.add(c)
-		}
-	}
-
 	needs := t.need.drain(t.needs[:0])
 	orderConns(needs, s.conns, order, rng)
 	for _, c := range needs {
-		switch t.tryActivate(c) {
-		case activated:
-			stats.FastRecovered++
-			t.addDegree(int(s.conns[c].deg), 0, 1)
-		case allBackupsDead:
-			stats.BackupDead++
-		case spareExhausted:
-			stats.MuxFailed++
-		}
+		t.activate(c, &stats)
 	}
 	t.needs = needs[:0]
+	clear(t.claim)
 	stats.ByDegree = t.degreeMap()
 	return stats
 }
 
-// tryActivate walks connection c's backups in serial order, claiming spare
-// bandwidth from the per-link pools in the snapshot; the claims live in the
-// scratch, never in the plan. Whether the failure disabled a backup is the
-// stamp discovery left on it: the snapshot lists a backup under every link of
-// its path, and so under a link of every node it visits, end nodes included,
-// so "stamped" is Failure.HitsPath without the path walk.
-func (t *trialScratch) tryActivate(c int32) activationOutcome {
+// activate walks connection c's backups in serial order, claiming spare
+// bandwidth from the per-link pools in the snapshot and recording the
+// winner, and counts the outcome into stats; the claims live in the
+// scratch, never in the plan. Whether the
+// failure disabled a backup is the stamp discovery left on it: the snapshot
+// lists a backup under every link of its path, and so under a link of every
+// node it visits, end nodes included, so "stamped" is Failure.HitsPath
+// without the path walk.
+func (t *trialScratch) activate(c int32, stats *RecoveryStats) {
 	s := &t.snap
 	rec := &s.conns[c]
 	bw := rec.bw
@@ -132,27 +113,28 @@ func (t *trialScratch) tryActivate(c int32) activationOutcome {
 		links := s.bkLinks[bk.l0:bk.l1]
 		ok := true
 		for _, l := range links {
-			if s.avail[l]-t.claimed(l) < bw-1e-9 {
+			if s.avail[l]-t.claim[l] < bw-1e-9 {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			for _, l := range links {
-				t.claimLink(l, bw)
+				t.claim[l] += bw
 			}
-			if t.keepWinners {
-				t.winners = append(t.winners, b)
-			}
-			return activated
+			t.winners = append(t.winners, b)
+			stats.FastRecovered++
+			t.degStat[rec.dcls].FastRecovered++
+			return
 		}
 		// Multiplexing failure on this backup; reported like a component
 		// failure, so the end nodes go on to try the next serial (§4.1).
 	}
 	if sawHealthy {
-		return spareExhausted
+		stats.MuxFailed++
+	} else {
+		stats.BackupDead++
 	}
-	return allBackupsDead
 }
 
 // TrialView is a cheap per-goroutine read view over a Manager's shared

@@ -353,14 +353,6 @@ func (m *Manager) Trial(f Failure, order ActivationOrder, rng *rand.Rand) Recove
 	return m.plan.trial(f, order, rng, &m.trial)
 }
 
-type activationOutcome uint8
-
-const (
-	activated activationOutcome = iota
-	allBackupsDead
-	spareExhausted
-)
-
 // Apply executes a failure event against live state: winning backups claim
 // spare bandwidth and are promoted to primaries; failed channels are torn
 // down; spare pools are re-sized (§4.4 resource reconfiguration). It returns
@@ -383,7 +375,6 @@ func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (Recov
 	// order (t.winners), whose claims are then made real. The snapshot stays
 	// the pre-failure copy while phase 2 rewrites the plan under it.
 	t := &m.applyTrial
-	t.keepWinners, t.winners = true, t.winners[:0]
 	stats := m.plan.trial(f, order, rng, t)
 	s := &t.snap
 	for _, b := range t.winners {

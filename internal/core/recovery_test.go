@@ -375,7 +375,7 @@ func TestApplyRandomizedStorm(t *testing.T) {
 	}
 }
 
-// TestTrialStampMatchesHitsPath pins what tryActivate and Apply rely on:
+// TestTrialStampMatchesHitsPath pins what activate and Apply rely on:
 // after a trial, a channel carries the trial's stamp exactly when the failure
 // hits its path, because the snapshot lists a channel under every link of its
 // path and every node it visits has one of those links in or out, end nodes
