@@ -47,11 +47,16 @@ one-recovery:
 one-harness:
 	! grep -rnE 'conformance\.New\(|trace\.NewFlightRecorder\(' --include='*.go' --exclude='*_test.go' internal cmd bcp.go | grep -v '^internal/bcpd/checked\.go:'
 
-# one-value fails when a field of a configuration struct (core.Config,
-# bcpd.Config, chaos.Options, ...) is never written by product code outside
-# its Default* constructor and is not listed with a reason: a setting only
-# ever left at one value is a constant. The test type-checks the non-test Go
-# under internal/, cmd/ and bench/.
+# one-value fails when a field of a configuration struct is never written by
+# product code outside its Default* constructor and is not listed with a
+# reason: a setting only ever left at one value is a constant. The structs
+# are core.Config, routing.Constraint, bcpd.Config, bcpd.ChaosParams,
+# bcpd.LinkChaos, experiment.StormWideConfig, experiment.Options,
+# experiment.TraceScenario, chaos.Options, chaos.RunOptions, chaos.TopoSpec,
+# chaos.ConnSpec, chaos.ChaosSpec, topology.DotOptions, rtchan.TrafficSpec,
+# rcc.Params, conformance.Params and workload.HotSpotConfig (settingStructs
+# in settings_test.go). The test type-checks the non-test Go under
+# internal/, cmd/ and bench/.
 one-value:
 	$(GO) test -count=1 -run '^TestConfigFieldsHaveProductSetters$$' .
 
@@ -66,12 +71,14 @@ one-decision:
 		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
 
-# verify is the pre-merge gate: vet + build + the full suite under the race
-# detector (the parallel sweep worker pool runs even in short mode), after
-# bench-check, because the root commands never compile bench/ and an
+# verify is the pre-merge gate: gofmt + vet + build + the full suite under
+# the race detector (the parallel sweep worker pool runs even in short mode),
+# after bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
-# which is what "same behaviour" means here.
+# which is what "same behaviour" means here. The gofmt step reads bench/ too
+# and skips the gitignored .bench_build (exports of other commits, caches).
 verify: bench-check one-owner one-heap one-key one-recovery one-value one-decision one-harness chaos-nightly
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rtcl/bcp/internal/rcc"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
 )
@@ -38,7 +39,7 @@ func TestRepairedNodeRetransmitsDeadIncarnationFrames(t *testing.T) {
 		}
 	}
 	tb.net.FailNode(node)
-	tb.eng.RunFor(2 * cfg.RCC.RetxTimeout)
+	tb.eng.RunFor(2 * rcc.RetxTimeout)
 	tb.net.RepairNode(node)
 	tb.eng.RunFor(500 * time.Millisecond)
 

@@ -165,14 +165,6 @@ func (pc *planContext) plan(p *connPlan, src, dst topology.NodeID, spec rtchan.T
 		return
 	}
 	p.prim.set(g, links)
-	if spec.DelayBound > 0 {
-		pPath := topology.NewPathUnchecked(g, p.prim.links, p.prim.nodes)
-		if bound, ok := m.plan.net.DelayAdmission(pPath, spec, rtchan.DefaultDelayModel()); !ok {
-			p.err = fmt.Errorf("core: delay admission failed for %d->%d: bound %v vs contract %v",
-				src, dst, bound, spec.DelayBound)
-			return
-		}
-	}
 	m.plan.writeSig(pc.sig, p.prim.links, p.prim.nodes)
 	if len(p.degrees) == 0 {
 		return

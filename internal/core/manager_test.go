@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/rtcl/bcp/internal/routing"
 	"github.com/rtcl/bcp/internal/rtchan"
@@ -242,34 +241,6 @@ func TestRandomChurnKeepsInvariants(t *testing.T) {
 			t.Fatalf("link %d dirty after drain: dedicated=%g spare=%g",
 				l.ID, m.plan.net.Dedicated(l.ID), m.plan.net.Spare(l.ID))
 		}
-	}
-}
-
-func TestEstablishHonorsDelayContract(t *testing.T) {
-	g := topology.NewTorus(4, 4, 10) // slow links make bounds bite
-	m := newTestManager(g)
-	spec := rtchan.TrafficSpec{Bandwidth: 1, MaxMsgSize: 1250, MaxMsgRate: 100, SlackHops: 2}
-	// Per hop: (256+1250)*8/10e6 ≈ 1.2ms + 0.5ms prop ≈ 1.7ms; 2 hops ≈ 3.4ms.
-	spec.DelayBound = 4 * time.Millisecond
-	if _, err := m.Establish(0, 5, spec, nil); err != nil {
-		t.Fatalf("feasible contract rejected: %v", err)
-	}
-	spec.DelayBound = 2 * time.Millisecond
-	if _, err := m.Establish(1, 6, spec, nil); err == nil {
-		t.Fatal("infeasible contract accepted")
-	}
-	// Filling a corridor with contract-bearing channels eventually rejects
-	// newcomers whose blocking would break the incumbents.
-	spec.DelayBound = 5 * time.Millisecond
-	rejected := false
-	for i := 0; i < 8; i++ {
-		if _, err := m.Establish(0, 1, spec, nil); err != nil {
-			rejected = true
-			break
-		}
-	}
-	if !rejected {
-		t.Fatal("admission never protected the incumbents' contracts")
 	}
 }
 

@@ -24,6 +24,9 @@ import (
 	"github.com/rtcl/bcp/internal/wire"
 )
 
+// RetxTimeout is the retransmission timeout for unacknowledged frames.
+const RetxTimeout = 20 * time.Millisecond
+
 // Params are the RCC model parameters.
 type Params struct {
 	// SMax is the maximum RCC frame size in bytes.
@@ -31,8 +34,6 @@ type Params struct {
 	// RMax is the maximum frame rate (frames/second): two frames are
 	// separated by at least 1/RMax.
 	RMax float64
-	// RetxTimeout is the retransmission timeout for unacknowledged frames.
-	RetxTimeout sim.Duration
 	// AckDelay is how long the receiver may wait for a piggyback
 	// opportunity before sending a pure-ACK frame.
 	AckDelay sim.Duration
@@ -42,10 +43,9 @@ type Params struct {
 // per frame at a 1 kHz frame rate.
 func DefaultParams() Params {
 	return Params{
-		SMax:        256,
-		RMax:        1000,
-		RetxTimeout: 20 * time.Millisecond,
-		AckDelay:    2 * time.Millisecond,
+		SMax:     256,
+		RMax:     1000,
+		AckDelay: 2 * time.Millisecond,
 	}
 }
 
@@ -179,9 +179,6 @@ func NewEndpoint(eng runtime.Runtime, p Params, send func([]byte), recv func(wir
 	}
 	if p.RMax <= 0 {
 		panic("rcc: non-positive RMax")
-	}
-	if p.RetxTimeout <= 0 {
-		panic("rcc: non-positive retransmission timeout")
 	}
 	if send == nil || recv == nil {
 		panic("rcc: nil callbacks")
@@ -405,7 +402,7 @@ func (e *Endpoint) emit(kind trace.Kind, aux int64) {
 // unacknowledged frame.
 func (e *Endpoint) armRetx() {
 	e.retxTimer.Stop()
-	e.retxTimer = e.eng.Schedule(e.p.RetxTimeout, e.retxFn)
+	e.retxTimer = e.eng.Schedule(RetxTimeout, e.retxFn)
 }
 
 // HandleFrame processes a frame received from the underlying link: it

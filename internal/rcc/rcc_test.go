@@ -235,11 +235,10 @@ func TestCorruptFrameIgnored(t *testing.T) {
 
 func TestNewEndpointPanics(t *testing.T) {
 	eng := sim.New(1)
-	ok := Params{SMax: 256, RMax: 100, RetxTimeout: time.Millisecond}
+	ok := Params{SMax: 256, RMax: 100}
 	for name, p := range map[string]Params{
-		"tiny smax": {SMax: 4, RMax: 100, RetxTimeout: time.Millisecond},
-		"zero rmax": {SMax: 256, RMax: 0, RetxTimeout: time.Millisecond},
-		"zero retx": {SMax: 256, RMax: 100},
+		"tiny smax": {SMax: 4, RMax: 100},
+		"zero rmax": {SMax: 256, RMax: 0},
 	} {
 		func() {
 			defer func() {

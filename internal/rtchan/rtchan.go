@@ -3,8 +3,10 @@
 //
 // It provides per-link bandwidth accounting with a three-way split of each
 // link's capacity (dedicated reservations for primary/activated channels, a
-// shared spare pool sized by the multiplexing engine, and free capacity), an
-// admission test, and a registry of established channels.
+// shared spare pool sized by the multiplexing engine, and free capacity), a
+// bandwidth admission test, and a registry of established channels. A
+// channel's delay bound has one admission test, the paper's hop rule
+// (TrafficSpec.SlackHops), which internal/core applies when it routes.
 //
 // The package is deliberately ignorant of *why* spare bandwidth is sized the
 // way it is: backup multiplexing lives in internal/core. rtchan only
@@ -14,7 +16,6 @@ package rtchan
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/rtcl/bcp/internal/idtab"
 	"github.com/rtcl/bcp/internal/topology"
@@ -50,30 +51,21 @@ func (r Role) String() string {
 }
 
 // TrafficSpec is the client's traffic contract for one channel. Following
-// the paper's evaluation we account only link bandwidth; the message-level
-// fields feed the RMTP scheduler (internal/sched) in protocol-mode runs.
+// the paper's evaluation it is a bandwidth and a hop rule: the hop rule is
+// the one admission test for the channel's delay bound.
 type TrafficSpec struct {
 	// Bandwidth reserved on every link of the channel's path (Mbps).
 	Bandwidth float64
-	// MaxMsgSize in bytes (RMTP regulator parameter).
-	MaxMsgSize int
-	// MaxMsgRate in messages/second (RMTP regulator parameter).
-	MaxMsgRate float64
 	// SlackHops is the QoS rule of the paper's evaluation: the end-to-end
 	// delay bound is met iff the path is at most SlackHops longer than the
 	// shortest possible path.
 	SlackHops int
-	// DelayBound, when non-zero, is an explicit end-to-end delay contract
-	// checked by the analytic admission test (DelayAdmission) in addition
-	// to the hop rule. Zero leaves the hop rule as the only QoS criterion,
-	// matching the paper's evaluation.
-	DelayBound time.Duration
 }
 
 // DefaultSpec reproduces the paper's homogeneous traffic model: 1 Mbps
 // channels whose delay bound tolerates paths up to 2 hops over shortest.
 func DefaultSpec() TrafficSpec {
-	return TrafficSpec{Bandwidth: 1, MaxMsgSize: 1024, MaxMsgRate: 128, SlackHops: 2}
+	return TrafficSpec{Bandwidth: 1, SlackHops: 2}
 }
 
 // Channel is an established real-time channel: a fixed path with bandwidth

@@ -27,6 +27,17 @@ var settingStructs = []struct{ dir, name string }{
 	{"internal/experiment", "StormWideConfig"},
 	{"internal/chaos", "Options"},
 	{"internal/topology", "DotOptions"},
+	{"internal/rtchan", "TrafficSpec"},
+	{"internal/rcc", "Params"},
+	{"internal/conformance", "Params"},
+	{"internal/bcpd", "LinkChaos"},
+	{"internal/chaos", "RunOptions"},
+	{"internal/chaos", "TopoSpec"},
+	{"internal/chaos", "ConnSpec"},
+	{"internal/chaos", "ChaosSpec"},
+	{"internal/workload", "HotSpotConfig"},
+	{"internal/experiment", "Options"},
+	{"internal/experiment", "TraceScenario"},
 }
 
 // oneValueExempt lists the fields of settingStructs that no product code
@@ -39,6 +50,10 @@ var oneValueExempt = map[string]string{
 	"bcpd.Config.PropDelay":                         "bench/ reads it to derive its bounds",
 	"bcpd.Config.DataMsgSize":                       "bench/ reads it to derive its bounds",
 	"experiment.StormWideConfig.PerMessageDispatch": "the per-message reference engine the batched one is held equal to",
+	"rtchan.TrafficSpec.SlackHops":                  "the paper's hop rule; Figure 1's scenario sets it to 1",
+	"rcc.Params.SMax":                               "bench/ reads it; TestProtocolMatchesTransactionalTrial provisions it per §5.2",
+	"rcc.Params.RMax":                               "bench/ reads it to derive its bounds",
+	"rcc.Params.AckDelay":                           "bench/ reads it to derive its settle time",
 }
 
 // productCode type-checks the non-test Go under internal/, cmd/ and bench/
