@@ -83,13 +83,16 @@ verify: bench-check one-owner one-heap one-key one-recovery one-value one-decisi
 	$(GO) build ./...
 	$(GO) test -race ./...
 
-# loc prints the three line counts ROADMAP and CHANGES.md quote, so they are
-# always counted the same way: the product's non-test Go (internal/, cmd/ and
-# the root package), its tests, and the benchmark module.
+# loc prints the sizes ROADMAP and CHANGES.md quote, so they are always
+# counted the same way: the product's non-test Go (internal/, cmd/ and the
+# root package), its tests, the benchmark module and the example programs in
+# lines, and DESIGN.md in bytes.
 loc:
 	@echo "non-test Go, internal/ cmd/ root: $$(find internal cmd ./*.go -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "*_test.go, internal/ cmd/ root:   $$(find internal cmd ./*.go -name '*_test.go' | xargs cat | wc -l)"
 	@echo "bench/:                           $$(find bench -name '*.go' | xargs cat | wc -l)"
+	@echo "examples/:                        $$(find examples -name '*.go' | xargs cat | wc -l)"
+	@echo "DESIGN.md bytes:                  $$(wc -c < DESIGN.md)"
 
 # bench-check vets and short-tests the repository benchmark. bench/ is a Go
 # module of its own, so `go build ./... && go test ./...` at the root never

@@ -120,20 +120,6 @@ func TestPublicWorkloads(t *testing.T) {
 	if len(hs) == 0 || len(hs) > 50 {
 		t.Fatalf("hotspot = %d", len(hs))
 	}
-	dyn := bcp.Dynamic(g, bcp.DynamicConfig{
-		ArrivalRate: 100, MeanHolding: time.Second, Duration: time.Second,
-		Spec: bcp.DefaultSpec(),
-	}, rng)
-	if len(dyn) == 0 {
-		t.Fatal("no dynamic requests")
-	}
-	mgr := bcp.NewManager(g, bcp.DefaultConfig())
-	eng := bcp.NewEngine(2)
-	stats := bcp.RunChurn(eng, mgr, dyn)
-	eng.Run()
-	if stats.Established == 0 {
-		t.Fatal("churn established nothing")
-	}
 }
 
 func TestPublicNegotiatedEstablishment(t *testing.T) {

@@ -22,8 +22,6 @@ import (
 type (
 	// NodeID identifies a node.
 	NodeID = topology.NodeID
-	// LinkID identifies a simplex link.
-	LinkID = topology.LinkID
 	// Graph is an immutable network topology.
 	Graph = topology.Graph
 	// Path is a directed path through a Graph.
@@ -103,8 +101,6 @@ var (
 	SingleLink = core.SingleLink
 	// SingleNode fails one node (and every channel through it).
 	SingleNode = core.SingleNode
-	// DoubleNode fails two nodes simultaneously.
-	DoubleNode = core.DoubleNode
 )
 
 // Activation orders.
@@ -237,8 +233,6 @@ type (
 	Request = workload.Request
 	// HotSpotConfig parameterizes the inhomogeneous workload of §7.1.
 	HotSpotConfig = workload.HotSpotConfig
-	// DynamicConfig parameterizes Poisson churn.
-	DynamicConfig = workload.DynamicConfig
 )
 
 var (
@@ -246,12 +240,8 @@ var (
 	AllPairs = workload.AllPairs
 	// HotSpot generates the inhomogeneous workload.
 	HotSpot = workload.HotSpot
-	// Dynamic generates Poisson churn.
-	Dynamic = workload.Dynamic
 	// EstablishWorkload applies a static workload to a manager.
 	EstablishWorkload = workload.Establish
-	// RunChurn schedules a dynamic workload on an engine.
-	RunChurn = workload.RunChurn
 )
 
 // --- Experiments ----------------------------------------------------------

@@ -28,7 +28,6 @@ import (
 	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/experiment"
-	"github.com/rtcl/bcp/internal/metrics"
 	"github.com/rtcl/bcp/internal/trace"
 )
 
@@ -74,9 +73,13 @@ func main() {
 	for i, b := range conn.Backups {
 		fmt.Printf("backup %d: %v\n", i+1, b.Path)
 	}
-	agg := metrics.NewProtocolAggregator()
+	var counts [trace.NumKinds]uint64
+	var controls uint64 // summed over KindRCCFrame's aux, the frame's control count
 	for _, ev := range run.Events {
-		agg.Emit(ev)
+		counts[ev.Kind]++
+		if ev.Kind == trace.KindRCCFrame {
+			controls += uint64(ev.Aux)
+		}
 		switch ev.Kind {
 		case trace.KindRCCFrame, trace.KindRCCRetransmit, trace.KindRCCAck:
 			if !*withRCC {
@@ -107,7 +110,15 @@ func main() {
 		fmt.Printf("recovery of connection %d (K=%d, b=%d): Γ %v %s bound %v, disruption %v =%s\n",
 			r.Conn, r.Hops, r.Backups, r.Gamma(), within, bound, r.Disruption(), r.Stages())
 	}
-	fmt.Printf("\n%s", agg.Render())
+	fmt.Printf("\nprotocol events:\n")
+	for k := trace.Kind(1); int(k) < trace.NumKinds; k++ {
+		if counts[k] > 0 {
+			fmt.Printf("  %-18s %d\n", k, counts[k])
+		}
+	}
+	if n := counts[trace.KindRCCFrame]; n > 0 {
+		fmt.Printf("rcc batching: %d frames, mean %.2f controls/frame\n", n, float64(controls)/float64(n))
+	}
 
 	if viols := chk.Finish(); len(viols) > 0 {
 		fmt.Printf("\nconformance violations:\n")

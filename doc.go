@@ -37,5 +37,6 @@
 //	fmt.Println(stats.RFast()) // 1: the backup activates
 //
 // For message-level runs (recovery delays, rejoin, priorities) see
-// NewEngine/NewProtocol, and the runnable programs under examples/.
+// NewEngine/NewProtocol, and the two runnable programs, examples/quickstart
+// and examples/priority.
 package bcp

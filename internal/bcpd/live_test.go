@@ -31,7 +31,7 @@ type liveTestbed struct {
 // liveHostAllowance is what the wall clock may add to a recovery beyond the
 // protocol waits the Γ bound counts: the OS waking actor and delay-line
 // goroutines, up to one millisecond late for a parked Go process (DESIGN.md
-// §11). Measured on a 2-vCPU box, this testbed's Γ was 1.63–1.85 ms quiet,
+// §12). Measured on a 2-vCPU box, this testbed's Γ was 1.63–1.85 ms quiet,
 // 1.82–2.19 ms under -race and up to 3.98 ms beside CPU-bound tests, against
 // a bound of 8.51 ms (three hops at 2.50 ms plus the 1 ms detection window):
 // the bound holds with room, and the allowance covers the one thing the

@@ -73,7 +73,7 @@ func TestTrialHoldersSeeEveryWriter(t *testing.T) {
 	}
 	// fullClaim is a claim of everything link l has left: any activation
 	// across l now fails.
-	fullClaim := func(l topology.LinkID) float64 { return m.plan.mux[l].available() }
+	fullClaim := func(l topology.LinkID) float64 { return m.plan.available(l) }
 	// backed returns the first live connection from the i-th on that still
 	// has a backup: earlier writes may have promoted or dropped some.
 	backed := func(i int) *DConnection {
@@ -186,7 +186,7 @@ func TestPoolsViewMatchesTrial(t *testing.T) {
 	g := m.Graph()
 	own := make([]float64, g.NumLinks())
 	for l := range own {
-		own[l] = m.plan.mux[l].available()
+		own[l] = m.plan.available(topology.LinkID(l))
 	}
 	same := m.NewTrialViewWithPools(own)
 	empty := m.NewTrialViewWithPools(make([]float64, g.NumLinks()))

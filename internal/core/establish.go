@@ -279,7 +279,7 @@ func (pc *planContext) probeLink(p *connPlan, bp *backupPlan, l topology.LinkID)
 	w.growLen = int32(len(p.growBuf)) - w.growOff
 	w.piLen = int32(len(p.piBuf)) - w.piOff
 	w.req = req
-	if need > lm.spare {
+	if need > m.plan.net.Spare(l) {
 		if err := m.plan.net.SpareCheck(l, need); err != nil {
 			return w, fmt.Errorf("core: link %d cannot grow spare to %g: %w", l, need, err)
 		}

@@ -60,7 +60,6 @@ type linkMux struct {
 	// primaryChanged and restride. No bit is set at or beyond len(entries).
 	cols    []uint64
 	stride  int
-	spare   float64 // committed spare reservation (mirrors rtchan account)
 	claimed float64 // drawn by activations since the last reconfiguration
 	// claims tracks protocol-mode activation claims by channel, so the
 	// bidirectional activations of Scheme 3 stay idempotent per link.
@@ -240,8 +239,12 @@ func (lm *linkMux) noteReqShrink(oldReq float64) {
 	}
 }
 
-// available returns the spare bandwidth an activation can still claim.
-func (lm *linkMux) available() float64 { return lm.spare - lm.claimed }
+// available returns the spare bandwidth an activation can still claim on
+// link l: the rtchan account's spare pool, which only this package sizes,
+// less what activations have claimed from it.
+func (p *NetworkPlan) available(l topology.LinkID) float64 {
+	return p.net.Spare(l) - p.mux[l].claimed
+}
 
 // scanLink is the admission scan of §3.2 for a new backup on a link, and the
 // only loop that decides Π membership for a backup not yet wired: the new
@@ -339,14 +342,13 @@ func (m *Manager) wireLink(l topology.LinkID, entry muxEntry, grow, pi []int32) 
 	}
 	lm.noteReq(entry.req)
 	need := lm.requiredSpare()
-	if need > lm.spare {
+	if need > m.plan.net.Spare(l) {
 		if err := m.plan.net.SetSpare(l, need); err != nil {
 			// The undone growth may have held the cached max.
 			m.plan.unwire(lm, n)
 			lm.reqDirty = true
 			return fmt.Errorf("core: link %d cannot grow spare to %g: %w", l, need, err)
 		}
-		lm.spare = need
 	}
 	return nil
 }
@@ -386,7 +388,7 @@ func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 	}
 	m.plan.unwire(lm, idx)
 	need := lm.requiredSpare()
-	if need < lm.spare {
+	if need < m.plan.net.Spare(l) {
 		// Never shrink below what activations have already claimed.
 		if need < lm.claimed {
 			need = lm.claimed
@@ -394,7 +396,6 @@ func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 		if err := m.plan.net.SetSpare(l, need); err != nil {
 			panic("core: shrinking spare failed: " + err.Error())
 		}
-		lm.spare = need
 	}
 }
 
@@ -453,7 +454,7 @@ func (m *Manager) BackupsOnLink(l topology.LinkID) int {
 func (m *Manager) SpareOnLink(l topology.LinkID) float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.plan.mux[l].spare
+	return m.plan.net.Spare(l)
 }
 
 // recomputeLinkMux rebuilds the Π structure of one link from scratch —
@@ -488,12 +489,7 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 		}
 	}
 	lm.reqDirty = true // rebuilt from scratch; rescan the fresh requirements
-	need := math.Max(lm.requiredSpare(), lm.claimed)
-	if err := m.plan.net.SetSpare(l, need); err != nil {
-		return err
-	}
-	lm.spare = need
-	return nil
+	return m.plan.net.SetSpare(l, math.Max(lm.requiredSpare(), lm.claimed))
 }
 
 // CheckMuxInvariants validates the engine's internal consistency; tests call
@@ -531,11 +527,8 @@ func (m *Manager) CheckMuxInvariants() error {
 		// headroom reconfigureLinks caps it at on a full link.
 		lid := topology.LinkID(l)
 		need := math.Min(math.Max(lm.requiredSpare(), lm.claimed), m.plan.net.Capacity(lid)-m.plan.net.Dedicated(lid))
-		if lm.spare+1e-9 < need {
-			return fmt.Errorf("core: link %d spare %g below requirement %g", l, lm.spare, need)
-		}
-		if got := m.plan.net.Spare(lid); math.Abs(got-lm.spare) > 1e-6 {
-			return fmt.Errorf("core: link %d spare mirror drift: mux=%g rtchan=%g", l, lm.spare, got)
+		if spare := m.plan.net.Spare(lid); spare+1e-9 < need {
+			return fmt.Errorf("core: link %d spare %g below requirement %g", l, spare, need)
 		}
 		n := len(lm.entries)
 		if len(lm.pi) != n*lm.stride || n > 64*lm.stride {

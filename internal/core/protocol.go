@@ -59,7 +59,7 @@ func (m *Manager) claimSpareFor(l topology.LinkID, ch rtchan.ChannelID, bw float
 	if _, dup := lm.claims[ch]; dup {
 		return true
 	}
-	if lm.available() < bw-1e-9 {
+	if m.plan.available(l) < bw-1e-9 {
 		return false
 	}
 	if lm.claims == nil {
@@ -111,7 +111,7 @@ func (m *Manager) PreemptClaim(l topology.LinkID, ch rtchan.ChannelID, alpha int
 	var victim rtchan.ChannelID
 	victimDegree := alpha
 	for held, heldBW := range lm.claims {
-		if heldBW+lm.available() < bw-1e-9 {
+		if heldBW+m.plan.available(l) < bw-1e-9 {
 			continue // evicting this claim would not free enough
 		}
 		// Largest degree loses; the lowest channel id among equals, so the

@@ -82,12 +82,8 @@ func (m *Manager) markPiStale(conn *DConnection) {
 func (m *Manager) resizeLink(l topology.LinkID) error {
 	lm := &m.plan.mux[l]
 	need := math.Max(lm.requiredSpare(), lm.claimed)
-	if need == lm.spare {
+	if need == m.plan.net.Spare(l) {
 		return nil
 	}
-	if err := m.plan.net.SetSpare(l, need); err != nil {
-		return err
-	}
-	lm.spare = need
-	return nil
+	return m.plan.net.SetSpare(l, need)
 }

@@ -40,9 +40,8 @@ func requireEquivalentMux(t *testing.T, ctx string, me, mc *Manager) {
 			t.Fatalf("%s: link %d dedicated %g vs %g", ctx, l, de, dc)
 		}
 		lme, lmc := &me.plan.mux[l], &mc.plan.mux[l]
-		if lme.spare != lmc.spare || lme.claimed != lmc.claimed {
-			t.Fatalf("%s: link %d spare/claimed (%g,%g) vs (%g,%g)",
-				ctx, l, lme.spare, lme.claimed, lmc.spare, lmc.claimed)
+		if lme.claimed != lmc.claimed {
+			t.Fatalf("%s: link %d claimed %g vs %g", ctx, l, lme.claimed, lmc.claimed)
 		}
 		if re, rc := lme.requiredSpare(), lmc.requiredSpare(); re != rc {
 			t.Fatalf("%s: link %d required spare %g vs %g", ctx, l, re, rc)

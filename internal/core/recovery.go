@@ -449,11 +449,7 @@ func (m *Manager) promoteBackup(conn *DConnection, b *rtchan.Channel, touched ma
 			m.plan.unwire(lm, idx)
 		}
 		lm.claimed -= bw
-		lm.spare -= bw
-		if lm.spare < 0 {
-			lm.spare = 0
-		}
-		if err := m.plan.net.SetSpare(l, lm.spare); err != nil {
+		if err := m.plan.net.SetSpare(l, max(m.plan.net.Spare(l)-bw, 0)); err != nil {
 			return fmt.Errorf("core: promote shrink on link %d: %w", l, err)
 		}
 		touched[l] = struct{}{}
@@ -528,15 +524,10 @@ func (m *Manager) reconfigureLinks(touched map[topology.LinkID]struct{}) error {
 		}
 		if err != nil {
 			// Cap at headroom rather than failing recovery.
-			lm := &m.plan.mux[l]
 			head := m.plan.net.Capacity(l) - m.plan.net.Dedicated(l)
-			if head < 0 {
-				head = 0
-			}
-			if err2 := m.plan.net.SetSpare(l, head); err2 != nil {
+			if err2 := m.plan.net.SetSpare(l, max(head, 0)); err2 != nil {
 				return err2
 			}
-			lm.spare = head
 		}
 	}
 	return nil

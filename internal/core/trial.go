@@ -162,7 +162,7 @@ func (s *trialSnapshot) build(p *NetworkPlan, pools []float64) {
 		copy(s.avail, pools)
 	} else {
 		for l := range s.avail {
-			s.avail[l] = p.mux[l].available()
+			s.avail[l] = p.available(topology.LinkID(l))
 		}
 	}
 	s.built, s.epoch = true, p.epoch

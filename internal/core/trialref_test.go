@@ -97,7 +97,7 @@ func refTrial(p *NetworkPlan, f Failure, order ActivationOrder, rng *rand.Rand, 
 			healthy = true
 			ok := true
 			for _, l := range b.Path.Links() {
-				pool := p.mux[l].available()
+				pool := p.available(topology.LinkID(l))
 				if pools != nil {
 					pool = pools[l]
 				}

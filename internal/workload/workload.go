@@ -1,19 +1,14 @@
 // Package workload is the one place the evaluation's connection requests
 // are written: the paper's homogeneous all-pairs load, Table 2's mixed
-// degrees, the hot-spot load with mixed bandwidths (§7.1), and dynamic
-// churn with Poisson arrivals and exponential holding times — the setting
-// the paper argues distinguishes BCP from design-time VP-restoration
-// schemes (§8). Establish is the one loop that offers a static workload to
-// a manager.
+// degrees and the hot-spot load with mixed bandwidths (§7.1). Establish is
+// the one loop that offers a workload to a manager.
 package workload
 
 import (
 	"math/rand"
-	"time"
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/rtchan"
-	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -22,11 +17,6 @@ type Request struct {
 	Src, Dst topology.NodeID
 	Spec     rtchan.TrafficSpec
 	Degrees  []int
-
-	// Arrival and Holding position the request in time for dynamic
-	// workloads; static workloads leave them zero.
-	Arrival sim.Duration
-	Holding sim.Duration
 }
 
 // AllPairs reproduces the paper's static workload: one request per ordered
@@ -112,7 +102,7 @@ func HotSpot(g *topology.Graph, cfg HotSpotConfig, rng *rand.Rand) []Request {
 	return out
 }
 
-// Establish applies a static workload to a manager, returning established
+// Establish applies a workload to a manager, returning established
 // and rejected counts.
 func Establish(m *core.Manager, reqs []Request) (established, rejected int) {
 	for _, r := range reqs {
@@ -123,91 +113,4 @@ func Establish(m *core.Manager, reqs []Request) (established, rejected int) {
 		}
 	}
 	return established, rejected
-}
-
-// DynamicConfig parameterizes Poisson churn.
-type DynamicConfig struct {
-	// ArrivalRate is the request arrival rate (per second).
-	ArrivalRate float64
-	// MeanHolding is the mean connection lifetime.
-	MeanHolding sim.Duration
-	// Duration bounds the arrival process.
-	Duration sim.Duration
-	// Spec and Degrees apply to every request.
-	Spec    rtchan.TrafficSpec
-	Degrees []int
-}
-
-// Dynamic generates a churn trace: exponential interarrivals and holding
-// times, endpoints uniform over distinct node pairs.
-func Dynamic(g *topology.Graph, cfg DynamicConfig, rng *rand.Rand) []Request {
-	if cfg.ArrivalRate <= 0 || cfg.Duration <= 0 {
-		return nil
-	}
-	n := g.NumNodes()
-	var out []Request
-	at := sim.Duration(0)
-	for {
-		gap := sim.Duration(rng.ExpFloat64() / cfg.ArrivalRate * float64(time.Second))
-		at += gap
-		if at > cfg.Duration {
-			return out
-		}
-		src := topology.NodeID(rng.Intn(n))
-		dst := topology.NodeID(rng.Intn(n))
-		if src == dst {
-			continue
-		}
-		hold := sim.Duration(rng.ExpFloat64() * float64(cfg.MeanHolding))
-		out = append(out, Request{
-			Src: src, Dst: dst, Spec: cfg.Spec, Degrees: cfg.Degrees,
-			Arrival: at, Holding: hold,
-		})
-	}
-}
-
-// ChurnStats summarizes a dynamic run.
-type ChurnStats struct {
-	Established int
-	Rejected    int
-	Departed    int
-	PeakLoad    float64
-	PeakSpare   float64
-}
-
-// RunChurn schedules a dynamic workload on a simulation engine against a
-// manager: each request establishes on arrival (counting rejections) and
-// tears down after its holding time. Invariants are the caller's to check
-// afterwards; peak load/spare are tracked at every event.
-func RunChurn(eng *sim.Engine, m *core.Manager, reqs []Request) *ChurnStats {
-	stats := &ChurnStats{}
-	sample := func() {
-		if l := m.Network().NetworkLoad(); l > stats.PeakLoad {
-			stats.PeakLoad = l
-		}
-		if s := m.Network().SpareFraction(); s > stats.PeakSpare {
-			stats.PeakSpare = s
-		}
-	}
-	for _, r := range reqs {
-		r := r
-		eng.Schedule(r.Arrival, func() {
-			conn, err := m.Establish(r.Src, r.Dst, r.Spec, r.Degrees)
-			if err != nil {
-				stats.Rejected++
-				return
-			}
-			stats.Established++
-			sample()
-			eng.Schedule(r.Holding, func() {
-				if m.Connection(conn.ID) != nil {
-					if err := m.Teardown(conn.ID); err == nil {
-						stats.Departed++
-					}
-				}
-				sample()
-			})
-		})
-	}
-	return stats
 }

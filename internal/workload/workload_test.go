@@ -3,11 +3,9 @@ package workload
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/rtchan"
-	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -117,76 +115,5 @@ func TestEstablishAppliesWorkload(t *testing.T) {
 	}
 	if m.NumConnections() != 240 {
 		t.Fatal("connections missing")
-	}
-}
-
-func TestDynamicTrace(t *testing.T) {
-	g := topology.NewTorus(4, 4, 200)
-	cfg := DynamicConfig{
-		ArrivalRate: 100,
-		MeanHolding: sim.Duration(500 * time.Millisecond),
-		Duration:    sim.Duration(10 * time.Second),
-		Spec:        rtchan.DefaultSpec(),
-		Degrees:     []int{3},
-	}
-	reqs := Dynamic(g, cfg, rand.New(rand.NewSource(2)))
-	// ~1000 arrivals expected.
-	if len(reqs) < 800 || len(reqs) > 1200 {
-		t.Fatalf("requests = %d", len(reqs))
-	}
-	var prev sim.Duration
-	var meanHold float64
-	for _, r := range reqs {
-		if r.Arrival < prev {
-			t.Fatal("arrivals not sorted")
-		}
-		prev = r.Arrival
-		meanHold += float64(r.Holding)
-	}
-	meanHold /= float64(len(reqs))
-	if meanHold < 0.4*float64(time.Second) || meanHold > 0.6*float64(time.Second) {
-		t.Fatalf("mean holding = %v", time.Duration(meanHold))
-	}
-}
-
-func TestRunChurnKeepsInvariants(t *testing.T) {
-	g := topology.NewTorus(6, 6, 100)
-	m := core.NewManager(g, core.DefaultConfig())
-	eng := sim.New(1)
-	reqs := Dynamic(g, DynamicConfig{
-		ArrivalRate: 200,
-		MeanHolding: sim.Duration(200 * time.Millisecond),
-		Duration:    sim.Duration(5 * time.Second),
-		Spec:        rtchan.DefaultSpec(),
-		Degrees:     []int{3},
-	}, rand.New(rand.NewSource(3)))
-	stats := RunChurn(eng, m, reqs)
-	eng.Run()
-	if stats.Established == 0 || stats.Departed == 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.Established != stats.Departed+m.NumConnections() {
-		t.Fatalf("conservation broken: %+v live=%d", stats, m.NumConnections())
-	}
-	if stats.PeakLoad <= 0 || stats.PeakLoad > 1 {
-		t.Fatalf("peak load = %g", stats.PeakLoad)
-	}
-	if err := m.CheckMuxInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Network().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Everything eventually departs: teardown the stragglers and verify a
-	// clean network.
-	for _, c := range m.Connections() {
-		if err := m.Teardown(c.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, l := range g.Links() {
-		if m.Network().Dedicated(l.ID) != 0 || m.Network().Spare(l.ID) != 0 {
-			t.Fatalf("link %d dirty after drain", l.ID)
-		}
 	}
 }
