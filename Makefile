@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-key one-recovery one-value one-decision one-harness verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-harness verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ one-key:
 one-recovery:
 	! grep -rnE 'SourceSwitches\(|lastCrash' --include='*.go' --exclude='*_test.go' internal cmd | grep -vE '^internal/(bcpd/|trace/recovery\.go:)'
 
+# one-muxfail fails when a multiplexing failure is recorded outside the
+# resource plane: core.Manager's claim decides every claim and emits the one
+# KindMuxFailure, naming the link that ran out of spare. trace declares the
+# kind, conformance checks it and bcptrace renders it.
+one-muxfail:
+	! grep -rn 'KindMuxFailure' --include='*.go' --exclude='*_test.go' internal cmd bcp.go examples | grep -vE '^(internal/(trace|core|conformance)|cmd/bcptrace)/'
+
 # one-harness fails when a checked run is assembled outside bcpd.NewChecked:
 # a conformance checker or a flight recorder built anywhere else is a harness
 # whose violations carry no events. bench/ keeps its own checker until a
@@ -77,7 +84,7 @@ one-decision:
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here. The gofmt step reads bench/ too
 # and skips the gitignored .bench_build (exports of other commits, caches).
-verify: bench-check one-owner one-heap one-key one-recovery one-value one-decision one-harness chaos-nightly
+verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-harness chaos-nightly
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -180,7 +180,7 @@ func describe(ev trace.Event) string {
 	case trace.KindPreempt:
 		what = fmt.Sprintf("channel %d preempts claim of channel %d on link %d", ev.Channel, ev.Aux, ev.Link)
 	case trace.KindMuxFailure:
-		what = fmt.Sprintf("multiplexing failure for backup %d", ev.Channel)
+		what = fmt.Sprintf("multiplexing failure for backup %d on link %d: %d kbit/s short", ev.Channel, ev.Link, ev.Aux)
 	case trace.KindRejoinRequest:
 		what = fmt.Sprintf("probing failed channel %d with rejoin-request", ev.Channel)
 	case trace.KindRejoin:

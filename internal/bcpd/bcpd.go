@@ -89,10 +89,10 @@ type Config struct {
 	ReplenishDelay sim.Duration
 
 	// PerMessageDispatch disables dispatch rounds (round.go): every control
-	// is submitted, every rejoin timer armed, and every claim released one
-	// at a time, as the engine did before batching. The protocol outcome is
-	// identical — this exists as the A/B baseline for the batched fan-out
-	// benchmarks and the equivalence property tests.
+	// is submitted and every rejoin timer armed one at a time, as the engine
+	// did before batching. The protocol outcome is identical — this exists
+	// as the A/B baseline for the batched fan-out benchmarks and the
+	// equivalence property tests.
 	PerMessageDispatch bool
 
 	// HeartbeatInterval enables heartbeat-based failure detection: every
@@ -515,17 +515,6 @@ func (n *Network) connOf(ch rtchan.ChannelID) rtchan.ConnID {
 		return c.Conn
 	}
 	return 0
-}
-
-// Establish routes and installs a new D-connection through the resource
-// plane, then seeds protocol state (used by dynamic-workload runs).
-func (n *Network) Establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, degrees []int) (*core.DConnection, error) {
-	conn, err := n.mgr.Establish(src, dst, spec, degrees)
-	if err != nil {
-		return nil, err
-	}
-	n.installConnection(conn)
-	return conn, nil
 }
 
 // TeardownConnection releases a D-connection through the protocol (§4.4):

@@ -10,6 +10,7 @@ import (
 	"github.com/rtcl/bcp/internal/runtime"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 // newChecked is NewChecked under test: at cleanup the test fails on every
@@ -446,6 +447,8 @@ func TestMuxFailureTriggersNextBackup(t *testing.T) {
 		t.Fatalf("spare on 5->6 = %g, want 1 (multiplexed)", got)
 	}
 	cfg := DefaultConfig()
+	rec := &trace.Recorder{}
+	cfg.Sink = rec
 	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
 	startTraffic(t, net, 500, connA, connB)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
@@ -453,6 +456,9 @@ func TestMuxFailureTriggersNextBackup(t *testing.T) {
 
 	if net.Stats().MuxFailures == 0 {
 		t.Fatal("no multiplexing failure despite contention")
+	}
+	if got, want := len(muxFailures(rec.Events)), net.Stats().MuxFailures; uint64(got) != want {
+		t.Fatalf("%d mux failures on the stream, %d counted", got, want)
 	}
 	// Both connections end up recovered: A on its only backup, B on one of
 	// its two (whichever won the race decides the loser's fallback).

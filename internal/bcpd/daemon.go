@@ -223,7 +223,7 @@ func (d *daemon) endNodeFailureAction(r *chanSoft, idx int) {
 	if ch.Role == rtchan.RoleBackup {
 		r.hops[idx].failed = true
 		// Abandon any claims the dead activation holds.
-		d.releaseClaims(ch)
+		d.net.mgr.ReleaseClaimBatch(ch.Path.Links(), ch.ID)
 	}
 	isPrimary := conn.Primary != nil && conn.Primary.ID == ch.ID
 	// A failed backup matters when the primary is already down: the end
@@ -322,8 +322,7 @@ func (d *daemon) startActivation(conn *core.DConnection, b *rtchan.Channel, from
 		claimLink = links[len(links)-1]
 		toward = -1
 	}
-	if !d.claimOrPreempt(b, claimLink) {
-		d.muxFailure(b)
+	if !d.claimHop(b, claimLink) {
 		return
 	}
 	if fromSource {
@@ -367,8 +366,7 @@ func (d *daemon) handleActivation(c wireControl) {
 			}
 			return
 		}
-		if !d.claimOrPreempt(b, links[idx]) {
-			d.muxFailure(b)
+		if !d.claimHop(b, links[idx]) {
 			return
 		}
 		d.forwardAlong(b, c)
@@ -382,8 +380,7 @@ func (d *daemon) handleActivation(c wireControl) {
 		d.net.noteSourceSwitch(b.Conn, b.ID)
 		return
 	}
-	if !d.claimOrPreempt(b, links[idx-1]) {
-		d.muxFailure(b)
+	if !d.claimHop(b, links[idx-1]) {
 		return
 	}
 	d.forwardAlong(b, c)
@@ -412,26 +409,23 @@ func (d *daemon) finalizeActivation(r *chanSoft) {
 	d.net.scheduleReplenish(b.Conn)
 }
 
-// claimOrPreempt claims spare bandwidth on link l for backup b, preempting
-// a lower-priority claim if the configuration allows it (§4.3).
-func (d *daemon) claimOrPreempt(b *rtchan.Channel, l topology.LinkID) bool {
-	bw := b.Bandwidth()
-	if d.net.mgr.ClaimSpareFor(l, b.ID, bw) {
-		return true
-	}
-	if !d.net.cfg.AllowPreemption {
-		return false
-	}
-	alpha := d.net.mgr.DegreeOf(b.ID)
-	victim, ok := d.net.mgr.PreemptClaim(l, b.ID, alpha, bw)
+// claimHop is an activation's one claim on link l for backup b. The
+// resource plane decides it, preempting a lower-priority claim when the
+// configuration allows (§4.3), and records a multiplexing failure; here the
+// victim is reported failed and a failure ends the activation.
+func (d *daemon) claimHop(b *rtchan.Channel, l topology.LinkID) bool {
+	victim, ok := d.net.mgr.ClaimSpareFor(l, b.ID, b.Bandwidth(), d.net.cfg.AllowPreemption)
 	if !ok {
+		d.muxFailure(b)
 		return false
 	}
-	d.net.stats.Preemptions++
-	// The preempted channel is handled as if disabled by a component
-	// failure: report from here toward both of its end nodes.
-	if vch, _, _ := d.at(victim); vch != nil {
-		d.reportBothWays(vch)
+	if victim != 0 {
+		d.net.stats.Preemptions++
+		// The preempted channel is handled as if disabled by a component
+		// failure: report from here toward both of its end nodes.
+		if vch, _, _ := d.at(victim); vch != nil {
+			d.reportBothWays(vch)
+		}
 	}
 	return true
 }
@@ -462,28 +456,14 @@ func (d *daemon) reportBothWays(ch *rtchan.Channel) {
 	}
 }
 
-// muxFailure handles exhaustion of spare bandwidth during activation:
-// the backup is unusable and the failure is reported to both end nodes so
-// they can try the next serial (§4.1).
+// muxFailure handles exhaustion of spare bandwidth during activation, which
+// the resource plane has already recorded: the backup's claims are
+// abandoned, it is unusable and the failure is reported to both end nodes
+// so they can try the next serial (§4.1).
 func (d *daemon) muxFailure(b *rtchan.Channel) {
 	d.net.stats.MuxFailures++
-	if d.net.em.Enabled() {
-		d.net.emitChan(trace.KindMuxFailure, d.id, b.ID, 0)
-	}
-	d.releaseClaims(b)
+	d.net.mgr.ReleaseClaimBatch(b.Path.Links(), b.ID)
 	d.reportBothWays(b)
-}
-
-// releaseClaims abandons every claim ch holds along its path: one manager
-// lock under batched dispatch, one per link in the per-message baseline.
-func (d *daemon) releaseClaims(ch *rtchan.Channel) {
-	if d.net.perMsg {
-		for _, l := range ch.Path.Links() {
-			d.net.mgr.ReleaseClaimFor(l, ch.ID)
-		}
-		return
-	}
-	d.net.mgr.ReleaseClaimBatch(ch.Path.Links(), ch.ID)
 }
 
 // --- Soft-state rejoin (§4.4, Figure 6) --------------------------------

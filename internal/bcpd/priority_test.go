@@ -1,6 +1,7 @@
 package bcpd
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 // priorityScenario builds two connections whose primaries share link 1->2
@@ -38,6 +40,39 @@ func priorityScenario(t *testing.T, cfg Config) (*Network, *sim.Engine, *topolog
 	return net.Network, eng, g, connLow, connHigh
 }
 
+// muxFailure is one multiplexing failure on a stream with the channels
+// holding a claim on its link at that moment.
+type muxFailure struct {
+	ev      trace.Event
+	holders []rtchan.ChannelID
+}
+
+// muxFailures returns evs' multiplexing failures, replaying the claims to
+// name each link's holders.
+func muxFailures(evs []trace.Event) []muxFailure {
+	held := make(map[topology.LinkID]map[rtchan.ChannelID]bool)
+	var out []muxFailure
+	for _, ev := range evs {
+		switch ev.Kind {
+		case trace.KindClaim:
+			if held[ev.Link] == nil {
+				held[ev.Link] = make(map[rtchan.ChannelID]bool)
+			}
+			held[ev.Link][ev.Channel] = true
+		case trace.KindClaimRelease, trace.KindClaimConvert:
+			delete(held[ev.Link], ev.Channel)
+		case trace.KindMuxFailure:
+			f := muxFailure{ev: ev}
+			for ch := range held[ev.Link] {
+				f.holders = append(f.holders, ch)
+			}
+			slices.Sort(f.holders)
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func TestWithoutPriorityContentionCanDeadlock(t *testing.T) {
 	// Baseline motivating §4.3: with neither delay nor preemption, the two
 	// simultaneous Scheme-3 activations race from all four end nodes.
@@ -47,11 +82,31 @@ func TestWithoutPriorityContentionCanDeadlock(t *testing.T) {
 	// multiplexing failures and neither recovers fast. (The backups
 	// themselves are intact, so the rejoin machinery later restores them
 	// as standbys.)
-	net, eng, g, connLow, connHigh := priorityScenario(t, DefaultConfig())
+	cfg := DefaultConfig()
+	rec := &trace.Recorder{}
+	cfg.Sink = rec
+	net, eng, g, connLow, connHigh := priorityScenario(t, cfg)
+	low, high := connLow.Backups[0].ID, connHigh.Backups[0].ID
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.RunFor(time.Second)
-	if got := net.Stats().MuxFailures; got < 2 {
-		t.Fatalf("mux failures = %d, want the mutual kill", got)
+	fails := muxFailures(rec.Events)
+	if got := net.Stats().MuxFailures; got < 2 || got != uint64(len(fails)) {
+		t.Fatalf("mux failures = %d with %d on the stream, want the mutual kill", got, len(fails))
+	}
+	// The mutual kill, link by link: each backup fails on the link the other
+	// holds.
+	for _, w := range []struct {
+		ch, holder rtchan.ChannelID
+		link       topology.LinkID
+	}{
+		{low, high, g.LinkBetween(5, 6)},
+		{high, low, g.LinkBetween(1, 5)},
+	} {
+		if !slices.ContainsFunc(fails, func(f muxFailure) bool {
+			return f.ev.Channel == w.ch && f.ev.Link == w.link && slices.Contains(f.holders, w.holder)
+		}) {
+			t.Fatalf("no mux failure of channel %d on link %d held by channel %d: %v", w.ch, w.link, w.holder, fails)
+		}
 	}
 	for name, conn := range map[string]*core.DConnection{"low": connLow, "high": connHigh} {
 		if conn.Primary == nil || conn.Primary.Role != rtchan.RolePrimary || conn.Primary.Path.ContainsLink(g.LinkBetween(1, 2)) == false {

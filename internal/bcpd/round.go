@@ -11,9 +11,8 @@ import (
 // Dispatch rounds batch the protocol's fan-out. A mass failure makes one
 // event — a received control frame, a detection timer — touch many channels,
 // and the per-message engine paid per message: one rcc.Submit (timer-heap
-// push + tx-timer check) per control, one Schedule per rejoin arm, one
-// manager lock acquisition per released link. A round brackets such an event
-// and coalesces everything it emits:
+// push + tx-timer check) per control, one Schedule per rejoin arm. A round
+// brackets such an event and coalesces everything it emits:
 //
 //   - controls staged per outgoing link, flushed as one SubmitBatch per
 //     neighbor in first-touch order (the RCC packs them into S^RCC_max-sized
@@ -24,9 +23,7 @@ import (
 //     RejoinTimeout, so they tie only with each other and staging order
 //     preserves the per-message firing order;
 //   - replenishments requested during the round staged and scheduled as one
-//     batch timer the same way (they all share ReplenishDelay);
-//   - claim releases batched through core.ReleaseClaimBatch (one lock, one
-//     traversal) at the call sites themselves.
+//     batch timer the same way (they all share ReplenishDelay).
 //
 // Rounds never nest: control delivery is event-driven, so no frame arrives
 // and no timer fires while a callback runs. beginRound reports whether it

@@ -80,10 +80,11 @@ func TestSoftRecordLifetime(t *testing.T) {
 	}
 
 	// The next channel of the same length reuses the record and its slots.
-	conn, err := n.Establish(0, 2, tb.conn.Spec, []int{1})
+	conn, err := tb.mgr.Establish(0, 2, tb.conn.Spec, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.installConnection(conn)
 	reused := false
 	for _, ch := range conn.Channels() {
 		reused = reused || n.soft.tab.Get(ch.ID) == r

@@ -7,7 +7,8 @@
 //     stream itself established.
 //   - Claim balance: spare-bandwidth claims are never doubled, only released
 //     or converted while held, and none survive the run (unless the scenario
-//     legitimately ends mid-recovery).
+//     legitimately ends mid-recovery). A multiplexing failure names a link
+//     the channel holds no claim on and a positive shortfall.
 //   - Recovery delay: every source switch of a recovery in progress (as
 //     trace.Recoveries derives it) lands within the §5 bound
 //     Γ ≤ (K−1)·D_max + 2(b−1)(K−1)·D_max of that recovery's crash, plus the
@@ -211,6 +212,16 @@ func (c *Checker) Emit(ev trace.Event) {
 				ev.Kind, ev.Link, ev.Channel)
 		}
 		delete(c.claims, key)
+	case trace.KindMuxFailure:
+		switch {
+		case ev.Link == topology.NoLink:
+			c.violate(ev, "claim", "multiplexing failure of channel %d names no link", ev.Channel)
+		case c.claims[linkChan{ev.Link, ev.Channel}]:
+			c.violate(ev, "claim", "multiplexing failure of channel %d on link %d, which it holds", ev.Channel, ev.Link)
+		}
+		if ev.Aux <= 0 {
+			c.violate(ev, "claim", "multiplexing failure of channel %d carries shortfall %d", ev.Channel, ev.Aux)
+		}
 
 	case trace.KindReportHop, trace.KindActivationHop:
 		if downAt, down := c.linkDown[ev.Link]; down && ev.At.Sub(downAt) > c.p.PropSlack {

@@ -83,6 +83,31 @@ func TestOutstandingClaimFlaggedAtFinish(t *testing.T) {
 	}
 }
 
+// TestMuxFailureFlagged holds a multiplexing failure to its link and
+// shortfall: channel 9 holds link 3 and fails to claim link 4 by 1 Mbps.
+func TestMuxFailureFlagged(t *testing.T) {
+	held := trace.Event{At: 0, Kind: trace.KindClaim, Node: topology.NoNode, Link: 3, Channel: 9}
+	fail := trace.Event{At: 1, Kind: trace.KindMuxFailure, Node: topology.NoNode, Link: 4, Channel: 9, Aux: 1000}
+	if viols := Check([]trace.Event{held, fail}, Params{AllowOutstandingClaims: true}); len(viols) != 0 {
+		t.Fatalf("legal multiplexing failure flagged: %v", viols)
+	}
+	for _, c := range []struct {
+		name     string
+		edit     func(*trace.Event)
+		fragment string
+	}{
+		{"no link", func(ev *trace.Event) { ev.Link = topology.NoLink }, "names no link"},
+		{"no shortfall", func(ev *trace.Event) { ev.Aux = 0 }, "shortfall 0"},
+		{"held link", func(ev *trace.Event) { ev.Link = 3 }, "which it holds"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := fail
+			c.edit(&bad)
+			wantRule(t, Check([]trace.Event{held, bad}, Params{AllowOutstandingClaims: true}), "claim", c.fragment)
+		})
+	}
+}
+
 func TestHopAcrossDownLinkFlagged(t *testing.T) {
 	events := []trace.Event{
 		{At: ms(10), Kind: trace.KindLinkDown, Node: topology.NoNode, Link: 5},

@@ -11,12 +11,18 @@ import (
 )
 
 // ClaimBatch/ReleaseClaimBatch carry one contract: bit-identical equivalence
-// with the sequential per-link loop the protocol engine used before batching — same admission decisions,
-// same stop-at-first-failure residue, same rejection strings out of
+// with a sequential per-link loop — same admission decisions, same
+// stop-at-first-failure residue, same rejection strings out of
 // ActivateClaimed. This test drives two managers through one randomized op
 // stream — claims, partial releases, activations, teardowns — applying the
 // per-link loop to one and the batch entry points to the other, and requires
 // deep state equality after every divergence-prone step.
+
+// claimedOn reports whether channel ch holds a claim on link l.
+func claimedOn(m *Manager, l topology.LinkID, ch rtchan.ChannelID) bool {
+	_, ok := m.plan.mux[l].claims[ch]
+	return ok
+}
 
 func requireSameClaims(t *testing.T, ctx string, ms, mb *Manager) {
 	t.Helper()
@@ -94,7 +100,7 @@ func TestClaimBatchMatchesSequential(t *testing.T) {
 					k := 1 + rng.Intn(len(links))
 					si, sok := k, true
 					for i, l := range links[:k] {
-						if !ms.ClaimSpareFor(l, tg.ch, bw) {
+						if _, ok := ms.ClaimSpareFor(l, tg.ch, bw, false); !ok {
 							si, sok = i, false
 							break
 						}
@@ -105,8 +111,8 @@ func TestClaimBatchMatchesSequential(t *testing.T) {
 					}
 				case r < 7: // release a (possibly partial) prefix
 					k := 1 + rng.Intn(len(links))
-					for _, l := range links[:k] {
-						ms.ReleaseClaimFor(l, tg.ch)
+					for i := range links[:k] {
+						ms.ReleaseClaimBatch(links[i:i+1], tg.ch)
 					}
 					mb.ReleaseClaimBatch(links[:k], tg.ch)
 				case r < 9: // promote: exercises claimBatch + pooled touched scratch
@@ -153,7 +159,7 @@ func TestClaimBatchResidue(t *testing.T) {
 	last := links[len(links)-1]
 	foreign := rtchan.ChannelID(1 << 20)
 	spare := m.Network().Spare(last)
-	if !m.ClaimSpareFor(last, foreign, spare) {
+	if _, ok := m.ClaimSpareFor(last, foreign, spare, false); !ok {
 		t.Fatalf("foreign claim of full spare %g on link %d failed", spare, last)
 	}
 	i, ok := m.ClaimBatch(links, b.ID, b.Bandwidth())
@@ -161,15 +167,15 @@ func TestClaimBatchResidue(t *testing.T) {
 		t.Fatalf("batch over poisoned path: got (%d,%v), want (%d,false)", i, ok, len(links)-1)
 	}
 	for _, l := range links[:i] {
-		if !m.ClaimedOn(l, b.ID) {
+		if !claimedOn(m, l, b.ID) {
 			t.Fatalf("link %d lost its pre-failure claim", l)
 		}
 	}
-	if m.ClaimedOn(last, b.ID) {
+	if claimedOn(m, last, b.ID) {
 		t.Fatal("failing link should hold no claim")
 	}
 	m.ReleaseClaimBatch(links, b.ID)
-	m.ReleaseClaimFor(last, foreign)
+	m.ReleaseClaimBatch([]topology.LinkID{last}, foreign)
 	if n := m.OutstandingClaims(); n != 0 {
 		t.Fatalf("outstanding claims after release: %d", n)
 	}

@@ -135,13 +135,13 @@ func TestTrialHoldersSeeEveryWriter(t *testing.T) {
 			return nil
 		}},
 		{"ClaimSpareFor", func() error {
-			if !m.ClaimSpareFor(claimLinks[0], claimer.ID, fullClaim(claimLinks[0])) {
+			if _, ok := m.ClaimSpareFor(claimLinks[0], claimer.ID, fullClaim(claimLinks[0]), false); !ok {
 				return fmt.Errorf("claim refused")
 			}
 			return nil
 		}},
-		{"ReleaseClaimFor", func() error {
-			m.ReleaseClaimFor(claimLinks[0], claimer.ID)
+		{"ReleaseClaimBatch of one link", func() error {
+			m.ReleaseClaimBatch(claimLinks[:1], claimer.ID)
 			return nil
 		}},
 		{"ActivateClaimed", func() error {
@@ -311,8 +311,8 @@ func TestConcurrentTrialsDuringWrites(t *testing.T) {
 			if len(conn.Backups) > 0 {
 				b := conn.Backups[0]
 				l := b.Path.Links()[0]
-				if m.ClaimSpareFor(l, b.ID, b.Bandwidth()) {
-					m.ReleaseClaimFor(l, b.ID)
+				if _, ok := m.ClaimSpareFor(l, b.ID, b.Bandwidth(), false); ok {
+					m.ReleaseClaimBatch([]topology.LinkID{l}, b.ID)
 					writes += 2
 				} else {
 					writes++

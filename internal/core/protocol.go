@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
@@ -18,7 +19,8 @@ import (
 // can both try to claim the same link — stays idempotent.
 
 // SetProtocolTrace attaches a protocol-event sink to the resource plane's
-// claim paths (claim, release, convert, preempt, rejoin re-registration).
+// claim paths (claim, release, convert, preempt, multiplexing failure,
+// rejoin re-registration).
 // clock supplies timestamps — the protocol engine passes its *sim.Engine.
 // A nil sink disables emission; the residual cost is one branch per call.
 func (m *Manager) SetProtocolTrace(s trace.Sink, clock trace.Clock) {
@@ -47,20 +49,47 @@ func (m *Manager) emitClaim(kind trace.Kind, l topology.LinkID, ch rtchan.Channe
 }
 
 // ClaimSpareFor claims bw of spare bandwidth on link l for backup channel
-// ch. It reports success; a repeated claim by the same channel is a no-op
-// success. Failure means a multiplexing failure on this link (§3.3).
-func (m *Manager) ClaimSpareFor(l topology.LinkID, ch rtchan.ChannelID, bw float64) bool {
+// ch; a repeated claim by the same channel is a no-op success. With preempt
+// set, a link short of spare gives up the claim of a lower-priority backup
+// (§4.3), returned as victim: the caller handles it as if disabled by a
+// component failure. ok false is a multiplexing failure on this link (§3.3),
+// already on the protocol trace.
+func (m *Manager) ClaimSpareFor(l topology.LinkID, ch rtchan.ChannelID, bw float64, preempt bool) (victim rtchan.ChannelID, ok bool) {
 	defer m.beginWrite()()
-	return m.claimSpareFor(l, ch, bw)
+	return m.claim(l, ch, bw, preempt)
 }
 
-func (m *Manager) claimSpareFor(l topology.LinkID, ch rtchan.ChannelID, bw float64) bool {
+// claim is the one claim decision. Preemption evicts the held claim of the
+// largest degree above ch's own that frees enough spare, the lowest channel
+// id among equals so the choice never depends on map order. A final failure
+// emits KindMuxFailure naming l, the shortfall in Aux (kbit/s, rounded up).
+func (m *Manager) claim(l topology.LinkID, ch rtchan.ChannelID, bw float64, preempt bool) (victim rtchan.ChannelID, ok bool) {
 	lm := &m.plan.mux[l]
 	if _, dup := lm.claims[ch]; dup {
-		return true
+		return 0, true
 	}
-	if m.plan.available(l) < bw-1e-9 {
-		return false
+	if avail := m.plan.available(l); avail < bw-1e-9 {
+		if preempt {
+			victimDegree := m.degreeOf(ch)
+			for held, heldBW := range lm.claims {
+				if heldBW+avail < bw-1e-9 {
+					continue // evicting this claim would not free enough
+				}
+				if d := m.degreeOf(held); d > victimDegree || (d == victimDegree && victim != 0 && held < victim) {
+					victim, victimDegree = held, d
+				}
+			}
+			if victim != 0 {
+				m.releaseClaimFor(l, victim)
+				avail = m.plan.available(l)
+			}
+		}
+		if avail < bw-1e-9 {
+			if m.traceEm.Enabled() {
+				m.emitClaim(trace.KindMuxFailure, l, ch, int64(math.Ceil((bw-avail)*1000)))
+			}
+			return 0, false
+		}
 	}
 	if lm.claims == nil {
 		lm.claims = make(map[rtchan.ChannelID]float64)
@@ -69,8 +98,11 @@ func (m *Manager) claimSpareFor(l topology.LinkID, ch rtchan.ChannelID, bw float
 	lm.claimed += bw
 	if m.traceEm.Enabled() {
 		m.emitClaim(trace.KindClaim, l, ch, 0)
+		if victim != 0 {
+			m.emitClaim(trace.KindPreempt, l, ch, int64(victim))
+		}
 	}
-	return true
+	return victim, true
 }
 
 // DegreeOf returns the multiplexing degree of a backup channel, or a very
@@ -99,47 +131,12 @@ func (m *Manager) degreeOf(ch rtchan.ChannelID) int {
 	return 1 << 30
 }
 
-// PreemptClaim implements the preemption flavor of priority-based
-// activation (§4.3): when link l has no spare left for backup ch (degree
-// alpha), a claim held by a strictly lower-priority backup (larger degree)
-// is revoked to make room: the holder of the largest degree, the lowest
-// channel id among equals. It returns the victim channel (to be handled as
-// if disabled by a component failure) and whether preemption succeeded.
-func (m *Manager) PreemptClaim(l topology.LinkID, ch rtchan.ChannelID, alpha int, bw float64) (rtchan.ChannelID, bool) {
-	defer m.beginWrite()()
-	lm := &m.plan.mux[l]
-	var victim rtchan.ChannelID
-	victimDegree := alpha
-	for held, heldBW := range lm.claims {
-		if heldBW+m.plan.available(l) < bw-1e-9 {
-			continue // evicting this claim would not free enough
-		}
-		// Largest degree loses; the lowest channel id among equals, so the
-		// choice never depends on map order.
-		if d := m.degreeOf(held); d > victimDegree || (d == victimDegree && victim != 0 && held < victim) {
-			victim = held
-			victimDegree = d
-		}
-	}
-	if victim == 0 {
-		return 0, false
-	}
-	m.releaseClaimFor(l, victim)
-	if !m.claimSpareFor(l, ch, bw) {
-		return 0, false // arithmetic raced; give up
-	}
-	if m.traceEm.Enabled() {
-		m.emitClaim(trace.KindPreempt, l, ch, int64(victim))
-	}
-	return victim, true
-}
-
 // ClaimBatch claims bw of spare bandwidth on every link of links for backup
 // channel ch under a single write transaction. Decisions are bit-identical
-// to a sequential ClaimSpareFor loop: links are claimed in slice order and
-// the first multiplexing failure stops the batch, leaving the earlier claims
-// in place (exactly the state the abandoned loop would leave for the caller
-// to release). It returns the index of the failing link and false, or
+// to a sequential ClaimSpareFor loop without preemption: links are claimed
+// in slice order and the first multiplexing failure stops the batch,
+// leaving the earlier claims in place (exactly the state the abandoned loop
+// would leave for the caller to release). It returns the index of the failing link and false, or
 // len(links) and true when every claim was admitted.
 func (m *Manager) ClaimBatch(links []topology.LinkID, ch rtchan.ChannelID, bw float64) (int, bool) {
 	defer m.beginWrite()()
@@ -148,23 +145,16 @@ func (m *Manager) ClaimBatch(links []topology.LinkID, ch rtchan.ChannelID, bw fl
 
 func (m *Manager) claimBatch(links []topology.LinkID, ch rtchan.ChannelID, bw float64) (int, bool) {
 	for i, l := range links {
-		if !m.claimSpareFor(l, ch, bw) {
+		if _, ok := m.claim(l, ch, bw, false); !ok {
 			return i, false
 		}
 	}
 	return len(links), true
 }
 
-// ReleaseClaimFor undoes a claim (e.g. when an activation is abandoned after
-// a downstream multiplexing failure).
-func (m *Manager) ReleaseClaimFor(l topology.LinkID, ch rtchan.ChannelID) {
-	defer m.beginWrite()()
-	m.releaseClaimFor(l, ch)
-}
-
 // ReleaseClaimBatch undoes ch's claims on every link of links under a single
-// write transaction — the batched sibling of a ReleaseClaimFor loop. Links
-// holding no claim for ch are skipped, as in the sequential loop.
+// write transaction (e.g. when an activation is abandoned after a downstream
+// multiplexing failure). Links holding no claim for ch are skipped.
 func (m *Manager) ReleaseClaimBatch(links []topology.LinkID, ch rtchan.ChannelID) {
 	defer m.beginWrite()()
 	for _, l := range links {
@@ -196,14 +186,6 @@ func (m *Manager) OutstandingClaims() int {
 		n += len(m.plan.mux[i].claims)
 	}
 	return n
-}
-
-// ClaimedOn reports whether channel ch holds a claim on link l.
-func (m *Manager) ClaimedOn(l topology.LinkID, ch rtchan.ChannelID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.plan.mux[l].claims[ch]
-	return ok
 }
 
 // ActivateClaimed promotes backup b of conn to primary after the protocol

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"github.com/rtcl/bcp/internal/rtchan"
+	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
+	"github.com/rtcl/bcp/internal/trace"
 )
 
 func TestClaimSpareForIdempotent(t *testing.T) {
@@ -17,31 +19,36 @@ func TestClaimSpareForIdempotent(t *testing.T) {
 	}
 	b := conn.Backups[0]
 	l := b.Path.Links()[0]
-	if !m.ClaimSpareFor(l, b.ID, 1) {
+	claim := func(ch rtchan.ChannelID) bool {
+		_, ok := m.ClaimSpareFor(l, ch, 1, false)
+		return ok
+	}
+	release := func(ch rtchan.ChannelID) { m.ReleaseClaimBatch([]topology.LinkID{l}, ch) }
+	if !claim(b.ID) {
 		t.Fatal("first claim failed")
 	}
 	// Idempotent: the same channel claiming again succeeds without drawing
 	// more from the pool.
-	if !m.ClaimSpareFor(l, b.ID, 1) {
+	if !claim(b.ID) {
 		t.Fatal("repeat claim failed")
 	}
-	if !m.ClaimedOn(l, b.ID) {
+	if !claimedOn(m, l, b.ID) {
 		t.Fatal("claim not recorded")
 	}
 	// Pool is size 1: a different channel cannot claim.
-	if m.ClaimSpareFor(l, rtchan.ChannelID(999), 1) {
+	if claim(999) {
 		t.Fatal("overdraw accepted")
 	}
-	m.ReleaseClaimFor(l, b.ID)
-	if m.ClaimedOn(l, b.ID) {
+	release(b.ID)
+	if claimedOn(m, l, b.ID) {
 		t.Fatal("release did not clear the claim")
 	}
-	if !m.ClaimSpareFor(l, rtchan.ChannelID(999), 1) {
+	if !claim(999) {
 		t.Fatal("pool not restored after release")
 	}
-	m.ReleaseClaimFor(l, rtchan.ChannelID(999))
+	release(999)
 	// Releasing a non-existent claim is a no-op.
-	m.ReleaseClaimFor(l, rtchan.ChannelID(12345))
+	release(12345)
 }
 
 func TestActivateClaimedPromotes(t *testing.T) {
@@ -54,7 +61,7 @@ func TestActivateClaimedPromotes(t *testing.T) {
 	}
 	b := conn.Backups[0]
 	for _, l := range b.Path.Links() {
-		if !m.ClaimSpareFor(l, b.ID, 1) {
+		if _, ok := m.ClaimSpareFor(l, b.ID, 1, false); !ok {
 			t.Fatal("claim failed")
 		}
 	}
@@ -193,39 +200,80 @@ func TestRestoreAsBackupDemotesPrimary(t *testing.T) {
 	}
 }
 
+// TestPreemptClaimOrdering: three backups multiplexed on one unit of spare,
+// registered at degrees 8, 7 and 7. The degree-7 backup preempts the
+// degree-8 holder; neither a lower nor an equal priority then preempts it,
+// and every refused claim is one multiplexing failure on the stream, naming
+// the link and the 1 Mbps shortfall.
 func TestPreemptClaimOrdering(t *testing.T) {
-	g, path := mesh3(t)
+	g := topology.NewTorus(4, 4, 10)
 	m := newTestManager(g)
-	// Two multiplexed backups share one unit of spare on 3->4.
-	c1, err := m.EstablishOnPaths(spec1(), path(0, 1, 2),
-		[]topology.Path{path(0, 3, 4, 5, 2)}, []int{8})
-	if err != nil {
-		t.Fatal(err)
+	var bs [3]*rtchan.Channel
+	for i, c := range []struct {
+		primary, backup []topology.NodeID
+		degree          int
+	}{
+		{[]topology.NodeID{0, 1, 2}, []topology.NodeID{0, 4, 5, 6, 2}, 8},
+		{[]topology.NodeID{8, 9, 10}, []topology.NodeID{8, 4, 5, 6, 10}, 7},
+		{[]topology.NodeID{4, 7, 6}, []topology.NodeID{4, 5, 6}, 7},
+	} {
+		conn, err := m.EstablishOnPaths(spec1(), torusPath(t, g, c.primary...),
+			[]topology.Path{torusPath(t, g, c.backup...)}, []int{c.degree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs[i] = conn.Backups[0]
 	}
-	c2, err := m.EstablishOnPaths(spec1(), path(6, 7, 8),
-		[]topology.Path{path(6, 3, 4, 5, 8)}, []int{7})
-	if err != nil {
-		t.Fatal(err)
+	l := g.LinkBetween(4, 5)
+	if got := m.SpareOnLink(l); got != 1 {
+		t.Fatalf("spare on the contended link = %g, want 1 (multiplexed)", got)
 	}
-	l := g.LinkBetween(3, 4)
-	b1, b2 := c1.Backups[0], c2.Backups[0]
-	if !m.ClaimSpareFor(l, b1.ID, 1) {
+	rec := &trace.Recorder{}
+	m.SetProtocolTrace(rec, sim.New(1))
+	low, high, peer := bs[0], bs[1], bs[2]
+	if _, ok := m.ClaimSpareFor(l, low.ID, 1, false); !ok {
 		t.Fatal("claim failed")
 	}
+	// Without preemption a higher priority fails like any other claim.
+	if _, ok := m.ClaimSpareFor(l, high.ID, 1, false); ok {
+		t.Fatal("overdraw accepted")
+	}
 	// Higher priority (degree 7) preempts the degree-8 holder.
-	victim, ok := m.PreemptClaim(l, b2.ID, 7, 1)
-	if !ok || victim != b1.ID {
+	victim, ok := m.ClaimSpareFor(l, high.ID, 1, true)
+	if !ok || victim != low.ID {
 		t.Fatalf("preempt: victim=%d ok=%v", victim, ok)
 	}
-	if !m.ClaimedOn(l, b2.ID) || m.ClaimedOn(l, b1.ID) {
+	if !claimedOn(m, l, high.ID) || claimedOn(m, l, low.ID) {
 		t.Fatal("claims not transferred")
 	}
-	// Equal or lower priority cannot preempt.
-	if _, ok := m.PreemptClaim(l, b1.ID, 8, 1); ok {
+	// Lower or equal priority cannot preempt.
+	if _, ok := m.ClaimSpareFor(l, low.ID, 1, true); ok {
 		t.Fatal("lower priority preempted a higher one")
 	}
-	if _, ok := m.PreemptClaim(l, b1.ID, 7, 1); ok {
+	if _, ok := m.ClaimSpareFor(l, peer.ID, 1, true); ok {
 		t.Fatal("equal priority preempted")
+	}
+	type ev struct {
+		kind trace.Kind
+		ch   rtchan.ChannelID
+		aux  int64
+	}
+	want := []ev{
+		{trace.KindClaim, low.ID, 0},
+		{trace.KindMuxFailure, high.ID, 1000},
+		{trace.KindClaimRelease, low.ID, 0},
+		{trace.KindClaim, high.ID, 0},
+		{trace.KindPreempt, high.ID, int64(low.ID)},
+		{trace.KindMuxFailure, low.ID, 1000},
+		{trace.KindMuxFailure, peer.ID, 1000},
+	}
+	if len(rec.Events) != len(want) {
+		t.Fatalf("stream %v, want %d events", rec.Events, len(want))
+	}
+	for i, e := range rec.Events {
+		if got := (ev{e.Kind, e.Channel, e.Aux}); got != want[i] || e.Link != l || e.Node != topology.NoNode {
+			t.Fatalf("event %d = %v, want %v on link %d", i, e, want[i], l)
+		}
 	}
 }
 
@@ -236,13 +284,7 @@ func TestPreemptClaimOrdering(t *testing.T) {
 // other: spare 2) hold the link; a third, multiplexed with both, preempts.
 func TestPreemptClaimTieIsDeterministic(t *testing.T) {
 	g := topology.NewTorus(4, 4, 10)
-	path := func(nodes ...topology.NodeID) topology.Path {
-		p, err := topology.PathBetween(g, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
+	path := func(nodes ...topology.NodeID) topology.Path { return torusPath(t, g, nodes...) }
 	l := g.LinkBetween(4, 5)
 	for run := 0; run < 128; run++ {
 		m := newTestManager(g)
@@ -262,15 +304,24 @@ func TestPreemptClaimTieIsDeterministic(t *testing.T) {
 			t.Fatalf("spare on the contended link = %g, want 2", got)
 		}
 		for _, c := range holders {
-			if !m.ClaimSpareFor(l, c.Backups[0].ID, 1) {
+			if _, ok := m.ClaimSpareFor(l, c.Backups[0].ID, 1, false); !ok {
 				t.Fatal("holder's claim failed")
 			}
 		}
-		victim, ok := m.PreemptClaim(l, p.Backups[0].ID, 2, 1)
+		victim, ok := m.ClaimSpareFor(l, p.Backups[0].ID, 1, true)
 		if want := holders[0].Backups[0].ID; !ok || victim != want {
 			t.Fatalf("run %d: victim %d ok=%v, want the lower id %d", run, victim, ok, want)
 		}
 	}
+}
+
+func torusPath(t *testing.T, g *topology.Graph, nodes ...topology.NodeID) topology.Path {
+	t.Helper()
+	p, err := topology.PathBetween(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestDegreeOf(t *testing.T) {

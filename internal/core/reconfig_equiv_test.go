@@ -197,33 +197,23 @@ func TestCoalescedReconfigEquivalence(t *testing.T) {
 					links := be.Path.Links()
 					var got []topology.LinkID
 					for _, l := range links {
-						okE := me.ClaimSpareFor(l, be.ID, bw)
-						okC := mc.ClaimSpareFor(l, bc.ID, bw)
-						if okE != okC {
-							t.Fatalf("%s: claim on link %d diverged: %v vs %v", ctx, l, okE, okC)
+						ve, okE := me.ClaimSpareFor(l, be.ID, bw, true)
+						vc, okC := mc.ClaimSpareFor(l, bc.ID, bw, true)
+						if okE != okC || ve != vc {
+							t.Fatalf("%s: claim on link %d diverged: (%d,%v) vs (%d,%v)",
+								ctx, l, ve, okE, vc, okC)
 						}
 						if !okE {
-							alpha := me.DegreeOf(be.ID)
-							ve, okPE := me.PreemptClaim(l, be.ID, alpha, bw)
-							vc, okPC := mc.PreemptClaim(l, bc.ID, alpha, bw)
-							if okPE != okPC || ve != vc {
-								t.Fatalf("%s: preempt on link %d diverged: (%d,%v) vs (%d,%v)",
-									ctx, l, ve, okPE, vc, okPC)
-							}
-							if !okPE {
-								claimed = false
-								break
-							}
+							claimed = false
+							break
 						}
 						got = append(got, l)
 					}
 					if claimed && rng.Intn(4) != 0 {
 						sameErr(t, ctx+" activate", me.ActivateClaimed(id, be), mc.ActivateClaimed(id, bc))
 					} else {
-						for _, l := range got {
-							me.ReleaseClaimFor(l, be.ID)
-							mc.ReleaseClaimFor(l, bc.ID)
-						}
+						me.ReleaseClaimBatch(got, be.ID)
+						mc.ReleaseClaimBatch(got, bc.ID)
 					}
 				case 2: // tear down a channel (primary half the time)
 					var ch rtchan.ChannelID

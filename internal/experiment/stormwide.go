@@ -135,7 +135,7 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 			if picked >= perVictim {
 				break
 			}
-			if sampled[c.ID] || c.Primary == nil || !pathCrossesNode(c.Primary.Path, v) {
+			if sampled[c.ID] || c.Primary == nil || !c.Primary.Path.ContainsNode(v) {
 				continue
 			}
 			if err := net.StartTraffic(c.ID, stormWideRate); err != nil {
@@ -147,15 +147,6 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 		}
 	}
 	return s, nil
-}
-
-func pathCrossesNode(p topology.Path, v topology.NodeID) bool {
-	for _, n := range p.Nodes() {
-		if n == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Cycle crashes the next victim node, runs the failure storm, repairs it,
@@ -183,7 +174,7 @@ func (s *StormWide) pickVictim() topology.NodeID {
 	for _, v := range s.Victims {
 		n := 0
 		for _, c := range s.conns {
-			if c.Primary != nil && pathCrossesNode(c.Primary.Path, v) {
+			if c.Primary != nil && c.Primary.Path.ContainsNode(v) {
 				n++
 			}
 		}

@@ -178,26 +178,3 @@ func (m DConnModel) Reliability(t float64) float64 {
 	p := c.TransientSolve([]float64{1, 0, 0, 0}, t, 0)
 	return 1 - p[3]
 }
-
-// SymmetricDConnModel is the simplified Figure 3(b) model for equal-length
-// disjoint primary and backup channels with per-channel failure rate Lambda
-// and repair rate Mu. States: 0 both healthy, 1 one failed, 2 absorbing.
-type SymmetricDConnModel struct {
-	Lambda, Mu float64
-}
-
-// Chain builds the CTMC for the symmetric model.
-func (m SymmetricDConnModel) Chain() *CTMC {
-	c := NewCTMC(3)
-	c.SetRate(0, 1, 2*m.Lambda)
-	c.SetRate(1, 0, m.Mu)
-	c.SetRate(1, 2, m.Lambda)
-	return c
-}
-
-// Reliability returns R(t) starting from state 0.
-func (m SymmetricDConnModel) Reliability(t float64) float64 {
-	c := m.Chain()
-	p := c.TransientSolve([]float64{1, 0, 0}, t, 0)
-	return 1 - p[2]
-}

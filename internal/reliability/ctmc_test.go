@@ -87,19 +87,6 @@ func TestDConnModelRepairRateHelps(t *testing.T) {
 	}
 }
 
-func TestSymmetricModelMatchesGeneral(t *testing.T) {
-	// Figure 3(b) must agree with Figure 3(a) when λ1=λ2=λ, λ3=0.
-	lam, mu := 2e-3, 5.0
-	gen := DConnModel{Lambda1: lam, Lambda2: lam, Lambda3: 0, Mu: mu}
-	sym := SymmetricDConnModel{Lambda: lam, Mu: mu}
-	for _, tt := range []float64{1, 10, 100, 1000} {
-		rg, rs := gen.Reliability(tt), sym.Reliability(tt)
-		if !almost(rg, rs, 1e-6) {
-			t.Fatalf("t=%g: general %g vs symmetric %g", tt, rg, rs)
-		}
-	}
-}
-
 func TestCTMCvsCombinatorialModel(t *testing.T) {
 	// The paper replaces the Markov model with the combinatorial Pr because
 	// μ >> λ resets the system each time unit. Check the two agree at first

@@ -83,7 +83,8 @@ const (
 	// channel Aux on Link (§4.3).
 	KindPreempt
 	// KindMuxFailure records spare-bandwidth exhaustion during activation
-	// of Channel (§3.3).
+	// of Channel (§3.3): Link has too little spare left for its claim, by
+	// Aux kbit/s (rounded up).
 	KindMuxFailure
 	// KindRejoinRequest records the source probing Channel's failed path.
 	KindRejoinRequest
