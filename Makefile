@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-harness verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -78,13 +78,24 @@ one-decision:
 		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
 
+# one-trial fails when the failure-trial walk is entered anywhere but its two
+# doors: TrialView.Trial, the one read entry point (a serial caller holds one
+# view), and Manager.apply, which runs the walk under the write lock over its
+# own scratch before making the winners' claims real. Scoped to functions, as
+# one-decision is; a method value counts as a call.
+one-trial:
+	@awk 'FNR == 1 { fn = "" } /^(func|type) / { fn = $$0 } \
+		/\.trial([^A-Za-z0-9_]|$$)/ && fn !~ /^func \((v \*TrialView\) Trial|m \*Manager\) apply)\(/ \
+		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
+		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
+
 # verify is the pre-merge gate: gofmt + vet + build + the full suite under
 # the race detector (the parallel sweep worker pool runs even in short mode),
 # after bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here. The gofmt step reads bench/ too
 # and skips the gitignored .bench_build (exports of other commits, caches).
-verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-harness chaos-nightly
+verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness chaos-nightly
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...

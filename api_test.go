@@ -36,7 +36,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 
 	// Transactional failure trial.
-	stats := mgr.Trial(bcp.SingleLink(conn.Primary.Path.Links()[0]), bcp.OrderByConn, nil)
+	stats := mgr.NewTrialView().Trial(bcp.SingleLink(conn.Primary.Path.Links()[0]), bcp.OrderByConn, nil)
 	if stats.RFast() != 1 {
 		t.Fatalf("RFast = %g", stats.RFast())
 	}
@@ -182,14 +182,19 @@ func TestPublicConcurrentSweep(t *testing.T) {
 		t.Fatalf("parallel sweep %+v != serial %+v", pooled, serial)
 	}
 
-	// A per-goroutine view trials read-only over the manager's shared plan.
+	// A per-goroutine view trials read-only over the manager's shared plan:
+	// its trials add up to the sweep's, and no write transaction ran.
+	epoch := mgr.PlanEpoch()
 	view := mgr.NewTrialView()
-	f := bcp.SingleLink(failures[0].Links()[0])
-	if got, want := view.Trial(f, bcp.OrderByConn, nil), mgr.Trial(f, bcp.OrderByConn, nil); got.FastRecovered != want.FastRecovered {
-		t.Fatalf("view trial %+v != manager trial %+v", got, want)
+	failed := 0
+	for _, f := range failures {
+		failed += view.Trial(f, bcp.OrderByConn, nil).FailedPrimaries
 	}
-	if view.PlanEpoch() != mgr.PlanEpoch() {
-		t.Fatal("view and manager disagree on plan epoch")
+	if failed != serial.TotalFailedPrimaries {
+		t.Fatalf("view trials failed %d primaries, the sweep %d", failed, serial.TotalFailedPrimaries)
+	}
+	if mgr.PlanEpoch() != epoch {
+		t.Fatal("a view trial moved the plan epoch")
 	}
 }
 
@@ -202,7 +207,7 @@ var facadeTypeOnly = map[string]string{
 	"Config":          "DefaultConfig",
 	"Channel":         "DConnection.Primary",
 	"TrialView":       "Manager.NewTrialView",
-	"RecoveryStats":   "Manager.Trial",
+	"RecoveryStats":   "TrialView.Trial",
 	"ActivationOrder": "OrderByConn",
 	"Engine":          "NewEngine",
 	"Timer":           "Engine.At",

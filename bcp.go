@@ -68,9 +68,10 @@ type (
 	// concurrent use: mutators serialize behind a single-writer lock and
 	// readers run concurrently (see TrialView for scalable sweeps).
 	Manager = core.Manager
-	// TrialView is a cheap per-goroutine read view over a Manager's shared
-	// network plan: create one per sweep worker with Manager.NewTrialView
-	// and call Trial concurrently.
+	// TrialView is the one way to run a failure trial: a cheap
+	// per-goroutine read view over a Manager's shared network plan. Create
+	// one per sweep worker (or one for a serial caller) with
+	// Manager.NewTrialView and call Trial concurrently.
 	TrialView = core.TrialView
 )
 

@@ -216,10 +216,11 @@ func BenchmarkFailureTrial(b *testing.B) {
 	mgr := bcp.NewManager(g, bcp.DefaultConfig())
 	bcp.EstablishWorkload(mgr, bcp.AllPairs(g, bcp.DefaultSpec(), []int{3}))
 	f := bcp.SingleNode(27)
+	view := mgr.NewTrialView()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats := mgr.Trial(f, bcp.OrderByConn, nil)
+		stats := view.Trial(f, bcp.OrderByConn, nil)
 		if stats.FailedPrimaries == 0 {
 			b.Fatal("no failures")
 		}

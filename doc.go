@@ -32,8 +32,10 @@
 //	conn, err := mgr.Establish(0, 36, bcp.DefaultSpec(), []int{1})
 //	if err != nil { ... }
 //
-//	// What happens if a link on the primary fails?
-//	stats := mgr.Trial(bcp.SingleLink(conn.Primary.Path.Links()[0]), bcp.OrderByConn, nil)
+//	// What happens if a link on the primary fails? A view trials read-only
+//	// over the manager's plan; hold one per goroutine.
+//	view := mgr.NewTrialView()
+//	stats := view.Trial(bcp.SingleLink(conn.Primary.Path.Links()[0]), bcp.OrderByConn, nil)
 //	fmt.Println(stats.RFast()) // 1: the backup activates
 //
 // For message-level runs (recovery delays, rejoin, priorities) see

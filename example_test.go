@@ -31,7 +31,7 @@ func ExampleManager_Establish() {
 
 // A transactional failure trial: what fraction of failed primaries would
 // recover instantly via their backups?
-func ExampleManager_Trial() {
+func ExampleTrialView_Trial() {
 	g := bcp.NewTorus(8, 8, 200)
 	mgr := bcp.NewManager(g, bcp.DefaultConfig())
 	for s := 0; s < 64; s++ {
@@ -44,7 +44,7 @@ func ExampleManager_Trial() {
 			}
 		}
 	}
-	stats := mgr.Trial(bcp.SingleNode(27), bcp.OrderByConn, nil)
+	stats := mgr.NewTrialView().Trial(bcp.SingleNode(27), bcp.OrderByConn, nil)
 	fmt.Printf("R_fast = %.2f\n", stats.RFast())
 	// Output:
 	// R_fast = 1.00

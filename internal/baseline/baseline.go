@@ -5,7 +5,6 @@
 package baseline
 
 import (
-	"math/rand"
 	"sort"
 
 	"github.com/rtcl/bcp/internal/core"
@@ -20,12 +19,10 @@ import (
 // by the proposed scheme, making the comparison resource-neutral.
 //
 // The pools are fixed at construction: build it after establishment settles.
-// Trial is not safe for concurrent use with itself; parallel sweeps give each
-// worker its own NewTrialView.
+// Trials run through NewTrialView, one view per goroutine.
 type BruteForce struct {
 	m     *core.Manager
 	pools []float64 // by LinkID
-	view  *core.TrialView
 }
 
 // NewBruteForce wraps an established manager. perLink is the uniform spare
@@ -42,7 +39,7 @@ func NewBruteForce(m *core.Manager, perLink float64, capLimit bool) *BruteForce 
 			pools[i] = min(perLink, net.Capacity(l)-net.Dedicated(l))
 		}
 	}
-	return &BruteForce{m: m, pools: pools, view: m.NewTrialViewWithPools(pools)}
+	return &BruteForce{m: m, pools: pools}
 }
 
 // UniformSpareFromManager returns the proposed scheme's average spare per
@@ -57,14 +54,10 @@ func UniformSpareFromManager(m *core.Manager) float64 {
 }
 
 // NewTrialView returns a per-goroutine view that trials against the uniform
-// pools: core.Manager.Trial's walk with this scheme's number on every link.
+// pools: core.Manager.NewTrialView's walk with this scheme's number on every
+// link.
 func (b *BruteForce) NewTrialView() *core.TrialView {
 	return b.m.NewTrialViewWithPools(b.pools)
-}
-
-// Trial evaluates a failure event through the scheme's own view.
-func (b *BruteForce) Trial(f core.Failure, order core.ActivationOrder, rng *rand.Rand) core.RecoveryStats {
-	return b.view.Trial(f, order, rng)
 }
 
 // Reestablish evaluates the [BAN93]-style baseline: no backups and no spare

@@ -54,20 +54,20 @@ func TestBruteForceTrialBasics(t *testing.T) {
 	g, m := buildContention(t)
 	// Generous uniform pool: both activations succeed.
 	bf := NewBruteForce(m, 5, false)
-	stats := bf.Trial(core.SingleLink(g.LinkBetween(1, 2)), core.OrderByConn, nil)
+	stats := bf.NewTrialView().Trial(core.SingleLink(g.LinkBetween(1, 2)), core.OrderByConn, nil)
 	if stats.FailedPrimaries != 2 || stats.FastRecovered != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// Starved pool: both backups cross a shared link; with 1 unit only one
 	// can claim it.
 	bf = NewBruteForce(m, 1, false)
-	stats = bf.Trial(core.SingleLink(g.LinkBetween(1, 2)), core.OrderByConn, nil)
+	stats = bf.NewTrialView().Trial(core.SingleLink(g.LinkBetween(1, 2)), core.OrderByConn, nil)
 	if stats.FastRecovered != 1 || stats.MuxFailed != 1 {
 		t.Fatalf("starved stats = %+v", stats)
 	}
 	// Zero pool: no recovery at all.
 	bf = NewBruteForce(m, 0, false)
-	stats = bf.Trial(core.SingleLink(g.LinkBetween(1, 2)), core.OrderByConn, nil)
+	stats = bf.NewTrialView().Trial(core.SingleLink(g.LinkBetween(1, 2)), core.OrderByConn, nil)
 	if stats.FastRecovered != 0 || stats.MuxFailed != 2 {
 		t.Fatalf("zero-pool stats = %+v", stats)
 	}
@@ -98,12 +98,12 @@ func TestBruteForceCapLimit(t *testing.T) {
 	}
 	fail := core.SingleLink(g.LinkBetween(0, 1))
 	// Uncapped fictitious pool of 2: both backups claim 3->4.
-	stats := NewBruteForce(m, 2, false).Trial(fail, core.OrderByConn, nil)
+	stats := NewBruteForce(m, 2, false).NewTrialView().Trial(fail, core.OrderByConn, nil)
 	if stats.FastRecovered != 2 {
 		t.Fatalf("uncapped stats = %+v", stats)
 	}
 	// Capped at headroom (10-9=1): only one activation fits.
-	stats = NewBruteForce(m, 2, true).Trial(fail, core.OrderByConn, nil)
+	stats = NewBruteForce(m, 2, true).NewTrialView().Trial(fail, core.OrderByConn, nil)
 	if stats.FastRecovered != 1 || stats.MuxFailed != 1 {
 		t.Fatalf("capped stats = %+v", stats)
 	}
@@ -112,7 +112,7 @@ func TestBruteForceCapLimit(t *testing.T) {
 func TestBruteForceExcludesEndNodeFailures(t *testing.T) {
 	_, m := buildContention(t)
 	bf := NewBruteForce(m, 5, false)
-	stats := bf.Trial(core.SingleNode(0), core.OrderByConn, nil)
+	stats := bf.NewTrialView().Trial(core.SingleNode(0), core.OrderByConn, nil)
 	if stats.ExcludedConns != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}

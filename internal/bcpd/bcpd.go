@@ -584,16 +584,12 @@ func (n *Network) replenishNow(connID rtchan.ConnID) {
 	if conn == nil || conn.Primary == nil || len(conn.Backups) >= replenishTarget {
 		return
 	}
-	alpha := 1
-	if len(conn.Degrees) > 0 {
-		alpha = conn.Degrees[len(conn.Degrees)-1]
-	}
 	before := len(conn.Backups)
 	var avoid func(topology.LinkID) bool
 	if n.linksDown > 0 {
 		avoid = func(l topology.LinkID) bool { return n.links[l].down }
 	}
-	added, err := n.mgr.ReplenishBackups(connID, replenishTarget, alpha, avoid)
+	added, err := n.mgr.ReplenishBackups(connID, replenishTarget, conn.ReplacementDegree(), avoid)
 	if err != nil || added == 0 {
 		return
 	}

@@ -1,6 +1,7 @@
 package bcpd
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -323,6 +324,54 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	}
 	if err := mgr.CheckMuxInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplacementBackupsKeepTheDegree holds both ways a connection whose
+// only backup was promoted gets a backup back to the degree the connection
+// was configured with, not 1: the backup replenishment establishes, and the
+// old primary when its repaired link lets it rejoin.
+func TestReplacementBackupsKeepTheDegree(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		repair bool
+	}{{"replenished", false}, {"rejoined", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := topology.NewTorus(4, 4, 200)
+			eng := sim.New(1)
+			mgr := core.NewManager(g, core.DefaultConfig())
+			conn, err := mgr.Establish(0, 5, rtchan.DefaultSpec(), []int{3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			if !tc.repair {
+				cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
+			}
+			net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+			old := conn.Primary
+			l := old.Path.Links()[0]
+			eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(l) })
+			if tc.repair {
+				eng.At(sim.Time(80*time.Millisecond), func() { net.RepairLink(l) })
+			}
+			eng.RunFor(time.Second)
+
+			st := net.Stats()
+			if st.BackupsReplenished+st.Rejoins != 1 || len(conn.Backups) != 1 || conn.Primary == old {
+				t.Fatalf("%d replenished, %d rejoined, %d backups: want the backup promoted and one replacement",
+					st.BackupsReplenished, st.Rejoins, len(conn.Backups))
+			}
+			if got := conn.Backups[0] == old; got != tc.repair {
+				t.Fatalf("replacement is the old primary: %v, want %v", got, tc.repair)
+			}
+			if !slices.Equal(conn.Degrees, []int{3}) || mgr.DegreeOf(conn.Backups[0].ID) != 3 {
+				t.Fatalf("replacement degrees %v, DegreeOf %d: want the configured 3", conn.Degrees, mgr.DegreeOf(conn.Backups[0].ID))
+			}
+			if err := mgr.CheckMuxInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

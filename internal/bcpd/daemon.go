@@ -630,11 +630,7 @@ func (d *daemon) completeRejoin(r *chanSoft, idx int) {
 		d.abandonRejoin(r, idx)
 		return
 	}
-	alpha := 1
-	if len(conn.Degrees) > 0 {
-		alpha = conn.Degrees[len(conn.Degrees)-1]
-	}
-	if err := d.net.mgr.RestoreAsBackup(ch.Conn, ch.ID, alpha); err != nil {
+	if err := d.net.mgr.RestoreAsBackup(ch.Conn, ch.ID, conn.ReplacementDegree()); err != nil {
 		d.abandonRejoin(r, idx)
 		return
 	}

@@ -85,13 +85,14 @@ func TestEstablishAllocs(t *testing.T) {
 
 // TestTrialAllocs pins the allocation budget of one failure trial on the
 // fully loaded evaluation network — the inner loop of every R_fast sweep. A
-// trial is a pure read over the plan into the manager's reusable scratch;
+// trial is a pure read over the plan into the view's reusable scratch;
 // only the per-degree result map it returns allocates.
 func TestTrialAllocs(t *testing.T) {
 	m := loadedEvalTorus(64 * 63)
 	f := SingleNode(27)
+	v := m.NewTrialView()
 	allocs := testing.AllocsPerRun(10, func() {
-		if stats := m.Trial(f, OrderByConn, nil); stats.FailedPrimaries == 0 {
+		if stats := v.Trial(f, OrderByConn, nil); stats.FailedPrimaries == 0 {
 			t.Fatal("node 27 carries no primaries")
 		}
 	})

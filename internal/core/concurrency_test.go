@@ -29,29 +29,9 @@ func loadedTorus(t *testing.T, alpha int) *Manager {
 	return m
 }
 
-// TestTrialViewMatchesManagerTrial pins the plan/view split's core contract:
-// a TrialView trial is the same computation as Manager.Trial, bit for bit.
-func TestTrialViewMatchesManagerTrial(t *testing.T) {
-	m := loadedTorus(t, 3)
-	v := m.NewTrialView()
-	for _, l := range m.Graph().Links() {
-		f := SingleLink(l.ID)
-		want := m.Trial(f, OrderByConn, nil)
-		got := v.Trial(f, OrderByConn, nil)
-		if want.FastRecovered != got.FastRecovered ||
-			want.FailedPrimaries != got.FailedPrimaries ||
-			want.FailedBackups != got.FailedBackups ||
-			want.MuxFailed != got.MuxFailed ||
-			want.BackupDead != got.BackupDead ||
-			want.ExcludedConns != got.ExcludedConns {
-			t.Fatalf("link %d: view trial %+v != manager trial %+v", l.ID, got, want)
-		}
-	}
-}
-
 // TestTrialHoldersSeeEveryWriter pins the snapshot's epoch check: after any
-// write transaction, a view that trialed before it (and Manager.Trial's own
-// scratch) must return what a fresh view returns. Each writer below is chosen
+// write transaction, a view that trialed before it must return what a fresh
+// view returns. Each writer below is chosen
 // to change some trial of the sweep, which is asserted, so a holder that kept
 // its old snapshot fails here.
 func TestTrialHoldersSeeEveryWriter(t *testing.T) {
@@ -166,9 +146,6 @@ func TestTrialHoldersSeeEveryWriter(t *testing.T) {
 		if got := sweep(view.Trial); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the view that trialed before the write differs from a fresh one", w.name)
 		}
-		if got := sweep(m.Trial); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Manager.Trial differs from a fresh view", w.name)
-		}
 	}
 	if err := m.CheckMuxInvariants(); err != nil {
 		t.Fatal(err)
@@ -176,8 +153,8 @@ func TestTrialHoldersSeeEveryWriter(t *testing.T) {
 }
 
 // TestPoolsViewMatchesTrial holds the pools view to the walk it shares with
-// Manager.Trial, with no reference evaluator: handed each link's own
-// available spare as its pool, the view must return Manager.Trial's
+// a plain view, with no reference evaluator: handed each link's own
+// available spare as its pool, the view must return the plain view's
 // statistics exactly, for every single-component failure of the loaded
 // evaluation torus under every activation order; handed empty pools, the
 // same walk must find the same failures and recover none of them.
@@ -188,6 +165,7 @@ func TestPoolsViewMatchesTrial(t *testing.T) {
 	for l := range own {
 		own[l] = m.plan.available(topology.LinkID(l))
 	}
+	plain := m.NewTrialView()
 	same := m.NewTrialViewWithPools(own)
 	empty := m.NewTrialViewWithPools(make([]float64, g.NumLinks()))
 
@@ -201,16 +179,16 @@ func TestPoolsViewMatchesTrial(t *testing.T) {
 	recovered := 0
 	for _, order := range []ActivationOrder{OrderByConn, OrderByPriority, OrderRandom} {
 		for i, f := range failures {
-			want := m.Trial(f, order, rand.New(rand.NewSource(int64(i))))
+			want := plain.Trial(f, order, rand.New(rand.NewSource(int64(i))))
 			got := same.Trial(f, order, rand.New(rand.NewSource(int64(i))))
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("order %v failure %d: own-spare pools %+v, Manager.Trial %+v", order, i, got, want)
+				t.Fatalf("order %v failure %d: own-spare pools %+v, plain view %+v", order, i, got, want)
 			}
 			recovered += want.FastRecovered
 			none := empty.Trial(f, order, rand.New(rand.NewSource(int64(i))))
 			if none.FailedPrimaries != want.FailedPrimaries || none.FailedBackups != want.FailedBackups ||
 				none.ExcludedConns != want.ExcludedConns || none.BackupDead != want.BackupDead {
-				t.Fatalf("order %v failure %d: empty pools found %+v, Manager.Trial %+v", order, i, none, want)
+				t.Fatalf("order %v failure %d: empty pools found %+v, plain view %+v", order, i, none, want)
 			}
 			if none.FastRecovered != 0 || none.MuxFailed != want.FastRecovered+want.MuxFailed {
 				t.Fatalf("order %v failure %d: empty pools recovered %d, refused %d of %d", order, i,
@@ -225,12 +203,10 @@ func TestPoolsViewMatchesTrial(t *testing.T) {
 
 // TestConcurrentTrialsDuringWrites is the race property test for the
 // single-writer boundary: many goroutines run read-only trials through
-// per-goroutine TrialViews, and one through the Manager's own serialized
-// Trial, while a writer goroutine churns the plan with Establish/Teardown,
-// the protocol-plane claim calls and Apply. Apply runs Trial's walk under the
-// write lock over a scratch of its own, never through m.Trial or trialMu
-// (m.Trial takes trialMu, then the read lock: the opposite order). Run under
-// `go test -race`; the test then asserts the mux engine's invariants and that
+// per-goroutine TrialViews, one of them in priority order, while a writer
+// goroutine churns the plan with Establish/Teardown, the protocol-plane
+// claim calls and Apply. Apply runs the trial walk under the write lock over
+// a scratch of its own. Run under `go test -race`; the test then asserts the mux engine's invariants and that
 // the plan epoch advanced once per write transaction.
 func TestConcurrentTrialsDuringWrites(t *testing.T) {
 	m := loadedTorus(t, 3)
@@ -272,10 +248,11 @@ func TestConcurrentTrialsDuringWrites(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		v := m.NewTrialView()
 		for pass := 0; pass < 6; pass++ {
 			for _, f := range failures {
-				if s := m.Trial(f, OrderByPriority, nil); s.FastRecovered+s.MuxFailed+s.BackupDead > s.FailedPrimaries {
-					t.Errorf("manager trial outcome counts exceed failed primaries: %+v", s)
+				if s := v.Trial(f, OrderByPriority, nil); s.FastRecovered+s.MuxFailed+s.BackupDead > s.FailedPrimaries {
+					t.Errorf("priority trial outcome counts exceed failed primaries: %+v", s)
 					return
 				}
 			}
@@ -286,10 +263,11 @@ func TestConcurrentTrialsDuringWrites(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		v := m.NewTrialView()
 		for i := 0; i < writerOps; i++ {
 			if i%8 == 7 {
 				f := failures[(i*7)%len(failures)]
-				want := m.Trial(f, OrderByConn, nil) // no other writer: the plan cannot move in between
+				want := v.Trial(f, OrderByConn, nil) // no other writer: the plan cannot move in between
 				got, err := m.Apply(f, OrderByConn, nil)
 				writes++
 				if err != nil {

@@ -51,7 +51,34 @@ type DConnection struct {
 	Backups []*rtchan.Channel // in serial (activation) order
 	Degrees []int             // multiplexing degree α per backup (paper's "mux=α")
 
-	sig int32 // row of the plan's primary-signature slab (sig.go)
+	sig        int32 // row of the plan's primary-signature slab (sig.go)
+	replDegree int32 // see ReplacementDegree; int32 beside sig fills its padding
+}
+
+// ReplacementDegree returns the multiplexing degree a replenished or
+// rejoined backup of the connection takes: the last degree configured on
+// it, kept after the backup that had it was promoted or torn down, and 1
+// for a connection that never had a backup.
+func (d *DConnection) ReplacementDegree() int { return int(d.replDegree) }
+
+// listBackup appends ch to the connection's backups at degree alpha, which
+// becomes the degree its replacement backups take.
+func (d *DConnection) listBackup(ch *rtchan.Channel, alpha int) {
+	d.Backups = append(d.Backups, ch)
+	d.Degrees = append(d.Degrees, alpha)
+	d.replDegree = int32(alpha)
+}
+
+// unlistBackup removes backup id from the connection's lists; the degree
+// replacement backups take stays.
+func (d *DConnection) unlistBackup(id rtchan.ChannelID) {
+	for i, x := range d.Backups {
+		if x.ID == id {
+			d.Backups = append(d.Backups[:i], d.Backups[i+1:]...)
+			d.Degrees = append(d.Degrees[:i], d.Degrees[i+1:]...)
+			return
+		}
+	}
 }
 
 // Channels returns the primary followed by the backups.
@@ -71,9 +98,9 @@ func (d *DConnection) Channels() []*rtchan.Channel {
 // safe for concurrent use. Mutating entry points (Establish, Teardown,
 // Apply, the protocol-plane claim/activation calls, ...) serialize behind a
 // single-writer lock; read entry points take the reader side, so any number
-// of them may run during quiescence and none during a write. Failure-sweep
-// workers should each hold their own TrialView (NewTrialView): Trial via a
-// view is a pure read over the shared plan with per-goroutine scratch, so
+// of them may run during quiescence and none during a write. Failure
+// trials run only through a TrialView (NewTrialView), one per goroutine: a
+// trial is a pure read over the shared plan with per-goroutine scratch, so
 // sweeps scale with cores without rebuilding per-worker managers.
 //
 // Two escape hatches bypass the lock and are writer-side or quiescent-only:
@@ -100,16 +127,9 @@ type Manager struct {
 	estCtx  *planContext
 	seqPlan *connPlan
 
-	// trial backs the Manager's own serial Trial entry point; trialMu keeps
-	// that entry point safe against itself (concurrent sweeps should prefer
-	// per-goroutine TrialViews, which don't contend on it). applyTrial is
-	// Apply's scratch for the same walk, owned by the write lock: Apply
-	// holds mu exclusively, so it can neither call Trial nor take trialMu
-	// (Trial takes trialMu, then mu shared). Each holds its own snapshot of
-	// the plan (trial.go); Apply's is recopied on every call, since Apply's
+	// applyTrial is Apply's scratch for the trial walk (trial.go), owned by
+	// the write lock. Its snapshot is recopied on every call, since Apply's
 	// own write transaction has moved the epoch.
-	trialMu    sync.Mutex
-	trial      trialScratch
 	applyTrial trialScratch
 
 	// touched is the writer-side touched-link scratch shared by every

@@ -9,10 +9,11 @@ import (
 )
 
 // Establishment is split into a read-only *plan* phase and a mutating
-// *commit* phase. The plan phase routes the primary and every backup, runs
-// the delay and spare-pool admission tests, and records the exact wiring the
-// multiplexing engine would perform — without touching the plan. The commit
-// phase replays the record: no routing, no Π decisions, no admission scans.
+// *commit* phase. The plan phase routes the primary and every backup within
+// their hop bounds, runs the spare-pool admission probe on every backup
+// link, and records the exact wiring the multiplexing engine would perform —
+// without touching the plan. The commit phase replays the record: no
+// routing, no Π decisions, no admission scans.
 //
 // The split is sound because one establishment's own mutations never feed
 // back into its later decisions: the links a committed channel changes
@@ -327,7 +328,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 		return nil, p.err
 	}
 	g := m.plan.net.Graph()
-	conn := &DConnection{ID: m.nextConn, Src: p.src, Dst: p.dst, Spec: p.spec, sig: m.plan.allocSig()}
+	conn := &DConnection{ID: m.nextConn, Src: p.src, Dst: p.dst, Spec: p.spec, sig: m.plan.allocSig(), replDegree: 1}
 	pPath := topology.NewPathUnchecked(g, p.prim.links, p.prim.nodes)
 	prim, err := m.plan.net.Establish(conn.ID, rtchan.RolePrimary, 0, pPath, p.spec)
 	if err != nil {
@@ -365,8 +366,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 			undo()
 			return nil, fmt.Errorf("core: backup %d multiplexing: %w", i+1, err)
 		}
-		conn.Backups = append(conn.Backups, bch)
-		conn.Degrees = append(conn.Degrees, bp.alpha)
+		conn.listBackup(bch, bp.alpha)
 	}
 	m.plan.conns.Set(conn.ID, conn)
 	m.nextConn++

@@ -72,12 +72,13 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 		return nil, err
 	}
 	conn := &DConnection{
-		ID:      m.nextConn,
-		Src:     primary.Source(),
-		Dst:     primary.Destination(),
-		Spec:    spec,
-		Primary: prim,
-		sig:     m.plan.allocSig(),
+		ID:         m.nextConn,
+		Src:        primary.Source(),
+		Dst:        primary.Destination(),
+		Spec:       spec,
+		Primary:    prim,
+		sig:        m.plan.allocSig(),
+		replDegree: 1,
 	}
 	m.primaryChanged(conn)
 	undo := func() {
@@ -94,8 +95,7 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 			undo()
 			return nil, err
 		}
-		conn.Backups = append(conn.Backups, bch)
-		conn.Degrees = append(conn.Degrees, degrees[i])
+		conn.listBackup(bch, degrees[i])
 		if err := m.addBackup(conn, bch, degrees[i]); err != nil {
 			undo()
 			return nil, err
@@ -152,8 +152,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 			_ = m.plan.net.Teardown(bch.ID)
 			break
 		}
-		conn.Backups = append(conn.Backups, bch)
-		conn.Degrees = append(conn.Degrees, alpha)
+		conn.listBackup(bch, alpha)
 		added++
 	}
 	return added, nil

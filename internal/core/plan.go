@@ -6,7 +6,6 @@ import (
 
 	"github.com/rtcl/bcp/internal/idtab"
 	"github.com/rtcl/bcp/internal/rtchan"
-	"github.com/rtcl/bcp/internal/topology"
 )
 
 // NetworkPlan is the shared half of the control plane: the state the paper's
@@ -61,13 +60,13 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 	// link; for every failed node, the refs of its out-links and the refs
 	// that end on its in-links (trialSnapshot), so each channel that visits
 	// the node is stamped once.
-	f.eachLink(func(l topology.LinkID) {
+	for _, l := range f.links {
 		for _, r := range s.onLink(l) {
 			t.mark(r, &f, &stats)
 		}
-	})
+	}
 	g := p.net.Graph()
-	f.eachNode(func(n topology.NodeID) {
+	for _, n := range f.nodes {
 		for _, l := range g.Out(n) {
 			for _, r := range s.onLink(l) {
 				t.mark(r, &f, &stats)
@@ -78,7 +77,7 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 				t.mark(r, &f, &stats)
 			}
 		}
-	})
+	}
 
 	needs := t.need.drain(t.needs[:0])
 	orderConns(needs, s.conns, order, rng)
@@ -137,11 +136,12 @@ func (t *trialScratch) activate(c int32, stats *RecoveryStats) {
 	}
 }
 
-// TrialView is a cheap per-goroutine read view over a Manager's shared
-// NetworkPlan. It bundles the scratch buffers one failure trial needs with
-// the reader side of the Manager's writer boundary, making Trial safe to
-// call concurrently from many goroutines over a single loaded network —
-// the read-mostly workload of the paper's failure sweeps (§7).
+// TrialView is the one read entry point to failure trials: a cheap
+// per-goroutine view over a Manager's shared NetworkPlan. It bundles the
+// scratch buffers one failure trial needs with the reader side of the
+// Manager's writer boundary, making Trial safe to call concurrently from
+// many goroutines over a single loaded network — the read-mostly workload
+// of the paper's failure sweeps (§7). A serial caller holds one view.
 //
 // Views are not safe for concurrent use with themselves: create one view
 // per goroutine. A view is a few hundred bytes until its first trial copies
@@ -159,7 +159,7 @@ func (m *Manager) NewTrialView() *TrialView {
 	return &TrialView{m: m}
 }
 
-// NewTrialViewWithPools returns a view whose trials are Manager.Trial's walk
+// NewTrialViewWithPools returns a view whose trials are NewTrialView's walk
 // (same discovery, exclusions, activation order and serial-backup rule) with
 // one number per link changed: activations on link l draw from pools[l]
 // instead of the spare the multiplexing engine sized there. The view keeps
@@ -171,16 +171,13 @@ func (m *Manager) NewTrialViewWithPools(pools []float64) *TrialView {
 	return &TrialView{m: m, scratch: trialScratch{pools: pools}}
 }
 
-// Trial evaluates a failure event read-only over the shared plan. See
-// Manager.Trial for the statistics' meaning; results are identical.
+// Trial evaluates a failure event without changing any reservation or
+// connection state, returning the R_fast statistics the paper's Tables 1-3
+// report. Activations contend for each link's spare pool in the given
+// order; a backup activates iff it is itself unaffected by the failure and
+// every link of its path has enough unclaimed spare bandwidth.
 func (v *TrialView) Trial(f Failure, order ActivationOrder, rng *rand.Rand) RecoveryStats {
 	v.m.mu.RLock()
 	defer v.m.mu.RUnlock()
 	return v.m.plan.trial(f, order, rng, &v.scratch)
 }
-
-// PlanEpoch returns the plan's write-transaction counter at this instant.
-// Two equal epochs bracket a span with no intervening writes, so readers
-// holding derived state can cheaply validate it — the same discipline
-// topology.Graph.Version provides for routing caches.
-func (v *TrialView) PlanEpoch() uint64 { return v.m.PlanEpoch() }

@@ -140,7 +140,7 @@ func TestPropertyMuxOneSingleFailureGuarantee(t *testing.T) {
 			} else {
 				f = SingleNode(topology.NodeID(rng.Intn(g.NumNodes())))
 			}
-			stats := m.Trial(f, OrderByConn, nil)
+			stats := m.NewTrialView().Trial(f, OrderByConn, nil)
 			if stats.MuxFailed != 0 {
 				t.Fatalf("seed %d trial %d: %d multiplexing failures at mux=1",
 					seed, trial, stats.MuxFailed)

@@ -280,8 +280,7 @@ func (m *Manager) RestoreAsBackup(connID rtchan.ConnID, ch rtchan.ChannelID, alp
 	if err := m.addBackup(conn, c, alpha); err != nil {
 		return err
 	}
-	conn.Backups = append(conn.Backups, c)
-	conn.Degrees = append(conn.Degrees, alpha)
+	conn.listBackup(c, alpha)
 	if m.traceEm.Enabled() {
 		m.traceEm.Emit(trace.Event{
 			At:      m.traceClock.Now(),

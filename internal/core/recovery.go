@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,105 +15,39 @@ import (
 // simplex link disables the channels routed over it (its reverse-direction
 // twin is a separate component, matching the paper's failure model).
 //
-// The paper's three failure models — single link, single node, double node
-// — dominate the sweep hot loop (one Failure per trial, hundreds of
-// thousands of trials), so small failures are stored inline with no map
-// allocation; only larger component sets (the severity sweeps) fall back to
-// maps.
+// Both lists are sorted ascending and hold each component once. A trial
+// ranges over them to find the disabled channels and searches nodes for the
+// end nodes of each one it finds; the paper's failure models hold one or two
+// components, so the search is a compare or two.
 type Failure struct {
-	// Inline storage for up to failureInline links and nodes each, sorted
-	// ascending. Used iff the corresponding map is nil.
-	slinks [failureInline]topology.LinkID
-	snodes [failureInline]topology.NodeID
-	nl, nn uint8
-	links  map[topology.LinkID]struct{} // non-nil only beyond inline capacity
-	nodes  map[topology.NodeID]struct{}
+	links []topology.LinkID
+	nodes []topology.NodeID
 }
-
-// failureInline is the per-kind inline component capacity: it covers every
-// failure model the paper sweeps (§7.2-7.4) without heap allocation.
-const failureInline = 2
 
 // NewFailure builds a failure from explicit component lists. Duplicates are
 // collapsed.
 func NewFailure(links []topology.LinkID, nodes []topology.NodeID) Failure {
-	var f Failure
-	for _, l := range links {
-		f.addLink(l)
-	}
-	for _, n := range nodes {
-		f.addNode(n)
-	}
-	return f
+	return Failure{links: sortedSet(links), nodes: sortedSet(nodes)}
 }
 
-func (f *Failure) addLink(l topology.LinkID) {
-	if f.links == nil {
-		for _, x := range f.slinks[:f.nl] {
-			if x == l {
-				return
-			}
-		}
-		if int(f.nl) < failureInline {
-			// Insertion keeps the inline set sorted, so Links() and
-			// eachLink need no sort step.
-			i := int(f.nl)
-			for i > 0 && f.slinks[i-1] > l {
-				f.slinks[i] = f.slinks[i-1]
-				i--
-			}
-			f.slinks[i] = l
-			f.nl++
-			return
-		}
-		// Overflow: spill the inline set into a map and continue there.
-		f.links = make(map[topology.LinkID]struct{}, failureInline+1)
-		for _, x := range f.slinks[:f.nl] {
-			f.links[x] = struct{}{}
-		}
-		f.nl = 0
+// sortedSet returns a sorted, duplicate-free copy of xs (nil when empty).
+func sortedSet[T cmp.Ordered](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
 	}
-	f.links[l] = struct{}{}
-}
-
-func (f *Failure) addNode(n topology.NodeID) {
-	if f.nodes == nil {
-		for _, x := range f.snodes[:f.nn] {
-			if x == n {
-				return
-			}
-		}
-		if int(f.nn) < failureInline {
-			i := int(f.nn)
-			for i > 0 && f.snodes[i-1] > n {
-				f.snodes[i] = f.snodes[i-1]
-				i--
-			}
-			f.snodes[i] = n
-			f.nn++
-			return
-		}
-		f.nodes = make(map[topology.NodeID]struct{}, failureInline+1)
-		for _, x := range f.snodes[:f.nn] {
-			f.nodes[x] = struct{}{}
-		}
-		f.nn = 0
-	}
-	f.nodes[n] = struct{}{}
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SingleLink is the paper's single-link failure model.
 func SingleLink(l topology.LinkID) Failure {
-	var f Failure
-	f.slinks[0], f.nl = l, 1
-	return f
+	return Failure{links: []topology.LinkID{l}}
 }
 
 // SingleNode is the paper's single-node failure model.
 func SingleNode(n topology.NodeID) Failure {
-	var f Failure
-	f.snodes[0], f.nn = n, 1
-	return f
+	return Failure{nodes: []topology.NodeID{n}}
 }
 
 // DoubleNode is the paper's double-node failure model.
@@ -120,133 +55,22 @@ func DoubleNode(a, b topology.NodeID) Failure {
 	return NewFailure(nil, []topology.NodeID{a, b})
 }
 
-// The exported predicates take value receivers (the natural API for a
-// value type), each copying the struct once; the unexported pointer-receiver
-// twins below exist for the sweep hot loop, where per-component copies of
-// the inline storage showed up in the trial profile.
-
 // LinkFailed reports whether link l failed.
-func (f Failure) LinkFailed(l topology.LinkID) bool { return f.linkFailed(l) }
-
-func (f *Failure) linkFailed(l topology.LinkID) bool {
-	if f.links != nil {
-		_, bad := f.links[l]
-		return bad
-	}
-	for _, x := range f.slinks[:f.nl] {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
+func (f Failure) LinkFailed(l topology.LinkID) bool { return slices.Contains(f.links, l) }
 
 // NodeFailed reports whether node n failed.
-func (f Failure) NodeFailed(n topology.NodeID) bool { return f.nodeFailed(n) }
-
-func (f *Failure) nodeFailed(n topology.NodeID) bool {
-	if f.nodes != nil {
-		_, bad := f.nodes[n]
-		return bad
-	}
-	for _, x := range f.snodes[:f.nn] {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
-
-// numLinks returns the number of failed links.
-func (f *Failure) numLinks() int {
-	if f.links != nil {
-		return len(f.links)
-	}
-	return int(f.nl)
-}
-
-// numNodes returns the number of failed nodes.
-func (f *Failure) numNodes() int {
-	if f.nodes != nil {
-		return len(f.nodes)
-	}
-	return int(f.nn)
-}
-
-// eachLink calls fn for every failed link (inline sets in ascending order).
-func (f *Failure) eachLink(fn func(topology.LinkID)) {
-	if f.links != nil {
-		for l := range f.links {
-			fn(l)
-		}
-		return
-	}
-	for _, l := range f.slinks[:f.nl] {
-		fn(l)
-	}
-}
-
-// eachNode calls fn for every failed node (inline sets in ascending order).
-func (f *Failure) eachNode(fn func(topology.NodeID)) {
-	if f.nodes != nil {
-		for n := range f.nodes {
-			fn(n)
-		}
-		return
-	}
-	for _, n := range f.snodes[:f.nn] {
-		fn(n)
-	}
-}
+func (f Failure) NodeFailed(n topology.NodeID) bool { return slices.Contains(f.nodes, n) }
 
 // Links returns the failed links, ascending.
-func (f Failure) Links() []topology.LinkID {
-	if f.links == nil {
-		out := make([]topology.LinkID, f.nl)
-		copy(out, f.slinks[:f.nl])
-		return out
-	}
-	out := make([]topology.LinkID, 0, len(f.links))
-	for l := range f.links {
-		out = append(out, l)
-	}
-	slices.Sort(out)
-	return out
-}
+func (f Failure) Links() []topology.LinkID { return slices.Clone(f.links) }
 
 // Nodes returns the failed nodes, ascending.
-func (f Failure) Nodes() []topology.NodeID {
-	if f.nodes == nil {
-		out := make([]topology.NodeID, f.nn)
-		copy(out, f.snodes[:f.nn])
-		return out
-	}
-	out := make([]topology.NodeID, 0, len(f.nodes))
-	for n := range f.nodes {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
+func (f Failure) Nodes() []topology.NodeID { return slices.Clone(f.nodes) }
 
 // HitsPath reports whether any component of path p failed (links or any
 // visited node, including end nodes).
 func (f Failure) HitsPath(p topology.Path) bool {
-	if f.numLinks() > 0 {
-		for _, l := range p.Links() {
-			if f.linkFailed(l) {
-				return true
-			}
-		}
-	}
-	if f.numNodes() > 0 {
-		for _, n := range p.Nodes() {
-			if f.nodeFailed(n) {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(p.Links(), f.LinkFailed) || slices.ContainsFunc(p.Nodes(), f.NodeFailed)
 }
 
 // ActivationOrder selects the order in which simultaneous backup activations
@@ -335,28 +159,11 @@ func firstDegree(c *DConnection) int {
 	return c.Degrees[0]
 }
 
-// Trial evaluates a failure event without changing any reservation or
-// connection state, returning the R_fast statistics the paper's Tables 1-3
-// report. Activations contend for each link's spare pool in the given
-// order; a backup activates iff it is itself unaffected by the failure and
-// every link of its path has enough unclaimed spare bandwidth.
-//
-// Trial is a pure read over the shared NetworkPlan (see plan.go) and is
-// safe to call concurrently with itself and with writers. Concurrent sweep
-// workers should prefer per-goroutine TrialViews (NewTrialView), which skip
-// this entry point's serialization over the manager-owned scratch.
-func (m *Manager) Trial(f Failure, order ActivationOrder, rng *rand.Rand) RecoveryStats {
-	m.trialMu.Lock()
-	defer m.trialMu.Unlock()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.plan.trial(f, order, rng, &m.trial)
-}
-
 // Apply executes a failure event against live state: winning backups claim
 // spare bandwidth and are promoted to primaries; failed channels are torn
 // down; spare pools are re-sized (§4.4 resource reconfiguration). It returns
-// the same statistics as Trial, because Trial's walk is what decides them.
+// the same statistics as TrialView.Trial, because that walk is what decides
+// them.
 //
 // Connections that lose every channel are torn down entirely (the paper
 // informs the client of the unrecoverable failure; re-establishment from
@@ -458,13 +265,7 @@ func (m *Manager) promoteBackup(conn *DConnection, b *rtchan.Channel, touched ma
 		return err
 	}
 	// The connection's channel lists: the winner becomes the primary.
-	for i, x := range conn.Backups {
-		if x.ID == b.ID {
-			conn.Backups = append(conn.Backups[:i], conn.Backups[i+1:]...)
-			conn.Degrees = append(conn.Degrees[:i], conn.Degrees[i+1:]...)
-			break
-		}
-	}
+	conn.unlistBackup(b.ID)
 	conn.Primary = b
 	m.primaryChanged(conn)
 	// The new primary path changes every S(·,·) involving this connection:
@@ -488,13 +289,7 @@ func (m *Manager) dropChannel(conn *DConnection, ch *rtchan.Channel, touched map
 			m.removeBackupFromLink(l, ch)
 			touched[l] = struct{}{}
 		}
-		for i, x := range conn.Backups {
-			if x.ID == ch.ID {
-				conn.Backups = append(conn.Backups[:i], conn.Backups[i+1:]...)
-				conn.Degrees = append(conn.Degrees[:i], conn.Degrees[i+1:]...)
-				break
-			}
-		}
+		conn.unlistBackup(ch.ID)
 	} else if conn.Primary != nil && conn.Primary.ID == ch.ID {
 		conn.Primary = nil
 		m.primaryChanged(conn)

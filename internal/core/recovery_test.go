@@ -45,7 +45,7 @@ func TestTrialSingleLinkFastRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := m.Trial(SingleLink(g.LinkBetween(0, 1)), OrderByConn, nil)
+	stats := m.NewTrialView().Trial(SingleLink(g.LinkBetween(0, 1)), OrderByConn, nil)
 	if stats.FailedPrimaries != 1 || stats.FastRecovered != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -54,7 +54,7 @@ func TestTrialSingleLinkFastRecovery(t *testing.T) {
 	}
 	// Trial must not mutate: a second identical trial gives the same
 	// result, and the connection still has its original primary.
-	stats2 := m.Trial(SingleLink(g.LinkBetween(0, 1)), OrderByConn, nil)
+	stats2 := m.NewTrialView().Trial(SingleLink(g.LinkBetween(0, 1)), OrderByConn, nil)
 	if stats2.FailedPrimaries != 1 || stats2.FastRecovered != 1 {
 		t.Fatalf("second trial = %+v", stats2)
 	}
@@ -70,7 +70,7 @@ func TestTrialEndNodeFailureExcluded(t *testing.T) {
 		[]topology.Path{path(0, 3, 4, 5, 2)}, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	stats := m.Trial(SingleNode(0), OrderByConn, nil)
+	stats := m.NewTrialView().Trial(SingleNode(0), OrderByConn, nil)
 	if stats.ExcludedConns != 1 || stats.FailedPrimaries != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -84,7 +84,7 @@ func TestTrialBackupDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 kills the primary; node 4 kills the backup.
-	stats := m.Trial(DoubleNode(1, 4), OrderByConn, nil)
+	stats := m.NewTrialView().Trial(DoubleNode(1, 4), OrderByConn, nil)
 	if stats.FailedPrimaries != 1 || stats.FastRecovered != 0 || stats.BackupDead != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -108,7 +108,7 @@ func TestTrialMuxContention(t *testing.T) {
 	if got := m.plan.net.Spare(shared); got != 1 {
 		t.Fatalf("expected multiplexed spare 1, got %g", got)
 	}
-	stats := m.Trial(SingleLink(g.LinkBetween(1, 2)), OrderByConn, nil)
+	stats := m.NewTrialView().Trial(SingleLink(g.LinkBetween(1, 2)), OrderByConn, nil)
 	if stats.FailedPrimaries != 2 {
 		t.Fatalf("failed primaries = %d", stats.FailedPrimaries)
 	}
@@ -144,7 +144,7 @@ func TestTrialSecondBackupSavesMuxFailure(t *testing.T) {
 	if got := m.plan.net.Spare(g.LinkBetween(5, 6)); got != 1 {
 		t.Fatalf("spare on 5->6 = %g, want 1 (multiplexed)", got)
 	}
-	stats := m.Trial(SingleLink(g.LinkBetween(1, 2)), OrderByConn, nil)
+	stats := m.NewTrialView().Trial(SingleLink(g.LinkBetween(1, 2)), OrderByConn, nil)
 	if stats.FailedPrimaries != 2 || stats.FastRecovered != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -171,11 +171,11 @@ func TestTrialPriorityOrdering(t *testing.T) {
 	f := SingleLink(g.LinkBetween(1, 2))
 
 	m := build()
-	byConn := m.Trial(f, OrderByConn, nil)
+	byConn := m.NewTrialView().Trial(f, OrderByConn, nil)
 	if byConn.ByDegree[8].FastRecovered != 1 || byConn.ByDegree[7].FastRecovered != 0 {
 		t.Fatalf("conn order: %+v %+v", byConn.ByDegree[8], byConn.ByDegree[7])
 	}
-	byPrio := m.Trial(f, OrderByPriority, nil)
+	byPrio := m.NewTrialView().Trial(f, OrderByPriority, nil)
 	if byPrio.ByDegree[7].FastRecovered != 1 || byPrio.ByDegree[8].FastRecovered != 0 {
 		t.Fatalf("priority order: %+v %+v", byPrio.ByDegree[7], byPrio.ByDegree[8])
 	}
@@ -381,8 +381,8 @@ func TestApplyRandomizedStorm(t *testing.T) {
 // path and every node it visits has one of those links in or out, end nodes
 // included. Checked for every channel of every connection on the loaded
 // evaluation torus — not only the affected ones — under single-component
-// failures, double-node failures (the inline representation) and failures of
-// more than two components of a kind (the map-backed one).
+// failures, double-node failures and failures of more than two components
+// of a kind.
 func TestTrialStampMatchesHitsPath(t *testing.T) {
 	m := loadedEvalTorus(4032)
 	g := m.Graph()
@@ -477,7 +477,7 @@ func TestApplyReturnsTrialStats(t *testing.T) {
 					}
 				}
 				shuffle := seed*100 + int64(step)
-				want := m.Trial(f, order, rand.New(rand.NewSource(shuffle)))
+				want := m.NewTrialView().Trial(f, order, rand.New(rand.NewSource(shuffle)))
 				got, err := m.Apply(f, order, rand.New(rand.NewSource(shuffle)))
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)

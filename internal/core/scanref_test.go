@@ -138,8 +138,8 @@ type scanChecker struct {
 	filtered           int // probes whose scan could skip entries (K > 0)
 	peak               int // the most entries a link held
 	// minDegree is the least degree the history draws: 1 until degree 0 is
-	// let in, because a registered degree-0 class (ν < 0, every threshold
-	// 0) makes K = 0 and so every later scan a full one.
+	// let in, because a degree-0 class (ν < 0, every threshold 0) has K = 0,
+	// so its probes scan every entry.
 	minDegree int
 }
 
@@ -184,7 +184,7 @@ func (c *scanChecker) probe(t *testing.T, ctx string, rng *rand.Rand) {
 	if len(c.rg)+len(c.rpi) > 0 {
 		c.candidates++
 	}
-	if len(lm.entries) > 0 && p.leastThreshold(int(row[0])) > 0 {
+	if len(lm.entries) > 0 && p.probe(row, cls).shared > 0 {
 		c.filtered++
 	}
 }
@@ -333,34 +333,40 @@ func FuzzScanMatchesFullScan(f *testing.F) {
 	})
 }
 
-// TestLeastThresholdIsTheRowMinimum holds leastThreshold to its definition,
-// the least entry over ce ≥ 1 of every registered class's row for cn, read
-// by walking the rows, on the 8x8 torus with classes registered out of order
-// and one added between reads; a probe's node floor must be min(K, 2).
+// TestLeastThresholdIsTheRowMinimum holds a probe's K to its definition, the
+// least entry over ce ≥ 1 of the new backup's own class row for cn, read by
+// walking that row, on the 8x8 torus with classes registered out of order
+// and one added between reads: the probe's node floor must be min(K, 2). It
+// also holds the floor exact-safe: against a new primary of cn ≥ 1
+// components, neither side of a pair with an existing primary of any count
+// ce ≥ 1 and any class counts the other below an overlap of K.
 func TestLeastThresholdIsTheRowMinimum(t *testing.T) {
 	m := NewManager(topology.NewTorus(8, 8, 1e6), DefaultConfig())
 	p := &m.plan
 	check := func(ctx string) {
 		t.Helper()
-		for cn := 0; cn < 2*p.sigNodes; cn++ {
-			want := 1 << 16
-			for cls := range p.thr.nus {
-				for ce, k := range p.thrRow(int32(cls), cn) {
-					if ce > 0 {
+		row := make([]uint64, p.sigStride)
+		for cls := range p.thr.nus {
+			for cn := 0; cn < 2*p.sigNodes; cn++ {
+				want := 0
+				if cn > 0 {
+					want = 1 << 16
+					for _, k := range p.thrRow(int32(cls), cn)[1:] {
 						want = min(want, int(k))
 					}
 				}
-			}
-			if cn == 0 {
-				want = 0
-			}
-			if got := p.leastThreshold(cn); got != want {
-				t.Fatalf("%s: cn %d: least threshold %d, rows hold %d", ctx, cn, got, want)
-			}
-			row := make([]uint64, p.sigStride)
-			row[0] = uint64(cn)
-			if got := p.probe(row, 0).shared; got != min(want, 2) {
-				t.Fatalf("%s: cn %d: node floor %d, want %d", ctx, cn, got, min(want, 2))
+				row[0] = uint64(cn)
+				if got := p.probe(row, int32(cls)).shared; got != min(want, 2) {
+					t.Fatalf("%s: class %d cn %d: node floor %d, want min(%d, 2)", ctx, cls, cn, got, want)
+				}
+				for eCls := range p.thr.nus {
+					for ce := 1; cn > 0 && ce < 2*p.sigNodes; ce++ {
+						if ke, kn := p.pairThresholds(ce, cn, int32(eCls), int32(cls)); min(ke, kn) < want {
+							t.Fatalf("%s: class %d cn %d against class %d ce %d: thresholds %d, %d below K %d",
+								ctx, cls, cn, eCls, ce, ke, kn, want)
+						}
+					}
+				}
 			}
 		}
 	}

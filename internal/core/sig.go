@@ -212,20 +212,6 @@ func (p *NetworkPlan) thrRow(cls int32, cn int) []uint16 {
 	return r
 }
 
-// leastThreshold returns K for a new-side primary of cn components: the
-// least threshold any registered class row holds for cn over existing
-// counts ce ≥ 1. Every threshold a decision against such a primary reads is
-// a row entry for cn (pairThresholds) or min(ce,cn)+1, so neither side
-// counts the other below an overlap of K. Callers hold the writer lock.
-func (p *NetworkPlan) leastThreshold(cn int) int {
-	k := math.MaxUint16
-	for cls := range p.thr.nus {
-		p.thrRow(int32(cls), cn)
-		k = min(k, int(p.thr.least[cls][cn]))
-	}
-	return k
-}
-
 // pairThresholds returns the overlaps at which an existing backup of class
 // eCls counts a new one of class newCls (ke) and the reverse (kn), for
 // primaries of ce and cn components. Each side compares against its own ν,
@@ -292,8 +278,12 @@ func (p *NetworkPlan) reaches(a, b []uint64, sn, k int) bool {
 // backup's primary, its threshold class and that class's thresholds for the
 // row's component count (thrRow), resolved once per scan, and shared, the
 // least number of nodes an existing primary must share with the new one for
-// either side to count the other. No decision is true below an overlap of
-// K = leastThreshold, and reaches finds sc ≥ K only when sn ≥ ⌈(K+1)/2⌉ (or
+// either side to count the other. K is the least entry of the new class's
+// own row for the primary's count (least[cls][cn]), and no decision is true
+// below an overlap of K: the new side reads that row, an existing entry
+// counts the new backup only when ν_new ≤ ν_e, so its row entry is at least
+// the new class's, and a side that may not count reads min(ce,cn)+1, which
+// no row entry exceeds. reaches finds sc ≥ K only when sn ≥ ⌈(K+1)/2⌉ (or
 // K = 0); capped at 2, that is min(K, 2). The cap keeps the entries of the
 // new backup's own connection, which share every node of a primary of at
 // least two, as candidates. With no primary K is 0, and so is shared: every
@@ -309,7 +299,8 @@ type piProbe struct {
 // whose primary has signature row row. Callers hold the writer lock.
 func (p *NetworkPlan) probe(row []uint64, cls int32) piProbe {
 	cn := int(row[0])
-	return piProbe{row: row, thr: p.thrRow(cls, cn), cls: cls, shared: min(p.leastThreshold(cn), 2)}
+	thr := p.thrRow(cls, cn)
+	return piProbe{row: row, thr: thr, cls: cls, shared: min(int(p.thr.least[cls][cn]), 2)}
 }
 
 // muxDecide is the Π decision (§3.2) for an existing backup of class eCls,

@@ -180,8 +180,8 @@ func (s *trialSnapshot) endingOn(l topology.LinkID) []chanRef {
 }
 
 // trialScratch is one holder's trial state: the snapshot and the per-trial
-// marks over it. Each TrialView holds one, as do Manager.Trial (behind
-// trialMu) and Apply (under the write lock). The stamps are
+// marks over it. Each TrialView holds one, as does Apply (under the write
+// lock). The stamps are
 // generation-stamped — advancing gen invalidates every slot at once — and
 // the claims and per-class counts are zero between trials, each trial
 // clearing what it added. All are sized from the snapshot, by dense
@@ -317,7 +317,7 @@ func (t *trialScratch) mark(r chanRef, f *Failure, stats *RecoveryStats) {
 	m := &t.conn[r.conn]
 	if m.gen != t.gen {
 		rec := &t.snap.conns[r.conn]
-		*m = connMark{gen: t.gen, excl: f.numNodes() > 0 && (f.nodeFailed(rec.src) || f.nodeFailed(rec.dst))}
+		*m = connMark{gen: t.gen, excl: len(f.nodes) > 0 && (f.NodeFailed(rec.src) || f.NodeFailed(rec.dst))}
 		t.conns = append(t.conns, r.conn)
 		if m.excl {
 			stats.ExcludedConns++

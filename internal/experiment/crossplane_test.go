@@ -1,7 +1,7 @@
 package experiment
 
 // Cross-plane validation: the transactional failure trials the paper's
-// tables are computed from (core.Manager.Trial) and the message-level
+// tables are computed from (core.TrialView.Trial) and the message-level
 // protocol engine (internal/bcpd) are two implementations of the same
 // recovery semantics. On the full paper workload they must agree on which
 // connections recover from a given failure. Connection ids are assigned in
@@ -39,7 +39,7 @@ func TestProtocolMatchesTransactionalTrial(t *testing.T) {
 		gT := NewGraph(Torus8x8)
 		mT := core.NewManager(gT, opts.config())
 		workload.Establish(mT, allPairs(gT, 1, 3))
-		trial := mT.Trial(core.SingleLink(failLink), core.OrderByConn, nil)
+		trial := mT.NewTrialView().Trial(core.SingleLink(failLink), core.OrderByConn, nil)
 		var failedIDs []rtchan.ConnID
 		for _, conn := range mT.Connections() {
 			if conn.Primary != nil && conn.Primary.Path.ContainsLink(failLink) {

@@ -139,10 +139,10 @@ func allPairs(g *topology.Graph, backups int, alphas ...int) []workload.Request 
 	return workload.Mixed(g, rtchan.DefaultSpec(), backups, alphas)
 }
 
-// Trialer runs one failure trial; implemented by *core.Manager and the
-// brute-force baseline.
+// Trialer hands out per-goroutine views whose Trial runs one failure trial;
+// implemented by *core.Manager and the brute-force baseline.
 type Trialer interface {
-	Trial(f core.Failure, order core.ActivationOrder, rng *rand.Rand) core.RecoveryStats
+	NewTrialView() *core.TrialView
 }
 
 // SweepResult aggregates R_fast over a set of failure trials.

@@ -196,7 +196,7 @@ func TestFigure2BCPRestoresEverything(t *testing.T) {
 
 	// N2 (node 1) fails: channels 1 and 2 lose their primaries; both
 	// backups activate; channel 3 is untouched.
-	stats := m.Trial(core.SingleNode(1), core.OrderByConn, nil)
+	stats := m.NewTrialView().Trial(core.SingleNode(1), core.OrderByConn, nil)
 	if stats.FailedPrimaries != 2 || stats.FastRecovered != 2 {
 		t.Fatalf("BCP should restore both channels: %+v", stats)
 	}

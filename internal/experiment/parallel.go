@@ -48,20 +48,13 @@ type sweepJob struct {
 	set, idx int
 }
 
-// viewable is satisfied by *core.Manager and *baseline.BruteForce: a trialer
-// that can hand out cheap per-goroutine read views over its shared plan.
-type viewable interface {
-	NewTrialView() *core.TrialView
-}
-
 // sweepMany evaluates several failure lists against one shared trialer,
 // returning one SweepResult per list. With opts.Workers > 1 the trials are
 // fanned out over forEach's pool; every worker trials against the same
 // NetworkPlan through its own TrialView (per-goroutine scratch, shared
-// read-only state), so the pool pays no per-worker establishment cost. A
-// trialer that hands out no views runs serially: nothing says it is safe to
-// share. Results are stored by trial index and folded in list order, so the
-// output is bit-identical to a serial run.
+// read-only state), so the pool pays no per-worker establishment cost; a
+// serial sweep holds one view. Results are stored by trial index and folded
+// in list order, so the output is bit-identical to a serial run.
 //
 // OrderRandom sweeps parallelize too: each trial derives its shuffle rng
 // from (Options.Seed, trial index) — see Options.trialRNG — so the shuffle
@@ -76,18 +69,13 @@ func sweepMany(t Trialer, sets [][]core.Failure, opts Options) []SweepResult {
 		}
 	}
 
-	trialers := []Trialer{t}
-	if workers := min(opts.workerCount(), len(jobs)); workers > 1 {
-		if v, ok := t.(viewable); ok {
-			trialers = make([]Trialer, workers)
-			for w := range trialers {
-				trialers[w] = v.NewTrialView()
-			}
-		}
+	views := make([]*core.TrialView, max(min(opts.workerCount(), len(jobs)), 1))
+	for w := range views {
+		views[w] = t.NewTrialView()
 	}
-	forEach(len(jobs), len(trialers), func(w, j int) {
+	forEach(len(jobs), len(views), func(w, j int) {
 		job := jobs[j]
-		stats[job.set][job.idx] = trialers[w].Trial(sets[job.set][job.idx], opts.Order, opts.trialRNG(job.idx))
+		stats[job.set][job.idx] = views[w].Trial(sets[job.set][job.idx], opts.Order, opts.trialRNG(job.idx))
 	})
 
 	out := make([]SweepResult, len(sets))

@@ -49,6 +49,7 @@ func RunSeverity(maxFail, trials int, opts Options) SeverityResult {
 		g := NewGraph(Torus8x8)
 		m := core.NewManager(g, opts.config())
 		workload.Establish(m, allPairs(g, cfg.backups, cfg.alpha))
+		view := m.NewTrialView()
 		rFast := make([]float64, maxFail)
 		bOK := make([]float64, maxFail)
 		for k := 1; k <= maxFail; k++ {
@@ -56,7 +57,7 @@ func RunSeverity(maxFail, trials int, opts Options) SeverityResult {
 			var r, alive metrics.Ratio
 			for trial := 0; trial < trials; trial++ {
 				f := randomFailure(g, k, rng)
-				stats := m.Trial(f, core.OrderByConn, nil)
+				stats := view.Trial(f, core.OrderByConn, nil)
 				r.Add(float64(stats.FastRecovered), float64(stats.FailedPrimaries))
 				alive.Add(float64(stats.FailedPrimaries-stats.BackupDead), float64(stats.FailedPrimaries))
 			}
