@@ -78,14 +78,15 @@ func TestJSONRoundTripsThePrintedReport(t *testing.T) {
 }
 
 // TestTrajectoryChainsTheCommittedFiles reads the repository's own
-// BENCH_pr35.json, BENCH_pr38.json, BENCH_pr39.json and BENCH_pr40.json,
-// given out of order: per workload the PRs' ratios come in PR order with
-// their running product, and each drift audit (a run against another base
-// than the file's first) is printed beside the chain instead of in it.
+// BENCH_pr35.json, BENCH_pr38.json, BENCH_pr39.json, BENCH_pr40.json and
+// BENCH_pr45.json, given out of order: per workload the PRs' ratios come
+// in PR order with their running product, and each drift audit (a run
+// against another base than the file's first) is printed beside the chain
+// instead of in it.
 func TestTrajectoryChainsTheCommittedFiles(t *testing.T) {
 	path := func(f string) string { return filepath.Join("..", "..", f) }
 	var out bytes.Buffer
-	if err := trajectory(&out, []string{path("BENCH_pr38.json"), path("BENCH_pr40.json"), path("BENCH_pr39.json"), path("BENCH_pr35.json")}); err != nil {
+	if err := trajectory(&out, []string{path("BENCH_pr38.json"), path("BENCH_pr45.json"), path("BENCH_pr40.json"), path("BENCH_pr39.json"), path("BENCH_pr35.json")}); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -119,24 +120,27 @@ func TestTrajectoryChainsTheCommittedFiles(t *testing.T) {
 	churn35, chain := row(35, "BENCH_pr35.json", "establish_churn", 1)
 	churn38, chain := row(38, "BENCH_pr38.json", "establish_churn", chain)
 	churn39, chain := row(39, "BENCH_pr39.json", "establish_churn", chain)
-	churn40, _ := row(40, "BENCH_pr40.json", "establish_churn", chain)
+	churn40, chain := row(40, "BENCH_pr40.json", "establish_churn", chain)
+	churn45, _ := row(45, "BENCH_pr45.json", "establish_churn", chain)
 	storm35, chain := row(35, "BENCH_pr35.json", "storm_node_crash", 1)
 	storm38, chain := row(38, "BENCH_pr38.json", "storm_node_crash", chain)
 	storm39, chain := row(39, "BENCH_pr39.json", "storm_node_crash", chain)
-	storm40, _ := row(40, "BENCH_pr40.json", "storm_node_crash", chain)
+	storm40, chain := row(40, "BENCH_pr40.json", "storm_node_crash", chain)
+	storm45, _ := row(45, "BENCH_pr45.json", "storm_node_crash", chain)
 	trial35, chain := row(35, "BENCH_pr35.json", "trial_sweep", 1)
 	trial38, chain := row(38, "BENCH_pr38.json", "trial_sweep", chain)
 	trial39, chain := row(39, "BENCH_pr39.json", "trial_sweep", chain)
-	trial40, _ := row(40, "BENCH_pr40.json", "trial_sweep", chain)
+	trial40, chain := row(40, "BENCH_pr40.json", "trial_sweep", chain)
+	trial45, _ := row(45, "BENCH_pr45.json", "trial_sweep", chain)
 	for _, want := range []string{
 		// The oldest file's claim as it was printed, the newer files' runs
 		// chained onto it in PR order, and the oldest file's drift audit
 		// since 39d9298 beside them.
 		"  35   2f7169111b6d 2f7169111b6d   1.1128  10/10   better       1.1128  BENCH_pr35.json\n",
-		churn35 + churn38 + churn39 + churn40 + "  drift audit 39d92984aa61..2f7169111b6d   1.6399  10/10   better     in BENCH_pr35.json\n",
-		trial35 + trial38 + trial39 + trial40 + "  drift audit 39d92984aa61..2f7169111b6d   2.7349  10/10   better     in BENCH_pr35.json\n",
+		churn35 + churn38 + churn39 + churn40 + churn45 + "  drift audit 39d92984aa61..2f7169111b6d   1.6399  10/10   better     in BENCH_pr35.json\n",
+		trial35 + trial38 + trial39 + trial40 + trial45 + "  drift audit 39d92984aa61..2f7169111b6d   2.7349  10/10   better     in BENCH_pr35.json\n",
 		// storm_node_crash has no audit.
-		storm35 + storm38 + storm39 + storm40 + "  drift audit: none\n",
+		storm35 + storm38 + storm39 + storm40 + storm45 + "  drift audit: none\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("trajectory lacks\n%s\ngot:\n%s", want, got)

@@ -262,11 +262,12 @@ func (n *Network) PoolOutstanding() (frames, data int) {
 	return n.framePool.Outstanding(), n.dataOut
 }
 
-// snapshotIDs copies the ids of an rtchan index list into a recycled buffer,
-// for a failure fan-out that runs after the crash rather than inside it. It
-// keeps ids, not the handles: a channel torn down before the fan-out runs
-// must resolve to nil there, not to its dead record. Callers return the
-// buffer with putChanList once the reports are out.
+// snapshotIDs copies the ids of an rtchan link list into a recycled buffer,
+// for a failure fan-out that runs after the crash rather than inside it
+// (FailNode fills one through AppendChannelsAtNode instead). It keeps ids,
+// not the handles: a channel torn down before the fan-out runs must resolve
+// to nil there, not to its dead record. Callers return the buffer with
+// putChanList once the reports are out.
 func (n *Network) snapshotIDs(list []*rtchan.Channel) []rtchan.ChannelID {
 	ids := pop(&n.chanListFree)
 	for _, ch := range list {

@@ -99,7 +99,7 @@ func (n *Network) FailNode(v topology.NodeID) {
 	if n.cfg.HeartbeatInterval > 0 {
 		return // neighbors notice the silence on every incident link
 	}
-	affected := n.snapshotIDs(n.mgr.Network().ChannelsAtNode(v))
+	affected := n.mgr.Network().AppendChannelsAtNode(pop(&n.chanListFree), v)
 	n.rt.Schedule(n.cfg.DetectionLatency, func() {
 		defer n.putChanList(affected)
 		// A node failure is the widest fan-out in the protocol: every

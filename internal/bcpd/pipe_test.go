@@ -80,6 +80,25 @@ func newPipeBed(t *testing.T, depth int, hops ...[2]topology.NodeID) *pipeBed {
 	return b
 }
 
+// settle waits until the line is empty: every message the transport took has
+// been posted to its mailbox or counted in Dropped().
+func (b *pipeBed) settle(t *testing.T) {
+	t.Helper()
+	for limit := time.Now().Add(5 * time.Second); b.tr.queued() > 0; {
+		if time.Now().After(limit) {
+			t.Fatal("the line never emptied")
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// queued returns the messages in the line.
+func (t *PipeTransport) queued() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.nq
+}
+
 func (b *pipeBed) stop() {
 	b.tr.Close()
 	b.rt.Stop()
@@ -167,7 +186,7 @@ func TestPipeTransit(t *testing.T) {
 			[2]topology.NodeID{0, 1}, [2]topology.NodeID{3, 4}, [2]topology.NodeID{6, 7}, [2]topology.NodeID{1, 2})
 		round := func(fn func()) {
 			bed.rt.Exec(fn)
-			time.Sleep(3 * bed.prop) // the line is empty again before the next round
+			bed.settle(t) // no link carries the last round's messages into the next
 		}
 		for i := 0; i < 60; i++ {
 			round(func() { bed.send(a, true); bed.send(b, true); bed.send(c, true); bed.send(a, true) })

@@ -11,7 +11,8 @@ import (
 
 // PostFunc enqueues fn on a node's actor mailbox, reporting success. Live
 // transports deliver through it so every protocol callback runs
-// runtime-serialized; realtime.Runtime.Post has exactly this shape.
+// runtime-serialized; realtime.Runtime.Post has exactly this shape. It must
+// not block (a full mailbox refuses): the pipe calls it under its lock.
 type PostFunc func(node int, fn func()) bool
 
 // PipeTransport carries protocol traffic between live daemons through one
@@ -41,7 +42,9 @@ type PipeTransport struct {
 	down []atomic.Bool
 
 	// mu guards the line and the in-flight counts: senders run
-	// runtime-serialized, the line's goroutine does not.
+	// runtime-serialized, the line's goroutine does not. The line's goroutine
+	// also holds it while it posts what it pops, so an empty line means every
+	// message has been posted or counted in dropped.
 	mu       sync.Mutex
 	line     []pipeItem // ring: nq items starting at head; len is a power of two
 	head, nq int
@@ -108,7 +111,6 @@ func (t *PipeTransport) run() {
 	defer t.wg.Done()
 	w := realtime.NewWaiter()
 	defer w.Close()
-	var due []pipeItem // reused across rounds
 	for {
 		t.mu.Lock()
 		var deadline time.Time // empty line: nothing to do until woken
@@ -131,16 +133,11 @@ func (t *PipeTransport) run() {
 			it := t.line[t.head]
 			t.line[t.head] = pipeItem{}
 			t.inflight[it.link]--
-			due = append(due, it)
 			t.head = (t.head + 1) & (len(t.line) - 1)
 			t.nq--
+			t.deliver(it)
 		}
 		t.mu.Unlock()
-		for i := range due {
-			t.deliver(due[i])
-			due[i] = pipeItem{}
-		}
-		due = due[:0]
 	}
 }
 

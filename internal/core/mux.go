@@ -170,12 +170,18 @@ func (p *NetworkPlan) moveCols(lm *linkMux, row []uint64, from, to int) {
 }
 
 // unwire swap-deletes the entry at index idx from link lm and removes it from
-// the Π relation in one pass over the rows: row last moves to row idx, and in
-// every remaining row column idx is tested and cleared — an entry that
-// counted the departing backup sheds its bandwidth from req — and column
-// last moves to column idx. The node columns drop idx's bits and move last's
-// to idx, read from the two entries' signature rows. Shared by teardown,
-// promotion and both rollbacks.
+// the Π relation: every other entry that counted the departing backup clears
+// column idx and sheds its bandwidth from req, column last moves to column
+// idx, and then row last moves to row idx. The node columns drop idx's bits
+// and move last's to idx, read from the two entries' signature rows. Shared
+// by teardown, promotion and both rollbacks.
+//
+// The two columns are read from rows. Two backups of one degree class decide
+// Π the same way in both directions (muxDecide), so with one class an entry
+// holds bit idx only if row idx holds its bit, and bit last only if row last
+// does: the candidates are the set bits of row idx ∪ row last. A bit between
+// classes may point one way only, from the higher ν to the lower, so once
+// the plan has registered a second class every entry is a candidate.
 func (p *NetworkPlan) unwire(lm *linkMux, idx int) {
 	last := len(lm.entries) - 1
 	p.moveCols(lm, p.sigRow(lm.entries[idx].sig), idx, -1)
@@ -185,27 +191,43 @@ func (p *NetworkPlan) unwire(lm *linkMux, idx int) {
 	s := lm.stride
 	bw := lm.entries[idx].bw
 	lm.noteReqShrink(lm.entries[idx].req)
+	iw, ib := idx>>6, uint64(1)<<(uint(idx)&63)
+	lw, lb := last>>6, uint64(1)<<(uint(last)&63)
+	// Row idx is never edited here and row last only in words up to the one
+	// being walked, so every word's candidates are read before they change.
+	rowIdx, rowLast := lm.pi[idx*s:(idx+1)*s], lm.pi[last*s:(last+1)*s]
+	for w := 0; w <= lw; w++ {
+		cand := ^uint64(0)
+		if len(p.thr.nus) == 1 {
+			cand = rowIdx[w] | rowLast[w]
+		}
+		if w == lw {
+			cand &= lb<<1 - 1
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			i := w<<6 + bits.TrailingZeros64(cand)
+			if i == idx {
+				continue
+			}
+			row := lm.pi[i*s : (i+1)*s]
+			if row[iw]&ib != 0 {
+				row[iw] &^= ib
+				e := &lm.entries[i]
+				lm.noteReqShrink(e.req)
+				e.req -= bw
+			}
+			if row[lw]&lb != 0 {
+				row[lw] &^= lb
+				row[iw] |= ib
+			}
+		}
+	}
 	if idx != last {
 		lm.entries[idx] = lm.entries[last]
-		copy(lm.pi[idx*s:(idx+1)*s], lm.pi[last*s:])
+		copy(rowIdx, rowLast)
 	}
 	lm.entries = lm.entries[:last]
 	lm.pi = lm.pi[:last*s]
-	iw, ib := idx>>6, uint64(1)<<(uint(idx)&63)
-	lw, lb := last>>6, uint64(1)<<(uint(last)&63)
-	for i := range lm.entries {
-		row := lm.pi[i*s : (i+1)*s]
-		if row[iw]&ib != 0 {
-			row[iw] &^= ib
-			e := &lm.entries[i]
-			lm.noteReqShrink(e.req)
-			e.req -= bw
-		}
-		if row[lw]&lb != 0 {
-			row[lw] &^= lb
-			row[iw] |= ib
-		}
-	}
 }
 
 // requiredSpare returns the max requirement over entries, rescanning only
@@ -547,11 +569,16 @@ func (m *Manager) CheckMuxInvariants() error {
 			want := e.bw
 			members := 0
 			for pi := range lm.entries {
-				if !lm.piHas(ei, pi) {
+				pe := &lm.entries[pi]
+				has := lm.piHas(ei, pi)
+				// unwire reads a column from a row on this symmetry.
+				if pe.cls == e.cls && has != lm.piHas(pi, ei) {
+					return fmt.Errorf("core: link %d entries %d and %d are of one class but disagree on Π", l, id, pe.id)
+				}
+				if !has {
 					continue
 				}
 				members++
-				pe := &lm.entries[pi]
 				want += pe.bw
 				// The ν-ordering rule applies between connections that both
 				// have primaries; a primary-less connection (mid-recovery

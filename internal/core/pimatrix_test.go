@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/reliability"
@@ -131,121 +132,175 @@ func requireMatrixMatchesModel(t *testing.T, ctx string, m *Manager, pm *piModel
 // rows). Primary and backup of a connection use the same path
 // (EstablishOnPaths does not enforce disjointness), which makes the three
 // endpoint pairs overlap in 1, 3 or 5 components — with degrees 0..6 that
-// yields every kind of pair: mutual, one-sided and multiplexed.
+// yields every kind of pair: mutual, one-sided and multiplexed. The
+// "-oneclass" histories give every backup degree 4, so the plan registers
+// one class and unwire reads its columns from rows idx and last alone; at
+// that degree only the 5-component overlap (and a connection's own pair)
+// counts, so each link holds mutual and multiplexed pairs side by side.
 func TestPiMatrixMatchesSetModel(t *testing.T) {
 	seeds := int64(3)
 	if testing.Short() {
 		seeds = 1
 	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			g := topology.NewGraph("line", 3)
-			// The second link is the tight one: an oversized request that fits
-			// link 0 overflows link 1, which rolls back a wired prefix.
-			l0, _ := g.AddLink(0, 1, 1e6)
-			l1, _ := g.AddLink(1, 2, 1e4)
-			paths := []topology.Path{
-				topology.MustPath(g, []topology.LinkID{l0}),
-				topology.MustPath(g, []topology.LinkID{l1}),
-				topology.MustPath(g, []topology.LinkID{l0, l1}),
+	for _, oneClass := range []bool{false, true} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			name := fmt.Sprintf("seed%d", seed)
+			if oneClass {
+				name += "-oneclass"
 			}
-			cfg := DefaultConfig()
-			m := NewManager(g, cfg)
-			pm := &piModel{lambda: cfg.Lambda, links: []map[rtchan.ChannelID]*piModelEntry{{}, {}}}
-			var live []rtchan.ConnID
+			t.Run(name, func(t *testing.T) { piMatrixHistory(t, seed, oneClass) })
+		}
+	}
+}
 
-			add := func(ctx string) {
-				path := paths[rng.Intn(len(paths))]
-				backups := []topology.Path{path, path}[:1+rng.Intn(2)]
-				degrees := []int{rng.Intn(7), rng.Intn(7)}[:len(backups)]
-				spec := rtchan.TrafficSpec{Bandwidth: float64(1 + rng.Intn(3))}
-				conn, err := m.EstablishOnPaths(spec, path, backups, degrees)
-				if err != nil {
-					t.Fatalf("%s: add: %v", ctx, err)
-				}
-				live = append(live, conn.ID)
-				for i, b := range conn.Backups {
-					for _, l := range b.Path.Links() {
-						pm.add(l, b.ID, conn, spec.Bandwidth, degrees[i])
-					}
-				}
-			}
-			remove := func(ctx string) {
-				i := rng.Intn(len(live))
-				conn := m.Connection(live[i])
-				for _, b := range conn.Backups {
-					for _, l := range b.Path.Links() {
-						pm.remove(l, b.ID)
-					}
-				}
-				if err := m.Teardown(conn.ID); err != nil {
-					t.Fatalf("%s: remove: %v", ctx, err)
-				}
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			}
-			// failedAdd requests most of a link's free bandwidth: the primary
-			// fits, the backup's spare on top of it cannot. Over 0→2 the
-			// backup is wired on link 0 before link 1 refuses it.
-			failedAdd := func(ctx string) {
-				path := paths[rng.Intn(len(paths))]
-				free := math.Inf(1)
-				for _, l := range path.Links() {
-					free = math.Min(free, m.plan.net.Free(l))
-				}
-				spec := rtchan.TrafficSpec{Bandwidth: math.Floor(0.6 * free)}
-				if _, err := m.EstablishOnPaths(spec, path, []topology.Path{path}, []int{rng.Intn(7)}); err == nil {
-					t.Fatalf("%s: oversized backup admitted", ctx)
-				}
-			}
+// piMatrixHistory is one TestPiMatrixMatchesSetModel history: degrees 0..6,
+// or 4 alone when oneClass is set.
+func piMatrixHistory(t *testing.T, seed int64, oneClass bool) {
+	rng := rand.New(rand.NewSource(seed))
+	degree := func() int {
+		if oneClass {
+			return 4
+		}
+		return rng.Intn(7)
+	}
+	g := topology.NewGraph("line", 3)
+	// The second link is the tight one: an oversized request that fits
+	// link 0 overflows link 1, which rolls back a wired prefix.
+	l0, _ := g.AddLink(0, 1, 1e6)
+	l1, _ := g.AddLink(1, 2, 1e4)
+	paths := []topology.Path{
+		topology.MustPath(g, []topology.LinkID{l0}),
+		topology.MustPath(g, []topology.LinkID{l1}),
+		topology.MustPath(g, []topology.LinkID{l0, l1}),
+	}
+	cfg := DefaultConfig()
+	m := NewManager(g, cfg)
+	pm := &piModel{lambda: cfg.Lambda, links: []map[rtchan.ChannelID]*piModelEntry{{}, {}}}
+	var live []rtchan.ConnID
 
-			lo, hi := len(pm.links[0]), len(pm.links[0])
-			step := 0
-			for phase, target := range []int{140, 40, 140, 0} {
-				for len(pm.links[0]) != target || (target == 0 && len(live) > 0) {
-					ctx := fmt.Sprintf("phase %d step %d", phase, step)
-					step++
-					n := len(pm.links[0])
-					grow := n < target
-					if rng.Intn(5) == 0 {
-						grow = !grow // wander against the trend
-					}
-					switch r := rng.Intn(20); {
-					case r == 0:
-						failedAdd(ctx)
-					case r == 1:
-						l := topology.LinkID(rng.Intn(2))
-						pm.rebuild(l)
-						if err := m.recomputeLinkMux(l); err != nil {
-							t.Fatalf("%s: recompute: %v", ctx, err)
-						}
-					case grow || len(live) == 0:
-						add(ctx)
-					default:
-						remove(ctx)
-					}
-					requireMatrixMatchesModel(t, ctx, m, pm)
-					lo, hi = min(lo, len(pm.links[0])), max(hi, len(pm.links[0]))
-				}
-				switch phase {
-				case 0, 2:
-					if s := m.plan.mux[l0].stride; hi <= 128 || s < 3 {
-						t.Fatalf("phase %d: link 0 peaked at %d entries, stride %d", phase, hi, s)
-					}
-					hi = 0
-				case 1:
-					if lo >= 64 {
-						t.Fatalf("phase 1: link 0 bottomed at %d entries", lo)
-					}
-				}
+	add := func(ctx string) {
+		path := paths[rng.Intn(len(paths))]
+		backups := []topology.Path{path, path}[:1+rng.Intn(2)]
+		degrees := []int{degree(), degree()}[:len(backups)]
+		spec := rtchan.TrafficSpec{Bandwidth: float64(1 + rng.Intn(3))}
+		conn, err := m.EstablishOnPaths(spec, path, backups, degrees)
+		if err != nil {
+			t.Fatalf("%s: add: %v", ctx, err)
+		}
+		live = append(live, conn.ID)
+		for i, b := range conn.Backups {
+			for _, l := range b.Path.Links() {
+				pm.add(l, b.ID, conn, spec.Bandwidth, degrees[i])
 			}
-			for l := range m.plan.mux {
-				if n := len(m.plan.mux[l].entries); n != 0 {
-					t.Fatalf("link %d left with %d entries", l, n)
-				}
+		}
+	}
+	remove := func(ctx string) {
+		i := rng.Intn(len(live))
+		conn := m.Connection(live[i])
+		for _, b := range conn.Backups {
+			for _, l := range b.Path.Links() {
+				pm.remove(l, b.ID)
 			}
-		})
+		}
+		if err := m.Teardown(conn.ID); err != nil {
+			t.Fatalf("%s: remove: %v", ctx, err)
+		}
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	// failedAdd requests most of a link's free bandwidth: the primary
+	// fits, the backup's spare on top of it cannot. Over 0→2 the
+	// backup is wired on link 0 before link 1 refuses it.
+	failedAdd := func(ctx string) {
+		path := paths[rng.Intn(len(paths))]
+		free := math.Inf(1)
+		for _, l := range path.Links() {
+			free = math.Min(free, m.plan.net.Free(l))
+		}
+		spec := rtchan.TrafficSpec{Bandwidth: math.Floor(0.6 * free)}
+		if _, err := m.EstablishOnPaths(spec, path, []topology.Path{path}, []int{degree()}); err == nil {
+			t.Fatalf("%s: oversized backup admitted", ctx)
+		}
+	}
+
+	lo, hi := len(pm.links[0]), len(pm.links[0])
+	step := 0
+	for phase, target := range []int{140, 40, 140, 0} {
+		for len(pm.links[0]) != target || (target == 0 && len(live) > 0) {
+			ctx := fmt.Sprintf("phase %d step %d", phase, step)
+			step++
+			n := len(pm.links[0])
+			grow := n < target
+			if rng.Intn(5) == 0 {
+				grow = !grow // wander against the trend
+			}
+			switch r := rng.Intn(20); {
+			case r == 0:
+				failedAdd(ctx)
+			case r == 1:
+				l := topology.LinkID(rng.Intn(2))
+				pm.rebuild(l)
+				if err := m.recomputeLinkMux(l); err != nil {
+					t.Fatalf("%s: recompute: %v", ctx, err)
+				}
+			case grow || len(live) == 0:
+				add(ctx)
+			default:
+				remove(ctx)
+			}
+			requireMatrixMatchesModel(t, ctx, m, pm)
+			lo, hi = min(lo, len(pm.links[0])), max(hi, len(pm.links[0]))
+		}
+		switch phase {
+		case 0, 2:
+			if s := m.plan.mux[l0].stride; hi <= 128 || s < 3 {
+				t.Fatalf("phase %d: link 0 peaked at %d entries, stride %d", phase, hi, s)
+			}
+			hi = 0
+		case 1:
+			if lo >= 64 {
+				t.Fatalf("phase 1: link 0 bottomed at %d entries", lo)
+			}
+		}
+	}
+	for l := range m.plan.mux {
+		if n := len(m.plan.mux[l].entries); n != 0 {
+			t.Fatalf("link %d left with %d entries", l, n)
+		}
+	}
+	if n := len(m.plan.thr.nus); oneClass != (n == 1) {
+		t.Fatalf("the history registered %d degree classes", n)
+	}
+}
+
+// TestCheckMuxInvariantsCatchesOneSidedPi clears one Π bit between two
+// backups of one class and lowers the requirement to match, so that only the
+// clause unwire rests on — one class decides a pair the same both ways — can
+// object.
+func TestCheckMuxInvariantsCatchesOneSidedPi(t *testing.T) {
+	g := topology.NewGraph("line", 3)
+	l0, _ := g.AddLink(0, 1, 1e6)
+	l1, _ := g.AddLink(1, 2, 1e6)
+	path := topology.MustPath(g, []topology.LinkID{l0, l1})
+	m := NewManager(g, DefaultConfig())
+	for range 2 {
+		// Primaries on one path share all five components: at degree 3 each
+		// backup counts the other.
+		if _, err := m.EstablishOnPaths(rtchan.TrafficSpec{Bandwidth: 1}, path, []topology.Path{path}, []int{3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.CheckMuxInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	lm := &m.plan.mux[l0]
+	if len(lm.entries) != 2 || !lm.piHas(0, 1) || !lm.piHas(1, 0) {
+		t.Fatalf("link %d: %d entries, Π rows %v and %v: want two that count each other", l0, len(lm.entries), lm.piIDs(0), lm.piIDs(1))
+	}
+	lm.pi[0] &^= 1 << 1
+	lm.entries[0].req -= lm.entries[1].bw
+	err := m.CheckMuxInvariants()
+	if err == nil || !strings.Contains(err.Error(), "disagree") {
+		t.Fatalf("CheckMuxInvariants = %v after a one-sided bit, want the disagreement", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // refTrial is the failure trial as it was before trials read a snapshot: the
-// affected channels come from rtchan's per-link and per-node indexes, are
+// affected channels come from rtchan's link index and node lists, are
 // deduplicated by ChannelID and grouped by ConnID, and each backup's links
 // are reached through DConnection.Backups and its Path. It keeps its state in
 // maps of its own, so it shares nothing with the walk under test but the
@@ -46,8 +46,8 @@ func refTrial(p *NetworkPlan, f Failure, order ActivationOrder, rng *rand.Rand, 
 		}
 	}
 	for _, n := range f.Nodes() {
-		for _, ch := range p.net.ChannelsAtNode(n) {
-			add(ch)
+		for _, id := range p.net.AppendChannelsAtNode(nil, n) {
+			add(p.net.Channel(id))
 		}
 	}
 	addDegree := func(alpha, failed, recovered int) {

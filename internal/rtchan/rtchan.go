@@ -15,6 +15,7 @@ package rtchan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/rtcl/bcp/internal/idtab"
@@ -98,11 +99,11 @@ type Network struct {
 	g        *topology.Graph
 	accounts []linkAccount
 	channels idtab.Table[ChannelID, Channel]
-	// byLink and byNode list, in ascending id order, the channels whose path
-	// uses each link / visits each node (end nodes included). They hold the
-	// registry's own handles, so a failure's fan-out is a list walk.
+	// byLink lists, in ascending id order, the channels whose path uses each
+	// link. It holds the registry's own handles, so a link failure's fan-out
+	// is a list walk; a node's channels are derived from its links' lists
+	// (AppendChannelsAtNode).
 	byLink [][]*Channel
-	byNode [][]*Channel
 	nextID ChannelID
 }
 
@@ -112,7 +113,6 @@ func NewNetwork(g *topology.Graph) *Network {
 		g:        g,
 		accounts: make([]linkAccount, g.NumLinks()),
 		byLink:   make([][]*Channel, g.NumLinks()),
-		byNode:   make([][]*Channel, g.NumNodes()),
 		nextID:   1,
 	}
 	for i, l := range g.Links() {
@@ -137,9 +137,28 @@ func (n *Network) NumChannels() int { return n.channels.Len() }
 // walking must walk a copy of the ids instead.
 func (n *Network) ChannelsOnLink(l topology.LinkID) []*Channel { return n.byLink[l] }
 
-// ChannelsAtNode returns the channels whose path visits node v (including
-// as an end node), under the same rules as ChannelsOnLink.
-func (n *Network) ChannelsAtNode(v topology.NodeID) []*Channel { return n.byNode[v] }
+// AppendChannelsAtNode appends to ids the ids of the channels whose path
+// visits node v (including as an end node), in ascending order, and returns
+// the extended slice. They are read off the link index: every channel on an
+// out-link of v, and every channel on an in-link of v that ends at v. A
+// simple path leaves v at most once, so none is listed twice.
+func (n *Network) AppendChannelsAtNode(ids []ChannelID, v topology.NodeID) []ChannelID {
+	start := len(ids)
+	for _, l := range n.g.Out(v) {
+		for _, ch := range n.byLink[l] {
+			ids = append(ids, ch.ID)
+		}
+	}
+	for _, l := range n.g.In(v) {
+		for _, ch := range n.byLink[l] {
+			if ch.Path.Destination() == v {
+				ids = append(ids, ch.ID)
+			}
+		}
+	}
+	slices.Sort(ids[start:])
+	return ids
+}
 
 // Free returns the unreserved bandwidth on link l.
 func (n *Network) Free(l topology.LinkID) float64 { return n.accounts[l].free() }
@@ -328,23 +347,17 @@ func (n *Network) SpareFraction() float64 {
 	return spare / capacity
 }
 
-// index registers ch in the per-link and per-node lists. Ids only grow, so
-// the newest channel goes last and the lists stay in ascending id order.
+// index registers ch in the per-link lists. Ids only grow, so the newest
+// channel goes last and the lists stay in ascending id order.
 func (n *Network) index(ch *Channel) {
 	for _, l := range ch.Path.Links() {
 		n.byLink[l] = append(n.byLink[l], ch)
-	}
-	for _, v := range ch.Path.Nodes() {
-		n.byNode[v] = append(n.byNode[v], ch)
 	}
 }
 
 func (n *Network) unindex(ch *Channel) {
 	for _, l := range ch.Path.Links() {
 		n.byLink[l] = removeSorted(n.byLink[l], ch.ID)
-	}
-	for _, v := range ch.Path.Nodes() {
-		n.byNode[v] = removeSorted(n.byNode[v], ch.ID)
 	}
 }
 
@@ -353,7 +366,7 @@ func searchID(s []*Channel, id ChannelID) int {
 	return sort.Search(len(s), func(i int) bool { return s[i].ID >= id })
 }
 
-// removeSorted is on the teardown path, ~18 calls per connection: the
+// removeSorted is on the teardown path, once per link of every channel: the
 // slices.BinarySearchFunc + slices.Delete spelling measured 30 ns slower
 // per call than this one.
 func removeSorted(s []*Channel, id ChannelID) []*Channel {
@@ -367,13 +380,13 @@ func removeSorted(s []*Channel, id ChannelID) []*Channel {
 }
 
 // CheckInvariants verifies the capacity invariant on every link and that the
-// registry and the two indexes describe the same set of channels; tests call
-// it after mutation sequences. The indexes hold handles, so an entry left
+// registry and the link index describe the same set of channels; tests call
+// it after mutation sequences. The index holds handles, so an entry left
 // behind by a missed unindex would be a wrong answer rather than a nil: each
 // list must be strictly ascending in id, every entry must be the registry's
-// own handle for its id, every live channel must be listed on every link and
-// node of its path, and the list lengths must sum to the links and nodes of
-// the live channels — which together leave no room for a stale entry.
+// own handle for its id, every live channel must be listed on every link of
+// its path, and the list lengths must sum to the links of the live channels
+// — which together leave no room for a stale entry.
 func (n *Network) CheckInvariants() error {
 	for i := range n.accounts {
 		a := &n.accounts[i]
@@ -391,21 +404,15 @@ func (n *Network) CheckInvariants() error {
 			err = fmt.Errorf(format, args...)
 		}
 	}
-	var links, nodes int
+	var links int
 	n.channels.Each(func(id ChannelID, ch *Channel) {
 		if ch.ID != id {
 			fail("rtchan: registry id mismatch %d vs %d", id, ch.ID)
 		}
 		links += len(ch.Path.Links())
-		nodes += len(ch.Path.Nodes())
 		for _, l := range ch.Path.Links() {
 			if !containsID(n.byLink[l], id) {
 				fail("rtchan: channel %d missing from link %d index", id, l)
-			}
-		}
-		for _, v := range ch.Path.Nodes() {
-			if !containsID(n.byNode[v], id) {
-				fail("rtchan: channel %d missing from node %d index", id, v)
 			}
 		}
 	})
@@ -415,14 +422,8 @@ func (n *Network) CheckInvariants() error {
 			fail("rtchan: link %d index: %w", l, e)
 		}
 	}
-	for v, list := range n.byNode {
-		nodes -= len(list)
-		if e := n.checkList(list); e != nil {
-			fail("rtchan: node %d index: %w", v, e)
-		}
-	}
-	if links != 0 || nodes != 0 {
-		fail("rtchan: live channels' paths have %d more link and %d more node entries than the indexes", links, nodes)
+	if links != 0 {
+		fail("rtchan: live channels' paths have %d more link entries than the index", links)
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package rtchan
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -188,9 +189,28 @@ func TestIndexes(t *testing.T) {
 	if len(on) != 2 || on[0] != c1 || on[1] != c2 {
 		t.Fatalf("link index = %v", on)
 	}
-	atNode := n.ChannelsAtNode(0)
-	if len(atNode) != 2 {
-		t.Fatalf("node index = %v", atNode)
+	// A single hop that starts at node 1 and a reverse path that ends there:
+	// node 1 lists the first on an out-link and the second on an in-link.
+	hop, _ := topology.PathBetween(g, []topology.NodeID{1, 0})
+	back, _ := topology.PathBetween(g, []topology.NodeID{3, 2, 1})
+	c3, _ := n.Establish(3, RolePrimary, 0, hop, TrafficSpec{Bandwidth: 1})
+	c4, _ := n.Establish(4, RoleBackup, 1, back, TrafficSpec{Bandwidth: 1})
+	for _, tc := range []struct {
+		v    topology.NodeID
+		want []ChannelID
+	}{
+		{0, []ChannelID{c1.ID, c2.ID, c3.ID}},
+		{1, []ChannelID{c1.ID, c2.ID, c3.ID, c4.ID}},
+		{2, []ChannelID{c1.ID, c2.ID, c4.ID}},
+		{3, []ChannelID{c1.ID, c2.ID, c4.ID}},
+	} {
+		if got := n.AppendChannelsAtNode(nil, tc.v); !slices.Equal(got, tc.want) {
+			t.Fatalf("channels at node %d = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+	// Appending keeps what the buffer already holds and sorts only the new ids.
+	if got := n.AppendChannelsAtNode([]ChannelID{99}, 1); !slices.Equal(got, []ChannelID{99, c1.ID, c2.ID, c3.ID, c4.ID}) {
+		t.Fatalf("channels at node 1 appended to [99] = %v", got)
 	}
 	n.Teardown(c1.ID)
 	if on := n.ChannelsOnLink(l); len(on) != 1 || on[0] != c2 {
@@ -198,6 +218,9 @@ func TestIndexes(t *testing.T) {
 	}
 	if on := n.ChannelsOnLink(l); on[:2][1] != nil {
 		t.Fatal("vacated index slot still pins the torn-down channel")
+	}
+	if got := n.AppendChannelsAtNode(nil, 1); !slices.Equal(got, []ChannelID{c2.ID, c3.ID, c4.ID}) {
+		t.Fatalf("channels at node 1 after teardown = %v", got)
 	}
 }
 
@@ -266,9 +289,10 @@ func randomPath(t *testing.T, g *topology.Graph, rng *rand.Rand) topology.Path {
 	return p
 }
 
-// TestIndexChurn checks the registry and both handle indexes against each
-// other after every step of a seeded establish / teardown / promote / demote
-// churn, and at the end that every listed handle still answers for its path.
+// TestIndexChurn checks the registry, the link index and the node lists
+// derived from it against each other after every step of a seeded
+// establish / teardown / promote / demote churn, and at the end that every
+// listed handle still answers for its path.
 func TestIndexChurn(t *testing.T) {
 	g := topology.NewTorus(4, 4, 100)
 	for seed := int64(1); seed <= 3; seed++ {
@@ -306,6 +330,11 @@ func TestIndexChurn(t *testing.T) {
 			if err := n.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
+			for v := range g.NumNodes() {
+				if err := checkNodeList(n, topology.NodeID(v)); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
 		}
 		if n.NumChannels() != len(live) {
 			t.Fatalf("seed %d: %d channels registered, %d live", seed, n.NumChannels(), len(live))
@@ -320,6 +349,28 @@ func TestIndexChurn(t *testing.T) {
 	}
 }
 
+// checkNodeList compares AppendChannelsAtNode(nil, v) with a walk of the
+// registry: the same set of channels, ascending, none listed twice.
+func checkNodeList(n *Network, v topology.NodeID) error {
+	got := n.AppendChannelsAtNode(nil, v)
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			return fmt.Errorf("node %d lists %v: not strictly ascending at %d", v, got, i)
+		}
+	}
+	var want []ChannelID
+	n.channels.Each(func(id ChannelID, ch *Channel) {
+		if ch.Path.ContainsNode(v) {
+			want = append(want, id)
+		}
+	})
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("node %d lists %v, the registry has %v there", v, got, want)
+	}
+	return nil
+}
+
 // TestCheckInvariantsCatchesStaleHandles corrupts the indexes in the ways a
 // missed or wrong unindex would and requires the checker to object to each.
 func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
@@ -330,7 +381,7 @@ func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
 		c2, _ := n.Establish(2, RoleBackup, 1, p, TrafficSpec{Bandwidth: 1})
 		return n, c1, c2
 	}
-	l, v := p.Links()[1], p.Nodes()[1]
+	l := p.Links()[1]
 	for name, corrupt := range map[string]func(n *Network, c1, c2 *Channel){
 		"entry of a torn-down channel": func(n *Network, c1, c2 *Channel) {
 			n.channels.Delete(c2.ID)
@@ -339,17 +390,17 @@ func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
 			dup := *c2
 			n.byLink[l][1] = &dup
 		},
-		"missing from a node list": func(n *Network, c1, c2 *Channel) {
-			n.byNode[v] = n.byNode[v][:1]
+		"newest missing from a link list": func(n *Network, c1, c2 *Channel) {
+			n.byLink[l] = n.byLink[l][:1]
 		},
 		"missing from a link list": func(n *Network, c1, c2 *Channel) {
 			n.byLink[l] = n.byLink[l][1:]
 		},
 		"descending ids": func(n *Network, c1, c2 *Channel) {
-			n.byNode[v][0], n.byNode[v][1] = c2, c1
+			n.byLink[l][0], n.byLink[l][1] = c2, c1
 		},
 		"listed twice": func(n *Network, c1, c2 *Channel) {
-			n.byNode[v] = append(n.byNode[v], c2)
+			n.byLink[l] = append(n.byLink[l], c2)
 		},
 		"listed off its path": func(n *Network, c1, c2 *Channel) {
 			rev := g.LinkBetween(1, 0)
