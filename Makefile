@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness one-wait verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -89,13 +89,20 @@ one-trial:
 		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
 
+# one-wait fails when a thread sleeps on the kernel timer, or sets its timer
+# slack, outside internal/realtime/wait_linux.go: the wall-clock stack waits
+# for a deadline only through realtime.Waiter, whose last stretch is that
+# file's nanosleep at 1 ns slack. Tests and bench/ included.
+one-wait:
+	! grep -rnE 'Nanosleep\(|PR_SET_TIMERSLACK' --include='*.go' --exclude-dir=.bench_build --exclude-dir=.git . | grep -v '^\./internal/realtime/wait_linux\.go:'
+
 # verify is the pre-merge gate: gofmt + vet + build + the full suite under
 # the race detector (the parallel sweep worker pool runs even in short mode),
 # after bench-check, because the root commands never compile bench/ and an
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here. The gofmt step reads bench/ too
 # and skips the gitignored .bench_build (exports of other commits, caches).
-verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness chaos-nightly
+verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness one-wait chaos-nightly
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
