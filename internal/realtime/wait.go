@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,8 +37,10 @@ const (
 type Waiter struct {
 	coarse *time.Timer
 	// precise counts precise sleeps; read it only once the owning goroutine
-	// has exited.
-	precise uint64
+	// has exited. coarseWaits counts waits begun on the Go timer, each
+	// after its caller's last look at the deadline; read it at any time.
+	precise     uint64
+	coarseWaits atomic.Uint64
 }
 
 // NewWaiter returns a Waiter; Close it when its goroutine is done.
@@ -75,6 +78,7 @@ func (w *Waiter) Until(deadline time.Time, stop, wake <-chan struct{}) Wake {
 				}
 			}
 			w.coarse.Reset(d - coarseHorizon)
+			w.coarseWaits.Add(1)
 			select {
 			case <-stop:
 				return Stopped
