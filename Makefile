@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness one-wait verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-reach one-decision one-trial one-harness one-wait verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,22 @@ one-harness:
 # are core.Config, routing.Constraint, bcpd.Config, bcpd.ChaosParams,
 # bcpd.LinkChaos, experiment.StormWideConfig, experiment.Options,
 # experiment.TraceScenario, chaos.Options, chaos.RunOptions, chaos.TopoSpec,
-# chaos.ConnSpec, chaos.ChaosSpec, topology.DotOptions, rtchan.TrafficSpec,
-# rcc.Params, conformance.Params and workload.HotSpotConfig (settingStructs
-# in settings_test.go). The test type-checks the non-test Go under
-# internal/, cmd/ and bench/.
+# chaos.ConnSpec, chaos.ChaosSpec, rtchan.TrafficSpec, rcc.Params,
+# conformance.Params and workload.HotSpotConfig (settingStructs in
+# settings_test.go). The test type-checks the non-test Go under internal/,
+# cmd/ and bench/.
 one-value:
 	$(GO) test -count=1 -run '^TestConfigFieldsHaveProductSetters$$' .
+
+# one-reach fails when a declaration in non-test Go is reached by no
+# program and is not listed with a reason (reachExempt in reach_test.go):
+# code only tests call is shipped, read and kept up like product code. The
+# roots are the mains of the commands README.md promises and of the
+# examples, all of bench/, and the facade's exports with the methods of the
+# types it aliases; a call through an interface reaches every method of
+# that name.
+one-reach:
+	$(GO) test -count=1 -run '^TestEveryDeclarationIsReached$$' .
 
 # one-decision fails when the Π decision is made in floating point outside
 # the threshold table: simS and its (1-λ)^k table may be used only by
@@ -102,7 +112,7 @@ one-wait:
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here. The gofmt step reads bench/ too
 # and skips the gitignored .bench_build (exports of other commits, caches).
-verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-decision one-trial one-harness one-wait chaos-nightly
+verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-reach one-decision one-trial one-harness one-wait chaos-nightly
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...

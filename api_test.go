@@ -77,10 +77,8 @@ func TestPublicTopologyAndRouting(t *testing.T) {
 	if !ok || p.Hops() != 2 {
 		t.Fatal("shortest path wrong")
 	}
-	seq := r.SequentialDisjointPaths(0, 5, 4, bcp.RoutingConstraint{})
-	flow := r.MaxDisjointPaths(0, 5, 4, bcp.RoutingConstraint{})
-	if len(flow) < len(seq) {
-		t.Fatal("flow found fewer paths than greedy")
+	if seq := r.SequentialDisjointPaths(0, 5, 4, bcp.RoutingConstraint{}); len(seq) == 0 {
+		t.Fatal("no disjoint paths")
 	}
 }
 

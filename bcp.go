@@ -211,9 +211,8 @@ type BackupInfo = reliability.BackupInfo
 
 var (
 	// NewRouter builds a reusable routing engine for one graph: all
-	// searches (Distance, ShortestPath, the paper's SequentialDisjointPaths,
-	// the flow-based MaxDisjointPaths of [WHA90, SID91]) share its scratch
-	// arenas and distance rows (single-threaded).
+	// searches (Distance, ShortestPath, the paper's SequentialDisjointPaths)
+	// share its scratch arenas and distance rows (single-threaded).
 	NewRouter = routing.NewRouter
 )
 

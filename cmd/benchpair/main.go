@@ -249,21 +249,6 @@ func (r *report) summarize() {
 	}
 }
 
-// render prints the whole report as run prints it piece by piece.
-func render(w io.Writer, r *report) {
-	writeHeader(w, r)
-	for i, p := range r.Pairs {
-		order := []int{0, 1}
-		if p.First == "change" {
-			order = []int{1, 0}
-		}
-		for _, s := range order {
-			writeRun(w, r, i, s)
-		}
-	}
-	writeSummary(w, r)
-}
-
 func writeHeader(w io.Writer, r *report) {
 	dirty := ""
 	if r.Dirty {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,4 +147,19 @@ func TestTrajectoryChainsTheCommittedFiles(t *testing.T) {
 			t.Errorf("trajectory lacks\n%s\ngot:\n%s", want, got)
 		}
 	}
+}
+
+// render prints the whole report as run prints it piece by piece.
+func render(w io.Writer, r *report) {
+	writeHeader(w, r)
+	for i, p := range r.Pairs {
+		order := []int{0, 1}
+		if p.First == "change" {
+			order = []int{1, 0}
+		}
+		for _, s := range order {
+			writeRun(w, r, i, s)
+		}
+	}
+	writeSummary(w, r)
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/routing"
-	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/topology"
 )
 
@@ -137,6 +136,3 @@ func (r *Reestablish) Trial(f core.Failure) core.RecoveryStats {
 	}
 	return stats
 }
-
-// Spec re-exports the substrate's traffic spec type for baseline callers.
-type Spec = rtchan.TrafficSpec

@@ -92,6 +92,23 @@ func (b *pipeBed) settle(t *testing.T) {
 	}
 }
 
+// flush waits until nothing the transport took is still on its way: the line
+// is empty (settle), and every actor has run what its mailbox held, which a
+// marker posted behind it shows. Each message has then reached its sink or
+// been counted as dropped.
+func (b *pipeBed) flush(t *testing.T) {
+	t.Helper()
+	b.settle(t)
+	var wg sync.WaitGroup
+	for node := range b.net.nodes {
+		wg.Add(1)
+		if !b.rt.Post(node, wg.Done) {
+			t.Fatalf("node %d refused the flush marker", node)
+		}
+	}
+	wg.Wait()
+}
+
 // queued returns the messages in the line.
 func (t *PipeTransport) queued() int {
 	t.mu.Lock()
@@ -139,7 +156,7 @@ func (b *pipeBed) drain(t *testing.T) [][]time.Duration {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(2 * b.prop) // anything that should not arrive has had its chance
+	b.flush(t) // anything that should not arrive has had its chance
 	transit := make([][]time.Duration, len(b.conns))
 	b.rt.Exec(func() {
 		for i, c := range b.conns {
@@ -306,7 +323,7 @@ func TestLiveSourceKeepsItsRate(t *testing.T) {
 			bed.net.StopTraffic(conn)
 			t1 = bed.rt.Now()
 		})
-		time.Sleep(5 * bed.prop)
+		bed.flush(t)
 		var got int
 		bed.rt.Exec(func() { got = int(bed.net.Stats().DataDelivered) })
 		bed.stop()

@@ -121,9 +121,6 @@ func (t *ChaosTransport) Attach(n *Network) {
 // failure recovery — is what must carry the traffic across the heal.
 func (t *ChaosTransport) SetPartition(l topology.LinkID, cut bool) { t.cut[l] = cut }
 
-// Partitioned reports whether link l is currently cut at the chaos layer.
-func (t *ChaosTransport) Partitioned(l topology.LinkID) bool { return t.cut[l] }
-
 // HealAllPartitions clears every chaos-layer cut.
 func (t *ChaosTransport) HealAllPartitions() {
 	for i := range t.cut {

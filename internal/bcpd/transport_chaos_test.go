@@ -92,10 +92,10 @@ func TestChaosPartitionIsAsymmetric(t *testing.T) {
 	fwd := tb.conn.Primary.Path.Links()[0]
 	cut := tb.g.Reverse(fwd)
 	ct.SetPartition(cut, true)
-	if !ct.Partitioned(cut) {
+	if !ct.cut[cut] {
 		t.Fatal("partition not recorded")
 	}
-	if ct.Partitioned(fwd) {
+	if ct.cut[fwd] {
 		t.Fatal("cutting one direction cut the reverse too")
 	}
 	broken := tb.conn.Primary.Path.Links()[1]
@@ -106,7 +106,7 @@ func TestChaosPartitionIsAsymmetric(t *testing.T) {
 	}
 	tb.net.RepairLink(broken)
 	ct.HealAllPartitions()
-	if ct.Partitioned(cut) {
+	if ct.cut[cut] {
 		t.Fatal("HealAllPartitions left a cut in place")
 	}
 	auditPool(t, tb, ct)

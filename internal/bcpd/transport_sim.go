@@ -139,6 +139,3 @@ func (t *SimTransport) InTransit() (frames, data int) {
 	}
 	return frames, data
 }
-
-// LinkStats returns link l's scheduler counters.
-func (t *SimTransport) LinkStats(l topology.LinkID) sched.LinkStats { return t.links[l].Stats() }

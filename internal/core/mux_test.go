@@ -174,6 +174,16 @@ func mustPathT(t *testing.T, g *topology.Graph, nodes []topology.NodeID) topolog
 	return p
 }
 
+// linkPathT is mustPathT for a link sequence.
+func linkPathT(t *testing.T, g *topology.Graph, links ...topology.LinkID) topology.Path {
+	t.Helper()
+	p, err := topology.NewPath(g, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestSameConnectionBackupsNeverShare(t *testing.T) {
 	// Two backups of the same connection meeting on a link must not share
 	// spare bandwidth even at a huge multiplexing degree: S of the one-hop
@@ -194,7 +204,7 @@ func TestSameConnectionBackupsNeverShare(t *testing.T) {
 	duplex(0, 3)
 	duplex(3, 2)
 	m := newTestManager(g)
-	p := topology.MustPath(g, []topology.LinkID{g.LinkBetween(0, 1)})
+	p := linkPathT(t, g, g.LinkBetween(0, 1))
 	b1 := mustPathT(t, g, []topology.NodeID{0, 2, 1})
 	b2 := mustPathT(t, g, []topology.NodeID{0, 3, 2, 1})
 	if _, err := m.EstablishOnPaths(spec1(), p, []topology.Path{b1, b2}, []int{8, 8}); err != nil {

@@ -169,9 +169,9 @@ func piMatrixHistory(t *testing.T, seed int64, oneClass bool) {
 	l0, _ := g.AddLink(0, 1, 1e6)
 	l1, _ := g.AddLink(1, 2, 1e4)
 	paths := []topology.Path{
-		topology.MustPath(g, []topology.LinkID{l0}),
-		topology.MustPath(g, []topology.LinkID{l1}),
-		topology.MustPath(g, []topology.LinkID{l0, l1}),
+		linkPathT(t, g, l0),
+		linkPathT(t, g, l1),
+		linkPathT(t, g, l0, l1),
 	}
 	cfg := DefaultConfig()
 	m := NewManager(g, cfg)
@@ -281,7 +281,7 @@ func TestCheckMuxInvariantsCatchesOneSidedPi(t *testing.T) {
 	g := topology.NewGraph("line", 3)
 	l0, _ := g.AddLink(0, 1, 1e6)
 	l1, _ := g.AddLink(1, 2, 1e6)
-	path := topology.MustPath(g, []topology.LinkID{l0, l1})
+	path := linkPathT(t, g, l0, l1)
 	m := NewManager(g, DefaultConfig())
 	for range 2 {
 		// Primaries on one path share all five components: at degree 3 each

@@ -95,14 +95,6 @@ type DegreeStats struct {
 	FastRecovered   int
 }
 
-// RFast returns the fast-recovery ratio for the class.
-func (d DegreeStats) RFast() float64 {
-	if d.FailedPrimaries == 0 {
-		return 1
-	}
-	return float64(d.FastRecovered) / float64(d.FailedPrimaries)
-}
-
 // RecoveryStats summarizes one failure event.
 type RecoveryStats struct {
 	// ExcludedConns counts connections whose end nodes failed (outside the

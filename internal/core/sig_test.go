@@ -114,7 +114,7 @@ func TestPrimarySignatureMatchesPaths(t *testing.T) {
 						// much spare again, which the link can seldom hold: a
 						// rollback after the row was handed out and written.
 						l := g.Links()[rng.Intn(g.NumLinks())]
-						path := topology.MustPath(g, []topology.LinkID{l.ID})
+						path := linkPathT(t, g, l.ID)
 						spec := rtchan.TrafficSpec{Bandwidth: math.Floor(m.plan.net.Free(l.ID)/2) + 1}
 						if c, err := m.EstablishOnPaths(spec, path, []topology.Path{path}, []int{3}); err == nil {
 							// The link's pool already covered it: multiplexed in.

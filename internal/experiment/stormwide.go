@@ -13,9 +13,8 @@ import (
 	"github.com/rtcl/bcp/internal/workload"
 )
 
-// StormWide is the mass-failure counterpart of Storm: instead of crashing
-// one link of one connection, each cycle crashes an entire transit node of a
-// heavily loaded network — hundreds of channels fail at once, their failure
+// StormWide is a mass-failure rig: each cycle crashes an entire transit node
+// of a heavily loaded network — hundreds of channels fail at once, their failure
 // reports and activations fan out along shared links, and after repair the
 // whole population rejoins. This is the workload the batched dispatch path
 // (bcpd/round.go) exists for: one node failure touches every link around the
@@ -27,7 +26,8 @@ import (
 // disjoint primary/backup routing guarantees at most one channel of each
 // pair crosses the victim, recovery always has a live channel to switch to,
 // and the network returns to a steady state that the next cycle can fail
-// again.
+// again. The tests drive the cycle (stormwide_test.go); bench/storm.go
+// drives its own.
 type StormWide struct {
 	Eng     *sim.Engine
 	Mgr     *core.Manager
@@ -36,7 +36,6 @@ type StormWide struct {
 
 	conns   []*core.DConnection
 	traffic []*core.DConnection // sampled sources, so crashes disrupt data
-	cycles  int
 }
 
 // StormWideConfig parameterizes NewStormWide. The network is always the 8×8
@@ -51,21 +50,7 @@ type StormWideConfig struct {
 	Sink trace.Sink
 }
 
-// Cycle phases: the crash phase covers detection, the report storm, and the
-// activation wave; the repair phase covers the soft-state expiries tearing
-// down the channels lost through the crashed node and the replenishments
-// restoring every connection's backup count. Both are generous — the cycle
-// asserts progress through counters, not completion of every last
-// replenishment.
 const (
-	stormWideCrashPhase = sim.Duration(300 * time.Millisecond)
-	// The repair phase reboots the victim immediately, so every
-	// replenishment — activation-triggered at ~crash+400ms, expiry-
-	// triggered at ~crash+950ms — routes with the victim back up and
-	// replacements may thread through it again. That repopulation is what
-	// keeps victims loaded with crossing primaries across cycles; holding
-	// the victim down through the replenish wave drains them instead.
-	stormWideRepairPhase = sim.Duration(900 * time.Millisecond)
 	// stormWideSources is how many victim-crossing connections carry data,
 	// so cycles yield a service-interruption latency distribution.
 	stormWideSources = 16
@@ -149,87 +134,6 @@ func NewStormWide(cfg StormWideConfig) (*StormWide, error) {
 	return s, nil
 }
 
-// Cycle crashes the next victim node, runs the failure storm, repairs it,
-// and runs the expiry/replenish wave. Progress is asserted through the
-// protocol counters: the crash phase must start activations; the repair
-// phase must expire the dead channels' soft state and replenish backups.
-// The sampled sources' recoveries are in the event stream (Sink).
-func (s *StormWide) Cycle() error {
-	v, err := s.CrashPhase()
-	if err != nil {
-		return err
-	}
-	return s.RepairPhase(v)
-}
-
-// pickVictim selects the victim carrying the most crossing primaries — the
-// node whose failure disables the most service. A fixed rotation drains
-// instead: recovery persistently re-routes primaries away from whichever
-// node failed last, and on sparse workloads a rotation slot can come up
-// empty, failing a node nothing crosses anymore. Selection is a pure
-// function of the primary routes, which are bit-identical across dispatch
-// engines, so A/B runs still fail the same sequence of victims.
-func (s *StormWide) pickVictim() topology.NodeID {
-	best, bestN := s.Victims[0], -1
-	for _, v := range s.Victims {
-		n := 0
-		for _, c := range s.conns {
-			if c.Primary != nil && c.Primary.Path.ContainsNode(v) {
-				n++
-			}
-		}
-		if n > bestN {
-			best, bestN = v, n
-		}
-	}
-	return best
-}
-
-// CrashPhase is the restoration half of a cycle — the part the benchmarks
-// time: it crashes the most loaded victim and runs the detection/report/
-// activation storm to completion. Returns the victim for RepairPhase.
-func (s *StormWide) CrashPhase() (topology.NodeID, error) {
-	v := s.pickVictim()
-	before := s.Net.Stats()
-	s.Net.FailNode(v)
-	s.Eng.RunFor(stormWideCrashPhase)
-	mid := s.Net.Stats()
-	if mid.ActivationsStarted == before.ActivationsStarted {
-		return v, fmt.Errorf("experiment: storm-wide cycle %d: node %d crash started no activations", s.cycles, v)
-	}
-	return v, nil
-}
-
-// RepairPhase is the stationarity half: it repairs the victim and runs the
-// soft-state expiries and replenishments that restore full redundancy, so
-// the next CrashPhase fails an identically-loaded network. Benchmarks run
-// it between iterations with the timer stopped — replacing the expired
-// channels is establishment work, not restoration.
-func (s *StormWide) RepairPhase(v topology.NodeID) error {
-	mid := s.Net.Stats()
-	s.Net.RepairNode(v)
-	s.Eng.RunFor(stormWideRepairPhase)
-	after := s.Net.Stats()
-	if after.RejoinExpiries == mid.RejoinExpiries {
-		return fmt.Errorf("experiment: storm-wide cycle %d: node %d crash expired no soft state", s.cycles, v)
-	}
-	if after.BackupsReplenished == mid.BackupsReplenished {
-		return fmt.Errorf("experiment: storm-wide cycle %d: node %d repair replenished no backups", s.cycles, v)
-	}
-	s.cycles++
-	return nil
-}
-
-// Run executes n cycles, stopping at the first failure.
-func (s *StormWide) Run(n int) error {
-	for i := 0; i < n; i++ {
-		if err := s.Cycle(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Drain repairs everything and runs the engine long enough for every rejoin
 // and retransmission to settle — the precondition for quiescence audits.
 func (s *StormWide) Drain() {
@@ -242,11 +146,5 @@ func (s *StormWide) Drain() {
 	s.Eng.RunFor(5 * time.Second)
 }
 
-// Cycles returns the number of completed cycles.
-func (s *StormWide) Cycles() int { return s.cycles }
-
 // Conns returns how many connections load the network.
 func (s *StormWide) Conns() int { return len(s.conns) }
-
-// Stats returns the protocol counters accumulated so far.
-func (s *StormWide) Stats() bcpd.Stats { return s.Net.Stats() }

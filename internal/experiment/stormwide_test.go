@@ -1,14 +1,115 @@
 package experiment
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
 	"github.com/rtcl/bcp/internal/conformance"
+	"github.com/rtcl/bcp/internal/sim"
+	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
 )
+
+// Cycle phases: the crash phase covers detection, the report storm, and the
+// activation wave; the repair phase covers the soft-state expiries tearing
+// down the channels lost through the crashed node and the replenishments
+// restoring every connection's backup count. Both are generous — the cycle
+// asserts progress through counters, not completion of every last
+// replenishment.
+const (
+	stormWideCrashPhase = sim.Duration(300 * time.Millisecond)
+	// The repair phase reboots the victim immediately, so every
+	// replenishment — activation-triggered at ~crash+400ms, expiry-
+	// triggered at ~crash+950ms — routes with the victim back up and
+	// replacements may thread through it again. That repopulation is what
+	// keeps victims loaded with crossing primaries across cycles; holding
+	// the victim down through the replenish wave drains them instead.
+	stormWideRepairPhase = sim.Duration(900 * time.Millisecond)
+)
+
+// Cycle crashes the next victim node, runs the failure storm, repairs it,
+// and runs the expiry/replenish wave. Progress is asserted through the
+// protocol counters: the crash phase must start activations; the repair
+// phase must expire the dead channels' soft state and replenish backups.
+// The sampled sources' recoveries are in the event stream (Sink).
+func (s *StormWide) Cycle() error {
+	v, err := s.CrashPhase()
+	if err != nil {
+		return err
+	}
+	return s.RepairPhase(v)
+}
+
+// pickVictim selects the victim carrying the most crossing primaries — the
+// node whose failure disables the most service. A fixed rotation drains
+// instead: recovery persistently re-routes primaries away from whichever
+// node failed last, and on sparse workloads a rotation slot can come up
+// empty, failing a node nothing crosses anymore. Selection is a pure
+// function of the primary routes, which are bit-identical across dispatch
+// engines, so A/B runs still fail the same sequence of victims.
+func (s *StormWide) pickVictim() topology.NodeID {
+	best, bestN := s.Victims[0], -1
+	for _, v := range s.Victims {
+		n := 0
+		for _, c := range s.conns {
+			if c.Primary != nil && c.Primary.Path.ContainsNode(v) {
+				n++
+			}
+		}
+		if n > bestN {
+			best, bestN = v, n
+		}
+	}
+	return best
+}
+
+// CrashPhase is the restoration half of a cycle — the part the benchmarks
+// time: it crashes the most loaded victim and runs the detection/report/
+// activation storm to completion. Returns the victim for RepairPhase.
+func (s *StormWide) CrashPhase() (topology.NodeID, error) {
+	v := s.pickVictim()
+	before := s.Net.Stats()
+	s.Net.FailNode(v)
+	s.Eng.RunFor(stormWideCrashPhase)
+	mid := s.Net.Stats()
+	if mid.ActivationsStarted == before.ActivationsStarted {
+		return v, fmt.Errorf("storm-wide: node %d crash started no activations", v)
+	}
+	return v, nil
+}
+
+// RepairPhase is the stationarity half: it repairs the victim and runs the
+// soft-state expiries and replenishments that restore full redundancy, so
+// the next CrashPhase fails an identically-loaded network. Benchmarks run
+// it between iterations with the timer stopped — replacing the expired
+// channels is establishment work, not restoration.
+func (s *StormWide) RepairPhase(v topology.NodeID) error {
+	mid := s.Net.Stats()
+	s.Net.RepairNode(v)
+	s.Eng.RunFor(stormWideRepairPhase)
+	after := s.Net.Stats()
+	if after.RejoinExpiries == mid.RejoinExpiries {
+		return fmt.Errorf("storm-wide: node %d crash expired no soft state", v)
+	}
+	if after.BackupsReplenished == mid.BackupsReplenished {
+		return fmt.Errorf("storm-wide: node %d repair replenished no backups", v)
+	}
+	return nil
+}
+
+// Run executes n cycles, stopping at the first failure.
+func (s *StormWide) Run(n int) error {
+	for i := 0; i < n; i++ {
+		if err := s.Cycle(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // TestStormWideTorus runs mass-failure cycles on the loaded torus with a
 // streaming conformance checker attached, Γ rule on, then drains and audits
@@ -183,8 +284,8 @@ func TestStormWidePerMessageParity(t *testing.T) {
 	}
 	bat, br := run(false)
 	seq, sr := run(true)
-	if bat.Stats() != seq.Stats() {
-		t.Fatalf("storm counters diverged:\n  batched:     %+v\n  per-message: %+v", bat.Stats(), seq.Stats())
+	if bat.Net.Stats() != seq.Net.Stats() {
+		t.Fatalf("storm counters diverged:\n  batched:     %+v\n  per-message: %+v", bat.Net.Stats(), seq.Net.Stats())
 	}
 	if len(br.Done) == 0 || !slices.Equal(br.Done, sr.Done) {
 		t.Fatalf("recoveries diverged:\n  batched:     %v\n  per-message: %v", br.Done, sr.Done)

@@ -48,9 +48,6 @@ func (m Mean) Value() float64 {
 	return m.sum / float64(m.count)
 }
 
-// Count returns the number of observations.
-func (m Mean) Count() int { return m.count }
-
 // Series is a set of (x, y) points for figure regeneration.
 type Series struct {
 	Name   string

@@ -20,13 +20,13 @@ func TestRatio(t *testing.T) {
 
 func TestMean(t *testing.T) {
 	var m Mean
-	if m.Value() != 0 || m.Count() != 0 {
+	if m.Value() != 0 || m.count != 0 {
 		t.Fatal("empty mean wrong")
 	}
 	m.Add(2)
 	m.Add(4)
-	if m.Value() != 3 || m.Count() != 2 {
-		t.Fatalf("mean = %g count = %d", m.Value(), m.Count())
+	if m.Value() != 3 || m.count != 2 {
+		t.Fatalf("mean = %g count = %d", m.Value(), m.count)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestRandomizedDuplex(t *testing.T) {
 // from protocol storm runs (regenerate with bcpd's TestHarvestRCCFuzzCorpus).
 func FuzzHandleFrame(f *testing.F) {
 	mustMarshal := func(fr wire.Frame) []byte {
-		data, err := fr.Marshal()
+		data, err := fr.MarshalAppend(nil)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -61,10 +61,16 @@ func (r *Router) fnAugment(source, sink int32, numVerts int) bool {
 	return true
 }
 
-// DisjointLinks is MaxDisjointPaths returning raw link sequences instead of
-// materialized Paths: up to count mutually component-disjoint routes in
-// non-decreasing hop order. Both the outer slice and each inner sequence are
-// the router's scratch buffers, valid until the next disjoint search on r.
+// DisjointLinks finds up to count mutually component-disjoint routes from src
+// to dst via unit-capacity max-flow, the approach of the disjoint-path
+// algorithms the paper cites ([WHA90, SID91]), in non-decreasing hop order.
+// Unlike the greedy SequentialDisjointPaths it is not trapped by an unlucky
+// first shortest path: if k component-disjoint routes exist it finds
+// min(k, count). The routes share no simplex links and no interior nodes.
+// Constraint c restricts usable links and interior nodes; c.MaxHops is
+// ignored (flow augmentation does not bound individual path lengths). Both
+// the outer slice and each inner sequence are the router's scratch buffers,
+// valid until the next disjoint search on r.
 func (r *Router) DisjointLinks(src, dst topology.NodeID, count int, c Constraint) [][]topology.LinkID {
 	if src == dst || count <= 0 {
 		return nil
@@ -177,28 +183,4 @@ func (r *Router) simpleLinks(links []topology.LinkID) bool {
 		r.nodeMark[to] = mark
 	}
 	return true
-}
-
-// MaxDisjointPaths finds up to count mutually component-disjoint paths from
-// src to dst via unit-capacity max-flow, the approach of the disjoint-path
-// algorithms the paper cites ([WHA90, SID91]). Unlike the greedy
-// SequentialDisjointPaths it is not trapped by an unlucky first shortest
-// path: if k component-disjoint paths exist it finds min(k, count).
-//
-// Disjointness follows the paper's component model: the returned paths share
-// no simplex links and no interior nodes. Constraint c restricts usable
-// links and interior nodes; c.MaxHops is ignored (flow augmentation does not
-// bound individual path lengths).
-func (r *Router) MaxDisjointPaths(src, dst topology.NodeID, count int, c Constraint) []topology.Path {
-	linkSets := r.DisjointLinks(src, dst, count, c)
-	if len(linkSets) == 0 {
-		return nil
-	}
-	paths := make([]topology.Path, 0, len(linkSets))
-	for _, links := range linkSets {
-		if p, err := topology.NewPath(r.g, links); err == nil {
-			paths = append(paths, p)
-		}
-	}
-	return paths
 }

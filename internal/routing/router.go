@@ -360,7 +360,7 @@ func (r *Router) nodesFor(links []topology.LinkID) []topology.NodeID {
 // avoiding all components (links and interior nodes) of the previously found
 // ones. Fewer than count paths are returned when the residual graph
 // disconnects. This greedy method can miss disjoint path sets that a
-// flow-based method would find; see MaxDisjointPaths for the flow-based
+// flow-based method would find; see DisjointLinks for the flow-based
 // alternative.
 func (r *Router) SequentialDisjointPaths(src, dst topology.NodeID, count int, c Constraint) []topology.Path {
 	var paths []topology.Path

@@ -440,8 +440,8 @@ func TestRouterMatchesReference(t *testing.T) {
 
 			// Disjoint sets, both disciplines.
 			count := 1 + rng.Intn(4)
-			if got, want := r.MaxDisjointPaths(src, dst, count, cRouter), refMaxDisjointPaths(g, src, dst, count, cRef); !samePaths(got, want) {
-				t.Fatalf("%s: MaxDisjointPaths(%d,%d,%d) = %v want %v", tag, src, dst, count, got, want)
+			if got, want := disjointPaths(t, r, src, dst, count, cRouter), refMaxDisjointPaths(g, src, dst, count, cRef); !samePaths(got, want) {
+				t.Fatalf("%s: DisjointLinks(%d,%d,%d) = %v want %v", tag, src, dst, count, got, want)
 			}
 			if got, want := r.SequentialDisjointPaths(src, dst, count, cRouter), refSequentialDisjointPaths(g, src, dst, count, cRef); !samePaths(got, want) {
 				t.Fatalf("%s: SequentialDisjointPaths(%d,%d,%d) = %v want %v", tag, src, dst, count, got, want)

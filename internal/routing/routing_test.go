@@ -154,6 +154,20 @@ func TestSequentialDisjointPathsLine(t *testing.T) {
 	}
 }
 
+// disjointPaths is DisjointLinks with each link set made a Path.
+func disjointPaths(t testing.TB, r *Router, src, dst topology.NodeID, count int, c Constraint) []topology.Path {
+	t.Helper()
+	var paths []topology.Path
+	for _, links := range r.DisjointLinks(src, dst, count, c) {
+		p, err := topology.NewPath(r.Graph(), links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	return paths
+}
+
 func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 	// Classic trap: greedy takes the short middle path, blocking both
 	// remaining routes; flow finds two disjoint paths.
@@ -185,7 +199,7 @@ func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 	if len(greedy) != 1 {
 		t.Fatalf("greedy found %d paths, expected trap to limit it to 1", len(greedy))
 	}
-	flow := NewRouter(g).MaxDisjointPaths(0, 5, 2, Constraint{})
+	flow := disjointPaths(t, NewRouter(g), 0, 5, 2, Constraint{})
 	if len(flow) != 2 {
 		t.Fatalf("max-flow found %d paths, want 2", len(flow))
 	}
@@ -196,7 +210,7 @@ func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 
 func TestMaxDisjointPathsTorus(t *testing.T) {
 	g := topology.NewTorus(8, 8, 200)
-	paths := NewRouter(g).MaxDisjointPaths(0, 36, 4, Constraint{})
+	paths := disjointPaths(t, NewRouter(g), 0, 36, 4, Constraint{})
 	if len(paths) != 4 { // torus is 4-connected
 		t.Fatalf("got %d disjoint paths, want 4", len(paths))
 	}
@@ -216,7 +230,7 @@ func TestMaxDisjointPathsRespectsConstraints(t *testing.T) {
 	g := topology.NewTorus(4, 4, 10)
 	ban := g.LinkBetween(0, 1)
 	c := Constraint{LinkAllowed: func(l topology.LinkID) bool { return l != ban }}
-	for _, p := range NewRouter(g).MaxDisjointPaths(0, 5, 4, c) {
+	for _, p := range disjointPaths(t, NewRouter(g), 0, 5, 4, c) {
 		if p.ContainsLink(ban) {
 			t.Fatal("path uses banned link")
 		}
@@ -280,11 +294,11 @@ func BenchmarkShortestPathTorus(b *testing.B) {
 	}
 }
 
-func BenchmarkMaxDisjointPathsTorus(b *testing.B) {
+func BenchmarkDisjointLinksTorus(b *testing.B) {
 	g := topology.NewTorus(8, 8, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := NewRouter(g).MaxDisjointPaths(0, 36, 4, Constraint{}); len(got) != 4 {
+		if got := NewRouter(g).DisjointLinks(0, 36, 4, Constraint{}); len(got) != 4 {
 			b.Fatal("wrong path count")
 		}
 	}

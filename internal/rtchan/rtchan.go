@@ -28,9 +28,6 @@ type ConnID int32
 // ChannelID identifies a channel (primary or backup) network-wide.
 type ChannelID int64
 
-// NoChannel is the zero/invalid channel id.
-const NoChannel ChannelID = 0
-
 // Role distinguishes primary from backup channels.
 type Role uint8
 

@@ -26,7 +26,7 @@ func TestEstablishPrimaryReserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.ID == NoChannel {
+	if ch.ID == 0 {
 		t.Fatal("zero channel id")
 	}
 	for _, l := range p.Links() {

@@ -60,15 +60,6 @@ func NewPathUnchecked(g *Graph, links []LinkID, nodes []NodeID) Path {
 	}
 }
 
-// MustPath is NewPath that panics on error, for tests and literals.
-func MustPath(g *Graph, links []LinkID) Path {
-	p, err := NewPath(g, links)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // PathBetween builds a path from a node sequence, resolving each hop to the
 // connecting link.
 func PathBetween(g *Graph, nodes []NodeID) (Path, error) {

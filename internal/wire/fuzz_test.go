@@ -47,7 +47,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := frame.Marshal()
+		out, err := frame.MarshalAppend(nil)
 		if err != nil {
 			t.Fatalf("decoded frame does not re-marshal: %v", err)
 		}

@@ -130,11 +130,6 @@ func MaxControlsForBudget(budget int) int {
 	return n
 }
 
-// Marshal encodes the frame into a fresh buffer.
-func (f Frame) Marshal() ([]byte, error) {
-	return f.MarshalAppend(make([]byte, 0, f.Size()))
-}
-
 // MarshalAppend encodes the frame, appending to b. Callers that recycle
 // frame buffers pass a pooled b[:0] to keep the encode path allocation-free.
 func (f Frame) MarshalAppend(b []byte) ([]byte, error) {

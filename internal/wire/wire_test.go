@@ -8,7 +8,7 @@ import (
 
 func TestRoundTripEmptyFrame(t *testing.T) {
 	f := Frame{Seq: 7, Ack: 3}
-	b, err := f.Marshal()
+	b, err := f.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRoundTripControls(t *testing.T) {
 			{Type: MsgChannelClosure, Channel: 5, Origin: 9, Toward: 1},
 		},
 	}
-	b, err := f.Marshal()
+	b, err := f.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			f.Controls = append(f.Controls, c)
 		}
-		b, err := f.Marshal()
+		b, err := f.MarshalAppend(nil)
 		if err != nil {
 			return false
 		}
@@ -88,7 +88,7 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	good, _ := Frame{Seq: 1, Controls: []Control{{Type: MsgActivation, Channel: 1, Toward: 1}}}.Marshal()
+	good, _ := Frame{Seq: 1, Controls: []Control{{Type: MsgActivation, Channel: 1, Toward: 1}}}.MarshalAppend(nil)
 	cases := map[string][]byte{
 		"empty":             nil,
 		"short header":      {1, 2, 3},
@@ -154,7 +154,7 @@ func BenchmarkMarshalFrame(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Marshal(); err != nil {
+		if _, err := f.MarshalAppend(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func BenchmarkUnmarshalFrame(b *testing.B) {
 	for i := range f.Controls {
 		f.Controls[i] = Control{Type: MsgFailureReport, Channel: int64(i), Toward: 1}
 	}
-	data, _ := f.Marshal()
+	data, _ := f.MarshalAppend(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(data); err != nil {

@@ -26,7 +26,6 @@ var settingStructs = []struct{ dir, name string }{
 	{"internal/bcpd", "ChaosParams"},
 	{"internal/experiment", "StormWideConfig"},
 	{"internal/chaos", "Options"},
-	{"internal/topology", "DotOptions"},
 	{"internal/rtchan", "TrafficSpec"},
 	{"internal/rcc", "Params"},
 	{"internal/conformance", "Params"},
@@ -56,20 +55,58 @@ var oneValueExempt = map[string]string{
 	"rcc.Params.AckDelay":                           "bench/ reads it to derive its settle time",
 }
 
-// productCode type-checks the non-test Go under internal/, cmd/ and bench/
-// from source. Standard-library imports resolve to empty packages and the
-// errors that leaves are ignored: a field write needs only the types this
-// module declares.
+// productCode type-checks the non-test Go of the module from source: the
+// root package, internal/, cmd/, bench/ and examples/. Standard-library
+// imports resolve to empty packages and the errors that leaves are ignored:
+// a field write or a reference needs only the types this module declares.
 type productCode struct {
 	fset  *token.FileSet
-	pkgs  map[string]*types.Package // by directory
+	pkgs  map[string]*types.Package // by directory; "." is the root package
 	files map[string][]*ast.File
 	info  *types.Info
 }
 
 const modulePath = "github.com/rtcl/bcp"
 
+// loadProductCode loads the root package and every package directory under
+// internal/, cmd/, bench/ and examples/.
+func loadProductCode(t *testing.T) *productCode {
+	t.Helper()
+	pc := &productCode{
+		fset:  token.NewFileSet(),
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	if _, err := pc.load("."); err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"internal", "cmd", "bench", "examples"} {
+		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			_, err = pc.load(filepath.ToSlash(dir))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pc
+}
+
 func (pc *productCode) Import(importPath string) (*types.Package, error) {
+	if importPath == modulePath {
+		return pc.load(".")
+	}
 	if rel, ok := strings.CutPrefix(importPath, modulePath+"/"); ok {
 		return pc.load(rel)
 	}
@@ -95,21 +132,28 @@ func (pc *productCode) load(dir string) (*types.Package, error) {
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
-		f, err := parser.ParseFile(pc.fset, filepath.Join(dir, name), nil, 0)
+		f, err := parser.ParseFile(pc.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
+	importPath := modulePath
+	if dir != "." {
+		importPath += "/" + dir
+	}
 	conf := types.Config{Importer: pc, Error: func(error) {}}
-	p, _ := conf.Check(modulePath+"/"+dir, pc.fset, files, pc.info)
+	p, _ := conf.Check(importPath, pc.fset, files, pc.info)
 	pc.pkgs[dir], pc.files[dir] = p, files
 	return p, nil
 }
 
-// fieldWrites returns every struct field that product code writes outside a
-// Default* constructor: as the selector on the left of an assignment or an
-// increment, behind an address-of, or as a composite literal key.
+// fieldWrites returns every struct field that the Go under internal/, cmd/
+// or bench/ writes outside a Default* constructor: as the selector on the
+// left of an assignment or an increment, behind an address-of, or as a
+// composite literal key. The facade and examples/ are not counted: an
+// example that sets a field shows it to a reader, and the settings checked
+// here are the ones the commands and the benchmark run with.
 func (pc *productCode) fieldWrites() map[*types.Var]bool {
 	written := map[*types.Var]bool{}
 	field := func(e ast.Expr) {
@@ -119,7 +163,10 @@ func (pc *productCode) fieldWrites() map[*types.Var]bool {
 			}
 		}
 	}
-	for _, files := range pc.files {
+	for dir, files := range pc.files {
+		if dir == "." || strings.HasPrefix(dir, "examples") {
+			continue
+		}
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -153,27 +200,7 @@ func (pc *productCode) fieldWrites() map[*types.Var]bool {
 // never moves from its default: delete it and write the value as a constant,
 // or list it in oneValueExempt with the reason it stays.
 func TestConfigFieldsHaveProductSetters(t *testing.T) {
-	pc := &productCode{
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*types.Package{},
-		files: map[string][]*ast.File{},
-		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
-	}
-	for _, root := range []string{"internal", "cmd", "bench"} {
-		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			_, err = pc.load(filepath.ToSlash(dir))
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	pc := loadProductCode(t)
 	written := pc.fieldWrites()
 
 	declared := map[string]bool{}
