@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-reach one-decision one-trial one-harness one-wait verify loc bench-check bench-pair chaos chaos-nightly
+.PHONY: build test race vet one-owner one-heap one-key one-recovery one-muxfail one-value one-reach one-decision one-trial one-fire one-harness one-wait verify loc bench-check bench-pair chaos chaos-nightly
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,18 @@ one-trial:
 		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
 
+# one-fire fails when a timer is popped off its arena anywhere but the two
+# firers: sim.Engine.fire, under the simulated clock, and realtime's fireDue,
+# which the timer goroutine, the actors and Exec all call under the execution
+# lock, so a due timer runs in (deadline, sequence) order with both locks held
+# at the pop whoever fires it. Scoped to functions, as one-trial is.
+one-fire:
+	@awk 'FNR == 1 { fn = "" } /^(func|type) / { fn = $$0 } \
+		/timers\.Pop\(/ && !(FILENAME == "internal/sim/sim.go" && fn ~ /^func \(e \*Engine\) fire\(/) \
+		&& !(FILENAME == "internal/realtime/realtime.go" && fn ~ /^func \(r \*Runtime\) fireDue\(/) \
+		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
+		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
+
 # one-wait fails when a thread sleeps on the kernel timer, or sets its timer
 # slack, outside internal/realtime/wait_linux.go: the wall-clock stack waits
 # for a deadline only through realtime.Waiter, whose last stretch is that
@@ -112,7 +124,7 @@ one-wait:
 # internal/ signature change is exactly what breaks it, and chaos-nightly,
 # which is what "same behaviour" means here. The gofmt step reads bench/ too
 # and skips the gitignored .bench_build (exports of other commits, caches).
-verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-reach one-decision one-trial one-harness one-wait chaos-nightly
+verify: bench-check one-owner one-heap one-key one-recovery one-muxfail one-value one-reach one-decision one-trial one-fire one-harness one-wait chaos-nightly
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -152,7 +152,7 @@ func (b *pipeBed) drain(t *testing.T) [][]time.Duration {
 			break
 		}
 		if time.Now().After(limit) {
-			t.Fatal("messages the transport accepted never arrived")
+			t.Fatal("messages the transport accepted never arrived: " + b.whereabouts())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -177,6 +177,20 @@ func (b *pipeBed) drain(t *testing.T) [][]time.Duration {
 		}
 	})
 	return transit
+}
+
+// whereabouts says where the messages went: what the transport and the
+// mailboxes refused, what is still in the line, and per connection how many
+// of the messages expected at its sink arrived.
+func (b *pipeBed) whereabouts() string {
+	s := fmt.Sprintf("pipe Dropped() %d, runtime Dropped() %d, queued() %d;",
+		b.tr.Dropped(), b.rt.Dropped(), b.tr.queued())
+	b.rt.Exec(func() {
+		for i, c := range b.conns {
+			s += fmt.Sprintf(" link %d received %d of %d expected;", b.links[i], b.net.sinks[c.ID].received, len(b.sent[i]))
+		}
+	})
+	return s
 }
 
 func quantile(d []time.Duration, q float64) time.Duration {

@@ -11,10 +11,12 @@
 // operations). A mailbox's storage follows its backlog, not its bound: a ring
 // that starts at a few slots and doubles only when full.
 // Actor goroutines and the timer goroutine all execute protocol callbacks
-// under one execution lock (mu), so from the protocol's point of view the
-// world is still single-threaded — Network/Manager state is shared across
-// nodes in this reproduction, and the lock preserves the invariant the sim
-// gives for free. The actor boundary still buys what the paper's deployment
+// under one execution lock (mu), and whoever holds it fires the timers that
+// are due before letting go: an actor runs one item, then what is due; an
+// Exec runs its closure, then what is due. So from the protocol's point of
+// view the world is still single-threaded — Network/Manager state is shared
+// across nodes in this reproduction, and the lock preserves the invariant the
+// sim gives for free. The actor boundary still buys what the paper's deployment
 // needs: bounded per-node queues with drop-on-overflow backpressure (RCC
 // retransmission recovers dropped control traffic), and no transport
 // goroutine ever touches protocol state directly.
@@ -23,20 +25,24 @@
 //
 // Timers live in a sim.TimerArena, the queue sim.Engine runs on, held here
 // behind the timer lock: value sim.Timer handles, O(log n) Stop,
-// release-before-fire so a callback can re-arm into its own slot. A single
-// timer goroutine waits for the earliest deadline (Waiter: a Go timer while
-// it is far, precise sleeps at 1 ns timer slack for the last stretch), then
-// fires due events one at a time under the execution lock; because popping
-// happens with both locks held, Stop returning true guarantees the callback
-// never runs, also when the stopper is a callback of the same round.
+// release-before-fire so a callback can re-arm into its own slot. One helper
+// fires them: at one reading of the clock it pops due events one at a time
+// in (deadline, sequence) order and runs each under the execution lock.
+// Actors and Exec call it after their own callback, so a timer a callback
+// arms for now runs before the lock is let go; a single timer goroutine
+// calls it once the earliest deadline passes (Waiter: a Go timer while it is
+// far, precise sleeps at 1 ns timer slack for the last stretch), for the
+// deadlines no lock holder reaches first. Because popping happens with both
+// locks held, Stop returning true guarantees the callback never runs, also
+// when the stopper is a callback of the same round.
 //
 // # Shutdown
 //
 // Stop closes a shared stop channel and waits for the timer and actor
 // goroutines. Senders race shutdown, so Post observes the stopped flag and
-// reports the drop; an actor takes no further item once the flag is set. Stop
-// must not be called from a protocol callback (it would deadlock on its own
-// execution lock).
+// reports the drop; once the flag is set no actor takes a further item and
+// no firer a further timer. Stop must not be called from a protocol callback
+// (it would deadlock on its own execution lock).
 package realtime
 
 import (
@@ -146,17 +152,16 @@ func (r *Runtime) TimerActive(idx int32, gen uint32) bool {
 	return r.timers.Active(idx, gen)
 }
 
-// timerLoop waits for the earliest deadline, then fires what is due, one
-// timer at a time like sim.Engine.Step: under mu it takes tmu, pops and
-// releases one due slot, drops tmu and runs the callback. Popping happens with
-// both locks held, so a protocol callback holding mu never observes a
-// popped-but-unrun timer; release-before-fire lets a callback re-arm into its
-// own slot; and a callback that stops a timer due in the same round finds it
-// still queued, so that Stop returns true and the timer does not run.
+// timerLoop waits for the earliest deadline, then fires what is due under
+// mu. It is the runtime's fallback, not its only firer: whoever holds mu for
+// an actor item or an Exec fires what is due before letting go, so a timer a
+// callback arms for now does not wait for this goroutine to wake. Once Stop
+// has begun a due timer stays queued, so the loop ends there rather than wait
+// for it again.
 func (r *Runtime) timerLoop() {
 	defer r.wg.Done()
 	defer r.waiter.Close()
-	for {
+	for !r.stopped.Load() {
 		r.tmu.Lock()
 		var deadline time.Time // empty arena: nothing to do until woken
 		if at, ok := r.timers.Earliest(); ok {
@@ -172,19 +177,31 @@ func (r *Runtime) timerLoop() {
 		}
 
 		r.mu.Lock()
-		// One reading of the clock per round: a callback that keeps arming
-		// immediate timers cannot hold mu against the actors forever.
-		now := r.Now()
-		for {
-			r.tmu.Lock()
-			_, _, fn, ok := r.timers.Pop(now)
-			r.tmu.Unlock()
-			if !ok {
-				break
-			}
-			fn()
-		}
+		r.fireDue()
 		r.mu.Unlock()
+	}
+}
+
+// fireDue runs every timer due at one reading of the clock, in (deadline,
+// sequence) order, one at a time like sim.Engine.Step: it takes tmu, pops and
+// releases one due slot, drops tmu and runs the callback. The caller holds mu,
+// so popping happens with both locks held: a protocol callback never observes
+// a popped-but-unrun timer, release-before-fire lets a callback re-arm into
+// its own slot, and a callback that stops a timer due in the same round finds
+// it still queued, so that Stop returns true and the timer does not run. One
+// reading of the clock per round: a callback that keeps arming immediate
+// timers cannot hold mu against the actors forever. Once Stop has begun no
+// timer is taken, as no mailbox item is.
+func (r *Runtime) fireDue() {
+	now := r.Now()
+	for !r.stopped.Load() {
+		r.tmu.Lock()
+		_, _, fn, ok := r.timers.Pop(now)
+		r.tmu.Unlock()
+		if !ok {
+			return
+		}
+		fn()
 	}
 }
 
@@ -209,7 +226,8 @@ func (r *Runtime) StartActors(n, capacity int) {
 }
 
 // actorLoop runs its mailbox's items in order, one per hold of the execution
-// lock, and parks on the ready channel once the box is empty.
+// lock and then the timers that are due, and parks on the ready channel once
+// the box is empty.
 func (r *Runtime) actorLoop(mb *mailbox) {
 	defer r.wg.Done()
 	for {
@@ -224,6 +242,7 @@ func (r *Runtime) actorLoop(mb *mailbox) {
 			}
 			r.mu.Lock()
 			fn()
+			r.fireDue()
 			r.mu.Unlock()
 		}
 	}
@@ -302,12 +321,15 @@ func (mb *mailbox) pop() func() {
 }
 
 // Exec runs fn under the execution lock, serialized with every timer and
-// actor callback. External goroutines (tests, cmd/bcplive) use it to touch
-// protocol state safely. Never call it from inside a protocol callback.
+// actor callback, then fires the timers that are due, those fn armed for now
+// included, before it returns. External goroutines (tests, cmd/bcplive) use
+// it to touch protocol state safely. Never call it from inside a protocol
+// callback.
 func (r *Runtime) Exec(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fn()
+	r.fireDue()
 }
 
 // Dropped returns how many mailbox posts were refused.

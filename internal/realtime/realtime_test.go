@@ -351,3 +351,114 @@ func TestStopInSameRound(t *testing.T) {
 		}
 	})
 }
+
+// TestDueTimerRunsBeforeNextItem holds the rule that whoever holds the
+// execution lock fires what is due before letting go: a timer an actor item
+// arms for now has run when that mailbox's next item starts, without waiting
+// for the timer goroutine to wake.
+func TestDueTimerRunsBeforeNextItem(t *testing.T) {
+	r := New(1)
+	defer r.Stop()
+	r.StartActors(1, 16)
+
+	var fired bool // only touched under the execution lock
+	gate := make(chan struct{})
+	seen := make(chan bool, 1)
+	r.Post(0, func() { <-gate }) // the next two items queue behind it
+	r.Post(0, func() { r.Schedule(0, func() { fired = true }) })
+	r.Post(0, func() { seen <- fired })
+	close(gate)
+	select {
+	case ok := <-seen:
+		if !ok {
+			t.Fatal("a timer armed for now by an item had not run when the next item started")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the mailbox did not drain")
+	}
+}
+
+// TestExecFiresWhatItArms checks that an Exec returns with the timers it armed
+// for now already run.
+func TestExecFiresWhatItArms(t *testing.T) {
+	r := New(1)
+	defer r.Stop()
+
+	var fired atomic.Bool
+	r.Exec(func() { r.Schedule(0, func() { fired.Store(true) }) })
+	if !fired.Load() {
+		t.Fatal("Exec returned before the timer it armed for now ran")
+	}
+}
+
+// TestDrainFiresInOrder arms three timers due in one drain out of deadline
+// order; the drain runs them in (deadline, sequence) order.
+func TestDrainFiresInOrder(t *testing.T) {
+	r := New(1)
+	defer r.Stop()
+
+	var got []int // appended under the execution lock
+	add := func(v int) func() { return func() { got = append(got, v) } }
+	r.Exec(func() {
+		now := r.Now()
+		r.At(now, add(2))
+		r.At(now.Add(-time.Microsecond), add(1))
+		r.At(now, add(3))
+	})
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("one drain ran %v, want [1 2 3]", got)
+	}
+}
+
+// TestStopInSameDrain is TestStopInSameRound on the lock holder's drain: a
+// callback stops a timer due in the same drain, gets true, and the stopped
+// timer never runs.
+func TestStopInSameDrain(t *testing.T) {
+	r := New(1)
+	defer r.Stop()
+
+	var second sim.Timer
+	var stopped, ran, after bool // only touched under the execution lock
+	r.Exec(func() {
+		now := r.Now()
+		r.At(now, func() { stopped = second.Stop() })
+		second = r.At(now, func() { ran = true })
+		r.At(now, func() { after = true })
+	})
+	if !after {
+		t.Fatal("the drain did not reach the timer behind the stopped one")
+	}
+	if !stopped {
+		t.Error("Stop on a timer due in the same drain returned false")
+	}
+	if ran {
+		t.Error("timer ran after a Stop from the same drain")
+	}
+}
+
+// TestNoTimerAfterStopBegins arms a timer for now from an actor item that
+// then holds the execution lock until Stop has begun: neither the item's own
+// drain nor the timer goroutine, which the arming woke, may run it.
+func TestNoTimerAfterStopBegins(t *testing.T) {
+	r := New(1)
+	r.StartActors(1, 16)
+
+	var fired atomic.Bool
+	armed, gate := make(chan struct{}), make(chan struct{})
+	r.Post(0, func() {
+		r.Schedule(0, func() { fired.Store(true) })
+		close(armed)
+		<-gate
+	})
+	<-armed
+	stopped := make(chan struct{})
+	go func() { r.Stop(); close(stopped) }()
+	for !r.stopped.Load() {
+		runtime.Gosched()
+	}
+	close(gate)
+	<-stopped
+	if fired.Load() {
+		t.Fatal("a timer ran after Stop had begun")
+	}
+}
