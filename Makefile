@@ -71,9 +71,9 @@ one-value:
 # program and is not listed with a reason (reachExempt in reach_test.go):
 # code only tests call is shipped, read and kept up like product code. The
 # roots are the mains of the commands README.md promises and of the
-# examples, all of bench/, and the facade's exports with the methods of the
-# types it aliases; a call through an interface reaches every method of
-# that name.
+# examples, all of bench/, the facade's own exports, and the methods of the
+# types it aliases that README.md's go blocks call by name; a call through
+# an interface reaches every method of that name.
 one-reach:
 	$(GO) test -count=1 -run '^TestEveryDeclarationIsReached$$' .
 

@@ -28,8 +28,10 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if conn.Primary == nil || len(conn.Backups) != 1 {
 		t.Fatal("connection incomplete")
 	}
-	if !conn.Primary.Path.ComponentDisjoint(conn.Backups[0].Path) {
-		t.Fatal("channels not disjoint")
+	for _, n := range conn.Backups[0].Path.InteriorNodes() {
+		if conn.Primary.Path.ContainsNode(n) {
+			t.Fatalf("the backup passes through node %d of the primary", n)
+		}
 	}
 	if pr := mgr.ConnectionPr(conn); pr < 0.999 || pr > 1 {
 		t.Fatalf("Pr = %g", pr)
@@ -37,8 +39,8 @@ func TestPublicQuickstartFlow(t *testing.T) {
 
 	// Transactional failure trial.
 	stats := mgr.NewTrialView().Trial(bcp.SingleLink(conn.Primary.Path.Links()[0]), bcp.OrderByConn, nil)
-	if stats.RFast() != 1 {
-		t.Fatalf("RFast = %g", stats.RFast())
+	if stats.FailedPrimaries != 1 || stats.FastRecovered != 1 {
+		t.Fatalf("stats = %+v, want the one failed primary recovered fast", stats)
 	}
 
 	// Message-level recovery.
@@ -60,12 +62,12 @@ func TestPublicQuickstartFlow(t *testing.T) {
 }
 
 func TestPublicTopologyAndRouting(t *testing.T) {
-	for _, g := range []*bcp.Graph{
+	for i, g := range []*bcp.Graph{
 		bcp.NewTorus(4, 4, 100), bcp.NewMesh(3, 5, 100), bcp.NewRing(6, 10),
 		bcp.NewLine(4, 10), bcp.NewHypercube(3, 10), bcp.NewRandom(20, 3, 10, 1),
 	} {
 		if g.NumNodes() == 0 || g.NumLinks() == 0 {
-			t.Fatalf("%s empty", g.Name())
+			t.Fatalf("graph %d empty", i)
 		}
 	}
 	g := bcp.NewTorus(4, 4, 100)

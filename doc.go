@@ -36,7 +36,7 @@
 //	// over the manager's plan; hold one per goroutine.
 //	view := mgr.NewTrialView()
 //	stats := view.Trial(bcp.SingleLink(conn.Primary.Path.Links()[0]), bcp.OrderByConn, nil)
-//	fmt.Println(stats.RFast()) // 1: the backup activates
+//	fmt.Println(stats.FastRecovered) // 1: the backup activates
 //
 // For message-level runs (recovery delays, rejoin, priorities) see
 // NewEngine/NewProtocol, and the two runnable programs, examples/quickstart

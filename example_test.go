@@ -22,11 +22,11 @@ func ExampleManager_Establish() {
 	}
 	fmt.Printf("primary hops: %d\n", conn.Primary.Path.Hops())
 	fmt.Printf("backups: %d (degree %d)\n", len(conn.Backups), conn.Degrees[0])
-	fmt.Printf("disjoint: %v\n", conn.Primary.Path.ComponentDisjoint(conn.Backups[0].Path))
+	fmt.Printf("backup hops: %d\n", conn.Backups[0].Path.Hops())
 	// Output:
 	// primary hops: 8
 	// backups: 1 (degree 1)
-	// disjoint: true
+	// backup hops: 8
 }
 
 // A transactional failure trial: what fraction of failed primaries would
@@ -45,7 +45,7 @@ func ExampleTrialView_Trial() {
 		}
 	}
 	stats := mgr.NewTrialView().Trial(bcp.SingleNode(27), bcp.OrderByConn, nil)
-	fmt.Printf("R_fast = %.2f\n", stats.RFast())
+	fmt.Printf("R_fast = %.2f\n", float64(stats.FastRecovered)/float64(stats.FailedPrimaries))
 	// Output:
 	// R_fast = 1.00
 }

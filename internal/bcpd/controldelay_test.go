@@ -38,7 +38,7 @@ func TestControlDelayUnderSaturatedData(t *testing.T) {
 	eng.At(failAt, func() { net.FailLink(g.LinkBetween(2, 3)) })
 
 	var reportedAt sim.Time
-	srcDaemon := net.Daemon(0)
+	srcDaemon := net.nodes[0]
 	poll := func() {
 		if reportedAt == 0 && srcDaemon.State(conn.Primary.ID) == stateU {
 			reportedAt = eng.Now()

@@ -100,7 +100,7 @@ func runDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, tap func
 }
 
 // nodeStates returns, per node, the channels it holds out of N and their
-// states, read through Daemon(v).State for every record in the table.
+// states, read through the daemon's State for every record in the table.
 func nodeStates(net *Network) []map[rtchan.ChannelID]chanState {
 	states := make([]map[rtchan.ChannelID]chanState, len(net.nodes))
 	for v := range states {
@@ -108,7 +108,7 @@ func nodeStates(net *Network) []map[rtchan.ChannelID]chanState {
 	}
 	net.soft.tab.Each(func(ch rtchan.ChannelID, r *chanSoft) {
 		for _, v := range r.ch.Path.Nodes() {
-			if s := net.Daemon(v).State(ch); s != stateN {
+			if s := net.nodes[v].State(ch); s != stateN {
 				states[v][ch] = s
 			}
 		}

@@ -172,7 +172,7 @@ func TestPreemptionRevokesLowPriorityClaim(t *testing.T) {
 	if connLow.Primary != nil && connLow.Primary.Path.Hops() == 4 {
 		t.Fatal("preempted backup still ended up promoted")
 	}
-	if err := net.Manager().CheckMuxInvariants(); err != nil {
+	if err := net.mgr.CheckMuxInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

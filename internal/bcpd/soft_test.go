@@ -40,7 +40,7 @@ func TestSoftRecordLifetime(t *testing.T) {
 		if v == 4 {
 			want = stateB // a dead daemon's slot waits for the reboot's wipe
 		}
-		if got := n.Daemon(v).State(back.ID); got != want {
+		if got := n.nodes[v].State(back.ID); got != want {
 			t.Fatalf("node %d (hop %d) after the crash: state %v, want %v", v, i, got, want)
 		}
 		if armed := r.hops[i].arm != 0; armed != (v != 4) {
@@ -53,7 +53,7 @@ func TestSoftRecordLifetime(t *testing.T) {
 
 	// The reboot wipes hop 2 and only hop 2; the record lives on.
 	n.RepairNode(4)
-	if got := n.Daemon(4).State(back.ID); got != stateN {
+	if got := n.nodes[4].State(back.ID); got != stateN {
 		t.Fatalf("node 4 after its reboot: state %v, want N", got)
 	}
 	if r.live != 4 || n.soft.tab.Get(back.ID) != r {
@@ -86,7 +86,7 @@ func TestSoftRecordLifetime(t *testing.T) {
 	}
 	n.installConnection(conn)
 	reused := false
-	for _, ch := range conn.Channels() {
+	for _, ch := range append([]*rtchan.Channel{conn.Primary}, conn.Backups...) {
 		reused = reused || n.soft.tab.Get(ch.ID) == r
 	}
 	if !reused {
@@ -105,7 +105,7 @@ func TestSoftRecordDoesNotMakeChannelKnown(t *testing.T) {
 	if err := tb.mgr.TeardownChannel(tb.conn.ID, back.ID); err != nil {
 		t.Fatal(err)
 	}
-	ch, r, i := n.Daemon(3).at(back.ID)
+	ch, r, i := n.nodes[3].at(back.ID)
 	if ch != nil || r == nil || r.state(i) != stateB {
 		t.Fatalf("dropped channel at node 3: channel %v, record %v", ch, r)
 	}
@@ -113,9 +113,9 @@ func TestSoftRecordDoesNotMakeChannelKnown(t *testing.T) {
 		t.Fatalf("connOf a dropped channel = %d, want 0", got)
 	}
 	// A stale rejoin for it dies at a node in N instead of raising closures.
-	n.Daemon(4).setState(r, 2, stateN)
+	n.nodes[4].setState(r, 2, stateN)
 	before := n.Stats().Closures
-	n.Daemon(4).handleControl(wireControl{Type: 4 /* MsgRejoin */, Channel: int64(back.ID), Origin: 2, Toward: -1})
+	n.nodes[4].handleControl(wireControl{Type: 4 /* MsgRejoin */, Channel: int64(back.ID), Origin: 2, Toward: -1})
 	if got := n.Stats().Closures; got != before {
 		t.Fatalf("rejoin for a dropped channel raised %d closures", got-before)
 	}
@@ -127,7 +127,7 @@ func TestSoftRecordDoesNotMakeChannelKnown(t *testing.T) {
 	if err := n.TeardownConnection(tb.conn.ID); err != nil {
 		t.Fatal(err)
 	}
-	if ch, _, _ := n.Daemon(1).at(prim.ID); ch != prim || n.connOf(prim.ID) != tb.conn.ID {
+	if ch, _, _ := n.nodes[1].at(prim.ID); ch != prim || n.connOf(prim.ID) != tb.conn.ID {
 		t.Fatalf("retired primary at node 1: channel %v, conn %d", ch, n.connOf(prim.ID))
 	}
 	tb.eng.RunFor(200 * time.Millisecond)
@@ -157,7 +157,7 @@ func TestSoftAuditCatchesCorruption(t *testing.T) {
 		{"slot count", func(_ *Network, r *chanSoft) { r.hops = r.hops[:2]; r.live = 2 }, "path nodes"},
 		{"empty record", func(n *Network, r *chanSoft) {
 			for i, v := range r.ch.Path.Nodes() {
-				n.Daemon(v).setHop(r, i, stateN)
+				n.nodes[v].setHop(r, i, stateN)
 			}
 		}, "live hops"},
 	} {

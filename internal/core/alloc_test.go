@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -109,32 +110,40 @@ func TestTrialAllocs(t *testing.T) {
 	var h trialScratch
 	h.begin(&m.plan)
 	warm := h.snap
-	conn := m.Connections()[100]
-	if err := m.Teardown(conn.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Establish(conn.Src, conn.Dst, conn.Spec, conn.Degrees); err != nil {
-		t.Fatal(err)
-	}
 	// The bracket counts every goroutine's mallocs, the runtime's included:
 	// it allocated 96 bytes while a GC cycle was in flight and five objects
 	// when it started an OS thread, and either inside the bracket reads as
 	// begin's. In 4,000 brackets beside a second loaded process on two cores
 	// begin saw 3–4 such mallocs and a no-allocation spin in its place 9.
-	// Finishing the cycle first and measuring on one P saw none in 24,000.
-	runtime.GC()
-	procs := runtime.GOMAXPROCS(1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	h.begin(&m.plan)
-	runtime.ReadMemStats(&after)
-	runtime.GOMAXPROCS(procs)
-	if len(h.snap.refs) != len(warm.refs) || len(h.snap.bkLinks) != len(warm.bkLinks) {
-		t.Fatalf("population changed size: %d refs and %d backup links, was %d and %d",
-			len(h.snap.refs), len(h.snap.bkLinks), len(warm.refs), len(warm.bkLinks))
+	// Finishing the cycle first and measuring on one P saw none in 24,000,
+	// and the least of several such brackets, each after its own write, is
+	// begin's own count: a stray runtime malloc does not land in all of them.
+	const brackets = 5
+	least := uint64(math.MaxUint64)
+	conn := m.Connections()[100]
+	for range brackets {
+		if err := m.Teardown(conn.ID); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if conn, err = m.Establish(conn.Src, conn.Dst, conn.Spec, conn.Degrees); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		procs := runtime.GOMAXPROCS(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.begin(&m.plan)
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		if len(h.snap.refs) != len(warm.refs) || len(h.snap.bkLinks) != len(warm.bkLinks) {
+			t.Fatalf("population changed size: %d refs and %d backup links, was %d and %d",
+				len(h.snap.refs), len(h.snap.bkLinks), len(warm.refs), len(warm.bkLinks))
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("recopying a same-sized population allocated %d times, want 0", n)
+	if least != 0 {
+		t.Fatalf("recopying a same-sized population allocated at least %d times in each of %d brackets, want 0", least, brackets)
 	}
 	// One holder's memory on the 4,032-connection torus, against the
 	// plan's own several megabytes.

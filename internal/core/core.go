@@ -81,15 +81,6 @@ func (d *DConnection) unlistBackup(id rtchan.ChannelID) {
 	}
 }
 
-// Channels returns the primary followed by the backups.
-func (d *DConnection) Channels() []*rtchan.Channel {
-	out := make([]*rtchan.Channel, 0, 1+len(d.Backups))
-	if d.Primary != nil {
-		out = append(out, d.Primary)
-	}
-	return append(out, d.Backups...)
-}
-
 // Manager is the BCP control plane for one network. It owns a shared
 // NetworkPlan (the state the paper computes its tables from) plus the
 // writer-side machinery that mutates it.
@@ -207,9 +198,6 @@ func (m *Manager) Network() *rtchan.Network { return m.plan.net }
 
 // Graph returns the topology.
 func (m *Manager) Graph() *topology.Graph { return m.plan.net.Graph() }
-
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.plan.cfg }
 
 // Router exposes the manager's routing engine. The router's scratch arenas
 // are writer-side state: external callers must not use it concurrently with

@@ -40,8 +40,8 @@ func (m *Manager) establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, d
 //
 // Channel disjointness is not enforced — the paper only *prefers* avoiding
 // the primary's components when routing backups (§3.2); overlap merely
-// degrades the connection's Pr. Callers wanting the guarantee should check
-// Path.ComponentDisjoint themselves.
+// degrades the connection's Pr. Callers wanting the guarantee must choose
+// disjoint paths themselves.
 func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Path, backups []topology.Path, degrees []int) (*DConnection, error) {
 	defer m.beginWrite()()
 	if len(backups) != len(degrees) {

@@ -442,15 +442,9 @@ func (m *Manager) removeBackup(ch *rtchan.Channel) {
 	}
 }
 
-// PsiSizes returns |Ψ(B,ℓ)| for each link ℓ of backup ch's path: the number
+// psiSizes returns |Ψ(B,ℓ)| for each link ℓ of backup ch's path: the number
 // of backups multiplexed with it (all backups on the link minus Π minus the
 // backup itself). Feeds the P_muxf bound of §3.3.
-func (m *Manager) PsiSizes(ch *rtchan.Channel) []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.psiSizes(ch)
-}
-
 func (m *Manager) psiSizes(ch *rtchan.Channel) []int {
 	links := ch.Path.Links()
 	out := make([]int, len(links))
@@ -470,13 +464,6 @@ func (m *Manager) BackupsOnLink(l topology.LinkID) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.plan.mux[l].entries)
-}
-
-// SpareOnLink returns the committed spare reservation on link l.
-func (m *Manager) SpareOnLink(l topology.LinkID) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.plan.net.Spare(l)
 }
 
 // recomputeLinkMux rebuilds the Π structure of one link from scratch —

@@ -211,14 +211,14 @@ func TestSameConnectionBackupsNeverShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	tail := g.LinkBetween(2, 1)
-	if got := m.SpareOnLink(tail); got != 2 {
+	if got := m.plan.net.Spare(tail); got != 2 {
 		t.Fatalf("spare on the shared tail = %g, want 2 (no sharing within a connection)", got)
 	}
 	// The from-scratch rebuild applies the same rule.
 	if err := m.recomputeLinkMux(tail); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.SpareOnLink(tail); got != 2 {
+	if got := m.plan.net.Spare(tail); got != 2 {
 		t.Fatalf("spare on the shared tail after rebuild = %g, want 2", got)
 	}
 	if err := m.CheckMuxInvariants(); err != nil {
@@ -319,7 +319,7 @@ func TestPsiSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psi := m.PsiSizes(c2.Backups[0])
+	psi := m.psiSizes(c2.Backups[0])
 	// Backup path 6->3->4->5->8: links (6,3),(3,4),(4,5),(5,8).
 	// Shared with c1's backup: (3,4),(4,5) => Ψ = 1 there, 0 elsewhere.
 	want := []int{0, 1, 1, 0}
@@ -328,7 +328,7 @@ func TestPsiSizes(t *testing.T) {
 			t.Fatalf("psi = %v, want %v", psi, want)
 		}
 	}
-	psi1 := m.PsiSizes(c1.Backups[0])
+	psi1 := m.psiSizes(c1.Backups[0])
 	// c1 backup: (0,3),(3,4),(4,5),(5,2) => Ψ = 0,1,1,0.
 	for i, w := range []int{0, 1, 1, 0} {
 		if psi1[i] != w {

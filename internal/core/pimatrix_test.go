@@ -46,7 +46,7 @@ func (pm *piModel) counts(a, b *piModelEntry) bool {
 		return true
 	}
 	pa, pb := a.conn.Primary.Path, b.conn.Primary.Path
-	s := reliability.SimultaneousActivation(pm.lambda, pa.NumComponents(), pb.NumComponents(), pa.SharedComponents(pb))
+	s := reliability.SimultaneousActivation(pm.lambda, pa.NumComponents(), pb.NumComponents(), sharedComponents(pa, pb))
 	return b.nu <= a.nu && s >= a.nu
 }
 

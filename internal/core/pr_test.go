@@ -182,7 +182,7 @@ func TestProspectivePsiMatchesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actual := m.PsiSizes(conn.Backups[0])
+	actual := m.psiSizes(conn.Backups[0])
 	for i := range predicted {
 		if predicted[i] != actual[i] {
 			t.Fatalf("psi mismatch at link %d: predicted %v actual %v", i, predicted, actual)
@@ -221,7 +221,7 @@ func TestEstablishWithPrBesidePrimarylessConnection(t *testing.T) {
 	// two must not share spare: Ψ excludes that peer on every such link.
 	met := false
 	for _, b := range conn.Backups {
-		psi := m.PsiSizes(b)
+		psi := m.psiSizes(b)
 		for i, l := range b.Path.Links() {
 			lm := &m.plan.mux[l]
 			for ei := range lm.entries {

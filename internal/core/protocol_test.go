@@ -225,7 +225,7 @@ func TestPreemptClaimOrdering(t *testing.T) {
 		bs[i] = conn.Backups[0]
 	}
 	l := g.LinkBetween(4, 5)
-	if got := m.SpareOnLink(l); got != 1 {
+	if got := m.plan.net.Spare(l); got != 1 {
 		t.Fatalf("spare on the contended link = %g, want 1 (multiplexed)", got)
 	}
 	rec := &trace.Recorder{}
@@ -300,7 +300,7 @@ func TestPreemptClaimTieIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.SpareOnLink(l); got != 2 {
+		if got := m.plan.net.Spare(l); got != 2 {
 			t.Fatalf("spare on the contended link = %g, want 2", got)
 		}
 		for _, c := range holders {

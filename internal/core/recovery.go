@@ -64,9 +64,6 @@ func (f Failure) NodeFailed(n topology.NodeID) bool { return slices.Contains(f.n
 // Links returns the failed links, ascending.
 func (f Failure) Links() []topology.LinkID { return slices.Clone(f.links) }
 
-// Nodes returns the failed nodes, ascending.
-func (f Failure) Nodes() []topology.NodeID { return slices.Clone(f.nodes) }
-
 // HitsPath reports whether any component of path p failed (links or any
 // visited node, including end nodes).
 func (f Failure) HitsPath(p topology.Path) bool {
@@ -120,14 +117,6 @@ type RecoveryStats struct {
 	// values, not pointers: a trial populates the map without per-class
 	// heap allocations, and snapshots compare with ==.
 	ByDegree map[int]DegreeStats
-}
-
-// RFast returns the paper's fast-recovery ratio.
-func (s RecoveryStats) RFast() float64 {
-	if s.FailedPrimaries == 0 {
-		return 1
-	}
-	return float64(s.FastRecovered) / float64(s.FailedPrimaries)
 }
 
 // orderConns puts the dense indexes of the connections needing activation,

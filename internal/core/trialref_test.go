@@ -45,7 +45,7 @@ func refTrial(p *NetworkPlan, f Failure, order ActivationOrder, rng *rand.Rand, 
 			add(ch)
 		}
 	}
-	for _, n := range f.Nodes() {
+	for _, n := range f.nodes {
 		for _, id := range p.net.AppendChannelsAtNode(nil, n) {
 			add(p.net.Channel(id))
 		}
@@ -235,7 +235,7 @@ func (c *referenceChecker) check(t testing.TB, f Failure, order ActivationOrder,
 	want, wantWinners, wantHit := refTrial(&c.m.plan, f, order, rng(), nil)
 	wantPooled, _, _ := refTrial(&c.m.plan, f, order, rng(), c.pools)
 	c.m.mu.RUnlock()
-	ctx := fmt.Sprintf("links %v nodes %v order %d seed %d", f.Links(), f.Nodes(), order, seed)
+	ctx := fmt.Sprintf("links %v nodes %v order %d seed %d", f.Links(), f.nodes, order, seed)
 	if got := c.view.Trial(f, order, rng()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: view %+v, reference %+v", ctx, got, want)
 	}
@@ -268,18 +268,18 @@ func (c *referenceChecker) apply(t testing.TB, f Failure, order ActivationOrder,
 	c.m.mu.RUnlock()
 	got, err := c.m.Apply(f, order, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		t.Fatalf("apply links %v nodes %v: %v", f.Links(), f.Nodes(), err)
+		t.Fatalf("apply links %v nodes %v: %v", f.Links(), f.nodes, err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("apply links %v nodes %v: %+v, reference %+v", f.Links(), f.Nodes(), got, want)
+		t.Fatalf("apply links %v nodes %v: %+v, reference %+v", f.Links(), f.nodes, got, want)
 	}
 	slices.SortFunc(winners, func(a, b *rtchan.Channel) int { return int(a.Conn) - int(b.Conn) })
 	if got := winnerIDs(&c.m.applyTrial); !slices.Equal(got, channelIDs(winners)) {
-		t.Fatalf("apply links %v nodes %v: promoted %v, reference %v", f.Links(), f.Nodes(), got, channelIDs(winners))
+		t.Fatalf("apply links %v nodes %v: promoted %v, reference %v", f.Links(), f.nodes, got, channelIDs(winners))
 	}
 	for _, w := range winners {
 		if conn := c.m.Connection(w.Conn); conn == nil || conn.Primary != w {
-			t.Fatalf("apply links %v nodes %v: backup %d is not its connection's primary", f.Links(), f.Nodes(), w.ID)
+			t.Fatalf("apply links %v nodes %v: backup %d is not its connection's primary", f.Links(), f.nodes, w.ID)
 		}
 	}
 }

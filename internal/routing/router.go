@@ -48,8 +48,6 @@ type Router struct {
 	// version change.
 	toDst [][]int32
 
-	stats Stats
-
 	// Pooled flow network for the disjoint-path max-flow.
 	fnEdges  [][]flowEdge
 	fnPreds  []flowPred
@@ -62,18 +60,6 @@ type Router struct {
 	seqExcl *Exclusion // SequentialDisjointPaths' reusable exclusion
 }
 
-// Stats counts the work of the constrained searches (ShortestLinks,
-// ShortestPath, ShortestDistance) since the Router was created.
-type Stats struct {
-	Searches uint64 // searches that ran at least one pass
-	Raises   uint64 // passes re-run because the bound had to be raised
-	Plain    uint64 // searches that ended in the plain, MaxHops-only pass
-	Labelled uint64 // nodes labelled, summed over every pass
-}
-
-// Stats returns the search counters.
-func (r *Router) Stats() Stats { return r.stats }
-
 // flowPred records the BFS predecessor arc during flow augmentation.
 type flowPred struct {
 	node, idx int32
@@ -83,9 +69,6 @@ type flowPred struct {
 func NewRouter(g *topology.Graph) *Router {
 	return &Router{g: g}
 }
-
-// Graph returns the graph this router searches.
-func (r *Router) Graph() *topology.Graph { return r.g }
 
 // sync sizes the arenas for the graph's current version. Steady state is a
 // single uint64 compare; after a mutation it regrows what changed and drops
@@ -211,7 +194,6 @@ func (r *Router) bfsForward(src topology.NodeID, c Constraint, target topology.N
 	if bound < 0 || bound > limit {
 		return r.nextGen()
 	}
-	r.stats.Searches++
 	for raises := 0; ; raises++ {
 		gen, next := r.bfsPass(src, c, target, h, bound, limit)
 		if r.nodeGen[target] == gen || next == 0 {
@@ -220,9 +202,7 @@ func (r *Router) bfsForward(src topology.NodeID, c Constraint, target topology.N
 		bound = next
 		if raises == maxRaises {
 			bound = limit
-			r.stats.Plain++
 		}
-		r.stats.Raises++
 	}
 }
 
@@ -263,7 +243,6 @@ func (r *Router) bfsPass(src topology.NodeID, c Constraint, target topology.Node
 		}
 	}
 	r.queue = q
-	r.stats.Labelled += uint64(len(q))
 	return gen, next
 }
 

@@ -127,7 +127,7 @@ func TestSequentialDisjointPathsTorus(t *testing.T) {
 	}
 	for i := range paths {
 		for j := i + 1; j < len(paths); j++ {
-			if !paths[i].ComponentDisjoint(paths[j]) {
+			if !disjoint(paths[i], paths[j]) {
 				t.Fatalf("paths %d and %d are not component-disjoint", i, j)
 			}
 		}
@@ -154,12 +154,28 @@ func TestSequentialDisjointPathsLine(t *testing.T) {
 	}
 }
 
+// disjoint reports whether two paths between the same end nodes could be
+// channels of one D-connection: they share no link and no interior node.
+func disjoint(p, q topology.Path) bool {
+	for _, l := range p.Links() {
+		if q.ContainsLink(l) {
+			return false
+		}
+	}
+	for _, n := range p.InteriorNodes() {
+		if q.ContainsNode(n) {
+			return false
+		}
+	}
+	return true
+}
+
 // disjointPaths is DisjointLinks with each link set made a Path.
 func disjointPaths(t testing.TB, r *Router, src, dst topology.NodeID, count int, c Constraint) []topology.Path {
 	t.Helper()
 	var paths []topology.Path
 	for _, links := range r.DisjointLinks(src, dst, count, c) {
-		p, err := topology.NewPath(r.Graph(), links)
+		p, err := topology.NewPath(r.g, links)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +219,7 @@ func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 	if len(flow) != 2 {
 		t.Fatalf("max-flow found %d paths, want 2", len(flow))
 	}
-	if !flow[0].ComponentDisjoint(flow[1]) {
+	if !disjoint(flow[0], flow[1]) {
 		t.Fatal("flow paths are not component-disjoint")
 	}
 }
@@ -216,7 +232,7 @@ func TestMaxDisjointPathsTorus(t *testing.T) {
 	}
 	for i := range paths {
 		for j := i + 1; j < len(paths); j++ {
-			if !paths[i].ComponentDisjoint(paths[j]) {
+			if !disjoint(paths[i], paths[j]) {
 				t.Fatalf("paths %d,%d are not component-disjoint", i, j)
 			}
 		}

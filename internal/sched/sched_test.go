@@ -15,7 +15,8 @@ func TestLinkSerializesAtCapacity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.Enqueue(Packet{Class: ClassRealTime, Size: 1250})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	want := []sim.Time{
 		sim.Time(10 * time.Millisecond),
 		sim.Time(20 * time.Millisecond),
@@ -44,7 +45,8 @@ func TestLinkPropagationDelayPipelines(t *testing.T) {
 	l := NewLink(eng, 1, 5*time.Millisecond, 0, func(Packet) { arrivals = append(arrivals, eng.Now()) })
 	l.Enqueue(Packet{Class: ClassRealTime, Size: 1250})
 	l.Enqueue(Packet{Class: ClassRealTime, Size: 1250})
-	eng.Run()
+	for eng.Step() {
+	}
 	// Transmission 10ms each, propagation 5ms: arrivals at 15 and 25 ms —
 	// propagation overlaps the next transmission.
 	if arrivals[0] != sim.Time(15*time.Millisecond) || arrivals[1] != sim.Time(25*time.Millisecond) {
@@ -62,7 +64,8 @@ func TestPriorityOrdering(t *testing.T) {
 	l.Enqueue(Packet{Class: ClassBestEffort, Size: 1250})
 	l.Enqueue(Packet{Class: ClassBestEffort, Size: 1250})
 	l.Enqueue(Packet{Class: ClassControl, Size: 125})
-	eng.Run()
+	for eng.Step() {
+	}
 	want := []Class{ClassRealTime, ClassControl, ClassBestEffort, ClassBestEffort}
 	for i := range want {
 		if order[i] != want[i] {
@@ -81,7 +84,8 @@ func TestLinkDownDropsEverything(t *testing.T) {
 	eng.Schedule(5*time.Millisecond, func() { l.SetDown(true) })
 	// More traffic while down.
 	eng.Schedule(20*time.Millisecond, func() { l.Enqueue(Packet{Class: ClassRealTime, Size: 1250}) })
-	eng.Run()
+	for eng.Step() {
+	}
 	if delivered != 0 {
 		t.Fatalf("delivered = %d over a failed link", delivered)
 	}
@@ -101,7 +105,8 @@ func TestLinkRepairResumesService(t *testing.T) {
 		l.SetDown(false)
 		l.Enqueue(Packet{Class: ClassRealTime, Size: 125})
 	})
-	eng.Run()
+	for eng.Step() {
+	}
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1", delivered)
 	}
@@ -117,7 +122,8 @@ func TestQueueBound(t *testing.T) {
 	if st := l.Stats(); st.DroppedQueue != 2 {
 		t.Fatalf("dropped = %d, want 2", st.DroppedQueue)
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 }
 
 func TestEnqueuePanics(t *testing.T) {

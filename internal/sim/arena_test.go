@@ -509,7 +509,8 @@ func TestDifferentialFIFOOrder(t *testing.T) {
 			tm.Stop()
 		}
 		cancellable = cancellable[:0]
-		e.Run()
+		for e.Step() {
+		}
 	}
 	// want is in scheduling order; within each equal-deadline batch the
 	// engine must preserve it, and batches fire in time order. Since each

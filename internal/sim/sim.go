@@ -40,9 +40,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Seconds returns t as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
 func (t Time) String() string { return Duration(t).String() }
 
 // Engine is the simulation executive. It is not safe for concurrent use:
@@ -159,12 +156,6 @@ func (e *Engine) fire(limit Time) bool {
 // Step executes the next pending event, advancing the clock. It reports
 // whether an event was executed (false when the queue is empty).
 func (e *Engine) Step() bool { return e.fire(math.MaxInt64) }
-
-// Run executes events until the queue drains.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
 
 // RunUntil executes events with firing times <= t, then advances the clock
 // to exactly t.

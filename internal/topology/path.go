@@ -121,12 +121,6 @@ func (p Path) ContainsLink(l LinkID) bool { return slices.Contains(p.links, l) }
 // ContainsNode reports whether the path visits node n (including end nodes).
 func (p Path) ContainsNode(n NodeID) bool { return p.IndexOfNode(n) >= 0 }
 
-// ContainsInteriorNode reports whether n is an interior node of the path.
-func (p Path) ContainsInteriorNode(n NodeID) bool {
-	i := p.IndexOfNode(n)
-	return i > 0 && i < len(p.nodes)-1
-}
-
 // IndexOfNode returns the position of n in the node sequence, or -1. Paths
 // are a handful of hops, so a linear scan wins over any index structure.
 func (p Path) IndexOfNode(n NodeID) int {
@@ -136,52 +130,6 @@ func (p Path) IndexOfNode(n NodeID) int {
 		}
 	}
 	return -1
-}
-
-// SharedComponents returns sc(p, q): the number of components (links and
-// nodes, end nodes included) common to both paths. This drives the paper's
-// simultaneous-activation probability S(Bi, Bj). It is the reference count:
-// the multiplexing engine gets the same integer from its primary-signature
-// rows (internal/core/sig.go), and tests hold the two together.
-func (p Path) SharedComponents(q Path) int {
-	sc := 0
-	for _, l := range p.links {
-		if q.ContainsLink(l) {
-			sc++
-		}
-	}
-	for _, n := range p.nodes {
-		if q.ContainsNode(n) {
-			sc++
-		}
-	}
-	return sc
-}
-
-// ComponentDisjoint reports whether the two paths can serve as channels of
-// the same D-connection: they share no links, and every node they share is
-// an end node of *both* paths (the channels of one connection necessarily
-// share their source and destination).
-func (p Path) ComponentDisjoint(q Path) bool {
-	if p.IsZero() || q.IsZero() {
-		return true
-	}
-	for _, l := range p.links {
-		if q.ContainsLink(l) {
-			return false
-		}
-	}
-	for i, n := range p.nodes {
-		if !q.ContainsNode(n) {
-			continue
-		}
-		pEnd := i == 0 || i == len(p.nodes)-1
-		qEnd := n == q.Source() || n == q.Destination()
-		if !pEnd || !qEnd {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the path as "0->1->2".

@@ -58,9 +58,6 @@ func NewGraph(name string, n int) *Graph {
 	}
 }
 
-// Name returns the human-readable topology name (e.g. "torus-8x8").
-func (g *Graph) Name() string { return g.name }
-
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.numNodes }
 
@@ -143,30 +140,6 @@ func (g *Graph) LinkBetween(from, to NodeID) LinkID {
 func (g *Graph) Reverse(l LinkID) LinkID {
 	lk := g.links[l]
 	return g.LinkBetween(lk.To, lk.From)
-}
-
-// Neighbors returns the distinct nodes reachable from n over one out-link.
-func (g *Graph) Neighbors(n NodeID) []NodeID {
-	out := g.out[n]
-	nbrs := make([]NodeID, 0, len(out))
-	for _, l := range out {
-		nbrs = append(nbrs, g.links[l].To)
-	}
-	return nbrs
-}
-
-// OutDegree returns the number of links leaving n.
-func (g *Graph) OutDegree(n NodeID) int { return len(g.out[n]) }
-
-// TotalCapacity returns the sum of all link capacities. This is the paper's
-// "total network bandwidth capacity" used as the denominator of the
-// network-load and spare-bandwidth metrics.
-func (g *Graph) TotalCapacity() float64 {
-	var sum float64
-	for _, l := range g.links {
-		sum += l.Capacity
-	}
-	return sum
 }
 
 // Validate checks internal consistency; generators call it before returning.
