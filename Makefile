@@ -88,14 +88,13 @@ one-decision:
 		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
 
-# one-trial fails when the failure-trial walk is entered anywhere but its two
-# doors: TrialView.Trial, the one read entry point (a serial caller holds one
-# view), and Manager.apply, which runs the walk under the write lock over its
-# own scratch before making the winners' claims real. Scoped to functions, as
-# one-decision is; a method value counts as a call.
+# one-trial fails when the failure-trial walk is entered anywhere but its one
+# door, TrialView.Trial, the read entry point (a serial caller holds one
+# view): live state changes after a failure only through the claim API.
+# Scoped to functions, as one-decision is; a method value counts as a call.
 one-trial:
 	@awk 'FNR == 1 { fn = "" } /^(func|type) / { fn = $$0 } \
-		/\.trial([^A-Za-z0-9_]|$$)/ && fn !~ /^func \((v \*TrialView\) Trial|m \*Manager\) apply)\(/ \
+		/\.trial([^A-Za-z0-9_]|$$)/ && fn !~ /^func \(v \*TrialView\) Trial\(/ \
 		{ print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(find internal cmd examples ./*.go -name '*.go' ! -name '*_test.go')
 

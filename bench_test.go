@@ -255,24 +255,6 @@ func BenchmarkTrialSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkApply measures one Apply (the trial, promotion, teardown and
-// reconfiguration) of a single-node failure on a freshly loaded torus; the
-// 4032-pair fill runs off the clock before each.
-func BenchmarkApply(b *testing.B) {
-	g := bcp.NewTorus(8, 8, 200)
-	reqs := bcp.AllPairs(g, bcp.DefaultSpec(), []int{3})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		mgr := bcp.NewManager(g, bcp.DefaultConfig())
-		bcp.EstablishWorkload(mgr, reqs)
-		b.StartTimer()
-		if _, err := mgr.Apply(bcp.SingleNode(27), bcp.OrderByConn, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkProtocolRecovery measures one message-level failure recovery
 // (detection -> reports -> activation -> promotion) end to end.
 func BenchmarkProtocolRecovery(b *testing.B) {

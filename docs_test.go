@@ -23,7 +23,7 @@ var (
 	// is not part of it).
 	docPathRE = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(?:\./)?((?:internal|cmd|examples)/[A-Za-z0-9_./-]*[A-Za-z0-9_])`)
 	// A backticked span, and within it pkg.Ident and any dotted chain
-	// (core.Manager.Apply, Path.Links). File names (recovery.go,
+	// (core.Manager.Establish, Path.Links). File names (recovery.go,
 	// BENCHMARK.json) are cut from a span before those two are read.
 	docCodeRE  = regexp.MustCompile("`[^`\n]+`")
 	docFileRE  = regexp.MustCompile(`[A-Za-z0-9_./-]+\.(?:go|md|json|sh|txt|yml)\b`)

@@ -168,6 +168,6 @@ func holderBytes(t *trialScratch) int {
 		size(cap(t.conn), unsafe.Sizeof(connMark{})) +
 		size(cap(t.bkHit), unsafe.Sizeof(uint32(0))) +
 		size(cap(t.degStat), unsafe.Sizeof(DegreeStats{})) +
-		size(cap(t.conns)+cap(t.needs)+cap(t.winners), unsafe.Sizeof(int32(0))) +
+		size(cap(t.needs), unsafe.Sizeof(int32(0))) +
 		size(cap(t.need.words), unsafe.Sizeof(uint64(0)))
 }

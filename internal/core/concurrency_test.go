@@ -84,11 +84,8 @@ func TestTrialHoldersSeeEveryWriter(t *testing.T) {
 			return err
 		}},
 		{"Teardown", func() error { return m.Teardown(victim) }},
-		{"Apply", func() error {
-			f := SingleLink(spare.Primary.Path.Links()[0])
-			if _, err := m.Apply(f, OrderByConn, nil); err != nil {
-				return err
-			}
+		{"recoverByClaims", func() error {
+			recoverByClaims(t, m, SingleLink(spare.Primary.Path.Links()[0]))
 			promoted = spare.ID
 			return nil
 		}},
@@ -203,11 +200,12 @@ func TestPoolsViewMatchesTrial(t *testing.T) {
 
 // TestConcurrentTrialsDuringWrites is the race property test for the
 // single-writer boundary: many goroutines run read-only trials through
-// per-goroutine TrialViews, one of them in priority order, while a writer
-// goroutine churns the plan with Establish/Teardown, the protocol-plane
-// claim calls and Apply. Apply runs the trial walk under the write lock over
-// a scratch of its own. Run under `go test -race`; the test then asserts the mux engine's invariants and that
-// the plan epoch advanced once per write transaction.
+// per-goroutine TrialViews, one of them in priority order, while the test
+// goroutine, the one writer, churns the plan with Establish/Teardown, the
+// protocol-plane claim calls and recoveries through them (recoverByClaims),
+// each recovery held to a trial run just before it. Run under
+// `go test -race`; the test then asserts the mux engine's invariants and
+// that the plan epoch advanced once per write transaction.
 func TestConcurrentTrialsDuringWrites(t *testing.T) {
 	m := loadedTorus(t, 3)
 	g := m.Graph()
@@ -259,50 +257,42 @@ func TestConcurrentTrialsDuringWrites(t *testing.T) {
 		}
 	}()
 
+	// A failed check stops the writer; the readers are waited for either way.
+	defer wg.Wait()
 	writes := 0
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v := m.NewTrialView()
-		for i := 0; i < writerOps; i++ {
-			if i%8 == 7 {
-				f := failures[(i*7)%len(failures)]
-				want := v.Trial(f, OrderByConn, nil) // no other writer: the plan cannot move in between
-				got, err := m.Apply(f, OrderByConn, nil)
-				writes++
-				if err != nil {
-					t.Errorf("apply: %v", err)
-					return
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("apply %+v != trial %+v", got, want)
-					return
-				}
+	v := m.NewTrialView()
+	for i := 0; i < writerOps; i++ {
+		if i%8 == 7 {
+			f := failures[(i*7)%len(failures)]
+			want := v.Trial(f, OrderByConn, nil) // no other writer: the plan cannot move in between
+			winners, txns := recoverByClaims(t, m, f)
+			writes += txns
+			if len(winners) != want.FastRecovered {
+				t.Fatalf("recovery activated %d backups, trial %+v", len(winners), want)
 			}
-			src := topology.NodeID(i % g.NumNodes())
-			dst := topology.NodeID((i + 5) % g.NumNodes())
-			conn, err := m.Establish(src, dst, rtchan.DefaultSpec(), []int{2})
-			writes++
-			if err != nil {
-				continue // transient capacity exhaustion is fine here
-			}
-			if len(conn.Backups) > 0 {
-				b := conn.Backups[0]
-				l := b.Path.Links()[0]
-				if _, ok := m.ClaimSpareFor(l, b.ID, b.Bandwidth(), false); ok {
-					m.ReleaseClaimBatch([]topology.LinkID{l}, b.ID)
-					writes += 2
-				} else {
-					writes++
-				}
-			}
-			if err := m.Teardown(conn.ID); err != nil {
-				t.Errorf("teardown %d: %v", conn.ID, err)
-				return
-			}
-			writes++
 		}
-	}()
+		src := topology.NodeID(i % g.NumNodes())
+		dst := topology.NodeID((i + 5) % g.NumNodes())
+		conn, err := m.Establish(src, dst, rtchan.DefaultSpec(), []int{2})
+		writes++
+		if err != nil {
+			continue // transient capacity exhaustion is fine here
+		}
+		if len(conn.Backups) > 0 {
+			b := conn.Backups[0]
+			l := b.Path.Links()[0]
+			if _, ok := m.ClaimSpareFor(l, b.ID, b.Bandwidth(), false); ok {
+				m.ReleaseClaimBatch([]topology.LinkID{l}, b.ID)
+				writes += 2
+			} else {
+				writes++
+			}
+		}
+		if err := m.Teardown(conn.ID); err != nil {
+			t.Fatalf("teardown %d: %v", conn.ID, err)
+		}
+		writes++
+	}
 	wg.Wait()
 
 	if err := m.CheckMuxInvariants(); err != nil {

@@ -86,8 +86,8 @@ func (d *DConnection) unlistBackup(id rtchan.ChannelID) {
 // writer-side machinery that mutates it.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"): the public API is
-// safe for concurrent use. Mutating entry points (Establish, Teardown,
-// Apply, the protocol-plane claim/activation calls, ...) serialize behind a
+// safe for concurrent use. Mutating entry points (Establish, Teardown, the
+// protocol-plane claim/activation calls, ...) serialize behind a
 // single-writer lock; read entry points take the reader side, so any number
 // of them may run during quiescence and none during a write. Failure
 // trials run only through a TrialView (NewTrialView), one per goroutine: a
@@ -118,13 +118,8 @@ type Manager struct {
 	estCtx  *planContext
 	seqPlan *connPlan
 
-	// applyTrial is Apply's scratch for the trial walk (trial.go), owned by
-	// the write lock. Its snapshot is recopied on every call, since Apply's
-	// own write transaction has moved the epoch.
-	applyTrial trialScratch
-
 	// touched is the writer-side touched-link scratch shared by every
-	// reconfiguration entry point (ActivateClaimed, TeardownChannel, Apply):
+	// reconfiguration entry point (ActivateClaimed, TeardownChannel):
 	// all of them run under the write lock and none nest, so one cleared map
 	// serves each call without a per-call allocation. Recovery storms hit
 	// these paths once per promotion and once per teardown.

@@ -149,3 +149,130 @@ func requireSameChannel(t *testing.T, ctx string, a, b *rtchan.Channel) {
 		}
 	}
 }
+
+// recoverByClaims recovers live state from failure f through the protocol
+// plane's mutators alone, in connection order, as the daemons would once
+// every report has arrived. First each connection whose primary f disables
+// claims its first backup f spares whose ClaimBatch succeeds, releasing a
+// partial claim. Then what f killed gives its dedicated bandwidth back: a
+// connection with a failed end node is torn down, and each disabled primary.
+// Last, each winner is activated, each disabled backup torn down, and a
+// connection the failure touched that is left without a primary torn down.
+// Releasing the dead primaries before the activations matters on a full
+// link: an activation re-sizes the spare pools of its links within the
+// headroom they have then, and a later primary teardown does not re-size
+// them. It returns the activated backups in connection order and the number
+// of write transactions it made.
+func recoverByClaims(t testing.TB, m *Manager, f Failure) (winners []*rtchan.Channel, txns int) {
+	t.Helper()
+	type touched struct {
+		conn   *DConnection
+		excl   bool
+		prim   *rtchan.Channel // the disabled primary
+		win    *rtchan.Channel
+		failed []rtchan.ChannelID // the disabled backups
+	}
+	var steps []touched
+	for _, c := range m.Connections() {
+		s := touched{conn: c, excl: f.NodeFailed(c.Src) || f.NodeFailed(c.Dst)}
+		if c.Primary != nil && f.HitsPath(c.Primary.Path) {
+			s.prim = c.Primary
+		}
+		for _, b := range c.Backups {
+			switch {
+			case f.HitsPath(b.Path):
+				s.failed = append(s.failed, b.ID)
+			case s.prim != nil && !s.excl && s.win == nil:
+				links := b.Path.Links()
+				i, ok := m.ClaimBatch(links, b.ID, b.Bandwidth())
+				txns++
+				if ok {
+					s.win = b
+				} else if i > 0 {
+					m.ReleaseClaimBatch(links[:i], b.ID)
+					txns++
+				}
+			}
+		}
+		if s.excl || s.prim != nil || len(s.failed) > 0 {
+			steps = append(steps, s)
+		}
+	}
+	for _, s := range steps {
+		var err error
+		switch {
+		case s.excl:
+			err = m.Teardown(s.conn.ID)
+		case s.prim != nil:
+			err = m.TeardownChannel(s.conn.ID, s.prim.ID)
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatalf("teardown on connection %d: %v", s.conn.ID, err)
+		}
+		txns++
+	}
+	for _, s := range steps {
+		id := s.conn.ID
+		if s.excl {
+			continue
+		}
+		if s.win != nil {
+			if err := m.ActivateClaimed(id, s.win); err != nil {
+				t.Fatalf("activation of backup %d of connection %d: %v", s.win.ID, id, err)
+			}
+			winners = append(winners, s.win)
+			txns++
+		}
+		for _, ch := range s.failed {
+			if err := m.TeardownChannel(id, ch); err != nil {
+				t.Fatalf("teardown of channel %d of connection %d: %v", ch, id, err)
+			}
+			txns++
+		}
+		if c := m.Connection(id); c != nil && c.Primary == nil {
+			if err := m.Teardown(id); err != nil {
+				t.Fatalf("teardown of connection %d: %v", id, err)
+			}
+			txns++
+		}
+	}
+	return winners, txns
+}
+
+// checkRecovered fails unless m is in the state a recovery from f leaves: no
+// connection ends at a failed node or lacks a primary, no listed channel
+// crosses a failed component, the reservation network holds exactly the
+// channels the connections list (an old primary was torn down, not
+// orphaned), no claim is outstanding, and the invariants hold.
+func checkRecovered(t testing.TB, ctx string, m *Manager, f Failure) {
+	t.Helper()
+	listed := 0
+	for _, c := range m.Connections() {
+		if f.NodeFailed(c.Src) || f.NodeFailed(c.Dst) {
+			t.Fatalf("%s: connection %d survives a failed end node", ctx, c.ID)
+		}
+		if c.Primary == nil {
+			t.Fatalf("%s: connection %d left without a primary", ctx, c.ID)
+		}
+		for _, ch := range channelsOf(c) {
+			listed++
+			if f.HitsPath(ch.Path) {
+				t.Fatalf("%s: channel %d of connection %d survives on a failed component", ctx, ch.ID, c.ID)
+			}
+		}
+	}
+	if n := m.plan.net.NumChannels(); n != listed {
+		t.Fatalf("%s: network holds %d channels, connections list %d", ctx, n, listed)
+	}
+	if n := m.OutstandingClaims(); n != 0 {
+		t.Fatalf("%s: %d claims outstanding", ctx, n)
+	}
+	if err := m.CheckMuxInvariants(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if err := m.plan.net.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+}

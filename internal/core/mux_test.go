@@ -189,7 +189,7 @@ func TestSameConnectionBackupsNeverShare(t *testing.T) {
 	// spare bandwidth even at a huge multiplexing degree: S of the one-hop
 	// primary against itself is 1-(1-λ)³ ≈ 3e-4, below ν(8) = 7.5e-4, so only
 	// the same-connection rule keeps them apart. Diamond with a shared tail.
-	g := topology.NewGraph("tail", 4)
+	g := topology.NewGraph(4)
 	duplex := func(a, b topology.NodeID) {
 		if _, err := g.AddLink(a, b, 10); err != nil {
 			panic(err)
@@ -268,7 +268,7 @@ func TestTeardownRestoresSpare(t *testing.T) {
 func TestSpareAdmissionRejectsOvercommit(t *testing.T) {
 	// Capacity 2: one primary (1) + one unmultiplexed backup (1) fills the
 	// link; a second conflicting backup must be rejected.
-	g := topology.NewGraph("tight", 4)
+	g := topology.NewGraph(4)
 	duplex := func(a, b topology.NodeID, cap float64) {
 		if _, err := g.AddLink(a, b, cap); err != nil {
 			panic(err)

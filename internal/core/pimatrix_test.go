@@ -163,7 +163,7 @@ func piMatrixHistory(t *testing.T, seed int64, oneClass bool) {
 		}
 		return rng.Intn(7)
 	}
-	g := topology.NewGraph("line", 3)
+	g := topology.NewGraph(3)
 	// The second link is the tight one: an oversized request that fits
 	// link 0 overflows link 1, which rolls back a wired prefix.
 	l0, _ := g.AddLink(0, 1, 1e6)
@@ -278,7 +278,7 @@ func piMatrixHistory(t *testing.T, seed int64, oneClass bool) {
 // clause unwire rests on — one class decides a pair the same both ways — can
 // object.
 func TestCheckMuxInvariantsCatchesOneSidedPi(t *testing.T) {
-	g := topology.NewGraph("line", 3)
+	g := topology.NewGraph(3)
 	l0, _ := g.AddLink(0, 1, 1e6)
 	l1, _ := g.AddLink(1, 2, 1e6)
 	path := linkPathT(t, g, l0, l1)

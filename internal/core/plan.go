@@ -91,13 +91,12 @@ func (p *NetworkPlan) trial(f Failure, order ActivationOrder, rng *rand.Rand, t 
 }
 
 // activate walks connection c's backups in serial order, claiming spare
-// bandwidth from the per-link pools in the snapshot and recording the
-// winner, and counts the outcome into stats; the claims live in the
-// scratch, never in the plan. Whether the
-// failure disabled a backup is the stamp discovery left on it: the snapshot
-// lists a backup under every link of its path, and so under a link of every
-// node it visits, end nodes included, so "stamped" is Failure.HitsPath
-// without the path walk.
+// bandwidth from the per-link pools in the snapshot for the first it can,
+// and counts the outcome into stats; the claims live in the scratch, never
+// in the plan. Whether the failure disabled a backup is the stamp discovery
+// left on it: the snapshot lists a backup under every link of its path, and
+// so under a link of every node it visits, end nodes included, so "stamped"
+// is Failure.HitsPath without the path walk.
 func (t *trialScratch) activate(c int32, stats *RecoveryStats) {
 	s := &t.snap
 	rec := &s.conns[c]
@@ -121,7 +120,6 @@ func (t *trialScratch) activate(c int32, stats *RecoveryStats) {
 			for _, l := range links {
 				t.claim[l] += bw
 			}
-			t.winners = append(t.winners, b)
 			stats.FastRecovered++
 			t.degStat[rec.dcls].FastRecovered++
 			return
@@ -147,8 +145,8 @@ func (t *trialScratch) activate(c int32, stats *RecoveryStats) {
 // per goroutine. A view is a few hundred bytes until its first trial copies
 // the plan into its snapshot (≈0.7 MB on the 4,032-connection torus).
 // Trials observe a consistent plan: a concurrent writer (Establish,
-// Teardown, Apply, ...) is serialized against them by the Manager's lock,
-// and the next trial after a write recopies the snapshot.
+// Teardown, ActivateClaimed, ...) is serialized against them by the
+// Manager's lock, and the next trial after a write recopies the snapshot.
 type TrialView struct {
 	m       *Manager
 	scratch trialScratch

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -155,6 +156,9 @@ func TestPropertyMuxOneSingleFailureGuarantee(t *testing.T) {
 	}
 }
 
+// TestPropertyApplyKeepsCapacityInvariant recovers random loads from a
+// series of single-component failures through the claim API and checks the
+// end state, capacity invariants included, after each.
 func TestPropertyApplyKeepsCapacityInvariant(t *testing.T) {
 	for seed := int64(50); seed < 54; seed++ {
 		m, g, rng := randomManager(t, seed, func(r *rand.Rand) int { return 1 + r.Intn(6) })
@@ -165,15 +169,8 @@ func TestPropertyApplyKeepsCapacityInvariant(t *testing.T) {
 			} else {
 				f = SingleNode(topology.NodeID(rng.Intn(g.NumNodes())))
 			}
-			if _, err := m.Apply(f, OrderByPriority, rng); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if err := m.plan.net.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if err := m.CheckMuxInvariants(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+			recoverByClaims(t, m, f)
+			checkRecovered(t, fmt.Sprintf("seed %d trial %d", seed, trial), m, f)
 		}
 	}
 }

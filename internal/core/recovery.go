@@ -61,9 +61,6 @@ func (f Failure) LinkFailed(l topology.LinkID) bool { return slices.Contains(f.l
 // NodeFailed reports whether node n failed.
 func (f Failure) NodeFailed(n topology.NodeID) bool { return slices.Contains(f.nodes, n) }
 
-// Links returns the failed links, ascending.
-func (f Failure) Links() []topology.LinkID { return slices.Clone(f.links) }
-
 // HitsPath reports whether any component of path p failed (links or any
 // visited node, including end nodes).
 func (f Failure) HitsPath(p topology.Path) bool {
@@ -140,91 +137,6 @@ func firstDegree(c *DConnection) int {
 	return c.Degrees[0]
 }
 
-// Apply executes a failure event against live state: winning backups claim
-// spare bandwidth and are promoted to primaries; failed channels are torn
-// down; spare pools are re-sized (§4.4 resource reconfiguration). It returns
-// the same statistics as TrialView.Trial, because that walk is what decides
-// them.
-//
-// Connections that lose every channel are torn down entirely (the paper
-// informs the client of the unrecoverable failure; re-establishment from
-// scratch is the client's retry).
-func (m *Manager) Apply(f Failure, order ActivationOrder, rng *rand.Rand) (RecoveryStats, error) {
-	defer m.beginWrite()()
-	return m.apply(f, order, rng)
-}
-
-func (m *Manager) apply(f Failure, order ActivationOrder, rng *rand.Rand) (RecoveryStats, error) {
-	// Phase 1: the trial itself, over the writer's own scratch, decides who
-	// recovers against the pre-failure spare sizing. This write has already
-	// moved the epoch, so the trial recopies the snapshot: one copy per call.
-	// The trial leaves behind the affected connections (t.conns), the stamp
-	// on every disabled channel and the activated backups in activation
-	// order (t.winners), whose claims are then made real. The snapshot stays
-	// the pre-failure copy while phase 2 rewrites the plan under it.
-	t := &m.applyTrial
-	stats := m.plan.trial(f, order, rng, t)
-	s := &t.snap
-	for _, b := range t.winners {
-		bk := &s.backups[b]
-		for _, l := range s.bkLinks[bk.l0:bk.l1] {
-			m.plan.mux[l].claimed += bk.ch.Bandwidth()
-		}
-	}
-
-	// Phase 2: reconfiguration — promote winners, tear down failed
-	// channels, resize spare pools — connection by connection in id order so
-	// runs are reproducible. The walk is over t.conns, not the connections
-	// the statistics counted: trial leaves a connection whose end node
-	// failed out of the numbers, and it is torn down all the same. Dense
-	// indexes sort as ids do, and a backup's dense index as its connection's.
-	slices.Sort(t.conns)
-	slices.Sort(t.winners)
-	winners := t.winners
-	touched := m.takeTouched()
-	var failed []*rtchan.Channel
-	for _, c := range t.conns {
-		rec := &s.conns[c]
-		conn := m.plan.conns.Get(rec.id)
-		// Collected before promotion, which overwrites conn.Primary.
-		failed = failed[:0]
-		if t.primaryHit(c) {
-			failed = append(failed, conn.Primary)
-		}
-		for b := rec.bk0; b < rec.bk1; b++ {
-			if t.backupHit(b) {
-				failed = append(failed, s.backups[b].ch)
-			}
-		}
-		// Earlier connections took their winners, so winners[0] >= rec.bk0.
-		if len(winners) > 0 && winners[0] < rec.bk1 {
-			if err := m.promoteBackup(conn, s.backups[winners[0]].ch, touched); err != nil {
-				return stats, err
-			}
-			winners = winners[1:]
-		}
-		for _, ch := range failed {
-			if err := m.dropChannel(conn, ch, touched); err != nil {
-				return stats, err
-			}
-		}
-		// A connection with no primary left (recovery failed or excluded)
-		// loses all its channels: release the survivors too.
-		if conn.Primary == nil {
-			for len(conn.Backups) > 0 {
-				if err := m.dropChannel(conn, conn.Backups[0], touched); err != nil {
-					return stats, err
-				}
-			}
-			m.forget(conn)
-		}
-	}
-
-	// Phase 3: spare pools on every touched link are recomputed from the
-	// surviving backup population.
-	return stats, m.reconfigureLinks(touched)
-}
-
 // promoteBackup converts a claimed backup into the connection's primary:
 // the claimed spare becomes dedicated bandwidth on each link of its path.
 func (m *Manager) promoteBackup(conn *DConnection, b *rtchan.Channel, touched map[topology.LinkID]struct{}) error {
@@ -259,12 +171,9 @@ func (m *Manager) promoteBackup(conn *DConnection, b *rtchan.Channel, touched ma
 	return nil
 }
 
-// dropChannel tears down one channel of a connection (failed component or
-// released survivor), updating mux state and the connection's lists.
+// dropChannel tears down one live channel of a connection for
+// TeardownChannel, updating mux state and the connection's lists.
 func (m *Manager) dropChannel(conn *DConnection, ch *rtchan.Channel, touched map[topology.LinkID]struct{}) error {
-	if m.plan.net.Channel(ch.ID) == nil {
-		return nil // already dropped (e.g. promoted then listed again)
-	}
 	if ch.Role == rtchan.RoleBackup {
 		for _, l := range ch.Path.Links() {
 			m.removeBackupFromLink(l, ch)

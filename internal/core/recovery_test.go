@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/rtchan"
@@ -187,12 +186,8 @@ func TestApplyPromotesBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	backupPath := conn.Backups[0].Path
-	stats, err := m.Apply(SingleLink(g.LinkBetween(0, 1)), OrderByConn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FastRecovered != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if winners, _ := recoverByClaims(t, m, SingleLink(g.LinkBetween(0, 1))); len(winners) != 1 {
+		t.Fatalf("activated %d backups, want 1", len(winners))
 	}
 	if conn.Primary == nil || conn.Primary.Path.String() != backupPath.String() {
 		t.Fatal("backup not promoted to primary")
@@ -228,9 +223,7 @@ func TestApplyTearsDownDeadConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(DoubleNode(1, 4), OrderByConn, nil); err != nil {
-		t.Fatal(err)
-	}
+	recoverByClaims(t, m, DoubleNode(1, 4))
 	if m.Connection(conn.ID) != nil {
 		t.Fatal("dead connection not removed")
 	}
@@ -249,12 +242,12 @@ func TestApplyExcludedConnTornDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := m.Apply(SingleNode(2), OrderByConn, nil) // destination fails
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ExcludedConns != 1 {
+	if stats := m.NewTrialView().Trial(SingleNode(2), OrderByConn, nil); stats.ExcludedConns != 1 {
 		t.Fatalf("stats = %+v", stats)
+	}
+	// The destination fails: the healthy backup is not activated.
+	if winners, _ := recoverByClaims(t, m, SingleNode(2)); len(winners) != 0 {
+		t.Fatalf("activated %d backups of a connection whose end node failed", len(winners))
 	}
 	if m.Connection(conn.ID) != nil {
 		t.Fatal("connection with failed end node should be torn down")
@@ -284,9 +277,7 @@ func TestApplyReconfiguresSurvivorSpare(t *testing.T) {
 	if m.plan.net.Spare(shared) != 1 {
 		t.Fatalf("multiplexed spare = %g", m.plan.net.Spare(shared))
 	}
-	if _, err := m.Apply(SingleLink(g.LinkBetween(0, 1)), OrderByConn, nil); err != nil {
-		t.Fatal(err)
-	}
+	recoverByClaims(t, m, SingleLink(g.LinkBetween(0, 1)))
 	// A's backup is now a primary on 3->4: dedicated 1. B's backup alone
 	// needs spare 1. Total on the link: 2.
 	if m.plan.net.Dedicated(shared) != 1 {
@@ -314,19 +305,13 @@ func TestApplySequentialFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := conn.Primary.Path.Links()[0]
-	if _, err := m.Apply(SingleLink(first), OrderByConn, nil); err != nil {
-		t.Fatal(err)
-	}
+	recoverByClaims(t, m, SingleLink(first))
 	if conn.Primary == nil || len(conn.Backups) != 1 {
 		t.Fatalf("after first failure: primary=%v backups=%d", conn.Primary, len(conn.Backups))
 	}
 	second := conn.Primary.Path.Links()[0]
-	stats, err := m.Apply(SingleLink(second), OrderByConn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FastRecovered != 1 {
-		t.Fatalf("second failure stats = %+v", stats)
+	if winners, _ := recoverByClaims(t, m, SingleLink(second)); len(winners) != 1 {
+		t.Fatalf("second failure activated %d backups, want 1", len(winners))
 	}
 	if conn.Primary == nil || len(conn.Backups) != 0 {
 		t.Fatal("second recovery did not consume the last backup")
@@ -340,8 +325,9 @@ func TestApplySequentialFailures(t *testing.T) {
 }
 
 func TestApplyRandomizedStorm(t *testing.T) {
-	// Fuzz: establish many connections on a torus, apply a series of
-	// random failures, verifying invariants after each step.
+	// Fuzz: establish many connections on a torus, recover from a series of
+	// random failures through the claim API, checking the end state after
+	// each step.
 	g := topology.NewTorus(6, 6, 100)
 	m := newTestManager(g)
 	rng := rand.New(rand.NewSource(11))
@@ -360,19 +346,12 @@ func TestApplyRandomizedStorm(t *testing.T) {
 		} else {
 			f = SingleNode(topology.NodeID(rng.Intn(36)))
 		}
-		if _, err := m.Apply(f, OrderRandom, rng); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err := m.CheckMuxInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err := m.plan.net.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
+		recoverByClaims(t, m, f)
+		checkRecovered(t, fmt.Sprintf("step %d", step), m, f)
 	}
 }
 
-// TestTrialStampMatchesHitsPath pins what activate and Apply rely on:
+// TestTrialStampMatchesHitsPath pins what activate relies on:
 // after a trial, a channel carries the trial's stamp exactly when the failure
 // hits its path, because the snapshot lists a channel under every link of its
 // path and every node it visits has one of those links in or out, end nodes
@@ -405,10 +384,11 @@ func TestTrialStampMatchesHitsPath(t *testing.T) {
 		s := &scratch.snap
 		for i, conn := range m.Connections() {
 			c := int32(i)
-			if s.conns[c].id != conn.ID {
-				t.Fatalf("dense connection %d is %d, want %d", c, s.conns[c].id, conn.ID)
+			if rec := s.conns[c]; rec.src != conn.Src || rec.dst != conn.Dst || int(rec.bk1-rec.bk0) != len(conn.Backups) {
+				t.Fatalf("dense connection %d is %d->%d with %d backups, connection %d %d->%d with %d",
+					c, rec.src, rec.dst, rec.bk1-rec.bk0, conn.ID, conn.Src, conn.Dst, len(conn.Backups))
 			}
-			stamped := []bool{scratch.primaryHit(c)}
+			stamped := []bool{primaryStamped(&scratch, c)}
 			for b := s.conns[c].bk0; b < s.conns[c].bk1; b++ {
 				stamped = append(stamped, scratch.backupHit(b))
 			}
@@ -418,111 +398,55 @@ func TestTrialStampMatchesHitsPath(t *testing.T) {
 			for j, ch := range channelsOf(conn) {
 				if got, want := stamped[j], f.HitsPath(ch.Path); got != want {
 					t.Fatalf("failure links %v nodes %v: channel %d (conn %d, path %v) stamped %v, HitsPath %v",
-						f.Links(), f.nodes, ch.ID, conn.ID, ch.Path, got, want)
+						f.links, f.nodes, ch.ID, conn.ID, ch.Path, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestApplyReturnsTrialStats pins Apply's promise, "the same statistics as
-// Trial", and what Apply must do beyond them. On random loaded 6x6 tori,
-// under single-link, single-node and four-component failures and all three
-// activation orders (equal-seeded rngs), Trial immediately before Apply
-// returns a deeply equal RecoveryStats, ByDegree included. After Apply no
-// surviving channel crosses a failed component, a connection whose end node
-// failed is gone although the statistics left it out, the reservation
-// network holds exactly the channels the connections list (a promoted
-// connection's old primary was torn down, not orphaned), and the invariants
-// hold.
-func TestApplyReturnsTrialStats(t *testing.T) {
+// TestClaimRecoveryActivatesTrialWinners holds the two planes to one
+// decision: on every single-node failure of the loaded mixed-degree 6x6
+// torus (request i at degree {1,3,5,6}[i%4], odd requests with a second
+// backup at the next degree), recovery through the protocol plane's claim
+// API (recoverByClaims, on a fresh load each) activates exactly the backups
+// the reference trial picks, in connection order, and leaves the end state
+// checkRecovered asks for. The corpus must see multiplexing failures and
+// second-backup activations, or the comparison is vacuous.
+func TestClaimRecoveryActivatesTrialWinners(t *testing.T) {
+	mixed := []int{1, 3, 5, 6}
+	degrees := func(i int) []int {
+		if i%2 == 0 {
+			return []int{mixed[i%4]}
+		}
+		return []int{mixed[i%4], mixed[(i+1)%4]}
+	}
 	var total RecoveryStats
-	steps := 0
-	for seed := int64(0); seed < 8; seed++ {
-		for _, order := range []ActivationOrder{OrderByConn, OrderByPriority, OrderRandom} {
-			rng := rand.New(rand.NewSource(seed))
-			g := topology.NewTorus(6, 6, 30)
-			m := newTestManager(g)
-			for i := 0; i < 320; i++ {
-				s, d := topology.NodeID(rng.Intn(36)), topology.NodeID(rng.Intn(36))
-				if s == d {
-					continue
-				}
-				degrees := make([]int, 1+rng.Intn(2))
-				for j := range degrees {
-					degrees[j] = 1 + rng.Intn(6)
-				}
-				_, _ = m.Establish(s, d, rtchan.DefaultSpec(), degrees)
-			}
-			for step := 0; step < 10; step++ {
-				var f Failure
-				switch step % 3 {
-				case 0:
-					f = SingleLink(topology.LinkID(rng.Intn(g.NumLinks())))
-				case 1:
-					f = SingleNode(topology.NodeID(rng.Intn(36)))
-				default:
-					f = NewFailure(
-						[]topology.LinkID{topology.LinkID(rng.Intn(g.NumLinks())), topology.LinkID(rng.Intn(g.NumLinks()))},
-						[]topology.NodeID{topology.NodeID(rng.Intn(36)), topology.NodeID(rng.Intn(36))})
-				}
-				ctx := fmt.Sprintf("seed %d order %d step %d (links %v nodes %v)", seed, order, step, f.Links(), f.nodes)
-				var excluded []rtchan.ConnID
-				for _, c := range m.Connections() {
-					if f.NodeFailed(c.Src) || f.NodeFailed(c.Dst) {
-						excluded = append(excluded, c.ID)
-					}
-				}
-				shuffle := seed*100 + int64(step)
-				want := m.NewTrialView().Trial(f, order, rand.New(rand.NewSource(shuffle)))
-				got, err := m.Apply(f, order, rand.New(rand.NewSource(shuffle)))
-				if err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s:\n trial %+v\n apply %+v", ctx, want, got)
-				}
-				if got.ExcludedConns != len(excluded) {
-					t.Fatalf("%s: %d excluded, %d connections end at a failed node", ctx, got.ExcludedConns, len(excluded))
-				}
-				for _, id := range excluded {
-					if m.Connection(id) != nil {
-						t.Fatalf("%s: excluded connection %d survived", ctx, id)
-					}
-				}
-				listed := 0
-				for _, c := range m.Connections() {
-					if c.Primary == nil {
-						t.Fatalf("%s: connection %d left without a primary", ctx, c.ID)
-					}
-					for _, ch := range channelsOf(c) {
-						listed++
-						if f.HitsPath(ch.Path) {
-							t.Fatalf("%s: channel %d of connection %d survives on a failed component", ctx, ch.ID, c.ID)
-						}
-					}
-				}
-				if n := m.plan.net.NumChannels(); n != listed {
-					t.Fatalf("%s: network holds %d channels, connections list %d", ctx, n, listed)
-				}
-				if err := m.CheckMuxInvariants(); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				if err := m.plan.net.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				steps++
-				total.FailedPrimaries += got.FailedPrimaries
-				total.FastRecovered += got.FastRecovered
-				total.MuxFailed += got.MuxFailed
-				total.BackupDead += got.BackupDead
-				total.ExcludedConns += got.ExcludedConns
-				total.FailedBackups += got.FailedBackups
+	later := 0 // winners that were not their connection's first backup
+	for n := 0; n < 36; n++ {
+		m := allPairs(topology.NewTorus(6, 6, 200), degrees)
+		f := SingleNode(topology.NodeID(n))
+		stats := m.NewTrialView().Trial(f, OrderByConn, nil)
+		first := map[rtchan.ChannelID]bool{}
+		for _, c := range m.Connections() {
+			if len(c.Backups) > 0 {
+				first[c.Backups[0].ID] = true
 			}
 		}
+		for _, w := range recoverAgainstReference(t, m, f) {
+			if !first[w.ID] {
+				later++
+			}
+		}
+		checkRecovered(t, fmt.Sprintf("node %d", n), m, f)
+		total.FailedPrimaries += stats.FailedPrimaries
+		total.FastRecovered += stats.FastRecovered
+		total.MuxFailed += stats.MuxFailed
+		total.BackupDead += stats.BackupDead
+		total.ExcludedConns += stats.ExcludedConns
 	}
-	if total.FastRecovered == 0 || total.MuxFailed == 0 || total.BackupDead == 0 || total.ExcludedConns == 0 || total.FailedBackups == 0 {
-		t.Fatalf("corpus misses an outcome class: %+v", total)
+	if total.FastRecovered == 0 || total.MuxFailed == 0 || total.ExcludedConns == 0 || later == 0 {
+		t.Fatalf("corpus misses an outcome class: %+v, %d later backups activated", total, later)
 	}
-	t.Logf("%d steps: %+v", steps, total)
+	t.Logf("36 node failures: %+v, %d later backups activated", total, later)
 }

@@ -150,7 +150,7 @@ func TestPrimarySignatureMatchesPaths(t *testing.T) {
 					kind := "establish"
 					if len(ids) > 4 {
 						kind = []string{"establish", "establish", "reject", "teardown", "failover",
-							"apply", "rejoin", "replenish"}[rng.Intn(8)]
+							"recover", "rejoin", "replenish"}[rng.Intn(8)]
 					}
 					conn := pick()
 					switch kind {
@@ -195,16 +195,15 @@ func TestPrimarySignatureMatchesPaths(t *testing.T) {
 						} else if err := m.ActivateClaimed(conn.ID, b); err != nil {
 							t.Fatalf("op %d: %v", op, err)
 						}
-					case "apply":
-						// The transactional sequence: a component fails, winners
-						// are promoted, losers dropped, orphans forgotten.
+					case "recover":
+						// A component fails and every affected connection
+						// recovers through the claim API: winners are
+						// promoted, failed channels dropped, orphans forgotten.
 						f := SingleLink(topology.LinkID(rng.Intn(g.NumLinks())))
 						if rng.Intn(2) == 0 {
 							f = SingleNode(topology.NodeID(rng.Intn(n)))
 						}
-						if _, err := m.Apply(f, OrderByConn, nil); err != nil {
-							t.Fatalf("op %d: %v", op, err)
-						}
+						recoverByClaims(t, m, f)
 					case "rejoin":
 						if conn.Primary == nil {
 							continue
@@ -224,7 +223,7 @@ func TestPrimarySignatureMatchesPaths(t *testing.T) {
 					requireSigMatchesPaths(t, fmt.Sprintf("op %d %s", op, kind), m, rng)
 				}
 				t.Logf("history: %v", done)
-				for _, kind := range []string{"establish", "reject", "teardown", "failover", "apply", "rejoin", "replenish"} {
+				for _, kind := range []string{"establish", "reject", "teardown", "failover", "recover", "rejoin", "replenish"} {
 					if done[kind] == 0 {
 						t.Errorf("history never ran a %s (%v)", kind, done)
 					}

@@ -59,17 +59,14 @@ type chanRef struct {
 // connRec is what a trial reads of one connection.
 type connRec struct {
 	bw       float64
-	id       rtchan.ConnID
 	src, dst topology.NodeID
 	deg      int32 // firstDegree: the priority key
 	dcls     int32 // deg's index in alpha: the ByDegree class
 	bk0, bk1 int32 // backups[bk0:bk1], serial order
 }
 
-// backupRec is one backup: its channel (Apply promotes it) and its links,
-// bkLinks[l0:l1].
+// backupRec is one backup: its links, bkLinks[l0:l1].
 type backupRec struct {
-	ch     *rtchan.Channel
 	l0, l1 int32
 }
 
@@ -91,7 +88,7 @@ func (s *trialSnapshot) build(p *NetworkPlan, pools []float64) {
 		}
 		s.runs[links[len(links)-1]].endN++
 	}
-	p.conns.Each(func(id rtchan.ConnID, c *DConnection) {
+	p.conns.Each(func(_ rtchan.ConnID, c *DConnection) {
 		if c.Primary != nil {
 			count(c.Primary.Path)
 		}
@@ -100,7 +97,7 @@ func (s *trialSnapshot) build(p *NetworkPlan, pools []float64) {
 			count(b.Path)
 			l0 := int32(len(s.bkLinks))
 			s.bkLinks = append(s.bkLinks, b.Path.Links()...)
-			s.backups = append(s.backups, backupRec{ch: b, l0: l0, l1: int32(len(s.bkLinks))})
+			s.backups = append(s.backups, backupRec{l0: l0, l1: int32(len(s.bkLinks))})
 		}
 		deg := firstDegree(c)
 		k := slices.Index(s.alpha, deg)
@@ -109,7 +106,7 @@ func (s *trialSnapshot) build(p *NetworkPlan, pools []float64) {
 			s.alpha = append(s.alpha, deg)
 		}
 		s.conns = append(s.conns, connRec{
-			bw: c.Spec.Bandwidth, id: id, src: c.Src, dst: c.Dst,
+			bw: c.Spec.Bandwidth, src: c.Src, dst: c.Dst,
 			deg: int32(deg), dcls: int32(k), bk0: bk0, bk1: int32(len(s.backups)),
 		})
 	})
@@ -180,8 +177,7 @@ func (s *trialSnapshot) endingOn(l topology.LinkID) []chanRef {
 }
 
 // trialScratch is one holder's trial state: the snapshot and the per-trial
-// marks over it. Each TrialView holds one, as does Apply (under the write
-// lock). The stamps are
+// marks over it; each TrialView holds one. The stamps are
 // generation-stamped — advancing gen invalidates every slot at once — and
 // the claims and per-class counts are zero between trials, each trial
 // clearing what it added. All are sized from the snapshot, by dense
@@ -193,7 +189,6 @@ type trialScratch struct {
 	conn  []connMark // by dense connection index
 	bkHit []uint32   // by dense backup index: gen when the failure disabled it
 	claim []float64  // by LinkID: bandwidth claimed this trial
-	conns []int32    // dense indexes of the connections touched this trial
 	need  denseSet   // the connections whose primary needs a backup
 	needs []int32    // need, drained in activation order
 
@@ -206,10 +201,6 @@ type trialScratch struct {
 	// snapshot's alpha); the map is materialized once at the end of the
 	// trial.
 	degStat []DegreeStats
-
-	// winners lists the backups the trial activated (dense index), in
-	// activation order. Apply turns exactly these claims into promotions.
-	winners []int32
 }
 
 // connMark is one connection's per-trial state, valid when gen matches.
@@ -302,8 +293,6 @@ func (t *trialScratch) begin(p *NetworkPlan) *trialSnapshot {
 		clear(t.bkHit[:cap(t.bkHit)])
 		t.gen = 1
 	}
-	t.conns = t.conns[:0]
-	t.winners = t.winners[:0]
 	return s
 }
 
@@ -311,14 +300,13 @@ func (t *trialScratch) begin(p *NetworkPlan) *trialSnapshot {
 // stats. A connection's first stamp touches it and decides whether an end
 // node failed, which excludes it from the statistics; a backup counts on its
 // first stamp, and a primary counts once, by degree class, and needs a
-// backup, unless its connection is excluded. Excluded connections are still
-// stamped: Apply tears their channels down.
+// backup, unless its connection is excluded. Excluded connections are
+// stamped too, so a stamp means exactly that f hits the channel.
 func (t *trialScratch) mark(r chanRef, f *Failure, stats *RecoveryStats) {
 	m := &t.conn[r.conn]
 	if m.gen != t.gen {
 		rec := &t.snap.conns[r.conn]
 		*m = connMark{gen: t.gen, excl: len(f.nodes) > 0 && (f.NodeFailed(rec.src) || f.NodeFailed(rec.dst))}
-		t.conns = append(t.conns, r.conn)
 		if m.excl {
 			stats.ExcludedConns++
 		}
@@ -338,12 +326,6 @@ func (t *trialScratch) mark(r chanRef, f *Failure, stats *RecoveryStats) {
 			stats.FailedBackups++
 		}
 	}
-}
-
-// primaryHit reports whether this trial disabled connection c's primary.
-func (t *trialScratch) primaryHit(c int32) bool {
-	m := &t.conn[c]
-	return m.gen == t.gen && m.prim
 }
 
 // backupHit reports whether this trial disabled backup b.

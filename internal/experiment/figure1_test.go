@@ -36,7 +36,7 @@ import (
 
 func figure1Graph(t *testing.T) *topology.Graph {
 	t.Helper()
-	g := topology.NewGraph("figure1", 10)
+	g := topology.NewGraph(10)
 	duplex := func(a, b topology.NodeID) {
 		if _, err := g.AddLink(a, b, 2); err != nil {
 			t.Fatal(err)

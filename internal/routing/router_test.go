@@ -330,7 +330,7 @@ func corpusGraphs() []*topology.Graph {
 // and an unreachable source for every other node.
 func oneWayGraph(n int, seed int64) *topology.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := topology.NewGraph("oneway", n+2)
+	g := topology.NewGraph(n + 2)
 	add := func(a, b int) { _, _ = g.AddLink(topology.NodeID(a), topology.NodeID(b), 100) } // duplicates and self-loops are skipped
 	for i := 0; i < n; i++ {
 		add(i, (i+1)%n)
@@ -487,7 +487,7 @@ func TestRouterSeesTopologyGrowth(t *testing.T) {
 		t.Fatalf("after shortcut, path = %v,%v, want the 1-hop path", p, ok)
 	}
 
-	g = topology.NewGraph("island", 4)
+	g = topology.NewGraph(4)
 	for _, e := range [][2]topology.NodeID{{0, 1}, {1, 2}} {
 		if _, err := g.AddLink(e[0], e[1], 100); err != nil {
 			t.Fatal(err)
@@ -513,7 +513,7 @@ func TestRouterSeesTopologyGrowth(t *testing.T) {
 // unconstrained distance, or no way to the target at all) must not read the
 // labels the previous search left on the same target.
 func TestRouterGiveUpLabelsNothing(t *testing.T) {
-	g := topology.NewGraph("fork", 4) // 0 -> 1 -> 2, and 3 -> 0; nothing leads to 3
+	g := topology.NewGraph(4) // 0 -> 1 -> 2, and 3 -> 0; nothing leads to 3
 	for _, e := range [][2]topology.NodeID{{0, 1}, {1, 2}, {3, 0}} {
 		if _, err := g.AddLink(e[0], e[1], 100); err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@ func TestDistanceTorus(t *testing.T) {
 }
 
 func TestDistanceUnreachable(t *testing.T) {
-	g := topology.NewGraph("disconnected", 4)
+	g := topology.NewGraph(4)
 	if _, err := g.AddLink(0, 1, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMaxDisjointPathsBeatsGreedyOnTrap(t *testing.T) {
 	//  0    X    5      built explicitly below
 	//   \  / \  /
 	//     3   4
-	g := topology.NewGraph("trap", 6)
+	g := topology.NewGraph(6)
 	duplex := func(a, b topology.NodeID) {
 		if _, err := g.AddLink(a, b, 10); err != nil {
 			t.Fatal(err)

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // NewTorus builds a rows x cols wrapped mesh (torus). Every node is connected
 // to its four grid neighbors by a pair of simplex links of the given
@@ -15,7 +12,7 @@ func NewTorus(rows, cols int, capacity float64) *Graph {
 	if rows < 2 || cols < 2 {
 		panic("topology: torus requires at least 2x2")
 	}
-	g := NewGraph(fmt.Sprintf("torus-%dx%d", rows, cols), rows*cols)
+	g := NewGraph(rows * cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -42,7 +39,7 @@ func NewMesh(rows, cols int, capacity float64) *Graph {
 	if rows < 1 || cols < 1 {
 		panic("topology: empty mesh")
 	}
-	g := NewGraph(fmt.Sprintf("mesh-%dx%d", rows, cols), rows*cols)
+	g := NewGraph(rows * cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -65,7 +62,7 @@ func NewRing(n int, capacity float64) *Graph {
 	if n < 3 {
 		panic("topology: ring requires at least 3 nodes")
 	}
-	g := NewGraph(fmt.Sprintf("ring-%d", n), n)
+	g := NewGraph(n)
 	for i := 0; i < n; i++ {
 		g.addDuplex(NodeID(i), NodeID((i+1)%n), capacity)
 	}
@@ -81,7 +78,7 @@ func NewLine(n int, capacity float64) *Graph {
 	if n < 2 {
 		panic("topology: line requires at least 2 nodes")
 	}
-	g := NewGraph(fmt.Sprintf("line-%d", n), n)
+	g := NewGraph(n)
 	for i := 0; i+1 < n; i++ {
 		g.addDuplex(NodeID(i), NodeID(i+1), capacity)
 	}
@@ -97,7 +94,7 @@ func NewHypercube(d int, capacity float64) *Graph {
 		panic("topology: hypercube dimension out of range")
 	}
 	n := 1 << d
-	g := NewGraph(fmt.Sprintf("hypercube-%d", d), n)
+	g := NewGraph(n)
 	for i := 0; i < n; i++ {
 		for b := 0; b < d; b++ {
 			j := i ^ (1 << b)
@@ -120,7 +117,7 @@ func NewRandom(n int, avgDegree float64, capacity float64, seed int64) *Graph {
 		panic("topology: random graph requires at least 2 nodes")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph(fmt.Sprintf("random-%d", n), n)
+	g := NewGraph(n)
 	// Random spanning tree: connect each node i>0 to a random earlier node,
 	// over a random permutation so the tree shape varies.
 	perm := rng.Perm(n)

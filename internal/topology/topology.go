@@ -35,7 +35,6 @@ type Link struct {
 // Graph is a directed network topology. It is immutable after construction;
 // dynamic state (failures, reservations) is layered on top by other packages.
 type Graph struct {
-	name     string
 	numNodes int
 	links    []Link
 	out      [][]LinkID // out[n] = links leaving node n
@@ -45,12 +44,11 @@ type Graph struct {
 }
 
 // NewGraph creates an empty graph with n nodes and no links.
-func NewGraph(name string, n int) *Graph {
+func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic("topology: negative node count")
 	}
 	return &Graph{
-		name:     name,
 		numNodes: n,
 		out:      make([][]LinkID, n),
 		in:       make([][]LinkID, n),

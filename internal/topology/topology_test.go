@@ -55,18 +55,18 @@ func TestMeshCounts(t *testing.T) {
 }
 
 func TestEveryLinkHasReverse(t *testing.T) {
-	for _, g := range []*Graph{
+	for i, g := range []*Graph{
 		NewTorus(8, 8, 200), NewMesh(4, 5, 300), NewRing(7, 10),
 		NewLine(5, 10), NewHypercube(4, 10), NewRandom(30, 3.5, 10, 42),
 	} {
 		for _, l := range g.Links() {
 			r := g.Reverse(l.ID)
 			if r == NoLink {
-				t.Fatalf("%s: link %d (%d->%d) has no reverse", g.name, l.ID, l.From, l.To)
+				t.Fatalf("graph %d: link %d (%d->%d) has no reverse", i, l.ID, l.From, l.To)
 			}
 			rl := g.Link(r)
 			if rl.From != l.To || rl.To != l.From {
-				t.Fatalf("%s: reverse of %d->%d is %d->%d", g.name, l.From, l.To, rl.From, rl.To)
+				t.Fatalf("graph %d: reverse of %d->%d is %d->%d", i, l.From, l.To, rl.From, rl.To)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestLinkBetween(t *testing.T) {
 }
 
 func TestAddLinkErrors(t *testing.T) {
-	g := NewGraph("test", 3)
+	g := NewGraph(3)
 	if _, err := g.AddLink(0, 0, 10); err == nil {
 		t.Error("self-loop accepted")
 	}

@@ -28,9 +28,6 @@ var reachExempt = map[string]string{
 	"conformance.Checker.GammaChecked": "tests read it to prove the Γ rule ran; ROADMAP 12's acceptance reads it",
 	"rcc.Endpoint.Stats":               "the RCC tests' oracle; ROADMAP 3(c) is to give it a reader",
 	"bcpd.Network.TeardownConnection":  "§4.4 teardown through the protocol; bcpd's tests drive it, and ROADMAP 2(b) is to give it a chaos caller",
-	"core.Manager.Apply":               "§4.4 recovery against live state; TestApply*, referenceChecker.apply, TestPropertyApplyKeepsCapacityInvariant and TestConcurrentTrialsDuringWrites drive failure sequences through it, and deleting it is a question of its own",
-	"core.Manager.apply":               "Apply's body; the walk does not follow an exempt declaration",
-	"core.trialScratch.primaryHit":     "apply is its one reader outside tests; the walk does not follow an exempt declaration",
 }
 
 // stdInterfaceMethods are method names that standard-library interfaces
@@ -61,9 +58,9 @@ type reachDecl struct {
 //
 // The roots are the main of every command in reachCommands and of every
 // example, every declaration in bench/, every init, the facade's own
-// functions, vars, consts and type names, and those methods of a type it
-// aliases that README.md's go blocks call by name (readmeCalls): the API the
-// README shows, not every method the aliases happen to carry. From a reached
+// functions, vars, consts and type names, and the methods README.md's go
+// blocks select, resolved by type (readmeCalls): the API the README shows,
+// not every method of that name the aliased types happen to carry. From a reached
 // declaration the walk follows every identifier it uses. A method is also
 // reached once its receiver type is, when an interface anywhere in the
 // module (a literal included) or in stdInterfaceMethods has a method of its
@@ -197,27 +194,14 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			t.Errorf("reachCommands lists %s, which is not a command under cmd/", cmd)
 		}
 	}
-	readme := readmeCalls(t)
 	facade := pc.pkgs["."].Scope()
 	for _, name := range facade.Names() {
-		o := facade.Lookup(name)
-		if !o.Exported() {
-			continue
+		if o := facade.Lookup(name); o.Exported() {
+			reachObj(o)
 		}
-		reachObj(o)
-		if _, ok := o.(*types.TypeName); !ok {
-			continue
-		}
-		named, ok := types.Unalias(o.Type()).(*types.Named)
-		if !ok {
-			continue
-		}
-		ms := types.NewMethodSet(types.NewPointer(named))
-		for i := 0; i < ms.Len(); i++ {
-			if m := ms.At(i).Obj(); readme[m.Name()] {
-				reachObj(m)
-			}
-		}
+	}
+	for fn := range readmeCalls(t, pc) {
+		reachObj(fn)
 	}
 
 	for len(queue) > 0 {
@@ -293,17 +277,23 @@ func usesIota(g *ast.GenDecl) bool {
 	return found
 }
 
-// readmeCalls returns the names README.md's ```go blocks call through a
-// selector (mgr.Establish, conn.Primary.Path.Links): the facade's API. Each
-// block parses as a function body; one that does not fails the test at its
-// line.
-func readmeCalls(t *testing.T) map[string]bool {
+// readmeCalls returns the methods README.md's ```go blocks select
+// (mgr.Establish, conn.Primary.Path.Links, rt.Post): the facade's API. The
+// blocks are type-checked in order as one function body importing the
+// facade, each later block nested in the one before so it sees the
+// variables they declare, and a method counts only where a selection
+// resolves to it, not by its name. The blocks import only the facade, so a
+// standard-library name (time.Second) stays undefined; type errors are
+// ignored, as in loadProductCode. A block that does not parse fails the
+// test at its line.
+func readmeCalls(t *testing.T, pc *productCode) map[*types.Func]bool {
 	t.Helper()
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	var body strings.Builder
+	blocks := 0
 	lines := strings.Split(string(raw), "\n")
 	for i := 0; i < len(lines); i++ {
 		if strings.TrimSpace(lines[i]) != "```go" {
@@ -316,25 +306,32 @@ func readmeCalls(t *testing.T) map[string]bool {
 			t.Fatalf("README.md:%d: the go block is not closed", start)
 		}
 		// The line directive makes a parse error name README.md's line.
-		src := fmt.Sprintf("package p\nfunc _() {\n//line README.md:%d\n%s\n}\n", start+1, strings.Join(lines[start:i], "\n"))
-		f, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution)
-		if err != nil {
+		block := fmt.Sprintf("//line README.md:%d\n%s\n", start+1, strings.Join(lines[start:i], "\n"))
+		if _, err := parser.ParseFile(token.NewFileSet(), "", "package p\nfunc _() {\n"+block+"}\n", parser.SkipObjectResolution); err != nil {
 			t.Errorf("a README.md go block does not parse as a function body: %v", err)
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := c.Fun.(*ast.SelectorExpr); ok {
-					names[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
+		body.WriteString("{\n" + block)
+		blocks++
 	}
-	if len(names) == 0 {
-		t.Fatal("README.md has no go block that calls anything")
+	src := fmt.Sprintf("package readme\nimport bcp %q\nfunc _() {\n%s%s}\n", modulePath, body.String(), strings.Repeat("}\n", blocks))
+	f, err := parser.ParseFile(pc.fset, "README.md", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatalf("README.md's go blocks do not parse together: %v", err)
 	}
-	return names
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: pc, Error: func(error) {}}
+	conf.Check("readme", pc.fset, []*ast.File{f}, info)
+	calls := map[*types.Func]bool{}
+	for _, sel := range info.Selections {
+		if fn, ok := sel.Obj().(*types.Func); ok {
+			calls[fn] = true
+		}
+	}
+	if len(calls) == 0 {
+		t.Fatal("README.md has no go block that selects a method")
+	}
+	return calls
 }
 
 // withDoc returns where a declaration's lines start: at its doc comment, if
