@@ -656,5 +656,4 @@ type dataPayload struct {
 	conn rtchan.ConnID
 	ch   rtchan.ChannelID
 	seq  uint64
-	sent sim.Time
 }

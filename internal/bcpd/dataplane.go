@@ -96,7 +96,7 @@ func (s *source) emit() {
 	s.seq++
 	n.stats.DataSent++
 	pkt := n.getDataBox()
-	*pkt = dataPayload{conn: s.conn, ch: s.active, seq: s.seq, sent: n.rt.Now()}
+	*pkt = dataPayload{conn: s.conn, ch: s.active, seq: s.seq}
 	// The source forwards onto the first link of the active channel.
 	l := ch.Path.Links()[0]
 	n.tr.SendData(l, pkt)

@@ -132,7 +132,7 @@ func (b *pipeBed) send(i int, arrives bool) {
 	b.seq[i]++
 	now := b.rt.Now()
 	pkt := b.net.getDataBox()
-	*pkt = dataPayload{conn: b.conns[i].ID, ch: b.conns[i].Primary.ID, seq: b.seq[i], sent: now}
+	*pkt = dataPayload{conn: b.conns[i].ID, ch: b.conns[i].Primary.ID, seq: b.seq[i]}
 	if !b.tr.offer(b.links[i], pipeItem{kind: pipeData, data: pkt}) {
 		b.net.reclaimData(pkt)
 		b.refused++

@@ -11,8 +11,9 @@ import (
 )
 
 // The timing model of a Config — what §5 derives from the protocol
-// parameters — is computed here and nowhere else (CI greps for RCC.RMax
-// outside internal/bcpd and internal/rcc); Γ itself is conformance.GammaBound.
+// parameters — is computed here and nowhere else (owner_test.go's "owner"
+// rule fails on a use of RCC.RMax outside internal/bcpd, internal/rcc and
+// bench/); Γ itself is conformance.GammaBound.
 
 // HopBound is D^RCC_max on links of the given capacity: the worst-case
 // one-hop control delay of the RCC riding the priority scheduler's control

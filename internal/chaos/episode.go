@@ -47,9 +47,6 @@ type Result struct {
 	// Conns counts established connections; Reestablished counts those
 	// that ended with a healthy primary.
 	Conns, Reestablished int
-	// Net and Chaos are the protocol and transport counters.
-	Net   bcpd.Stats
-	Chaos bcpd.ChaosStats
 	// Recoveries are the recoveries the episode closed.
 	Recoveries []trace.Recovery
 	// Flight is what the flight recorder kept up to the first conformance
@@ -207,8 +204,6 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 	res.Recoveries = net.Checker.Recoveries()
 	res.Digest = digest.Sum()
 	res.Events = digest.events
-	res.Net = net.Stats()
-	res.Chaos = ct.Stats()
 	return res, nil
 }
 

@@ -330,7 +330,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 	g := m.plan.net.Graph()
 	conn := &DConnection{ID: m.nextConn, Src: p.src, Dst: p.dst, Spec: p.spec, sig: m.plan.allocSig(), replDegree: 1}
 	pPath := topology.NewPathUnchecked(g, p.prim.links, p.prim.nodes)
-	prim, err := m.plan.net.Establish(conn.ID, rtchan.RolePrimary, 0, pPath, p.spec)
+	prim, err := m.plan.net.Establish(conn.ID, rtchan.RolePrimary, pPath, p.spec)
 	if err != nil {
 		// Unreachable after a successful plan: the routing predicate
 		// (free >= bw-1e-9) is stricter than CanReserve's tolerance. Kept as
@@ -356,7 +356,7 @@ func (m *Manager) commitPlan(p *connPlan) (*DConnection, error) {
 	for i := 0; i < nb; i++ {
 		bp := &p.backups[i]
 		bPath := topology.NewPathUnchecked(g, bp.path.links, bp.path.nodes)
-		bch, err := m.plan.net.Establish(conn.ID, rtchan.RoleBackup, i+1, bPath, p.spec)
+		bch, err := m.plan.net.Establish(conn.ID, rtchan.RoleBackup, bPath, p.spec)
 		if err != nil {
 			undo()
 			return nil, fmt.Errorf("core: backup %d admission: %w", i+1, err)

@@ -67,7 +67,7 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 			return nil, fmt.Errorf("core: backup %d endpoints mismatch", i+1)
 		}
 	}
-	prim, err := m.plan.net.Establish(m.nextConn, rtchan.RolePrimary, 0, primary, spec)
+	prim, err := m.plan.net.Establish(m.nextConn, rtchan.RolePrimary, primary, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 		m.plan.releaseSig(conn.sig)
 	}
 	for i, bPath := range backups {
-		bch, err := m.plan.net.Establish(conn.ID, rtchan.RoleBackup, i+1, bPath, spec)
+		bch, err := m.plan.net.Establish(conn.ID, rtchan.RoleBackup, bPath, spec)
 		if err != nil {
 			undo()
 			return nil, err
@@ -144,7 +144,7 @@ func (m *Manager) ReplenishBackups(id rtchan.ConnID, target, alpha int, avoid fu
 		if !ok {
 			break
 		}
-		bch, err := m.plan.net.Establish(id, rtchan.RoleBackup, len(conn.Backups)+1, bPath, conn.Spec)
+		bch, err := m.plan.net.Establish(id, rtchan.RoleBackup, bPath, conn.Spec)
 		if err != nil {
 			break
 		}

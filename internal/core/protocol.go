@@ -269,7 +269,7 @@ func (m *Manager) RestoreAsBackup(connID rtchan.ConnID, ch rtchan.ChannelID, alp
 		// bandwidth first. If it was still listed as the connection's
 		// primary (no backup was ever activated), the connection is left
 		// primary-less until an activation promotes the rejoined channel.
-		if err := m.plan.net.Demote(ch, len(conn.Backups)+1); err != nil {
+		if err := m.plan.net.Demote(ch); err != nil {
 			return err
 		}
 		if conn.Primary != nil && conn.Primary.ID == ch {

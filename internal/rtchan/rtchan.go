@@ -69,12 +69,11 @@ func DefaultSpec() TrafficSpec {
 // Channel is an established real-time channel: a fixed path with bandwidth
 // reserved on each of its links.
 type Channel struct {
-	ID     ChannelID
-	Conn   ConnID
-	Role   Role
-	Serial int // backup serial number within its connection (0 = primary)
-	Path   topology.Path
-	Spec   TrafficSpec
+	ID   ChannelID
+	Conn ConnID
+	Role Role
+	Path topology.Path
+	Spec TrafficSpec
 }
 
 // Bandwidth is a convenience accessor.
@@ -213,7 +212,7 @@ func (n *Network) CanReserve(path topology.Path, bw float64) bool {
 // spec.Bandwidth on every link for primaries. Backup channels are
 // registered without dedicated bandwidth — their reservation lives in the
 // spare pools managed by the multiplexing engine.
-func (n *Network) Establish(conn ConnID, role Role, serial int, path topology.Path, spec TrafficSpec) (*Channel, error) {
+func (n *Network) Establish(conn ConnID, role Role, path topology.Path, spec TrafficSpec) (*Channel, error) {
 	if path.IsZero() {
 		return nil, fmt.Errorf("rtchan: empty path")
 	}
@@ -229,12 +228,11 @@ func (n *Network) Establish(conn ConnID, role Role, serial int, path topology.Pa
 		}
 	}
 	ch := &Channel{
-		ID:     n.nextID,
-		Conn:   conn,
-		Role:   role,
-		Serial: serial,
-		Path:   path,
-		Spec:   spec,
+		ID:   n.nextID,
+		Conn: conn,
+		Role: role,
+		Path: path,
+		Spec: spec,
 	}
 	n.nextID++
 	n.channels.Set(ch.ID, ch)
@@ -297,7 +295,7 @@ func (n *Network) Promote(id ChannelID) error {
 // Demote converts a primary channel into a backup (a repaired channel
 // rejoining as a cold standby, §4.4): its dedicated bandwidth is released.
 // The caller is responsible for registering it with the multiplexing engine.
-func (n *Network) Demote(id ChannelID, serial int) error {
+func (n *Network) Demote(id ChannelID) error {
 	ch := n.channels.Get(id)
 	if ch == nil {
 		return fmt.Errorf("rtchan: unknown channel %d", id)
@@ -312,7 +310,6 @@ func (n *Network) Demote(id ChannelID, serial int) error {
 		}
 	}
 	ch.Role = RoleBackup
-	ch.Serial = serial
 	return nil
 }
 

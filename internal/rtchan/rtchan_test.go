@@ -22,7 +22,7 @@ func TestEstablishPrimaryReserves(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
 	spec := TrafficSpec{Bandwidth: 4}
-	ch, err := n.Establish(1, RolePrimary, 0, p, spec)
+	ch, err := n.Establish(1, RolePrimary, p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestEstablishPrimaryReserves(t *testing.T) {
 func TestAdmissionRejects(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	if _, err := n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 7}); err != nil {
+	if _, err := n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Establish(2, RolePrimary, 0, p, TrafficSpec{Bandwidth: 7}); err == nil {
+	if _, err := n.Establish(2, RolePrimary, p, TrafficSpec{Bandwidth: 7}); err == nil {
 		t.Fatal("overcommit accepted")
 	}
-	if _, err := n.Establish(2, RolePrimary, 0, p, TrafficSpec{Bandwidth: 3}); err != nil {
+	if _, err := n.Establish(2, RolePrimary, p, TrafficSpec{Bandwidth: 3}); err != nil {
 		t.Fatalf("fitting channel rejected: %v", err)
 	}
 	if err := n.CheckInvariants(); err != nil {
@@ -67,10 +67,10 @@ func TestAdmissionRejects(t *testing.T) {
 func TestEstablishRejectsBadArgs(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	if _, err := n.Establish(1, RolePrimary, 0, topology.Path{}, TrafficSpec{Bandwidth: 1}); err == nil {
+	if _, err := n.Establish(1, RolePrimary, topology.Path{}, TrafficSpec{Bandwidth: 1}); err == nil {
 		t.Fatal("empty path accepted")
 	}
-	if _, err := n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 0}); err == nil {
+	if _, err := n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 0}); err == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestEstablishRejectsBadArgs(t *testing.T) {
 func TestBackupDoesNotDedicate(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	ch, err := n.Establish(1, RoleBackup, 1, p, TrafficSpec{Bandwidth: 4})
+	ch, err := n.Establish(1, RoleBackup, p, TrafficSpec{Bandwidth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +87,15 @@ func TestBackupDoesNotDedicate(t *testing.T) {
 			t.Fatal("backup dedicated bandwidth")
 		}
 	}
-	if ch.Role != RoleBackup || ch.Serial != 1 {
-		t.Fatal("role/serial wrong")
+	if ch.Role != RoleBackup {
+		t.Fatal("role wrong")
 	}
 }
 
 func TestTeardownReleases(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	ch, _ := n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 4})
+	ch, _ := n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 4})
 	if err := n.Teardown(ch.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSetSpare(t *testing.T) {
 		t.Fatal("negative spare accepted")
 	}
 	// Spare constrains primary admission.
-	if _, err := n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 5}); err == nil {
+	if _, err := n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 5}); err == nil {
 		t.Fatal("admission ignored spare pool")
 	}
 }
@@ -140,7 +140,7 @@ func TestSetSpare(t *testing.T) {
 func TestPromote(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	ch, _ := n.Establish(1, RoleBackup, 1, p, TrafficSpec{Bandwidth: 4})
+	ch, _ := n.Establish(1, RoleBackup, p, TrafficSpec{Bandwidth: 4})
 	if err := n.Promote(ch.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPromote(t *testing.T) {
 func TestPromoteRollsBackOnFailure(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	ch, _ := n.Establish(1, RoleBackup, 1, p, TrafficSpec{Bandwidth: 4})
+	ch, _ := n.Establish(1, RoleBackup, p, TrafficSpec{Bandwidth: 4})
 	// Saturate the last link so promotion fails mid-path.
 	last := p.Links()[len(p.Links())-1]
 	if err := n.SetSpare(last, 8); err != nil {
@@ -182,8 +182,8 @@ func TestPromoteRollsBackOnFailure(t *testing.T) {
 func TestIndexes(t *testing.T) {
 	g, p := line4()
 	n := NewNetwork(g)
-	c1, _ := n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 1})
-	c2, _ := n.Establish(2, RolePrimary, 0, p, TrafficSpec{Bandwidth: 1})
+	c1, _ := n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 1})
+	c2, _ := n.Establish(2, RolePrimary, p, TrafficSpec{Bandwidth: 1})
 	l := p.Links()[1]
 	on := n.ChannelsOnLink(l)
 	if len(on) != 2 || on[0] != c1 || on[1] != c2 {
@@ -193,8 +193,8 @@ func TestIndexes(t *testing.T) {
 	// node 1 lists the first on an out-link and the second on an in-link.
 	hop, _ := topology.PathBetween(g, []topology.NodeID{1, 0})
 	back, _ := topology.PathBetween(g, []topology.NodeID{3, 2, 1})
-	c3, _ := n.Establish(3, RolePrimary, 0, hop, TrafficSpec{Bandwidth: 1})
-	c4, _ := n.Establish(4, RoleBackup, 1, back, TrafficSpec{Bandwidth: 1})
+	c3, _ := n.Establish(3, RolePrimary, hop, TrafficSpec{Bandwidth: 1})
+	c4, _ := n.Establish(4, RoleBackup, back, TrafficSpec{Bandwidth: 1})
 	for _, tc := range []struct {
 		v    topology.NodeID
 		want []ChannelID
@@ -228,7 +228,7 @@ func TestMetrics(t *testing.T) {
 	g := topology.NewLine(3, 10) // 4 simplex links, capacity 40 total
 	n := NewNetwork(g)
 	p, _ := topology.PathBetween(g, []topology.NodeID{0, 1, 2})
-	n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 5})
+	n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 5})
 	if got := n.NetworkLoad(); got != 10.0/40.0 {
 		t.Fatalf("load = %g", got)
 	}
@@ -252,7 +252,7 @@ func TestManyChannelsInvariantHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, err := n.Establish(ConnID(round), RolePrimary, 0, p, TrafficSpec{Bandwidth: 1.5})
+			ch, err := n.Establish(ConnID(round), RolePrimary, p, TrafficSpec{Bandwidth: 1.5})
 			if err == nil {
 				chans = append(chans, ch.ID)
 			}
@@ -303,7 +303,7 @@ func TestIndexChurn(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4 || len(live) == 0:
 				role := Role(rng.Intn(2))
-				if ch, err := n.Establish(ConnID(step), role, int(role), randomPath(t, g, rng), TrafficSpec{Bandwidth: 1}); err == nil {
+				if ch, err := n.Establish(ConnID(step), role, randomPath(t, g, rng), TrafficSpec{Bandwidth: 1}); err == nil {
 					live = append(live, ch)
 				}
 			case op < 7:
@@ -322,7 +322,7 @@ func TestIndexChurn(t *testing.T) {
 				}
 			default:
 				if ch := live[rng.Intn(len(live))]; ch.Role == RolePrimary {
-					if err := n.Demote(ch.ID, 1); err != nil {
+					if err := n.Demote(ch.ID); err != nil {
 						t.Fatalf("seed %d step %d: %v", seed, step, err)
 					}
 				}
@@ -377,8 +377,8 @@ func TestCheckInvariantsCatchesStaleHandles(t *testing.T) {
 	g, p := line4()
 	build := func() (*Network, *Channel, *Channel) {
 		n := NewNetwork(g)
-		c1, _ := n.Establish(1, RolePrimary, 0, p, TrafficSpec{Bandwidth: 1})
-		c2, _ := n.Establish(2, RoleBackup, 1, p, TrafficSpec{Bandwidth: 1})
+		c1, _ := n.Establish(1, RolePrimary, p, TrafficSpec{Bandwidth: 1})
+		c2, _ := n.Establish(2, RoleBackup, p, TrafficSpec{Bandwidth: 1})
 		return n, c1, c2
 	}
 	l := p.Links()[1]

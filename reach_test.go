@@ -27,6 +27,7 @@ var reachExempt = map[string]string{
 	"trace.ReadJSONL":                  "the golden trace's reader, used by the tests of trace and experiment",
 	"conformance.Checker.GammaChecked": "tests read it to prove the Γ rule ran; ROADMAP 12's acceptance reads it",
 	"rcc.Endpoint.Stats":               "the RCC tests' oracle; ROADMAP 3(c) is to give it a reader",
+	"bcpd.ChaosTransport.Stats":        "the chaos transport tests' oracle: what the transport dropped, duplicated, corrupted and delayed",
 	"bcpd.Network.TeardownConnection":  "§4.4 teardown through the protocol; bcpd's tests drive it, and ROADMAP 2(b) is to give it a chaos caller",
 }
 
@@ -38,15 +39,11 @@ var stdInterfaceMethods = []string{
 	"String", "Error", "Len", "Less", "Swap", "Push", "Pop", "MarshalJSON", "UnmarshalJSON",
 }
 
-// reachDecl is one checked declaration: a function, a method, a type, one
-// var or const spec, or a whole const block that uses iota.
+// reachDecl is one checked declaration and what the walk needs of it.
 type reachDecl struct {
-	key   string
-	dir   string
+	topDecl
 	pos   token.Position
 	lines int
-	node  ast.Node // walked for references once the declaration is reached
-	name  string
 	recv  *types.TypeName // a method's receiver type
 	typ   *types.TypeName // what a type declaration declares
 }
@@ -75,21 +72,6 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	for _, n := range stdInterfaceMethods {
 		ifaceNames[n] = true
 	}
-	add := func(dir string, node, from ast.Node, name string, objs ...types.Object) *reachDecl {
-		start, end := pc.fset.Position(from.Pos()), pc.fset.Position(node.End())
-		pkg := path.Base(dir)
-		if dir == "." {
-			pkg = "bcp"
-		}
-		d := &reachDecl{key: pkg + "." + name, dir: dir, pos: start, lines: end.Line - start.Line + 1, node: node, name: name}
-		for _, o := range objs {
-			if o != nil {
-				decls[o] = d
-			}
-		}
-		all = append(all, d)
-		return d
-	}
 	for dir, files := range pc.files {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -102,61 +84,31 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 				}
 				return true
 			})
-			for _, decl := range f.Decls {
-				switch x := decl.(type) {
-				case *ast.FuncDecl:
-					from := withDoc(x.Doc, x)
-					fn := pc.info.Defs[x.Name].(*types.Func)
-					recv := fn.Type().(*types.Signature).Recv()
-					if recv == nil {
-						add(dir, x, from, x.Name.Name, fn)
-						continue
-					}
-					rt := recv.Type()
-					if p, ok := rt.(*types.Pointer); ok {
-						rt = p.Elem()
-					}
-					tn := rt.(*types.Named).Obj()
-					add(dir, x, from, tn.Name()+"."+x.Name.Name, fn).recv = tn
-					methods[tn] = append(methods[tn], fn)
-				case *ast.GenDecl:
-					if x.Tok == token.IMPORT {
-						continue
-					}
-					if x.Tok == token.CONST && usesIota(x) {
-						var objs []types.Object
-						for _, spec := range x.Specs {
-							for _, n := range spec.(*ast.ValueSpec).Names {
-								objs = append(objs, pc.info.Defs[n])
-							}
-						}
-						add(dir, x, withDoc(x.Doc, x), x.Specs[0].(*ast.ValueSpec).Names[0].Name, objs...)
-						continue
-					}
-					for _, spec := range x.Specs {
-						from := withDoc(x.Doc, x) // one spec, no parentheses
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							if x.Lparen.IsValid() {
-								from = withDoc(s.Doc, s)
-							}
-							tn := pc.info.Defs[s.Name].(*types.TypeName)
-							add(dir, s, from, s.Name.Name, tn).typ = tn
-						case *ast.ValueSpec:
-							if x.Lparen.IsValid() {
-								from = withDoc(s.Doc, s)
-							}
-							if len(s.Names) == 1 && s.Names[0].Name == "_" {
-								continue // var _ T = ...: a compile-time assertion
-							}
-							var objs []types.Object
-							for _, n := range s.Names {
-								objs = append(objs, pc.info.Defs[n])
-							}
-							add(dir, s, from, s.Names[0].Name, objs...)
-						}
+			for _, td := range topDecls(dir, f) {
+				if len(td.names) == 1 && td.names[0].Name == "_" {
+					continue // var _ T = ...: a compile-time assertion
+				}
+				start, end := pc.fset.Position(td.from.Pos()), pc.fset.Position(td.node.End())
+				d := &reachDecl{topDecl: td, pos: start, lines: end.Line - start.Line + 1}
+				for _, n := range td.names {
+					if o := pc.info.Defs[n]; o != nil {
+						decls[o] = d
 					}
 				}
+				switch o := pc.info.Defs[td.names[0]].(type) {
+				case *types.Func:
+					if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+						rt := recv.Type()
+						if p, ok := rt.(*types.Pointer); ok {
+							rt = p.Elem()
+						}
+						d.recv = rt.(*types.Named).Obj()
+						methods[d.recv] = append(methods[d.recv], o)
+					}
+				case *types.TypeName:
+					d.typ = o
+				}
+				all = append(all, d)
 			}
 		}
 	}
@@ -177,11 +129,12 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	}
 
 	for _, d := range all {
-		isMain := d.name == "main" && d.recv == nil
+		name := d.names[0].Name
+		isMain := name == "main" && d.recv == nil
 		switch {
 		case d.dir == "bench" || strings.HasPrefix(d.dir, "bench/"):
 			reach(d)
-		case d.name == "init" && d.recv == nil:
+		case name == "init" && d.recv == nil:
 			reach(d)
 		case isMain && strings.HasPrefix(d.dir, "examples/"):
 			reach(d)
@@ -262,6 +215,74 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			t.Errorf("reachExempt lists %s (%s), which is reached or does not exist", key, why)
 		}
 	}
+}
+
+// topDecl is one top-level declaration: a function, a method, a type, one
+// var or const spec, or a whole const block that uses iota. Its key is
+// pkgKey(dir) and its name: pkg.Name, or pkg.Type.Method for a method.
+type topDecl struct {
+	key   string
+	dir   string
+	node  ast.Node     // the declaration; for a spec, the spec alone
+	from  ast.Node     // where its lines start: at its doc comment, if it has one
+	names []*ast.Ident // what it declares, the key's name first
+}
+
+// topDecls returns the declarations of file f of package directory dir,
+// imports left out.
+func topDecls(dir string, f *ast.File) []topDecl {
+	pkg := pkgKey(dir)
+	var ds []topDecl
+	add := func(node, from ast.Node, name string, names ...*ast.Ident) {
+		ds = append(ds, topDecl{key: pkg + "." + name, dir: dir, node: node, from: from, names: names})
+	}
+	for _, decl := range f.Decls {
+		switch x := decl.(type) {
+		case *ast.FuncDecl:
+			name := x.Name.Name
+			if x.Recv != nil {
+				name = baseTypeName(x.Recv.List[0].Type) + "." + name
+			}
+			add(x, withDoc(x.Doc, x), name, x.Name)
+		case *ast.GenDecl:
+			if x.Tok == token.IMPORT {
+				continue
+			}
+			if x.Tok == token.CONST && usesIota(x) {
+				var names []*ast.Ident
+				for _, spec := range x.Specs {
+					names = append(names, spec.(*ast.ValueSpec).Names...)
+				}
+				add(x, withDoc(x.Doc, x), names[0].Name, names...)
+				continue
+			}
+			for _, spec := range x.Specs {
+				from := withDoc(x.Doc, x) // one spec, no parentheses
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if x.Lparen.IsValid() {
+						from = withDoc(s.Doc, s)
+					}
+					add(s, from, s.Name.Name, s.Name)
+				case *ast.ValueSpec:
+					if x.Lparen.IsValid() {
+						from = withDoc(s.Doc, s)
+					}
+					add(s, from, s.Names[0].Name, s.Names...)
+				}
+			}
+		}
+	}
+	return ds
+}
+
+// pkgKey is how a key names the package in directory dir: the directory's
+// last element, "bcp" for the root.
+func pkgKey(dir string) string {
+	if dir == "." {
+		return "bcp"
+	}
+	return path.Base(dir)
 }
 
 // usesIota reports whether a const block counts up from iota: one
