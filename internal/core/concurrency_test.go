@@ -85,7 +85,7 @@ func TestTrialHoldersSeeEveryWriter(t *testing.T) {
 		}},
 		{"Teardown", func() error { return m.Teardown(victim) }},
 		{"recoverByClaims", func() error {
-			recoverByClaims(t, m, SingleLink(spare.Primary.Path.Links()[0]))
+			recoverByClaims(t, m, SingleLink(spare.Primary.Path.Links()[0]), deadFirst)
 			promoted = spare.ID
 			return nil
 		}},
@@ -265,7 +265,7 @@ func TestConcurrentTrialsDuringWrites(t *testing.T) {
 		if i%8 == 7 {
 			f := failures[(i*7)%len(failures)]
 			want := v.Trial(f, OrderByConn, nil) // no other writer: the plan cannot move in between
-			winners, txns := recoverByClaims(t, m, f)
+			winners, txns := recoverByClaims(t, m, f, deadFirst)
 			writes += txns
 			if len(winners) != want.FastRecovered {
 				t.Fatalf("recovery activated %d backups, trial %+v", len(winners), want)

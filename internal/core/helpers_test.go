@@ -150,20 +150,28 @@ func requireSameChannel(t *testing.T, ctx string, a, b *rtchan.Channel) {
 	}
 }
 
+// recoveryOrder is when recoverByClaims gives back what a failure killed.
+type recoveryOrder int
+
+const (
+	// deadFirst tears the dead primaries down before the activations.
+	deadFirst recoveryOrder = iota
+	// activateFirst is bcpd's order: every winner is activated first, and
+	// the dead primaries are torn down after, as at rejoin expiry.
+	activateFirst
+)
+
 // recoverByClaims recovers live state from failure f through the protocol
 // plane's mutators alone, in connection order, as the daemons would once
 // every report has arrived. First each connection whose primary f disables
 // claims its first backup f spares whose ClaimBatch succeeds, releasing a
 // partial claim. Then what f killed gives its dedicated bandwidth back: a
-// connection with a failed end node is torn down, and each disabled primary.
-// Last, each winner is activated, each disabled backup torn down, and a
-// connection the failure touched that is left without a primary torn down.
-// Releasing the dead primaries before the activations matters on a full
-// link: an activation re-sizes the spare pools of its links within the
-// headroom they have then, and a later primary teardown does not re-size
-// them. It returns the activated backups in connection order and the number
-// of write transactions it made.
-func recoverByClaims(t testing.TB, m *Manager, f Failure) (winners []*rtchan.Channel, txns int) {
+// connection with a failed end node is torn down, and each disabled primary;
+// the winners are activated before that (activateFirst) or after it
+// (deadFirst). Last, each disabled backup is torn down, and a connection the
+// failure touched that is left without a primary. It returns the activated
+// backups in connection order and the number of write transactions it made.
+func recoverByClaims(t testing.TB, m *Manager, f Failure, order recoveryOrder) (winners []*rtchan.Channel, txns int) {
 	t.Helper()
 	type touched struct {
 		conn   *DConnection
@@ -198,6 +206,21 @@ func recoverByClaims(t testing.TB, m *Manager, f Failure) (winners []*rtchan.Cha
 			steps = append(steps, s)
 		}
 	}
+	activate := func(s touched) {
+		if s.win == nil {
+			return
+		}
+		if err := m.ActivateClaimed(s.conn.ID, s.win); err != nil {
+			t.Fatalf("activation of backup %d of connection %d: %v", s.win.ID, s.conn.ID, err)
+		}
+		winners = append(winners, s.win)
+		txns++
+	}
+	if order == activateFirst {
+		for _, s := range steps {
+			activate(s)
+		}
+	}
 	for _, s := range steps {
 		var err error
 		switch {
@@ -218,12 +241,8 @@ func recoverByClaims(t testing.TB, m *Manager, f Failure) (winners []*rtchan.Cha
 		if s.excl {
 			continue
 		}
-		if s.win != nil {
-			if err := m.ActivateClaimed(id, s.win); err != nil {
-				t.Fatalf("activation of backup %d of connection %d: %v", s.win.ID, id, err)
-			}
-			winners = append(winners, s.win)
-			txns++
+		if order == deadFirst {
+			activate(s)
 		}
 		for _, ch := range s.failed {
 			if err := m.TeardownChannel(id, ch); err != nil {

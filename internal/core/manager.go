@@ -179,6 +179,7 @@ func (m *Manager) teardown(id rtchan.ConnID) error {
 		if err := m.plan.net.Teardown(conn.Primary.ID); err != nil {
 			return err
 		}
+		m.settlePath(conn.Primary)
 	}
 	m.forget(conn)
 	return nil

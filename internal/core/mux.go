@@ -400,8 +400,8 @@ func (pc *planContext) scan(l topology.LinkID, sigNew int32, rowNew []uint64, cl
 	return req
 }
 
-// removeBackupFromLink unregisters backup ch from link l, shrinking the
-// spare pool if possible. Shrinking cannot fail.
+// removeBackupFromLink unregisters backup ch from link l and settles the
+// link's spare pool.
 func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 	lm := &m.plan.mux[l]
 	idx := lm.find(ch.ID)
@@ -409,14 +409,23 @@ func (m *Manager) removeBackupFromLink(l topology.LinkID, ch *rtchan.Channel) {
 		return
 	}
 	m.plan.unwire(lm, idx)
-	need := lm.requiredSpare()
-	if need < m.plan.net.Spare(l) {
-		// Never shrink below what activations have already claimed.
-		if need < lm.claimed {
-			need = lm.claimed
-		}
+	m.settle(l)
+}
+
+// spareTarget is the one spare-pool rule: link l's pool covers the largest
+// requirement over its backups (§3.2) and what activations have claimed, up
+// to the headroom its dedicated bandwidth leaves.
+func (m *Manager) spareTarget(l topology.LinkID) float64 {
+	lm := &m.plan.mux[l]
+	return math.Min(math.Max(lm.requiredSpare(), lm.claimed), max(m.plan.net.Capacity(l)-m.plan.net.Dedicated(l), 0))
+}
+
+// settle sets link l's spare pool to spareTarget, which fits by construction.
+// Every change to a term of the rule settles the links it touched.
+func (m *Manager) settle(l topology.LinkID) {
+	if need := m.spareTarget(l); need != m.plan.net.Spare(l) {
 		if err := m.plan.net.SetSpare(l, need); err != nil {
-			panic("core: shrinking spare failed: " + err.Error())
+			panic("core: settling spare failed: " + err.Error())
 		}
 	}
 }
@@ -468,8 +477,9 @@ func (m *Manager) BackupsOnLink(l topology.LinkID) int {
 
 // recomputeLinkMux rebuilds the Π structure of one link from scratch —
 // used by reconfiguration after primaries change (an activated backup's new
-// primary path changes every S involving that connection).
-func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
+// primary path changes every S involving that connection). The caller
+// settles the pool.
+func (m *Manager) recomputeLinkMux(l topology.LinkID) {
 	lm := &m.plan.mux[l]
 	clear(lm.pi)
 	for i := range lm.entries {
@@ -498,7 +508,6 @@ func (m *Manager) recomputeLinkMux(l topology.LinkID) error {
 		}
 	}
 	lm.reqDirty = true // rebuilt from scratch; rescan the fresh requirements
-	return m.plan.net.SetSpare(l, math.Max(lm.requiredSpare(), lm.claimed))
 }
 
 // CheckMuxInvariants validates the engine's internal consistency; tests call
@@ -532,10 +541,10 @@ func (m *Manager) CheckMuxInvariants() error {
 		if math.Abs(held-lm.claimed) > 1e-9 {
 			return fmt.Errorf("core: link %d claimed %g, its claims hold %g", l, lm.claimed, held)
 		}
-		// The pool covers the requirement and what is claimed, up to the
-		// headroom reconfigureLinks caps it at on a full link.
+		// The pool is at least what settle sets it to; a released claim may
+		// leave it above.
 		lid := topology.LinkID(l)
-		need := math.Min(math.Max(lm.requiredSpare(), lm.claimed), m.plan.net.Capacity(lid)-m.plan.net.Dedicated(lid))
+		need := m.spareTarget(lid)
 		if spare := m.plan.net.Spare(lid); spare+1e-9 < need {
 			return fmt.Errorf("core: link %d spare %g below requirement %g", l, spare, need)
 		}

@@ -215,9 +215,8 @@ func TestSameConnectionBackupsNeverShare(t *testing.T) {
 		t.Fatalf("spare on the shared tail = %g, want 2 (no sharing within a connection)", got)
 	}
 	// The from-scratch rebuild applies the same rule.
-	if err := m.recomputeLinkMux(tail); err != nil {
-		t.Fatal(err)
-	}
+	m.recomputeLinkMux(tail)
+	m.settle(tail)
 	if got := m.plan.net.Spare(tail); got != 2 {
 		t.Fatalf("spare on the shared tail after rebuild = %g, want 2", got)
 	}

@@ -169,7 +169,7 @@ func TestPropertyApplyKeepsCapacityInvariant(t *testing.T) {
 			} else {
 				f = SingleNode(topology.NodeID(rng.Intn(g.NumNodes())))
 			}
-			recoverByClaims(t, m, f)
+			recoverByClaims(t, m, f, deadFirst)
 			checkRecovered(t, fmt.Sprintf("seed %d trial %d", seed, trial), m, f)
 		}
 	}

@@ -215,7 +215,8 @@ func (m *Manager) ActivateClaimed(connID rtchan.ConnID, b *rtchan.Channel) error
 	if err := m.promoteBackup(conn, b, touched); err != nil {
 		return err
 	}
-	return m.reconfigureLinks(touched)
+	m.reconfigureLinks(touched)
+	return nil
 }
 
 // TeardownChannel removes a single channel of a connection (rejoin-timer
@@ -242,13 +243,16 @@ func (m *Manager) TeardownChannel(connID rtchan.ConnID, ch rtchan.ChannelID) err
 	if conn.Primary == nil && len(conn.Backups) == 0 {
 		m.forget(conn)
 	}
-	return m.reconfigureLinks(touched)
+	m.reconfigureLinks(touched)
+	return nil
 }
 
 // RestoreAsBackup re-registers a repaired channel (rejoin, state U -> B,
 // Figure 6): the channel keeps its identity but re-enters the multiplexing
 // engine as a backup with the given degree. Fails if the spare pools can no
-// longer accommodate it.
+// longer accommodate it; a primary is then left demoted and unlisted, its
+// dedicated bandwidth released and its links already settled, until the
+// caller tears it down (TeardownChannel), as bcpd's abandonRejoin does.
 func (m *Manager) RestoreAsBackup(connID rtchan.ConnID, ch rtchan.ChannelID, alpha int) error {
 	defer m.beginWrite()()
 	conn := m.plan.conns.Get(connID)
@@ -272,6 +276,7 @@ func (m *Manager) RestoreAsBackup(connID rtchan.ConnID, ch rtchan.ChannelID, alp
 		if err := m.plan.net.Demote(ch); err != nil {
 			return err
 		}
+		m.settlePath(c)
 		if conn.Primary != nil && conn.Primary.ID == ch {
 			conn.Primary = nil
 			m.primaryChanged(conn)

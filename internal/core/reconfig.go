@@ -1,11 +1,5 @@
 package core
 
-import (
-	"math"
-
-	"github.com/rtcl/bcp/internal/topology"
-)
-
 // Coalesced reconfiguration: one Π-set derivation per link per cause,
 // instead of one per channel operation.
 //
@@ -35,12 +29,13 @@ import (
 // With that flag, reconfiguration splits per touched link:
 //
 //	stale  -> full recomputeLinkMux rebuild (clears the flag);
-//	fresh  -> resizeLink: re-settle the spare pool from the incrementally
-//	          maintained requirements, O(entries) instead of O(entries²).
+//	fresh  -> no rebuild: the incrementally maintained requirements stand,
+//	          O(entries) instead of O(entries²).
+//
+// Either way settle then sizes the pool from the requirements.
 //
 // The split is exact, not approximate: recomputeLinkMux is a pure function
-// of (entries, their connections' primaries, claimed, headroom), and a
-// fresh link's inputs are unchanged since its pair decisions were last
+// of the entries and their connections' primaries, and a fresh link's inputs are unchanged since its pair decisions were last
 // derived, so the rebuild would reproduce the stored Π sets and
 // requirements verbatim. TestCoalescedReconfigEquivalence drives both
 // engines through randomized protocol histories and asserts bit-identical
@@ -73,17 +68,4 @@ func (m *Manager) markPiStale(conn *DConnection) {
 			m.piStale[l] = true
 		}
 	}
-}
-
-// resizeLink re-settles link l's spare reservation from the incrementally
-// maintained requirements — the fresh-link half of reconfigureLinks. The
-// sizing rule is recomputeLinkMux's: the pool covers the maximum
-// requirement, never dropping below what activations have already claimed.
-func (m *Manager) resizeLink(l topology.LinkID) error {
-	lm := &m.plan.mux[l]
-	need := math.Max(lm.requiredSpare(), lm.claimed)
-	if need == m.plan.net.Spare(l) {
-		return nil
-	}
-	return m.plan.net.SetSpare(l, need)
 }

@@ -16,8 +16,8 @@ import (
 // reservation, or a requirement. This test drives twin managers — one eager,
 // one coalesced — through randomized protocol histories (establishment with
 // mixed degrees, spare claims with preemption, activations/promotions,
-// teardowns, rejoin demotions, replenishment) and demands equal state after
-// every operation.
+// teardowns, rejoin demotions, replenishment) and demands equal state, with
+// the multiplexing invariants holding on each, after every operation.
 //
 // Π sets are compared as sets of channel ids, decoded from each link's bit
 // matrix and sorted: the contract is the relation, not its layout. Everything
@@ -115,136 +115,148 @@ func sameErr(t *testing.T, ctx string, errE, errC error) {
 	}
 }
 
+// TestCoalescedReconfigEquivalence runs coalescedHistory on ten seeds, which
+// also seed FuzzCoalescedReconfigEquivalence's corpus.
 func TestCoalescedReconfigEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			g := batchTopology(rng, seed)
-			reqs := batchRequests(rng, g, 40, defaultBatchSpec)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { coalescedHistory(t, seed) })
+	}
+}
 
-			me := NewManager(g, DefaultConfig()) // eager reference
-			mc := NewManager(g, DefaultConfig())
-			mc.SetCoalescedReconfig(true)
+func FuzzCoalescedReconfigEquivalence(f *testing.F) {
+	for seed := int64(0); seed < 10; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(coalescedHistory)
+}
 
-			var ids []rtchan.ConnID
-			for i := range reqs {
-				r := &reqs[i]
-				ce, errE := me.Establish(r.Src, r.Dst, r.Spec, r.Degrees)
-				cc, errC := mc.Establish(r.Src, r.Dst, r.Spec, r.Degrees)
-				sameErr(t, fmt.Sprintf("establish %d", i), errE, errC)
-				if errE != nil {
-					continue
-				}
-				if ce.ID != cc.ID {
-					t.Fatalf("establish %d: conn id %d vs %d", i, ce.ID, cc.ID)
-				}
-				ids = append(ids, ce.ID)
-			}
-			if len(ids) == 0 {
-				t.Skip("tight topology rejected every request")
-			}
+// coalescedHistory drives an eager and a coalesced twin through one seeded
+// protocol history and holds them to the same state, and each to the
+// multiplexing invariants, after every operation.
+func coalescedHistory(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	g := batchTopology(rng, seed)
+	reqs := batchRequests(rng, g, 40, defaultBatchSpec)
 
-			// check compares the two managers' full state. The invariant
-			// audit is itself part of the equivalence contract: both engines
-			// must return the SAME audit result. It is not required to be
-			// nil mid-history — batchTopology is deliberately tight, and
-			// reconfigureLinks caps a pool at link headroom rather than
-			// failing recovery, so a successful activation can leave spare
-			// below requirement on a capacity-exhausted link. That state is
-			// reachable by design; what coalescing must preserve is that
-			// both engines reach bit-identically the same one.
-			check := func(ctx string) {
-				t.Helper()
-				requireEquivalentConns(t, ctx, ids, me, mc)
-				requireEquivalentMux(t, ctx, me, mc)
-				sameErr(t, ctx+" invariants", me.CheckMuxInvariants(), mc.CheckMuxInvariants())
-			}
-			check("after establishment")
-			if err := me.CheckMuxInvariants(); err != nil {
-				t.Fatalf("invariants after establishment: %v", err)
-			}
+	me := NewManager(g, DefaultConfig()) // eager reference
+	mc := NewManager(g, DefaultConfig())
+	mc.SetCoalescedReconfig(true)
 
-			noAvoid := func(topology.LinkID) bool { return false }
-			for op := 0; op < 250; op++ {
-				id := ids[rng.Intn(len(ids))]
-				ce, cc := me.Connection(id), mc.Connection(id)
-				if (ce == nil) != (cc == nil) {
-					t.Fatalf("op %d: conn %d presence diverged", op, id)
-				}
-				if ce == nil {
-					continue
-				}
-				ctx := fmt.Sprintf("op %d conn %d", op, id)
-				switch rng.Intn(5) {
-				case 0, 1: // fail over: lose the primary, claim a backup's links, activate or abandon
-					if len(ce.Backups) == 0 {
-						continue
-					}
-					// Activation is only a legal history after the primary is
-					// gone (its dedicated bandwidth funds the promotion's pool
-					// shrink; with a live primary the link can run out of
-					// capacity and the spare invariant fails on both engines).
-					if ce.Primary != nil {
-						sameErr(t, ctx+" drop primary",
-							me.TeardownChannel(id, ce.Primary.ID),
-							mc.TeardownChannel(id, cc.Primary.ID))
-					}
-					bi := rng.Intn(len(ce.Backups))
-					be, bc := ce.Backups[bi], cc.Backups[bi]
-					bw := be.Bandwidth()
-					claimed := true
-					links := be.Path.Links()
-					var got []topology.LinkID
-					for _, l := range links {
-						ve, okE := me.ClaimSpareFor(l, be.ID, bw, true)
-						vc, okC := mc.ClaimSpareFor(l, bc.ID, bw, true)
-						if okE != okC || ve != vc {
-							t.Fatalf("%s: claim on link %d diverged: (%d,%v) vs (%d,%v)",
-								ctx, l, ve, okE, vc, okC)
-						}
-						if !okE {
-							claimed = false
-							break
-						}
-						got = append(got, l)
-					}
-					if claimed && rng.Intn(4) != 0 {
-						sameErr(t, ctx+" activate", me.ActivateClaimed(id, be), mc.ActivateClaimed(id, bc))
-					} else {
-						me.ReleaseClaimBatch(got, be.ID)
-						mc.ReleaseClaimBatch(got, bc.ID)
-					}
-				case 2: // tear down a channel (primary half the time)
-					var ch rtchan.ChannelID
-					if ce.Primary != nil && (len(ce.Backups) == 0 || rng.Intn(2) == 0) {
-						ch = ce.Primary.ID
-					} else if len(ce.Backups) > 0 {
-						ch = ce.Backups[rng.Intn(len(ce.Backups))].ID
-					} else {
-						continue
-					}
-					sameErr(t, ctx+" teardown", me.TeardownChannel(id, ch), mc.TeardownChannel(id, ch))
-				case 3: // demote the primary back to a backup (rejoin, Figure 6)
-					if ce.Primary == nil {
-						continue
-					}
-					alpha := 1 + rng.Intn(3)
-					sameErr(t, ctx+" restore",
-						me.RestoreAsBackup(id, ce.Primary.ID, alpha),
-						mc.RestoreAsBackup(id, cc.Primary.ID, alpha))
-				default: // replenish the backup population
-					target := 1 + rng.Intn(2)
-					alpha := 1 + rng.Intn(3)
-					ae, errE := me.ReplenishBackups(id, target, alpha, noAvoid)
-					ac, errC := mc.ReplenishBackups(id, target, alpha, noAvoid)
-					sameErr(t, ctx+" replenish", errE, errC)
-					if ae != ac {
-						t.Fatalf("%s: replenish added %d vs %d", ctx, ae, ac)
-					}
-				}
-				check(ctx)
+	var ids []rtchan.ConnID
+	for i := range reqs {
+		r := &reqs[i]
+		ce, errE := me.Establish(r.Src, r.Dst, r.Spec, r.Degrees)
+		cc, errC := mc.Establish(r.Src, r.Dst, r.Spec, r.Degrees)
+		sameErr(t, fmt.Sprintf("establish %d", i), errE, errC)
+		if errE != nil {
+			continue
+		}
+		if ce.ID != cc.ID {
+			t.Fatalf("establish %d: conn id %d vs %d", i, ce.ID, cc.ID)
+		}
+		ids = append(ids, ce.ID)
+	}
+	if len(ids) == 0 {
+		t.Skip("tight topology rejected every request")
+	}
+
+	// check compares the two managers' full state and audits each.
+	// batchTopology is deliberately tight, so an activation can find a
+	// link whose pool cannot cover its requirement; settle then holds
+	// the pool at the link's headroom, the bound CheckMuxInvariants
+	// checks, and must do so again whenever a primary's bandwidth comes
+	// back, on both engines alike.
+	check := func(ctx string) {
+		t.Helper()
+		requireEquivalentConns(t, ctx, ids, me, mc)
+		requireEquivalentMux(t, ctx, me, mc)
+		if err := me.CheckMuxInvariants(); err != nil {
+			t.Fatalf("%s: eager: %v", ctx, err)
+		}
+		if err := mc.CheckMuxInvariants(); err != nil {
+			t.Fatalf("%s: coalesced: %v", ctx, err)
+		}
+	}
+	check("after establishment")
+
+	noAvoid := func(topology.LinkID) bool { return false }
+	for op := 0; op < 250; op++ {
+		id := ids[rng.Intn(len(ids))]
+		ce, cc := me.Connection(id), mc.Connection(id)
+		if (ce == nil) != (cc == nil) {
+			t.Fatalf("op %d: conn %d presence diverged", op, id)
+		}
+		if ce == nil {
+			continue
+		}
+		ctx := fmt.Sprintf("op %d conn %d", op, id)
+		switch rng.Intn(5) {
+		case 0, 1: // fail over: lose the primary, claim a backup's links, activate or abandon
+			if len(ce.Backups) == 0 {
+				continue
 			}
-		})
+			// Activation is only a legal history after the primary is
+			// gone (its dedicated bandwidth funds the promotion's pool
+			// shrink; with a live primary the link can run out of
+			// capacity and the spare invariant fails on both engines).
+			if ce.Primary != nil {
+				sameErr(t, ctx+" drop primary",
+					me.TeardownChannel(id, ce.Primary.ID),
+					mc.TeardownChannel(id, cc.Primary.ID))
+			}
+			bi := rng.Intn(len(ce.Backups))
+			be, bc := ce.Backups[bi], cc.Backups[bi]
+			bw := be.Bandwidth()
+			claimed := true
+			links := be.Path.Links()
+			var got []topology.LinkID
+			for _, l := range links {
+				ve, okE := me.ClaimSpareFor(l, be.ID, bw, true)
+				vc, okC := mc.ClaimSpareFor(l, bc.ID, bw, true)
+				if okE != okC || ve != vc {
+					t.Fatalf("%s: claim on link %d diverged: (%d,%v) vs (%d,%v)",
+						ctx, l, ve, okE, vc, okC)
+				}
+				if !okE {
+					claimed = false
+					break
+				}
+				got = append(got, l)
+			}
+			if claimed && rng.Intn(4) != 0 {
+				sameErr(t, ctx+" activate", me.ActivateClaimed(id, be), mc.ActivateClaimed(id, bc))
+			} else {
+				me.ReleaseClaimBatch(got, be.ID)
+				mc.ReleaseClaimBatch(got, bc.ID)
+			}
+		case 2: // tear down a channel (primary half the time)
+			var ch rtchan.ChannelID
+			if ce.Primary != nil && (len(ce.Backups) == 0 || rng.Intn(2) == 0) {
+				ch = ce.Primary.ID
+			} else if len(ce.Backups) > 0 {
+				ch = ce.Backups[rng.Intn(len(ce.Backups))].ID
+			} else {
+				continue
+			}
+			sameErr(t, ctx+" teardown", me.TeardownChannel(id, ch), mc.TeardownChannel(id, ch))
+		case 3: // demote the primary back to a backup (rejoin, Figure 6)
+			if ce.Primary == nil {
+				continue
+			}
+			alpha := 1 + rng.Intn(3)
+			sameErr(t, ctx+" restore",
+				me.RestoreAsBackup(id, ce.Primary.ID, alpha),
+				mc.RestoreAsBackup(id, cc.Primary.ID, alpha))
+		default: // replenish the backup population
+			target := 1 + rng.Intn(2)
+			alpha := 1 + rng.Intn(3)
+			ae, errE := me.ReplenishBackups(id, target, alpha, noAvoid)
+			ac, errC := mc.ReplenishBackups(id, target, alpha, noAvoid)
+			sameErr(t, ctx+" replenish", errE, errC)
+			if ae != ac {
+				t.Fatalf("%s: replenish added %d vs %d", ctx, ae, ac)
+			}
+		}
+		check(ctx)
 	}
 }

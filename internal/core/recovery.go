@@ -184,36 +184,35 @@ func (m *Manager) dropChannel(conn *DConnection, ch *rtchan.Channel, touched map
 		conn.Primary = nil
 		m.primaryChanged(conn)
 	}
-	return m.plan.net.Teardown(ch.ID)
+	if err := m.plan.net.Teardown(ch.ID); err != nil || ch.Role == rtchan.RoleBackup {
+		return err
+	}
+	m.settlePath(ch)
+	return nil
 }
 
-// reconfigureLinks re-derives the Π structure and spare sizing of the given
-// links from the surviving backups. Promotion changes primaries, which
-// changes S values network-wide for the affected connections; the paper
-// recomputes spare needs after recovery (§4.4). If a link can no longer
-// afford its required spare, the requirement is capped at the available
-// headroom — the corresponding backups are degraded (they may suffer
+// reconfigureLinks re-derives the Π structure of the given links from the
+// surviving backups and settles their spare pools. Promotion changes
+// primaries, which changes S values network-wide for the affected
+// connections; the paper recomputes spare needs after recovery (§4.4). A
+// link that can no longer afford its requirement keeps the pool its
+// headroom allows: the corresponding backups are degraded (they may suffer
 // multiplexing failures later), matching the paper's observation that
 // backups may have to be closed or moved.
-func (m *Manager) reconfigureLinks(touched map[topology.LinkID]struct{}) error {
+func (m *Manager) reconfigureLinks(touched map[topology.LinkID]struct{}) {
 	for l := range touched {
-		var err error
-		if m.coalesceReconfig && !m.piStale[l] {
-			// The link's pair decisions are still derived from current
-			// primaries; only the pool sizing can have shifted (see
-			// reconfig.go for why this is exact, not approximate).
-			err = m.resizeLink(l)
-		} else {
-			err = m.recomputeLinkMux(l)
+		// A fresh link's rebuild would reproduce it (reconfig.go): skip it.
+		if !m.coalesceReconfig || m.piStale[l] {
+			m.recomputeLinkMux(l)
 			m.piStale[l] = false
 		}
-		if err != nil {
-			// Cap at headroom rather than failing recovery.
-			head := m.plan.net.Capacity(l) - m.plan.net.Dedicated(l)
-			if err2 := m.plan.net.SetSpare(l, max(head, 0)); err2 != nil {
-				return err2
-			}
-		}
+		m.settle(l)
 	}
-	return nil
+}
+
+// settlePath settles ch's links after its dedicated bandwidth was released.
+func (m *Manager) settlePath(ch *rtchan.Channel) {
+	for _, l := range ch.Path.Links() {
+		m.settle(l)
+	}
 }

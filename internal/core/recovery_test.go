@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rtcl/bcp/internal/rtchan"
@@ -186,7 +187,7 @@ func TestApplyPromotesBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	backupPath := conn.Backups[0].Path
-	if winners, _ := recoverByClaims(t, m, SingleLink(g.LinkBetween(0, 1))); len(winners) != 1 {
+	if winners, _ := recoverByClaims(t, m, SingleLink(g.LinkBetween(0, 1)), deadFirst); len(winners) != 1 {
 		t.Fatalf("activated %d backups, want 1", len(winners))
 	}
 	if conn.Primary == nil || conn.Primary.Path.String() != backupPath.String() {
@@ -223,7 +224,7 @@ func TestApplyTearsDownDeadConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recoverByClaims(t, m, DoubleNode(1, 4))
+	recoverByClaims(t, m, DoubleNode(1, 4), deadFirst)
 	if m.Connection(conn.ID) != nil {
 		t.Fatal("dead connection not removed")
 	}
@@ -246,7 +247,7 @@ func TestApplyExcludedConnTornDown(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// The destination fails: the healthy backup is not activated.
-	if winners, _ := recoverByClaims(t, m, SingleNode(2)); len(winners) != 0 {
+	if winners, _ := recoverByClaims(t, m, SingleNode(2), deadFirst); len(winners) != 0 {
 		t.Fatalf("activated %d backups of a connection whose end node failed", len(winners))
 	}
 	if m.Connection(conn.ID) != nil {
@@ -277,7 +278,7 @@ func TestApplyReconfiguresSurvivorSpare(t *testing.T) {
 	if m.plan.net.Spare(shared) != 1 {
 		t.Fatalf("multiplexed spare = %g", m.plan.net.Spare(shared))
 	}
-	recoverByClaims(t, m, SingleLink(g.LinkBetween(0, 1)))
+	recoverByClaims(t, m, SingleLink(g.LinkBetween(0, 1)), deadFirst)
 	// A's backup is now a primary on 3->4: dedicated 1. B's backup alone
 	// needs spare 1. Total on the link: 2.
 	if m.plan.net.Dedicated(shared) != 1 {
@@ -305,12 +306,12 @@ func TestApplySequentialFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := conn.Primary.Path.Links()[0]
-	recoverByClaims(t, m, SingleLink(first))
+	recoverByClaims(t, m, SingleLink(first), deadFirst)
 	if conn.Primary == nil || len(conn.Backups) != 1 {
 		t.Fatalf("after first failure: primary=%v backups=%d", conn.Primary, len(conn.Backups))
 	}
 	second := conn.Primary.Path.Links()[0]
-	if winners, _ := recoverByClaims(t, m, SingleLink(second)); len(winners) != 1 {
+	if winners, _ := recoverByClaims(t, m, SingleLink(second), deadFirst); len(winners) != 1 {
 		t.Fatalf("second failure activated %d backups, want 1", len(winners))
 	}
 	if conn.Primary == nil || len(conn.Backups) != 0 {
@@ -346,7 +347,7 @@ func TestApplyRandomizedStorm(t *testing.T) {
 		} else {
 			f = SingleNode(topology.NodeID(rng.Intn(36)))
 		}
-		recoverByClaims(t, m, f)
+		recoverByClaims(t, m, f, deadFirst)
 		checkRecovered(t, fmt.Sprintf("step %d", step), m, f)
 	}
 }
@@ -449,4 +450,43 @@ func TestClaimRecoveryActivatesTrialWinners(t *testing.T) {
 		t.Fatalf("corpus misses an outcome class: %+v, %d later backups activated", total, later)
 	}
 	t.Logf("36 node failures: %+v, %d later backups activated", total, later)
+}
+
+// TestRecoveryOrderDoesNotMatter recovers the all-pairs 8x8 mesh (300 Mb/s)
+// at α=3 from every third node's single-node failure twice, each on a fresh
+// load: dead primaries torn down before the activations, and in bcpd's
+// order, activations first. Both must leave the state checkRecovered asks
+// for, the same winners, and the same spare and dedicated bandwidth on every
+// link: a pool an activation sized within the headroom a dead primary left
+// is settled again when that primary goes. Both managers reconfigure
+// coalesced, as bcpd's do (TestCoalescedReconfigEquivalence holds that to
+// the eager rebuild).
+func TestRecoveryOrderDoesNotMatter(t *testing.T) {
+	stride := 3
+	if testing.Short() {
+		stride = 13
+	}
+	for n := 0; n < 64; n += stride {
+		f := SingleNode(topology.NodeID(n))
+		var ms [2]*Manager
+		var won [2][]rtchan.ChannelID
+		for i, order := range []recoveryOrder{deadFirst, activateFirst} {
+			m := allPairs(topology.NewMesh(8, 8, 300), func(int) []int { return []int{3} })
+			m.SetCoalescedReconfig(true)
+			w, _ := recoverByClaims(t, m, f, order)
+			checkRecovered(t, fmt.Sprintf("node %d order %d", n, order), m, f)
+			ms[i], won[i] = m, channelIDs(w)
+		}
+		if !slices.Equal(won[0], won[1]) {
+			t.Fatalf("node %d: winners %v dead first, %v activations first", n, won[0], won[1])
+		}
+		a, b := ms[0].plan.net, ms[1].plan.net
+		for l := range ms[0].Graph().NumLinks() {
+			id := topology.LinkID(l)
+			if a.Spare(id) != b.Spare(id) || a.Dedicated(id) != b.Dedicated(id) {
+				t.Fatalf("node %d: link %d spare %g dedicated %g dead first, spare %g dedicated %g activations first",
+					n, l, a.Spare(id), a.Dedicated(id), b.Spare(id), b.Dedicated(id))
+			}
+		}
+	}
 }

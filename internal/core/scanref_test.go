@@ -249,7 +249,7 @@ func runScanHistory(t *testing.T, graph int, seed int64, steps int) *scanChecker
 			if rng.Intn(2) == 0 {
 				f = SingleNode(nodes[rng.Intn(len(nodes))])
 			}
-			recoverByClaims(t, m, f)
+			recoverByClaims(t, m, f, deadFirst)
 		case r == 10 && conn.Primary != nil:
 			if err := m.TeardownChannel(conn.ID, conn.Primary.ID); err != nil {
 				t.Fatalf("%s: primary loss: %v", ctx, err)
@@ -278,9 +278,9 @@ func runScanHistory(t *testing.T, graph int, seed int64, steps int) *scanChecker
 		case r == 16:
 			func() {
 				defer m.beginWrite()()
-				if err := m.recomputeLinkMux(topology.LinkID(rng.Intn(links))); err != nil {
-					t.Fatalf("%s: rebuild: %v", ctx, err)
-				}
+				l := topology.LinkID(rng.Intn(links))
+				m.recomputeLinkMux(l)
+				m.settle(l)
 			}()
 		}
 		for n := rng.Intn(4); n > 0; n-- {

@@ -203,7 +203,7 @@ func TestPrimarySignatureMatchesPaths(t *testing.T) {
 						if rng.Intn(2) == 0 {
 							f = SingleNode(topology.NodeID(rng.Intn(n)))
 						}
-						recoverByClaims(t, m, f)
+						recoverByClaims(t, m, f, deadFirst)
 					case "rejoin":
 						if conn.Primary == nil {
 							continue

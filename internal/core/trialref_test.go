@@ -251,17 +251,14 @@ func (c *referenceChecker) check(t testing.TB, f Failure, order ActivationOrder,
 // recoverAgainstReference recovers m from f through recoverByClaims and
 // holds it to refTrial run just before it in connection order: the same
 // backups activated, in connection order, each now its connection's
-// primary. It returns the activated backups. It does not hold the
-// multiplexing invariants: on the loaded 8x8 mesh a spare pool capped at
-// headroom by one recovery stays below its requirement after a later one
-// tears down a primary on its link, since dropping a primary re-sizes no
-// link.
+// primary, and the multiplexing invariants holding. It returns the activated
+// backups.
 func recoverAgainstReference(t testing.TB, m *Manager, f Failure) []*rtchan.Channel {
 	t.Helper()
 	m.mu.RLock()
 	_, want, _ := refTrial(&m.plan, f, OrderByConn, nil, nil)
 	m.mu.RUnlock()
-	got, _ := recoverByClaims(t, m, f)
+	got, _ := recoverByClaims(t, m, f, deadFirst)
 	if !slices.Equal(channelIDs(got), channelIDs(want)) {
 		t.Fatalf("recovery from links %v nodes %v: activated %v, reference %v", f.links, f.nodes, channelIDs(got), channelIDs(want))
 	}
@@ -269,6 +266,9 @@ func recoverAgainstReference(t testing.TB, m *Manager, f Failure) []*rtchan.Chan
 		if conn := m.Connection(w.Conn); conn == nil || conn.Primary != w {
 			t.Fatalf("recovery from links %v nodes %v: backup %d is not its connection's primary", f.links, f.nodes, w.ID)
 		}
+	}
+	if err := m.CheckMuxInvariants(); err != nil {
+		t.Fatalf("recovery from links %v nodes %v: %v", f.links, f.nodes, err)
 	}
 	return got
 }

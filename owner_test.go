@@ -97,6 +97,14 @@ var ownerRules = []ownerRule{
 			"(a serial caller holds one view); live state changes after a failure only through the claim API",
 	},
 	{
+		name:     "spare",
+		subjects: []string{"rtchan.Network.SetSpare"},
+		allowed:  []string{"core.Manager.settle", "core.Manager.wireLink", "core.Manager.promoteBackup"},
+		why: "a spare pool (§3.2, §4.4) is sized only by settle, to spareTarget, the bound CheckMuxInvariants checks; " +
+			"wireLink grows a pool at admission or refuses the backup, and promoteBackup shrinks it by the claim " +
+			"before rtchan's Promote checks capacity",
+	},
+	{
 		name:     "fire",
 		subjects: []string{"sim.TimerArena.Pop"},
 		allowed:  []string{"sim.Engine.fire", "realtime.Runtime.fireDue"},
