@@ -113,10 +113,9 @@ type Manager struct {
 
 	// estCtx is the writer-side planning context (wrapping m.router and an
 	// exclusion set shared by Establish, EstablishWithPr and ReplenishBackups,
-	// never live at once) and seqPlan its reusable plan buffer: Establish is
-	// plan+commit over these under the write lock (see establish.go).
-	estCtx  *planContext
-	seqPlan *connPlan
+	// never live at once): Establish is route, then admit, under the write
+	// lock (see establish.go).
+	estCtx *planContext
 
 	// touched is the writer-side touched-link scratch shared by every
 	// reconfiguration entry point (ActivateClaimed, TeardownChannel):
@@ -160,7 +159,6 @@ func NewManager(g *topology.Graph, cfg Config) *Manager {
 		piStale:  make([]bool, g.NumLinks()),
 	}
 	m.estCtx = newPlanContext(m, m.router, routing.NewExclusion())
-	m.seqPlan = &connPlan{}
 	return m
 }
 

@@ -15,22 +15,20 @@ import (
 // earlier channels, with spare bandwidth reserved under backup multiplexing.
 //
 // Establishment is all-or-nothing: if any channel cannot be routed or
-// admitted, no state is left behind and the request is rejected, matching
-// the paper's client-negotiation model.
+// admitted, the request is rejected and every reservation it made is undone
+// (see admit), matching the paper's client-negotiation model.
 func (m *Manager) Establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, degrees []int) (*DConnection, error) {
 	defer m.beginWrite()()
-	return m.establish(src, dst, spec, degrees)
-}
-
-// establish is plan + commit over the manager's own planning context (see
-// establish.go): the read-only plan phase routes and probes everything, and
-// the commit phase replays the recorded wiring. Running both under the write
-// lock makes the pair exactly equivalent to the former incremental loop,
-// while keeping the commit path free of routing and admission scans.
-func (m *Manager) establish(src, dst topology.NodeID, spec rtchan.TrafficSpec, degrees []int) (*DConnection, error) {
-	p := m.seqPlan
-	m.estCtx.plan(p, src, dst, spec, degrees)
-	return m.commitPlan(p)
+	pc := m.estCtx
+	if err := pc.route(src, dst, spec, len(degrees)); err != nil {
+		return nil, err
+	}
+	g := m.plan.net.Graph()
+	pc.paths = pc.paths[:0]
+	for i := range degrees {
+		pc.paths = append(pc.paths, pc.backups[i].path(g))
+	}
+	return m.admit(spec, pc.prim.path(g), pc.paths, degrees)
 }
 
 // EstablishOnPaths sets up a D-connection over explicitly chosen paths,
@@ -67,43 +65,7 @@ func (m *Manager) EstablishOnPaths(spec rtchan.TrafficSpec, primary topology.Pat
 			return nil, fmt.Errorf("core: backup %d endpoints mismatch", i+1)
 		}
 	}
-	prim, err := m.plan.net.Establish(m.nextConn, rtchan.RolePrimary, primary, spec)
-	if err != nil {
-		return nil, err
-	}
-	conn := &DConnection{
-		ID:         m.nextConn,
-		Src:        primary.Source(),
-		Dst:        primary.Destination(),
-		Spec:       spec,
-		Primary:    prim,
-		sig:        m.plan.allocSig(),
-		replDegree: 1,
-	}
-	m.primaryChanged(conn)
-	undo := func() {
-		for _, b := range conn.Backups {
-			m.removeBackup(b)
-			_ = m.plan.net.Teardown(b.ID)
-		}
-		_ = m.plan.net.Teardown(prim.ID)
-		m.plan.releaseSig(conn.sig)
-	}
-	for i, bPath := range backups {
-		bch, err := m.plan.net.Establish(conn.ID, rtchan.RoleBackup, bPath, spec)
-		if err != nil {
-			undo()
-			return nil, err
-		}
-		conn.listBackup(bch, degrees[i])
-		if err := m.addBackup(conn, bch, degrees[i]); err != nil {
-			undo()
-			return nil, err
-		}
-	}
-	m.plan.conns.Set(conn.ID, conn)
-	m.nextConn++
-	return conn, nil
+	return m.admit(spec, primary, backups, degrees)
 }
 
 // ReplenishBackups restores a connection's fault-tolerance level after

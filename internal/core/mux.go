@@ -47,7 +47,7 @@ type linkMux struct {
 	// a column at or beyond len(entries). Every edit — establishment,
 	// teardown, rejoin expiry, promotion, replenish — addresses bits by entry
 	// index; nothing searches a member list. Only writers touch it: the
-	// admission probe decides pairs from signature rows and reads req alone.
+	// admission scan decides pairs from signature rows and reads req alone.
 	// The stride only grows: restride widens the rows when an entry index
 	// first needs another word, and a link that drains keeps the width.
 	pi []uint64
@@ -274,23 +274,19 @@ func (p *NetworkPlan) available(l topology.LinkID) float64 {
 // bandwidth bw) against the link's entries, one muxDecide each. It appends
 // to *grow the entries whose Π sets gain the new backup and to *pi the
 // entries the new backup's own Π set lists, and returns the new entry's
-// requirement and the spare level the link must reach once it is wired —
-// what requiredSpare would then return: the
-// unchanged entries' max, the grown entries' new requirements, and req.
-// sigNew is the new backup's connection's row index, so that backups of one
-// connection never share spare (see muxDecide); a planned connection that has
-// no row yet passes -1. It changes nothing but the link's cached max, which
-// requiredSpare may settle: every caller holds the write lock.
+// requirement. sigNew is the new backup's connection's row index, so that
+// backups of one connection never share spare (see muxDecide); the Ψ
+// prediction, whose connection has no row yet, passes -1. It changes
+// nothing.
 //
 // Only candidates are decided: the entries whose primaries share at least
 // n.shared nodes with the new one (probe), read bit-parallel off the node
 // columns of the new primary's nodes with "≥1" and "≥2" accumulators, and
 // every primary-less entry. Any other entry is false both ways, so it
 // neither grows nor counts; with n.shared = 0 every entry is a candidate.
-func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls int32, bw float64, grow, pi *[]int32) (req, need float64) {
+func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls int32, bw float64, grow, pi *[]int32) float64 {
 	g, q := *grow, *pi
-	req = bw
-	need = lm.requiredSpare()
+	req := bw
 	n := p.probe(rowNew, cls)
 	s, ne := lm.stride, len(lm.entries)
 	nodes := rowNew[1 : 1+p.sigNodeWords]
@@ -325,9 +321,6 @@ func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls i
 			}
 			if eCountsNew {
 				g = append(g, int32(i))
-				if grown := e.req + bw; grown > need {
-					need = grown
-				}
 			}
 			if newCountsE {
 				q = append(q, int32(i))
@@ -336,10 +329,7 @@ func (p *NetworkPlan) scanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls i
 		}
 	}
 	*grow, *pi = g, q
-	if req > need {
-		need = req
-	}
-	return req, need
+	return req
 }
 
 // wireLink is the only writer that adds a backup to a link: it appends entry
@@ -376,9 +366,10 @@ func (m *Manager) wireLink(l topology.LinkID, entry muxEntry, grow, pi []int32) 
 }
 
 // addBackupToLink registers backup ch of conn on link l: one scan, one
-// wiring. EstablishOnPaths, ReplenishBackups and RestoreAsBackup admit link
-// by link through it, because a caller-supplied path may meet the
-// connection's other backups.
+// wiring. It is the one door by which a backup joins a link's multiplexing
+// state: establishment (admit), ReplenishBackups and RestoreAsBackup all
+// admit link by link through it, which also serves a caller-supplied path
+// that meets the connection's other backups.
 func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtchan.Channel, alpha int) error {
 	pc := m.estCtx
 	entry := muxEntry{
@@ -391,13 +382,11 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 	return m.wireLink(l, entry, pc.grow, pc.pi)
 }
 
-// scan runs scanLink on link l into pc's own lists, for the callers that keep
-// no plan record: addBackupToLink and the Ψ prediction. It returns the new
-// entry's requirement.
+// scan runs scanLink on link l into pc's own lists, for addBackupToLink and
+// the Ψ prediction. It returns the new entry's requirement.
 func (pc *planContext) scan(l topology.LinkID, sigNew int32, rowNew []uint64, cls int32, bw float64) float64 {
 	pc.grow, pc.pi = pc.grow[:0], pc.pi[:0]
-	req, _ := pc.m.plan.scanLink(&pc.m.plan.mux[l], sigNew, rowNew, cls, bw, &pc.grow, &pc.pi)
-	return req
+	return pc.m.plan.scanLink(&pc.m.plan.mux[l], sigNew, rowNew, cls, bw, &pc.grow, &pc.pi)
 }
 
 // removeBackupFromLink unregisters backup ch from link l and settles the
@@ -596,6 +585,15 @@ func (m *Manager) CheckMuxInvariants() error {
 		if err := m.plan.checkCols(lm); err != nil {
 			return fmt.Errorf("core: link %d %w", l, err)
 		}
+	}
+	var err error
+	m.plan.conns.Each(func(id rtchan.ConnID, c *DConnection) {
+		if err == nil && len(c.Degrees) != len(c.Backups) {
+			err = fmt.Errorf("core: connection %d lists %d degrees for %d backups", id, len(c.Degrees), len(c.Backups))
+		}
+	})
+	if err != nil {
+		return err
 	}
 	return m.plan.checkSig()
 }

@@ -346,27 +346,28 @@ func TestMuxEntryIs32Bytes(t *testing.T) {
 }
 
 // BenchmarkScanLink times the admission scan alone, shaped like
-// establish_churn's: 2000 seeded requests are planned against the loaded 8x8
+// establish_churn's: 2000 seeded requests are routed against the loaded 8x8
 // torus (every ordered pair, one backup at degree 3), and each iteration scans
-// the backup links of one of them with its primary's signature, as probeLink
+// the backup links of one of them with its primary's signature, as admission
 // does. It reports the time per existing entry the scan decides.
 func BenchmarkScanLink(b *testing.B) {
 	m := loadedEvalTorus(1 << 30)
 	n := m.Graph().NumNodes()
 	rng := rand.New(rand.NewSource(1))
-	type plannedScan struct {
+	type routedScan struct {
 		row   []uint64
 		links []topology.LinkID
 	}
-	var scans []plannedScan
+	var scans []routedScan
 	entries := 0
-	p, pc := &connPlan{}, m.estCtx
+	pc := m.estCtx
 	for len(scans) < 2000 {
 		src, dst := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n))
-		if pc.plan(p, src, dst, rtchan.DefaultSpec(), []int{3}); p.err != nil || p.nBackups == 0 {
+		if pc.route(src, dst, rtchan.DefaultSpec(), 1) != nil {
 			continue
 		}
-		s := plannedScan{row: append([]uint64(nil), pc.sig...), links: append([]topology.LinkID(nil), p.backups[0].path.links...)}
+		s := routedScan{row: make([]uint64, m.plan.sigStride), links: append([]topology.LinkID(nil), pc.backups[0].links...)}
+		m.plan.writeSig(s.row, pc.prim.links, pc.prim.nodes)
 		for _, l := range s.links {
 			entries += len(m.plan.mux[l].entries)
 		}

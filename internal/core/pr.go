@@ -24,7 +24,7 @@ func (m *Manager) connectionPr(conn *DConnection) float64 {
 	}
 	backups := make([]reliability.BackupInfo, 0, len(conn.Backups))
 	for i, b := range conn.Backups {
-		nu := reliability.NuForDegree(m.plan.cfg.Lambda, degreeAt(conn, i))
+		nu := reliability.NuForDegree(m.plan.cfg.Lambda, conn.Degrees[i])
 		pmux := reliability.MuxFailureBound(nu, m.psiSizes(b))
 		backups = append(backups, reliability.BackupInfo{
 			Components: b.Path.NumComponents(),
@@ -34,19 +34,12 @@ func (m *Manager) connectionPr(conn *DConnection) float64 {
 	return reliability.Pr(m.plan.cfg.Lambda, conn.Primary.Path.NumComponents(), backups)
 }
 
-func degreeAt(conn *DConnection, i int) int {
-	if i < len(conn.Degrees) {
-		return conn.Degrees[i]
-	}
-	return 1
-}
-
 // prospectivePsiSizes predicts |Ψ(B,ℓ)| for a *hypothetical* backup on
 // bPath protecting the primary with signature row primRow, if it were
 // admitted with multiplexing degree alpha — the information the paper's
 // reservation message collects on its forward pass "with various ν values"
 // (§3.4). It runs the admission scan itself (a momentarily primary-less
-// connection is counted in Π), so the prediction is the Ψ the commit
+// connection is counted in Π), so the prediction is the Ψ admission
 // realizes: every entry the new backup's Π set does not list.
 func (pc *planContext) prospectivePsiSizes(primRow []uint64, bPath topology.Path, alpha int) []int {
 	cls := pc.m.plan.degreeClass(alpha)
@@ -80,14 +73,16 @@ func (pc *planContext) prospectivePr(primRow []uint64, backups []topology.Path, 
 // (cheapest spare reservation) in [1, maxAlpha] that still meets requiredPr
 // is selected. The search mirrors the protocol's two-pass design: the
 // primary and the candidate backup paths are routed once, each (count,
-// degree) attempt is evaluated against the current network state with
-// read-only probes — prospective Ψ sizes for the Pr prediction, spare-pool
-// probes for admission — and only the accepted configuration is committed.
-// Nothing is established and torn down along the way, so a rejected
-// negotiation leaves no trace and consumes no ids.
+// degree) is judged by the Pr its prospective Ψ sizes predict, and the
+// first that meets requiredPr is admitted. The prediction is the scan
+// admission runs, so an admitted configuration delivers it. A spare pool
+// that refuses an attempt rolls it back and the search moves to the next
+// count, since a smaller degree only demands more spare.
 //
-// The request is rejected if requiredPr cannot be met with maxBackups
-// backups (the paper renegotiates; callers may retry with a lower Pr).
+// A rejected negotiation consumes no connection id; a refused attempt may
+// consume channel ids, which are monotonic, not dense. The request is
+// rejected if requiredPr cannot be met with maxBackups backups (the paper
+// renegotiates; callers may retry with a lower Pr).
 func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficSpec, requiredPr float64, maxBackups, maxAlpha int) (*DConnection, error) {
 	if requiredPr <= 0 || requiredPr > 1 {
 		return nil, fmt.Errorf("core: required Pr %g out of (0,1]", requiredPr)
@@ -95,62 +90,51 @@ func (m *Manager) EstablishWithPr(src, dst topology.NodeID, spec rtchan.TrafficS
 	if maxBackups < 0 || maxAlpha < 1 {
 		return nil, fmt.Errorf("core: invalid negotiation bounds")
 	}
-	// The probe search below must be atomic against other writers, so the
-	// whole negotiation runs as one write transaction.
+	// The search below must be atomic against other writers, so the whole
+	// negotiation runs as one write transaction.
 	defer m.beginWrite()()
-	// Plan the primary once; it does not depend on the backup configuration.
-	p := m.seqPlan
-	m.estCtx.plan(p, src, dst, spec, nil)
-	if p.err != nil {
-		return nil, p.err
+	// Route the primary once; it does not depend on the backup configuration.
+	pc := m.estCtx
+	if err := pc.route(src, dst, spec, 0); err != nil {
+		return nil, err
 	}
-	primComps := 2*len(p.prim.links) + 1
+	prim := pc.prim.path(m.plan.net.Graph())
 	// Zero backups may already satisfy a lax requirement.
-	if reliability.Pr(m.plan.cfg.Lambda, primComps, nil) >= requiredPr {
-		return m.commitPlan(p)
+	if reliability.Pr(m.plan.cfg.Lambda, prim.NumComponents(), nil) >= requiredPr {
+		return m.admit(spec, prim, nil, nil)
 	}
-	primRow := m.estCtx.sig // the plan above left the primary's signature here
+	// The primary's signature, for the prediction: it has no connection and
+	// so no slab row yet.
+	primRow := make([]uint64, m.plan.sigStride)
+	m.plan.writeSig(primRow, pc.prim.links, pc.prim.nodes)
 
-	// Route candidate backup paths once (they do not depend on alpha; the
-	// plan above left the context's bandwidth set and its exclusion free).
+	// Route candidate backup paths once, around the primary route left
+	// excluded; they do not depend on alpha.
 	var candidates []topology.Path
-	{
-		excl := m.estCtx.excl.Reset()
-		addExcluded(excl, &p.prim)
-		for i := 0; i < maxBackups; i++ {
-			bPath, ok := m.estCtx.routeBackupPath(src, dst)
-			if !ok {
-				break
-			}
-			candidates = append(candidates, bPath)
-			excl.AddPath(bPath)
+	for len(candidates) < maxBackups {
+		bPath, ok := pc.routeBackupPath(src, dst)
+		if !ok {
+			break
 		}
+		candidates = append(candidates, bPath)
+		pc.excl.AddPath(bPath)
 	}
 
+	degrees := make([]int, 0, len(candidates))
 	for nb := 1; nb <= len(candidates); nb++ {
 		paths := candidates[:nb]
 		for alpha := maxAlpha; alpha >= 1; alpha-- {
-			if m.estCtx.prospectivePr(primRow, paths, alpha) < requiredPr {
+			if pc.prospectivePr(primRow, paths, alpha) < requiredPr {
 				continue // too much multiplexing; tighten
 			}
-			if !m.estCtx.planOnPaths(p, paths, alpha) {
-				// Admission failed (e.g. spare pools full at this ν);
-				// a smaller alpha only demands more, so try more backups.
-				break
+			degrees = degrees[:0]
+			for range paths {
+				degrees = append(degrees, alpha)
 			}
-			conn, err := m.commitPlan(p)
-			if err != nil {
-				break
-			}
-			// The commit wires exactly the probed configuration, so the
-			// realized Pr should match the prediction; re-check defensively
-			// and keep searching if it somehow falls short.
-			if m.connectionPr(conn) >= requiredPr {
+			if conn, err := m.admit(spec, prim, paths, degrees); err == nil {
 				return conn, nil
 			}
-			if err := m.teardown(conn.ID); err != nil {
-				return nil, err
-			}
+			break // refused at this ν: try more backups
 		}
 	}
 	return nil, fmt.Errorf("core: required Pr %g unattainable for %d->%d with <=%d backups",

@@ -125,7 +125,7 @@ func (m *Manager) degreeOf(ch rtchan.ChannelID) int {
 	}
 	for i, b := range conn.Backups {
 		if b.ID == ch {
-			return degreeAt(conn, i)
+			return conn.Degrees[i]
 		}
 	}
 	return 1 << 30

@@ -12,12 +12,11 @@ import (
 
 // refScanLink is the admission scan without the node-column filter: one
 // muxDecide per entry, every entry, in index order. scanLink must return
-// exactly what it returns — the same grow and pi lists, req and need — for
-// any row, class and link state.
-func (p *NetworkPlan) refScanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls int32, bw float64, grow, pi *[]int32) (req, need float64) {
+// exactly what it returns — the same grow and pi lists and req — for any
+// row, class and link state.
+func (p *NetworkPlan) refScanLink(lm *linkMux, sigNew int32, rowNew []uint64, cls int32, bw float64, grow, pi *[]int32) float64 {
 	g, q := *grow, *pi
-	req = bw
-	need = lm.requiredSpare()
+	req := bw
 	n := p.probe(rowNew, cls)
 	for i := range lm.entries {
 		e := &lm.entries[i]
@@ -27,9 +26,6 @@ func (p *NetworkPlan) refScanLink(lm *linkMux, sigNew int32, rowNew []uint64, cl
 		}
 		if eCountsNew {
 			g = append(g, int32(i))
-			if grown := e.req + bw; grown > need {
-				need = grown
-			}
 		}
 		if newCountsE {
 			q = append(q, int32(i))
@@ -37,10 +33,7 @@ func (p *NetworkPlan) refScanLink(lm *linkMux, sigNew int32, rowNew []uint64, cl
 		}
 	}
 	*grow, *pi = g, q
-	if req > need {
-		need = req
-	}
-	return req, need
+	return req
 }
 
 // scatteredIDs are the node ids scatterTorus gives a 4x4 torus: pairs on both
@@ -173,12 +166,12 @@ func (c *scanChecker) probe(t *testing.T, ctx string, rng *rand.Rand) {
 	cls := p.degreeClass(c.degree(rng, 4))
 	bw := float64(1 + rng.Intn(3))
 	c.rg, c.rpi = c.rg[:0], c.rpi[:0]
-	wantReq, wantNeed := p.refScanLink(lm, sigNew, row, cls, bw, &c.rg, &c.rpi)
+	wantReq := p.refScanLink(lm, sigNew, row, cls, bw, &c.rg, &c.rpi)
 	c.grow, c.pi = c.grow[:0], c.pi[:0]
-	req, need := p.scanLink(lm, sigNew, row, cls, bw, &c.grow, &c.pi)
-	if req != wantReq || need != wantNeed || !slices.Equal(c.grow, c.rg) || !slices.Equal(c.pi, c.rpi) {
-		t.Fatalf("%s: scan of %d entries (row count %d, ν %g, own row %d) gives req %g need %g grow %v pi %v; the full scan req %g need %g grow %v pi %v",
-			ctx, len(lm.entries), row[0], p.thr.nus[cls], sigNew, req, need, c.grow, c.pi, wantReq, wantNeed, c.rg, c.rpi)
+	req := p.scanLink(lm, sigNew, row, cls, bw, &c.grow, &c.pi)
+	if req != wantReq || !slices.Equal(c.grow, c.rg) || !slices.Equal(c.pi, c.rpi) {
+		t.Fatalf("%s: scan of %d entries (row count %d, ν %g, own row %d) gives req %g grow %v pi %v; the full scan req %g grow %v pi %v",
+			ctx, len(lm.entries), row[0], p.thr.nus[cls], sigNew, req, c.grow, c.pi, wantReq, c.rg, c.rpi)
 	}
 	c.probes++
 	if len(c.rg)+len(c.rpi) > 0 {

@@ -172,17 +172,6 @@ func (n *Network) Capacity(l topology.LinkID) float64 { return n.accounts[l].cap
 // SetSpare resizes the spare pool on link l. It fails if the new level would
 // overcommit the link. Called by the multiplexing engine only.
 func (n *Network) SetSpare(l topology.LinkID, spare float64) error {
-	if err := n.SpareCheck(l, spare); err != nil {
-		return err
-	}
-	n.accounts[l].spare = spare
-	return nil
-}
-
-// SpareCheck reports whether SetSpare(l, spare) would succeed, returning nil
-// or the exact error SetSpare would return, without mutating anything. The
-// establishment planner uses it to predict admission outcomes read-only.
-func (n *Network) SpareCheck(l topology.LinkID, spare float64) error {
 	if spare < 0 {
 		return fmt.Errorf("rtchan: negative spare %g on link %d", spare, l)
 	}
@@ -191,6 +180,7 @@ func (n *Network) SpareCheck(l topology.LinkID, spare float64) error {
 		return fmt.Errorf("rtchan: spare %g + dedicated %g exceeds capacity %g on link %d",
 			spare, a.dedicated, a.capacity, l)
 	}
+	a.spare = spare
 	return nil
 }
 

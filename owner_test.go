@@ -105,6 +105,13 @@ var ownerRules = []ownerRule{
 			"before rtchan's Promote checks capacity",
 	},
 	{
+		name:     "admit",
+		subjects: []string{"core.NetworkPlan.scanLink", "core.Manager.wireLink"},
+		allowed:  []string{"core.planContext.scan", "core.Manager.addBackupToLink"},
+		why: "a backup joins a link's multiplexing state (§3.2) through one door, addBackupToLink: one scan " +
+			"decides its Π membership and wireLink applies it, for establishment, replenishment and rejoin alike",
+	},
+	{
 		name:     "fire",
 		subjects: []string{"sim.TimerArena.Pop"},
 		allowed:  []string{"sim.Engine.fire", "realtime.Runtime.fireDue"},
