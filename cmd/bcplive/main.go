@@ -15,8 +15,8 @@
 // clock from the crash: Γ, when the source switched to the backup; the
 // disruption, when the first data on the backup reached the destination; and
 // the five stages between (detect, report, activate, switch, resume). Γ is
-// compared to the §5.3 bound for the recovery's own K and b, with D_max the
-// protocol configuration's HopBound for the mesh's link capacity. On a quiet
+// compared to the checker's bound (Network.CountGamma), which with one
+// connection on the mesh is §5.3's for the recovery's own K and b. On a quiet
 // machine live Γ lands inside the bound; scheduler jitter (unlike the
 // simulator, the OS is part of the system) can push it over — the tool
 // reports, it does not assert. Beside them it prints how late a 200 µs timer
@@ -33,13 +33,13 @@ import (
 	"time"
 
 	"github.com/rtcl/bcp"
-	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/trace"
 )
 
 type trialResult struct {
-	rec  trace.Recovery
-	late []time.Duration // timer probe: fired - due, sorted
+	rec   trace.Recovery
+	bound time.Duration   // the Γ bound counted at the crash
+	late  []time.Duration // timer probe: fired - due, sorted
 }
 
 // probeDelay is the timer-lateness probe's period, the benchmark's.
@@ -78,17 +78,15 @@ func main() {
 		results = append(results, r)
 	}
 
-	dmax := cfg.HopBound(*capacity)
-	fmt.Printf("bcplive: %dx%d mesh, pipe transport, %.0f msg/s, D_max %v\n\n", *rows, *cols, *rate, dmax)
+	fmt.Printf("bcplive: %dx%d mesh, pipe transport, %.0f msg/s, D_max %v\n\n", *rows, *cols, *rate, cfg.HopBound(*capacity))
 	gammas := make([]time.Duration, 0, len(results))
 	var late []time.Duration
 	for i, r := range results {
-		bound := conformance.GammaBound(dmax, r.rec.Hops, r.rec.Backups)
 		within := "≤"
-		if r.rec.Gamma() > bound {
+		if r.rec.Gamma() > r.bound {
 			within = "> (wall-clock jitter)"
 		}
-		fmt.Printf("trial %d: Γ %v %s bound %v (K=%d, b=%d); disruption %v =", i, r.rec.Gamma(), within, bound, r.rec.Hops, r.rec.Backups, r.rec.Disruption())
+		fmt.Printf("trial %d: Γ %v %s bound %v (K=%d, b=%d); disruption %v =", i, r.rec.Gamma(), within, r.bound, r.rec.Hops, r.rec.Backups, r.rec.Disruption())
 		for k, name := range trace.StageNames {
 			fmt.Printf(" %s %v", name, r.rec.Stage(k))
 		}
@@ -129,7 +127,8 @@ func runTrial(rows, cols int, capacity, rate float64, seed int64, cfg bcp.Protoc
 	var net *bcp.Protocol
 	rt.Exec(func() { net = bcp.NewProtocolOn(rt, tr, mgr, cfg) })
 	var startErr error
-	rt.Exec(func() { startErr = net.StartTraffic(conn.ID, rate) })
+	var bound func(trace.Recovery) time.Duration
+	rt.Exec(func() { bound, startErr = net.CountGamma(), net.StartTraffic(conn.ID, rate) })
 	if startErr != nil {
 		return trialResult{}, startErr
 	}
@@ -181,7 +180,7 @@ func runTrial(rows, cols int, capacity, rate float64, seed int64, cfg bcp.Protoc
 	var r trialResult
 	rt.Exec(func() {
 		probing = false
-		r = trialResult{rec: recs.Done[0], late: late}
+		r = trialResult{rec: recs.Done[0], bound: bound(recs.Done[0]), late: late}
 	})
 	sortDurations(r.late)
 	return r, nil

@@ -13,7 +13,6 @@
 //	bcpsim -exp schemes            # failure-reporting scheme comparison
 //	bcpsim -exp hotspot            # inhomogeneous-traffic comparison
 //	bcpsim -exp severity           # R_fast vs number of simultaneous failures
-//	bcpsim -exp scalability        # §6: establishment cost vs network size
 //	bcpsim -exp baselines          # BCP vs recover-by-reestablishment (§8)
 //	bcpsim -exp all                # everything (slow)
 //

@@ -226,6 +226,9 @@ type Network struct {
 	probeBatchFree  []*timerBatch[probeEntry]
 	replBatchFree   []*timerBatch[rtchan.ConnID]
 
+	// gamma is each connection's counted Γ intervals (timing.go), or nil.
+	gamma map[rtchan.ConnID]sim.Duration
+
 	stats Stats
 }
 

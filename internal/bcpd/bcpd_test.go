@@ -17,9 +17,9 @@ import (
 // newChecked is NewChecked under test: at cleanup the test fails on every
 // violation the checker found, with the flight recorder's last events before
 // the first one in the log.
-func newChecked(t *testing.T, rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config, p conformance.Params) *Checked {
+func newChecked(t *testing.T, rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config, adjust func(*conformance.Params)) *Checked {
 	t.Helper()
-	c := NewChecked(rt, tr, mgr, cfg, p)
+	c := NewChecked(rt, tr, mgr, cfg, adjust)
 	t.Cleanup(func() { verdict(t, c) })
 	return c
 }
@@ -98,7 +98,7 @@ func startTraffic(t *testing.T, net *Checked, rate float64, conns ...*core.DConn
 
 func newTestbed(t *testing.T, cfg Config) *testbed {
 	t.Helper()
-	return newTestbedOn(t, NewSimTransport(), cfg, cfg.Conformance(testbedMbps))
+	return newTestbedOn(t, NewSimTransport(), cfg, nil)
 }
 
 // testbedMbps is the testbed's link capacity.
@@ -106,11 +106,11 @@ const testbedMbps = 10
 
 // newTestbedOn is newTestbed over a given transport, under caller-adjusted
 // checker tolerances.
-func newTestbedOn(t *testing.T, tr Transport, cfg Config, p conformance.Params) *testbed {
+func newTestbedOn(t *testing.T, tr Transport, cfg Config, adjust func(*conformance.Params)) *testbed {
 	t.Helper()
 	g, mgr, conn := testbedConn(t)
 	eng := sim.New(1)
-	return &testbed{g: g, eng: eng, mgr: mgr, net: newChecked(t, eng, tr, mgr, cfg, p), conn: conn}
+	return &testbed{g: g, eng: eng, mgr: mgr, net: newChecked(t, eng, tr, mgr, cfg, adjust), conn: conn}
 }
 
 func TestInstallSeedsChannelStates(t *testing.T) {
@@ -267,7 +267,7 @@ func TestSequentialFailuresWithTwoBackups(t *testing.T) {
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 4}
 	conn := establish(t, mgr, spec, path(t, g, 1, 2), []topology.Path{path(t, g, 1, 5, 6, 2), path(t, g, 1, 0, 4, 8, 9, 10, 6, 2)}, 1, 1)
 	cfg := DefaultConfig()
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	startTraffic(t, net, 1000, conn)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.At(sim.Time(300*time.Millisecond), func() { net.FailLink(g.LinkBetween(5, 6)) })
@@ -296,7 +296,7 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	startTraffic(t, net, 1000, conn)
 	eng.At(sim.Time(50*time.Millisecond), func() {
 		net.FailLink(conn.Primary.Path.Links()[0])
@@ -348,7 +348,7 @@ func TestReplacementBackupsKeepTheDegree(t *testing.T) {
 			if !tc.repair {
 				cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
 			}
-			net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+			net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 			old := conn.Primary
 			l := old.Path.Links()[0]
 			eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(l) })
@@ -407,7 +407,7 @@ func TestDivergentBackupSelectionConverges(t *testing.T) {
 	spec := rtchan.TrafficSpec{Bandwidth: 1, SlackHops: 4}
 	conn := establish(t, mgr, spec, path(t, g, 1, 2), []topology.Path{path(t, g, 1, 5, 6, 2), path(t, g, 1, 0, 4, 8, 9, 10, 11, 7, 3, 2)}, 1, 1)
 	cfg := DefaultConfig()
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	startTraffic(t, net, 1000, conn)
 	eng.At(sim.Time(50*time.Millisecond), func() {
 		net.FailLink(g.LinkBetween(1, 2)) // primary
@@ -498,7 +498,7 @@ func TestMuxFailureTriggersNextBackup(t *testing.T) {
 	cfg := DefaultConfig()
 	rec := &trace.Recorder{}
 	cfg.Sink = rec
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	startTraffic(t, net, 500, connA, connB)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.RunFor(2 * time.Second)

@@ -4,6 +4,7 @@ import (
 	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/runtime"
+	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/trace"
 )
 
@@ -25,17 +26,30 @@ type Checked struct {
 }
 
 // NewChecked builds the network like NewOn, its stream teed to the flight
-// recorder, a checker under tolerances p and cfg.Sink, in that order.
+// recorder, a checker and cfg.Sink, in that order. The checker allows one
+// D^RCC_max in flight after a crash and reads the network's Γ bound
+// (CountGamma); adjust, if set, edits that first and may clear Gamma.
 // Sources, faults and the drain stay with the caller, which calls
 // Checker.Finish when the run is over.
-func NewChecked(rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config, p conformance.Params) *Checked {
-	c := &Checked{Checker: conformance.New(p), Recorder: trace.NewFlightRecorder(FlightCapacity)}
+func NewChecked(rt runtime.Runtime, tr Transport, mgr *core.Manager, cfg Config, adjust func(*conformance.Params)) *Checked {
+	c := &Checked{Recorder: trace.NewFlightRecorder(FlightCapacity)}
+	p := conformance.Params{
+		PropSlack: cfg.dmax(mgr.Graph()),
+		Gamma:     func(r trace.Recovery) sim.Duration { return c.Network.gammaBound(r) },
+	}
+	if adjust != nil {
+		adjust(&p)
+	}
+	c.Checker = conformance.New(p)
 	sinks := trace.Tee{c.Recorder, c.Checker}
 	if cfg.Sink != nil {
 		sinks = append(sinks, cfg.Sink)
 	}
 	cfg.Sink = sinks
 	c.Network = NewOn(rt, tr, mgr, cfg)
+	if p.Gamma != nil {
+		c.CountGamma()
+	}
 	return c
 }
 

@@ -28,7 +28,7 @@ func TestControlDelayUnderSaturatedData(t *testing.T) {
 	conn := establish(t, mgr, spec, path(t, g, 0, 1, 2, 3), nil)
 	cfg := DefaultConfig()
 	cfg.DataMsgSize = 1250 // 1 ms of transmission per hop at 10 Mbps
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	// Saturate the line: 8 Mbps of the 10 Mbps capacity.
 	startTraffic(t, net, 800, conn)
 

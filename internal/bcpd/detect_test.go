@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
@@ -97,9 +98,9 @@ func TestHeartbeatNotificationLossRecoveredByRCC(t *testing.T) {
 	cfg.Scheme = Scheme2
 	rec := &trace.Recorder{}
 	cfg.Sink = rec
-	p := cfg.Conformance(testbedMbps)
-	p.DMax = 0 // recovery waits out a 400 ms outage of the notification's link: loss, no Γ bound
-	tb := newTestbedOn(t, NewSimTransport(), cfg, p)
+	tb := newTestbedOn(t, NewSimTransport(), cfg, func(p *conformance.Params) {
+		p.Gamma = nil // recovery waits out a 400 ms outage of the notification's link: loss, no Γ bound
+	})
 	startTraffic(t, tb.net, 1000, tb.conn)
 	fwd := tb.g.LinkBetween(1, 2)
 	rev := tb.g.LinkBetween(2, 1)

@@ -51,7 +51,7 @@ func runDispatchWorld(t *testing.T, seed int64, perMsg, heartbeat bool, tap func
 		cfg.HeartbeatInterval = sim.Duration(20 * time.Millisecond)
 	}
 	cfg.FrameTap = tap
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	startTraffic(t, net, 100, conns[:4]...)
 	// Draw the whole fault schedule upfront so both worlds consume the rng
 	// identically regardless of what the run does with it.

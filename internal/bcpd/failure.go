@@ -19,6 +19,7 @@ func (n *Network) FailLink(l topology.LinkID) {
 	if n.em.Enabled() {
 		n.emitComponent(trace.KindLinkDown, topology.NoNode, l)
 	}
+	n.countGamma()
 	if n.cfg.HeartbeatInterval > 0 {
 		return // detection happens via missing heartbeats
 	}
@@ -96,6 +97,7 @@ func (n *Network) FailNode(v topology.NodeID) {
 	for _, l := range g.In(v) {
 		downIncident(l)
 	}
+	n.countGamma()
 	if n.cfg.HeartbeatInterval > 0 {
 		return // neighbors notice the silence on every incident link
 	}

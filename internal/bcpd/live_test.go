@@ -47,16 +47,16 @@ const (
 	liveTolerate = 30 * time.Millisecond
 )
 
-// liveConformanceParams keeps the checker's Γ bound (cfg.Conformance) and
-// adds liveHostAllowance to its detection allowance, and widens the
+// liveChecks adds liveHostAllowance to the checker's Γ bound and widens the
 // in-flight tolerance far past the sim value: under wall clock (and -race) a
 // delivery can trail a failure by scheduler jitter, not just propagation
 // delay.
-func liveConformanceParams(cfg Config) conformance.Params {
-	p := cfg.Conformance(testbedMbps)
-	p.DetectionSlack += liveHostAllowance
-	p.PropSlack = cfg.PropDelay + sim.Duration(500*time.Millisecond)
-	return p
+func liveChecks(cfg Config) func(*conformance.Params) {
+	return func(p *conformance.Params) {
+		counted := p.Gamma
+		p.Gamma = func(r trace.Recovery) sim.Duration { return counted(r) + liveHostAllowance }
+		p.PropSlack = cfg.PropDelay + sim.Duration(500*time.Millisecond)
+	}
 }
 
 // newLiveTestbed boots the testbed scenario on a wall-clock runtime. The
@@ -71,7 +71,7 @@ func newLiveTestbed(t *testing.T, cfg Config, seed int64) *liveTestbed {
 	t.Cleanup(lt.shutdown)
 	// Construction arms timers and emits install events; run it serialized
 	// so nothing fires against a half-built network.
-	rt.Exec(func() { lt.net = NewChecked(rt, tr, mgr, cfg, liveConformanceParams(cfg)) })
+	rt.Exec(func() { lt.net = NewChecked(rt, tr, mgr, cfg, liveChecks(cfg)) })
 	return lt
 }
 

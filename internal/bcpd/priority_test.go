@@ -36,7 +36,7 @@ func priorityScenario(t *testing.T, cfg Config) (*Network, *sim.Engine, *topolog
 	if got := mgr.Network().Spare(g.LinkBetween(1, 5)); got != 1 {
 		t.Fatalf("spare on 1->5 = %g, want 1 (multiplexed)", got)
 	}
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	return net.Network, eng, g, connLow, connHigh
 }
 
@@ -188,7 +188,7 @@ func TestPreemptionNeverHitsHigherPriority(t *testing.T) {
 	connLow := establish(t, mgr, spec, path(t, g, 1, 2, 3), []topology.Path{path(t, g, 1, 5, 6, 7, 3)}, 8)
 	cfg := DefaultConfig()
 	cfg.AllowPreemption = true
-	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, cfg.Conformance(g.Link(0).Capacity))
+	net := newChecked(t, eng, NewSimTransport(), mgr, cfg, nil)
 	eng.At(sim.Time(50*time.Millisecond), func() { net.FailLink(g.LinkBetween(1, 2)) })
 	eng.RunFor(time.Second)
 	if net.Stats().Preemptions != 0 {

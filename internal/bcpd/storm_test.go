@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/core"
 	"github.com/rtcl/bcp/internal/rtchan"
 	"github.com/rtcl/bcp/internal/sim"
@@ -40,9 +41,9 @@ func TestProtocolStorm(t *testing.T) {
 			tc.tune(&cfg)
 			// A storm run is cut off at an arbitrary instant, so claims of
 			// activations still in flight are legitimately outstanding.
-			p := cfg.Conformance(g.Link(0).Capacity)
-			p.AllowOutstandingClaims = true
-			net := newChecked(t, eng, NewSimTransport(), mgr, cfg, p)
+			net := newChecked(t, eng, NewSimTransport(), mgr, cfg, func(p *conformance.Params) {
+				p.AllowOutstandingClaims = true
+			})
 			startTraffic(t, net, 200, conns[:10]...)
 			// The storm: 12 failures over 3 seconds; a third get repaired.
 			for i := 0; i < 12; i++ {

@@ -17,7 +17,7 @@ func newChaosTestbed(t *testing.T, p ChaosParams) (*testbed, *ChaosTransport) {
 	cfg.RejoinTimeout = sim.Duration(time.Second)
 	p.Seed = 7
 	ct := NewChaosTransport(NewSimTransport(), p)
-	return newTestbedOn(t, ct, cfg, cfg.Conformance(testbedMbps)), ct
+	return newTestbedOn(t, ct, cfg, nil), ct
 }
 
 // auditPool drains the engine and verifies the pooled-buffer census: every

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/rtcl/bcp/internal/bcpd"
+	"github.com/rtcl/bcp/internal/conformance"
 	"github.com/rtcl/bcp/internal/sim"
 	"github.com/rtcl/bcp/internal/topology"
 	"github.com/rtcl/bcp/internal/trace"
@@ -98,13 +99,6 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 
 	digest := newDigestSink()
 	cfg.Sink = digest
-	p := cfg.Conformance(g.Link(0).Capacity)
-	// Safety rules stay on; chaos jitter, loss, and partitions have no
-	// closed-form recovery bound.
-	p.DMax = 0 // needs the bound hop-exact under loss (ROADMAP 1(a))
-	// Packets already in flight (propagation plus residual transmission)
-	// may deliver shortly after a crash.
-	p.PropSlack = sim.Duration(6 * time.Millisecond)
 
 	params := bcpd.ChaosParams{
 		Seed: mix(spec.Seed, 0x9e3779b97f4a7c15),
@@ -120,7 +114,14 @@ func RunEpisode(spec Spec, opts RunOptions) (Result, error) {
 		params.CorruptTap = func(_ topology.LinkID, frame []byte) { tap(frame) }
 	}
 	ct := bcpd.NewChaosTransport(bcpd.NewSimTransport(), params)
-	net := bcpd.NewChecked(eng, ct, mgr, cfg, p)
+	// Safety rules stay on; chaos jitter, loss, and partitions have no
+	// closed-form recovery bound.
+	net := bcpd.NewChecked(eng, ct, mgr, cfg, func(p *conformance.Params) {
+		p.Gamma = nil // needs the bound hop-exact under loss (ROADMAP 1(a))
+		// Packets already in flight (propagation plus residual
+		// transmission) may deliver shortly after a crash.
+		p.PropSlack = sim.Duration(6 * time.Millisecond)
+	})
 
 	for _, c := range conns {
 		if err := net.StartTraffic(c.ID, episodeTrafficRate); err != nil {

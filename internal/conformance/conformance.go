@@ -10,9 +10,10 @@
 //     legitimately ends mid-recovery). A multiplexing failure names a link
 //     the channel holds no claim on and a positive shortfall.
 //   - Recovery delay: every source switch of a recovery in progress (as
-//     trace.Recoveries derives it) lands within the §5 bound
-//     Γ ≤ (K−1)·D_max + 2(b−1)(K−1)·D_max of that recovery's crash, plus the
-//     configured detection allowance.
+//     trace.Recoveries derives it) lands within the Γ bound Params.Gamma
+//     gives that recovery: on a bcpd network, §5's
+//     Γ ≤ (K−1)·D_max + 2(b−1)(K−1)·D_max after the detection window, with
+//     the frame intervals counted at the crash (bcpd/timing.go).
 //   - Healthy traversal: failure reports and activation messages are only
 //     delivered across links that are up (modulo in-flight propagation) and
 //     to nodes that are alive.
@@ -31,18 +32,15 @@ import (
 	"github.com/rtcl/bcp/internal/trace"
 )
 
-// Params tunes the checker to a run's timing model. bcpd.Config.Conformance
-// derives them from a protocol configuration; a run adjusts that result
-// rather than assembling its own.
+// Params tunes the checker to a run's timing model. bcpd.NewChecked derives
+// them from the network it checks; a run adjusts that result rather than
+// assembling its own.
 type Params struct {
-	// DMax is the per-hop worst-case control delay D^RCC_max. Zero disables
-	// the Γ-bound rule, for runs with no closed-form bound (loss, wall
-	// clock); the caller that zeroes it says why.
-	DMax sim.Duration
-	// DetectionSlack is added to the Γ bound to cover the gap between a
-	// component crash and its neighbors' failure reports (DetectionLatency,
-	// or the heartbeat window when heartbeats detect).
-	DetectionSlack sim.Duration
+	// Gamma is the Γ rule's bound, the longest recovery r may take from its
+	// crash to the source's last switch (bcpd.Network.CountGamma). Nil turns
+	// the rule off, for a run with no closed-form bound (loss, Schemes 1 and
+	// 2); the caller that clears it says why.
+	Gamma func(r trace.Recovery) sim.Duration
 	// PropSlack tolerates control deliveries this long after a component
 	// went down: packets already in flight still arrive (one propagation
 	// delay plus any residual transmission).
@@ -234,9 +232,9 @@ func (c *Checker) Emit(ev trace.Event) {
 
 	case trace.KindSourceSwitch:
 		r, open := c.rec.Open(ev.Conn)
-		if open && c.p.DMax > 0 && r.Hops >= 1 {
+		if open && c.p.Gamma != nil && r.Hops >= 1 {
 			c.gammaChecked++
-			if bound := c.Bound(r); r.Gamma() > bound {
+			if bound := c.p.Gamma(r); r.Gamma() > bound {
 				c.violate(ev, "gamma",
 					"connection %d recovered in %v, bound %v (K-1=%d hops, b=%d backups)",
 					ev.Conn, r.Gamma(), bound, r.Hops-1, r.Backups)
@@ -246,27 +244,17 @@ func (c *Checker) Emit(ev trace.Event) {
 	c.seq++
 }
 
-// GammaBound is the paper's §5.3 recovery-delay bound for a K-hop connection
-// with b backups: failure-reporting delay plus activation-retrial delay,
-// (K−1)·D_max + 2(b−1)(K−1)·D_max. A connection caught with no backup left
-// pays no retrial term.
-func GammaBound(dmax sim.Duration, hops, backups int) sim.Duration {
-	k := sim.Duration(hops - 1)
-	b := sim.Duration(backups - 1)
-	if b < 0 {
-		b = 0
-	}
-	return k*dmax + 2*b*k*dmax
-}
-
-// Bound is the Γ bound the checker holds recovery r to: the detection
-// allowance plus GammaBound for r's K and b.
+// Bound is the Γ bound the checker holds recovery r to, zero with the rule
+// off.
 func (c *Checker) Bound(r trace.Recovery) sim.Duration {
-	return c.p.DetectionSlack + GammaBound(c.p.DMax, r.Hops, r.Backups)
+	if c.p.Gamma == nil {
+		return 0
+	}
+	return c.p.Gamma(r)
 }
 
 // GammaChecked returns how many recoveries were compared against the Γ
-// bound: zero when DMax is 0, and zero on a run whose sources carry no
+// bound: zero with the rule off, and zero on a run whose sources carry no
 // traffic, so a harness that turns the rule on asserts it was exercised.
 func (c *Checker) GammaChecked() int { return c.gammaChecked }
 

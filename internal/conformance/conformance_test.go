@@ -12,6 +12,16 @@ import (
 
 func ms(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
 
+// flat is §5.3's Γ bound after slack, (K−1)·dmax + 2(b−1)(K−1)·dmax: the
+// bound on a network where no link carries more controls than a frame
+// holds.
+func flat(dmax, slack sim.Duration) func(trace.Recovery) sim.Duration {
+	return func(r trace.Recovery) sim.Duration {
+		k, b := sim.Duration(r.Hops-1), sim.Duration(max(r.Backups-1, 0))
+		return slack + k*dmax + 2*b*k*dmax
+	}
+}
+
 func wantRule(t *testing.T, viols []Violation, rule, fragment string) {
 	t.Helper()
 	for _, v := range viols {
@@ -36,7 +46,7 @@ func TestLegalRecoverySequencePasses(t *testing.T) {
 		{At: ms(53), Kind: trace.KindSourceSwitch, Node: 0, Link: topology.NoLink, Conn: 1, Channel: 2},
 		{At: ms(54), Kind: trace.KindClaimConvert, Node: topology.NoNode, Link: 7, Conn: 1, Channel: 2},
 	}
-	if viols := Check(events, Params{DMax: sim.Duration(5 * time.Millisecond), DetectionSlack: sim.Duration(2 * time.Millisecond)}); len(viols) != 0 {
+	if viols := Check(events, Params{Gamma: flat(sim.Duration(5*time.Millisecond), sim.Duration(2*time.Millisecond))}); len(viols) != 0 {
 		t.Fatalf("legal sequence flagged: %v", viols)
 	}
 }
@@ -145,38 +155,38 @@ func TestGammaBoundViolationFlagged(t *testing.T) {
 		{At: ms(100), Kind: trace.KindLinkDown, Node: topology.NoNode, Link: 4},
 		{At: ms(100), Kind: trace.KindReportOriginate, Node: 1, Link: topology.NoLink, Conn: 1, Channel: 1, Aux: -1},
 	}
-	// Bound: (K-1)·DMax = 3ms with b=1 and no slack. A 10ms recovery breaks it.
+	// Bound: (K-1)·dmax = 3ms with b=1 and no slack. A 10ms recovery breaks it.
 	late := append(append([]trace.Event(nil), base...),
 		trace.Event{At: ms(110), Kind: trace.KindSourceSwitch, Node: 0, Link: topology.NoLink, Conn: 1, Channel: 2})
-	wantRule(t, Check(late, Params{DMax: dmax}), "gamma", "bound")
+	wantRule(t, Check(late, Params{Gamma: flat(dmax, 0)}), "gamma", "bound")
 	// A 2ms recovery is within the bound.
 	fast := append(append([]trace.Event(nil), base...),
 		trace.Event{At: ms(102), Kind: trace.KindSourceSwitch, Node: 0, Link: topology.NoLink, Conn: 1, Channel: 2})
-	if viols := Check(fast, Params{DMax: dmax}); len(viols) != 0 {
+	if viols := Check(fast, Params{Gamma: flat(dmax, 0)}); len(viols) != 0 {
 		t.Fatalf("fast recovery flagged: %v", viols)
 	}
-	// DMax = 0 disables the rule entirely.
+	// No Gamma turns the rule off.
 	if viols := Check(late, Params{}); len(viols) != 0 {
-		t.Fatalf("gamma checked with DMax=0: %v", viols)
+		t.Fatalf("gamma checked with the rule off: %v", viols)
 	}
 	// A rule that is on counts each recovery it compared; off, it counts none.
 	for _, tc := range []struct {
 		p    Params
 		want int
-	}{{Params{DMax: dmax}, 1}, {Params{}, 0}} {
+	}{{Params{Gamma: flat(dmax, 0)}, 1}, {Params{}, 0}} {
 		c := New(tc.p)
 		for _, ev := range fast {
 			c.Emit(ev)
 		}
 		if got := c.GammaChecked(); got != tc.want {
-			t.Errorf("GammaChecked with DMax=%v = %d, want %d", tc.p.DMax, got, tc.want)
+			t.Errorf("GammaChecked with the rule on=%v = %d, want %d", tc.p.Gamma != nil, got, tc.want)
 		}
 	}
 }
 
 func TestGammaCountsFailedBackupsInRetrialTerm(t *testing.T) {
 	// Two backups; the first fails before the primary's report, so the
-	// retrial term 2(b-1)(K-1)·DMax must use b=2, not the one live backup
+	// retrial term 2(b-1)(K-1)·dmax must use b=2, not the one live backup
 	// left at the time the recovery starts.
 	dmax := sim.Duration(time.Millisecond)
 	events := []trace.Event{
@@ -189,7 +199,7 @@ func TestGammaCountsFailedBackupsInRetrialTerm(t *testing.T) {
 		// Bound with b=2: 3ms + 2·3ms = 9ms. 8ms after the crash is inside.
 		{At: ms(108), Kind: trace.KindSourceSwitch, Node: 0, Link: topology.NoLink, Conn: 1, Channel: 3},
 	}
-	if viols := Check(events, Params{DMax: dmax}); len(viols) != 0 {
+	if viols := Check(events, Params{Gamma: flat(dmax, 0)}); len(viols) != 0 {
 		t.Fatalf("retrial recovery flagged: %v", viols)
 	}
 }

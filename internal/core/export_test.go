@@ -9,3 +9,10 @@ func (m *Manager) SkewClaimed(l topology.LinkID, d float64) {
 	defer m.beginWrite()()
 	m.plan.mux[l].claimed += d
 }
+
+// BackupsOnLink returns the number of backup channels registered on link l.
+func (m *Manager) BackupsOnLink(l topology.LinkID) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.plan.mux[l].entries)
+}

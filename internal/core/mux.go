@@ -457,13 +457,6 @@ func (m *Manager) psiSizes(ch *rtchan.Channel) []int {
 	return out
 }
 
-// BackupsOnLink returns the number of backup channels registered on link l.
-func (m *Manager) BackupsOnLink(l topology.LinkID) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.plan.mux[l].entries)
-}
-
 // recomputeLinkMux rebuilds the Π structure of one link from scratch —
 // used by reconfiguration after primaries change (an activated backup's new
 // primary path changes every S involving that connection). The caller

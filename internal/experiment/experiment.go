@@ -25,8 +25,7 @@ const (
 	Mesh8x8  Kind = "mesh-8x8"  // 300 Mbps links
 )
 
-// torusCapacityMbps is the torus's link capacity, which the harnesses on it
-// hand to bcpd.Config.Conformance.
+// torusCapacityMbps is the torus's link capacity, D^RCC_max's in Section 5.
 const torusCapacityMbps = 200
 
 // NewGraph builds the evaluation network.
@@ -84,7 +83,7 @@ type Renderable interface{ Render() string }
 // them.
 var IDs = []string{"table1a", "table1b", "table1c", "table2a", "table2b", "table2c",
 	"table3a", "table3b", "fig9a", "fig9b", "fig9c", "fig3", "sec5", "schemes",
-	"hotspot", "severity", "scalability", "baselines"}
+	"hotspot", "severity", "baselines"}
 
 // Run runs the experiment named id with the paper's parameters.
 func Run(id string, opts Options) (Renderable, error) {
@@ -123,8 +122,6 @@ func Run(id string, opts Options) (Renderable, error) {
 		return RunHotspot(opts), nil
 	case "severity":
 		return RunSeverity(5, 200, opts), nil
-	case "scalability":
-		return RunScalability(3, opts), nil
 	case "baselines":
 		return RunBaselineComparison(opts), nil
 	}

@@ -12,14 +12,13 @@ import (
 	"testing"
 )
 
-// TestGoldenTables pins Render() of every deterministic bcpsim experiment at
+// TestGoldenTables pins Render() of every bcpsim experiment at
 // DefaultOptions with a 200-pair double-node sample and bcpsim's default
 // seed, one file per id under testdata/tables: each file is what
 // `bcpsim -exp <id> -sample 200` prints. It is the byte-identity check for a
 // change that means to keep the paper's numbers; one that means to move them
 // re-blesses with `go test ./internal/experiment -run GoldenTables -update`
-// (the flag TestGoldenTrace uses) and says why. scalability is left out: it
-// prints wall-clock times.
+// (the flag TestGoldenTrace uses) and says why.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every table's full sweep")
@@ -29,9 +28,6 @@ func TestGoldenTables(t *testing.T) {
 	opts.Seed = 1
 	want := readTestdata("tables")
 	for _, id := range IDs {
-		if id == "scalability" {
-			continue
-		}
 		t.Run(id, func(t *testing.T) {
 			res, err := Run(id, opts)
 			if err != nil {

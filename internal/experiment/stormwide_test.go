@@ -118,22 +118,26 @@ func (s *StormWide) Run(n int) error {
 // timers, or soft state.
 func TestStormWideTorus(t *testing.T) {
 	// NewStormWide runs DefaultConfig timing (it sets only the rejoin and
-	// replenish timers), so that is the configuration the bound is for. A
-	// node failure floods shared links with hundreds of contending reports
-	// and activations under an RCC far below §5.2; the sampled sources are
-	// where that either shows up in Γ or does not.
-	chk := conformance.New(bcpd.DefaultConfig().Conformance(torusCapacityMbps))
+	// replenish timers). A node failure floods shared links with hundreds
+	// of contending reports and activations under an RCC far below §5.2;
+	// the sampled sources are held to the bound the network counts at each
+	// crash, which charges every hop the frames its controls queue for.
+	var gamma func(trace.Recovery) sim.Duration
+	chk := conformance.New(conformance.Params{
+		PropSlack: bcpd.DefaultConfig().HopBound(torusCapacityMbps),
+		Gamma:     func(r trace.Recovery) sim.Duration { return gamma(r) },
+	})
 	s, err := NewStormWide(StormWideConfig{Seed: 1, Sink: chk})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gamma = s.Net.CountGamma()
 	if s.Conns() < 1000 {
 		t.Fatalf("torus loaded only %d connections; the storm would be thin", s.Conns())
 	}
 	if err := s.Run(len(s.Victims)); err != nil {
 		t.Fatal(err)
 	}
-	maxChans, need := bcpd.RCCProvisioning(s.Mgr)
 	if got := len(chk.Recoveries()); got == 0 {
 		t.Fatal("no sampled source recovered across a full victim rotation")
 	}
@@ -144,8 +148,8 @@ func TestStormWideTorus(t *testing.T) {
 	if got := chk.GammaChecked(); got < 16 {
 		t.Errorf("GammaChecked = %d, want >= 16: the bound is on but was not exercised", got)
 	}
-	t.Logf("§5.2 asks %d B (%d channels on the worst pair), S_max is %d B; %d recoveries checked, worst Γ/bound %v",
-		need, maxChans, bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), gammaWorst(chk))
+	t.Logf("S_max %d B; %d recoveries checked, worst Γ/bound %v",
+		bcpd.DefaultConfig().RCC.SMax, chk.GammaChecked(), gammaWorst(chk))
 	if q := s.Net.CheckQuiescence(); len(q) != 0 {
 		t.Errorf("quiescence after drain: %v", q)
 	}

@@ -34,8 +34,8 @@ type TraceScenario struct {
 	// Config is the protocol configuration the network runs under,
 	// including the scheme, the event sink and the frame tap.
 	Config bcpd.Config
-	// Checks, when set, edits the tolerances Build derives from Config
-	// (Config.Conformance on the torus's links) for the run's checker.
+	// Checks, when set, edits the tolerances bcpd.NewChecked derives for
+	// the run's checker.
 	Checks func(*conformance.Params)
 }
 
@@ -95,11 +95,7 @@ func (s TraceScenario) Build() (*TraceRun, error) {
 		return nil, fmt.Errorf("experiment: fail index %d out of range", s.FailPos)
 	}
 
-	p := s.Config.Conformance(torusCapacityMbps)
-	if s.Checks != nil {
-		s.Checks(&p)
-	}
-	net := bcpd.NewChecked(eng, bcpd.NewSimTransport(), mgr, s.Config, p)
+	net := bcpd.NewChecked(eng, bcpd.NewSimTransport(), mgr, s.Config, s.Checks)
 	if s.Rate > 0 {
 		if err := net.StartTraffic(conn.ID, s.Rate); err != nil {
 			return nil, err

@@ -15,6 +15,7 @@ type pipe struct {
 	delay    sim.Duration
 	lossAtoB func() bool // nil = lossless
 	lossBtoA func() bool
+	tapA     func(wire.Frame) // sees every frame a sends; nil = none
 	a, b     *Endpoint
 	recvA    []wire.Control
 	recvB    []wire.Control
@@ -24,6 +25,13 @@ func newPipe(t *testing.T, p Params, delay sim.Duration) *pipe {
 	t.Helper()
 	pp := &pipe{eng: sim.New(1), delay: delay}
 	pp.a = NewEndpoint(pp.eng, p, func(data []byte) {
+		if pp.tapA != nil {
+			f, err := wire.Unmarshal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp.tapA(f)
+		}
 		if pp.lossAtoB != nil && pp.lossAtoB() {
 			return
 		}

@@ -71,9 +71,6 @@ type Control struct {
 // controlSize is the wire size of one control message.
 const controlSize = 1 + 8 + 4 + 1
 
-// Size returns the encoded size in bytes.
-func (c Control) Size() int { return controlSize }
-
 func (c Control) appendTo(b []byte) []byte {
 	b = append(b, byte(c.Type))
 	b = binary.BigEndian.AppendUint64(b, uint64(c.Channel))

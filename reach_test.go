@@ -25,7 +25,7 @@ var reachCommands = []string{"bcpchaos", "bcplive", "bcpsim", "bcptrace", "bench
 var reachExempt = map[string]string{
 	"internal/testhost":                "a test helper that the tests of several packages import, so it cannot live in one package's _test.go",
 	"trace.ReadJSONL":                  "the golden trace's reader, used by the tests of trace and experiment",
-	"conformance.Checker.GammaChecked": "tests read it to prove the Γ rule ran; ROADMAP 12's acceptance reads it",
+	"conformance.Checker.GammaChecked": "tests read it to prove the Γ rule ran, on every recovery the transactional trial says is fast",
 	"rcc.Endpoint.Stats":               "the RCC tests' oracle; ROADMAP 3(c) is to give it a reader",
 	"bcpd.ChaosTransport.Stats":        "the chaos transport tests' oracle: what the transport dropped, duplicated, corrupted and delayed",
 	"bcpd.Network.TeardownConnection":  "§4.4 teardown through the protocol; bcpd's tests drive it, and ROADMAP 2(b) is to give it a chaos caller",

@@ -50,7 +50,7 @@ var oneValueExempt = map[string]string{
 	"bcpd.Config.DataMsgSize":                       "bench/ reads it to derive its bounds",
 	"experiment.StormWideConfig.PerMessageDispatch": "the per-message reference engine the batched one is held equal to",
 	"rtchan.TrafficSpec.SlackHops":                  "the paper's hop rule; Figure 1's scenario sets it to 1",
-	"rcc.Params.SMax":                               "bench/ reads it; TestProtocolMatchesTransactionalTrial provisions it per §5.2",
+	"rcc.Params.SMax":                               "bench/ reads it; the counted Γ bound holds at any frame size, so no run provisions it",
 	"rcc.Params.RMax":                               "bench/ reads it to derive its bounds",
 	"rcc.Params.AckDelay":                           "bench/ reads it to derive its settle time",
 }
